@@ -45,14 +45,8 @@ def _check_prob_open(alpha: float) -> None:
 
 # --- vectorized kernels used only by the bulk sampler ---------------------
 
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
+_ACK_A, _ACK_B, _ACK_C, _ACK_D = (specfun._ACKLAM_A, specfun._ACKLAM_B,
+                                  specfun._ACKLAM_C, specfun._ACKLAM_D)
 
 
 def _norm_ppf_arr(p: np.ndarray) -> np.ndarray:
@@ -617,24 +611,28 @@ class StudentT(Distribution):
         return 0.5 * ib if t <= 0 else 1.0 - 0.5 * ib
 
     def _std_lower_quantile(self, p: float) -> float:
-        """Standardized quantile for p <= 0.5 by bracketed Newton on the cdf."""
-        if p == 0.5:
-            return 0.0
-        # invert the incomplete-beta tail for the bracket, then polish
-        z = specfun.reg_inc_beta_inv(2.0 * p, 0.5 * self.nu, 0.5)
-        if z <= 0.0:
-            return -math.inf
-        t = -math.sqrt(self.nu * (1.0 - z) / z) if z < 1.0 else 0.0
-        for _ in range(60):
-            resid = self.std_cdf(t) - p
-            d = self.std_pdf(t)
-            if d <= 0.0:
-                break
-            step = resid / d
-            t -= step
-            if abs(step) <= 1e-14 * (1.0 + abs(t)):
-                break
-        return t
+        """Standardized quantile for p <= 0.5, where 2p = I_z(nu/2, 1/2), z = nu / (nu + t^2).
+
+        Where the asymptote 2p ~ z^(nu/2) / (nu/2 B(nu/2, 1/2)) is exact to
+        rounding it gives t in closed form, even where z underflows. Elsewhere
+        reg_inc_beta_inv solves for z, or for 1 - z where z is near 1 and 1 - 2p
+        still carries p, so t = -sqrt(nu (1 - z) / z) does not cancel.
+        """
+        nu, a = self.nu, 0.5 * self.nu
+        x = p * math.sqrt(nu) * math.exp(-self._ln_c())   # 2p a B(a, 1/2) ~ z^a
+        ln_z = math.log(x) / a
+        if ln_z < -40.0:   # relative error of the asymptote < z
+            try:
+                if nu < 1.0:   # nu^(-nu/2) < 1.21 keeps a finite t from overflowing
+                    return -(x * nu ** -a) ** (-1.0 / nu)
+                return -math.sqrt(nu) * x ** (-1.0 / nu)
+            except OverflowError:
+                return -math.inf
+        if -math.expm1(ln_z) < 2.0 * p:   # 1 - z is the smaller error of the two
+            y = specfun.reg_inc_beta_inv(1.0 - 2.0 * p, 0.5, a)
+            return -math.sqrt(nu * y / (1.0 - y))
+        z = specfun.reg_inc_beta_inv(2.0 * p, a, 0.5)
+        return -math.sqrt(nu * (1.0 - z) / z)
 
     def pdf(self, x):
         return self.std_pdf((x - self.mu) / self.s) / self.s
@@ -644,13 +642,8 @@ class StudentT(Distribution):
 
     def quantile(self, alpha):
         _check_prob_open(alpha)
-        if alpha < 0.5:
-            t = self._std_lower_quantile(alpha)
-        elif alpha > 0.5:
-            t = -self._std_lower_quantile(1.0 - alpha)
-        else:
-            t = 0.0
-        return self.mu + self.s * t
+        t = self._std_lower_quantile(min(alpha, 1.0 - alpha))
+        return self.mu + self.s * (t if alpha <= 0.5 else -t)
 
     def tail_quantile(self, eps):
         if not 0.0 < eps < 1.0:

@@ -4,8 +4,7 @@ Everything the closed-form tail formulas need lives here: error function and
 its inverse, (incomplete) gamma and beta functions, both real branches of
 Lambert W, the logarithmic integral on (0, 1), and the binary entropy
 function. All functions are pure, scalar, and deterministic; the only
-dependencies are the standard-library ``math`` module and the in-package
-quadrature helper.
+dependency is the standard-library ``math`` module.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 
-from ._quad import adaptive_quad
 from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -120,7 +118,7 @@ def gamma_fn(a: float) -> float:
 
 
 def _gamma_p_series(a: float, x: float) -> float:
-    # regularized lower tail by power series, for x < a + 1
+    # lower incomplete gamma times e^x x^-a by power series, for x < a + 1
     term = 1.0 / a
     total = term
     n = a
@@ -130,11 +128,11 @@ def _gamma_p_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * 1e-17:
             break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return total
 
 
 def _gamma_q_cf(a: float, x: float) -> float:
-    # regularized upper tail by continued fraction (modified Lentz)
+    # upper incomplete gamma times e^x x^-a by continued fraction (modified Lentz)
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1e300
@@ -154,7 +152,7 @@ def _gamma_q_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return h
 
 
 def _reg_gamma(a: float, b: float) -> tuple[float, float]:
@@ -165,10 +163,11 @@ def _reg_gamma(a: float, b: float) -> tuple[float, float]:
         raise DomainError(f"incomplete gamma requires b >= 0, got {b}")
     if b == 0.0:
         return 0.0, 1.0
+    front = math.exp(-b + a * math.log(b) - math.lgamma(a))
     if b < a + 1.0:
-        p = _gamma_p_series(a, b)
+        p = _gamma_p_series(a, b) * front
         return p, 1.0 - p
-    q = _gamma_q_cf(a, b)
+    q = _gamma_q_cf(a, b) * front
     return 1.0 - q, q
 
 
@@ -241,44 +240,57 @@ def reg_inc_beta(t: float, a: float, b: float) -> float:
 
 
 def reg_inc_beta_inv(p: float, a: float, b: float) -> float:
-    """Inverse of reg_inc_beta in its first argument."""
+    """Inverse of reg_inc_beta in its first argument.
+
+    Halley's method on log I_x(a, b) = log p (p > 1/2 mirrored to I_{1-x}(b, a)
+    = 1 - p) in the log-odds v = log(x / (1 - x)), inside a shrinking bracket.
+    In v the tail is nearly straight, I_x ~ x^a / (a B(a, b)), so that
+    asymptote, capped at the mean, seeds it almost exactly. The odds change by
+    multiplication, so x and 1 - x keep their relative precision however small.
+    """
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"reg_inc_beta_inv requires a, b > 0, got a={a}, b={b}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"reg_inc_beta_inv requires p in [0, 1], got {p}")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    interior_hi = math.nextafter(1.0, 0.0)
-    lo, hi = 0.0, 1.0
-    t = 0.5
-    for _ in range(60):
-        if reg_inc_beta(t, a, b) > p:
-            hi = t
+    if p == 0.0 or p == 1.0:
+        return p
+    mirrored = p > 0.5
+    if mirrored:
+        p, a, b = 1.0 - p, b, a
+    ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    ln_x = (math.log(p) + math.log(a) + ln_beta) / a
+    if ln_x < -708.4:     # x is subnormal, where the asymptote is exact
+        return 1.0 if mirrored else math.exp(ln_x)
+    ln_x = min(ln_x, math.log(a / (a + b)))   # no further than the mean
+    odds = math.exp(ln_x - math.log1p(-math.exp(ln_x)))
+    cross = (a + 1.0) / (a + b + 2.0)
+    lo, hi = 0.0, math.inf
+    for _ in range(200):
+        x, y = odds / (1.0 + odds), 1.0 / (1.0 + odds)
+        tail = reg_inc_beta(x, a, b) if x < cross else 1.0 - reg_inc_beta(y, b, a)
+        if tail > p:
+            hi = odds
         else:
-            lo = t
-        t = 0.5 * (lo + hi)
-    ln_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    for _ in range(60):
-        t = min(max(t, 5e-324), interior_hi)
-        err = reg_inc_beta(t, a, b) - p
-        if err > 0.0:
-            hi = t
-        else:
-            lo = t
-        density = math.exp(ln_norm + (a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t))
-        if density <= 0.0:
-            t = 0.5 * (lo + hi)
-            continue
-        t_new = t - err / density
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= 1e-16 * (1.0 + abs(t_new)):
-            t = min(max(t_new, 5e-324), interior_hi)
-            break
-        t = t_new
-    return t
+            lo = odds
+        new = -1.0
+        # d log I / dv = x (1 - x) f(x) / I, f the Beta(a, b) density
+        slope = math.exp(a * math.log(x) + b * math.log(y) - ln_beta) / tail if tail > 0.0 else 0.0
+        if 0.0 < slope < math.inf:
+            newton = math.log(tail / p) / slope
+            corr = 1.0 - 0.5 * newton * (a * y - b * x - slope)
+            step = newton / corr if 0.5 <= corr <= 2.0 else newton
+            if abs(step) < 700.0:
+                new = odds * math.exp(-step)
+            if abs(step) <= 1e-9:
+                odds = new
+                break
+        if not lo < new < hi:   # bisect, geometrically once the bracket is finite
+            new = hi * 2.0 ** -64 if lo == 0.0 else (
+                lo * 2.0 ** 64 if hi == math.inf else math.sqrt(lo) * math.sqrt(hi))
+            if not lo < new < hi:
+                break             # the bracket is down to adjacent floats
+        odds = new
+    return 1.0 / (1.0 + odds) if mirrored else odds / (1.0 + odds)
 
 
 def inc_beta(y: float, a1: float, a2: float) -> float:
@@ -342,9 +354,9 @@ def log_integral(x: float) -> float:
     if not 0.0 < x < 1.0:
         raise DomainError(f"log_integral requires x in (0, 1), got {x}")
     y = -math.log(x)
-    if y <= 6.0:
+    if y <= 2.0:
         # li(x) = gamma + ln|ln x| + sum (ln x)^n / (n n!); alternating terms
-        # stay small enough here that cancellation costs < 3 digits
+        # stay small enough here that cancellation costs < 1 digit
         total = EULER_GAMMA + math.log(y)
         term = 1.0
         for n in range(1, 200):
@@ -354,14 +366,9 @@ def log_integral(x: float) -> float:
             if abs(contrib) < 1e-17 * max(1.0, abs(total)):
                 break
         return total
-    if x <= 1e-12:
-        return x / math.log(x)
-    # exponential-integral form li(x) = -int_y^inf exp(-u)/u du: a gentle
-    # integrand, where direct quadrature of 1/ln(t) down to t ~ 0 silently
-    # misses the boundary layer; truncation beyond y + 45 is < 1e-22
-    value, _ = adaptive_quad(lambda u: math.exp(-u) / u, y, y + 45.0,
-                             atol=1e-14, rtol=1e-13, limit=2000)
-    return -value
+    # li(x) = -E1(y) = -Gamma(0, y) = -e^-y h with h the continued fraction,
+    # which converges fast for y > 1; e^-y is x itself
+    return -x * _gamma_q_cf(0.0, y)
 
 
 def binary_entropy(alpha: float) -> float:

@@ -120,6 +120,34 @@ def test_student_t_quantile_against_cdf_bisection():
     assert abs(d.quantile(0.95) - 0.5 * (lo + hi)) <= 1e-10
 
 
+# body to deep tail: below 2^-61 the inverse works in log space, and for
+# small nu the quantile leaves binary64
+DEEP_LEVELS = (0.45, 0.25, 0.1, 1e-2, 1e-5, 1e-10, 1e-20, 1e-30, 1e-100, 1e-200, 1e-300)
+
+
+def test_student_t_quantile_overflows_to_inf():
+    # the true quantile is about -1e1000: no finite floor value, no OverflowError
+    d = dist.StudentT(0.3)
+    assert d.quantile(1e-300) == -math.inf
+    assert d.tail_quantile(1e-300) == math.inf
+    assert -math.inf < d.quantile(1e-30) < -1e90   # about -3e98
+
+
+def test_student_t_quantile_closed_forms():
+    for p in DEEP_LEVELS:
+        cauchy = -1.0 / math.tan(math.pi * p)
+        assert abs(dist.StudentT(1.0).quantile(p) - cauchy) <= 1e-13 * abs(cauchy)
+        two = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+        assert abs(dist.StudentT(2.0).quantile(p) - two) <= 1e-13 * abs(two)
+
+
+def test_student_t_tail_quantile_is_mirrored_quantile():
+    for nu in (0.3, 1.0, 2.5, 30.0):
+        d = dist.StudentT(nu)
+        for eps in DEEP_LEVELS + (0.5, 0.75, 0.9, 1.0 - 1e-9):
+            assert d.tail_quantile(eps) == -d.quantile(eps)
+
+
 def test_support_bounds():
     assert dist.GPD(0.0, 1.0, -0.5).support() == (0.0, 2.0)
     assert dist.Pareto(2.0, 1.5).support().lower == 1.5

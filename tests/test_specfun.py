@@ -107,6 +107,16 @@ def test_reg_inc_beta_inv_two_sided():
             assert abs(sf.reg_inc_beta_inv(sf.reg_inc_beta(t, a, b), a, b) - t) <= 1e-9
 
 
+def test_reg_inc_beta_inv_deep_tail():
+    # roots far below 2^-61, from mpmath 1.3 at 40 digits
+    for p, a, b, x in ((1e-30, 1.5, 0.5, 1.77068275400022721e-20),
+                       (1e-25, 0.5, 0.5, 2.4674011002723398447e-50),
+                       (1e-300, 3.0, 0.5, 1.4736125994561546546e-100)):
+        assert abs(sf.reg_inc_beta_inv(p, a, b) - x) <= 1e-13 * x
+    assert sf.reg_inc_beta_inv(1e-300, 0.2, 0.5) == 0.0        # x underflows
+    assert sf.reg_inc_beta_inv(1.0 - 1e-300, 0.5, 0.2) == 1.0
+
+
 def test_inc_beta_values():
     assert sf.inc_beta(0.0, 1.5, 0.5) == 0.0
     assert abs(sf.inc_beta(1.0, 2.0, 2.0) - 1.0 / 6.0) <= 1e-14   # Beta(2,2)
@@ -154,6 +164,18 @@ def test_log_integral_against_quadrature():
         ref, _ = adaptive_quad(lambda t: 1.0 / math.log(t), 1e-12, x,
                                atol=1e-12, rtol=1e-12, limit=4000)
         assert abs(sf.log_integral(x) - ref) <= 1e-8
+
+
+def test_log_integral_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    # deep tail, where the leading term x / ln x alone is 3.2% off at 1e-13
+    for k in range(12, 301):
+        for x in (10.0 ** -k, 3.7 * 10.0 ** -k):
+            ref = float(mp.li(x))
+            assert abs(sf.log_integral(x) - ref) <= 1e-12 * abs(ref)
+    for x in (1e-6, 0.002, 0.05, 0.13, 0.5, 0.9):
+        ref = float(mp.li(x))
+        assert abs(sf.log_integral(x) - ref) <= 1e-12 * abs(ref)
 
 
 def test_log_integral_monotone():

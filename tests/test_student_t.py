@@ -1,0 +1,66 @@
+"""Student-t quantile: mpmath differential test and hypothesis properties."""
+
+import math
+import sys
+
+import pytest
+
+from tailrisk import distributions as dist
+from tailrisk.tail_metrics import superquantile
+
+mp = pytest.importorskip("mpmath")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+NUS = (0.3, 0.5, 1.0, 1.5, 2.5, 3.0, 4.0, 6.0, 10.0, 30.0, 100.0, 300.0)
+LEVELS = (0.45, 0.25, 0.1, 1e-2, 1e-4, 1e-8, 1e-15, 1e-30, 1e-100, 1e-300)
+
+
+def _mp_cdf(nu: float, t: float):
+    """Lower-tail cdf 0.5 I_{nu/(nu+t^2)}(nu/2, 1/2) at t <= 0, 40 digits."""
+    with mp.workdps(40):
+        nu, t = mp.mpf(nu), mp.mpf(t)
+        return mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + t * t), regularized=True) / 2
+
+
+@pytest.mark.parametrize("nu", NUS)
+def test_quantile_matches_mpmath_cdf(nu):
+    d = dist.StudentT(nu)
+    for p in LEVELS:
+        t = d.quantile(p)
+        if math.isinf(t):
+            # only where the quantile lies beyond binary64
+            assert t == -math.inf and _mp_cdf(nu, -sys.float_info.max) > p
+            continue
+        assert abs(_mp_cdf(nu, t) - p) <= 1e-12 * p, (nu, p, t)
+
+
+_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+_NU = st.floats(0.3, 300.0)
+_P = st.floats(1e-300, 0.5)
+
+
+@_SETTINGS
+@given(nu=_NU, p1=_P, p2=_P)
+def test_quantile_monotone(nu, p1, p2):
+    d = dist.StudentT(nu)
+    lo, hi = sorted((p1, p2))
+    q_lo, q_hi = d.quantile(lo), d.quantile(hi)
+    # allowing a few ulps of evaluation noise between nearly equal levels
+    assert q_lo <= q_hi or q_lo <= q_hi + 1e-13 * abs(q_hi)
+
+
+@_SETTINGS
+@given(nu=_NU, u=st.floats(0.5, 1.0, exclude_max=True))
+def test_quantile_antisymmetric(nu, u):
+    # 1 - u is exact for u in [0.5, 1), so the two levels mirror exactly
+    d = dist.StudentT(nu)
+    assert d.quantile(1.0 - u) == -d.quantile(u)
+
+
+@_SETTINGS
+@given(nu=st.floats(1.05, 300.0), s=st.floats(0.1, 10.0), mu=st.floats(-10.0, 10.0),
+       alpha=st.floats(1e-6, 1.0 - 1e-12))
+def test_superquantile_at_least_quantile(nu, s, mu, alpha):
+    d = dist.StudentT(nu, s, mu)
+    assert superquantile(d, alpha) >= d.quantile(alpha)
