@@ -7,35 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError
-
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float = 1e-12, max_iter: int = 200) -> float:
-    """Bisection for a root of f on [lo, hi]; f(lo) and f(hi) must differ in sign."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ConvergenceError(
-            "root not bracketed", {"lo": lo, "hi": hi, "f_lo": flo, "f_hi": fhi})
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol * (1.0 + abs(mid)):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def golden_section_min(f: Callable[[float], float], lo: float, hi: float,

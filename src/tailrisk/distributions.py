@@ -33,9 +33,9 @@ class SupportBound(NamedTuple):
     upper: float
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, value: float) -> None:
     if not condition:
-        raise ParameterError(message)
+        raise ParameterError(message.format(value))
 
 
 def _check_prob_open(alpha: float) -> None:
@@ -251,7 +251,7 @@ class Exponential(Distribution):
     family: ClassVar[str] = "exponential"
 
     def _validate(self):
-        _require(self.lam > 0, f"Exponential requires lam > 0, got {self.lam}")
+        _require(0 < self.lam < math.inf, "Exponential requires finite lam > 0, got {}", self.lam)
 
     def pdf(self, x):
         return self.lam * math.exp(-self.lam * x) if x >= 0 else 0.0
@@ -288,8 +288,8 @@ class Pareto(Distribution):
     family: ClassVar[str] = "pareto"
 
     def _validate(self):
-        _require(self.a > 0, f"Pareto requires shape a > 0, got {self.a}")
-        _require(self.xm > 0, f"Pareto requires scale xm > 0, got {self.xm}")
+        _require(0 < self.a < math.inf, "Pareto requires finite shape a > 0, got {}", self.a)
+        _require(0 < self.xm < math.inf, "Pareto requires finite scale xm > 0, got {}", self.xm)
 
     def pdf(self, x):
         if x < self.xm:
@@ -335,7 +335,9 @@ class GPD(Distribution):
     family: ClassVar[str] = "gpd"
 
     def _validate(self):
-        _require(self.s > 0, f"GPD requires scale s > 0, got {self.s}")
+        _require(0 < self.s < math.inf, "GPD requires finite scale s > 0, got {}", self.s)
+        _require(math.isfinite(self.mu), "GPD requires finite mu, got {}", self.mu)
+        _require(math.isfinite(self.xi), "GPD requires finite xi, got {}", self.xi)
 
     @property
     def _xi0(self) -> bool:
@@ -405,7 +407,8 @@ class Laplace(Distribution):
     family: ClassVar[str] = "laplace"
 
     def _validate(self):
-        _require(self.b > 0, f"Laplace requires scale b > 0, got {self.b}")
+        _require(0 < self.b < math.inf, "Laplace requires finite scale b > 0, got {}", self.b)
+        _require(math.isfinite(self.mu), "Laplace requires finite mu, got {}", self.mu)
 
     def pdf(self, x):
         return math.exp(-abs(x - self.mu) / self.b) / (2.0 * self.b)
@@ -454,7 +457,8 @@ class Normal(Distribution):
     family: ClassVar[str] = "normal"
 
     def _validate(self):
-        _require(self.sigma > 0, f"Normal requires sigma > 0, got {self.sigma}")
+        _require(0 < self.sigma < math.inf, "Normal requires finite sigma > 0, got {}", self.sigma)
+        _require(math.isfinite(self.mu), "Normal requires finite mu, got {}", self.mu)
 
     def pdf(self, x):
         z = (x - self.mu) / self.sigma
@@ -501,7 +505,8 @@ class LogNormal(Distribution):
     family: ClassVar[str] = "lognormal"
 
     def _validate(self):
-        _require(self.s > 0, f"LogNormal requires log-scale s > 0, got {self.s}")
+        _require(0 < self.s < math.inf, "LogNormal requires finite log-scale s > 0, got {}", self.s)
+        _require(math.isfinite(self.mu), "LogNormal requires finite mu, got {}", self.mu)
 
     def pdf(self, x):
         if x <= 0:
@@ -552,7 +557,8 @@ class Logistic(Distribution):
     family: ClassVar[str] = "logistic"
 
     def _validate(self):
-        _require(self.s > 0, f"Logistic requires scale s > 0, got {self.s}")
+        _require(0 < self.s < math.inf, "Logistic requires finite scale s > 0, got {}", self.s)
+        _require(math.isfinite(self.mu), "Logistic requires finite mu, got {}", self.mu)
 
     def pdf(self, x):
         z = abs(x - self.mu) / self.s
@@ -594,8 +600,9 @@ class StudentT(Distribution):
     family: ClassVar[str] = "student-t"
 
     def _validate(self):
-        _require(self.nu > 0, f"StudentT requires nu > 0, got {self.nu}")
-        _require(self.s > 0, f"StudentT requires scale s > 0, got {self.s}")
+        _require(0 < self.nu < math.inf, "StudentT requires finite nu > 0, got {}", self.nu)
+        _require(0 < self.s < math.inf, "StudentT requires finite scale s > 0, got {}", self.s)
+        _require(math.isfinite(self.mu), "StudentT requires finite mu, got {}", self.mu)
 
     def _ln_c(self) -> float:
         return math.lgamma(0.5 * (self.nu + 1.0)) - math.lgamma(0.5 * self.nu) \
@@ -606,9 +613,20 @@ class StudentT(Distribution):
         return math.exp(self._ln_c() - 0.5 * (self.nu + 1.0) * math.log1p(t * t / self.nu))
 
     def std_cdf(self, t: float) -> float:
-        z = self.nu / (t * t + self.nu)
-        ib = specfun.reg_inc_beta(z, 0.5 * self.nu, 0.5)
-        return 0.5 * ib if t <= 0 else 1.0 - 0.5 * ib
+        """Cdf of the standardized variate from whichever of y = t^2 / (nu + t^2)
+        and z = 1 - y reg_inc_beta sums directly, so neither cancels; below
+        z = e^-40 the tail is its asymptote z^(nu/2) c / sqrt(nu), exact to rounding."""
+        nu, a = self.nu, 0.5 * self.nu
+        t2 = t * t
+        if t2 * (a + 1.0) < 1.5 * nu:   # y below reg_inc_beta's switch (1/2 + 1) / (a + 5/2)
+            half = 0.5 * specfun.reg_inc_beta(t2 / (nu + t2), 0.5, a)
+            return 0.5 - half if t <= 0 else 0.5 + half
+        ln_z = math.log(nu) - 2.0 * math.log(abs(t)) - math.log1p(nu / t2)
+        if ln_z < -40.0:
+            tail = math.exp(a * ln_z + self._ln_c()) / math.sqrt(nu)
+        else:
+            tail = 0.5 * specfun.reg_inc_beta(nu / (nu + t2), a, 0.5)
+        return tail if t <= 0 else 1.0 - tail
 
     def _std_lower_quantile(self, p: float) -> float:
         """Standardized quantile for p <= 0.5, where 2p = I_z(nu/2, 1/2), z = nu / (nu + t^2).
@@ -674,8 +692,8 @@ class Weibull(Distribution):
     family: ClassVar[str] = "weibull"
 
     def _validate(self):
-        _require(self.lam > 0, f"Weibull requires scale lam > 0, got {self.lam}")
-        _require(self.k > 0, f"Weibull requires shape k > 0, got {self.k}")
+        _require(0 < self.lam < math.inf, "Weibull requires finite scale lam > 0, got {}", self.lam)
+        _require(0 < self.k < math.inf, "Weibull requires finite shape k > 0, got {}", self.k)
 
     def pdf(self, x):
         if x < 0:
@@ -723,8 +741,8 @@ class LogLogistic(Distribution):
     family: ClassVar[str] = "loglogistic"
 
     def _validate(self):
-        _require(self.a > 0, f"LogLogistic requires scale a > 0, got {self.a}")
-        _require(self.b > 0, f"LogLogistic requires shape b > 0, got {self.b}")
+        _require(0 < self.a < math.inf, "LogLogistic requires finite scale a > 0, got {}", self.a)
+        _require(0 < self.b < math.inf, "LogLogistic requires finite shape b > 0, got {}", self.b)
 
     def pdf(self, x):
         if x < 0:
@@ -781,7 +799,9 @@ class GEV(Distribution):
     family: ClassVar[str] = "gev"
 
     def _validate(self):
-        _require(self.s > 0, f"GEV requires scale s > 0, got {self.s}")
+        _require(0 < self.s < math.inf, "GEV requires finite scale s > 0, got {}", self.s)
+        _require(math.isfinite(self.mu), "GEV requires finite mu, got {}", self.mu)
+        _require(math.isfinite(self.xi), "GEV requires finite xi, got {}", self.xi)
 
     @property
     def _xi0(self) -> bool:

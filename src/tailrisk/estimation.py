@@ -37,8 +37,8 @@ def empirical_superquantile(sample, alpha: float) -> float:
     alpha = 0 gives the sample mean.
     """
     x = np.asarray(sample, dtype=float)
-    if x.size == 0:
-        raise ParameterError("empirical superquantile needs a nonempty sample")
+    if x.size == 0 or np.isnan(x).any():
+        raise ParameterError("empirical superquantile needs a nonempty sample without NaN")
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"level must lie in [0, 1), got {alpha}")
     if alpha == 0.0:
@@ -88,15 +88,16 @@ class FitProblem:
             raise ParameterError("provide exactly one of targets or sample")
         if self.targets is not None and len(self.targets) != len(levels):
             raise ParameterError("one target per level required")
-        if self.sample is not None and len(self.sample) == 0:
-            raise ParameterError("sample must be nonempty")
+        if self.sample is not None:
+            sample = np.asarray(self.sample, dtype=float)
+            if sample.size == 0 or np.isnan(sample).any():
+                raise ParameterError("sample must be nonempty and without NaN")
+            object.__setattr__(self, "sample", tuple(sample.tolist()))
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "shifts", shifts)
         if self.targets is not None:
             object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
-        if self.sample is not None:
-            object.__setattr__(self, "sample", tuple(float(v) for v in self.sample))
 
     def resolved_targets(self) -> tuple[float, ...]:
         if self.targets is not None:

@@ -16,6 +16,11 @@ thresholds. Two solved problems:
 The second objective has no shape parameter in it, so one weight vector is
 bPOE-optimal for every qualified family simultaneously; only the reported
 bPOE value depends on the family.
+
+Each solve is one projected-gradient run from equal weights: the min-CVaR
+objective is concave (zeta >= 0), the min-bPOE ratio pseudo-concave and the
+Markowitz and minimum-variance objectives concave quadratics, so on the
+box-bounded simplex every KKT point is a global maximum.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import specfun
-from ._optim import multi_start_max, project_box_simplex
+from ._optim import projected_gradient_max
 from .distributions import GEV, Laplace, Logistic, Normal, StudentT
 from .errors import ConvergenceError, DomainError, ParameterError
 from .tail_metrics import left_superquantile
@@ -282,22 +286,12 @@ def _max_linear(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float
     return float(w @ coef)
 
 
-def _default_starts(n: int) -> list[np.ndarray]:
-    equal = np.full(n, 1.0 / n)
-    starts = [equal]
-    for i in range(min(4, n)):
-        corner = np.zeros(n)
-        corner[i] = 1.0
-        starts.append(0.9 * corner + 0.1 * equal)
-    return starts
-
-
-def _solve(problem: PortfolioProblem, objective, gradient,
+def _solve(objective, gradient, lower: np.ndarray, upper: np.ndarray,
            grad_tol: float = 1e-9) -> tuple[np.ndarray, float, float]:
-    lo = problem.lower
-    hi = problem.upper
-    w, f_w, gp = multi_start_max(objective, gradient, _default_starts(problem.universe.size),
-                                 lo, hi, grad_tol=grad_tol)
+    """One projected-gradient run from equal weights (see the module docstring)."""
+    start = np.full(lower.size, 1.0 / lower.size)
+    w, f_w, gp = projected_gradient_max(objective, gradient, start, lower, upper,
+                                        grad_tol=grad_tol)
     if gp > 1e-8:
         raise ConvergenceError("portfolio solver did not reach KKT tolerance",
                                {"gradient_projection_norm": gp})
@@ -321,7 +315,7 @@ def min_cvar_portfolio(problem: PortfolioProblem,
         sd = math.sqrt(max(float(w @ cw), 1e-30))
         return eta - z * cw / sd
 
-    w, f_w, gp = _solve(problem, f, g)
+    w, f_w, gp = _solve(f, g, problem.lower, problem.upper)
     ret = float(w @ eta)
     sd = math.sqrt(float(w @ cov @ w))
     # lambda matching the half-quadratic Markowitz utility w.eta - (l/2) w.S.w
@@ -332,19 +326,37 @@ def min_cvar_portfolio(problem: PortfolioProblem,
 
 
 def _invert_zeta(family: QualifiedFamily, target: float) -> float:
-    """Level alpha with zeta(alpha) = target; clamps at the search window."""
+    """Level alpha with zeta(alpha) = target; clamps at the search window.
+
+    Safeguarded Newton in u = log(1 - alpha). zeta is a superquantile, so
+    d zeta / du = l - zeta with l = (mean - q(1 - alpha)) / stdev. The start,
+    from the Cantelli bound zeta <= sqrt(alpha / (1 - alpha)), is at or below
+    the root for every unit-variance law.
+    """
     lo, hi = 1e-9, 1.0 - 1e-9
     if target <= family.zeta(lo):
         return lo
     if target >= family.zeta(hi):
         return hi
+    d = family._unit_variance_member()
+    m, sd = d.mean(), math.sqrt(d.variance())
+    u_lo, u_hi = math.log1p(-hi), math.log1p(-lo)   # zeta(u_lo) > target > zeta(u_hi)
+    u = min(u_hi, -math.log1p(target * target))
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if family.zeta(mid) < target:
-            lo = mid
+        alpha = -math.expm1(u)
+        z = family.zeta(alpha)
+        if z > target:
+            u_lo = u
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            u_hi = u
+        slope = z - (m - d.quantile(1.0 - alpha)) / sd
+        new = u + (z - target) / slope if slope > 0.0 else math.nan
+        if not u_lo <= new <= u_hi:
+            new = 0.5 * (u_lo + u_hi)
+        if abs(new - u) <= 1e-12 or u_hi - u_lo <= 1e-12:
+            return -math.expm1(new)
+        u = new
+    return -math.expm1(u)
 
 
 def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
@@ -377,20 +389,17 @@ def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
         num = float(w @ eta + x)
         return eta / max(num, 1e-30) - cw / max(float(w @ cw), 1e-30)
 
-    w, log_ratio, gp = _solve(problem, f, g)
+    w, log_ratio, gp = _solve(f, g, problem.lower, problem.upper)
     ratio = math.exp(log_ratio)
     ret = float(w @ eta)
     sd = math.sqrt(float(w @ cov @ w))
-    alpha_star = _invert_zeta(family, ratio) if ratio > 0.0 else 1e-9
-    value = 1.0 - alpha_star if ratio > 0.0 else 1.0
     if report_families is None:
         report_families = default_report_families()
-    by_family = {}
-    for fam in report_families:
-        a = _invert_zeta(fam, ratio) if ratio > 0.0 else 1e-9
-        by_family[fam.label()] = 1.0 - a if ratio > 0.0 else 1.0
+    # one inversion per distinct family; the solved family is usually reported too
+    alphas = {fam: _invert_zeta(fam, ratio) for fam in dict.fromkeys((family, *report_families))}
+    by_family = {fam.label(): 1.0 - alphas[fam] for fam in report_families}
     return PortfolioReport(u.names, w, ret, sd, "bpoe",
-                           objective_value=value, alpha_star=alpha_star,
+                           objective_value=1.0 - alphas[family], alpha_star=alphas[family],
                            bpoe_by_family=by_family, kkt_residual=gp)
 
 
@@ -419,11 +428,7 @@ def markowitz_solve(universe: AssetUniverse, lam: float,
     def g(w):
         return eta - lam * (cov @ w)
 
-    w, _, gp = multi_start_max(f, g, _default_starts(n), lo, hi, grad_tol=1e-10)
-    if gp > 1e-8:
-        raise ConvergenceError("Markowitz solver did not reach KKT tolerance",
-                               {"gradient_projection_norm": gp})
-    return w
+    return _solve(f, g, lo, hi, grad_tol=1e-10)[0]
 
 
 def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
@@ -451,8 +456,7 @@ def min_variance_portfolio(universe: AssetUniverse, lower=0.0, upper=1.0) -> np.
     def g(w):
         return -2.0 * (cov @ w)
 
-    w, _, _ = multi_start_max(f, g, _default_starts(n), lo, hi, grad_tol=1e-10)
-    return w
+    return _solve(f, g, lo, hi, grad_tol=1e-10)[0]
 
 
 def efficient_frontier(universe: AssetUniverse, family: QualifiedFamily,

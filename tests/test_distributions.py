@@ -38,6 +38,23 @@ def test_make_validates():
         dist.make("exponential", lam=1.0, k=2.0)
 
 
+@pytest.mark.parametrize("d", [group[0] for group in SETTINGS.values()], ids=repr)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(d, bad):
+    for name, value in d.params().items():
+        with pytest.raises(ParameterError, match="finite"):
+            dist.make(d.family, **{**d.params(), name: bad})
+
+
+def test_non_finite_parameter_examples():
+    with pytest.raises(ParameterError, match="finite mu"):
+        dist.Normal(math.nan, 1.0)
+    with pytest.raises(ParameterError, match="finite sigma"):
+        dist.Normal(0.0, math.inf)
+    with pytest.raises(ParameterError, match="finite xi"):
+        dist.GPD(0.0, 1.0, math.nan)
+
+
 def test_pdf_cdf_spot_values():
     assert dist.Logistic(0.0, 1.0).cdf(0.0) == 0.5
     assert dist.Exponential(2.0).cdf(-0.5) == 0.0

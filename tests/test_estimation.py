@@ -46,6 +46,8 @@ def test_empirical_validation():
         empirical_superquantile([], 0.5)
     with pytest.raises(DomainError):
         empirical_superquantile([1.0], 1.0)
+    with pytest.raises(ParameterError, match="NaN"):
+        empirical_superquantile([1.0, math.nan, 3.0], 0.5)
 
 
 def test_empirical_unsorted_input():
@@ -162,6 +164,10 @@ def test_problem_validation():
         FitProblem("normal", (0.1, 0.5), shifts=(0.2, 0.0), targets=(1.0, 2.0))
     with pytest.raises(ParameterError, match="positive"):
         FitProblem("normal", (0.5,), weights=(-1.0,), targets=(1.0,))
+    with pytest.raises(ParameterError, match="NaN"):
+        FitProblem("weibull", (0.5,), sample=(1.0, math.nan, 3.0))
+    with pytest.raises(ParameterError, match="nonempty"):
+        FitProblem("weibull", (0.5,), sample=())
     with pytest.raises(ParameterError, match="parameterization"):
         ls_mos_fit(FitProblem("unknown", (0.5,), targets=(1.0,)))
 

@@ -6,12 +6,13 @@ import pytest
 from tailrisk import distributions as dist
 from tailrisk import specfun as sf
 from tailrisk import tail_metrics as tm
+from tailrisk._optim import projected_gradient_max
 from tailrisk.errors import DomainError, ParameterError
 from tailrisk.portfolio import (AssetUniverse, PortfolioProblem, QualifiedFamily,
                                 cvar_cross_evaluate, default_report_families,
                                 efficient_frontier, markowitz_equivalence_check,
                                 markowitz_solve, min_bpoe_portfolio,
-                                min_cvar_portfolio, min_variance_portfolio)
+                                min_cvar_portfolio, min_variance_portfolio, _invert_zeta)
 
 
 @pytest.fixture(scope="module")
@@ -269,3 +270,118 @@ def test_efficient_frontier_rows(msci):
     assert all(abs(sum(r[n] for n in msci.names) - 1.0) <= 1e-9 for r in rows)
     # risk level rises with alpha
     assert rows[0]["objective_value"] < rows[2]["objective_value"]
+
+
+# --- one start suffices ------------------------------------------------------
+
+def _random_universe(rng, n):
+    factors = rng.normal(size=(n, 3))
+    cov = factors @ factors.T + np.diag(rng.uniform(0.2, 1.0, n))
+    corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    np.fill_diagonal(corr, 1.0)
+    return AssetUniverse(tuple(f"A{i}" for i in range(n)), rng.normal(0.008, 0.01, n),
+                         rng.uniform(0.03, 0.12, n), corr)
+
+
+def _objectives(universe, problem, family):
+    """The maximized objective and its gradient, as the solvers state them."""
+    eta, cov = universe.expected_returns, universe.covariance
+    if problem.objective == "cvar":
+        z = family.zeta(problem.level)
+        return (lambda w: float(w @ eta - z * math.sqrt(w @ cov @ w)),
+                lambda w: eta - z * (cov @ w) / math.sqrt(w @ cov @ w))
+    x = problem.threshold
+    return (lambda w: math.log(w @ eta + x) - 0.5 * math.log(w @ cov @ w),
+            lambda w: eta / (w @ eta + x) - (cov @ w) / (w @ cov @ w))
+
+
+def _best_of_five_starts(f, g, lower, upper):
+    """Equal weights plus four corner-leaning starts, the best objective wins."""
+    n = lower.size
+    equal = np.full(n, 1.0 / n)
+    starts = [equal] + [0.9 * np.eye(n)[i] + 0.1 * equal for i in range(min(4, n))]
+    return max(projected_gradient_max(f, g, s, lower, upper)[1] for s in starts)
+
+
+@pytest.mark.parametrize("n, capped", [(3, False), (5, True), (10, True), (16, False),
+                                        (25, False), (25, True)])
+def test_single_start_matches_best_of_five(n, capped):
+    rng = np.random.default_rng(1000 + n)
+    universe = _random_universe(rng, n)
+    # a common cap that keeps the budget feasible (n * cap >= 1.5)
+    upper = max(1.5 / n, 0.25) if capped else 1.0
+    cases = [(PortfolioProblem(universe, "cvar", level=0.95, upper=upper), fam)
+             for fam in (QualifiedFamily("normal"), QualifiedFamily("student-t", nu=3.0),
+                         QualifiedFamily("gev", xi=0.1))]
+    cases.append((PortfolioProblem(universe, "bpoe", threshold=0.1, upper=upper),
+                  QualifiedFamily("normal")))
+    for problem, fam in cases:
+        solve = min_cvar_portfolio if problem.objective == "cvar" else min_bpoe_portfolio
+        rep = solve(problem, fam)
+        f, g = _objectives(universe, problem, fam)
+        best = _best_of_five_starts(f, g, problem.lower, problem.upper)
+        assert f(rep.weights) >= best - 1e-12, (n, problem.objective, fam.label())
+
+
+def test_permuting_assets_permutes_weights():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    cases = st.integers(3, 12).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)), st.integers(0, 2 ** 32 - 1), st.booleans()))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=cases)
+    def check(case):
+        perm, seed, capped = case
+        perm = np.array(perm)
+        rng = np.random.default_rng(seed)
+        u = _random_universe(rng, perm.size)
+        upper = rng.uniform(2.0 / perm.size, 1.0, perm.size) if capped else np.ones(perm.size)
+        v = AssetUniverse(tuple(np.array(u.names)[perm]), u.expected_returns[perm],
+                          u.stdevs[perm], u.correlations[np.ix_(perm, perm)])
+        fam = QualifiedFamily("student-t", nu=4.0)
+        for objective, kw in (("cvar", {"level": 0.9}), ("bpoe", {"threshold": 0.1})):
+            solve = min_cvar_portfolio if objective == "cvar" else min_bpoe_portfolio
+            base = solve(PortfolioProblem(u, objective, upper=upper, **kw), fam)
+            moved = solve(PortfolioProblem(v, objective, upper=upper[perm], **kw), fam)
+            assert np.max(np.abs(moved.weights - base.weights[perm])) <= 1e-9
+
+    check()
+
+
+# --- zeta inversion ----------------------------------------------------------
+
+_INVERSION_FAMILIES = (QualifiedFamily("normal"), QualifiedFamily("laplace"),
+                       QualifiedFamily("logistic"), QualifiedFamily("student-t", nu=3.0),
+                       QualifiedFamily("gev", xi=0.1))
+
+
+def _bisect_zeta(family, target):
+    lo, hi = 1e-9, 1.0 - 1e-9
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if family.zeta(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("family", _INVERSION_FAMILIES, ids=lambda f: f.label())
+def test_invert_zeta_matches_bisection(family):
+    levels = (1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999, 1e-4, 1e-5)
+    zetas = sorted(family.zeta(a if a > 1e-4 else 1.0 - a) for a in levels)
+    # the levels themselves and points strictly between them
+    targets = zetas + [math.sqrt(a * b) for a, b in zip(zetas, zetas[1:])]
+    for target in targets:
+        got = 1.0 - _invert_zeta(family, target)
+        want = 1.0 - _bisect_zeta(family, target)
+        assert abs(got - want) <= 1e-8 * want, (target, got, want)
+
+
+@pytest.mark.parametrize("family", _INVERSION_FAMILIES, ids=lambda f: f.label())
+def test_invert_zeta_clamps_at_window(family):
+    assert _invert_zeta(family, 0.5 * family.zeta(1e-9)) == 1e-9
+    assert _invert_zeta(family, 0.0) == 1e-9
+    assert _invert_zeta(family, 2.0 * family.zeta(1.0 - 1e-9)) == 1.0 - 1e-9

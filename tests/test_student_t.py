@@ -64,3 +64,38 @@ def test_quantile_antisymmetric(nu, u):
 def test_superquantile_at_least_quantile(nu, s, mu, alpha):
     d = dist.StudentT(nu, s, mu)
     assert superquantile(d, alpha) >= d.quantile(alpha)
+
+
+def _mp_cdf_signed(nu: float, t: float):
+    """Cdf at any t, 40 digits: the tail below -|t|, mirrored for t > 0."""
+    tail = _mp_cdf(nu, -abs(t))
+    return tail if t <= 0 else 1 - tail
+
+
+CDF_POINTS = (-1e300, -1e200, -1e155, -1e60, -1e10, -1e4, -300.0, -30.0, -5.0, -2.0,
+              -1.0, -0.3, -1e-2, -1e-4, -1e-8, -1e-30, 0.0)
+
+
+@pytest.mark.parametrize("nu", NUS)
+def test_cdf_matches_mpmath(nu):
+    # relative to the cdf in the tails and to its distance from 1/2 near t = 0,
+    # plus the rounding of a value near 1/2; 2e-12 is the lgamma-limited
+    # accuracy of reg_inc_beta at nu = 300
+    d = dist.StudentT(nu)
+    for t in CDF_POINTS + tuple(-t for t in CDF_POINTS):
+        want = _mp_cdf_signed(nu, t)
+        with mp.workdps(40):
+            scale = min(want, 1 - want, abs(mp.mpf(0.5) - want))
+            err = abs(d.cdf(t) - want)
+        assert err <= 2e-12 * scale + 2.0 ** -54, (nu, t, d.cdf(t), float(want))
+
+
+def test_cdf_far_tail_and_centre():
+    # t^2 overflows in the first two; 1/2 - cdf cancelled in the last two
+    assert abs(dist.StudentT(1.0).cdf(-1e200) / 3.183098861837907e-201 - 1) <= 1e-13
+    assert abs(dist.StudentT(1.0).cdf(-1e155) / 3.183098861837907e-156 - 1) <= 1e-13
+    for nu, t in ((300.0, -1e-5), (30.0, -1e-4)):
+        with mp.workdps(40):
+            want = mp.mpf(0.5) - _mp_cdf(nu, t)
+            got = 0.5 - dist.StudentT(nu).cdf(t)
+            assert abs(got - want) <= 1e-10 * want, (nu, t, got, float(want))
