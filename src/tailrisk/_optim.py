@@ -30,6 +30,50 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
     return x1 if f1 <= f2 else x2
 
 
+def cantelli_level(x: float, mean: float, variance: float) -> float:
+    """Start for ``level_root``: t^2 / (1 + t^2), t = (x - mean) / sd, or 0.5 if sd = inf.
+
+    Since sq(alpha) <= mean + sd sqrt(alpha / (1 - alpha)) for every
+    finite-variance law, this level is at or below the root of sq(alpha) = x.
+    """
+    if not math.isfinite(variance):
+        return 0.5
+    t = (x - mean) / math.sqrt(variance)
+    return t * t / (1.0 + t * t)
+
+
+def level_root(sq: Callable[[float], float], q: Callable[[float], float], x: float,
+               lo: float, hi: float, start: float) -> float:
+    """Level alpha in [lo, hi] where the superquantile sq(alpha) equals x; q is its quantile.
+
+    Safeguarded Newton in u = log(1 - alpha), where d sq/du = q - sq: a step
+    leaving the bracket, or a start outside (lo, hi), becomes bisection in u.
+    Returns lo or hi when x lies outside [sq(lo), sq(hi)]. Stops at a step or
+    bracket of 1e-13 in u, i.e. relative precision 1e-13 in 1 - alpha.
+    """
+    if x <= sq(lo):
+        return lo
+    if x >= sq(hi):
+        return hi
+    u_lo, u_hi = math.log1p(-hi), math.log1p(-lo)   # sq at u_lo > x > sq at u_hi
+    u = math.log1p(-start) if lo < start < hi else 0.5 * (u_lo + u_hi)
+    for _ in range(100):
+        alpha = -math.expm1(u)
+        s = sq(alpha)
+        if s > x:
+            u_lo = u
+        else:
+            u_hi = u
+        slope = s - q(alpha)
+        new = u + (s - x) / slope if 0.0 < slope < math.inf else math.nan
+        if not u_lo <= new <= u_hi:
+            new = 0.5 * (u_lo + u_hi)
+        if abs(new - u) <= 1e-13 or u_hi - u_lo <= 1e-13:
+            return -math.expm1(new)
+        u = new
+    return -math.expm1(u)
+
+
 def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
                 scale: float = 0.25, xatol: float = 1e-12, fatol: float = 1e-16,
                 max_iter: int = 4000) -> tuple[np.ndarray, float, int]:

@@ -38,6 +38,14 @@ def _require(condition: bool, message: str, value: float) -> None:
         raise ParameterError(message.format(value))
 
 
+def _gamma_or_inf(z: float) -> float:
+    """Gamma(z) for z > 0; inf where it exceeds binary64, which is its rounding."""
+    try:
+        return math.gamma(z)
+    except OverflowError:
+        return math.inf
+
+
 def _check_prob_open(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"quantile level must lie in (0, 1), got {alpha}")
@@ -720,12 +728,12 @@ class Weibull(Distribution):
         return self.lam * (-math.log(eps)) ** (1.0 / self.k)
 
     def mean(self):
-        return self.lam * math.gamma(1.0 + 1.0 / self.k)
+        return self.lam * _gamma_or_inf(1.0 + 1.0 / self.k)
 
     def variance(self):
-        g1 = math.gamma(1.0 + 1.0 / self.k)
-        g2 = math.gamma(1.0 + 2.0 / self.k)
-        return self.lam ** 2 * (g2 - g1 * g1)
+        g1 = _gamma_or_inf(1.0 + 1.0 / self.k)
+        g2 = _gamma_or_inf(1.0 + 2.0 / self.k)
+        return self.lam ** 2 * (g2 - g1 * g1) if g2 < math.inf else math.inf
 
     def support(self):
         return SupportBound(0.0, math.inf)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._optim import cantelli_level, level_root
 from ._quad import adaptive_quad
 from .distributions import Distribution
 from .errors import ConvergenceError, DomainError, OracleError
@@ -126,7 +127,14 @@ def oracle_superquantile(d: Distribution, alpha: float,
 
 def oracle_bpoe(d: Distribution, x: float,
                 cfg: OracleConfig = OracleConfig()) -> OracleResult:
-    """bPOE by root finding on the quadrature superquantile."""
+    """bPOE by root finding on the quadrature superquantile.
+
+    ``_optim.level_root`` solves oracle_superquantile(d, alpha) = x over
+    [0, 1 - 1e-13] from the Cantelli level. ``error_estimate`` is the level
+    error: the residual |sq(alpha*) - x| plus the quadrature error of
+    sq(alpha*), divided by the slope d sq/d alpha = (sq - q) / (1 - alpha)
+    at alpha*.
+    """
     m = d.mean()
     if not math.isfinite(m):
         raise DomainError("oracle requires a finite mean")
@@ -134,29 +142,15 @@ def oracle_bpoe(d: Distribution, x: float,
     if not m < x < upper:
         raise DomainError(f"threshold must lie in (mean, sup) = ({m}, {upper}), got {x}")
 
-    def residual(alpha: float) -> float:
-        return oracle_superquantile(d, alpha, cfg).value - x
+    def sq(alpha: float) -> float:
+        return oracle_superquantile(d, alpha, cfg).value
 
-    lo, hi = 0.0, 0.5
-    for _ in range(60):
-        if residual(hi) >= 0.0:
-            break
-        lo = hi
-        hi = 1.0 - 0.5 * (1.0 - hi)
-        if 1.0 - hi < 1e-13:
-            break
-    # plain bisection; each evaluation is a full quadrature
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    alpha = 0.5 * (lo + hi)
-    quad_err = oracle_superquantile(d, alpha, cfg).error_estimate
-    return OracleResult(1.0 - alpha, max(hi - lo, quad_err))
+    alpha = level_root(sq, d.quantile, x, 0.0, 1.0 - 1e-13,
+                       cantelli_level(x, m, d.variance()))
+    at_root = oracle_superquantile(d, alpha, cfg)
+    slope = (at_root.value - d.quantile(alpha)) / (1.0 - alpha)
+    return OracleResult(1.0 - alpha,
+                        (abs(at_root.value - x) + at_root.error_estimate) / slope)
 
 
 def mc_superquantile(d: Distribution, alpha: float,

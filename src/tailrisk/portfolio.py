@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._optim import projected_gradient_max
+from ._optim import cantelli_level, level_root, projected_gradient_max
 from .distributions import GEV, Laplace, Logistic, Normal, StudentT
 from .errors import ConvergenceError, DomainError, ParameterError
 from .tail_metrics import left_superquantile
@@ -328,35 +328,14 @@ def min_cvar_portfolio(problem: PortfolioProblem,
 def _invert_zeta(family: QualifiedFamily, target: float) -> float:
     """Level alpha with zeta(alpha) = target; clamps at the search window.
 
-    Safeguarded Newton in u = log(1 - alpha). zeta is a superquantile, so
-    d zeta / du = l - zeta with l = (mean - q(1 - alpha)) / stdev. The start,
-    from the Cantelli bound zeta <= sqrt(alpha / (1 - alpha)), is at or below
-    the root for every unit-variance law.
+    zeta is the superquantile of the standardised loss (m - X) / sd, whose
+    quantile at alpha is l = (m - q(1 - alpha)) / sd, so ``level_root``
+    solves it from the Cantelli level of a mean-0, unit-variance law.
     """
-    lo, hi = 1e-9, 1.0 - 1e-9
-    if target <= family.zeta(lo):
-        return lo
-    if target >= family.zeta(hi):
-        return hi
     d = family._unit_variance_member()
     m, sd = d.mean(), math.sqrt(d.variance())
-    u_lo, u_hi = math.log1p(-hi), math.log1p(-lo)   # zeta(u_lo) > target > zeta(u_hi)
-    u = min(u_hi, -math.log1p(target * target))
-    for _ in range(100):
-        alpha = -math.expm1(u)
-        z = family.zeta(alpha)
-        if z > target:
-            u_lo = u
-        else:
-            u_hi = u
-        slope = z - (m - d.quantile(1.0 - alpha)) / sd
-        new = u + (z - target) / slope if slope > 0.0 else math.nan
-        if not u_lo <= new <= u_hi:
-            new = 0.5 * (u_lo + u_hi)
-        if abs(new - u) <= 1e-12 or u_hi - u_lo <= 1e-12:
-            return -math.expm1(new)
-        u = new
-    return -math.expm1(u)
+    return level_root(family.zeta, lambda alpha: (m - d.quantile(1.0 - alpha)) / sd,
+                      target, 1e-9, 1.0 - 1e-9, cantelli_level(target, 0.0, 1.0))
 
 
 def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,

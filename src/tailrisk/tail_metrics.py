@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import specfun
+from ._optim import cantelli_level, golden_section_min, level_root
 from .distributions import (GEV, GPD, Distribution, Exponential, Laplace,
                             LogLogistic, LogNormal, Logistic, Normal, Pareto,
                             StudentT, Weibull)
@@ -82,14 +83,14 @@ def _sq_laplace(d: Laplace, alpha: float) -> float:
 
 
 def _sq_normal(d: Normal, alpha: float) -> float:
-    z = specfun.erf_inv(2.0 * alpha - 1.0) * _SQRT2
+    z = -specfun.erfc_inv(2.0 * alpha) * _SQRT2   # full precision for alpha near 0 and 1
     density = math.exp(-0.5 * z * z) / _SQRT_2PI
     return d.mu + d.sigma * density / (1.0 - alpha)
 
 
 def _sq_lognormal(d: LogNormal, alpha: float) -> float:
     # 1 + erf(s/sqrt2 - z) written as erfc(z - s/sqrt2) to survive alpha -> 1
-    z = specfun.erf_inv(2.0 * alpha - 1.0)
+    z = -specfun.erfc_inv(2.0 * alpha)
     return 0.5 * math.exp(d.mu + 0.5 * d.s ** 2) \
         * specfun.erfc(z - d.s / _SQRT2) / (1.0 - alpha)
 
@@ -234,13 +235,12 @@ def bpoe_closed(d: Distribution, x: float) -> TailResult:
     return _result_from_value(d, value)
 
 
-def bpoe_by_root(d: Distribution, x: float,
-                 residual_tol: float = 1e-10) -> TailResult:
-    """bPOE by solving superquantile(d, alpha) = x for alpha.
+def bpoe_by_root(d: Distribution, x: float) -> TailResult:
+    """bPOE by solving superquantile(d, alpha) = x with ``_optim.level_root``.
 
-    Monotone bisection brackets the level, a Newton polish using
-    d(superquantile)/d(alpha) = (superquantile - quantile)/(1 - alpha)
-    drives the residual to ``residual_tol`` (scaled by max(1, |x|)).
+    The level, in [0, nextafter(1, 0)], has relative precision about 1e-13 in
+    1 - alpha. A residual above 1e-6 max(1, |x|) raises ``ConvergenceError``
+    unless the root lies within one float of alpha.
     """
     edge = _bpoe_edges(d, x)
     if edge is not None:
@@ -248,52 +248,24 @@ def bpoe_by_root(d: Distribution, x: float,
     m = d.mean()
     if x == m:
         return TailResult(1.0, 0.0, d.support().lower)
-    tol = residual_tol * max(1.0, abs(x))
     alpha_cap = math.nextafter(1.0, 0.0)
-    lo, hi = 0.0, 0.5
-    for _ in range(80):
-        if superquantile(d, hi) >= x:
-            break
-        if hi >= alpha_cap:
-            return _clamped_zero(d)
-        lo = hi
-        hi = min(1.0 - 0.5 * (1.0 - hi), alpha_cap)
-    else:
+
+    def sq(alpha: float) -> float:
+        return superquantile(d, alpha)
+
+    alpha = level_root(sq, d.quantile, x, 0.0, alpha_cap,
+                       cantelli_level(x, m, d.variance()))
+    residual = sq(alpha) - x
+    if alpha == alpha_cap and residual < 0.0:
         return _clamped_zero(d)
-    # bisection to a narrow bracket
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if superquantile(d, mid) < x:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-    residual = superquantile(d, alpha) - x
-    for _ in range(100):
-        if abs(residual) <= tol:
-            break
-        if residual > 0.0:
-            hi = alpha
-        else:
-            lo = alpha
-        slope = (superquantile(d, alpha) - d.quantile(alpha)) / (1.0 - alpha)
-        step_ok = slope > 0.0 and math.isfinite(slope)
-        alpha_new = alpha - residual / slope if step_ok else 0.5 * (lo + hi)
-        if not lo < alpha_new < hi:
-            alpha_new = 0.5 * (lo + hi)
-        if abs(alpha_new - alpha) <= 1e-17:
-            alpha = alpha_new
-            residual = superquantile(d, alpha) - x
-            break
-        alpha = alpha_new
-        residual = superquantile(d, alpha) - x
-    # a bracket at floating-point resolution is the best any alpha-space
-    # method can do; residuals stay large there only because the
-    # superquantile derivative blows up as alpha -> 1
-    if abs(residual) > max(tol, 1e-6 * max(1.0, abs(x))) and hi - lo > 4e-16:
-        raise ConvergenceError(
-            "bPOE root engine stalled",
-            {"alpha": alpha, "residual": residual, "threshold": x})
+    if abs(residual) > 1e-6 * max(1.0, abs(x)):
+        # near alpha = 1 the slope of the superquantile blows up, so a root
+        # between two adjacent floats can leave a large residual
+        neighbour = math.nextafter(alpha, 0.0 if residual > 0.0 else 1.0)
+        if (sq(neighbour) - x) * residual > 0.0:
+            raise ConvergenceError(
+                "bPOE root engine stalled",
+                {"alpha": alpha, "residual": residual, "threshold": x})
     return TailResult(1.0 - alpha, alpha, d.quantile(alpha))
 
 
@@ -323,8 +295,6 @@ def bpoe_by_minimization(d: Distribution, x: float,
     m = d.mean()
     if x <= m:
         raise DomainError(f"minimization engine requires x > mean, got x={x}, mean={m}")
-    from ._optim import golden_section_min
-
     if isinstance(d, Normal):
         zx = (x - d.mu) / d.sigma
 

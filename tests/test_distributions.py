@@ -116,6 +116,9 @@ def test_moments_divergence_table():
     assert dist.GEV(0.0, 1.0, 0.7).variance() == math.inf
     assert dist.LogLogistic(1.0, 0.9).mean() == math.inf
     assert dist.LogLogistic(1.0, 1.8).variance() == math.inf
+    # Gamma(1 + 1/k) or Gamma(1 + 2/k) beyond binary64: the moment rounds to inf
+    assert dist.Weibull(1.0, 0.005).mean() == math.inf
+    assert dist.Weibull(1.0, 0.01).variance() == math.inf
 
 
 def test_quantile_median_conventions():

@@ -1,0 +1,134 @@
+"""The level-root engine that solves sq(alpha) = x for bpoe_by_root, the zeta
+inversion and the oracle: agreement with bisection, evaluation budgets and
+round-trip properties."""
+
+import math
+
+import pytest
+
+from tailrisk import distributions as dist
+from tailrisk import oracle
+from tailrisk import tail_metrics as tm
+from tailrisk._optim import cantelli_level, level_root
+from tailrisk.portfolio import QualifiedFamily
+
+# every family whose bPOE comes from the root engine, including Student-t
+# with infinite variance and GEV on both sides of xi = 0
+ROOT_FAMILIES = (
+    dist.Normal(0.0, 1.0), dist.Normal(1.0, 2.0), dist.LogNormal(0.5, 0.8),
+    dist.Logistic(-2.0, 1.5), dist.StudentT(3.0), dist.StudentT(1.5),
+    dist.StudentT(2.0, 2.0, 1.0), dist.Weibull(0.5, 1.4), dist.Weibull(2.0, 0.8),
+    dist.LogLogistic(2.0, 3.0), dist.LogLogistic(1.0, 1.5), dist.GEV(0.0, 1.0, -0.3),
+    dist.GEV(0.0, 1.0, 0.0), dist.GEV(1.0, 2.0, 0.1),
+)
+LEVELS = (1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-5, 1.0 - 1e-6)
+
+
+def _bisect_u(sq, x, lo, hi):
+    """200 bisection steps in u = log(1 - alpha) on a nondecreasing sq."""
+    u_lo, u_hi = math.log1p(-hi), math.log1p(-lo)
+    for _ in range(200):
+        mid = 0.5 * (u_lo + u_hi)
+        if sq(-math.expm1(mid)) > x:
+            u_lo = mid
+        else:
+            u_hi = mid
+    return -math.expm1(0.5 * (u_lo + u_hi))
+
+
+def _assert_same_level(got, want, rel):
+    assert abs((1.0 - got) - (1.0 - want)) <= rel * (1.0 - want) + 4 * 2.0 ** -52, (got, want)
+
+
+@pytest.mark.parametrize("d", ROOT_FAMILIES, ids=repr)
+def test_matches_bisection_superquantile_shape(d):
+    lo, hi = 0.0, math.nextafter(1.0, 0.0)
+
+    def sq(alpha):
+        return tm.superquantile(d, alpha)
+
+    for alpha in LEVELS:
+        x = sq(alpha)
+        got = level_root(sq, d.quantile, x, lo, hi, cantelli_level(x, d.mean(), d.variance()))
+        _assert_same_level(got, _bisect_u(sq, x, lo, hi), 1e-10)
+
+
+@pytest.mark.parametrize("family", (QualifiedFamily("normal"), QualifiedFamily("laplace"),
+                                    QualifiedFamily("student-t", nu=3.0),
+                                    QualifiedFamily("gev", xi=0.1)), ids=lambda f: f.label())
+def test_matches_bisection_zeta_shape(family):
+    d = family._unit_variance_member()
+    m, sd = d.mean(), math.sqrt(d.variance())
+    lo, hi = 1e-9, 1.0 - 1e-9
+
+    def loss_quantile(alpha):
+        return (m - d.quantile(1.0 - alpha)) / sd
+
+    for alpha in LEVELS:
+        target = family.zeta(alpha)
+        got = level_root(family.zeta, loss_quantile, target, lo, hi,
+                         cantelli_level(target, 0.0, 1.0))
+        # zeta takes the left superquantile at 1 - alpha, which cancels as
+        # alpha -> 1, so its root is only defined to about 1e-8 there
+        _assert_same_level(got, _bisect_u(family.zeta, target, lo, hi), 1e-7)
+
+
+def test_matches_bisection_oracle_shape():
+    d = dist.Logistic(0.0, 1.0)
+    lo, hi = 0.0, 1.0 - 1e-13
+
+    def sq(alpha):
+        return oracle.oracle_superquantile(d, alpha).value
+
+    for alpha in (0.2, 0.9):
+        x = tm.superquantile(d, alpha)
+        got = level_root(sq, d.quantile, x, lo, hi, cantelli_level(x, d.mean(), d.variance()))
+        _assert_same_level(got, _bisect_u(sq, x, lo, hi), 1e-8)
+
+
+def test_bpoe_by_root_superquantile_budget(monkeypatch):
+    calls = 0
+    superquantile = tm.superquantile
+
+    def counted(d, alpha):
+        nonlocal calls
+        calls += 1
+        return superquantile(d, alpha)
+
+    thresholds = [(d, superquantile(d, a)) for d in ROOT_FAMILIES for a in LEVELS]
+    monkeypatch.setattr(tm, "superquantile", counted)
+    for d, x in thresholds:
+        tm.bpoe_by_root(d, x)
+    assert calls / len(thresholds) <= 10.0
+
+
+def test_oracle_bpoe_quadrature_budget(monkeypatch):
+    calls = 0
+    quadrature = oracle.oracle_superquantile
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return quadrature(*args)
+
+    d = dist.StudentT(3.0)
+    x = tm.superquantile(d, 0.9)
+    monkeypatch.setattr(oracle, "oracle_superquantile", counted)
+    result = oracle.oracle_bpoe(d, x)
+    assert calls <= 12
+    assert abs(result.value - 0.1) <= max(1e-8, result.error_estimate)
+
+
+def test_bpoe_round_trip_and_dominates_poe():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(d=st.sampled_from(ROOT_FAMILIES), alpha=st.floats(1e-3, 1.0 - 1e-6))
+    def check(d, alpha):
+        x = tm.superquantile(d, alpha)
+        value = tm.bpoe_by_root(d, x).value
+        assert abs(value - (1.0 - alpha)) <= 1e-8 * (1.0 - alpha) + 4 * 2.0 ** -52
+        assert value >= 1.0 - d.cdf(x)
+
+    check()

@@ -56,9 +56,12 @@ def test_superquantile_domain_and_infinite_mean():
     with pytest.raises(DomainError):
         tm.superquantile(dist.Normal(0, 1), -0.1)
     for d in (dist.Pareto(0.9, 1.0), dist.GPD(0, 1, 1.5), dist.StudentT(1.0),
-              dist.GEV(0, 1, 1.2), dist.LogLogistic(1.0, 0.8)):
+              dist.GEV(0, 1, 1.2), dist.LogLogistic(1.0, 0.8), dist.Weibull(1.0, 0.005)):
         assert tm.superquantile(d, 0.5) == math.inf
         assert tm.bpoe(d, 1e9).value == 1.0
+    assert tm.bpoe(dist.Weibull(1.0, 0.005), 10.0).clamped
+    # finite mean, variance beyond binary64: the root engine's start must not overflow
+    assert 0.0 <= tm.bpoe(dist.Weibull(1.0, 0.01), 1e200).value <= 1e-40
 
 
 # --- closed-form bPOE --------------------------------------------------------
