@@ -77,7 +77,9 @@ def level_root(sq: Callable[[float], float], q: Callable[[float], float], x: flo
 def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
                 scale: float = 0.25, xatol: float = 1e-12, fatol: float = 1e-16,
                 max_iter: int = 4000) -> tuple[np.ndarray, float, int]:
-    """Plain Nelder-Mead simplex descent. Returns (x, f(x), iterations)."""
+    """Plain Nelder-Mead simplex descent. Returns (x, f(x), iterations).
+
+    Unused by the package; the benchmark's tracer binds it by name."""
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     simplex = [x0.copy()]
@@ -119,19 +121,6 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
                     simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
                     values[i] = f(simplex[i])
     return simplex[0].copy(), values[0], it
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                     h: float = 1e-6) -> np.ndarray:
-    g = np.zeros_like(x, dtype=float)
-    for i in range(x.size):
-        step = h * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        g[i] = (f(xp) - f(xm)) / (2.0 * step)
-    return g
 
 
 def project_box_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

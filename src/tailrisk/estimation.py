@@ -3,9 +3,11 @@
 The fitting criterion replaces moments with superquantiles at chosen
 probability levels: solve  superquantile(theta, alpha_i) = target_i  as an
 exact system when the level count equals the parameter count (MOS), or as
-a weighted least-squares problem otherwise (LS-MOS). Conservative tail
-fitting shifts the model level to alpha_i - eps_i against the same target,
-compensating for the small-sample downward bias of empirical tail averages.
+a weighted least-squares problem otherwise (LS-MOS). Every family is a
+scale or location-scale family with at most one shape, so both are solved
+by variable projection: (location, scale) in closed form, the shape by a
+1-D search. Conservative tail fitting shifts the model level to
+alpha_i - eps_i against the same target.
 
 Weibull method-of-moments and maximum-likelihood reference fits are included
 for benchmarking the superquantile fits.
@@ -14,16 +16,15 @@ for benchmarking the superquantile fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._optim import finite_diff_grad, nelder_mead
+from ._optim import golden_section_min
 from .distributions import Distribution, make
 from .errors import ConvergenceError, DomainError, ParameterError
 from .tail_metrics import superquantile
-
-_BIG = 1e100
 
 
 def empirical_superquantile(sample, alpha: float) -> float:
@@ -110,6 +111,15 @@ class FitProblem:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit and how the shape search went.
+
+    ``iterations`` counts profile-objective evaluations; ``gradient_norm`` is
+    the central-difference slope of the profile in the shape's search
+    coordinate (0 for shape-free families), the full gradient since the
+    (location, scale) part vanishes by the normal equations; ``converged``
+    means gradient_norm <= 1e-7.
+    """
+
     family: str
     params: dict[str, float]
     residuals: tuple[float, ...]
@@ -135,209 +145,146 @@ class FitResult:
         }
 
 
-# family -> ordered (name, transform); "log" maps the positive axis to the
-# real line, "shift-log(c)" maps (c, inf)
-_PARAMETRIZATIONS: dict[str, tuple[tuple[str, str], ...]] = {
-    "exponential": (("lam", "log"),),
-    "pareto": (("a", "shift-log:1"), ("xm", "log")),
-    "gpd": (("mu", "id"), ("s", "log"), ("xi", "upper-log:1")),
-    "laplace": (("mu", "id"), ("b", "log")),
-    "normal": (("mu", "id"), ("sigma", "log")),
-    "lognormal": (("mu", "id"), ("s", "log")),
-    "logistic": (("mu", "id"), ("s", "log")),
-    "student-t": (("nu", "shift-log:1"), ("s", "log"), ("mu", "id")),
-    "weibull": (("lam", "log"), ("k", "log")),
-    "loglogistic": (("a", "log"), ("b", "shift-log:1")),
-    "gev": (("mu", "id"), ("s", "log"), ("xi", "upper-log:1")),
+class _Family(NamedTuple):
+    """One family as sq(alpha; mu, s, theta) = mu + s sq0(alpha; theta), mu = 0 if unlocated.
+
+    ``params(mu, s, theta)`` gives the public parameters in ``names`` order
+    (``params(0, 1, theta)`` is the unit member). ``shape`` is None or
+    (c, sign, e_lo, e_hi): theta = c + sign e^t with e^t in [e_lo, e_hi].
+    """
+
+    names: tuple[str, ...]
+    located: bool
+    shape: tuple[float, float, float, float] | None
+    params: Callable[[float, float, float | None], tuple[float, ...]]
+
+
+_FAMILIES: dict[str, _Family] = {
+    "exponential": _Family(("lam",), False, None, lambda mu, s, th: (1.0 / s,)),
+    "pareto": _Family(("a", "xm"), False, (1.0, 1.0, 1e-2, 1e2), lambda mu, s, th: (th, s)),
+    "gpd": _Family(("mu", "s", "xi"), True, (1.0, -1.0, 1e-2, 10.0),
+                   lambda mu, s, th: (mu, s, th)),
+    "laplace": _Family(("mu", "b"), True, None, lambda mu, s, th: (mu, s)),
+    "normal": _Family(("mu", "sigma"), True, None, lambda mu, s, th: (mu, s)),
+    "lognormal": _Family(("mu", "s"), False, (0.0, 1.0, 1e-2, 10.0),
+                         lambda mu, s, th: (math.log(s), th)),
+    "logistic": _Family(("mu", "s"), True, None, lambda mu, s, th: (mu, s)),
+    "student-t": _Family(("nu", "s", "mu"), True, (1.0, 1.0, 1e-2, 1e3),
+                         lambda mu, s, th: (th, s, mu)),
+    "weibull": _Family(("lam", "k"), False, (0.0, 1.0, 0.02, 50.0), lambda mu, s, th: (s, th)),
+    "loglogistic": _Family(("a", "b"), False, (1.0, 1.0, 1e-2, 1e2), lambda mu, s, th: (s, th)),
+    "gev": _Family(("mu", "s", "xi"), True, (1.0, -1.0, 1e-2, 10.0),
+                   lambda mu, s, th: (mu, s, th)),
 }
+_SCAN = 25
 
 
-def _to_constrained(kind: str, theta: float) -> float:
-    if kind == "id":
-        return theta
-    if kind == "log":
-        return math.exp(theta)
-    if kind.startswith("shift-log:"):
-        return float(kind.split(":")[1]) + math.exp(theta)
-    if kind.startswith("upper-log:"):
-        return float(kind.split(":")[1]) - math.exp(theta)
-    raise ValueError(kind)
-
-
-def _to_unconstrained(kind: str, value: float) -> float:
-    if kind == "id":
-        return value
-    if kind == "log":
-        return math.log(value)
-    if kind.startswith("shift-log:"):
-        return math.log(value - float(kind.split(":")[1]))
-    if kind.startswith("upper-log:"):
-        return math.log(float(kind.split(":")[1]) - value)
-    raise ValueError(kind)
+def _family(name: str) -> tuple[str, _Family]:
+    key = name.lower().replace("_", "-")
+    if key not in _FAMILIES:
+        raise ParameterError(f"no fit parameterization for family {name!r}")
+    return key, _FAMILIES[key]
 
 
 def parameter_names(family: str) -> tuple[str, ...]:
-    key = family.lower().replace("_", "-")
-    if key not in _PARAMETRIZATIONS:
-        raise ParameterError(f"no fit parameterization for family {family!r}")
-    return tuple(name for name, _ in _PARAMETRIZATIONS[key])
+    return _family(family)[1].names
 
 
-def _initial_params(family: str, levels, targets) -> dict[str, float]:
-    t_min = min(targets)
-    t_max = max(targets)
-    spread = max(t_max - t_min, 0.05 * (1.0 + abs(t_min)))
-    loc = t_min - spread
-    if family == "exponential":
-        return {"lam": (1.0 - math.log1p(-levels[0])) / max(targets[0], 1e-12)}
-    if family == "pareto":
-        return {"a": 2.0, "xm": max(t_min / 2.0, 1e-6)}
-    if family == "gpd":
-        return {"mu": loc, "s": spread, "xi": 0.1}
-    if family == "laplace":
-        return {"mu": loc, "b": spread}
-    if family == "normal":
-        return {"mu": loc, "sigma": spread}
-    if family == "lognormal":
-        return {"mu": math.log(max(t_min, 1e-6)), "s": 0.7}
-    if family == "logistic":
-        return {"mu": loc, "s": spread}
-    if family == "student-t":
-        return {"nu": 5.0, "s": spread, "mu": loc}
-    if family == "weibull":
-        return {"lam": max(0.5 * t_min, 1e-6), "k": 1.2}
-    if family == "loglogistic":
-        return {"a": max(t_min / 2.0, 1e-6), "b": 3.0}
-    return {"mu": loc, "s": spread, "xi": 0.1}   # gev
-
-
-def _objective_factory(family, fit_levels, targets, weights):
-    spec = _PARAMETRIZATIONS[family]
-
-    def params_of(theta: np.ndarray) -> dict[str, float]:
-        return {name: _to_constrained(kind, float(v))
-                for (name, kind), v in zip(spec, theta)}
-
-    def residuals_of(theta: np.ndarray) -> np.ndarray | None:
-        try:
-            d = make(family, **params_of(theta))
-        except (ParameterError, OverflowError, ValueError):
-            return None
-        out = np.empty(len(fit_levels))
-        for i, (a, t) in enumerate(zip(fit_levels, targets)):
-            try:
-                q = superquantile(d, a)
-            except (DomainError, OverflowError, ValueError):
-                return None
-            if not math.isfinite(q):
-                return None
-            out[i] = q - t
-        return out
-
-    w = np.asarray(weights, dtype=float)
-
-    def objective(theta: np.ndarray) -> float:
-        r = residuals_of(theta)
-        if r is None:
-            return _BIG * (1.0 + float(np.sum(theta ** 2)))
-        return float(np.sum(w * r ** 2))
-
-    return spec, params_of, residuals_of, objective
-
-
-def _gauss_newton_polish(theta, residuals_of, weights, rounds: int = 40):
-    """Damped Gauss-Newton with a forward-difference Jacobian."""
-    w = np.asarray(weights, dtype=float)
-    r = residuals_of(theta)
-    if r is None:
-        return theta
-    obj = float(np.sum(w * r ** 2))
-    lam = 1e-8
-    for _ in range(rounds):
-        jac = np.zeros((r.size, theta.size))
-        for j in range(theta.size):
-            h = 1e-7 * (1.0 + abs(theta[j]))
-            tp = theta.copy()
-            tp[j] += h
-            rp = residuals_of(tp)
-            if rp is None:
-                return theta
-            jac[:, j] = (rp - r) / h
-        grad = jac.T @ (w * r)
-        hess = jac.T @ (w[:, None] * jac)
-        try:
-            step = np.linalg.solve(hess + lam * np.eye(theta.size), grad)
-        except np.linalg.LinAlgError:
-            break
-        theta_try = theta - step
-        r_try = residuals_of(theta_try)
-        if r_try is not None and float(np.sum(w * r_try ** 2)) < obj:
-            theta, r = theta_try, r_try
-            obj = float(np.sum(w * r_try ** 2))
-            lam = max(lam / 4.0, 1e-12)
-            if float(np.max(np.abs(step))) < 1e-14 * (1.0 + float(np.max(np.abs(theta)))):
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e8:
-                break
-    return theta
+def _slope(profile, t: float) -> tuple[float, float]:
+    """Central-difference slope and curvature of the profile, step 1e-6 (1 + |t|)."""
+    h = 1e-6 * (1.0 + abs(t))
+    f_minus, f_0, f_plus = (profile(u)[0] for u in (t - h, t, t + h))
+    return (f_plus - f_minus) / (2.0 * h), (f_plus - 2.0 * f_0 + f_minus) / (h * h)
 
 
 def ls_mos_fit(problem: FitProblem) -> FitResult:
-    """Weighted least-squares superquantile matching.
+    """Weighted least-squares superquantile matching by variable projection.
 
-    Nelder-Mead in a transformed unconstrained space, restarted, then a
-    damped Gauss-Newton polish; convergence means the finite-difference
-    gradient norm of the objective is <= 1e-7.
+    For each shape theta the weighted normal equations give (mu, s) in closed
+    form: 1x1 for the scale families, 2x2 with a location. theta is searched
+    at 25 even steps of its coordinate t, then by golden section on the best
+    step's two cells and one Newton step on the profile's slope. Shape-free
+    families (Exponential, Normal, Laplace, Logistic) need no search.
+
+    Shape ranges, each inside the domain where superquantiles are finite:
+    Pareto a and LogLogistic b in 1 + [1e-2, 1e2]; Student-t nu in
+    1 + [1e-2, 1e3]; GPD and GEV xi in 1 - [1e-2, 10], i.e. [-9, 0.99];
+    Weibull k in [0.02, 50]; LogNormal s in [1e-2, 10].
+
+    Raises ParameterError with fewer levels than free parameters, and
+    ConvergenceError (diagnostics with ``residuals``) when the best scanned
+    shape is an end of its range or the fitted scale is not positive, i.e.
+    s max|sq0| <= 1e-12 max|target| (zero-spread targets).
     """
-    family = problem.family.lower().replace("_", "-")
-    if family not in _PARAMETRIZATIONS:
-        raise ParameterError(f"no fit parameterization for family {problem.family!r}")
-    targets = problem.resolved_targets()
-    fit_levels = problem.fit_levels()
-    spec, params_of, residuals_of, objective = _objective_factory(
-        family, fit_levels, targets, problem.weights)
-    init = _initial_params(family, fit_levels, targets)
-    theta = np.array([_to_unconstrained(kind, init[name]) for name, kind in spec])
-    total_iters = 0
-    for attempt in range(3):
-        theta, value, iters = nelder_mead(objective, theta,
-                                          scale=0.25 if attempt == 0 else 0.05,
-                                          xatol=1e-13, fatol=1e-18)
-        total_iters += iters
-        if value <= 1e-20:
-            break
-    theta = _gauss_newton_polish(theta, residuals_of, problem.weights)
-    value = objective(theta)
-    if value >= _BIG:
+    family, fam = _family(problem.family)
+    if len(problem.levels) < len(fam.names):
+        raise ParameterError(f"{family} has {len(fam.names)} free parameters but only "
+                             f"{len(problem.levels)} level(s)")
+    targets, levels, weights = problem.resolved_targets(), problem.fit_levels(), problem.weights
+    total = sum(weights)
+    evaluations = 0
+
+    def profile(t: float):
+        # (objective, mu, s, theta, residuals, sq0 values); s < 0 is held at 0
+        nonlocal evaluations
+        evaluations += 1
+        theta = fam.shape[0] + fam.shape[1] * math.exp(t) if fam.shape else None
+        unit = make(family, **dict(zip(fam.names, fam.params(0.0, 1.0, theta))))
+        z = [superquantile(unit, a) for a in levels]
+        if not all(map(math.isfinite, z)):
+            return math.inf, 0.0, 0.0, theta, (), ()
+        # scale families fit s z = t through the origin
+        z_bar = sum(w * v for w, v in zip(weights, z)) / total if fam.located else 0.0
+        t_bar = sum(w * y for w, y in zip(weights, targets)) / total if fam.located else 0.0
+        szz = sum(w * (v - z_bar) ** 2 for w, v in zip(weights, z))
+        szt = sum(w * (v - z_bar) * (y - t_bar) for w, v, y in zip(weights, z, targets))
+        s = max(szt / szz, 0.0) if szz > 0.0 else 0.0
+        mu = t_bar - s * z_bar
+        residuals = tuple(mu + s * v - y for v, y in zip(z, targets))
+        value = sum(w * r * r for w, r in zip(weights, residuals))
+        return value, mu, s, theta, residuals, z
+
+    t, gradient_norm, at_edge = 0.0, 0.0, False
+    if fam.shape is not None:
+        lo, hi = map(math.log, fam.shape[2:])
+        cell = (hi - lo) / (_SCAN - 1)
+        j = min(range(_SCAN), key=lambda i: profile(lo + i * cell)[0])
+        t, at_edge = lo + j * cell, j in (0, _SCAN - 1)
+        if not at_edge:
+            t = golden_section_min(lambda u: profile(u)[0], t - cell, t + cell, xtol=1e-7)
+            # golden section stops where objective differences sink into
+            # rounding; one Newton step on the central-difference slope goes on
+            slope, curvature = _slope(profile, t)
+            if curvature > abs(slope) / cell:
+                t -= slope / curvature
+            gradient_norm = abs(_slope(profile, t)[0])
+    value, mu, s, theta, residuals, z = profile(t)
+    if at_edge or not s * max(map(abs, z), default=0.0) > 1e-12 * max(map(abs, targets)):
         raise ConvergenceError(
-            "LS-MOS optimizer failed to find a feasible parameter vector",
-            {"family": family, "levels": fit_levels, "targets": targets})
-    grad_norm = float(np.linalg.norm(finite_diff_grad(objective, theta)))
-    res = residuals_of(theta)
+            "no superquantile fit with a positive scale and an interior shape",
+            {"family": family, "shape": theta, "scale": s, "residuals": residuals,
+             "at_range_end": at_edge})
     return FitResult(
         family=family,
-        params=params_of(theta),
-        residuals=tuple(float(v) for v in res),
+        params=dict(zip(fam.names, fam.params(mu, s, theta))),
+        residuals=residuals,
         objective=value,
-        iterations=total_iters,
-        gradient_norm=grad_norm,
-        converged=grad_norm <= 1e-7,
+        iterations=evaluations,
+        gradient_norm=gradient_norm,
+        converged=gradient_norm <= 1e-7,
     )
 
 
 def mos_solve(problem: FitProblem) -> FitResult:
     """Exact superquantile matching: as many levels as free parameters.
 
-    Runs the least-squares machinery and gates on the residual infinity
-    norm; no solution within 1e-8 raises with the final residuals.
+    Runs ``ls_mos_fit`` and gates on the residual infinity norm; no solution
+    within 1e-8 raises with the final residuals.
     """
-    family = problem.family.lower().replace("_", "-")
-    n_params = len(parameter_names(family))
-    if len(problem.levels) != n_params:
+    family, fam = _family(problem.family)
+    if len(problem.levels) != len(fam.names):
         raise ParameterError(
-            f"MOS needs exactly {n_params} levels for {family}, got {len(problem.levels)}")
+            f"MOS needs exactly {len(fam.names)} levels for {family}, got {len(problem.levels)}")
     result = ls_mos_fit(problem)
     worst = max(abs(r) for r in result.residuals)
     if worst > 1e-8:

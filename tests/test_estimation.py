@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tailrisk import distributions as dist
+from tailrisk import estimation
 from tailrisk import tail_metrics as tm
 from tailrisk.errors import ConvergenceError, DomainError, ParameterError
 from tailrisk.estimation import (FitProblem, empirical_superquantile, ls_mos_fit,
@@ -70,6 +71,14 @@ def test_mos_exponential_analytic():
     ("logistic", dist.Logistic(-1.0, 0.7), (0.2, 0.8)),
     ("laplace", dist.Laplace(2.0, 1.5), (0.25, 0.75)),
     ("lognormal", dist.LogNormal(0.3, 0.9), (0.3, 0.7)),
+    ("pareto", dist.Pareto(2.5, 1.5), (0.2, 0.8)),
+    ("loglogistic", dist.LogLogistic(1.3, 3.0), (0.2, 0.8)),
+    ("gpd", dist.GPD(0.5, 1.2, 0.3), (0.1, 0.5, 0.9)),
+    ("gev", dist.GEV(1.0, 2.0, 0.2), (0.1, 0.5, 0.9)),
+    ("gev", dist.GEV(1.0, 2.0, -0.3), (0.1, 0.5, 0.9)),
+    ("student-t", dist.StudentT(1.5, 1.5, 0.5), (0.1, 0.5, 0.9)),
+    ("student-t", dist.StudentT(4.0, 1.5, 0.5), (0.1, 0.5, 0.9)),
+    ("student-t", dist.StudentT(30.0, 1.5, 0.5), (0.1, 0.5, 0.9)),
 ])
 def test_mos_recovers_generating_parameters(family, d, levels):
     targets = tuple(tm.superquantile(d, a) for a in levels)
@@ -117,6 +126,89 @@ def test_ls_large_sample_consistency_single_seed():
     r = ls_mos_fit(FitProblem("weibull", (0.5, 0.75, 0.95), sample=tuple(x)))
     assert abs(r.params["lam"] - 0.5) / 0.5 <= 0.03
     assert abs(r.params["k"] - 1.4) / 1.4 <= 0.03
+
+
+def test_fewer_levels_than_parameters_rejected():
+    with pytest.raises(ParameterError, match="2 free parameters"):
+        ls_mos_fit(FitProblem("normal", (0.5,), targets=(1.0,)))
+    with pytest.raises(ParameterError, match="3 free parameters"):
+        ls_mos_fit(FitProblem("gev", (0.5, 0.9), targets=(1.0, 2.0)))
+
+
+@pytest.mark.parametrize("family", ["weibull", "normal"])
+def test_zero_spread_sample_raises(family):
+    # a constant sample has equal superquantiles at every level: only a point
+    # mass fits, reached at an end of the Weibull shape range and at scale 0
+    # for the Normal
+    with pytest.raises(ConvergenceError) as err:
+        ls_mos_fit(FitProblem(family, (0.5, 0.75, 0.95), sample=(0.3,) * 50))
+    assert "residuals" in err.value.diagnostics
+
+
+# family -> generating law, bounds on the public parameters, and three starts
+# built from the targets t alone
+_LS_CASES = {
+    "pareto": (dist.Pareto(2.5, 1.5), ([1.0 + 1e-9, 1e-12], [np.inf, np.inf]),
+               lambda t: [(a, t[0] / 2) for a in (1.5, 3.0, 8.0)]),
+    "loglogistic": (dist.LogLogistic(1.3, 3.0), ([1e-12, 1.0 + 1e-9], [np.inf, np.inf]),
+                    lambda t: [(t[0] / 2, b) for b in (1.5, 3.0, 8.0)]),
+    "weibull": (dist.Weibull(0.5, 1.4), ([1e-12, 1e-3], [np.inf, np.inf]),
+                lambda t: [(t[0] / 2, k) for k in (0.5, 1.5, 4.0)]),
+    "lognormal": (dist.LogNormal(0.3, 0.9), ([-np.inf, 1e-6], [np.inf, np.inf]),
+                  lambda t: [(math.log(t[0] / 2), s) for s in (0.3, 1.0, 2.0)]),
+    "gpd": (dist.GPD(0.5, 1.2, 0.3), ([-np.inf, 1e-12, -np.inf], [np.inf, np.inf, 0.999]),
+            lambda t: [(2 * t[0] - t[-1], t[-1] - t[0], xi) for xi in (-0.3, 0.1, 0.5)]),
+    "gev": (dist.GEV(1.0, 2.0, 0.2), ([-np.inf, 1e-12, -np.inf], [np.inf, np.inf, 0.999]),
+            lambda t: [(2 * t[0] - t[-1], t[-1] - t[0], xi) for xi in (-0.3, 0.1, 0.5)]),
+    "student-t": (dist.StudentT(4.0, 1.5, 0.5), ([1.0 + 1e-6, 1e-12, -np.inf], [np.inf] * 3),
+                  lambda t: [(nu, t[-1] - t[0], 2 * t[0] - t[-1]) for nu in (2.0, 5.0, 20.0)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_LS_CASES))
+def test_ls_reaches_least_squares_optimum(family):
+    optimize = pytest.importorskip("scipy.optimize")
+    law, bounds, starts = _LS_CASES[family]
+    names = parameter_names(family)
+    levels = (0.1, 0.5, 0.75, 0.9, 0.95)
+    for seed in range(3):
+        x = law.sample(200, np.random.default_rng(300 + seed))
+        problem = FitProblem(family, levels, sample=tuple(x))
+        targets = np.array(problem.resolved_targets())
+
+        def residuals(p):
+            try:
+                d = dist.make(family, **dict(zip(names, p)))
+                r = np.array([tm.superquantile(d, a) for a in levels]) - targets
+            except (ParameterError, DomainError, OverflowError):
+                return np.full(len(levels), 1e6)
+            return r if np.all(np.isfinite(r)) else np.full(len(levels), 1e6)
+
+        best = min(2.0 * optimize.least_squares(residuals, p0, bounds=bounds, ftol=1e-12,
+                                                xtol=1e-12, gtol=1e-12).cost
+                   for p0 in starts(targets))
+        fit = ls_mos_fit(problem)
+        assert fit.objective <= best * (1 + 1e-6) + 1e-15, (seed, fit.params)
+        assert fit.converged
+
+
+def test_ls_superquantile_budget(monkeypatch):
+    calls = 0
+    original = tm.superquantile
+
+    def counted(d, alpha):
+        nonlocal calls
+        calls += 1
+        return original(d, alpha)
+
+    monkeypatch.setattr(estimation, "superquantile", counted)
+    law = dist.Weibull(0.5, 1.0)
+    for seed in range(20):
+        x = law.sample(50, np.random.default_rng(2000 + seed))
+        calls = 0
+        fit = ls_mos_fit(FitProblem("weibull", (0.5, 0.75, 0.95), sample=tuple(x)))
+        assert fit.converged
+        assert calls <= 400, (seed, calls)
 
 
 def test_zero_shifts_identical_to_plain_fit():

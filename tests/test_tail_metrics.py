@@ -334,3 +334,40 @@ def test_tail_result_json():
     payload = r.to_json("bpoe")
     assert payload["metric"] == "bpoe"
     assert abs(payload["value"] + payload["alpha_star"] - 1.0) <= 1e-14
+
+
+# family -> (has a location, member(mu, s, theta), shape range or None); the
+# five scale families ignore mu
+_EQUIVARIANT = {
+    "exponential": (False, lambda mu, s, th: dist.Exponential(1.0 / s), None),
+    "pareto": (False, lambda mu, s, th: dist.Pareto(th, s), (1.1, 20.0)),
+    "lognormal": (False, lambda mu, s, th: dist.LogNormal(math.log(s), th), (0.1, 3.0)),
+    "weibull": (False, lambda mu, s, th: dist.Weibull(s, th), (0.3, 10.0)),
+    "loglogistic": (False, lambda mu, s, th: dist.LogLogistic(s, th), (1.1, 20.0)),
+    "normal": (True, lambda mu, s, th: dist.Normal(mu, s), None),
+    "laplace": (True, lambda mu, s, th: dist.Laplace(mu, s), None),
+    "logistic": (True, lambda mu, s, th: dist.Logistic(mu, s), None),
+    "gpd": (True, lambda mu, s, th: dist.GPD(mu, s, th), (-2.0, 0.9)),
+    "gev": (True, lambda mu, s, th: dist.GEV(mu, s, th), (-2.0, 0.9)),
+    "student-t": (True, lambda mu, s, th: dist.StudentT(th, s, mu), (1.2, 50.0)),
+}
+
+
+def test_superquantile_location_scale_equivariance():
+    # sq(alpha; mu, s, theta) = mu + s sq0(alpha; theta): the structure that
+    # lets LS-MOS solve (mu, s) in closed form for each shape
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(sorted(_EQUIVARIANT)), alpha=st.floats(0.0, 1.0 - 1e-6),
+           mu=st.floats(-50.0, 50.0), log_s=st.floats(-5.0, 5.0), u=st.floats(0.0, 1.0))
+    def check(family, alpha, mu, log_s, u):
+        located, member, shapes = _EQUIVARIANT[family]
+        theta = shapes[0] + u * (shapes[1] - shapes[0]) if shapes else None
+        mu, s = (mu if located else 0.0), math.exp(log_s)
+        sq0 = tm.superquantile(member(0.0, 1.0, theta), alpha)
+        sq = tm.superquantile(member(mu, s, theta), alpha)
+        assert abs(sq - (mu + s * sq0)) <= 1e-13 * (abs(mu) + s * abs(sq0))
+
+    check()
