@@ -1,11 +1,15 @@
-"""Small deterministic solvers shared by the metric engines and fitters."""
+"""Small deterministic solvers shared by the metric engines and fitters.
+
+The scalar solvers are pure Python. The array solvers import numpy when they
+run, so the scalar metric engines load this module without numpy."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -80,6 +84,7 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
     """Plain Nelder-Mead simplex descent. Returns (x, f(x), iterations).
 
     Unused by the package; the benchmark's tracer binds it by name."""
+    import numpy as np
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     simplex = [x0.copy()]
@@ -131,6 +136,7 @@ def project_box_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     localized by bisection and then solved exactly on the identified
     active set.
     """
+    import numpy as np
     v = np.asarray(v, dtype=float)
     # the clipped sum g(tau) is piecewise linear and nonincreasing, spanning
     # [sum(lower), sum(upper)]; budgets outside that range (validation slack)
@@ -175,6 +181,7 @@ def _reduced_newton_polish(
     pushes the stationarity residual to ~1e-13. Bails out rather than
     changing the active set.
     """
+    import numpy as np
     bound_tol = 1e-10
     free = (w > lower + bound_tol) & (w < upper - bound_tol)
     m = int(free.sum())
@@ -243,6 +250,7 @@ def projected_gradient_max(
     then a reduced-space Newton polish on the identified active set.
     Returns (w, objective value, final gradient-projection norm).
     """
+    import numpy as np
     w = project_box_simplex(np.asarray(start, dtype=float), lower, upper)
     f_w = objective(w)
     step = 1.0

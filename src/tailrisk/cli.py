@@ -11,6 +11,10 @@ All probabilities and returns are fractions. Output is JSON (sorted keys,
 non-finite numbers rendered as "inf"/"-inf"/"nan") or CSV via --format;
 --out redirects to a file. Exit codes: 0 success, 1 input error, 2
 domain or numeric error.
+
+The dist and oracle quadrature commands run without numpy: each handler
+imports the library module it needs, and numpy loads with ``portfolio``,
+``estimation``, sampling or a sweep or curve grid.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import estimation, portfolio, tail_metrics
+from . import tail_metrics
 from .distributions import FAMILIES, make
 from .errors import DomainError, ParameterError, TailRiskError
-from .oracle import OracleConfig, mc_superquantile, oracle_bpoe, oracle_superquantile
+
+if TYPE_CHECKING:
+    from . import portfolio
 
 _PARAM_FLAGS = {
     "lambda": "lam", "k": "k", "a": "a", "xm": "xm", "b": "b",
@@ -61,7 +66,8 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    np = sys.modules.get("numpy")   # no numpy scalar exists before numpy loads
+    if np is not None and isinstance(obj, (np.floating, np.integer)):
         obj = float(obj)
     if isinstance(obj, float):
         if math.isnan(obj):
@@ -162,27 +168,29 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
     d = make(args.family, **_collect_params(args))
-    cfg = OracleConfig(quad_abs_tol=args.atol, mc_samples=args.samples,
-                       seed=args.seed)
+    cfg = oracle.OracleConfig(quad_abs_tol=args.atol, mc_samples=args.samples,
+                              seed=args.seed)
     if args.metric == "cvar":
         if args.alpha is None:
             raise ParameterError("oracle cvar requires --alpha")
-        result = oracle_superquantile(d, args.alpha, cfg).to_json()
+        result = oracle.oracle_superquantile(d, args.alpha, cfg).to_json()
     elif args.metric == "bpoe":
         if args.x is None:
             raise ParameterError("oracle bpoe requires --x")
-        result = oracle_bpoe(d, args.x, cfg).to_json()
+        result = oracle.oracle_bpoe(d, args.x, cfg).to_json()
     else:
         if args.alpha is None:
             raise ParameterError("oracle mc-cvar requires --alpha")
-        estimate, stderr = mc_superquantile(d, args.alpha, cfg)
+        estimate, stderr = oracle.mc_superquantile(d, args.alpha, cfg)
         result = {"value": estimate, "error_estimate": stderr}
     _emit(result, args)
     return 0
 
 
 def _qualified_family(args) -> portfolio.QualifiedFamily:
+    from . import portfolio
     kwargs = {}
     if args.family in ("student-t", "t"):
         kwargs["nu"] = args.nu
@@ -191,17 +199,28 @@ def _qualified_family(args) -> portfolio.QualifiedFamily:
     return portfolio.QualifiedFamily(args.family, **kwargs)
 
 
+def _parse_sweep(text: str) -> tuple[float, float, int]:
+    """START:STOP:COUNT with COUNT an integer >= 1."""
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError as exc:
+        raise ParameterError(f"--sweep expects START:STOP:COUNT, got {text!r}") from exc
+    if count < 1:
+        raise ParameterError(f"--sweep COUNT must be at least 1, got {count}")
+    return start, stop, count
+
+
 def _cmd_portfolio(args) -> int:
+    from . import portfolio
     if args.assets:
         universe = portfolio.AssetUniverse.from_csv(args.assets, args.correlations)
     else:
         universe = portfolio.AssetUniverse.bundled()
     family = _qualified_family(args)
     if args.sweep:
-        pieces = args.sweep.split(":")
-        if len(pieces) != 3:
-            raise ParameterError(f"--sweep expects START:STOP:COUNT, got {args.sweep!r}")
-        grid = np.linspace(float(pieces[0]), float(pieces[1]), int(pieces[2]))
+        import numpy as np
+        grid = np.linspace(*_parse_sweep(args.sweep))
         rows = portfolio.efficient_frontier(universe, family, args.objective, grid,
                                             lower=args.lower, upper=args.upper)
         _emit(rows, args)
@@ -223,6 +242,7 @@ def _cmd_portfolio(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import estimation
     levels = _parse_float_list(args.levels, "levels")
     weights = _parse_float_list(args.weights, "weights") if args.weights else ()
     shifts = _parse_float_list(args.shifts, "shifts") if args.shifts else ()
@@ -251,6 +271,7 @@ def _cmd_fit(args) -> int:
 
 
 def _write_pdf_curve(result, baselines, path: str, points: int = 200) -> None:
+    import numpy as np
     fitted = result.distribution()
     lo = fitted.quantile(0.001)
     hi = fitted.quantile(0.995)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 from . import specfun
 from .errors import DomainError, ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -49,154 +50,6 @@ def _gamma_or_inf(z: float) -> float:
 def _check_prob_open(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"quantile level must lie in (0, 1), got {alpha}")
-
-
-# --- vectorized kernels used only by the bulk sampler ---------------------
-
-_ACK_A, _ACK_B, _ACK_C, _ACK_D = (specfun._ACKLAM_A, specfun._ACKLAM_B,
-                                  specfun._ACKLAM_C, specfun._ACKLAM_D)
-
-
-def _norm_ppf_arr(p: np.ndarray) -> np.ndarray:
-    """Acklam's rational normal quantile, |rel err| < 1.2e-9 (sampling grade)."""
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    lo = p < 0.02425
-    hi = p > 1.0 - 0.02425
-    mid = ~(lo | hi)
-
-    def _tail(q):
-        return (((((_ACK_C[0] * q + _ACK_C[1]) * q + _ACK_C[2]) * q + _ACK_C[3]) * q
-                 + _ACK_C[4]) * q + _ACK_C[5]) / \
-               ((((_ACK_D[0] * q + _ACK_D[1]) * q + _ACK_D[2]) * q + _ACK_D[3]) * q + 1.0)
-
-    if lo.any():
-        out[lo] = _tail(np.sqrt(-2.0 * np.log(p[lo])))
-    if hi.any():
-        out[hi] = -_tail(np.sqrt(-2.0 * np.log(1.0 - p[hi])))
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        out[mid] = (((((_ACK_A[0] * r + _ACK_A[1]) * r + _ACK_A[2]) * r + _ACK_A[3]) * r
-                     + _ACK_A[4]) * r + _ACK_A[5]) * q / \
-                   (((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r + _ACK_B[3]) * r
-                     + _ACK_B[4]) * r + 1.0)
-    return out
-
-
-def _beta_cf_arr(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized Lentz continued fraction; converged lanes retire early."""
-    x = np.asarray(x, dtype=float).ravel()
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < tiny, tiny, d)
-    d = 1.0 / d
-    h = d.copy()
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        done = np.abs(delta - 1.0) < 1e-15
-        if done.any():
-            out[idx[done]] = h[done]
-            keep = ~done
-            if not keep.any():
-                return out
-            idx, x, c, d, h = idx[keep], x[keep], c[keep], d[keep], h[keep]
-    out[idx] = h
-    return out
-
-
-def _betainc_arr(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    edge0 = x <= 0.0
-    edge1 = x >= 1.0
-    direct = (~edge0) & (~edge1) & (x < (a + 1.0) / (a + b + 2.0))
-    swapped = (~edge0) & (~edge1) & (~direct)
-    out[edge0] = 0.0
-    out[edge1] = 1.0
-    ln_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    if direct.any():
-        xd = x[direct]
-        front = np.exp(ln_norm + a * np.log(xd) + b * np.log1p(-xd))
-        out[direct] = front * _beta_cf_arr(a, b, xd) / a
-    if swapped.any():
-        xs = x[swapped]
-        front = np.exp(ln_norm + a * np.log(xs) + b * np.log1p(-xs))
-        out[swapped] = 1.0 - front * _beta_cf_arr(b, a, 1.0 - xs) / b
-    return out
-
-
-def _t_cdf_arr(t: np.ndarray, nu: float) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    z = nu / (t * t + nu)
-    ib = _betainc_arr(z, 0.5 * nu, 0.5)
-    return np.where(t <= 0.0, 0.5 * ib, 1.0 - 0.5 * ib)
-
-
-def _t_ppf_arr(u: np.ndarray, nu: float) -> np.ndarray:
-    """Standardized Student-t quantile, safeguarded vector Newton.
-
-    Iterates only on unconverged lanes so a handful of slow tail points do
-    not drag full-array continued-fraction evaluations along.
-    """
-    u = np.asarray(u, dtype=float)
-    upper_half = u > 0.5
-    uu = np.where(upper_half, 1.0 - u, u)   # lower-tail probability <= 0.5
-    ln_c = math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu) \
-        - 0.5 * math.log(nu * math.pi)
-    # survival asymptote S(t) ~ K * |t|^-nu: outer bracket and tail guess
-    k_tail = math.exp(ln_c) * nu ** (0.5 * (nu + 1.0)) / nu
-    uu_safe = np.maximum(uu, 1e-300)
-    with np.errstate(over="ignore"):
-        tail_guess = -(k_tail / uu_safe) ** (1.0 / nu)
-        lo = 2.0 * tail_guess - 10.0
-    hi = np.zeros_like(uu)
-    t = np.where(uu < 0.1, tail_guess,
-                 np.minimum(_norm_ppf_arr(uu_safe), -1e-12))
-    t = np.maximum(t, lo * 0.75)
-    active = np.ones(u.shape, dtype=bool)
-    for _ in range(120):
-        ta = t[active]
-        resid = _t_cdf_arr(ta, nu) - uu[active]
-        hi_a = hi[active]
-        lo_a = lo[active]
-        hi_a = np.where(resid > 0.0, ta, hi_a)
-        lo_a = np.where(resid <= 0.0, ta, lo_a)
-        pdf = np.exp(ln_c - 0.5 * (nu + 1.0) * np.log1p(ta * ta / nu))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_new = ta - resid / pdf
-        bad = ~np.isfinite(t_new) | (t_new <= lo_a) | (t_new >= hi_a)
-        t_new = np.where(bad, 0.5 * (lo_a + hi_a), t_new)
-        done = np.abs(t_new - ta) <= 1e-12 * (1.0 + np.abs(t_new))
-        hi[active] = hi_a
-        lo[active] = lo_a
-        t[active] = t_new
-        still = ~done
-        if not still.any():
-            break
-        idx = np.flatnonzero(active)
-        active = np.zeros_like(active)
-        active[idx[still]] = True
-    return np.where(upper_half, -t, t)
 
 
 # --- family classes --------------------------------------------------------
@@ -238,13 +91,10 @@ class Distribution:
     def support(self) -> SupportBound:
         raise NotImplementedError
 
-    def _quantile_array(self, u: np.ndarray) -> np.ndarray:
-        return np.array([self.quantile(float(p)) for p in u])
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-transform sample of size n."""
-        u = np.clip(rng.random(n), 1e-300, 1.0 - 1e-16)
-        return self._quantile_array(u)
+        from . import _sampling
+        return _sampling.inverse_transform(self, n, rng)
 
     def params(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -284,9 +134,6 @@ class Exponential(Distribution):
 
     def support(self):
         return SupportBound(0.0, math.inf)
-
-    def _quantile_array(self, u):
-        return -np.log1p(-u) / self.lam
 
 
 @dataclass(frozen=True)
@@ -328,9 +175,6 @@ class Pareto(Distribution):
 
     def support(self):
         return SupportBound(self.xm, math.inf)
-
-    def _quantile_array(self, u):
-        return self.xm * (1.0 - u) ** (-1.0 / self.a)
 
 
 @dataclass(frozen=True)
@@ -402,11 +246,6 @@ class GPD(Distribution):
             return math.inf
         return self.s ** 2 / ((1.0 - self.xi) ** 2 * (1.0 - 2.0 * self.xi))
 
-    def _quantile_array(self, u):
-        if self._xi0:
-            return self.mu - self.s * np.log1p(-u)
-        return self.mu + self.s * np.expm1(-self.xi * np.log1p(-u)) / self.xi
-
 
 @dataclass(frozen=True)
 class Laplace(Distribution):
@@ -452,11 +291,6 @@ class Laplace(Distribution):
     def support(self):
         return SupportBound(-math.inf, math.inf)
 
-    def _quantile_array(self, u):
-        return np.where(u < 0.5,
-                        self.mu + self.b * np.log(2.0 * u),
-                        self.mu - self.b * np.log(2.0 * (1.0 - u)))
-
 
 @dataclass(frozen=True)
 class Normal(Distribution):
@@ -499,9 +333,6 @@ class Normal(Distribution):
 
     def support(self):
         return SupportBound(-math.inf, math.inf)
-
-    def _quantile_array(self, u):
-        return self.mu + self.sigma * _norm_ppf_arr(u)
 
 
 @dataclass(frozen=True)
@@ -554,9 +385,6 @@ class LogNormal(Distribution):
     def support(self):
         return SupportBound(0.0, math.inf)
 
-    def _quantile_array(self, u):
-        return np.exp(self.mu + self.s * _norm_ppf_arr(u))
-
 
 @dataclass(frozen=True)
 class Logistic(Distribution):
@@ -593,9 +421,6 @@ class Logistic(Distribution):
 
     def support(self):
         return SupportBound(-math.inf, math.inf)
-
-    def _quantile_array(self, u):
-        return self.mu + self.s * (np.log(u) - np.log1p(-u))
 
 
 @dataclass(frozen=True)
@@ -689,9 +514,6 @@ class StudentT(Distribution):
     def support(self):
         return SupportBound(-math.inf, math.inf)
 
-    def _quantile_array(self, u):
-        return self.mu + self.s * _t_ppf_arr(u, self.nu)
-
 
 @dataclass(frozen=True)
 class Weibull(Distribution):
@@ -737,9 +559,6 @@ class Weibull(Distribution):
 
     def support(self):
         return SupportBound(0.0, math.inf)
-
-    def _quantile_array(self, u):
-        return self.lam * (-np.log1p(-u)) ** (1.0 / self.k)
 
 
 @dataclass(frozen=True)
@@ -792,9 +611,6 @@ class LogLogistic(Distribution):
 
     def support(self):
         return SupportBound(0.0, math.inf)
-
-    def _quantile_array(self, u):
-        return self.a * (u / (1.0 - u)) ** (1.0 / self.b)
 
 
 @dataclass(frozen=True)
@@ -882,12 +698,6 @@ class GEV(Distribution):
         g1 = math.gamma(1.0 - self.xi)
         g2 = math.gamma(1.0 - 2.0 * self.xi)
         return self.s ** 2 * (g2 - g1 * g1) / self.xi ** 2
-
-    def _quantile_array(self, u):
-        y = -np.log(u)
-        if self._xi0:
-            return self.mu - self.s * np.log(y)
-        return self.mu + self.s * np.expm1(-self.xi * np.log(y)) / self.xi
 
 
 FAMILIES: dict[str, type[Distribution]] = {

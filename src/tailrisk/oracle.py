@@ -3,7 +3,8 @@
 Computes the superquantile by adaptive quadrature of the quantile function
 and bPOE by root finding on that quadrature, so every closed form in
 ``tail_metrics`` has a non-circular reference. A Monte-Carlo tail average
-provides a third, sampling-based route.
+provides a third, sampling-based route; it is the only part of this module
+that loads numpy.
 
 The quantile integral (1/(1-a)) * int_a^1 q_p dp is evaluated under two
 changes of variable that tame both endpoint singularities:
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._optim import cantelli_level, level_root
 from ._quad import adaptive_quad
@@ -161,6 +160,7 @@ def mc_superquantile(d: Distribution, alpha: float,
     standard error comes from the influence function of CVaR, so it covers
     both tail-average and quantile-estimation noise.
     """
+    import numpy as np
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"superquantile level must lie in [0, 1), got {alpha}")
     rng = np.random.default_rng(cfg.seed)

@@ -100,8 +100,18 @@ def _sq_logistic(d: Logistic, alpha: float) -> float:
 
 
 def _sq_student(d: StudentT, alpha: float) -> float:
+    """sq = mu + s (nu + t^2) pdf(t) / ((nu - 1)(1 - alpha)) at t = q_alpha, where
+    (nu + t^2) pdf(t) = nu c (1 + t^2/nu)^(-(nu-1)/2) neither overflows nor
+    underflows; past t^2 = nu the log1p splits off ln(t^2/nu), which stays
+    finite where t^2 does not."""
+    nu = d.nu
     t = (d.quantile(alpha) - d.mu) / d.s
-    return d.mu + d.s * (d.nu + t * t) / ((d.nu - 1.0) * (1.0 - alpha)) * d.std_pdf(t)
+    if t * t > nu:
+        ln_1p = 2.0 * math.log(abs(t)) - math.log(nu) + math.log1p(nu / (t * t))
+    else:
+        ln_1p = math.log1p(t * t / nu)
+    tail = nu * math.exp(d._ln_c() - 0.5 * (nu - 1.0) * ln_1p)
+    return d.mu + d.s * tail / ((nu - 1.0) * (1.0 - alpha))
 
 
 def _sq_weibull(d: Weibull, alpha: float) -> float:

@@ -171,3 +171,12 @@ def test_json_outputs_reparse(capsys):
 
 def test_unknown_command_exit_1(capsys):
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-2", "abc", "2.5"])
+def test_portfolio_sweep_bad_count_exit_1(capsys, count):
+    code, out, err = run(capsys, "portfolio", "--objective", "cvar", "--family", "normal",
+                         "--sweep", f"0.9:0.99:{count}", "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --sweep")

@@ -99,3 +99,43 @@ def test_cdf_far_tail_and_centre():
             want = mp.mpf(0.5) - _mp_cdf(nu, t)
             got = 0.5 - dist.StudentT(nu).cdf(t)
             assert abs(got - want) <= 1e-10 * want, (nu, t, got, float(want))
+
+
+def _mp_superquantile(nu: float, alpha: float):
+    """sq of the standardized variate, 40 digits: nu c z^((nu-1)/2) / ((nu-1)(1-alpha)),
+    where z = nu / (nu + t^2) solves I_z(nu/2, 1/2) = 2 min(alpha, 1 - alpha)."""
+    with mp.workdps(40):
+        nu, alpha = mp.mpf(nu), mp.mpf(alpha)
+        a, half = nu / 2, mp.mpf(1) / 2
+        target = mp.log(2 * min(alpha, 1 - alpha))
+        ln_z = mp.findroot(
+            lambda u: mp.log(mp.betainc(a, half, 0, mp.exp(u), regularized=True)) - target,
+            (target / a - 5, mp.mpf(0)), solver="anderson")
+        c = mp.gamma((nu + 1) / 2) / (mp.gamma(a) * mp.sqrt(nu * mp.pi))
+        return nu * c * mp.exp(ln_z * (nu - 1) / 2) / ((nu - 1) * (1 - alpha))
+
+
+@pytest.mark.parametrize("nu, alpha, want", [
+    (1.01, 1e-300, 0.034885245751270588),
+    (1.01, 1e-200, 0.34098933555561755),
+    (1.5, 1e-300, 1.5658408282034104e-100),
+    (3.0, 1e-300, 1.5496662540670187e-200),
+])
+def test_superquantile_deep_lower_tail(nu, alpha, want):
+    # t^2 overflows (nu = 1.01) or the density underflows (nu = 1.5, 3)
+    assert abs(superquantile(dist.StudentT(nu), alpha) / want - 1.0) <= 1e-12
+    assert abs(want / float(_mp_superquantile(nu, alpha)) - 1.0) <= 1e-12
+
+
+SQ_LEVELS = (1e-300, 1e-200, 1e-100, 1e-20, 1e-5, 0.01, 0.3, 0.5, 0.7, 0.95, 0.999,
+             1 - 1e-9)
+
+
+@pytest.mark.parametrize("nu", (1.01, 1.05, 1.5, 2.5, 3.0, 6.0, 30.0))
+def test_superquantile_matches_mpmath(nu):
+    d = dist.StudentT(nu, 2.0)
+    for alpha in SQ_LEVELS:
+        want = 2.0 * _mp_superquantile(nu, alpha)
+        with mp.workdps(40):
+            err = abs(superquantile(d, alpha) - want) / want
+        assert err <= 1e-12, (nu, alpha, superquantile(d, alpha), float(want))
