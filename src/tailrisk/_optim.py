@@ -53,7 +53,8 @@ def level_root(sq: Callable[[float], float], q: Callable[[float], float], x: flo
     Safeguarded Newton in u = log(1 - alpha), where d sq/du = q - sq: a step
     leaving the bracket, or a start outside (lo, hi), becomes bisection in u.
     Returns lo or hi when x lies outside [sq(lo), sq(hi)]. Stops at a step or
-    bracket of 1e-13 in u, i.e. relative precision 1e-13 in 1 - alpha.
+    bracket of 1e-13 min(|u|, 1) in u, i.e. relative precision 1e-13 in
+    1 - alpha, and in alpha too where alpha is small (u near 0).
     """
     if x <= sq(lo):
         return lo
@@ -72,7 +73,8 @@ def level_root(sq: Callable[[float], float], q: Callable[[float], float], x: flo
         new = u + (s - x) / slope if 0.0 < slope < math.inf else math.nan
         if not u_lo <= new <= u_hi:
             new = 0.5 * (u_lo + u_hi)
-        if abs(new - u) <= 1e-13 or u_hi - u_lo <= 1e-13:
+        tol = 1e-13 * min(1.0, abs(new))
+        if abs(new - u) <= tol or u_hi - u_lo <= tol:
             return -math.expm1(new)
         u = new
     return -math.expm1(u)

@@ -3,10 +3,11 @@ supported distribution families.
 
 Each family is an immutable dataclass exposing ``pdf``, ``cdf``, ``quantile``,
 ``tail_quantile`` (the upper quantile as a stable function of the tail
-probability), ``mean``, ``variance``, ``support`` and inverse-transform
-``sample``. Moments that diverge are reported as ``math.inf``, never as
-errors. ``make``/``from_json``/``to_json`` provide the CLI wire format
-``{"family": ..., "params": {...}}``.
+probability), ``mean``, ``variance``, ``support`` and ``sample`` (numpy's
+normal and Student-t generators for Normal, LogNormal and Student-t, the
+inverse transform for the rest). Moments that diverge are reported as
+``math.inf``, never as errors. ``make``/``from_json``/``to_json`` provide the
+CLI wire format ``{"family": ..., "params": {...}}``.
 """
 
 from __future__ import annotations
@@ -92,9 +93,14 @@ class Distribution:
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Inverse-transform sample of size n."""
+        """Sample of size n from rng.
+
+        Normal, LogNormal and Student-t draw from ``rng.standard_normal`` and
+        ``rng.standard_t``, so their draws are not monotone in a uniform;
+        the other families are inverse transforms of ``rng.random``.
+        """
         from . import _sampling
-        return _sampling.inverse_transform(self, n, rng)
+        return _sampling.draw(self, n, rng)
 
     def params(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

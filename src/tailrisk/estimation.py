@@ -16,7 +16,7 @@ for benchmarking the superquantile fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -211,6 +211,11 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
     1 + [1e-2, 1e3]; GPD and GEV xi in 1 - [1e-2, 10], i.e. [-9, 0.99];
     Weibull k in [0.02, 50]; LogNormal s in [1e-2, 10].
 
+    Normal is the nu -> inf member of Student-t: when a Student-t scan is
+    best at its upper nu end, the Normal fit of the same problem is returned
+    if its objective is no larger, so ``FitResult.family`` is then
+    ``"normal"``.
+
     Raises ParameterError with fewer levels than free parameters, and
     ConvergenceError (diagnostics with ``residuals``) when the best scanned
     shape is an end of its range or the fitted scale is not positive, i.e.
@@ -259,6 +264,11 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
                 t -= slope / curvature
             gradient_norm = abs(_slope(profile, t)[0])
     value, mu, s, theta, residuals, z = profile(t)
+    if family == "student-t" and at_edge and j == _SCAN - 1:
+        # the optimum is the Normal limit nu -> inf, which the nu range cannot reach
+        normal = ls_mos_fit(replace(problem, family="normal"))
+        if normal.objective <= value:
+            return replace(normal, iterations=normal.iterations + evaluations)
     if at_edge or not s * max(map(abs, z), default=0.0) > 1e-12 * max(map(abs, targets)):
         raise ConvergenceError(
             "no superquantile fit with a positive scale and an interior shape",

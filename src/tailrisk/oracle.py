@@ -156,7 +156,7 @@ def mc_superquantile(d: Distribution, alpha: float,
                      cfg: OracleConfig = OracleConfig()) -> tuple[float, float]:
     """Monte-Carlo tail average: (estimate, standard error).
 
-    Inverse-transform sampling with an explicitly seeded generator; the
+    Tail of ``Distribution.sample`` from an explicitly seeded generator; the
     standard error comes from the influence function of CVaR, so it covers
     both tail-average and quantile-estimation noise.
     """

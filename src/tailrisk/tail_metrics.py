@@ -249,8 +249,9 @@ def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     """bPOE by solving superquantile(d, alpha) = x with ``_optim.level_root``.
 
     The level, in [0, nextafter(1, 0)], has relative precision about 1e-13 in
-    1 - alpha. A residual above 1e-6 max(1, |x|) raises ``ConvergenceError``
-    unless the root lies within one float of alpha.
+    1 - alpha, and in alpha where alpha is small. A residual above
+    1e-6 max(1, |x|) raises ``ConvergenceError`` unless the root lies within
+    one float of alpha.
     """
     edge = _bpoe_edges(d, x)
     if edge is not None:

@@ -113,6 +113,16 @@ def test_ls_exact_targets_zero_objective():
     assert r.converged and r.gradient_norm <= 1e-7
 
 
+def test_student_t_fit_of_normal_targets_returns_the_normal_limit():
+    d = dist.Normal(0.5, 1.5)
+    levels = (0.1, 0.5, 0.75, 0.9, 0.95)
+    targets = tuple(tm.superquantile(d, a) for a in levels)
+    r = ls_mos_fit(FitProblem("student-t", levels, targets=targets))
+    assert r.family == "normal"
+    assert r.objective <= 1e-20
+    assert r.distribution() == dist.Normal(r.params["mu"], r.params["sigma"])
+
+
 def test_ls_sample_fit_reports_residuals():
     x = dist.Weibull(0.5, 1.4).sample(50, np.random.default_rng(42))
     r = ls_mos_fit(FitProblem("weibull", (0.15, 0.75), sample=tuple(x)))

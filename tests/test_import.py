@@ -108,24 +108,26 @@ def test_emit_numpy_scalars(capsys):
     assert 'list,"[-2.0, 1.5]"' in rows
 
 
-# Normal and LogNormal sample through Acklam's rational quantile, which is
-# within 1.2e-9 of the exact standard normal quantile; LogNormal's s = 1
-# exponent carries that error into the draw
-_SAMPLE_TOL = {dist.Normal: 5e-9, dist.LogNormal: 5e-9}
-
-
 @pytest.mark.parametrize("d", [
     dist.Exponential(1.0), dist.Pareto(3.0, 1.0), dist.GPD(-1.0, 2.0, 0.3),
-    dist.Laplace(1.0, 2.0), dist.Normal(1.0, 2.0), dist.LogNormal(0.0, 1.0),
-    dist.Logistic(-2.0, 1.5), dist.StudentT(6.0, 0.5, -1.0),
+    dist.Laplace(1.0, 2.0), dist.Logistic(-2.0, 1.5),
     dist.Weibull(0.5, 1.4), dist.LogLogistic(2.0, 3.0), dist.GEV(1.0, 2.0, 0.3),
 ], ids=lambda d: d.family)
 def test_sample_is_the_quantile_at_the_same_uniforms(d):
     x = d.sample(1000, np.random.default_rng(0))
     u = np.clip(np.random.default_rng(0).random(1000), 1e-300, 1.0 - 1e-16)
     q = np.array([d.quantile(float(p)) for p in u])
-    tol = _SAMPLE_TOL.get(type(d), 1e-9)
-    assert np.all(np.abs(x - q) <= tol * np.maximum(np.abs(q), 1.0))
+    assert np.all(np.abs(x - q) <= 1e-9 * np.maximum(np.abs(q), 1.0))
+
+
+@pytest.mark.parametrize("d, expected", [
+    (dist.Normal(1.0, 2.0), lambda rng: 1.0 + 2.0 * rng.standard_normal(1000)),
+    (dist.LogNormal(0.0, 1.0), lambda rng: np.exp(0.0 + 1.0 * rng.standard_normal(1000))),
+    (dist.StudentT(6.0, 0.5, -1.0), lambda rng: -1.0 + 0.5 * rng.standard_t(6.0, 1000)),
+], ids=["normal", "lognormal", "student-t"])
+def test_sample_is_the_generator_expression(d, expected):
+    x = d.sample(1000, np.random.default_rng(0))
+    assert np.array_equal(x, expected(np.random.default_rng(0)))
 
 
 def test_family_subclass_samples_as_its_family():

@@ -86,6 +86,15 @@ def test_matches_bisection_oracle_shape():
         _assert_same_level(got, _bisect_u(sq, x, lo, hi), 1e-8)
 
 
+def test_level_near_zero_is_relatively_precise():
+    # sq(alpha) = 1e-9 just above the mean 0 has its root near alpha = 1.6e-14
+    d = dist.StudentT(3.0)
+    x = 1e-9
+    result = tm.bpoe(d, x)
+    assert 0.0 < result.alpha_star < 1e-13
+    assert abs(tm.superquantile(d, result.alpha_star) - x) <= 1e-12 * x
+
+
 def test_bpoe_by_root_superquantile_budget(monkeypatch):
     calls = 0
     superquantile = tm.superquantile
