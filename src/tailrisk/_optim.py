@@ -12,6 +12,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_TINY = math.ulp(0.0)   # the smallest positive float
 
 
 def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
@@ -52,11 +53,17 @@ def level_root(sq: Callable[[float], float], q: Callable[[float], float], x: flo
 
     Safeguarded Newton in u = log(1 - alpha), where d sq/du = q - sq: a step
     leaving the bracket, or a start outside (lo, hi), becomes bisection in u.
+    While the bracket still reaches u = 0 (lo = 0, no level yet below the
+    root), sq - sq(0) grows like a power of alpha, which a Newton step in u
+    overshoots and bisection in u reaches only a halving at a time; there the
+    step is Newton on log(sq - sq(lo)) in t = log(-u), where
+    d sq/dt = (q - sq) u, and it stops at the smallest positive level.
     Returns lo or hi when x lies outside [sq(lo), sq(hi)]. Stops at a step or
     bracket of 1e-13 min(|u|, 1) in u, i.e. relative precision 1e-13 in
     1 - alpha, and in alpha too where alpha is small (u near 0).
     """
-    if x <= sq(lo):
+    s_lo = sq(lo)
+    if x <= s_lo:
         return lo
     if x >= sq(hi):
         return hi
@@ -69,8 +76,14 @@ def level_root(sq: Callable[[float], float], q: Callable[[float], float], x: flo
             u_lo = u
         else:
             u_hi = u
-        slope = s - q(alpha)
-        new = u + (s - x) / slope if 0.0 < slope < math.inf else math.nan
+        if u_hi == 0.0:   # then s > x, so the step moves u towards 0
+            slope = (q(alpha) - s) * u / (s - s_lo)
+            step = math.log((s - s_lo) / (x - s_lo)) / slope if 0.0 < slope < math.inf \
+                else math.nan
+            new = min(u * math.exp(-step), -_TINY)
+        else:
+            slope = s - q(alpha)
+            new = u + (s - x) / slope if 0.0 < slope < math.inf else math.nan
         if not u_lo <= new <= u_hi:
             new = 0.5 * (u_lo + u_hi)
         tol = 1e-13 * min(1.0, abs(new))
@@ -167,79 +180,75 @@ def project_box_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     return np.clip(v - tau, lower, upper)
 
 
+_BOUND_TOL = 1e-10   # a coordinate this close to a bound counts as on it
+
+
+def _face(w: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bytes:
+    """The face of the box-bounded simplex that w lies on, as a hashable key."""
+    return (w <= lower + _BOUND_TOL).tobytes() + (w >= upper - _BOUND_TOL).tobytes()
+
+
 def _reduced_newton_polish(
     objective: Callable[[np.ndarray], float],
     gradient: Callable[[np.ndarray], np.ndarray],
+    hessian: Callable[[np.ndarray], np.ndarray],
     w: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     max_iter: int = 30,
 ) -> np.ndarray:
-    """Newton steps in the free coordinates of the simplex tangent space.
+    """Newton ascent on the face of the box-bounded simplex that w lies on.
 
-    Projected gradient stalls near machine precision because objective
-    improvements scale with the squared residual; Newton on the reduced
-    first-order conditions (analytic gradient, finite-difference Hessian)
-    pushes the stationarity residual to ~1e-13. Bails out rather than
-    changing the active set.
+    The free coordinates (more than 1e-10 inside their bounds) move in the
+    null space of the budget: with Z adding y to all free coordinates but the
+    first and taking sum(y) from the first, each step solves
+    (Z^T H Z) y = -Z^T g with the analytic Hessian H. On the right face this
+    converges quadratically, to a stationarity residual of about 1e-14.
+    The polish stops, keeping its last accepted point, at the first full step
+    that leaves the box (changing the active set is projected gradient's
+    job) or that loses more than 1e-12 of objective.
     """
     import numpy as np
-    bound_tol = 1e-10
-    free = (w > lower + bound_tol) & (w < upper - bound_tol)
-    m = int(free.sum())
-    if m < 2:
-        return w
+    free = (w > lower + _BOUND_TOL) & (w < upper - _BOUND_TOL)
     idx = np.flatnonzero(free)
-    k = m - 1
-
-    def expand(y: np.ndarray) -> np.ndarray:
-        wy = w.copy()
-        wy[idx[0]] = w[idx[0]] - y.sum()
-        wy[idx[1:]] = w[idx[1:]] + y
-        return wy
-
-    def red_grad(wy: np.ndarray) -> np.ndarray:
-        g = gradient(wy)
-        return g[idx[1:]] - g[idx[0]]
-
-    y = np.zeros(k)
-    wy = w
+    if idx.size < 2:
+        return w
+    first, rest = idx[0], idx[1:]
     f_best = objective(w)
     for _ in range(max_iter):
-        g_r = red_grad(wy)
+        g = gradient(w)
+        g_r = g[rest] - g[first]
         if np.max(np.abs(g_r)) < 1e-13:
             break
-        h = 1e-7
-        hess = np.zeros((k, k))
-        for j in range(k):
-            dy = np.zeros(k)
-            dy[j] = h
-            hess[:, j] = (red_grad(expand(y + dy)) - red_grad(expand(y - dy))) / (2.0 * h)
-        hess = 0.5 * (hess + hess.T)
+        h = hessian(w)
+        h_1r = h[first, rest]
+        hess = h[np.ix_(rest, rest)] - h_1r[:, None] - h_1r[None, :] + h[first, first]
         try:
-            step = np.linalg.solve(hess, g_r)
+            y = np.linalg.solve(hess, -g_r)
         except np.linalg.LinAlgError:
             break
-        scale = 1.0
-        accepted = False
-        while scale >= 1e-6:
-            y_try = y - scale * step
-            w_try = expand(y_try)
-            if np.all(w_try >= lower - 1e-15) and np.all(w_try <= upper + 1e-15) \
-                    and objective(w_try) >= f_best - 1e-12:
-                y, wy = y_try, w_try
-                f_best = max(f_best, objective(w_try))
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
+        w_try = w.copy()
+        w_try[first] -= y.sum()
+        w_try[rest] += y
+        if np.any(w_try < lower - 1e-15) or np.any(w_try > upper + 1e-15):
             break
-    return np.clip(wy, lower, upper)
+        f_try = objective(w_try)
+        if not f_try >= f_best - 1e-12:
+            break
+        w, f_best = w_try, max(f_best, f_try)
+    return np.clip(w, lower, upper)
+
+
+def _gradient_projection_norm(gradient, w, lower, upper) -> float:
+    """|P(w + g) - w|, zero exactly at a KKT point of the box-bounded simplex."""
+    import numpy as np
+    return float(np.linalg.norm(project_box_simplex(w + gradient(w), lower, upper) - w))
 
 
 def projected_gradient_max(
     objective: Callable[[np.ndarray], float],
     gradient: Callable[[np.ndarray], np.ndarray],
+    hessian: Callable[[np.ndarray], np.ndarray],
     start: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
@@ -248,14 +257,21 @@ def projected_gradient_max(
 ) -> tuple[np.ndarray, float, float]:
     """Maximize a smooth objective over the box-bounded simplex.
 
-    Projected gradient ascent with backtracking line search and step growth,
-    then a reduced-space Newton polish on the identified active set.
+    Projected gradient ascent (backtracking line search, step growth) finds
+    the active face; Newton finishes on it. Whenever two successive iterates
+    lie on the same face, ``_reduced_newton_polish`` runs there with the
+    analytic ``hessian``; if the polished point's gradient-projection norm is
+    at most grad_tol it is the answer, otherwise the ascent continues from
+    the better of the two points. No face is polished twice. When the ascent
+    itself converges or stalls, one last polish runs on its final face.
     Returns (w, objective value, final gradient-projection norm).
     """
     import numpy as np
     w = project_box_simplex(np.asarray(start, dtype=float), lower, upper)
     f_w = objective(w)
     step = 1.0
+    face = _face(w, lower, upper)
+    polished = set()
     for _ in range(max_iter):
         g = gradient(w)
         probe = project_box_simplex(w + g, lower, upper)
@@ -278,26 +294,34 @@ def projected_gradient_max(
                 break
         if not moved or stalled:
             break
-    w = _reduced_newton_polish(objective, gradient, w, lower, upper)
-    f_w = objective(w)
-    probe = project_box_simplex(w + gradient(w), lower, upper)
-    gp_norm = float(np.linalg.norm(probe - w))
-    return w, f_w, gp_norm
+        previous, face = face, _face(w, lower, upper)
+        if face == previous and face not in polished:
+            polished.add(face)
+            w_n = _reduced_newton_polish(objective, gradient, hessian, w, lower, upper)
+            f_n = objective(w_n)
+            gp_n = _gradient_projection_norm(gradient, w_n, lower, upper)
+            if gp_n <= grad_tol:
+                return w_n, f_n, gp_n
+            if f_n > f_w:
+                w, f_w = w_n, f_n
+    w = _reduced_newton_polish(objective, gradient, hessian, w, lower, upper)
+    return w, objective(w), _gradient_projection_norm(gradient, w, lower, upper)
 
 
 def multi_start_max(
     objective: Callable[[np.ndarray], float],
     gradient: Callable[[np.ndarray], np.ndarray],
+    hessian: Callable[[np.ndarray], np.ndarray],
     starts: Sequence[np.ndarray],
     lower: np.ndarray,
     upper: np.ndarray,
     grad_tol: float = 1e-9,
 ) -> tuple[np.ndarray, float, float]:
-    """Run projected gradient from each start; best objective wins, ties to the
-    earliest start."""
+    """Run ``projected_gradient_max`` from each start; best objective wins,
+    ties to the earliest start."""
     best = None
     for s in starts:
-        w, f_w, gp = projected_gradient_max(objective, gradient, s, lower, upper,
+        w, f_w, gp = projected_gradient_max(objective, gradient, hessian, s, lower, upper,
                                             grad_tol=grad_tol)
         if best is None or f_w > best[1] + 1e-15:
             best = (w, f_w, gp)

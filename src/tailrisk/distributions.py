@@ -694,16 +694,17 @@ class GEV(Distribution):
             return self.mu + self.s * specfun.EULER_GAMMA
         if self.xi >= 1.0:
             return math.inf
-        return self.mu + self.s * (math.gamma(1.0 - self.xi) - 1.0) / self.xi
+        # -inf for xi < -170.6, where Gamma(1 - xi) overflows
+        return self.mu + self.s * (_gamma_or_inf(1.0 - self.xi) - 1.0) / self.xi
 
     def variance(self):
         if self._xi0:
             return self.s ** 2 * math.pi ** 2 / 6.0
         if self.xi >= 0.5:
             return math.inf
-        g1 = math.gamma(1.0 - self.xi)
-        g2 = math.gamma(1.0 - 2.0 * self.xi)
-        return self.s ** 2 * (g2 - g1 * g1) / self.xi ** 2
+        g1 = _gamma_or_inf(1.0 - self.xi)
+        g2 = _gamma_or_inf(1.0 - 2.0 * self.xi)
+        return self.s ** 2 * (g2 - g1 * g1) / self.xi ** 2 if g2 < math.inf else math.inf
 
 
 FAMILIES: dict[str, type[Distribution]] = {

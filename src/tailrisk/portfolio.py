@@ -17,7 +17,10 @@ The second objective has no shape parameter in it, so one weight vector is
 bPOE-optimal for every qualified family simultaneously; only the reported
 bPOE value depends on the family.
 
-Each solve is one projected-gradient run from equal weights: the min-CVaR
+Each solve is one run of ``_optim.projected_gradient_max`` from equal
+weights: projected gradient finds the active face and Newton steps with the
+objective's analytic Hessian finish on it, so every objective below states
+its gradient and Hessian side by side. One start suffices: the min-CVaR
 objective is concave (zeta >= 0), the min-bPOE ratio pseudo-concave and the
 Markowitz and minimum-variance objectives concave quadratics, so on the
 box-bounded simplex every KKT point is a global maximum.
@@ -286,11 +289,12 @@ def _max_linear(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float
     return float(w @ coef)
 
 
-def _solve(objective, gradient, lower: np.ndarray, upper: np.ndarray,
+def _solve(objective, gradient, hessian, lower: np.ndarray, upper: np.ndarray,
            grad_tol: float = 1e-9) -> tuple[np.ndarray, float, float]:
-    """One projected-gradient run from equal weights (see the module docstring)."""
+    """One projected-gradient-then-Newton run from equal weights (see the
+    module docstring)."""
     start = np.full(lower.size, 1.0 / lower.size)
-    w, f_w, gp = projected_gradient_max(objective, gradient, start, lower, upper,
+    w, f_w, gp = projected_gradient_max(objective, gradient, hessian, start, lower, upper,
                                         grad_tol=grad_tol)
     if gp > 1e-8:
         raise ConvergenceError("portfolio solver did not reach KKT tolerance",
@@ -315,7 +319,12 @@ def min_cvar_portfolio(problem: PortfolioProblem,
         sd = math.sqrt(max(float(w @ cw), 1e-30))
         return eta - z * cw / sd
 
-    w, f_w, gp = _solve(f, g, problem.lower, problem.upper)
+    def h(w: np.ndarray) -> np.ndarray:
+        cw = cov @ w
+        sd = math.sqrt(max(float(w @ cw), 1e-30))
+        return -z * (cov / sd - np.outer(cw, cw) / sd ** 3)
+
+    w, f_w, gp = _solve(f, g, h, problem.lower, problem.upper)
     ret = float(w @ eta)
     sd = math.sqrt(float(w @ cov @ w))
     # lambda matching the half-quadratic Markowitz utility w.eta - (l/2) w.S.w
@@ -368,7 +377,13 @@ def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
         num = float(w @ eta + x)
         return eta / max(num, 1e-30) - cw / max(float(w @ cw), 1e-30)
 
-    w, log_ratio, gp = _solve(f, g, problem.lower, problem.upper)
+    def h(w: np.ndarray) -> np.ndarray:
+        cw = cov @ w
+        num = max(float(w @ eta + x), 1e-30)
+        var = max(float(w @ cw), 1e-30)
+        return -np.outer(eta, eta) / num ** 2 - cov / var + 2.0 * np.outer(cw, cw) / var ** 2
+
+    w, log_ratio, gp = _solve(f, g, h, problem.lower, problem.upper)
     ratio = math.exp(log_ratio)
     ret = float(w @ eta)
     sd = math.sqrt(float(w @ cov @ w))
@@ -407,7 +422,10 @@ def markowitz_solve(universe: AssetUniverse, lam: float,
     def g(w):
         return eta - lam * (cov @ w)
 
-    return _solve(f, g, lo, hi, grad_tol=1e-10)[0]
+    def h(w):
+        return -lam * cov
+
+    return _solve(f, g, h, lo, hi, grad_tol=1e-10)[0]
 
 
 def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
@@ -435,7 +453,10 @@ def min_variance_portfolio(universe: AssetUniverse, lower=0.0, upper=1.0) -> np.
     def g(w):
         return -2.0 * (cov @ w)
 
-    return _solve(f, g, lo, hi, grad_tol=1e-10)[0]
+    def h(w):
+        return -2.0 * cov
+
+    return _solve(f, g, h, lo, hi, grad_tol=1e-10)[0]
 
 
 def efficient_frontier(universe: AssetUniverse, family: QualifiedFamily,

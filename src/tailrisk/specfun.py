@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from .errors import DomainError
 
@@ -18,6 +19,7 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 _SQRT_PI = math.sqrt(math.pi)
 _INV_E = math.exp(-1.0)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class WBranch(enum.Enum):
@@ -178,9 +180,20 @@ def upper_inc_gamma(a: float, b: float) -> float:
 
 
 def lower_inc_gamma(a: float, b: float) -> float:
-    """Lower incomplete gamma: integral of p^(a-1) e^(-p) over [0, b]."""
+    """Lower incomplete gamma: integral of p^(a-1) e^(-p) over [0, b].
+
+    For a > 171, where Gamma(a) overflows, the value is formed in logs (the
+    regularized series underflows there first) and is inf where it exceeds
+    binary64.
+    """
     p, _ = _reg_gamma(a, b)
-    return p * math.gamma(a)
+    if a <= 171.0:
+        return p * math.gamma(a)
+    if b == 0.0:
+        return 0.0
+    log_value = (math.log(_gamma_p_series(a, b)) + a * math.log(b) - b if b < a + 1.0
+                 else math.log(p) + math.lgamma(a))
+    return math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

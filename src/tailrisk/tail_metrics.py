@@ -153,12 +153,13 @@ _SQ_FORMULAS = {
 def superquantile(d: Distribution, alpha: float) -> float:
     """Closed-form superquantile (CVaR) at probability level alpha in [0, 1).
 
-    Returns inf when the mean diverges; superquantile(d, 0) is the mean.
+    Returns inf when the mean diverges; superquantile(d, 0) is the mean, which
+    is -inf where it lies below the floats (GEV with xi < -170.6).
     """
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"superquantile level must lie in [0, 1), got {alpha}")
     m = d.mean()
-    if not math.isfinite(m):
+    if m == math.inf:
         return math.inf
     if alpha == 0.0:
         return m
@@ -201,7 +202,7 @@ def _bpoe_edges(d: Distribution, x: float) -> TailResult | None:
     if not math.isfinite(x):
         raise DomainError(f"bPOE threshold must be finite, got {x}")
     m = d.mean()
-    if not math.isfinite(m):
+    if m == math.inf:
         # infinite mean: the tail average exceeds every finite threshold
         return _clamped_one(d)
     if x < m:
@@ -370,7 +371,7 @@ def bpoe(d: Distribution, x: float) -> TailResult:
 def partial_expectation(d: Distribution, gamma: float) -> float:
     """E[X - gamma]+ via (superquantile(F(gamma)) - gamma) * (1 - F(gamma))."""
     m = d.mean()
-    if not math.isfinite(m):
+    if m == math.inf:
         return math.inf
     upper = d.support().upper
     if math.isfinite(upper) and gamma >= upper:

@@ -95,6 +95,58 @@ def test_level_near_zero_is_relatively_precise():
     assert abs(tm.superquantile(d, result.alpha_star) - x) <= 1e-12 * x
 
 
+def _mpmath_root_normal(mp, x):
+    """Level alpha with phi(q) / (1 - alpha) = x, alpha = Phi(q), for N(0, 1)."""
+    def sq_q(q):
+        return mp.npdf(q) / (1 - mp.ncdf(q))
+    q = mp.findroot(lambda q: mp.log(sq_q(q)) - mp.log(x), -mp.sqrt(-2 * mp.log(x)))
+    return mp.ncdf(q)
+
+
+def _mpmath_root_logistic(mp, x):
+    """Level alpha with H(alpha) / (1 - alpha) = x for the standard logistic,
+    H the binary entropy in nats."""
+    def log_sq(la):
+        a = mp.exp(la)
+        return mp.log((-a * la - (1 - a) * mp.log1p(-a)) / (1 - a))
+    return mp.exp(mp.findroot(lambda la: log_sq(la) - mp.log(x), mp.log(x)))
+
+
+def _count_superquantile_calls(monkeypatch):
+    calls = [0]
+    superquantile = tm.superquantile
+
+    def counted(d, alpha):
+        calls[0] += 1
+        return superquantile(d, alpha)
+
+    monkeypatch.setattr(tm, "superquantile", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d, x", [(dist.Normal(0.0, 1.0), 1e-300), (dist.Normal(0.0, 1.0), 1e-200),
+                                  (dist.Logistic(0.0, 1.0), 1e-300)], ids=repr)
+def test_level_just_above_the_mean_takes_newton_steps(monkeypatch, d, x):
+    # the root of sq(alpha) = x lies near 1e-302: bisection in u = log(1 - alpha)
+    # would need about a thousand halvings to reach it
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        solve = _mpmath_root_normal if isinstance(d, dist.Normal) else _mpmath_root_logistic
+        want = float(solve(mp, x))
+    calls = _count_superquantile_calls(monkeypatch)
+    result = tm.bpoe(d, x)
+    assert calls[0] <= 15
+    assert abs(result.alpha_star - want) <= 1e-10 * want, (result.alpha_star, want)
+
+
+def test_root_below_the_smallest_level_stops_there(monkeypatch):
+    # sq(5e-324) = 1.9e-322 already exceeds x: the root is not a float
+    calls = _count_superquantile_calls(monkeypatch)
+    result = tm.bpoe(dist.Normal(0.0, 1.0), 5e-324)
+    assert calls[0] <= 15
+    assert result.alpha_star == 5e-324
+
+
 def test_bpoe_by_root_superquantile_budget(monkeypatch):
     calls = 0
     superquantile = tm.superquantile

@@ -6,6 +6,7 @@ import pytest
 from tailrisk import distributions as dist
 from tailrisk import specfun as sf
 from tailrisk import tail_metrics as tm
+from tailrisk import _optim, portfolio
 from tailrisk._optim import projected_gradient_max
 from tailrisk.errors import DomainError, ParameterError
 from tailrisk.portfolio import (AssetUniverse, PortfolioProblem, QualifiedFamily,
@@ -284,23 +285,28 @@ def _random_universe(rng, n):
 
 
 def _objectives(universe, problem, family):
-    """The maximized objective and its gradient, as the solvers state them."""
+    """The maximized objective, its gradient and its Hessian, as the solvers
+    state them."""
     eta, cov = universe.expected_returns, universe.covariance
     if problem.objective == "cvar":
         z = family.zeta(problem.level)
         return (lambda w: float(w @ eta - z * math.sqrt(w @ cov @ w)),
-                lambda w: eta - z * (cov @ w) / math.sqrt(w @ cov @ w))
+                lambda w: eta - z * (cov @ w) / math.sqrt(w @ cov @ w),
+                lambda w: -z * (cov / math.sqrt(w @ cov @ w)
+                                - np.outer(cov @ w, cov @ w) / math.sqrt(w @ cov @ w) ** 3))
     x = problem.threshold
     return (lambda w: math.log(w @ eta + x) - 0.5 * math.log(w @ cov @ w),
-            lambda w: eta / (w @ eta + x) - (cov @ w) / (w @ cov @ w))
+            lambda w: eta / (w @ eta + x) - (cov @ w) / (w @ cov @ w),
+            lambda w: (-np.outer(eta, eta) / (w @ eta + x) ** 2 - cov / (w @ cov @ w)
+                       + 2.0 * np.outer(cov @ w, cov @ w) / (w @ cov @ w) ** 2))
 
 
-def _best_of_five_starts(f, g, lower, upper):
+def _best_of_five_starts(f, g, h, lower, upper):
     """Equal weights plus four corner-leaning starts, the best objective wins."""
     n = lower.size
     equal = np.full(n, 1.0 / n)
     starts = [equal] + [0.9 * np.eye(n)[i] + 0.1 * equal for i in range(min(4, n))]
-    return max(projected_gradient_max(f, g, s, lower, upper)[1] for s in starts)
+    return max(projected_gradient_max(f, g, h, s, lower, upper)[1] for s in starts)
 
 
 @pytest.mark.parametrize("n, capped", [(3, False), (5, True), (10, True), (16, False),
@@ -318,9 +324,60 @@ def test_single_start_matches_best_of_five(n, capped):
     for problem, fam in cases:
         solve = min_cvar_portfolio if problem.objective == "cvar" else min_bpoe_portfolio
         rep = solve(problem, fam)
-        f, g = _objectives(universe, problem, fam)
-        best = _best_of_five_starts(f, g, problem.lower, problem.upper)
+        f, g, h = _objectives(universe, problem, fam)
+        best = _best_of_five_starts(f, g, h, problem.lower, problem.upper)
         assert f(rep.weights) >= best - 1e-12, (n, problem.objective, fam.label())
+
+
+@pytest.mark.parametrize("case", ("min-cvar", "min-bpoe", "markowitz", "min-variance"))
+def test_hessian_matches_gradient_differences(monkeypatch, msci, case):
+    # a wrong Hessian still reaches the KKT tolerance through projected
+    # gradient, only slowly, so nothing else would catch it
+    seen = []
+
+    def capture(f, g, h, *args, **kwargs):
+        seen.append((f, g, h))
+        return projected_gradient_max(f, g, h, *args, **kwargs)
+
+    monkeypatch.setattr(portfolio, "projected_gradient_max", capture)
+    fam = QualifiedFamily("student-t", nu=3.0)
+    w_star = {
+        "min-cvar": lambda: min_cvar_portfolio(
+            PortfolioProblem(msci, "cvar", level=0.95), fam).weights,
+        "min-bpoe": lambda: min_bpoe_portfolio(
+            PortfolioProblem(msci, "bpoe", threshold=0.16), fam).weights,
+        "markowitz": lambda: markowitz_solve(msci, 3.0),
+        "min-variance": lambda: min_variance_portfolio(msci),
+    }[case]()
+    (f, g, h), = seen
+    interior = np.random.default_rng(7).dirichlet(np.ones(msci.size))
+    for w in (w_star, interior):
+        step = 1e-6
+        fd = np.column_stack([(g(w + step * e) - g(w - step * e)) / (2.0 * step)
+                              for e in np.eye(w.size)])
+        assert np.max(np.abs(h(w) - fd)) <= 1e-6 * np.max(np.abs(fd)), (case, w)
+
+
+def test_msci_solves_reach_the_newton_face_quickly(monkeypatch, msci):
+    calls = 0
+    project = _optim.project_box_simplex
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return project(*args)
+
+    monkeypatch.setattr(_optim, "project_box_simplex", counted)
+    families = default_report_families() + (QualifiedFamily("gev", xi=0.1),)
+    problems = [PortfolioProblem(msci, "cvar", level=a) for a in (0.9, 0.95, 0.99)] \
+        + [PortfolioProblem(msci, "bpoe", threshold=x) for x in (0.16, 0.25)]
+    for fam in families:
+        for problem in problems:
+            calls = 0
+            solve = min_cvar_portfolio if problem.objective == "cvar" else min_bpoe_portfolio
+            rep = solve(problem, fam)
+            assert calls <= 40, (fam.label(), problem.level, problem.threshold, calls)
+            assert rep.kkt_residual <= 1e-12
 
 
 def test_permuting_assets_permutes_weights():

@@ -64,6 +64,33 @@ def test_superquantile_domain_and_infinite_mean():
     assert 0.0 <= tm.bpoe(dist.Weibull(1.0, 0.01), 1e200).value <= 1e-40
 
 
+def _mpmath_sq_gev(mp, d, alpha):
+    """mu + s (gamma(1 - xi, -ln alpha) - (1 - alpha)) / (xi (1 - alpha)) in mpmath."""
+    alpha = mp.mpf(alpha)
+    gl = mp.gammainc(1 - mp.mpf(d.xi), 0, -mp.log(alpha))
+    return d.mu + d.s * (gl - (1 - alpha)) / (d.xi * (1 - alpha))
+
+
+def test_gev_below_the_gamma_overflow():
+    # Gamma(1 - xi) overflows at xi = -200, so the mean is -inf; every level
+    # alpha > 0 still has a finite (or -inf) superquantile and a bPOE root
+    mp = pytest.importorskip("mpmath")
+    d = dist.GEV(0.0, 1.0, -200.0)
+    assert d.mean() == -math.inf and d.variance() == math.inf
+    assert tm.superquantile(d, 0.0) == -math.inf
+    assert tm.superquantile(d, 1e-100) == -math.inf   # below -1e308
+    assert 0.0 < tm.partial_expectation(d, 0.0) < d.support().upper   # X <= 0.005
+    with mp.workdps(40):
+        for alpha in (0.9, 0.36, 0.3, 0.1, 1e-3, 1e-10):
+            want = float(_mpmath_sq_gev(mp, d, alpha))
+            assert abs(tm.superquantile(d, alpha) - want) <= 1e-12 * abs(want), alpha
+        for x in (1e-3, 4e-3, -1.0, -1e100):
+            root = mp.findroot(lambda a: _mpmath_sq_gev(mp, d, a) - x, (0.01, 0.5),
+                               solver="bisect", verify=False)
+            got = tm.bpoe(d, x)
+            assert abs(got.value - float(1 - root)) <= 1e-10 * float(1 - root), x
+
+
 # --- closed-form bPOE --------------------------------------------------------
 
 def test_bpoe_closed_exponential():
