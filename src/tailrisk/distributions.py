@@ -40,12 +40,29 @@ def _require(condition: bool, message: str, value: float) -> None:
         raise ParameterError(message.format(value))
 
 
-def _gamma_or_inf(z: float) -> float:
-    """Gamma(z) for z > 0; inf where it exceeds binary64, which is its rounding."""
+def _exp_or_inf(x: float) -> float:
     try:
-        return math.gamma(z)
+        return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _gamma_moments(c: float, a1: float, a2: float) -> tuple[float, float]:
+    """(c (Gamma(a1) - 1), c^2 (Gamma(a2) - Gamma(a1)^2)) for c != 0 and a1 > 0
+    the midpoint of 1 and a2: the Weibull and GEV mean, less c or mu, and
+    variance.
+
+    Where Gamma(a2) overflows (a2 > 171), both are formed in logs, as
+    c Gamma(a1) and c^2 Gamma(a2) (1 - Gamma(a1)^2 / Gamma(a2)), so each is
+    +-inf only where it exceeds binary64. The second is inf for a2 <= 0.
+    """
+    if a2 < 171.0:
+        g1 = math.gamma(a1)
+        var = c * (c * (math.gamma(a2) - g1 * g1)) if a2 > 0.0 else math.inf
+        return c * (g1 - 1.0), var
+    ln_c, ln_g1, ln_g2 = math.log(abs(c)), math.lgamma(a1), math.lgamma(a2)
+    return (math.copysign(_exp_or_inf(ln_c + ln_g1), c),
+            _exp_or_inf(2.0 * ln_c + ln_g2 + math.log1p(-math.exp(2.0 * ln_g1 - ln_g2))))
 
 
 def _check_prob_open(alpha: float) -> None:
@@ -444,8 +461,8 @@ class StudentT(Distribution):
         _require(math.isfinite(self.mu), "StudentT requires finite mu, got {}", self.mu)
 
     def _ln_c(self) -> float:
-        return math.lgamma(0.5 * (self.nu + 1.0)) - math.lgamma(0.5 * self.nu) \
-            - 0.5 * math.log(self.nu * math.pi)
+        """Log of the standardized density's constant, 1 / (sqrt(nu) B(nu/2, 1/2))."""
+        return -specfun.ln_beta(0.5 * self.nu, 0.5) - 0.5 * math.log(self.nu)
 
     def std_pdf(self, t: float) -> float:
         """Density of the standardized (s=1, mu=0) variate."""
@@ -556,12 +573,10 @@ class Weibull(Distribution):
         return self.lam * (-math.log(eps)) ** (1.0 / self.k)
 
     def mean(self):
-        return self.lam * _gamma_or_inf(1.0 + 1.0 / self.k)
+        return self.lam + _gamma_moments(self.lam, 1.0 + 1.0 / self.k, 1.0 + 2.0 / self.k)[0]
 
     def variance(self):
-        g1 = _gamma_or_inf(1.0 + 1.0 / self.k)
-        g2 = _gamma_or_inf(1.0 + 2.0 / self.k)
-        return self.lam ** 2 * (g2 - g1 * g1) if g2 < math.inf else math.inf
+        return _gamma_moments(self.lam, 1.0 + 1.0 / self.k, 1.0 + 2.0 / self.k)[1]
 
     def support(self):
         return SupportBound(0.0, math.inf)
@@ -694,17 +709,14 @@ class GEV(Distribution):
             return self.mu + self.s * specfun.EULER_GAMMA
         if self.xi >= 1.0:
             return math.inf
-        # -inf for xi < -170.6, where Gamma(1 - xi) overflows
-        return self.mu + self.s * (_gamma_or_inf(1.0 - self.xi) - 1.0) / self.xi
+        return self.mu + _gamma_moments(self.s / self.xi, 1.0 - self.xi, 1.0 - 2.0 * self.xi)[0]
 
     def variance(self):
         if self._xi0:
             return self.s ** 2 * math.pi ** 2 / 6.0
         if self.xi >= 0.5:
             return math.inf
-        g1 = _gamma_or_inf(1.0 - self.xi)
-        g2 = _gamma_or_inf(1.0 - 2.0 * self.xi)
-        return self.s ** 2 * (g2 - g1 * g1) / self.xi ** 2 if g2 < math.inf else math.inf
+        return _gamma_moments(self.s / self.xi, 1.0 - self.xi, 1.0 - 2.0 * self.xi)[1]
 
 
 FAMILIES: dict[str, type[Distribution]] = {

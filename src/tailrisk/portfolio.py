@@ -17,10 +17,12 @@ The second objective has no shape parameter in it, so one weight vector is
 bPOE-optimal for every qualified family simultaneously; only the reported
 bPOE value depends on the family.
 
-Each solve is one run of ``_optim.projected_gradient_max`` from equal
-weights: projected gradient finds the active face and Newton steps with the
-objective's analytic Hessian finish on it, so every objective below states
-its gradient and Hessian side by side. One start suffices: the min-CVaR
+Each solve is one active-set Newton run from equal weights
+(``_optim.projected_gradient_max``, a name kept for the benchmark's tracer):
+Newton steps with the objective's analytic Hessian on the face of free
+coordinates, bounds fixed as steps reach them and released where their
+multipliers have the wrong sign, so every objective below states its
+gradient and Hessian side by side. One start suffices: the min-CVaR
 objective is concave (zeta >= 0), the min-bPOE ratio pseudo-concave and the
 Markowitz and minimum-variance objectives concave quadratics, so on the
 box-bounded simplex every KKT point is a global maximum.
@@ -289,13 +291,13 @@ def _max_linear(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float
     return float(w @ coef)
 
 
-def _solve(objective, gradient, hessian, lower: np.ndarray, upper: np.ndarray,
-           grad_tol: float = 1e-9) -> tuple[np.ndarray, float, float]:
-    """One projected-gradient-then-Newton run from equal weights (see the
-    module docstring)."""
+def _solve(objective, gradient, hessian, lower: np.ndarray,
+           upper: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """One active-set Newton run from equal weights (see the module
+    docstring); raises ConvergenceError unless the gradient-projection norm
+    it returns is at most 1e-8."""
     start = np.full(lower.size, 1.0 / lower.size)
-    w, f_w, gp = projected_gradient_max(objective, gradient, hessian, start, lower, upper,
-                                        grad_tol=grad_tol)
+    w, f_w, gp = projected_gradient_max(objective, gradient, hessian, start, lower, upper)
     if gp > 1e-8:
         raise ConvergenceError("portfolio solver did not reach KKT tolerance",
                                {"gradient_projection_norm": gp})
@@ -425,7 +427,7 @@ def markowitz_solve(universe: AssetUniverse, lam: float,
     def h(w):
         return -lam * cov
 
-    return _solve(f, g, h, lo, hi, grad_tol=1e-10)[0]
+    return _solve(f, g, h, lo, hi)[0]
 
 
 def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
@@ -456,7 +458,7 @@ def min_variance_portfolio(universe: AssetUniverse, lower=0.0, upper=1.0) -> np.
     def h(w):
         return -2.0 * cov
 
-    return _solve(f, g, h, lo, hi, grad_tol=1e-10)[0]
+    return _solve(f, g, h, lo, hi)[0]
 
 
 def efficient_frontier(universe: AssetUniverse, family: QualifiedFamily,

@@ -196,6 +196,36 @@ def lower_inc_gamma(a: float, b: float) -> float:
     return math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
 
 
+# Stirling series coefficients B_2k / (2k (2k - 1)) of ln Gamma, k = 1..7
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0, 1.0 / 156.0)
+
+
+def _stirling_tail(z: float) -> float:
+    """ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi) / 2, to 1e-16 for z >= 10."""
+    r = 1.0 / (z * z)
+    total = 0.0
+    for c in reversed(_STIRLING):
+        total = total * r + c
+    return total / z
+
+
+def ln_beta(a: float, b: float) -> float:
+    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b) for a, b > 0.
+
+    Where the larger argument b is at least 10, ln Gamma(b) - ln Gamma(a + b)
+    is formed as -a ln b - (a + b - 1/2) log1p(a / b) + a + delta(b) -
+    delta(a + b), delta the Stirling tail, so the digits that lgamma(b) and
+    lgamma(a + b) carry beyond ln B do not cancel (as in TOMS 708 algdiv,
+    DiDonato and Morris 1992).
+    """
+    a, b = min(a, b), max(a, b)
+    if b < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return (math.lgamma(a) - a * math.log(b) - (a + b - 0.5) * math.log1p(a / b) + a
+            + _stirling_tail(b) - _stirling_tail(a + b))
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
     # continued fraction for the incomplete beta (modified Lentz)
     tiny = 1e-300
@@ -244,9 +274,7 @@ def reg_inc_beta(t: float, a: float, b: float) -> float:
         return 0.0
     if t == 1.0:
         return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(t) + b * math.log1p(-t))
-    front = math.exp(ln_front)
+    front = math.exp(a * math.log(t) + b * math.log1p(-t) - ln_beta(a, b))
     if t < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, t) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - t) / b
@@ -270,8 +298,8 @@ def reg_inc_beta_inv(p: float, a: float, b: float) -> float:
     mirrored = p > 0.5
     if mirrored:
         p, a, b = 1.0 - p, b, a
-    ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    ln_x = (math.log(p) + math.log(a) + ln_beta) / a
+    ln_b = ln_beta(a, b)
+    ln_x = (math.log(p) + math.log(a) + ln_b) / a
     if ln_x < -708.4:     # x is subnormal, where the asymptote is exact
         return 1.0 if mirrored else math.exp(ln_x)
     ln_x = min(ln_x, math.log(a / (a + b)))   # no further than the mean
@@ -287,7 +315,7 @@ def reg_inc_beta_inv(p: float, a: float, b: float) -> float:
             lo = odds
         new = -1.0
         # d log I / dv = x (1 - x) f(x) / I, f the Beta(a, b) density
-        slope = math.exp(a * math.log(x) + b * math.log(y) - ln_beta) / tail if tail > 0.0 else 0.0
+        slope = math.exp(a * math.log(x) + b * math.log(y) - ln_b) / tail if tail > 0.0 else 0.0
         if 0.0 < slope < math.inf:
             newton = math.log(tail / p) / slope
             corr = 1.0 - 0.5 * newton * (a * y - b * x - slope)
@@ -310,8 +338,7 @@ def inc_beta(y: float, a1: float, a2: float) -> float:
     """Unregularized incomplete beta: integral of p^(a1-1) (1-p)^(a2-1) over [0, y]."""
     if a1 <= 0.0 or a2 <= 0.0:
         raise DomainError(f"inc_beta requires a1, a2 > 0, got a1={a1}, a2={a2}")
-    beta = math.exp(math.lgamma(a1) + math.lgamma(a2) - math.lgamma(a1 + a2))
-    return reg_inc_beta(y, a1, a2) * beta
+    return reg_inc_beta(y, a1, a2) * math.exp(ln_beta(a1, a2))
 
 
 def lambert_w(y: float, branch: WBranch = WBranch.PRINCIPAL) -> float:

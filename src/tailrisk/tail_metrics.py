@@ -16,6 +16,7 @@ Conventions, applied uniformly:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import specfun
@@ -281,84 +282,66 @@ def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     return TailResult(1.0 - alpha, alpha, d.quantile(alpha))
 
 
-def _pe_normal_std(g: float) -> float:
-    """E[Z - g]+ for standard normal Z."""
+def _std_normal_tail(g: float) -> tuple[float, float, float]:
+    """(E[Z - g]+, P(Z > g), density at g) for the standard normal Z."""
     density = math.exp(-0.5 * g * g) / _SQRT_2PI
-    return density - g * 0.5 * math.erfc(g / _SQRT2)
+    survival = 0.5 * math.erfc(g / _SQRT2)
+    return density - g * survival, survival, density
 
 
-def _pe_logistic(d: Logistic, g: float) -> float:
-    """E[X - g]+ = s ln(1 + exp(-(g - mu)/s)), overflow-safe."""
-    t = (g - d.mu) / d.s
-    return d.s * (math.log1p(math.exp(-abs(t))) + max(-t, 0.0))
+def _std_logistic_tail(g: float) -> tuple[float, float, float]:
+    """(E[Z - g]+, P(Z > g), density at g) for the standard logistic Z; the
+    survival is 1/(1 + e^g), never 1 - cdf, so it keeps its digits deep in
+    the tail."""
+    e = math.exp(-abs(g))
+    survival = e / (1.0 + e) if g > 0.0 else 1.0 / (1.0 + e)
+    return math.log1p(e) + max(-g, 0.0), survival, e / (1.0 + e) ** 2
 
 
-def bpoe_by_minimization(d: Distribution, x: float,
-                         max_iter: int = 200) -> TailResult:
+# family -> (scale of its standardization (X - mu) / scale, standardized tail)
+_STD_TAILS = {Normal: (lambda d: d.sigma, _std_normal_tail),
+              Logistic: (lambda d: d.s, _std_logistic_tail)}
+
+
+def bpoe_by_minimization(d: Distribution, x: float) -> TailResult:
     """bPOE as the minimum over g < x of E[X - g]+ / (x - g).
 
     Available for Normal and Logistic, whose partial expectations are
-    closed-form. Golden-section localizes the convex minimum; a Newton
-    polish on the stationarity condition pins the argmin, which is the
-    quantile at level 1 - bPOE.
+    closed-form; the search runs in standardized units z = (X - mu) / scale.
+    Golden-section localizes the convex minimum; Newton on the stationarity
+    residual E[Z - g]+ - (zx - g) P(Z > g), whose slope is (zx - g) times
+    the density, pins the argmin, which is the quantile at level 1 - bPOE.
+    Domain: the density at the argmin must be a normal float. For the
+    Normal it underflows beyond about x = 37.6 sigma (the bPOE at 38 sigma
+    is about 3e-316), and the engine raises ConvergenceError there.
     """
     if not isinstance(d, MINIMIZATION_BPOE_FAMILIES):
         raise DomainError(f"no minimization bPOE engine for family {d.family!r}")
     m = d.mean()
     if x <= m:
         raise DomainError(f"minimization engine requires x > mean, got x={x}, mean={m}")
-    if isinstance(d, Normal):
-        zx = (x - d.mu) / d.sigma
+    scale_of, tail = _STD_TAILS[type(d)]
+    scale = scale_of(d)
+    zx = (x - d.mu) / scale
 
-        def objective(g: float) -> float:
-            return _pe_normal_std(g) / (zx - g)
+    def objective(g: float) -> float:
+        return tail(g)[0] / (zx - g)
 
-        g_lo = -specfun.erfc_inv(2e-9) * _SQRT2   # standard quantile at 1e-9
-        g = golden_section_min(objective, g_lo, zx - 1e-12 * (1.0 + abs(zx)),
-                               xtol=1e-9)
-        # stationarity: exp(-g^2/2) - zx sqrt(pi/2) erfc(g/sqrt2) = 0,
-        # with derivative exp(-g^2/2) (zx - g)
-        converged = False
-        for _ in range(max_iter):
-            num = math.exp(-0.5 * g * g) - zx * math.sqrt(math.pi / 2.0) \
-                * math.erfc(g / _SQRT2)
-            dnum = math.exp(-0.5 * g * g) * (zx - g)
-            if dnum == 0.0:
-                break
-            step = num / dnum
-            g -= step
-            if abs(step) <= 1e-13 * (1.0 + abs(g)):
-                converged = True
-                break
-        value = objective(g)
-        quantile_star = d.mu + d.sigma * g
-    else:
-        def objective(g: float) -> float:
-            return _pe_logistic(d, g) / (x - g)
-
-        g_lo = d.quantile(1e-9)
-        g = golden_section_min(objective, g_lo, x - 1e-12 * (1.0 + abs(x)),
-                               xtol=1e-9)
-        converged = False
-        for _ in range(max_iter):
-            tail = 1.0 - d.cdf(g)
-            resid = _pe_logistic(d, g) - (x - g) * tail
-            dresid = (x - g) * d.pdf(g)
-            if dresid == 0.0:
-                break
-            step = resid / dresid
-            g -= step
-            if abs(step) <= 1e-13 * (1.0 + abs(g)):
-                converged = True
-                break
-        value = objective(g)
-        quantile_star = g
-    if not converged:
-        raise ConvergenceError(
-            "bPOE minimization engine did not converge",
-            {"threshold": x, "gamma": quantile_star, "value": value})
-    value = min(1.0, max(0.0, value))
-    return TailResult(value, 1.0 - value, quantile_star)
+    g = golden_section_min(objective, (d.quantile(1e-9) - d.mu) / scale,
+                           zx - 1e-12 * (1.0 + abs(zx)), xtol=1e-9)
+    for _ in range(200):
+        pe, survival, density = tail(g)
+        slope = (zx - g) * density
+        if density < sys.float_info.min or not slope > 0.0:   # underflow, or g left (-inf, zx)
+            break
+        residual = pe - (zx - g) * survival
+        g -= residual / slope
+        # the residual cancels to rounding noise, so it, not only the step, ends the loop
+        if abs(residual) <= 1e-13 * (1.0 + abs(g)) * slope or abs(residual) <= 1e-15 * pe:
+            value = min(1.0, max(0.0, objective(g)))
+            return TailResult(value, 1.0 - value, d.mu + scale * g)
+    raise ConvergenceError("bPOE minimization engine did not converge",
+                           {"threshold": x, "gamma": d.mu + scale * g, "value": objective(g)})
 
 
 def bpoe(d: Distribution, x: float) -> TailResult:

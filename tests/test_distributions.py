@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +121,29 @@ def test_moments_divergence_table():
     # Gamma(1 + 1/k) or Gamma(1 + 2/k) beyond binary64: the moment rounds to inf
     assert dist.Weibull(1.0, 0.005).mean() == math.inf
     assert dist.Weibull(1.0, 0.01).variance() == math.inf
+
+
+def test_weibull_and_gev_moments_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+
+    def agrees(got, ref):
+        if abs(ref) > sys.float_info.max:   # only there may the moment be +-inf
+            return got == math.copysign(math.inf, ref)
+        return abs(got - ref) <= 1e-12 * abs(ref)
+
+    with mp.workdps(40):
+        for xi in (-200.0, -171.0, -86.0, -0.3, 0.1, 0.4):
+            for s in (1e-3, 1.0):
+                d, x, sm = dist.GEV(0.0, s, xi), mp.mpf(xi), mp.mpf(s)
+                mean = sm * (mp.gamma(1 - x) - 1) / x
+                var = sm ** 2 * (mp.gamma(1 - 2 * x) - mp.gamma(1 - x) ** 2) / x ** 2
+                assert agrees(d.mean(), mean), (xi, s, d.mean())
+                assert agrees(d.variance(), var), (xi, s, d.variance())
+        for k in (0.005, 0.01, 0.5, 2.0, 50.0):
+            d, km = dist.Weibull(1.0, k), mp.mpf(k)
+            mean = mp.gamma(1 + 1 / km)
+            assert agrees(d.mean(), mean), (k, d.mean())
+            assert agrees(d.variance(), mp.gamma(1 + 2 / km) - mean ** 2), (k, d.variance())
 
 
 def test_quantile_median_conventions():

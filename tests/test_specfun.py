@@ -126,6 +126,17 @@ def test_inc_beta_values():
         sf.inc_beta(0.3, 1.5, -0.2)
 
 
+def test_ln_beta_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    # lgamma(b) and lgamma(a + b) carry digits far beyond ln B when b is large
+    for a, b in ((0.5, 150.0), (0.01, 1000.0), (0.5, 5e39), (30.0, 30.0), (1e6, 1e6),
+                 (0.5, 9.99), (3.0, 10.0), (1e-3, 1e-3), (1e12, 0.5)):
+        with mp.workdps(40):
+            ref = mp.log(mp.beta(a, b))
+        assert abs(sf.ln_beta(a, b) - ref) <= 6e-16 * abs(ref), (a, b)
+        assert sf.ln_beta(b, a) == sf.ln_beta(a, b)
+
+
 def test_lambert_w_trivials():
     assert sf.lambert_w(0.0) == 0.0
     branch_point = -math.exp(-1.0)

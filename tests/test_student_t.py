@@ -35,6 +35,16 @@ def test_quantile_matches_mpmath_cdf(nu):
         assert abs(_mp_cdf(nu, t) - p) <= 1e-12 * p, (nu, p, t)
 
 
+def test_quantile_at_large_nu():
+    # the density constant -ln B(nu/2, 1/2) - ln(nu)/2 no longer cancels:
+    # StudentT(1e12).quantile(0.45) was wrong in the fifth digit
+    for nu, p, rtol in ((300.0, 0.1, 1e-14), (1e6, 0.3, 1e-14), (1e12, 0.45, 1e-14)):
+        t = dist.StudentT(nu).quantile(p)
+        with mp.workdps(40):
+            ref = mp.findroot(lambda x: _mp_cdf(nu, x) - p, t)
+        assert abs(t / ref - 1) <= rtol, (nu, p, t)
+
+
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 _NU = st.floats(0.3, 300.0)
 _P = st.floats(1e-300, 0.5)

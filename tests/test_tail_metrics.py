@@ -7,7 +7,7 @@ from tailrisk import distributions as dist
 from tailrisk import specfun as sf
 from tailrisk import tail_metrics as tm
 from tailrisk._quad import adaptive_quad
-from tailrisk.errors import DomainError
+from tailrisk.errors import ConvergenceError, DomainError
 
 ALL_FAMILIES = [
     dist.Exponential(1.3), dist.Pareto(1.5, 2.0), dist.GPD(-1.0, 2.0, 0.3),
@@ -189,6 +189,30 @@ def test_logistic_stationarity_residual():
         g = r.quantile_star
         pe = math.log(1.0 + math.exp(-g))
         assert abs(pe / (x - g) - (1.0 - d.cdf(g))) <= 1e-8
+
+
+def test_logistic_minimization_deep_tail():
+    # the survival 1/(1 + e^g) keeps its digits where 1 - cdf(g) rounds to 0
+    mpmath = pytest.importorskip("mpmath")
+    for d in (dist.Logistic(0.0, 1.0), dist.Logistic(-2.0, 1.5), dist.Logistic(3.0, 0.4)):
+        for alpha in (1.0 - 1e-9, 1.0 - 1e-12):
+            x = tm.superquantile(d, alpha)
+            r_min, r_root = tm.bpoe_by_minimization(d, x), tm.bpoe_by_root(d, x)
+            assert abs(r_min.value / r_root.value - 1.0) <= 1e-10, (d, alpha)
+    # the root engine resolves 1 - alpha only to about 1e-16 absolute, so at
+    # these thresholds the reference is the stationarity condition at 50 digits
+    d = dist.Logistic(0.0, 1.0)
+    for x in (20.0, 40.0, 80.0):
+        with mpmath.workdps(50):
+            g = mpmath.findroot(lambda g: mpmath.log1p(mpmath.exp(-g))
+                                - (x - g) / (1 + mpmath.exp(g)), x - 1.0)
+            want = float(1 / (1 + mpmath.exp(g)))
+        got = tm.bpoe_by_minimization(d, x)
+        assert abs(got.value / want - 1.0) <= 1e-12, (x, got, want)
+        assert abs(got.quantile_star - float(g)) <= 1e-12 * x
+    # the Normal's density at the argmin underflows near 38 sigma
+    with pytest.raises(ConvergenceError):
+        tm.bpoe_by_minimization(dist.Normal(0.0, 1.0), 38.0)
 
 
 def test_bpoe_dominates_poe():
