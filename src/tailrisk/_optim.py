@@ -169,47 +169,43 @@ def project_box_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     return np.clip(v - tau, lower, upper)
 
 
+_F_BAND = 1e-10   # relative change in f its rounding can hide (near-riskless min-bPOE)
+
+
 def _ascent_directions(g: np.ndarray, h: np.ndarray, free: np.ndarray,
                        released: int, side: float) -> list[tuple[np.ndarray, float]]:
-    """Budget-keeping moves of the free coordinates, with first trial steps.
-
-    First the Newton step Z y, (Z^T H Z) y = -Z^T g for a basis Z of such
-    moves, unless -Z^T H Z is not positive definite or the step pushes the
-    coordinate just released (which must move in direction ``side``) back
-    out; then the reduced gradient g - mean(g_free), from the maximum of the
-    quadratic model along it. None where it is at the rounding level of g.
+    """Budget-keeping moves of the free coordinates, with first trial steps:
+    the Newton step Z y (Z a basis of such moves) from Z^T H Z with each
+    eigenvalue replaced by minus its magnitude, floored at 1e-12 of the
+    largest (exact Newton where f is concave on the face, Newton's scaling
+    where not), none on a linear f or where it pushes the coordinate just
+    released (to move in direction ``side``) back out; then the reduced
+    gradient g - mean(g_free), from the quadratic model's maximum along it.
     """
     import numpy as np
-    if free.size < 2:
-        return []
     grad = np.zeros_like(g)
     grad[free] = g[free] - g[free].mean()
-    if not np.max(np.abs(grad)) > 1e-14 * np.max(np.abs(g)):
-        return []
     grad[free[0]] -= grad.sum()   # an exact zero sum keeps long steps on the budget
     curv = float(grad @ h @ grad)
     out = [(grad, float(grad @ grad) / -curv if curv < 0.0 else math.inf)]
     z = np.eye(g.size)[:, free[1:]] - np.eye(g.size)[:, free[:1]]   # columns e_i - e_first
-    try:
-        chol = np.linalg.cholesky(-z.T @ h @ z)
-    except np.linalg.LinAlgError:
-        return out
-    newton = z @ np.linalg.solve(chol.T, np.linalg.solve(chol, z.T @ g))
-    if released >= 0 and side * newton[released] < 0.0:
-        return out
-    return [(newton, 1.0)] + out
+    lam, vec = np.linalg.eigh(z.T @ h @ z)
+    lam = np.abs(lam)
+    if lam.max() > 0.0:
+        newton = z @ (vec @ ((vec.T @ (z.T @ g)) / np.maximum(lam, 1e-12 * lam.max())))
+        if released < 0 or side * newton[released] >= 0.0:
+            return [(newton, 1.0)] + out
+    return out
 
 
 def _line_search(objective: Callable[[np.ndarray], float], w: np.ndarray, f_w: float,
                  slope: float, d: np.ndarray, t: float, lower: np.ndarray,
                  upper: np.ndarray) -> tuple[np.ndarray, float, int] | None:
-    """Backtrack along d from step t, capped at the first bound d reaches.
-
-    Accepts f >= f_w + 1e-4 t slope - 1e-14 (1 + |f_w|); the slack absorbs
-    rounding where f is flat, as the min-bPOE log-ratio is near its optimum.
-    Returns (point, value, index of the bound reached or -1), or None when
-    no step, or only one of about 1e-15 that reaches no bound, is accepted.
-    """
+    """Backtrack along d from step t, capped at the first bound d reaches, to
+    f >= f_w + 1e-4 t slope. Where the first trial's predicted gain t slope
+    is within f's rounding band, f may instead fall by up to the band: f
+    cannot judge such a step, so the caller judges it by the gradient.
+    Returns (point, value, index of the bound reached or -1), or None."""
     import numpy as np
     with np.errstate(divide="ignore", invalid="ignore"):
         room = np.where(d > 0.0, (upper - w) / d, np.where(d < 0.0, (lower - w) / d, np.inf))
@@ -218,15 +214,15 @@ def _line_search(objective: Callable[[np.ndarray], float], w: np.ndarray, f_w: f
         t = max(float(room[block]), 0.0)
     else:
         block = -1
-    floor = f_w - 1e-14 * (1.0 + abs(f_w))
+    band = _F_BAND * (1.0 + abs(f_w))
+    floor = f_w - band if t * slope <= band else f_w
     for _ in range(60):
         w_try = w + t * d
         if block >= 0:
             w_try[block] = upper[block] if d[block] > 0.0 else lower[block]
         f_try = objective(w_try)
         if f_try >= floor + 1e-4 * t * slope:
-            moved = block >= 0 or np.max(np.abs(w_try - w)) > 1e-15 * (1.0 + np.max(np.abs(w)))
-            return (w_try, f_try, block) if moved else None
+            return w_try, f_try, block
         t *= 0.5
         block = -1
     return None
@@ -241,37 +237,42 @@ def projected_gradient_max(
     upper: np.ndarray,
 ) -> tuple[np.ndarray, float, float]:
     """Maximize a smooth objective over the box-bounded simplex by primal
-    active-set Newton (Gill, Murray and Wright, Practical Optimization, 1981).
+    active-set Newton (Gill, Murray and Wright, Practical Optimization, 1981);
+    the older name stays because the benchmark's tracer binds it.
 
-    The name is older; the benchmark's tracer binds it. Coordinates of the
-    projected start within 1e-10 of a bound are fixed, the rest free. Each
-    iteration takes the first of ``_ascent_directions`` that moves; a step
-    reaching a bound fixes that coordinate. When none moves, the fixed
-    coordinate whose multiplier has the wrong sign the most (g_i > mu at a
-    lower bound, g_i < mu at an upper one, mu = mean(g_free)) is released,
-    and the solve ends when there is none: on a concave or pseudo-concave f,
-    at the global maximum. Returns (w, f(w), |P(w + g) - w|), P being
-    ``project_box_simplex``, which is zero exactly at a KKT point.
+    Start coordinates within 1e-10 of a bound are fixed, the rest free. Each
+    iteration takes the first of ``_ascent_directions`` the line search
+    accepts; a step reaching a bound fixes that coordinate, and one moving f
+    only within its rounding band must shrink the spread of g_free. Where
+    none does, the fixed coordinate whose multiplier has the most wrong sign
+    (g_i > mu = mean(g_free) at a lower bound, g_i < mu at an upper one) is
+    released; the solve ends when there is none, on a concave or
+    pseudo-concave f at the global maximum. Returns (w, f(w), |P(w + g) - w|)
+    with P = ``project_box_simplex``, zero exactly at a KKT point.
     """
     import numpy as np
     w = project_box_simplex(np.asarray(start, dtype=float), lower, upper)
     f_w = objective(w)
     at_lo, at_hi = w <= lower + 1e-10, w >= upper - 1e-10
-    released, side = -1, 0.0
+    released, side, limit = -1, 0.0, math.inf
     for _ in range(1000):
         g = gradient(w)
         free = np.flatnonzero(~(at_lo | at_hi))
+        spread = float(np.ptp(g[free])) if free.size else 0.0
         step = None
-        for d, t in _ascent_directions(g, hessian(w), free, released, side):
-            step = _line_search(objective, w, f_w, float(g @ d), d, t, lower, upper)
-            if step is not None:
-                break
+        if 1e-14 * np.max(np.abs(g)) < spread < limit:
+            for d, t in _ascent_directions(g, hessian(w), free, released, side):
+                step = _line_search(objective, w, f_w, float(g @ d), d, t, lower, upper)
+                if step is not None:
+                    break
         if step is not None:
-            w, f_w, block = step
+            w, f_new, block = step
             if block >= 0:
                 (at_hi if d[block] > 0.0 else at_lo)[block] = True
-            released = -1
+            limit = math.inf if block >= 0 or f_new > f_w + _F_BAND * (1.0 + abs(f_w)) else spread
+            f_w, released = f_new, -1
             continue
+        limit = math.inf
         lo_only, hi_only = at_lo & ~at_hi, at_hi & ~at_lo   # a pinned coordinate stays
         mu = g[free].mean() if free.size else g[hi_only].min(initial=np.inf)
         wrong = np.where(lo_only, g - mu, np.where(hi_only, mu - g, 0.0))
@@ -293,8 +294,7 @@ def multi_start_max(
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> tuple[np.ndarray, float, float]:
-    """Run ``projected_gradient_max`` from each start; best objective wins,
-    ties to the earliest start. Unused by the package; the benchmark's
-    tracer binds it by name."""
+    """Best ``projected_gradient_max`` run over the starts, ties to the earliest.
+    Unused by the package; the benchmark's tracer binds it by name."""
     return max((projected_gradient_max(objective, gradient, hessian, s, lower, upper)
                 for s in starts), key=lambda run: run[1])

@@ -47,22 +47,23 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _gamma_moments(c: float, a1: float, a2: float) -> tuple[float, float]:
-    """(c (Gamma(a1) - 1), c^2 (Gamma(a2) - Gamma(a1)^2)) for c != 0 and a1 > 0
-    the midpoint of 1 and a2: the Weibull and GEV mean, less c or mu, and
-    variance.
+def _gamma_mean(c: float, a: float) -> float:
+    """c (Gamma(a) - 1) for c != 0, a > 0: the Weibull and GEV mean, less c or
+    mu. In logs where Gamma(a) overflows, so +-inf only beyond binary64."""
+    if a < 171.0:
+        return c * (math.gamma(a) - 1.0)
+    return math.copysign(_exp_or_inf(math.log(abs(c)) + math.lgamma(a)), c)
 
-    Where Gamma(a2) overflows (a2 > 171), both are formed in logs, as
-    c Gamma(a1) and c^2 Gamma(a2) (1 - Gamma(a1)^2 / Gamma(a2)), so each is
-    +-inf only where it exceeds binary64. The second is inf for a2 <= 0.
-    """
+
+def _gamma_variance(c: float, a1: float, a2: float) -> float:
+    """c^2 (Gamma(a2) - Gamma(a1)^2) for a1 > 0 the midpoint of 1 and a2: the
+    Weibull and GEV variance. Where Gamma(a2) overflows it is formed in logs
+    as c^2 Gamma(a2) (1 - Gamma(a1)^2 / Gamma(a2)), so inf only beyond binary64."""
     if a2 < 171.0:
         g1 = math.gamma(a1)
-        var = c * (c * (math.gamma(a2) - g1 * g1)) if a2 > 0.0 else math.inf
-        return c * (g1 - 1.0), var
-    ln_c, ln_g1, ln_g2 = math.log(abs(c)), math.lgamma(a1), math.lgamma(a2)
-    return (math.copysign(_exp_or_inf(ln_c + ln_g1), c),
-            _exp_or_inf(2.0 * ln_c + ln_g2 + math.log1p(-math.exp(2.0 * ln_g1 - ln_g2))))
+        return c * (c * (math.gamma(a2) - g1 * g1))
+    ln_g1, ln_g2 = math.lgamma(a1), math.lgamma(a2)
+    return _exp_or_inf(2.0 * math.log(abs(c)) + ln_g2 + math.log1p(-math.exp(2.0 * ln_g1 - ln_g2)))
 
 
 def _check_prob_open(alpha: float) -> None:
@@ -573,10 +574,10 @@ class Weibull(Distribution):
         return self.lam * (-math.log(eps)) ** (1.0 / self.k)
 
     def mean(self):
-        return self.lam + _gamma_moments(self.lam, 1.0 + 1.0 / self.k, 1.0 + 2.0 / self.k)[0]
+        return self.lam + _gamma_mean(self.lam, 1.0 + 1.0 / self.k)
 
     def variance(self):
-        return _gamma_moments(self.lam, 1.0 + 1.0 / self.k, 1.0 + 2.0 / self.k)[1]
+        return _gamma_variance(self.lam, 1.0 + 1.0 / self.k, 1.0 + 2.0 / self.k)
 
     def support(self):
         return SupportBound(0.0, math.inf)
@@ -709,14 +710,14 @@ class GEV(Distribution):
             return self.mu + self.s * specfun.EULER_GAMMA
         if self.xi >= 1.0:
             return math.inf
-        return self.mu + _gamma_moments(self.s / self.xi, 1.0 - self.xi, 1.0 - 2.0 * self.xi)[0]
+        return self.mu + _gamma_mean(self.s / self.xi, 1.0 - self.xi)
 
     def variance(self):
         if self._xi0:
             return self.s ** 2 * math.pi ** 2 / 6.0
         if self.xi >= 0.5:
             return math.inf
-        return _gamma_moments(self.s / self.xi, 1.0 - self.xi, 1.0 - 2.0 * self.xi)[1]
+        return _gamma_variance(self.s / self.xi, 1.0 - self.xi, 1.0 - 2.0 * self.xi)
 
 
 FAMILIES: dict[str, type[Distribution]] = {

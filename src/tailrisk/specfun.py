@@ -219,7 +219,8 @@ def ln_beta(a: float, b: float) -> float:
     lgamma(a + b) carry beyond ln B do not cancel (as in TOMS 708 algdiv,
     DiDonato and Morris 1992).
     """
-    a, b = min(a, b), max(a, b)
+    if a > b:
+        a, b = b, a
     if b < 10.0:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     return (math.lgamma(a) - a * math.log(b) - (a + b - 0.5) * math.log1p(a / b) + a

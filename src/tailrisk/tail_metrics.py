@@ -328,7 +328,7 @@ def bpoe_by_minimization(d: Distribution, x: float) -> TailResult:
         return tail(g)[0] / (zx - g)
 
     g = golden_section_min(objective, (d.quantile(1e-9) - d.mu) / scale,
-                           zx - 1e-12 * (1.0 + abs(zx)), xtol=1e-9)
+                           zx - 1e-12 * (1.0 + abs(zx)), xtol=1e-6)
     for _ in range(200):
         pe, survival, density = tail(g)
         slope = (zx - g) * density

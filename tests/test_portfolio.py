@@ -275,9 +275,9 @@ def test_efficient_frontier_rows(msci):
 
 # --- one start suffices ------------------------------------------------------
 
-def _random_universe(rng, n):
+def _random_universe(rng, n, idio=(0.2, 1.0)):
     factors = rng.normal(size=(n, 3))
-    cov = factors @ factors.T + np.diag(rng.uniform(0.2, 1.0, n))
+    cov = factors @ factors.T + np.diag(rng.uniform(*idio, n))
     corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
     np.fill_diagonal(corr, 1.0)
     return AssetUniverse(tuple(f"A{i}" for i in range(n)), rng.normal(0.008, 0.01, n),
@@ -331,8 +331,9 @@ def test_single_start_matches_best_of_five(n, capped):
 
 @pytest.mark.parametrize("case", ("min-cvar", "min-bpoe", "markowitz", "min-variance"))
 def test_hessian_matches_gradient_differences(monkeypatch, msci, case):
-    # a wrong Hessian still reaches the KKT tolerance through the
-    # reduced-gradient fallback, only slowly, so nothing else would catch it
+    # a wrong Hessian still reaches the KKT tolerance, only slowly (the solver
+    # uses its eigenvalues' magnitudes, so any Hessian scales an ascent
+    # direction), so nothing else would catch it
     seen = []
 
     def capture(f, g, h, *args, **kwargs):
@@ -452,6 +453,23 @@ def test_starts_on_the_boundary_release_to_the_optimum(objective):
         for start in starts:
             w = projected_gradient_max(f, g, h, start, lower, upper)[0]
             assert np.max(np.abs(w - w_ref)) <= 1e-9, (objective, start)
+
+
+def test_near_riskless_min_bpoe_with_lower_bounds():
+    # idiosyncratic variances of 1e-4 to 1e-3 against a 3-factor part leave
+    # near-riskless portfolios: the log-ratio is indefinite over most of the
+    # path, and its variance cancels to about 1e-10 relative near the optimum
+    n = 20
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        universe = _random_universe(rng, n, idio=(1e-4, 1e-3))
+        lower = rng.uniform(0.0, 0.9 / n, n)
+        problem = PortfolioProblem(universe, "bpoe", threshold=float(rng.uniform(0.02, 0.3)),
+                                   lower=lower)
+        fam = QualifiedFamily("normal")
+        w = min_bpoe_portfolio(problem, fam).weights
+        grad = _objectives(universe, problem, fam)[1](w)
+        assert _kkt_residual(w, grad, lower, problem.upper) <= 1e-9, seed
 
 
 def test_permuting_assets_permutes_weights():
