@@ -15,10 +15,13 @@ thresholds. Two solved problems:
 
 The second objective has no shape parameter in it, so one weight vector is
 bPOE-optimal for every qualified family simultaneously; only the reported
-bPOE value depends on the family.
+bPOE value depends on the family. zeta, the superquantile of the
+standardized loss, and its inverse, 1 - its bPOE, come from ``tail_metrics``
+(GEV: a closed form and one ``level_root``).
 
-Each solve is one active-set Newton run from equal weights
-(``_optim.projected_gradient_max``, a name kept for the benchmark's tracer):
+Each solve is one active-set Newton run (``_optim.projected_gradient_max``, a
+name kept for the benchmark's tracer) from equal weights, or for min-bPOE
+where w.eta + x <= 0 there, from partway to the best-return vertex:
 Newton steps with the objective's analytic Hessian on the face of free
 coordinates, bounds fixed as steps reach them and released where their
 multipliers have the wrong sign, so every objective below states its
@@ -38,10 +41,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import specfun
 from ._optim import cantelli_level, level_root, projected_gradient_max
 from .distributions import GEV, Laplace, Logistic, Normal, StudentT
 from .errors import ConvergenceError, DomainError, ParameterError
-from .tail_metrics import left_superquantile
+from .tail_metrics import bpoe, superquantile
 
 QUALIFIED_FAMILIES = ("normal", "laplace", "logistic", "student-t", "gev")
 _REJECTED = {"exponential", "pareto", "gpd", "weibull", "lognormal", "loglogistic"}
@@ -90,17 +94,26 @@ class QualifiedFamily:
         return GEV(0.0, 1.0, self.xi)
 
     def zeta(self, alpha: float) -> float:
-        """Standardized tail multiplier: stdev-to-CVaR conversion at level alpha.
-
-        Computed from the definition, zeta = (mean - left_superquantile at
-        level 1-alpha) / stdev, on a unit-variance member; location/scale
-        drop out by construction.
+        """Stdev-to-CVaR multiplier: the superquantile at alpha in [0, 1) of the
+        standardized loss (m - X) / sd, which has the unit-variance member's law
+        for the symmetric families. For GEV(0, 1, xi) and p = 1 - alpha it is
+        sign(xi) (G(1-xi) - G(1-xi, -ln p) / p) / sqrt(G(1-2xi) - G(1-xi)^2),
+        G the (incomplete) gamma, or (gamma + ln(-ln p) - li(p) / p) / (pi / sqrt 6) at xi = 0.
         """
-        if not 0.0 < alpha < 1.0:
-            raise DomainError(f"zeta level must lie in (0, 1), got {alpha}")
         d = self._unit_variance_member()
-        sd = math.sqrt(d.variance())
-        return (d.mean() - left_superquantile(d, 1.0 - alpha)) / sd
+        if self.family != "gev":
+            return superquantile(d, alpha)
+        if not 0.0 <= alpha < 1.0:
+            raise DomainError(f"zeta level must lie in [0, 1), got {alpha}")
+        p = 1.0 - alpha
+        if p == 1.0:   # the loss mean, as superquantile(d, 0)
+            return 0.0
+        if d._xi0:
+            gap = specfun.EULER_GAMMA + math.log(-math.log(p)) - specfun.log_integral(p) / p
+        else:
+            gap = (math.gamma(1.0 - self.xi)
+                   - specfun.upper_inc_gamma(1.0 - self.xi, -math.log(p)) / p) / self.xi
+        return gap / math.sqrt(d.variance())
 
     def label(self) -> str:
         if self.family == "student-t":
@@ -213,6 +226,16 @@ def _read_csv(path: str | Path) -> list[list[str]]:
         return [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
 
 
+def _bounds(n: int, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Weight bounds broadcast to n assets; DomainError if no budget fits them."""
+    lo = np.broadcast_to(np.asarray(lower, dtype=float), (n,)).copy()
+    hi = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).copy()
+    if np.any(lo > hi) or lo.sum() > 1.0 + 1e-12 or hi.sum() < 1.0 - 1e-12:
+        raise DomainError(
+            "infeasible bounds: need lower <= upper with sum(lower) <= 1 <= sum(upper)")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class PortfolioProblem:
     """Budgeted, box-bounded weight selection with a tail objective."""
@@ -237,12 +260,7 @@ class PortfolioProblem:
                 raise ParameterError(f"bpoe objective needs a finite threshold, got {self.threshold}")
             if self.level is not None:
                 raise ParameterError("bpoe objective takes no level")
-        n = self.universe.size
-        lo = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy()
-        hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,)).copy()
-        if np.any(lo > hi) or lo.sum() > 1.0 + 1e-12 or hi.sum() < 1.0 - 1e-12:
-            raise DomainError(
-                f"infeasible bounds: need lower <= upper with sum(lower) <= 1 <= sum(upper)")
+        lo, hi = _bounds(self.universe.size, self.lower, self.upper)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -277,8 +295,8 @@ class PortfolioReport:
         return out
 
 
-def _max_linear(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
-    """Maximum of coef.w over the box-bounded simplex (greedy fill)."""
+def _max_linear(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """A vertex of the box-bounded simplex maximizing coef.w (greedy fill)."""
     w = lower.copy()
     budget = 1.0 - w.sum()
     for i in np.argsort(coef)[::-1]:
@@ -288,15 +306,15 @@ def _max_linear(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float
         budget -= add
         if budget <= 0:
             break
-    return float(w @ coef)
+    return w
 
 
-def _solve(objective, gradient, hessian, lower: np.ndarray,
-           upper: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """One active-set Newton run from equal weights (see the module
-    docstring); raises ConvergenceError unless the gradient-projection norm
-    it returns is at most 1e-8."""
-    start = np.full(lower.size, 1.0 / lower.size)
+def _solve(objective, gradient, hessian, lower: np.ndarray, upper: np.ndarray,
+           start: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
+    """One active-set Newton run from start, by default equal weights (see
+    the module docstring); raises ConvergenceError unless the
+    gradient-projection norm it returns is at most 1e-8."""
+    start = np.full(lower.size, 1.0 / lower.size) if start is None else start
     w, f_w, gp = projected_gradient_max(objective, gradient, hessian, start, lower, upper)
     if gp > 1e-8:
         raise ConvergenceError("portfolio solver did not reach KKT tolerance",
@@ -337,16 +355,17 @@ def min_cvar_portfolio(problem: PortfolioProblem,
 
 
 def _invert_zeta(family: QualifiedFamily, target: float) -> float:
-    """Level alpha with zeta(alpha) = target; clamps at the search window.
-
-    zeta is the superquantile of the standardised loss (m - X) / sd, whose
-    quantile at alpha is l = (m - q(1 - alpha)) / sd, so ``level_root``
-    solves it from the Cantelli level of a mean-0, unit-variance law.
+    """Level alpha with zeta(alpha) = target: the alpha* of the unit-variance
+    member's ``bpoe`` for the symmetric families, else ``level_root`` on
+    [0, nextafter(1, 0)], which leaves a GEV bPOE below 1 - nextafter(1, 0)
+    unresolved until the root runs in tail mass rather than level.
     """
     d = family._unit_variance_member()
+    if family.family != "gev":
+        return bpoe(d, target).alpha_star
     m, sd = d.mean(), math.sqrt(d.variance())
-    return level_root(family.zeta, lambda alpha: (m - d.quantile(1.0 - alpha)) / sd,
-                      target, 1e-9, 1.0 - 1e-9, cantelli_level(target, 0.0, 1.0))
+    return level_root(family.zeta, lambda alpha: (m - d.tail_quantile(alpha)) / sd,
+                      target, 0.0, math.nextafter(1.0, 0.0), cantelli_level(target, 0.0, 1.0))
 
 
 def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
@@ -356,16 +375,21 @@ def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
 
     The reduced objective (generalized Sharpe ratio) is family-free, so the
     weights are optimal for every qualified family at once; per-family bPOE
-    values at those same weights go into ``bpoe_by_family``.
+    values at those same weights go into ``bpoe_by_family``. A GEV bPOE below
+    1 - nextafter(1, 0) is reported as that bound (see ``_invert_zeta``).
     """
     if problem.objective != "bpoe":
         raise ParameterError("problem does not carry a bpoe objective")
     u = problem.universe
     eta, cov = u.expected_returns, u.covariance
     x = problem.threshold
-    if _max_linear(eta, problem.lower, problem.upper) + x <= 0.0:
+    start, vertex = np.full(u.size, 1.0 / u.size), _max_linear(eta, problem.lower, problem.upper)
+    num, top = float(start @ eta) + x, float(vertex @ eta) + x
+    if top <= 0.0:
         raise DomainError(
             f"threshold {x} leaves no feasible portfolio with w.eta + x > 0")
+    if num <= 0.0:   # the log-ratio is -inf there: start where w.eta + x = top / 2
+        start += (0.5 * top - num) / (top - num) * (vertex - start)
 
     # maximize log((w.eta + x) / sqrt(w.S.w)): same argmax, O(1) gradients
     def f(w: np.ndarray) -> float:
@@ -385,7 +409,7 @@ def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
         var = max(float(w @ cw), 1e-30)
         return -np.outer(eta, eta) / num ** 2 - cov / var + 2.0 * np.outer(cw, cw) / var ** 2
 
-    w, log_ratio, gp = _solve(f, g, h, problem.lower, problem.upper)
+    w, log_ratio, gp = _solve(f, g, h, problem.lower, problem.upper, start)
     ratio = math.exp(log_ratio)
     ret = float(w @ eta)
     sd = math.sqrt(float(w @ cov @ w))
@@ -414,9 +438,7 @@ def markowitz_solve(universe: AssetUniverse, lam: float,
     if lam < 0:
         raise ParameterError(f"trade-off lambda must be >= 0, got {lam}")
     eta, cov = universe.expected_returns, universe.covariance
-    n = universe.size
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), (n,)).copy()
-    hi = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).copy()
+    lo, hi = _bounds(universe.size, lower, upper)
 
     def f(w):
         return float(w @ eta - 0.5 * lam * (w @ cov @ w))
@@ -445,9 +467,7 @@ def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
 def min_variance_portfolio(universe: AssetUniverse, lower=0.0, upper=1.0) -> np.ndarray:
     """Global minimum-variance weights on the box-bounded simplex."""
     cov = universe.covariance
-    n = universe.size
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), (n,)).copy()
-    hi = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).copy()
+    lo, hi = _bounds(universe.size, lower, upper)
 
     def f(w):
         return -float(w @ cov @ w)

@@ -68,9 +68,7 @@ def test_matches_bisection_zeta_shape(family):
         target = family.zeta(alpha)
         got = level_root(family.zeta, loss_quantile, target, lo, hi,
                          cantelli_level(target, 0.0, 1.0))
-        # zeta takes the left superquantile at 1 - alpha, which cancels as
-        # alpha -> 1, so its root is only defined to about 1e-8 there
-        _assert_same_level(got, _bisect_u(family.zeta, target, lo, hi), 1e-7)
+        _assert_same_level(got, _bisect_u(family.zeta, target, lo, hi), 1e-10)
 
 
 def test_matches_bisection_oracle_shape():

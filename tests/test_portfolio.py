@@ -133,6 +133,60 @@ def test_zeta_gev_incomplete_gamma_display():
             assert abs(q.zeta(alpha) - display) <= 1e-10
 
 
+def _mpmath_zeta(mp, family, alpha):
+    """The family's zeta display at 40 digits, with eps = 1 - alpha exact."""
+    eps = 1 - mp.mpf(alpha)
+    if family.family == "normal":
+        z = mp.sqrt(2) * mp.erfinv(1 - 2 * eps)
+        return mp.npdf(z) / eps
+    if family.family == "laplace":
+        return (1 - mp.log(2 * eps)) / mp.sqrt(2)
+    if family.family == "logistic":
+        a = mp.mpf(alpha)
+        return mp.sqrt(3) / mp.pi * (-a * mp.log(a) - eps * mp.log(eps)) / eps
+    if family.family == "student-t":
+        nu = mp.mpf(family.nu)
+
+        def log_tail_gap(log_t):   # log P(T > t) - log eps for the standard t
+            x = nu / (nu + mp.exp(2 * log_t))
+            return mp.log(mp.betainc(nu / 2, mp.mpf(1) / 2, 0, x, regularized=True) / 2) \
+                - mp.log(eps)
+
+        start = mp.log(dist.StudentT(family.nu).tail_quantile(float(eps)))
+        t = mp.exp(mp.findroot(log_tail_gap, start))
+        pdf = mp.gamma((nu + 1) / 2) / (mp.sqrt(nu * mp.pi) * mp.gamma(nu / 2)) \
+            * (1 + t * t / nu) ** (-(nu + 1) / 2)
+        return mp.sqrt((nu - 2) / nu) * (nu + t * t) * pdf / ((nu - 1) * eps)
+    xi, y = mp.mpf(family.xi), -mp.log(eps)
+    if xi == 0:
+        return (mp.euler + mp.log(y) - mp.li(eps) / eps) / (mp.pi / mp.sqrt(6))
+    g1, g2 = mp.gamma(1 - xi), mp.gamma(1 - 2 * xi)
+    return mp.sign(xi) * (g1 - mp.gammainc(1 - xi, y) / eps) / mp.sqrt(g2 - g1 * g1)
+
+
+_ZETA_FAMILIES = default_report_families() + tuple(
+    QualifiedFamily("gev", xi=xi) for xi in (-0.3, 0.0, 0.1, 0.3))
+
+
+@pytest.mark.parametrize("family", _ZETA_FAMILIES, ids=lambda f: f.label())
+def test_zeta_matches_mpmath_deep_in_the_tail(family):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for eps in (0.5, 1e-3, 1e-6, 1e-9, 1e-12):
+            alpha = 1.0 - eps
+            want = _mpmath_zeta(mp, family, alpha)
+            got = family.zeta(alpha)
+            assert abs(got - want) <= 1e-13 * abs(want), (eps, got, float(want))
+
+
+def test_zeta_domain():
+    for family in _ZETA_FAMILIES:
+        assert family.zeta(0.0) == 0.0
+        for alpha in (-0.1, 1.0):
+            with pytest.raises(DomainError):
+                family.zeta(alpha)
+
+
 def test_zeta_monotone_increasing():
     for q in default_report_families() + (QualifiedFamily("gev", xi=0.2),
                                           QualifiedFamily("gev", xi=0.0)):
@@ -224,6 +278,26 @@ def test_bpoe_threshold_too_low(msci):
     with pytest.raises(DomainError):
         min_bpoe_portfolio(PortfolioProblem(msci, "bpoe", threshold=-0.5),
                            QualifiedFamily("normal"))
+
+
+def test_bpoe_starts_inside_when_equal_weights_are_infeasible(msci):
+    # mean return 0.0963 < 0.0983 < largest return 0.1385 (MXCH): the
+    # log-ratio is -inf at equal weights but finite near the MXCH vertex
+    x = -0.0983
+    assert msci.expected_returns.mean() + x <= 0.0 < msci.expected_returns.max() + x
+    rep = min_bpoe_portfolio(PortfolioProblem(msci, "bpoe", threshold=x),
+                             QualifiedFamily("normal"))
+    assert rep.weights == pytest.approx([0, 0, 0, 0, 0, 1], abs=1e-12)
+    assert rep.kkt_residual <= 1e-12
+    assert rep.expected_return + x > 0.0
+
+
+def test_mean_variance_solvers_reject_infeasible_bounds(msci):
+    for bounds in ({"upper": 0.1}, {"lower": 0.5}, {"lower": 0.3, "upper": 0.2}):
+        with pytest.raises(DomainError, match="infeasible"):
+            markowitz_solve(msci, 3.0, **bounds)
+        with pytest.raises(DomainError, match="infeasible"):
+            min_variance_portfolio(msci, **bounds)
 
 
 def test_cvar_cross_evaluate_degenerate(msci):
@@ -531,6 +605,21 @@ def test_invert_zeta_matches_bisection(family):
 
 @pytest.mark.parametrize("family", _INVERSION_FAMILIES, ids=lambda f: f.label())
 def test_invert_zeta_clamps_at_window(family):
-    assert _invert_zeta(family, 0.5 * family.zeta(1e-9)) == 1e-9
-    assert _invert_zeta(family, 0.0) == 1e-9
-    assert _invert_zeta(family, 2.0 * family.zeta(1.0 - 1e-9)) == 1.0 - 1e-9
+    # the window is the whole level range: bPOE 1 at or below the loss mean,
+    # and beyond zeta at the top level bPOE 0 (bpoe's clamp) or, for GEV,
+    # the level cap nextafter(1, 0)
+    assert _invert_zeta(family, -1.0) == 0.0
+    assert _invert_zeta(family, 0.0) == 0.0
+    top = math.nextafter(1.0, 0.0)
+    bpoe = 1.0 - _invert_zeta(family, 2.0 * family.zeta(top))
+    if family.family == "gev":
+        assert 0.0 < bpoe <= 1.2e-16
+    else:
+        assert bpoe == 0.0
+
+
+@pytest.mark.parametrize("family", _ZETA_FAMILIES, ids=lambda f: f.label())
+def test_invert_zeta_round_trip(family):
+    for alpha in (1e-3, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-9):
+        target = family.zeta(alpha)
+        assert abs(family.zeta(_invert_zeta(family, target)) - target) <= 1e-12 * target
