@@ -8,6 +8,15 @@ normal and Student-t generators for Normal, LogNormal and Student-t, the
 inverse transform for the rest). Moments that diverge are reported as
 ``math.inf``, never as errors. ``make``/``from_json``/``to_json`` provide the
 CLI wire format ``{"family": ..., "params": {...}}``.
+
+Each family writes its quantile once, as ``_quantile(alpha, eps)`` with
+alpha + eps = 1: ``quantile(alpha)`` passes (alpha, 1 - alpha) and
+``tail_quantile(eps)`` passes (1 - eps, eps) after one shared domain check.
+The smaller argument is the caller's input or its complement, exact either
+way (Sterbenz); each formula reads its precision from it, and the symmetric
+laws mirror their lower half at min(alpha, eps). So ``quantile(a)`` equals
+``tail_quantile(1 - a)`` bit for bit on [0.5, 1); a quantile beyond binary64
+is -inf below the median and +inf above it, never ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -66,9 +75,15 @@ def _gamma_variance(c: float, a1: float, a2: float) -> float:
     return _exp_or_inf(2.0 * math.log(abs(c)) + ln_g2 + math.log1p(-math.exp(2.0 * ln_g1 - ln_g2)))
 
 
-def _check_prob_open(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"quantile level must lie in (0, 1), got {alpha}")
+def _neg_log(x: float, comp: float) -> float:
+    """-ln x for x + comp = 1, read from the smaller (exact) one of the two."""
+    return -math.log1p(-comp) if comp < 0.5 else -math.log(x)
+
+
+def _std_normal_quantile(alpha: float, eps: float) -> float:
+    """Standard normal quantile at alpha = 1 - eps, mirrored from the lower half."""
+    t = -_SQRT2 * specfun.erfc_inv(2.0 * min(alpha, eps))
+    return t if alpha <= eps else -t
 
 
 # --- family classes --------------------------------------------------------
@@ -79,13 +94,20 @@ class Distribution:
 
     family: ClassVar[str] = ""
 
+    def __init_subclass__(cls, **kwargs):
+        # bench/spans.py traces the evaluators a family holds in its own __dict__
+        super().__init_subclass__(**kwargs)
+        for name in ("quantile", "tail_quantile"):
+            if name not in cls.__dict__:
+                setattr(cls, name, getattr(Distribution, name))
+
     def __post_init__(self):
         self._validate()
 
     def _validate(self) -> None:
         raise NotImplementedError
 
-    # elementary evaluators; subclasses override
+    # elementary evaluators; families override all but the two quantiles
     def pdf(self, x: float) -> float:
         raise NotImplementedError
 
@@ -93,13 +115,25 @@ class Distribution:
         raise NotImplementedError
 
     def quantile(self, alpha: float) -> float:
-        raise NotImplementedError
+        """Quantile q_alpha at the level alpha in (0, 1)."""
+        if not 0.0 < alpha < 1.0:
+            raise DomainError(f"quantile level must lie in (0, 1), got {alpha}")
+        try:
+            return self._quantile(alpha, 1.0 - alpha)
+        except OverflowError:   # the quantile lies beyond binary64
+            return -math.inf if alpha < 0.5 else math.inf
 
     def tail_quantile(self, eps: float) -> float:
         """Upper quantile q_(1-eps) as a stable function of the tail mass."""
         if not 0.0 < eps < 1.0:
             raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        return self.quantile(1.0 - eps)
+        try:
+            return self._quantile(1.0 - eps, eps)
+        except OverflowError:
+            return math.inf if eps < 0.5 else -math.inf
+
+    def _quantile(self, alpha: float, eps: float) -> float:   # see the module docstring
+        raise NotImplementedError
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -108,7 +142,7 @@ class Distribution:
         raise NotImplementedError
 
     def support(self) -> SupportBound:
-        raise NotImplementedError
+        return SupportBound(-math.inf, math.inf)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Sample of size n from rng.
@@ -141,14 +175,8 @@ class Exponential(Distribution):
     def cdf(self, x):
         return -math.expm1(-self.lam * x) if x >= 0 else 0.0
 
-    def quantile(self, alpha):
-        _check_prob_open(alpha)
-        return -math.log1p(-alpha) / self.lam
-
-    def tail_quantile(self, eps):
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        return -math.log(eps) / self.lam
+    def _quantile(self, alpha, eps):
+        return _neg_log(eps, alpha) / self.lam
 
     def mean(self):
         return 1.0 / self.lam
@@ -180,13 +208,7 @@ class Pareto(Distribution):
             return 0.0
         return 1.0 - (self.xm / x) ** self.a
 
-    def quantile(self, alpha):
-        _check_prob_open(alpha)
-        return self.xm * (1.0 - alpha) ** (-1.0 / self.a)
-
-    def tail_quantile(self, eps):
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
+    def _quantile(self, alpha, eps):
         return self.xm * eps ** (-1.0 / self.a)
 
     def mean(self):
@@ -247,18 +269,11 @@ class GPD(Distribution):
             return -math.expm1(-z)
         return -math.expm1(-math.log1p(self.xi * z) / self.xi)
 
-    def quantile(self, alpha):
-        _check_prob_open(alpha)
+    def _quantile(self, alpha, eps):
+        y = _neg_log(eps, alpha)
         if self._xi0:
-            return self.mu - self.s * math.log1p(-alpha)
-        return self.mu + self.s * math.expm1(-self.xi * math.log1p(-alpha)) / self.xi
-
-    def tail_quantile(self, eps):
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        if self._xi0:
-            return self.mu - self.s * math.log(eps)
-        return self.mu + self.s * math.expm1(-self.xi * math.log(eps)) / self.xi
+            return self.mu + self.s * y
+        return self.mu + self.s * math.expm1(self.xi * y) / self.xi
 
     def mean(self):
         if self.xi >= 1.0:
@@ -290,30 +305,15 @@ class Laplace(Distribution):
             return 0.5 * math.exp(z)
         return 1.0 - 0.5 * math.exp(-z)
 
-    def quantile(self, alpha):
-        # sign(alpha - 0.5) taken as 0 at the median, so quantile(0.5) = mu
-        _check_prob_open(alpha)
-        if alpha == 0.5:
-            return self.mu
-        if alpha < 0.5:
-            return self.mu + self.b * math.log(2.0 * alpha)
-        return self.mu - self.b * math.log(2.0 * (1.0 - alpha))
-
-    def tail_quantile(self, eps):
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        if eps > 0.5:
-            return self.quantile(1.0 - eps)
-        return self.mu - self.b * math.log(2.0 * eps)
+    def _quantile(self, alpha, eps):
+        t = math.log(2.0 * min(alpha, eps))
+        return self.mu + self.b * (t if alpha <= eps else -t)
 
     def mean(self):
         return self.mu
 
     def variance(self):
         return 2.0 * self.b ** 2
-
-    def support(self):
-        return SupportBound(-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -334,29 +334,14 @@ class Normal(Distribution):
         z = (x - self.mu) / (self.sigma * _SQRT2)
         return 0.5 * math.erfc(-z)
 
-    def quantile(self, alpha):
-        _check_prob_open(alpha)
-        if alpha < 0.5:
-            return self.mu - self.sigma * _SQRT2 * specfun.erfc_inv(2.0 * alpha)
-        if alpha > 0.5:
-            return self.mu + self.sigma * _SQRT2 * specfun.erfc_inv(2.0 * (1.0 - alpha))
-        return self.mu
-
-    def tail_quantile(self, eps):
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        if eps >= 0.5:
-            return self.quantile(1.0 - eps)
-        return self.mu + self.sigma * _SQRT2 * specfun.erfc_inv(2.0 * eps)
+    def _quantile(self, alpha, eps):
+        return self.mu + self.sigma * _std_normal_quantile(alpha, eps)
 
     def mean(self):
         return self.mu
 
     def variance(self):
         return self.sigma ** 2
-
-    def support(self):
-        return SupportBound(-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -383,22 +368,8 @@ class LogNormal(Distribution):
         z = (math.log(x) - self.mu) / (self.s * _SQRT2)
         return 0.5 * math.erfc(-z)
 
-    def quantile(self, alpha):
-        _check_prob_open(alpha)
-        if alpha < 0.5:
-            z = -specfun.erfc_inv(2.0 * alpha)
-        elif alpha > 0.5:
-            z = specfun.erfc_inv(2.0 * (1.0 - alpha))
-        else:
-            z = 0.0
-        return math.exp(self.mu + self.s * _SQRT2 * z)
-
-    def tail_quantile(self, eps):
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        if eps >= 0.5:
-            return self.quantile(1.0 - eps)
-        return math.exp(self.mu + self.s * _SQRT2 * specfun.erfc_inv(2.0 * eps))
+    def _quantile(self, alpha, eps):
+        return math.exp(self.mu + self.s * _std_normal_quantile(alpha, eps))
 
     def mean(self):
         return math.exp(self.mu + 0.5 * self.s ** 2)
@@ -428,23 +399,16 @@ class Logistic(Distribution):
     def cdf(self, x):
         return 1.0 / (1.0 + math.exp(-(x - self.mu) / self.s))
 
-    def quantile(self, alpha):
-        _check_prob_open(alpha)
-        return self.mu + self.s * (math.log(alpha) - math.log1p(-alpha))
-
-    def tail_quantile(self, eps):
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        return self.mu + self.s * (math.log1p(-eps) - math.log(eps))
+    def _quantile(self, alpha, eps):
+        p = min(alpha, eps)   # ln(p / (1 - p)), in log1p near the median where it cancels
+        t = math.log1p((2.0 * p - 1.0) / (1.0 - p)) if p > 0.25 else math.log(p) - math.log1p(-p)
+        return self.mu + self.s * (t if alpha <= eps else -t)
 
     def mean(self):
         return self.mu
 
     def variance(self):
         return self.s ** 2 * math.pi ** 2 / 3.0
-
-    def support(self):
-        return SupportBound(-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -488,21 +452,29 @@ class StudentT(Distribution):
     def _std_lower_quantile(self, p: float) -> float:
         """Standardized quantile for p <= 0.5, where 2p = I_z(nu/2, 1/2), z = nu / (nu + t^2).
 
-        Where the asymptote 2p ~ z^(nu/2) / (nu/2 B(nu/2, 1/2)) is exact to
-        rounding it gives t in closed form, even where z underflows. Elsewhere
-        reg_inc_beta_inv solves for z, or for 1 - z where z is near 1 and 1 - 2p
-        still carries p, so t = -sqrt(nu (1 - z) / z) does not cancel.
+        For nu >= 1000 and w^2 <= nu / 200, w the Normal quantile, it is the Normal
+        limit to 1/nu^4 (Abramowitz & Stegun 26.7.5; Hill 1970), whose truncation,
+        about (w^2 / nu)^5, is below rounding there. Where the asymptote
+        2p ~ z^(nu/2) / (nu/2 B(nu/2, 1/2)) is exact to rounding it gives t in closed
+        form, even where z underflows. Elsewhere reg_inc_beta_inv solves for z, or
+        for 1 - z where z is near 1 and 1 - 2p still carries p, so
+        t = -sqrt(nu (1 - z) / z) does not cancel.
         """
         nu, a = self.nu, 0.5 * self.nu
+        if nu >= 1e3:
+            w = _std_normal_quantile(p, 1.0 - p)
+            u, r = w * w, 1.0 / nu
+            if 200.0 * u <= nu:
+                g2 = ((5.0 * u + 16.0) * u + 3.0) / 96.0
+                g3 = (((3.0 * u + 19.0) * u + 17.0) * u - 15.0) / 384.0
+                g4 = ((((79.0 * u + 776.0) * u + 1482.0) * u - 1920.0) * u - 945.0) / 92160.0
+                return w * (1.0 + r * ((u + 1.0) / 4.0 + r * (g2 + r * (g3 + r * g4))))
         x = p * math.sqrt(nu) * math.exp(-self._ln_c())   # 2p a B(a, 1/2) ~ z^a
         ln_z = math.log(x) / a
-        if ln_z < -40.0:   # relative error of the asymptote < z
-            try:
-                if nu < 1.0:   # nu^(-nu/2) < 1.21 keeps a finite t from overflowing
-                    return -(x * nu ** -a) ** (-1.0 / nu)
-                return -math.sqrt(nu) * x ** (-1.0 / nu)
-            except OverflowError:
-                return -math.inf
+        if ln_z < -40.0:   # relative error of the asymptote < z; an overflow is -inf
+            if nu < 1.0:   # nu^(-nu/2) < 1.21 keeps a finite t from overflowing
+                return -(x * nu ** -a) ** (-1.0 / nu)
+            return -math.sqrt(nu) * x ** (-1.0 / nu)
         if -math.expm1(ln_z) < 2.0 * p:   # 1 - z is the smaller error of the two
             y = specfun.reg_inc_beta_inv(1.0 - 2.0 * p, 0.5, a)
             return -math.sqrt(nu * y / (1.0 - y))
@@ -515,17 +487,9 @@ class StudentT(Distribution):
     def cdf(self, x):
         return self.std_cdf((x - self.mu) / self.s)
 
-    def quantile(self, alpha):
-        _check_prob_open(alpha)
-        t = self._std_lower_quantile(min(alpha, 1.0 - alpha))
-        return self.mu + self.s * (t if alpha <= 0.5 else -t)
-
-    def tail_quantile(self, eps):
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        if eps >= 0.5:
-            return self.quantile(1.0 - eps)
-        return self.mu - self.s * self._std_lower_quantile(eps)
+    def _quantile(self, alpha, eps):
+        t = self._std_lower_quantile(min(alpha, eps))
+        return self.mu + self.s * (t if alpha <= eps else -t)
 
     def mean(self):
         return math.inf if self.nu <= 1.0 else self.mu
@@ -534,9 +498,6 @@ class StudentT(Distribution):
         if self.nu <= 2.0:
             return math.inf
         return self.s ** 2 * self.nu / (self.nu - 2.0)
-
-    def support(self):
-        return SupportBound(-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -564,14 +525,8 @@ class Weibull(Distribution):
             return 0.0
         return -math.expm1(-((x / self.lam) ** self.k))
 
-    def quantile(self, alpha):
-        _check_prob_open(alpha)
-        return self.lam * (-math.log1p(-alpha)) ** (1.0 / self.k)
-
-    def tail_quantile(self, eps):
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        return self.lam * (-math.log(eps)) ** (1.0 / self.k)
+    def _quantile(self, alpha, eps):
+        return self.lam * _neg_log(eps, alpha) ** (1.0 / self.k)
 
     def mean(self):
         return self.lam + _gamma_mean(self.lam, 1.0 + 1.0 / self.k)
@@ -608,14 +563,8 @@ class LogLogistic(Distribution):
             return 0.0
         return 1.0 / (1.0 + (x / self.a) ** (-self.b))
 
-    def quantile(self, alpha):
-        _check_prob_open(alpha)
-        return self.a * (alpha / (1.0 - alpha)) ** (1.0 / self.b)
-
-    def tail_quantile(self, eps):
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        return self.a * ((1.0 - eps) / eps) ** (1.0 / self.b)
+    def _quantile(self, alpha, eps):
+        return self.a * (alpha / eps) ** (1.0 / self.b)
 
     def mean(self):
         if self.b <= 1.0:
@@ -690,17 +639,8 @@ class GEV(Distribution):
             return 1.0
         return math.exp(-self._t_of(x))
 
-    def quantile(self, alpha):
-        _check_prob_open(alpha)
-        y = -math.log(alpha)
-        if self._xi0:
-            return self.mu - self.s * math.log(y)
-        return self.mu + self.s * math.expm1(-self.xi * math.log(y)) / self.xi
-
-    def tail_quantile(self, eps):
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        y = -math.log1p(-eps)   # = -ln(1 - eps), accurate for tiny eps
+    def _quantile(self, alpha, eps):
+        y = _neg_log(alpha, eps)
         if self._xi0:
             return self.mu - self.s * math.log(y)
         return self.mu + self.s * math.expm1(-self.xi * math.log(y)) / self.xi

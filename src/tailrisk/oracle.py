@@ -27,6 +27,8 @@ from .distributions import Distribution
 from .errors import ConvergenceError, DomainError, OracleError
 
 _LN2 = math.log(2.0)
+_QUAD_REL_TOL = 1e-9        # relative stopping size of a tail segment
+_MAX_SUBDIVISIONS = 4000    # panels per adaptive_quad call
 
 
 @dataclass(frozen=True)
@@ -34,18 +36,14 @@ class OracleConfig:
     """Settings for the verification engine."""
 
     quad_abs_tol: float = 1e-10
-    quad_rel_tol: float = 1e-9
-    max_subdivisions: int = 4000
     mc_samples: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.quad_abs_tol <= 0 or self.quad_rel_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
+        if self.quad_abs_tol <= 0:
+            raise DomainError("quadrature tolerance must be positive")
         if self.mc_samples < 1000:
             raise DomainError(f"mc_samples must be >= 1000, got {self.mc_samples}")
-        if self.max_subdivisions < 15:
-            raise DomainError("max_subdivisions too small for a single panel")
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,7 @@ class OracleResult:
         return {"value": self.value, "error_estimate": self.error_estimate}
 
 
-def _march_decaying(f, y0: float, atol: float, rtol_scale: float,
-                    limit: int, seg: float = 6.0) -> tuple[float, float]:
+def _march_decaying(f, y0: float, atol: float, seg: float = 6.0) -> tuple[float, float]:
     """Integrate f over [y0, inf) as a sum of segments of width ``seg``.
 
     Requires eventually-decaying segment contributions; stops once a segment
@@ -69,10 +66,10 @@ def _march_decaying(f, y0: float, atol: float, rtol_scale: float,
     prev = math.inf
     y = y0
     for _ in range(200):
-        val, e = adaptive_quad(f, y, y + seg, atol=atol, rtol=1e-12, limit=limit)
+        val, e = adaptive_quad(f, y, y + seg, atol=atol, rtol=1e-12, limit=_MAX_SUBDIVISIONS)
         total += val
         err += e
-        if abs(val) < max(atol, rtol_scale * abs(total)) and abs(val) <= prev:
+        if abs(val) < max(atol, _QUAD_REL_TOL * abs(total)) and abs(val) <= prev:
             # bound the truncated mass by a geometric continuation
             err += abs(val)
             return total, err
@@ -91,7 +88,6 @@ def oracle_superquantile(d: Distribution, alpha: float,
     if not math.isfinite(m):
         raise DomainError("oracle requires a finite mean")
     atol = cfg.quad_abs_tol
-    limit = cfg.max_subdivisions
     total = 0.0
     err = 0.0
     try:
@@ -102,10 +98,10 @@ def oracle_superquantile(d: Distribution, alpha: float,
                 return d.quantile(p) * p
 
             if alpha == 0.0:
-                val, e = _march_decaying(left, _LN2, atol, cfg.quad_rel_tol, limit)
+                val, e = _march_decaying(left, _LN2, atol)
             else:
                 val, e = adaptive_quad(left, _LN2, -math.log(alpha),
-                                       atol=atol, rtol=1e-12, limit=limit)
+                                       atol=atol, rtol=1e-12, limit=_MAX_SUBDIVISIONS)
             total += val
             err += e
         y0 = -math.log1p(-alpha) if alpha >= 0.5 else _LN2
@@ -114,7 +110,7 @@ def oracle_superquantile(d: Distribution, alpha: float,
         def right(y: float) -> float:
             return d.tail_quantile(math.exp(-y)) * math.exp(-y)
 
-        val, e = _march_decaying(right, y0, atol, cfg.quad_rel_tol, limit)
+        val, e = _march_decaying(right, y0, atol)
         total += val
         err += e
     except ConvergenceError as exc:

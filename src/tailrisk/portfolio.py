@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import specfun
-from ._optim import cantelli_level, level_root, projected_gradient_max
+from ._optim import cantelli_level, level_root, project_box_simplex, projected_gradient_max
 from .distributions import GEV, Laplace, Logistic, Normal, StudentT
 from .errors import ConvergenceError, DomainError, ParameterError
 from .tail_metrics import bpoe, superquantile
@@ -383,7 +383,8 @@ def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
     u = problem.universe
     eta, cov = u.expected_returns, u.covariance
     x = problem.threshold
-    start, vertex = np.full(u.size, 1.0 / u.size), _max_linear(eta, problem.lower, problem.upper)
+    start = project_box_simplex(np.full(u.size, 1.0 / u.size), problem.lower, problem.upper)
+    vertex = _max_linear(eta, problem.lower, problem.upper)
     num, top = float(start @ eta) + x, float(vertex @ eta) + x
     if top <= 0.0:
         raise DomainError(

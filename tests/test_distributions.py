@@ -74,10 +74,10 @@ def test_quantile_roundtrip(d):
 
 @pytest.mark.parametrize("d", ALL_SETTINGS, ids=lambda d: repr(d))
 def test_tail_quantile_matches_quantile(d):
-    for alpha in (0.2, 0.5, 0.9, 0.99):
-        q = d.quantile(alpha)
-        tq = d.tail_quantile(1.0 - alpha)
-        assert abs(tq - q) <= 1e-9 * (1.0 + abs(q))
+    # on [0.5, 1) the complement is exact, so both calls are one evaluation
+    for a in (0.5, 0.5 + 2 ** -30, 0.75, 0.9, 0.99, 1 - 1e-12, 1 - 2 ** -53):
+        assert d.tail_quantile(1.0 - a) == d.quantile(a), a
+        assert d.quantile(1.0 - a) == d.tail_quantile(a), a
 
 
 @pytest.mark.parametrize("d", ALL_SETTINGS, ids=lambda d: repr(d))
@@ -92,10 +92,35 @@ def test_pdf_integrates_to_one(d):
 
 
 def test_quantile_domain():
-    d = dist.Exponential(1.0)
-    for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(DomainError):
-            d.quantile(bad)
+    for d in ALL_SETTINGS:
+        for bad in (0.0, 1.0, -0.1, 1.5, math.nan):
+            with pytest.raises(DomainError, match="quantile level"):
+                d.quantile(bad)
+            with pytest.raises(DomainError, match="tail probability"):
+                d.tail_quantile(bad)
+
+
+def test_each_family_writes_one_quantile_formula():
+    for cls in dist.FAMILIES.values():
+        assert "_quantile" in vars(cls), cls
+        # the shared evaluators sit in each family's own namespace
+        assert vars(cls)["quantile"] is vars(dist.Distribution)["quantile"], cls
+        assert vars(cls)["tail_quantile"] is vars(dist.Distribution)["tail_quantile"], cls
+
+
+@pytest.mark.parametrize("d, method, level, want", [
+    (dist.Pareto(0.5, 1.0), "tail_quantile", 1e-300, math.inf),
+    (dist.LogLogistic(1.0, 0.01), "quantile", 1 - 2 ** -53, math.inf),
+    (dist.LogLogistic(1.0, 0.01), "tail_quantile", 1 - 2 ** -53, 0.0),
+    (dist.GPD(0.0, 1.0, 5.0), "tail_quantile", 1e-300, math.inf),
+    (dist.LogNormal(0.0, 50.0), "tail_quantile", 1e-300, math.inf),
+    (dist.GEV(0.0, 1.0, 5.0), "tail_quantile", 1e-300, math.inf),
+    (dist.GEV(0.0, 1.0, -200.0), "quantile", 1e-300, -math.inf),
+], ids=repr)
+def test_quantile_beyond_binary64_is_infinite(d, method, level, want):
+    # the finite answers lie beyond 1e300: no OverflowError, an infinity on
+    # the side of the median the level is on (the underflow reads 0)
+    assert getattr(d, method)(level) == want
 
 
 def test_moments_finite_cases():

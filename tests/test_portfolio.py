@@ -529,6 +529,35 @@ def test_starts_on_the_boundary_release_to_the_optimum(objective):
             assert np.max(np.abs(w - w_ref)) <= 1e-9, (objective, start)
 
 
+def test_min_bpoe_starts_inside_bounds_that_exclude_equal_weights():
+    # one floor raised, one cap lowered, and the threshold halfway between the
+    # equal-weight and best-vertex returns: a start moved from the raw 1/n
+    # vector toward the vertex could project back to w.eta + x <= 0, and 17 of
+    # these 200 cases raised ConvergenceError
+    rng = np.random.default_rng(7)
+    fam = QualifiedFamily("normal")
+    solved = 0
+    for case in range(200):
+        n = int(rng.integers(3, 9))
+        universe = _random_universe(rng, n)
+        lower, upper = np.zeros(n), np.ones(n)
+        i, j = rng.choice(n, 2, replace=False)
+        lower[i], upper[j] = rng.uniform(0.2, 0.6), rng.uniform(0.0, 0.1)
+        eta = universe.expected_returns
+        best = float(portfolio._max_linear(eta, lower, upper) @ eta)
+        x = -(eta.mean() + best) / 2
+        problem = PortfolioProblem(universe, "bpoe", threshold=x, lower=lower, upper=upper)
+        if best <= eta.mean():   # no feasible w has w.eta + x > 0
+            with pytest.raises(DomainError, match="no feasible portfolio"):
+                min_bpoe_portfolio(problem, fam)
+            continue
+        w = min_bpoe_portfolio(problem, fam).weights
+        grad = _objectives(universe, problem, fam)[1](w)
+        assert _kkt_residual(w, grad, lower, upper) <= 1e-10, case
+        solved += 1
+    assert solved == 175
+
+
 def test_near_riskless_min_bpoe_with_lower_bounds():
     # idiosyncratic variances of 1e-4 to 1e-3 against a 3-factor part leave
     # near-riskless portfolios: the log-ratio is indefinite over most of the

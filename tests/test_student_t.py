@@ -45,6 +45,27 @@ def test_quantile_at_large_nu():
         assert abs(t / ref - 1) <= rtol, (nu, p, t)
 
 
+@pytest.mark.parametrize("nu", (3e4, 9.99e4, 1e5, 1e6, 1e9, 1e16))
+def test_quantile_at_huge_nu(nu):
+    # the incomplete-beta inverse was 1.2e-12 off at nu = 1e5 and p = 0.01, and
+    # raised ValueError from nu = 1e16; the Normal limit to 1/nu^4 replaces it
+    # wherever its truncation is below rounding
+    d = dist.StudentT(nu)
+    for p in LEVELS:
+        t = d.quantile(p)
+        with mp.workdps(40):
+            ref = -mp.exp(mp.findroot(lambda v: mp.log(_mp_cdf(nu, -mp.exp(v)) / p),
+                                      mp.log(-t)))
+        assert abs(t / ref - 1) <= 2e-13, (nu, p, t)
+
+
+def test_quantile_at_nu_1e40_is_the_normal_quantile():
+    d = dist.StudentT(1e40)
+    assert d.quantile(1e-30) == dist.Normal(0.0, 1.0).quantile(1e-30)
+    assert d.quantile(1e-30) == pytest.approx(-11.464024688443617, rel=1e-15)
+    assert d.tail_quantile(1e-30) == -d.quantile(1e-30)
+
+
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 _NU = st.floats(0.3, 300.0)
 _P = st.floats(1e-300, 0.5)
