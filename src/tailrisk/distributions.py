@@ -15,8 +15,9 @@ alpha + eps = 1: ``quantile(alpha)`` passes (alpha, 1 - alpha) and
 The smaller argument is the caller's input or its complement, exact either
 way (Sterbenz); each formula reads its precision from it, and the symmetric
 laws mirror their lower half at min(alpha, eps). So ``quantile(a)`` equals
-``tail_quantile(1 - a)`` bit for bit on [0.5, 1); a quantile beyond binary64
-is -inf below the median and +inf above it, never ``OverflowError``.
+``tail_quantile(1 - a)`` bit for bit on [0.5, 1). A quantile beyond binary64
+is +inf, or -inf below the median of a law unbounded below; never
+``OverflowError``.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class Distribution:
         try:
             return self._quantile(alpha, 1.0 - alpha)
         except OverflowError:   # the quantile lies beyond binary64
-            return -math.inf if alpha < 0.5 else math.inf
+            return self._overflowed(alpha < 0.5)
 
     def tail_quantile(self, eps: float) -> float:
         """Upper quantile q_(1-eps) as a stable function of the tail mass."""
@@ -130,7 +131,11 @@ class Distribution:
         try:
             return self._quantile(1.0 - eps, eps)
         except OverflowError:
-            return math.inf if eps < 0.5 else -math.inf
+            return self._overflowed(eps > 0.5)
+
+    def _overflowed(self, below_median: bool) -> float:
+        """-inf below the median of a law unbounded below, else +inf."""
+        return -math.inf if below_median and self.support().lower == -math.inf else math.inf
 
     def _quantile(self, alpha: float, eps: float) -> float:   # see the module docstring
         raise NotImplementedError
@@ -142,7 +147,7 @@ class Distribution:
         raise NotImplementedError
 
     def support(self) -> SupportBound:
-        return SupportBound(-math.inf, math.inf)
+        raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Sample of size n from rng.
@@ -315,6 +320,9 @@ class Laplace(Distribution):
     def variance(self):
         return 2.0 * self.b ** 2
 
+    def support(self):
+        return SupportBound(-math.inf, math.inf)
+
 
 @dataclass(frozen=True)
 class Normal(Distribution):
@@ -342,6 +350,9 @@ class Normal(Distribution):
 
     def variance(self):
         return self.sigma ** 2
+
+    def support(self):
+        return SupportBound(-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -410,6 +421,9 @@ class Logistic(Distribution):
     def variance(self):
         return self.s ** 2 * math.pi ** 2 / 3.0
 
+    def support(self):
+        return SupportBound(-math.inf, math.inf)
+
 
 @dataclass(frozen=True)
 class StudentT(Distribution):
@@ -453,8 +467,9 @@ class StudentT(Distribution):
         """Standardized quantile for p <= 0.5, where 2p = I_z(nu/2, 1/2), z = nu / (nu + t^2).
 
         For nu >= 1000 and w^2 <= nu / 200, w the Normal quantile, it is the Normal
-        limit to 1/nu^4 (Abramowitz & Stegun 26.7.5; Hill 1970), whose truncation,
-        about (w^2 / nu)^5, is below rounding there. Where the asymptote
+        limit to 1/nu^4 (Abramowitz & Stegun 26.7.5; Hill 1970). Its truncation is
+        the g5 / nu^5 term, about 1e-15 relative at the corner nu = 1000, w^2 = 5,
+        and smaller elsewhere in the region. Where the asymptote
         2p ~ z^(nu/2) / (nu/2 B(nu/2, 1/2)) is exact to rounding it gives t in closed
         form, even where z underflows. Elsewhere reg_inc_beta_inv solves for z, or
         for 1 - z where z is near 1 and 1 - 2p still carries p, so
@@ -498,6 +513,9 @@ class StudentT(Distribution):
         if self.nu <= 2.0:
             return math.inf
         return self.s ** 2 * self.nu / (self.nu - 2.0)
+
+    def support(self):
+        return SupportBound(-math.inf, math.inf)
 
 
 @dataclass(frozen=True)

@@ -116,10 +116,15 @@ def test_each_family_writes_one_quantile_formula():
     (dist.LogNormal(0.0, 50.0), "tail_quantile", 1e-300, math.inf),
     (dist.GEV(0.0, 1.0, 5.0), "tail_quantile", 1e-300, math.inf),
     (dist.GEV(0.0, 1.0, -200.0), "quantile", 1e-300, -math.inf),
+    # laws bounded below overflow to +inf even below the median
+    (dist.LogNormal(800.0, 1.0), "quantile", 0.4, math.inf),
+    (dist.Pareto(1e-4, 1.0), "quantile", 0.4, math.inf),
+    (dist.GPD(0.0, 1.0, 2000.0), "quantile", 0.4, math.inf),
+    (dist.GPD(0.0, 1.0, 2000.0), "tail_quantile", 0.6, math.inf),
 ], ids=repr)
 def test_quantile_beyond_binary64_is_infinite(d, method, level, want):
-    # the finite answers lie beyond 1e300: no OverflowError, an infinity on
-    # the side of the median the level is on (the underflow reads 0)
+    # the finite answers lie beyond 1e300: no OverflowError, but +inf, or -inf
+    # below the median of a law unbounded below (the underflow reads 0)
     assert getattr(d, method)(level) == want
 
 

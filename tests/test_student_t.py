@@ -45,13 +45,14 @@ def test_quantile_at_large_nu():
         assert abs(t / ref - 1) <= rtol, (nu, p, t)
 
 
-@pytest.mark.parametrize("nu", (3e4, 9.99e4, 1e5, 1e6, 1e9, 1e16))
+@pytest.mark.parametrize("nu", (1e3, 2e3, 3e4, 9.99e4, 1e5, 1e6, 1e9, 1e16))
 def test_quantile_at_huge_nu(nu):
     # the incomplete-beta inverse was 1.2e-12 off at nu = 1e5 and p = 0.01, and
     # raised ValueError from nu = 1e16; the Normal limit to 1/nu^4 replaces it
-    # wherever its truncation is below rounding
+    # for nu >= 1000 and w^2 <= nu / 200, and both sides of that edge are checked
     d = dist.StudentT(nu)
-    for p in LEVELS:
+    edge = float(mp.ncdf(-math.sqrt(nu / 200.0)))   # 0.0127 at nu = 1e3, 0 from 1e6
+    for p in LEVELS + ((edge * (1 + 1e-6), edge * (1 - 1e-6)) if edge > 0 else ()):
         t = d.quantile(p)
         with mp.workdps(40):
             ref = -mp.exp(mp.findroot(lambda v: mp.log(_mp_cdf(nu, -mp.exp(v)) / p),
