@@ -1,13 +1,13 @@
 """Validated parameter containers and elementary evaluators for the eleven
 supported distribution families.
 
-Each family is an immutable dataclass exposing ``pdf``, ``cdf``, ``quantile``,
-``tail_quantile`` (the upper quantile as a stable function of the tail
-probability), ``mean``, ``variance``, ``support`` and ``sample`` (numpy's
-normal and Student-t generators for Normal, LogNormal and Student-t, the
-inverse transform for the rest). Moments that diverge are reported as
-``math.inf``, never as errors. ``make``/``from_json``/``to_json`` provide the
-CLI wire format ``{"family": ..., "params": {...}}``.
+Each family is an immutable value whose ``__init__`` validates its parameters,
+with ``pdf``, ``cdf``, ``quantile``, ``tail_quantile`` (the upper quantile as a
+stable function of the tail probability), ``mean``, ``variance``, ``support``
+and ``sample`` (numpy's normal and Student-t generators for Normal, LogNormal
+and Student-t, the inverse transform for the rest). Moments that diverge are
+reported as ``math.inf``, never as errors. ``make``/``from_json``/``to_json``
+provide the CLI wire format ``{"family": ..., "params": {...}}``.
 
 Each family writes its quantile once, as ``_quantile(alpha, eps)`` with
 alpha + eps = 1: ``quantile(alpha)`` passes (alpha, 1 - alpha) and
@@ -23,7 +23,7 @@ is +inf, or -inf below the median of a law unbounded below; never
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import sys
 from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 from . import specfun
@@ -38,6 +38,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # |xi| below this is treated as xi == 0 for GPD/GEV to avoid catastrophic
 # cancellation near the branch switch
 _XI_ZERO = 1e-9
+_TINY = sys.float_info.min   # smallest normal float
 
 
 class SupportBound(NamedTuple):
@@ -55,6 +56,17 @@ def _exp_or_inf(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _scaled_power(scale: float, base: float, p: float) -> float:
+    """scale * base ** p, in logs only where the power leaves the normal range."""
+    try:
+        power = base ** p
+        if power >= _TINY:
+            return scale * power
+    except OverflowError:
+        pass
+    return _exp_or_inf(math.log(scale) + p * math.log(base))
 
 
 def _gamma_mean(c: float, a: float) -> float:
@@ -89,24 +101,39 @@ def _std_normal_quantile(alpha: float, eps: float) -> float:
 
 # --- family classes --------------------------------------------------------
 
-@dataclass(frozen=True)
 class Distribution:
-    """Common surface for the parametric families."""
+    """Common surface for the parametric families. Equality, hashing and repr
+    go by the parameters, which ``_fields`` names in ``__init__`` order."""
 
     family: ClassVar[str] = ""
+    _fields: ClassVar[tuple[str, ...]] = ()
 
     def __init_subclass__(cls, **kwargs):
-        # bench/spans.py traces the evaluators a family holds in its own __dict__
         super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        # bench/spans.py traces the evaluators a family holds in its own __dict__
         for name in ("quantile", "tail_quantile"):
             if name not in cls.__dict__:
                 setattr(cls, name, getattr(Distribution, name))
 
-    def __post_init__(self):
-        self._validate()
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
-    def _validate(self) -> None:
-        raise NotImplementedError
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in self.params().items())
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     # elementary evaluators; families override all but the two quantiles
     def pdf(self, x: float) -> float:
@@ -160,19 +187,18 @@ class Distribution:
         return _sampling.draw(self, n, rng)
 
     def params(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: self.__dict__[name] for name in self._fields}
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": self.params()}
 
 
-@dataclass(frozen=True)
 class Exponential(Distribution):
-    lam: float
-    family: ClassVar[str] = "exponential"
+    family = "exponential"
 
-    def _validate(self):
-        _require(0 < self.lam < math.inf, "Exponential requires finite lam > 0, got {}", self.lam)
+    def __init__(self, lam: float):
+        _require(0 < lam < math.inf, "Exponential requires finite lam > 0, got {}", lam)
+        self.__dict__.update(lam=lam)
 
     def pdf(self, x):
         return self.lam * math.exp(-self.lam * x) if x >= 0 else 0.0
@@ -193,15 +219,13 @@ class Exponential(Distribution):
         return SupportBound(0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class Pareto(Distribution):
-    a: float
-    xm: float
-    family: ClassVar[str] = "pareto"
+    family = "pareto"
 
-    def _validate(self):
-        _require(0 < self.a < math.inf, "Pareto requires finite shape a > 0, got {}", self.a)
-        _require(0 < self.xm < math.inf, "Pareto requires finite scale xm > 0, got {}", self.xm)
+    def __init__(self, a: float, xm: float):
+        _require(0 < a < math.inf, "Pareto requires finite shape a > 0, got {}", a)
+        _require(0 < xm < math.inf, "Pareto requires finite scale xm > 0, got {}", xm)
+        self.__dict__.update(a=a, xm=xm)
 
     def pdf(self, x):
         if x < self.xm:
@@ -214,7 +238,7 @@ class Pareto(Distribution):
         return 1.0 - (self.xm / x) ** self.a
 
     def _quantile(self, alpha, eps):
-        return self.xm * eps ** (-1.0 / self.a)
+        return _scaled_power(self.xm, eps, -1.0 / self.a)
 
     def mean(self):
         return math.inf if self.a <= 1.0 else self.a * self.xm / (self.a - 1.0)
@@ -228,19 +252,16 @@ class Pareto(Distribution):
         return SupportBound(self.xm, math.inf)
 
 
-@dataclass(frozen=True)
 class GPD(Distribution):
     """Generalized Pareto with location mu, scale s, shape xi."""
 
-    mu: float
-    s: float
-    xi: float
-    family: ClassVar[str] = "gpd"
+    family = "gpd"
 
-    def _validate(self):
-        _require(0 < self.s < math.inf, "GPD requires finite scale s > 0, got {}", self.s)
-        _require(math.isfinite(self.mu), "GPD requires finite mu, got {}", self.mu)
-        _require(math.isfinite(self.xi), "GPD requires finite xi, got {}", self.xi)
+    def __init__(self, mu: float, s: float, xi: float):
+        _require(0 < s < math.inf, "GPD requires finite scale s > 0, got {}", s)
+        _require(math.isfinite(mu), "GPD requires finite mu, got {}", mu)
+        _require(math.isfinite(xi), "GPD requires finite xi, got {}", xi)
+        self.__dict__.update(mu=mu, s=s, xi=xi)
 
     @property
     def _xi0(self) -> bool:
@@ -291,15 +312,13 @@ class GPD(Distribution):
         return self.s ** 2 / ((1.0 - self.xi) ** 2 * (1.0 - 2.0 * self.xi))
 
 
-@dataclass(frozen=True)
 class Laplace(Distribution):
-    mu: float
-    b: float
-    family: ClassVar[str] = "laplace"
+    family = "laplace"
 
-    def _validate(self):
-        _require(0 < self.b < math.inf, "Laplace requires finite scale b > 0, got {}", self.b)
-        _require(math.isfinite(self.mu), "Laplace requires finite mu, got {}", self.mu)
+    def __init__(self, mu: float, b: float):
+        _require(0 < b < math.inf, "Laplace requires finite scale b > 0, got {}", b)
+        _require(math.isfinite(mu), "Laplace requires finite mu, got {}", mu)
+        self.__dict__.update(mu=mu, b=b)
 
     def pdf(self, x):
         return math.exp(-abs(x - self.mu) / self.b) / (2.0 * self.b)
@@ -324,15 +343,13 @@ class Laplace(Distribution):
         return SupportBound(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
 class Normal(Distribution):
-    mu: float
-    sigma: float
-    family: ClassVar[str] = "normal"
+    family = "normal"
 
-    def _validate(self):
-        _require(0 < self.sigma < math.inf, "Normal requires finite sigma > 0, got {}", self.sigma)
-        _require(math.isfinite(self.mu), "Normal requires finite mu, got {}", self.mu)
+    def __init__(self, mu: float, sigma: float):
+        _require(0 < sigma < math.inf, "Normal requires finite sigma > 0, got {}", sigma)
+        _require(math.isfinite(mu), "Normal requires finite mu, got {}", mu)
+        self.__dict__.update(mu=mu, sigma=sigma)
 
     def pdf(self, x):
         z = (x - self.mu) / self.sigma
@@ -355,17 +372,15 @@ class Normal(Distribution):
         return SupportBound(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
 class LogNormal(Distribution):
     """log X ~ Normal(mu, s)."""
 
-    mu: float
-    s: float
-    family: ClassVar[str] = "lognormal"
+    family = "lognormal"
 
-    def _validate(self):
-        _require(0 < self.s < math.inf, "LogNormal requires finite log-scale s > 0, got {}", self.s)
-        _require(math.isfinite(self.mu), "LogNormal requires finite mu, got {}", self.mu)
+    def __init__(self, mu: float, s: float):
+        _require(0 < s < math.inf, "LogNormal requires finite log-scale s > 0, got {}", s)
+        _require(math.isfinite(mu), "LogNormal requires finite mu, got {}", mu)
+        self.__dict__.update(mu=mu, s=s)
 
     def pdf(self, x):
         if x <= 0:
@@ -392,15 +407,13 @@ class LogNormal(Distribution):
         return SupportBound(0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class Logistic(Distribution):
-    mu: float
-    s: float
-    family: ClassVar[str] = "logistic"
+    family = "logistic"
 
-    def _validate(self):
-        _require(0 < self.s < math.inf, "Logistic requires finite scale s > 0, got {}", self.s)
-        _require(math.isfinite(self.mu), "Logistic requires finite mu, got {}", self.mu)
+    def __init__(self, mu: float, s: float):
+        _require(0 < s < math.inf, "Logistic requires finite scale s > 0, got {}", s)
+        _require(math.isfinite(mu), "Logistic requires finite mu, got {}", mu)
+        self.__dict__.update(mu=mu, s=s)
 
     def pdf(self, x):
         z = abs(x - self.mu) / self.s
@@ -425,19 +438,16 @@ class Logistic(Distribution):
         return SupportBound(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
 class StudentT(Distribution):
     """Generalized Student-t with degrees of freedom nu, scale s, location mu."""
 
-    nu: float
-    s: float = 1.0
-    mu: float = 0.0
-    family: ClassVar[str] = "student-t"
+    family = "student-t"
 
-    def _validate(self):
-        _require(0 < self.nu < math.inf, "StudentT requires finite nu > 0, got {}", self.nu)
-        _require(0 < self.s < math.inf, "StudentT requires finite scale s > 0, got {}", self.s)
-        _require(math.isfinite(self.mu), "StudentT requires finite mu, got {}", self.mu)
+    def __init__(self, nu: float, s: float = 1.0, mu: float = 0.0):
+        _require(0 < nu < math.inf, "StudentT requires finite nu > 0, got {}", nu)
+        _require(0 < s < math.inf, "StudentT requires finite scale s > 0, got {}", s)
+        _require(math.isfinite(mu), "StudentT requires finite mu, got {}", mu)
+        self.__dict__.update(nu=nu, s=s, mu=mu)
 
     def _ln_c(self) -> float:
         """Log of the standardized density's constant, 1 / (sqrt(nu) B(nu/2, 1/2))."""
@@ -487,9 +497,7 @@ class StudentT(Distribution):
         x = p * math.sqrt(nu) * math.exp(-self._ln_c())   # 2p a B(a, 1/2) ~ z^a
         ln_z = math.log(x) / a
         if ln_z < -40.0:   # relative error of the asymptote < z; an overflow is -inf
-            if nu < 1.0:   # nu^(-nu/2) < 1.21 keeps a finite t from overflowing
-                return -(x * nu ** -a) ** (-1.0 / nu)
-            return -math.sqrt(nu) * x ** (-1.0 / nu)
+            return -_scaled_power(math.sqrt(nu), x, -1.0 / nu)
         if -math.expm1(ln_z) < 2.0 * p:   # 1 - z is the smaller error of the two
             y = specfun.reg_inc_beta_inv(1.0 - 2.0 * p, 0.5, a)
             return -math.sqrt(nu * y / (1.0 - y))
@@ -518,15 +526,13 @@ class StudentT(Distribution):
         return SupportBound(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
 class Weibull(Distribution):
-    lam: float
-    k: float
-    family: ClassVar[str] = "weibull"
+    family = "weibull"
 
-    def _validate(self):
-        _require(0 < self.lam < math.inf, "Weibull requires finite scale lam > 0, got {}", self.lam)
-        _require(0 < self.k < math.inf, "Weibull requires finite shape k > 0, got {}", self.k)
+    def __init__(self, lam: float, k: float):
+        _require(0 < lam < math.inf, "Weibull requires finite scale lam > 0, got {}", lam)
+        _require(0 < k < math.inf, "Weibull requires finite shape k > 0, got {}", k)
+        self.__dict__.update(lam=lam, k=k)
 
     def pdf(self, x):
         if x < 0:
@@ -544,7 +550,7 @@ class Weibull(Distribution):
         return -math.expm1(-((x / self.lam) ** self.k))
 
     def _quantile(self, alpha, eps):
-        return self.lam * _neg_log(eps, alpha) ** (1.0 / self.k)
+        return _scaled_power(self.lam, _neg_log(eps, alpha), 1.0 / self.k)
 
     def mean(self):
         return self.lam + _gamma_mean(self.lam, 1.0 + 1.0 / self.k)
@@ -556,15 +562,13 @@ class Weibull(Distribution):
         return SupportBound(0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class LogLogistic(Distribution):
-    a: float
-    b: float
-    family: ClassVar[str] = "loglogistic"
+    family = "loglogistic"
 
-    def _validate(self):
-        _require(0 < self.a < math.inf, "LogLogistic requires finite scale a > 0, got {}", self.a)
-        _require(0 < self.b < math.inf, "LogLogistic requires finite shape b > 0, got {}", self.b)
+    def __init__(self, a: float, b: float):
+        _require(0 < a < math.inf, "LogLogistic requires finite scale a > 0, got {}", a)
+        _require(0 < b < math.inf, "LogLogistic requires finite shape b > 0, got {}", b)
+        self.__dict__.update(a=a, b=b)
 
     def pdf(self, x):
         if x < 0:
@@ -582,7 +586,7 @@ class LogLogistic(Distribution):
         return 1.0 / (1.0 + (x / self.a) ** (-self.b))
 
     def _quantile(self, alpha, eps):
-        return self.a * (alpha / eps) ** (1.0 / self.b)
+        return _scaled_power(self.a, alpha / eps, 1.0 / self.b)
 
     def mean(self):
         if self.b <= 1.0:
@@ -602,19 +606,16 @@ class LogLogistic(Distribution):
         return SupportBound(0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class GEV(Distribution):
     """Generalized extreme value with location mu, scale s, shape xi."""
 
-    mu: float
-    s: float
-    xi: float
-    family: ClassVar[str] = "gev"
+    family = "gev"
 
-    def _validate(self):
-        _require(0 < self.s < math.inf, "GEV requires finite scale s > 0, got {}", self.s)
-        _require(math.isfinite(self.mu), "GEV requires finite mu, got {}", self.mu)
-        _require(math.isfinite(self.xi), "GEV requires finite xi, got {}", self.xi)
+    def __init__(self, mu: float, s: float, xi: float):
+        _require(0 < s < math.inf, "GEV requires finite scale s > 0, got {}", s)
+        _require(math.isfinite(mu), "GEV requires finite mu, got {}", mu)
+        _require(math.isfinite(xi), "GEV requires finite xi, got {}", xi)
+        self.__dict__.update(mu=mu, s=s, xi=xi)
 
     @property
     def _xi0(self) -> bool:
@@ -692,11 +693,10 @@ def make(family: str, **params: float) -> Distribution:
         raise ParameterError(
             f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
     cls = FAMILIES[key]
-    expected = {f.name for f in fields(cls)}
-    unknown = set(params) - expected
+    unknown = set(params) - set(cls._fields)
     if unknown:
         raise ParameterError(
-            f"{key} does not take parameter(s) {sorted(unknown)}; expected {sorted(expected)}")
+            f"{key} does not take parameter(s) {sorted(unknown)}; expected {sorted(cls._fields)}")
     try:
         return cls(**params)
     except TypeError as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import specfun
 from ._optim import cantelli_level, golden_section_min, level_root
@@ -35,8 +35,7 @@ CLOSED_BPOE_FAMILIES = (Exponential, Pareto, GPD, Laplace)
 MINIMIZATION_BPOE_FAMILIES = (Normal, Logistic)
 
 
-@dataclass(frozen=True)
-class TailResult:
+class TailResult(NamedTuple):
     """A tail-metric value together with its dual companion quantities.
 
     For bPOE: ``alpha_star = 1 - value`` is the probability level at which

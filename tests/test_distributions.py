@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -38,6 +40,78 @@ def test_make_validates():
         dist.make("cauchy", mu=0.0)
     with pytest.raises(ParameterError):
         dist.make("exponential", lam=1.0, k=2.0)
+
+
+# the reprs the families printed as frozen dataclasses, kept verbatim
+DATACLASS_REPRS = [
+    "Exponential(lam=1.0)", "Exponential(lam=0.25)", "Exponential(lam=4.0)",
+    "Pareto(a=1.5, xm=2.0)", "Pareto(a=3.0, xm=1.0)", "Pareto(a=2.2, xm=0.5)",
+    "GPD(mu=-1.0, s=2.0, xi=0.3)", "GPD(mu=0.0, s=1.0, xi=-0.5)", "GPD(mu=0.5, s=2.0, xi=0.0)",
+    "Laplace(mu=0.0, b=1.0)", "Laplace(mu=1.0, b=2.0)", "Laplace(mu=-3.0, b=0.5)",
+    "Normal(mu=0.0, sigma=1.0)", "Normal(mu=1.0, sigma=2.0)", "Normal(mu=-2.0, sigma=0.3)",
+    "LogNormal(mu=0.0, s=1.0)", "LogNormal(mu=0.5, s=0.8)", "LogNormal(mu=-1.0, s=1.5)",
+    "Logistic(mu=0.0, s=1.0)", "Logistic(mu=-2.0, s=1.5)", "Logistic(mu=3.0, s=0.4)",
+    "StudentT(nu=2.5, s=2.0, mu=1.0)", "StudentT(nu=3.0, s=1.0, mu=0.0)",
+    "StudentT(nu=6.0, s=0.5, mu=-1.0)",
+    "Weibull(lam=0.5, k=1.4)", "Weibull(lam=2.0, k=0.8)", "Weibull(lam=1.0, k=3.0)",
+    "LogLogistic(a=2.0, b=3.0)", "LogLogistic(a=1.0, b=1.5)", "LogLogistic(a=0.5, b=4.0)",
+    "GEV(mu=1.0, s=2.0, xi=0.3)", "GEV(mu=1.0, s=2.0, xi=-0.2)", "GEV(mu=0.0, s=1.0, xi=0.0)",
+]
+SIGNATURES = {
+    "exponential": ("lam",), "pareto": ("a", "xm"), "gpd": ("mu", "s", "xi"),
+    "laplace": ("mu", "b"), "normal": ("mu", "sigma"), "lognormal": ("mu", "s"),
+    "logistic": ("mu", "s"), "student-t": ("nu", "s", "mu"), "weibull": ("lam", "k"),
+    "loglogistic": ("a", "b"), "gev": ("mu", "s", "xi"),
+}
+
+
+@pytest.mark.parametrize("d, text", zip(ALL_SETTINGS, DATACLASS_REPRS), ids=DATACLASS_REPRS)
+def test_value_semantics(d, text):
+    cls, params = type(d), d.params()
+    assert repr(d) == text
+    assert tuple(params) == SIGNATURES[d.family] == cls._fields
+    by_position, by_keyword = cls(*params.values()), cls(**params)
+    assert by_position == by_keyword == d and not by_position != d
+    assert hash(by_position) == hash(by_keyword) == hash(d)
+    assert len({d, by_position, by_keyword}) == 1
+    for again in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+        assert type(again) is cls and again == d and again.params() == params
+        assert hash(again) == hash(d) and repr(again) == text
+    for name in params:
+        with pytest.raises(AttributeError):
+            setattr(d, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(d, name)
+        # a different value of any one parameter is a different distribution
+        other = cls(**{**params, name: params[name] + 0.125})
+        assert other != d and not other == d and other.params() != params
+    with pytest.raises(AttributeError):
+        d.extra = 1.0
+    assert d.params() == params and repr(d) == text
+
+
+def test_value_semantics_across_families():
+    assert dist.Normal(0.0, 1.0) != dist.Logistic(0.0, 1.0)
+    assert dist.Normal(0.0, 1.0) != (0.0, 1.0) and dist.Normal(0.0, 1.0) != 0.0
+    assert dist.Normal(0.0, 1.0) != dist.LogNormal(0.0, 1.0)
+    assert dist.StudentT(3.0) == dist.StudentT(3.0, 1.0, 0.0) == dist.StudentT(nu=3.0, mu=0.0)
+    assert dist.StudentT(3.0, mu=2.0).params() == {"nu": 3.0, "s": 1.0, "mu": 2.0}
+    assert repr(dist.StudentT(4.0, mu=-1.5)) == "StudentT(nu=4.0, s=1.0, mu=-1.5)"
+    with pytest.raises(TypeError):
+        dist.StudentT()
+    with pytest.raises(TypeError):
+        dist.Normal(0.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("family, params, match", [
+    ("normal", {"mu": 0.0}, "missing"),
+    ("normal", {"mu": 0.0, "sigma": 1.0, "nu": 3.0}, r"does not take parameter\(s\) \['nu'\]"),
+    ("student-t", {"s": 1.0}, "missing"),
+    ("gev", {"mu": 0.0, "scale": 1.0, "xi": 0.1}, r"\['scale'\]; expected \['mu', 's', 'xi'\]"),
+])
+def test_make_rejects_unknown_or_missing_keywords(family, params, match):
+    with pytest.raises(ParameterError, match=match):
+        dist.make(family, **params)
 
 
 @pytest.mark.parametrize("d", [group[0] for group in SETTINGS.values()], ids=repr)

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -29,22 +28,34 @@ def _fresh(code: str) -> str:
 
 
 _NO_NUMPY = "\nimport sys\nassert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+# dataclasses pulls in inspect, ast, dis and tokenize: the scalar path needs none
+_NO_DATACLASSES = ("\nimport sys\nassert not {'dataclasses', 'inspect'} & set(sys.modules),"
+                   " sorted(sys.modules)\n")
+_SCALAR_PATHS = {
+    "import": "import tailrisk",
+    "import-cli": "import tailrisk, tailrisk.cli",
+    "scalar-metrics": "from tailrisk import superquantile, bpoe, StudentT\n"
+                      "bpoe(StudentT(3.0), 2.0); superquantile(StudentT(3.0), 0.99)",
+    "cli-dist-bpoe": "from tailrisk.cli import main\n"
+                     "assert main(['dist', '--family', 'student-t', '--nu', '3', '--metric',"
+                     " 'bpoe', '--x', '2.5']) == 0",
+}
 
 
 @pytest.mark.parametrize("code", [
-    "import tailrisk",
-    "import tailrisk, tailrisk.cli",
-    "from tailrisk import superquantile, bpoe, StudentT\n"
-    "bpoe(StudentT(3.0), 2.0); superquantile(StudentT(3.0), 0.99)",
-    "from tailrisk.cli import main\n"
-    "assert main(['dist', '--family', 'student-t', '--nu', '3', '--metric', 'bpoe',"
-    " '--x', '2.5']) == 0",
+    *_SCALAR_PATHS.values(),
     "from tailrisk.cli import main\n"
     "assert main(['oracle', '--family', 'lognormal', '--mu', '0', '--s', '1',"
     " '--metric', 'cvar', '--alpha', '0.95']) == 0",
-], ids=["import", "import-cli", "scalar-metrics", "cli-dist-bpoe", "cli-oracle-cvar"])
+], ids=[*_SCALAR_PATHS, "cli-oracle-cvar"])
 def test_scalar_paths_leave_numpy_unloaded(code):
     _fresh(code + _NO_NUMPY)
+
+
+# the oracle path loads tailrisk.oracle, which keeps its dataclasses
+@pytest.mark.parametrize("code", _SCALAR_PATHS.values(), ids=_SCALAR_PATHS)
+def test_scalar_paths_leave_dataclasses_unloaded(code):
+    _fresh(code + _NO_DATACLASSES)
 
 
 def test_array_path_loads_numpy():
@@ -131,7 +142,6 @@ def test_sample_is_the_generator_expression(d, expected):
 
 
 def test_family_subclass_samples_as_its_family():
-    @dataclass(frozen=True)
     class Subclass(dist.StudentT):
         pass
 

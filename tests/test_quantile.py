@@ -98,3 +98,19 @@ def test_quantile_matches_mpmath(d):
         _check(d, d.quantile(alpha), _mp_quantile(d, alpha=alpha))
     for eps in TAIL_MASSES:
         _check(d, d.tail_quantile(eps), _mp_quantile(d, eps=eps))
+
+
+# the power alone leaves binary64 (or its normal range) while the quantile
+# does not: a small scale times an overflowed power, a large one times an
+# underflowed or subnormal power
+@pytest.mark.parametrize("d, method, level", [
+    (dist.Pareto(0.5, 1e-300), "tail_quantile", 1e-300),
+    (dist.LogLogistic(1e-300, 0.5), "tail_quantile", 1e-300),
+    (dist.Weibull(1e-300, 0.005), "tail_quantile", 1e-300),
+    (dist.Weibull(1e300, 0.5), "quantile", 1e-300),
+    (dist.Weibull(1e300, 0.5), "quantile", 1e-160),
+], ids=repr)
+def test_scaled_power_beyond_binary64(d, method, level):
+    want = _mp_quantile(d, **{"alpha" if method == "quantile" else "eps": level})
+    got = getattr(d, method)(level)
+    assert abs(got - want) <= 2e-13 * abs(want), (got, float(want))
