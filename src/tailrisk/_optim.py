@@ -36,61 +36,59 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
 
 
 def cantelli_level(x: float, mean: float, variance: float) -> float:
-    """Start for ``level_root``: t^2 / (1 + t^2), t = (x - mean) / sd, or 0.5 if sd = inf.
-
-    Since sq(alpha) <= mean + sd sqrt(alpha / (1 - alpha)) for every
-    finite-variance law, this level is at or below the root of sq(alpha) = x.
+    """Start for ``level_root``: the tail mass 1 / (1 + t^2), t = (x - mean) / sd,
+    or 0.5 if sd = inf. Since sq(1 - eps) <= mean + sd sqrt((1 - eps) / eps)
+    for every finite-variance law, it lies at or above the root of sq = x.
     """
     if not math.isfinite(variance):
         return 0.5
     t = (x - mean) / math.sqrt(variance)
-    return t * t / (1.0 + t * t)
+    return 1.0 / (1.0 + t * t)
 
 
-def level_root(sq: Callable[[float], float], q: Callable[[float], float], x: float,
-               lo: float, hi: float, start: float) -> float:
-    """Level alpha in [lo, hi] where the superquantile sq(alpha) equals x; q is its quantile.
+def level_root(sq: Callable[[float, float], float], q: Callable[[float, float], float],
+               x: float, lo: float, hi: float, start: float) -> tuple[float, float]:
+    """The pair (alpha, eps), eps in [lo, hi], where the superquantile sq(alpha, eps)
+    equals x; q(alpha, eps) is its quantile. Both take alpha + eps = 1.
 
-    Safeguarded Newton in u = log(1 - alpha), where d sq/du = q - sq: a step
-    leaving the bracket, or a start outside (lo, hi), becomes bisection in u.
-    While the bracket still reaches u = 0 (lo = 0, no level yet below the
-    root), sq - sq(0) grows like a power of alpha, which a Newton step in u
-    overshoots and bisection in u reaches only a halving at a time; there the
-    step is Newton on log(sq - sq(lo)) in t = log(-u), where
-    d sq/dt = (q - sq) u, and it stops at the smallest positive level.
-    Returns lo or hi when x lies outside [sq(lo), sq(hi)]. Stops at a step or
-    bracket of 1e-13 min(|u|, 1) in u, i.e. relative precision 1e-13 in
-    1 - alpha, and in alpha too where alpha is small (u near 0).
+    Safeguarded Newton on log(sq - sq(hi)), whose slope in t = log(-u),
+    u = log(eps), is (q - sq) u / (sq - sq(hi)). Near the top (alpha < eps, or
+    while the bracket reaches u = 0) sq - sq(hi) grows like a power of alpha
+    and the step is taken in t; elsewhere the tail is nearer a power of eps
+    and the step is taken in u. A step leaving the bracket, a start outside
+    (lo, hi), or sq rounding to sq(hi), becomes bisection in u. Returns the
+    pair at lo or hi when x lies outside [sq(hi), sq(lo)]. Stops at a step or
+    bracket of 1e-13 min(|u|, 1) in u: relative precision 1e-13 in eps, and
+    in alpha too where alpha is small.
     """
-    s_lo = sq(lo)
-    if x <= s_lo:
-        return lo
-    if x >= sq(hi):
-        return hi
-    u_lo, u_hi = math.log1p(-hi), math.log1p(-lo)   # sq at u_lo > x > sq at u_hi
-    u = math.log1p(-start) if lo < start < hi else 0.5 * (u_lo + u_hi)
+    u_lo, u_hi = math.log(lo), math.log(hi)   # sq at u_lo > x > sq at u_hi
+    s_top = sq(-math.expm1(u_hi), hi)
+    if x <= s_top:
+        return -math.expm1(u_hi), hi
+    if x >= sq(-math.expm1(u_lo), lo):
+        return -math.expm1(u_lo), lo
+    u = math.log(start) if lo < start < hi else 0.5 * (u_lo + u_hi)
     for _ in range(100):
-        alpha = -math.expm1(u)
-        s = sq(alpha)
+        alpha, eps = -math.expm1(u), math.exp(u)
+        s = sq(alpha, eps)
         if s > x:
             u_lo = u
         else:
             u_hi = u
-        if u_hi == 0.0:   # then s > x, so the step moves u towards 0
-            slope = (q(alpha) - s) * u / (s - s_lo)
-            step = math.log((s - s_lo) / (x - s_lo)) / slope if 0.0 < slope < math.inf \
-                else math.nan
-            new = min(u * math.exp(-step), -_TINY)
+        slope = (q(alpha, eps) - s) * u / (s - s_top) if s > s_top else 0.0
+        k = math.log((s - s_top) / (x - s_top)) / slope if 0.0 < slope < math.inf else math.nan
+        if u_hi == 0.0 or alpha < eps:
+            new = u * math.exp(-k) if k > -700.0 else math.nan
         else:
-            slope = s - q(alpha)
-            new = u + (s - x) / slope if 0.0 < slope < math.inf else math.nan
+            new = u * (1.0 - k)
         if not u_lo <= new <= u_hi:
             new = 0.5 * (u_lo + u_hi)
+        new = min(new, -_TINY)
         tol = 1e-13 * min(1.0, abs(new))
         if abs(new - u) <= tol or u_hi - u_lo <= tol:
-            return -math.expm1(new)
+            return -math.expm1(new), math.exp(new)
         u = new
-    return -math.expm1(u)
+    return -math.expm1(u), math.exp(u)
 
 
 def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,

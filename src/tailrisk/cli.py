@@ -57,8 +57,6 @@ def _collect_params(args: argparse.Namespace) -> dict[str, float]:
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="write output to a file")
-    parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("TAILRISK_SEED", "0")))
 
 
 def _sanitize(obj):
@@ -318,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="quadrature absolute tolerance")
     p_oracle.add_argument("--samples", type=int, default=100_000,
                           help="Monte-Carlo sample count")
+    p_oracle.add_argument("--seed", type=int, default=int(os.environ.get("TAILRISK_SEED", "0")),
+                          help="Monte-Carlo seed (default $TAILRISK_SEED or 0)")
     _add_io_flags(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle)
 

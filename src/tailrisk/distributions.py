@@ -11,10 +11,10 @@ provide the CLI wire format ``{"family": ..., "params": {...}}``.
 
 Each family writes its quantile once, as ``_quantile(alpha, eps)`` with
 alpha + eps = 1: ``quantile(alpha)`` passes (alpha, 1 - alpha) and
-``tail_quantile(eps)`` passes (1 - eps, eps) after one shared domain check.
-The smaller argument is the caller's input or its complement, exact either
-way (Sterbenz); each formula reads its precision from it, and the symmetric
-laws mirror their lower half at min(alpha, eps). So ``quantile(a)`` equals
+``tail_quantile(eps)`` passes (1 - eps, eps) to ``_level_quantile``, as the
+root engines do with their own pair. The smaller one keeps full precision;
+each formula reads its precision from it, and the symmetric laws mirror
+their lower half at min(alpha, eps). So ``quantile(a)`` equals
 ``tail_quantile(1 - a)`` bit for bit on [0.5, 1). A quantile beyond binary64
 is +inf, or -inf below the median of a law unbounded below; never
 ``OverflowError``.
@@ -146,23 +146,21 @@ class Distribution:
         """Quantile q_alpha at the level alpha in (0, 1)."""
         if not 0.0 < alpha < 1.0:
             raise DomainError(f"quantile level must lie in (0, 1), got {alpha}")
-        try:
-            return self._quantile(alpha, 1.0 - alpha)
-        except OverflowError:   # the quantile lies beyond binary64
-            return self._overflowed(alpha < 0.5)
+        return self._level_quantile(alpha, 1.0 - alpha)
 
     def tail_quantile(self, eps: float) -> float:
         """Upper quantile q_(1-eps) as a stable function of the tail mass."""
         if not 0.0 < eps < 1.0:
             raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        try:
-            return self._quantile(1.0 - eps, eps)
-        except OverflowError:
-            return self._overflowed(eps > 0.5)
+        return self._level_quantile(1.0 - eps, eps)
 
-    def _overflowed(self, below_median: bool) -> float:
-        """-inf below the median of a law unbounded below, else +inf."""
-        return -math.inf if below_median and self.support().lower == -math.inf else math.inf
+    def _level_quantile(self, alpha: float, eps: float) -> float:
+        """Quantile at alpha = 1 - eps; beyond binary64 it is -inf below the
+        median of a law unbounded below, else +inf."""
+        try:
+            return self._quantile(alpha, eps)
+        except OverflowError:
+            return -math.inf if alpha < eps and self.support().lower == -math.inf else math.inf
 
     def _quantile(self, alpha: float, eps: float) -> float:   # see the module docstring
         raise NotImplementedError
@@ -586,7 +584,10 @@ class LogLogistic(Distribution):
         return 1.0 / (1.0 + (x / self.a) ** (-self.b))
 
     def _quantile(self, alpha, eps):
-        return _scaled_power(self.a, alpha / eps, 1.0 / self.b)
+        odds = alpha / eps
+        if odds == math.inf:   # overflowed without raising: the log route, from the parts
+            return _exp_or_inf(math.log(self.a) + (math.log(alpha) - math.log(eps)) / self.b)
+        return _scaled_power(self.a, odds, 1.0 / self.b)
 
     def mean(self):
         if self.b <= 1.0:

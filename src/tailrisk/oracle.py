@@ -124,11 +124,10 @@ def oracle_bpoe(d: Distribution, x: float,
                 cfg: OracleConfig = OracleConfig()) -> OracleResult:
     """bPOE by root finding on the quadrature superquantile.
 
-    ``_optim.level_root`` solves oracle_superquantile(d, alpha) = x over
-    [0, 1 - 1e-13] from the Cantelli level. ``error_estimate`` is the level
-    error: the residual |sq(alpha*) - x| plus the quadrature error of
-    sq(alpha*), divided by the slope d sq/d alpha = (sq - q) / (1 - alpha)
-    at alpha*.
+    ``_optim.level_root`` solves oracle_superquantile(d, 1 - eps) = x for the
+    tail mass eps in [1e-13, 1] from the Cantelli start. ``error_estimate``
+    is the error in eps: the residual |sq - x| plus the quadrature error of
+    sq at the root, divided by the slope (sq - q) / eps of sq in alpha there.
     """
     m = d.mean()
     if not math.isfinite(m):
@@ -137,15 +136,14 @@ def oracle_bpoe(d: Distribution, x: float,
     if not m < x < upper:
         raise DomainError(f"threshold must lie in (mean, sup) = ({m}, {upper}), got {x}")
 
-    def sq(alpha: float) -> float:
+    def sq(alpha: float, eps: float) -> float:
         return oracle_superquantile(d, alpha, cfg).value
 
-    alpha = level_root(sq, d.quantile, x, 0.0, 1.0 - 1e-13,
-                       cantelli_level(x, m, d.variance()))
+    alpha, eps = level_root(sq, d._level_quantile, x, 1e-13, 1.0,
+                            cantelli_level(x, m, d.variance()))
     at_root = oracle_superquantile(d, alpha, cfg)
-    slope = (at_root.value - d.quantile(alpha)) / (1.0 - alpha)
-    return OracleResult(1.0 - alpha,
-                        (abs(at_root.value - x) + at_root.error_estimate) / slope)
+    slope = (at_root.value - d._level_quantile(alpha, eps)) / eps
+    return OracleResult(eps, (abs(at_root.value - x) + at_root.error_estimate) / slope)
 
 
 def mc_superquantile(d: Distribution, alpha: float,

@@ -16,8 +16,8 @@ thresholds. Two solved problems:
 The second objective has no shape parameter in it, so one weight vector is
 bPOE-optimal for every qualified family simultaneously; only the reported
 bPOE value depends on the family. zeta, the superquantile of the
-standardized loss, and its inverse, 1 - its bPOE, come from ``tail_metrics``
-(GEV: a closed form and one ``level_root``).
+standardized loss, and its inverse, the bPOE as a tail mass, come from
+``tail_metrics`` (GEV: a closed form and one ``level_root``).
 
 Each solve is one active-set Newton run (``_optim.projected_gradient_max``, a
 name kept for the benchmark's tracer) from equal weights, or for min-bPOE
@@ -43,9 +43,9 @@ import numpy as np
 
 from . import specfun
 from ._optim import cantelli_level, level_root, project_box_simplex, projected_gradient_max
-from .distributions import GEV, Laplace, Logistic, Normal, StudentT
+from .distributions import _TINY, GEV, Laplace, Logistic, Normal, StudentT
 from .errors import ConvergenceError, DomainError, ParameterError
-from .tail_metrics import bpoe, superquantile
+from .tail_metrics import _sq_gev, bpoe, superquantile
 
 QUALIFIED_FAMILIES = ("normal", "laplace", "logistic", "student-t", "gev")
 _REJECTED = {"exponential", "pareto", "gpd", "weibull", "lognormal", "loglogistic"}
@@ -96,24 +96,30 @@ class QualifiedFamily:
     def zeta(self, alpha: float) -> float:
         """Stdev-to-CVaR multiplier: the superquantile at alpha in [0, 1) of the
         standardized loss (m - X) / sd, which has the unit-variance member's law
-        for the symmetric families. For GEV(0, 1, xi) and p = 1 - alpha it is
+        for the symmetric families; for GEV see ``_gev_zeta``."""
+        if self.family != "gev":
+            return superquantile(self._unit_variance_member(), alpha)
+        if not 0.0 <= alpha < 1.0:
+            raise DomainError(f"zeta level must lie in [0, 1), got {alpha}")
+        return self._gev_zeta(alpha, 1.0 - alpha)
+
+    def _gev_zeta(self, alpha: float, p: float) -> float:
+        """zeta of GEV(0, 1, xi) at alpha + p = 1: alpha (sq(p) - m) / (p sd), sq the
+        upper tail average, for alpha < 1/2, where it does not cancel; beyond,
         sign(xi) (G(1-xi) - G(1-xi, -ln p) / p) / sqrt(G(1-2xi) - G(1-xi)^2),
         G the (incomplete) gamma, or (gamma + ln(-ln p) - li(p) / p) / (pi / sqrt 6) at xi = 0.
         """
         d = self._unit_variance_member()
-        if self.family != "gev":
-            return superquantile(d, alpha)
-        if not 0.0 <= alpha < 1.0:
-            raise DomainError(f"zeta level must lie in [0, 1), got {alpha}")
-        p = 1.0 - alpha
-        if p == 1.0:   # the loss mean, as superquantile(d, 0)
-            return 0.0
+        sd = math.sqrt(d.variance())
+        if alpha < 0.5:
+            return alpha * (_sq_gev(d, p, alpha) - d.mean()) / (p * sd) if alpha else 0.0
+        y = -math.log(p)
         if d._xi0:
-            gap = specfun.EULER_GAMMA + math.log(-math.log(p)) - specfun.log_integral(p) / p
+            gap = specfun.EULER_GAMMA + math.log(y) - specfun.log_integral(p) / p
         else:
             gap = (math.gamma(1.0 - self.xi)
-                   - specfun.upper_inc_gamma(1.0 - self.xi, -math.log(p)) / p) / self.xi
-        return gap / math.sqrt(d.variance())
+                   - specfun.upper_inc_gamma(1.0 - self.xi, y) / p) / self.xi
+        return gap / sd
 
     def label(self) -> str:
         if self.family == "student-t":
@@ -355,17 +361,18 @@ def min_cvar_portfolio(problem: PortfolioProblem,
 
 
 def _invert_zeta(family: QualifiedFamily, target: float) -> float:
-    """Level alpha with zeta(alpha) = target: the alpha* of the unit-variance
-    member's ``bpoe`` for the symmetric families, else ``level_root`` on
-    [0, nextafter(1, 0)], which leaves a GEV bPOE below 1 - nextafter(1, 0)
-    unresolved until the root runs in tail mass rather than level.
+    """Tail mass eps with zeta(1 - eps) = target, i.e. the bPOE of the
+    standardized loss: the unit-variance member's ``bpoe`` for the symmetric
+    families, else ``level_root`` on the GEV zeta in the pair (alpha, eps)
+    for eps in [smallest normal float, 1], and 0.0 (an underflow) beyond.
     """
     d = family._unit_variance_member()
     if family.family != "gev":
-        return bpoe(d, target).alpha_star
+        return bpoe(d, target).value
     m, sd = d.mean(), math.sqrt(d.variance())
-    return level_root(family.zeta, lambda alpha: (m - d.tail_quantile(alpha)) / sd,
-                      target, 0.0, math.nextafter(1.0, 0.0), cantelli_level(target, 0.0, 1.0))
+    alpha, eps = level_root(family._gev_zeta, lambda a, e: (m - d._level_quantile(e, a)) / sd,
+                            target, _TINY, 1.0, cantelli_level(target, 0.0, 1.0))
+    return 0.0 if eps == _TINY and family._gev_zeta(alpha, eps) < target else eps
 
 
 def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
@@ -375,8 +382,8 @@ def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
 
     The reduced objective (generalized Sharpe ratio) is family-free, so the
     weights are optimal for every qualified family at once; per-family bPOE
-    values at those same weights go into ``bpoe_by_family``. A GEV bPOE below
-    1 - nextafter(1, 0) is reported as that bound (see ``_invert_zeta``).
+    values at those same weights go into ``bpoe_by_family``, each the tail
+    mass from ``_invert_zeta``, so small values keep their relative precision.
     """
     if problem.objective != "bpoe":
         raise ParameterError("problem does not carry a bpoe objective")
@@ -417,10 +424,10 @@ def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
     if report_families is None:
         report_families = default_report_families()
     # one inversion per distinct family; the solved family is usually reported too
-    alphas = {fam: _invert_zeta(fam, ratio) for fam in dict.fromkeys((family, *report_families))}
-    by_family = {fam.label(): 1.0 - alphas[fam] for fam in report_families}
+    eps = {fam: _invert_zeta(fam, ratio) for fam in dict.fromkeys((family, *report_families))}
+    by_family = {fam.label(): eps[fam] for fam in report_families}
     return PortfolioReport(u.names, w, ret, sd, "bpoe",
-                           objective_value=1.0 - alphas[family], alpha_star=alphas[family],
+                           objective_value=eps[family], alpha_star=1.0 - eps[family],
                            bpoe_by_family=by_family, kkt_residual=gp)
 
 

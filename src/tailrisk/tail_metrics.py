@@ -2,9 +2,9 @@
 
 The superquantile has a closed form for every supported family. bPOE has a
 closed form for the exponential-tailed families (Exponential, Pareto, GPD,
-Laplace); everywhere else it is recovered from the superquantile by
-one-dimensional root finding, and for the Normal and Logistic additionally
-by direct convex minimization of E[X - g]+ / (x - g).
+Laplace); everywhere else it is recovered from the superquantile by root
+finding in the tail mass eps = 1 - alpha, which bPOE is, and for the Normal
+and Logistic additionally by direct convex minimization of E[X - g]+ / (x - g).
 
 Conventions, applied uniformly:
   * superquantile(d, 0) is the mean; infinite-mean parameterizations give
@@ -23,7 +23,7 @@ from . import specfun
 from ._optim import cantelli_level, golden_section_min, level_root
 from .distributions import (GEV, GPD, Distribution, Exponential, Laplace,
                             LogLogistic, LogNormal, Logistic, Normal, Pareto,
-                            StudentT, Weibull)
+                            StudentT, Weibull, _TINY, _neg_log, _scaled_power)
 from .errors import ConvergenceError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
@@ -60,79 +60,84 @@ class TailResult(NamedTuple):
 
 
 # --- superquantile ----------------------------------------------------------
+# Each formula takes the pair (alpha, eps), alpha + eps = 1, and reads its
+# precision from the smaller one, as ``Distribution._quantile`` does.
 
-def _sq_exponential(d: Exponential, alpha: float) -> float:
-    return (-math.log1p(-alpha) + 1.0) / d.lam
-
-
-def _sq_pareto(d: Pareto, alpha: float) -> float:
-    return d.xm * d.a / ((1.0 - alpha) ** (1.0 / d.a) * (d.a - 1.0))
+def _sq_exponential(d: Exponential, alpha: float, eps: float) -> float:
+    return (_neg_log(eps, alpha) + 1.0) / d.lam
 
 
-def _sq_gpd(d: GPD, alpha: float) -> float:
+def _sq_pareto(d: Pareto, alpha: float, eps: float) -> float:
+    return _scaled_power(d.xm * d.a / (d.a - 1.0), eps, -1.0 / d.a)
+
+
+def _sq_gpd(d: GPD, alpha: float, eps: float) -> float:
     if d._xi0:
-        return d.mu + d.s * (1.0 - math.log1p(-alpha))
-    u = (1.0 - alpha) ** (-d.xi)
+        return d.mu + d.s * (1.0 + _neg_log(eps, alpha))
+    u = _scaled_power(1.0, eps, -d.xi)
     return d.mu + d.s * (u / (1.0 - d.xi) + (u - 1.0) / d.xi)
 
 
-def _sq_laplace(d: Laplace, alpha: float) -> float:
+def _sq_laplace(d: Laplace, alpha: float, eps: float) -> float:
     if alpha < 0.5:
-        return d.mu + d.b * (alpha / (1.0 - alpha)) * (1.0 - math.log(2.0 * alpha))
-    return d.mu + d.b * (1.0 - math.log(2.0 * (1.0 - alpha)))
+        return d.mu + d.b * (alpha / eps) * (1.0 - math.log(2.0 * alpha))
+    return d.mu + d.b * (1.0 - math.log(2.0 * eps))
 
 
-def _sq_normal(d: Normal, alpha: float) -> float:
-    z = -specfun.erfc_inv(2.0 * alpha) * _SQRT2   # full precision for alpha near 0 and 1
-    density = math.exp(-0.5 * z * z) / _SQRT_2PI
-    return d.mu + d.sigma * density / (1.0 - alpha)
+def _sq_normal(d: Normal, alpha: float, eps: float) -> float:
+    w = specfun.erfc_inv(2.0 * (alpha if alpha < eps else eps))   # |z| / sqrt2
+    return d.mu + d.sigma * math.exp(-w * w) / (_SQRT_2PI * eps)
 
 
-def _sq_lognormal(d: LogNormal, alpha: float) -> float:
-    # 1 + erf(s/sqrt2 - z) written as erfc(z - s/sqrt2) to survive alpha -> 1
-    z = -specfun.erfc_inv(2.0 * alpha)
-    return 0.5 * math.exp(d.mu + 0.5 * d.s ** 2) \
-        * specfun.erfc(z - d.s / _SQRT2) / (1.0 - alpha)
+def _sq_lognormal(d: LogNormal, alpha: float, eps: float) -> float:
+    # 1 + erf(s/sqrt2 - z) written as erfc(z - s/sqrt2) to survive eps -> 0
+    z = -specfun.erfc_inv(2.0 * alpha) if alpha < eps else specfun.erfc_inv(2.0 * eps)
+    return 0.5 * math.exp(d.mu + 0.5 * d.s ** 2) * specfun.erfc(z - d.s / _SQRT2) / eps
 
 
-def _sq_logistic(d: Logistic, alpha: float) -> float:
-    return d.mu + d.s * specfun.binary_entropy(alpha) / (1.0 - alpha)
+def _sq_logistic(d: Logistic, alpha: float, eps: float) -> float:
+    return d.mu + d.s * specfun.binary_entropy(alpha if alpha < eps else eps) / eps
 
 
-def _sq_student(d: StudentT, alpha: float) -> float:
-    """sq = mu + s (nu + t^2) pdf(t) / ((nu - 1)(1 - alpha)) at t = q_alpha, where
+def _sq_student(d: StudentT, alpha: float, eps: float) -> float:
+    """sq = mu + s (nu + t^2) pdf(t) / ((nu - 1) eps) at t = |q| standardized, where
     (nu + t^2) pdf(t) = nu c (1 + t^2/nu)^(-(nu-1)/2) neither overflows nor
     underflows; past t^2 = nu the log1p splits off ln(t^2/nu), which stays
     finite where t^2 does not."""
     nu = d.nu
-    t = (d.quantile(alpha) - d.mu) / d.s
+    t = d._std_lower_quantile(alpha if alpha < eps else eps)
     if t * t > nu:
-        ln_1p = 2.0 * math.log(abs(t)) - math.log(nu) + math.log1p(nu / (t * t))
+        ln_1p = 2.0 * math.log(-t) - math.log(nu) + math.log1p(nu / (t * t))
     else:
         ln_1p = math.log1p(t * t / nu)
     tail = nu * math.exp(d._ln_c() - 0.5 * (nu - 1.0) * ln_1p)
-    return d.mu + d.s * tail / ((nu - 1.0) * (1.0 - alpha))
+    return d.mu + d.s * tail / ((nu - 1.0) * eps)
 
 
-def _sq_weibull(d: Weibull, alpha: float) -> float:
-    y = -math.log1p(-alpha)
-    return d.lam / (1.0 - alpha) * specfun.upper_inc_gamma(1.0 + 1.0 / d.k, y)
+def _sq_weibull(d: Weibull, alpha: float, eps: float) -> float:
+    return d.lam * (specfun.upper_inc_gamma(1.0 + 1.0 / d.k, _neg_log(eps, alpha)) / eps)
 
 
-def _sq_loglogistic(d: LogLogistic, alpha: float) -> float:
-    c = math.pi / d.b
-    partial = specfun.inc_beta(alpha, 1.0 / d.b + 1.0, 1.0 - 1.0 / d.b)
-    return d.a / (1.0 - alpha) * (c / math.sin(c) - partial)
+def _sq_loglogistic(d: LogLogistic, alpha: float, eps: float) -> float:
+    # (a / eps) times the integral of (1 - r)^(1/b) r^(-1/b) over r in [0, eps]
+    return d.a * (specfun.inc_beta(eps, 1.0 - 1.0 / d.b, 1.0 + 1.0 / d.b) / eps)
 
 
-def _sq_gev(d: GEV, alpha: float) -> float:
-    if d._xi0:
-        bracket = specfun.EULER_GAMMA + alpha * math.log(-math.log(alpha)) \
-            - specfun.log_integral(alpha)
-        return d.mu + d.s * bracket / (1.0 - alpha)
-    y = -math.log(alpha)
-    gl = specfun.lower_inc_gamma(1.0 - d.xi, y)
-    return d.mu + d.s * (gl - (1.0 - alpha)) / (d.xi * (1.0 - alpha))
+def _sq_gev(d: GEV, alpha: float, eps: float) -> float:
+    y = _neg_log(alpha, eps)
+    if not d._xi0:
+        gl = specfun.lower_inc_gamma(1.0 - d.xi, y)
+        return d.mu + d.s * (gl - eps) / (d.xi * eps)
+    if eps > 0.5:
+        bracket = specfun.EULER_GAMMA + alpha * math.log(y) - specfun.log_integral(alpha)
+        return d.mu + d.s * bracket / eps
+    # Ein(y) = sum (-1)^(n+1) y^n / (n n!), alternating and fast for y <= ln 2
+    ein, term, n = 0.0, -1.0, 0
+    while abs(term) > 1e-17 * ein:
+        n += 1
+        term *= -y / n
+        ein += term / n
+    return d.mu + d.s * (ein / eps - math.log(y))
 
 
 _SQ_FORMULAS = {
@@ -163,7 +168,7 @@ def superquantile(d: Distribution, alpha: float) -> float:
         return math.inf
     if alpha == 0.0:
         return m
-    return _SQ_FORMULAS[type(d)](d, alpha)
+    return _SQ_FORMULAS[type(d)](d, alpha, 1.0 - alpha)
 
 
 def left_superquantile(d: Distribution, alpha: float) -> float:
@@ -190,12 +195,9 @@ def _clamped_zero(d: Distribution) -> TailResult:
 
 def _result_from_value(d: Distribution, value: float) -> TailResult:
     value = min(1.0, max(0.0, value))
-    alpha_star = 1.0 - value
-    if alpha_star <= 0.0:
-        return TailResult(1.0, 0.0, d.support().lower)
-    if alpha_star >= 1.0:
-        return TailResult(0.0, 1.0, d.support().upper)
-    return TailResult(value, alpha_star, d.quantile(alpha_star))
+    if value == 0.0 or value == 1.0:   # underflowed, or at the mean: an end of the support
+        return TailResult(value, 1.0 - value, d.support()[value == 0.0])
+    return TailResult(value, 1.0 - value, d._level_quantile(1.0 - value, value))
 
 
 def _bpoe_edges(d: Distribution, x: float) -> TailResult | None:
@@ -247,12 +249,10 @@ def bpoe_closed(d: Distribution, x: float) -> TailResult:
 
 
 def bpoe_by_root(d: Distribution, x: float) -> TailResult:
-    """bPOE by solving superquantile(d, alpha) = x with ``_optim.level_root``.
-
-    The level, in [0, nextafter(1, 0)], has relative precision about 1e-13 in
-    1 - alpha, and in alpha where alpha is small. A residual above
-    1e-6 max(1, |x|) raises ``ConvergenceError`` unless the root lies within
-    one float of alpha.
+    """bPOE as the tail mass eps in [smallest normal float, 1] that solves
+    sq(1 - eps, eps) = x with ``_optim.level_root``, to about 1e-13 relative.
+    Beyond sq at the smallest normal eps it underflows and reads 0.0. A
+    residual above 1e-6 max(1, |x|) raises ``ConvergenceError``.
     """
     edge = _bpoe_edges(d, x)
     if edge is not None:
@@ -260,25 +260,20 @@ def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     m = d.mean()
     if x == m:
         return TailResult(1.0, 0.0, d.support().lower)
-    alpha_cap = math.nextafter(1.0, 0.0)
+    formula = _SQ_FORMULAS[type(d)]
 
-    def sq(alpha: float) -> float:
-        return superquantile(d, alpha)
+    def sq(alpha: float, eps: float) -> float:
+        return formula(d, alpha, eps) if alpha > 0.0 else m
 
-    alpha = level_root(sq, d.quantile, x, 0.0, alpha_cap,
-                       cantelli_level(x, m, d.variance()))
-    residual = sq(alpha) - x
-    if alpha == alpha_cap and residual < 0.0:
-        return _clamped_zero(d)
+    alpha, eps = level_root(sq, d._level_quantile, x, _TINY, 1.0,
+                            cantelli_level(x, m, d.variance()))
+    residual = sq(alpha, eps) - x
+    if eps == _TINY and residual < 0.0:
+        return _result_from_value(d, 0.0)
     if abs(residual) > 1e-6 * max(1.0, abs(x)):
-        # near alpha = 1 the slope of the superquantile blows up, so a root
-        # between two adjacent floats can leave a large residual
-        neighbour = math.nextafter(alpha, 0.0 if residual > 0.0 else 1.0)
-        if (sq(neighbour) - x) * residual > 0.0:
-            raise ConvergenceError(
-                "bPOE root engine stalled",
-                {"alpha": alpha, "residual": residual, "threshold": x})
-    return TailResult(1.0 - alpha, alpha, d.quantile(alpha))
+        raise ConvergenceError("bPOE root engine stalled",
+                               {"alpha": alpha, "eps": eps, "residual": residual, "threshold": x})
+    return TailResult(eps, alpha, d._level_quantile(alpha, eps))
 
 
 def _std_normal_tail(g: float) -> tuple[float, float, float]:

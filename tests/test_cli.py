@@ -68,6 +68,14 @@ def test_oracle_mc_deterministic(capsys):
     assert run_json(capsys, *args) == run_json(capsys, *args)
 
 
+def test_seed_is_an_oracle_option_only(capsys):
+    # only the Monte-Carlo oracle draws samples; elsewhere --seed is unknown
+    code, _, err = run(capsys, "dist", "--family", "normal", "--mu", "0", "--sigma", "1",
+                       "--metric", "mean", "--seed", "1")
+    assert code == 1
+    assert "--seed" in err
+
+
 def test_portfolio_bundled_bpoe(capsys):
     payload = run_json(capsys, "portfolio", "--objective", "bpoe", "--x", "0.16",
                        "--family", "normal")

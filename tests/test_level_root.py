@@ -1,8 +1,9 @@
-"""The level-root engine that solves sq(alpha) = x for bpoe_by_root, the zeta
-inversion and the oracle: agreement with bisection, evaluation budgets and
-round-trip properties."""
+"""The level-root engine that solves sq(1 - eps, eps) = x for bpoe_by_root, the
+zeta inversion and the oracle: agreement with bisection in log(eps),
+evaluation budgets and round-trip properties."""
 
 import math
+import sys
 
 import pytest
 
@@ -22,35 +23,56 @@ ROOT_FAMILIES = (
     dist.GEV(0.0, 1.0, 0.0), dist.GEV(1.0, 2.0, 0.1),
 )
 LEVELS = (1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-5, 1.0 - 1e-6)
+# tail masses 1 - LEVELS, plus deep ones that no level 1 - eps resolves
+EPSILONS = tuple(1.0 - a for a in LEVELS) + (1e-9, 1e-12, 1e-20, 1e-100)
+
+
+def _pair(u):
+    return -math.expm1(u), math.exp(u)
 
 
 def _bisect_u(sq, x, lo, hi):
-    """200 bisection steps in u = log(1 - alpha) on a nondecreasing sq."""
-    u_lo, u_hi = math.log1p(-hi), math.log1p(-lo)
+    """200 bisection steps in u = log(eps) on an sq nonincreasing in eps."""
+    u_lo, u_hi = math.log(lo), math.log(hi)
     for _ in range(200):
         mid = 0.5 * (u_lo + u_hi)
-        if sq(-math.expm1(mid)) > x:
+        if sq(*_pair(mid)) > x:
             u_lo = mid
         else:
             u_hi = mid
-    return -math.expm1(0.5 * (u_lo + u_hi))
+    return _pair(0.5 * (u_lo + u_hi))
 
 
-def _assert_same_level(got, want, rel):
-    assert abs((1.0 - got) - (1.0 - want)) <= rel * (1.0 - want) + 4 * 2.0 ** -52, (got, want)
+def _assert_same_pair(got, want, rel):
+    # each of alpha and eps to rel, read from whichever is the smaller
+    (alpha, eps), (want_alpha, want_eps) = got, want
+    assert alpha + eps == pytest.approx(1.0, abs=4 * 2.0 ** -52)
+    if want_eps <= 0.5:
+        assert abs(eps - want_eps) <= rel * want_eps, (got, want)
+    else:
+        assert abs(alpha - want_alpha) <= rel * want_alpha + 4 * 2.0 ** -52, (got, want)
+
+
+def _deep_enough(bounded, eps):
+    # where sq flattens onto a finite supremum, the root of sq = x in eps
+    # loses its conditioning: test the deep tail masses on unbounded tails
+    return eps >= 1e-12 or not bounded
 
 
 @pytest.mark.parametrize("d", ROOT_FAMILIES, ids=repr)
 def test_matches_bisection_superquantile_shape(d):
-    lo, hi = 0.0, math.nextafter(1.0, 0.0)
+    lo, hi = sys.float_info.min, 1.0
+    formula = tm._SQ_FORMULAS[type(d)]
 
-    def sq(alpha):
-        return tm.superquantile(d, alpha)
+    def sq(alpha, eps):
+        return formula(d, alpha, eps) if alpha > 0.0 else d.mean()
 
-    for alpha in LEVELS:
-        x = sq(alpha)
-        got = level_root(sq, d.quantile, x, lo, hi, cantelli_level(x, d.mean(), d.variance()))
-        _assert_same_level(got, _bisect_u(sq, x, lo, hi), 1e-10)
+    for eps in EPSILONS:
+        if _deep_enough(math.isfinite(d.support().upper), eps):
+            x = sq(1.0 - eps, eps)
+            got = level_root(sq, d._level_quantile, x, lo, hi,
+                             cantelli_level(x, d.mean(), d.variance()))
+            _assert_same_pair(got, _bisect_u(sq, x, lo, hi), 1e-10)
 
 
 @pytest.mark.parametrize("family", (QualifiedFamily("normal"), QualifiedFamily("laplace"),
@@ -59,29 +81,36 @@ def test_matches_bisection_superquantile_shape(d):
 def test_matches_bisection_zeta_shape(family):
     d = family._unit_variance_member()
     m, sd = d.mean(), math.sqrt(d.variance())
-    lo, hi = 1e-9, 1.0 - 1e-9
+    lo, hi = sys.float_info.min, 1.0
 
-    def loss_quantile(alpha):
-        return (m - d.quantile(1.0 - alpha)) / sd
+    def zeta(alpha, eps):
+        if family.family == "gev":
+            return family._gev_zeta(alpha, eps)
+        return tm._SQ_FORMULAS[type(d)](d, alpha, eps) if alpha > 0.0 else 0.0
 
-    for alpha in LEVELS:
-        target = family.zeta(alpha)
-        got = level_root(family.zeta, loss_quantile, target, lo, hi,
-                         cantelli_level(target, 0.0, 1.0))
-        _assert_same_level(got, _bisect_u(family.zeta, target, lo, hi), 1e-10)
+    def loss_quantile(alpha, eps):
+        return (m - d._level_quantile(eps, alpha)) / sd
+
+    for eps in EPSILONS:
+        if _deep_enough(family.family == "gev", eps):   # GEV(xi > 0): a bounded loss
+            target = zeta(1.0 - eps, eps)
+            got = level_root(zeta, loss_quantile, target, lo, hi,
+                             cantelli_level(target, 0.0, 1.0))
+            _assert_same_pair(got, _bisect_u(zeta, target, lo, hi), 1e-10)
 
 
 def test_matches_bisection_oracle_shape():
     d = dist.Logistic(0.0, 1.0)
-    lo, hi = 0.0, 1.0 - 1e-13
+    lo, hi = 1e-13, 1.0
 
-    def sq(alpha):
+    def sq(alpha, eps):
         return oracle.oracle_superquantile(d, alpha).value
 
     for alpha in (0.2, 0.9):
         x = tm.superquantile(d, alpha)
-        got = level_root(sq, d.quantile, x, lo, hi, cantelli_level(x, d.mean(), d.variance()))
-        _assert_same_level(got, _bisect_u(sq, x, lo, hi), 1e-8)
+        got = level_root(sq, d._level_quantile, x, lo, hi,
+                         cantelli_level(x, d.mean(), d.variance()))
+        _assert_same_pair(got, _bisect_u(sq, x, lo, hi), 1e-8)
 
 
 def test_level_near_zero_is_relatively_precise():
@@ -110,28 +139,28 @@ def _mpmath_root_logistic(mp, x):
     return mp.exp(mp.findroot(lambda la: log_sq(la) - mp.log(x), mp.log(x)))
 
 
-def _count_superquantile_calls(monkeypatch):
+def _count_formula_calls(monkeypatch):
+    """Count superquantile formula evaluations, which the root engine makes
+    without going through ``superquantile``."""
     calls = [0]
-    superquantile = tm.superquantile
-
-    def counted(d, alpha):
-        calls[0] += 1
-        return superquantile(d, alpha)
-
-    monkeypatch.setattr(tm, "superquantile", counted)
+    for family, formula in tm._SQ_FORMULAS.items():
+        def counted(d, alpha, eps, formula=formula):
+            calls[0] += 1
+            return formula(d, alpha, eps)
+        monkeypatch.setitem(tm._SQ_FORMULAS, family, counted)
     return calls
 
 
 @pytest.mark.parametrize("d, x", [(dist.Normal(0.0, 1.0), 1e-300), (dist.Normal(0.0, 1.0), 1e-200),
                                   (dist.Logistic(0.0, 1.0), 1e-300)], ids=repr)
 def test_level_just_above_the_mean_takes_newton_steps(monkeypatch, d, x):
-    # the root of sq(alpha) = x lies near 1e-302: bisection in u = log(1 - alpha)
-    # would need about a thousand halvings to reach it
+    # the root of sq(alpha) = x lies near alpha = 1e-302: bisection in
+    # u = log(eps) would need about a thousand halvings to reach it
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         solve = _mpmath_root_normal if isinstance(d, dist.Normal) else _mpmath_root_logistic
         want = float(solve(mp, x))
-    calls = _count_superquantile_calls(monkeypatch)
+    calls = _count_formula_calls(monkeypatch)
     result = tm.bpoe(d, x)
     assert calls[0] <= 15
     assert abs(result.alpha_star - want) <= 1e-10 * want, (result.alpha_star, want)
@@ -139,26 +168,18 @@ def test_level_just_above_the_mean_takes_newton_steps(monkeypatch, d, x):
 
 def test_root_below_the_smallest_level_stops_there(monkeypatch):
     # sq(5e-324) = 1.9e-322 already exceeds x: the root is not a float
-    calls = _count_superquantile_calls(monkeypatch)
+    calls = _count_formula_calls(monkeypatch)
     result = tm.bpoe(dist.Normal(0.0, 1.0), 5e-324)
     assert calls[0] <= 15
     assert result.alpha_star == 5e-324
 
 
 def test_bpoe_by_root_superquantile_budget(monkeypatch):
-    calls = 0
-    superquantile = tm.superquantile
-
-    def counted(d, alpha):
-        nonlocal calls
-        calls += 1
-        return superquantile(d, alpha)
-
-    thresholds = [(d, superquantile(d, a)) for d in ROOT_FAMILIES for a in LEVELS]
-    monkeypatch.setattr(tm, "superquantile", counted)
+    thresholds = [(d, tm.superquantile(d, a)) for d in ROOT_FAMILIES for a in LEVELS]
+    calls = _count_formula_calls(monkeypatch)
     for d, x in thresholds:
         tm.bpoe_by_root(d, x)
-    assert calls / len(thresholds) <= 10.0
+    assert calls[0] / len(thresholds) <= 10.0
 
 
 def test_oracle_bpoe_quadrature_budget(monkeypatch):

@@ -179,6 +179,18 @@ def test_zeta_matches_mpmath_deep_in_the_tail(family):
             assert abs(got - want) <= 1e-13 * abs(want), (eps, got, float(want))
 
 
+@pytest.mark.parametrize("family", _ZETA_FAMILIES[4:], ids=lambda f: f.label())
+def test_gev_zeta_keeps_relative_precision_near_the_mean(family):
+    # the lower-tail display cancels as alpha -> 0 (9e-7 off at 1e-10); the
+    # upper tail average at the level 1 - alpha does not
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):   # the mpmath display itself cancels about 30 digits
+        for alpha in (1e-12, 1e-10, 1e-6, 1e-3, 0.3):
+            want = _mpmath_zeta(mp, family, alpha)
+            got = family.zeta(alpha)
+            assert abs(got - want) <= 1e-13 * abs(want), (alpha, got, float(want))
+
+
 def test_zeta_domain():
     for family in _ZETA_FAMILIES:
         assert family.zeta(0.0) == 0.0
@@ -627,28 +639,64 @@ def test_invert_zeta_matches_bisection(family):
     # the levels themselves and points strictly between them
     targets = zetas + [math.sqrt(a * b) for a, b in zip(zetas, zetas[1:])]
     for target in targets:
-        got = 1.0 - _invert_zeta(family, target)
+        got = _invert_zeta(family, target)
         want = 1.0 - _bisect_zeta(family, target)
         assert abs(got - want) <= 1e-8 * want, (target, got, want)
 
 
 @pytest.mark.parametrize("family", _INVERSION_FAMILIES, ids=lambda f: f.label())
 def test_invert_zeta_clamps_at_window(family):
-    # the window is the whole level range: bPOE 1 at or below the loss mean,
-    # and beyond zeta at the top level bPOE 0 (bpoe's clamp) or, for GEV,
-    # the level cap nextafter(1, 0)
-    assert _invert_zeta(family, -1.0) == 0.0
-    assert _invert_zeta(family, 0.0) == 0.0
-    top = math.nextafter(1.0, 0.0)
-    bpoe = 1.0 - _invert_zeta(family, 2.0 * family.zeta(top))
-    if family.family == "gev":
-        assert 0.0 < bpoe <= 1.2e-16
+    # the window is the whole tail-mass range: bPOE 1 at or below the loss
+    # mean, and 0 beyond the largest zeta (bpoe's clamp, or for GEV an
+    # underflow below the smallest normal tail mass)
+    assert _invert_zeta(family, -1.0) == 1.0
+    assert _invert_zeta(family, 0.0) == 1.0
+    assert _invert_zeta(family, 1e200) == 0.0
+    # beyond zeta at the top level nextafter(1, 0), the tail mass goes on
+    # below 1.1e-16 where the loss is unbounded
+    eps = _invert_zeta(family, 2.0 * family.zeta(math.nextafter(1.0, 0.0)))
+    if family.family == "gev":   # GEV(xi = 0.1): past the loss supremum
+        assert eps == 0.0
     else:
-        assert bpoe == 0.0
+        assert 0.0 < eps < 1.1e-16
+
+
+def _mpmath_gev_zeta_root(mp, xi, target):
+    """Tail mass p with zeta(1 - p) = target for GEV(0, 1, xi), by bisection in ln p."""
+    xi = mp.mpf(xi)
+    g1, g2 = mp.gamma(1 - xi), mp.gamma(1 - 2 * xi)
+
+    def zeta(ln_p):
+        p = mp.exp(ln_p)
+        return (g1 - mp.gammainc(1 - xi, -ln_p) / p) / mp.sqrt(g2 - g1 ** 2)   # xi > 0
+
+    lo, hi = mp.log(mp.mpf("1e-300")), mp.mpf(0)   # zeta at lo > target > zeta at hi
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if zeta(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return mp.exp((lo + hi) / 2)
+
+
+def test_min_bpoe_gev_deep_tail_against_mpmath():
+    # the MSCI min-bPOE solve at x = 0.25 has a GEV(xi = 0.1) bPOE near 3e-28,
+    # far below the 1.1e-16 a level 1 - eps can resolve
+    mp = pytest.importorskip("mpmath")
+    family = QualifiedFamily("gev", xi=0.1)
+    problem = PortfolioProblem(AssetUniverse.bundled(), "bpoe", threshold=0.25)
+    report = min_bpoe_portfolio(problem, family, report_families=(family,))
+    ratio = (float(report.weights @ problem.universe.expected_returns) + 0.25) / report.stdev
+    with mp.workdps(50):
+        want = float(_mpmath_gev_zeta_root(mp, 0.1, mp.mpf(ratio)))
+    assert 1e-30 < want < 1e-25
+    assert abs(report.objective_value - want) <= 1e-10 * want
+    assert report.bpoe_by_family["gev(xi=0.1)"] == report.objective_value
 
 
 @pytest.mark.parametrize("family", _ZETA_FAMILIES, ids=lambda f: f.label())
 def test_invert_zeta_round_trip(family):
     for alpha in (1e-3, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-9):
         target = family.zeta(alpha)
-        assert abs(family.zeta(_invert_zeta(family, target)) - target) <= 1e-12 * target
+        assert abs(family.zeta(1.0 - _invert_zeta(family, target)) - target) <= 1e-12 * target

@@ -114,3 +114,13 @@ def test_scaled_power_beyond_binary64(d, method, level):
     want = _mp_quantile(d, **{"alpha" if method == "quantile" else "eps": level})
     got = getattr(d, method)(level)
     assert abs(got - want) <= 2e-13 * abs(want), (got, float(want))
+
+
+def test_loglogistic_odds_beyond_binary64():
+    # alpha / eps rounds to inf without raising at eps = 5e-324; the quantile
+    # a (alpha / eps)^(1/b) is about 2.9e6
+    d = dist.LogLogistic(1.0, 50.0)
+    for eps in (5e-324, 1e-310):
+        want = _mp_quantile(d, eps=eps)
+        got = d.tail_quantile(eps)
+        assert abs(got - want) <= 1e-13 * want, (eps, got, float(want))
