@@ -12,7 +12,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_TINY = math.ulp(0.0)   # the smallest positive float
+_LEAST_FLOAT = math.ulp(0.0)   # the smallest positive float
 
 
 def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
@@ -83,7 +83,7 @@ def level_root(sq: Callable[[float, float], float], q: Callable[[float, float], 
             new = u * (1.0 - k)
         if not u_lo <= new <= u_hi:
             new = 0.5 * (u_lo + u_hi)
-        new = min(new, -_TINY)
+        new = min(new, -_LEAST_FLOAT)
         tol = 1e-13 * min(1.0, abs(new))
         if abs(new - u) <= tol or u_hi - u_lo <= tol:
             return -math.expm1(new), math.exp(new)

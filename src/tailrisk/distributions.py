@@ -11,10 +11,10 @@ provide the CLI wire format ``{"family": ..., "params": {...}}``.
 
 Each family writes its quantile once, as ``_quantile(alpha, eps)`` with
 alpha + eps = 1: ``quantile(alpha)`` passes (alpha, 1 - alpha) and
-``tail_quantile(eps)`` passes (1 - eps, eps) to ``_level_quantile``, as the
-root engines do with their own pair. The smaller one keeps full precision;
-each formula reads its precision from it, and the symmetric laws mirror
-their lower half at min(alpha, eps). So ``quantile(a)`` equals
+``tail_quantile(eps)`` passes (1 - eps, eps) to ``_level_quantile``, and the
+root engines pass their own pair as ``quantile(alpha, eps)``. The smaller
+one keeps full precision; each formula reads its precision from it, and the
+symmetric laws mirror their lower half at min(alpha, eps). So ``quantile(a)`` equals
 ``tail_quantile(1 - a)`` bit for bit on [0.5, 1). A quantile beyond binary64
 is +inf, or -inf below the median of a law unbounded below; never
 ``OverflowError``.
@@ -142,11 +142,12 @@ class Distribution:
     def cdf(self, x: float) -> float:
         raise NotImplementedError
 
-    def quantile(self, alpha: float) -> float:
-        """Quantile q_alpha at the level alpha in (0, 1)."""
-        if not 0.0 < alpha < 1.0:
+    def quantile(self, alpha: float, _eps: float | None = None) -> float:
+        """Quantile q_alpha at the level alpha in (0, 1); the root engines pass
+        the tail mass ``_eps`` = 1 - alpha too, unchecked."""
+        if _eps is None and not 0.0 < alpha < 1.0:
             raise DomainError(f"quantile level must lie in (0, 1), got {alpha}")
-        return self._level_quantile(alpha, 1.0 - alpha)
+        return self._level_quantile(alpha, 1.0 - alpha if _eps is None else _eps)
 
     def tail_quantile(self, eps: float) -> float:
         """Upper quantile q_(1-eps) as a stable function of the tail mass."""

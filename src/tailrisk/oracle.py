@@ -139,10 +139,10 @@ def oracle_bpoe(d: Distribution, x: float,
     def sq(alpha: float, eps: float) -> float:
         return oracle_superquantile(d, alpha, cfg).value
 
-    alpha, eps = level_root(sq, d._level_quantile, x, 1e-13, 1.0,
+    alpha, eps = level_root(sq, d.quantile, x, 1e-13, 1.0,
                             cantelli_level(x, m, d.variance()))
     at_root = oracle_superquantile(d, alpha, cfg)
-    slope = (at_root.value - d._level_quantile(alpha, eps)) / eps
+    slope = (at_root.value - d.quantile(alpha, eps)) / eps
     return OracleResult(eps, (abs(at_root.value - x) + at_root.error_estimate) / slope)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import specfun
 from ._optim import cantelli_level, level_root, project_box_simplex, projected_gradient_max
-from .distributions import _TINY, GEV, Laplace, Logistic, Normal, StudentT
+from .distributions import GEV, Laplace, Logistic, Normal, StudentT
 from .errors import ConvergenceError, DomainError, ParameterError
 from .tail_metrics import _sq_gev, bpoe, superquantile
 
@@ -93,23 +94,21 @@ class QualifiedFamily:
             return StudentT(self.nu, math.sqrt((self.nu - 2.0) / self.nu), 0.0)
         return GEV(0.0, 1.0, self.xi)
 
-    def zeta(self, alpha: float) -> float:
+    def zeta(self, alpha: float, _eps: float | None = None) -> float:
         """Stdev-to-CVaR multiplier: the superquantile at alpha in [0, 1) of the
         standardized loss (m - X) / sd, which has the unit-variance member's law
-        for the symmetric families; for GEV see ``_gev_zeta``."""
-        if self.family != "gev":
-            return superquantile(self._unit_variance_member(), alpha)
-        if not 0.0 <= alpha < 1.0:
-            raise DomainError(f"zeta level must lie in [0, 1), got {alpha}")
-        return self._gev_zeta(alpha, 1.0 - alpha)
-
-    def _gev_zeta(self, alpha: float, p: float) -> float:
-        """zeta of GEV(0, 1, xi) at alpha + p = 1: alpha (sq(p) - m) / (p sd), sq the
+        for the symmetric families; ``_eps`` = 1 - alpha as in ``superquantile``.
+        For GEV(0, 1, xi) and p = 1 - alpha it is alpha (sq(p) - m) / (p sd), sq the
         upper tail average, for alpha < 1/2, where it does not cancel; beyond,
         sign(xi) (G(1-xi) - G(1-xi, -ln p) / p) / sqrt(G(1-2xi) - G(1-xi)^2),
         G the (incomplete) gamma, or (gamma + ln(-ln p) - li(p) / p) / (pi / sqrt 6) at xi = 0.
         """
         d = self._unit_variance_member()
+        if self.family != "gev":
+            return superquantile(d, alpha, _eps)
+        if _eps is None and not 0.0 <= alpha < 1.0:
+            raise DomainError(f"zeta level must lie in [0, 1), got {alpha}")
+        p = 1.0 - alpha if _eps is None else _eps
         sd = math.sqrt(d.variance())
         if alpha < 0.5:
             return alpha * (_sq_gev(d, p, alpha) - d.mean()) / (p * sd) if alpha else 0.0
@@ -370,9 +369,9 @@ def _invert_zeta(family: QualifiedFamily, target: float) -> float:
     if family.family != "gev":
         return bpoe(d, target).value
     m, sd = d.mean(), math.sqrt(d.variance())
-    alpha, eps = level_root(family._gev_zeta, lambda a, e: (m - d._level_quantile(e, a)) / sd,
-                            target, _TINY, 1.0, cantelli_level(target, 0.0, 1.0))
-    return 0.0 if eps == _TINY and family._gev_zeta(alpha, eps) < target else eps
+    alpha, eps = level_root(family.zeta, lambda a, e: (m - d.quantile(e, a)) / sd,
+                            target, sys.float_info.min, 1.0, cantelli_level(target, 0.0, 1.0))
+    return 0.0 if eps == sys.float_info.min and family.zeta(alpha, eps) < target else eps
 
 
 def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,

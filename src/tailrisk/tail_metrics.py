@@ -23,7 +23,7 @@ from . import specfun
 from ._optim import cantelli_level, golden_section_min, level_root
 from .distributions import (GEV, GPD, Distribution, Exponential, Laplace,
                             LogLogistic, LogNormal, Logistic, Normal, Pareto,
-                            StudentT, Weibull, _TINY, _neg_log, _scaled_power)
+                            StudentT, Weibull, _neg_log, _scaled_power)
 from .errors import ConvergenceError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
@@ -155,20 +155,21 @@ _SQ_FORMULAS = {
 }
 
 
-def superquantile(d: Distribution, alpha: float) -> float:
+def superquantile(d: Distribution, alpha: float, _eps: float | None = None) -> float:
     """Closed-form superquantile (CVaR) at probability level alpha in [0, 1).
 
     Returns inf when the mean diverges; superquantile(d, 0) is the mean, which
-    is -inf where it lies below the floats (GEV with xi < -170.6).
+    is -inf where it lies below the floats (GEV with xi < -170.6). The root
+    engine passes the tail mass ``_eps`` = 1 - alpha too, unchecked.
     """
-    if not 0.0 <= alpha < 1.0:
+    if _eps is None and not 0.0 <= alpha < 1.0:
         raise DomainError(f"superquantile level must lie in [0, 1), got {alpha}")
     m = d.mean()
     if m == math.inf:
         return math.inf
     if alpha == 0.0:
         return m
-    return _SQ_FORMULAS[type(d)](d, alpha, 1.0 - alpha)
+    return _SQ_FORMULAS[type(d)](d, alpha, 1.0 - alpha if _eps is None else _eps)
 
 
 def left_superquantile(d: Distribution, alpha: float) -> float:
@@ -197,7 +198,7 @@ def _result_from_value(d: Distribution, value: float) -> TailResult:
     value = min(1.0, max(0.0, value))
     if value == 0.0 or value == 1.0:   # underflowed, or at the mean: an end of the support
         return TailResult(value, 1.0 - value, d.support()[value == 0.0])
-    return TailResult(value, 1.0 - value, d._level_quantile(1.0 - value, value))
+    return TailResult(value, 1.0 - value, d.quantile(1.0 - value, value))
 
 
 def _bpoe_edges(d: Distribution, x: float) -> TailResult | None:
@@ -250,9 +251,9 @@ def bpoe_closed(d: Distribution, x: float) -> TailResult:
 
 def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     """bPOE as the tail mass eps in [smallest normal float, 1] that solves
-    sq(1 - eps, eps) = x with ``_optim.level_root``, to about 1e-13 relative.
-    Beyond sq at the smallest normal eps it underflows and reads 0.0. A
-    residual above 1e-6 max(1, |x|) raises ``ConvergenceError``.
+    superquantile(d, 1 - eps, eps) = x with ``_optim.level_root``, to about
+    1e-13 relative. Beyond sq at the smallest normal eps it underflows and
+    reads 0.0. A residual above 1e-6 max(1, |x|) raises ``ConvergenceError``.
     """
     edge = _bpoe_edges(d, x)
     if edge is not None:
@@ -260,20 +261,15 @@ def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     m = d.mean()
     if x == m:
         return TailResult(1.0, 0.0, d.support().lower)
-    formula = _SQ_FORMULAS[type(d)]
-
-    def sq(alpha: float, eps: float) -> float:
-        return formula(d, alpha, eps) if alpha > 0.0 else m
-
-    alpha, eps = level_root(sq, d._level_quantile, x, _TINY, 1.0,
-                            cantelli_level(x, m, d.variance()))
-    residual = sq(alpha, eps) - x
-    if eps == _TINY and residual < 0.0:
+    alpha, eps = level_root(lambda a, e: superquantile(d, a, e), d.quantile, x,
+                            sys.float_info.min, 1.0, cantelli_level(x, m, d.variance()))
+    residual = superquantile(d, alpha, eps) - x
+    if eps == sys.float_info.min and residual < 0.0:
         return _result_from_value(d, 0.0)
     if abs(residual) > 1e-6 * max(1.0, abs(x)):
         raise ConvergenceError("bPOE root engine stalled",
                                {"alpha": alpha, "eps": eps, "residual": residual, "threshold": x})
-    return TailResult(eps, alpha, d._level_quantile(alpha, eps))
+    return TailResult(eps, alpha, d.quantile(alpha, eps))
 
 
 def _std_normal_tail(g: float) -> tuple[float, float, float]:

@@ -62,15 +62,14 @@ def _deep_enough(bounded, eps):
 @pytest.mark.parametrize("d", ROOT_FAMILIES, ids=repr)
 def test_matches_bisection_superquantile_shape(d):
     lo, hi = sys.float_info.min, 1.0
-    formula = tm._SQ_FORMULAS[type(d)]
 
     def sq(alpha, eps):
-        return formula(d, alpha, eps) if alpha > 0.0 else d.mean()
+        return tm.superquantile(d, alpha, eps)
 
     for eps in EPSILONS:
         if _deep_enough(math.isfinite(d.support().upper), eps):
             x = sq(1.0 - eps, eps)
-            got = level_root(sq, d._level_quantile, x, lo, hi,
+            got = level_root(sq, d.quantile, x, lo, hi,
                              cantelli_level(x, d.mean(), d.variance()))
             _assert_same_pair(got, _bisect_u(sq, x, lo, hi), 1e-10)
 
@@ -83,13 +82,10 @@ def test_matches_bisection_zeta_shape(family):
     m, sd = d.mean(), math.sqrt(d.variance())
     lo, hi = sys.float_info.min, 1.0
 
-    def zeta(alpha, eps):
-        if family.family == "gev":
-            return family._gev_zeta(alpha, eps)
-        return tm._SQ_FORMULAS[type(d)](d, alpha, eps) if alpha > 0.0 else 0.0
+    zeta = family.zeta
 
     def loss_quantile(alpha, eps):
-        return (m - d._level_quantile(eps, alpha)) / sd
+        return (m - d.quantile(eps, alpha)) / sd
 
     for eps in EPSILONS:
         if _deep_enough(family.family == "gev", eps):   # GEV(xi > 0): a bounded loss
@@ -108,7 +104,7 @@ def test_matches_bisection_oracle_shape():
 
     for alpha in (0.2, 0.9):
         x = tm.superquantile(d, alpha)
-        got = level_root(sq, d._level_quantile, x, lo, hi,
+        got = level_root(sq, d.quantile, x, lo, hi,
                          cantelli_level(x, d.mean(), d.variance()))
         _assert_same_pair(got, _bisect_u(sq, x, lo, hi), 1e-8)
 
@@ -139,15 +135,16 @@ def _mpmath_root_logistic(mp, x):
     return mp.exp(mp.findroot(lambda la: log_sq(la) - mp.log(x), mp.log(x)))
 
 
-def _count_formula_calls(monkeypatch):
-    """Count superquantile formula evaluations, which the root engine makes
-    without going through ``superquantile``."""
+def _count_superquantile_calls(monkeypatch):
+    """Count the root engine's superquantile evaluations."""
     calls = [0]
-    for family, formula in tm._SQ_FORMULAS.items():
-        def counted(d, alpha, eps, formula=formula):
-            calls[0] += 1
-            return formula(d, alpha, eps)
-        monkeypatch.setitem(tm._SQ_FORMULAS, family, counted)
+    superquantile = tm.superquantile
+
+    def counted(*args):
+        calls[0] += 1
+        return superquantile(*args)
+
+    monkeypatch.setattr(tm, "superquantile", counted)
     return calls
 
 
@@ -160,7 +157,7 @@ def test_level_just_above_the_mean_takes_newton_steps(monkeypatch, d, x):
     with mp.workdps(40):
         solve = _mpmath_root_normal if isinstance(d, dist.Normal) else _mpmath_root_logistic
         want = float(solve(mp, x))
-    calls = _count_formula_calls(monkeypatch)
+    calls = _count_superquantile_calls(monkeypatch)
     result = tm.bpoe(d, x)
     assert calls[0] <= 15
     assert abs(result.alpha_star - want) <= 1e-10 * want, (result.alpha_star, want)
@@ -168,7 +165,7 @@ def test_level_just_above_the_mean_takes_newton_steps(monkeypatch, d, x):
 
 def test_root_below_the_smallest_level_stops_there(monkeypatch):
     # sq(5e-324) = 1.9e-322 already exceeds x: the root is not a float
-    calls = _count_formula_calls(monkeypatch)
+    calls = _count_superquantile_calls(monkeypatch)
     result = tm.bpoe(dist.Normal(0.0, 1.0), 5e-324)
     assert calls[0] <= 15
     assert result.alpha_star == 5e-324
@@ -176,7 +173,7 @@ def test_root_below_the_smallest_level_stops_there(monkeypatch):
 
 def test_bpoe_by_root_superquantile_budget(monkeypatch):
     thresholds = [(d, tm.superquantile(d, a)) for d in ROOT_FAMILIES for a in LEVELS]
-    calls = _count_formula_calls(monkeypatch)
+    calls = _count_superquantile_calls(monkeypatch)
     for d, x in thresholds:
         tm.bpoe_by_root(d, x)
     assert calls[0] / len(thresholds) <= 10.0
