@@ -46,10 +46,11 @@ def cantelli_level(x: float, mean: float, variance: float) -> float:
     return 1.0 / (1.0 + t * t)
 
 
-def level_root(sq: Callable[[float, float], float], q: Callable[[float, float], float],
-               x: float, lo: float, hi: float, start: float) -> tuple[float, float]:
-    """The pair (alpha, eps), eps in [lo, hi], where the superquantile sq(alpha, eps)
-    equals x; q(alpha, eps) is its quantile. Both take alpha + eps = 1.
+def level_root(f: Callable[[float, float], tuple[float, float]], x: float, lo: float,
+               hi: float, start: float) -> tuple[float, float, float, float]:
+    """The point (alpha, eps, sq, q), eps in [lo, hi], where the superquantile sq
+    equals x; f(alpha, eps), with alpha + eps = 1, returns the pair (sq, q) of the
+    superquantile and its quantile, evaluated once per step.
 
     Safeguarded Newton on log(sq - sq(hi)), whose slope in t = log(-u),
     u = log(eps), is (q - sq) u / (sq - sq(hi)). Near the top (alpha < eps, or
@@ -57,25 +58,29 @@ def level_root(sq: Callable[[float, float], float], q: Callable[[float, float], 
     and the step is taken in t; elsewhere the tail is nearer a power of eps
     and the step is taken in u. A step leaving the bracket, a start outside
     (lo, hi), or sq rounding to sq(hi), becomes bisection in u. Returns the
-    pair at lo or hi when x lies outside [sq(hi), sq(lo)]. Stops at a step or
-    bracket of 1e-13 min(|u|, 1) in u: relative precision 1e-13 in eps, and
-    in alpha too where alpha is small.
+    point at lo or hi when x lies outside [sq(hi), sq(lo)]. Stops when the
+    next step or the bracket falls to 1e-13 min(|u|, 1) in u and returns the
+    last evaluated point, which is within that step of the root: relative
+    precision 1e-13 in eps, and in alpha too where alpha is small.
     """
     u_lo, u_hi = math.log(lo), math.log(hi)   # sq at u_lo > x > sq at u_hi
-    s_top = sq(-math.expm1(u_hi), hi)
+    alpha = -math.expm1(u_hi)
+    s_top, q = f(alpha, hi)
     if x <= s_top:
-        return -math.expm1(u_hi), hi
-    if x >= sq(-math.expm1(u_lo), lo):
-        return -math.expm1(u_lo), lo
+        return alpha, hi, s_top, q
+    alpha = -math.expm1(u_lo)
+    s, q = f(alpha, lo)
+    if x >= s:
+        return alpha, lo, s, q
     u = math.log(start) if lo < start < hi else 0.5 * (u_lo + u_hi)
     for _ in range(100):
         alpha, eps = -math.expm1(u), math.exp(u)
-        s = sq(alpha, eps)
+        s, q = f(alpha, eps)
         if s > x:
             u_lo = u
         else:
             u_hi = u
-        slope = (q(alpha, eps) - s) * u / (s - s_top) if s > s_top else 0.0
+        slope = (q - s) * u / (s - s_top) if s > s_top else 0.0
         k = math.log((s - s_top) / (x - s_top)) / slope if 0.0 < slope < math.inf else math.nan
         if u_hi == 0.0 or alpha < eps:
             new = u * math.exp(-k) if k > -700.0 else math.nan
@@ -86,9 +91,9 @@ def level_root(sq: Callable[[float, float], float], q: Callable[[float, float], 
         new = min(new, -_LEAST_FLOAT)
         tol = 1e-13 * min(1.0, abs(new))
         if abs(new - u) <= tol or u_hi - u_lo <= tol:
-            return -math.expm1(new), math.exp(new)
+            break
         u = new
-    return -math.expm1(u), math.exp(u)
+    return alpha, eps, s, q
 
 
 def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,

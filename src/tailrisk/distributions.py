@@ -99,6 +99,15 @@ def _std_normal_quantile(alpha: float, eps: float) -> float:
     return t if alpha <= eps else -t
 
 
+def _hill_ratio(u: float, r: float) -> float:
+    """t / w for the Student-t quantile t with nu = 1/r at the Normal quantile w,
+    u = w^2, to 1/nu^4 (Abramowitz & Stegun 26.7.5; Hill 1970)."""
+    g2 = ((5.0 * u + 16.0) * u + 3.0) / 96.0
+    g3 = (((3.0 * u + 19.0) * u + 17.0) * u - 15.0) / 384.0
+    g4 = ((((79.0 * u + 776.0) * u + 1482.0) * u - 1920.0) * u - 945.0) / 92160.0
+    return 1.0 + r * ((u + 1.0) / 4.0 + r * (g2 + r * (g3 + r * g4)))
+
+
 # --- family classes --------------------------------------------------------
 
 class Distribution:
@@ -462,6 +471,16 @@ class StudentT(Distribution):
         z = e^-40 the tail is its asymptote z^(nu/2) c / sqrt(nu), exact to rounding."""
         nu, a = self.nu, 0.5 * self.nu
         t2 = t * t
+        if nu >= 1e3 and 200.0 * t2 <= nu:
+            # the Normal limit of _std_lower_quantile inverted: w = t / (t / w) is a
+            # contraction by at most w^2 / (2 nu) <= 1/400, so a few steps settle it
+            w = t
+            for _ in range(20):
+                w_next = t / _hill_ratio(w * w, 1.0 / nu)
+                if w_next == w:
+                    break
+                w = w_next
+            return 0.5 * math.erfc(-w / _SQRT2)
         if t2 * (a + 1.0) < 1.5 * nu:   # y below reg_inc_beta's switch (1/2 + 1) / (a + 5/2)
             half = 0.5 * specfun.reg_inc_beta(t2 / (nu + t2), 0.5, a)
             return 0.5 - half if t <= 0 else 0.5 + half
@@ -487,12 +506,8 @@ class StudentT(Distribution):
         nu, a = self.nu, 0.5 * self.nu
         if nu >= 1e3:
             w = _std_normal_quantile(p, 1.0 - p)
-            u, r = w * w, 1.0 / nu
-            if 200.0 * u <= nu:
-                g2 = ((5.0 * u + 16.0) * u + 3.0) / 96.0
-                g3 = (((3.0 * u + 19.0) * u + 17.0) * u - 15.0) / 384.0
-                g4 = ((((79.0 * u + 776.0) * u + 1482.0) * u - 1920.0) * u - 945.0) / 92160.0
-                return w * (1.0 + r * ((u + 1.0) / 4.0 + r * (g2 + r * (g3 + r * g4))))
+            if 200.0 * w * w <= nu:
+                return w * _hill_ratio(w * w, 1.0 / nu)
         x = p * math.sqrt(nu) * math.exp(-self._ln_c())   # 2p a B(a, 1/2) ~ z^a
         ln_z = math.log(x) / a
         if ln_z < -40.0:   # relative error of the asymptote < z; an overflow is -inf

@@ -136,13 +136,13 @@ def oracle_bpoe(d: Distribution, x: float,
     if not m < x < upper:
         raise DomainError(f"threshold must lie in (mean, sup) = ({m}, {upper}), got {x}")
 
-    def sq(alpha: float, eps: float) -> float:
-        return oracle_superquantile(d, alpha, cfg).value
+    def pair(alpha: float, eps: float) -> tuple[float, float]:
+        q = d.quantile(alpha, eps) if alpha else d.support().lower
+        return oracle_superquantile(d, alpha, cfg).value, q
 
-    alpha, eps = level_root(sq, d.quantile, x, 1e-13, 1.0,
-                            cantelli_level(x, m, d.variance()))
+    alpha, eps, _, q = level_root(pair, x, 1e-13, 1.0, cantelli_level(x, m, d.variance()))
     at_root = oracle_superquantile(d, alpha, cfg)
-    slope = (at_root.value - d.quantile(alpha, eps)) / eps
+    slope = (at_root.value - q) / eps
     return OracleResult(eps, (abs(at_root.value - x) + at_root.error_estimate) / slope)
 
 

@@ -94,10 +94,12 @@ class QualifiedFamily:
             return StudentT(self.nu, math.sqrt((self.nu - 2.0) / self.nu), 0.0)
         return GEV(0.0, 1.0, self.xi)
 
-    def zeta(self, alpha: float, _eps: float | None = None) -> float:
+    def zeta(self, alpha: float, _eps: float | None = None) -> float | tuple[float, float]:
         """Stdev-to-CVaR multiplier: the superquantile at alpha in [0, 1) of the
         standardized loss (m - X) / sd, which has the unit-variance member's law
-        for the symmetric families; ``_eps`` = 1 - alpha as in ``superquantile``.
+        for the symmetric families. Given ``_eps`` = 1 - alpha, as in
+        ``superquantile``, it returns the pair (zeta, q), q the standardized
+        loss quantile at alpha, for ``level_root``.
         For GEV(0, 1, xi) and p = 1 - alpha it is alpha (sq(p) - m) / (p sd), sq the
         upper tail average, for alpha < 1/2, where it does not cancel; beyond,
         sign(xi) (G(1-xi) - G(1-xi, -ln p) / p) / sqrt(G(1-2xi) - G(1-xi)^2),
@@ -109,16 +111,21 @@ class QualifiedFamily:
         if _eps is None and not 0.0 <= alpha < 1.0:
             raise DomainError(f"zeta level must lie in [0, 1), got {alpha}")
         p = 1.0 - alpha if _eps is None else _eps
-        sd = math.sqrt(d.variance())
+        m, sd = d.mean(), math.sqrt(d.variance())
         if alpha < 0.5:
-            return alpha * (_sq_gev(d, p, alpha) - d.mean()) / (p * sd) if alpha else 0.0
-        y = -math.log(p)
-        if d._xi0:
-            gap = specfun.EULER_GAMMA + math.log(y) - specfun.log_integral(p) / p
+            z = alpha * (_sq_gev(d, p, alpha) - m) / (p * sd) if alpha else 0.0
         else:
-            gap = (math.gamma(1.0 - self.xi)
-                   - specfun.upper_inc_gamma(1.0 - self.xi, y) / p) / self.xi
-        return gap / sd
+            y = -math.log(p)
+            if d._xi0:
+                gap = specfun.EULER_GAMMA + math.log(y) - specfun.log_integral(p) / p
+            else:
+                gap = (math.gamma(1.0 - self.xi)
+                       - specfun.upper_inc_gamma(1.0 - self.xi, y) / p) / self.xi
+            z = gap / sd
+        if _eps is None:
+            return z
+        # the loss at level alpha is the return at level p = 1 - alpha
+        return z, (m - (d._level_quantile(p, alpha) if alpha else d.support().upper)) / sd
 
     def label(self) -> str:
         if self.family == "student-t":
@@ -368,10 +375,9 @@ def _invert_zeta(family: QualifiedFamily, target: float) -> float:
     d = family._unit_variance_member()
     if family.family != "gev":
         return bpoe(d, target).value
-    m, sd = d.mean(), math.sqrt(d.variance())
-    alpha, eps = level_root(family.zeta, lambda a, e: (m - d.quantile(e, a)) / sd,
-                            target, sys.float_info.min, 1.0, cantelli_level(target, 0.0, 1.0))
-    return 0.0 if eps == sys.float_info.min and family.zeta(alpha, eps) < target else eps
+    _, eps, z, _ = level_root(family.zeta, target, sys.float_info.min, 1.0,
+                              cantelli_level(target, 0.0, 1.0))
+    return 0.0 if eps == sys.float_info.min and z < target else eps
 
 
 def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,

@@ -23,7 +23,7 @@ from . import specfun
 from ._optim import cantelli_level, golden_section_min, level_root
 from .distributions import (GEV, GPD, Distribution, Exponential, Laplace,
                             LogLogistic, LogNormal, Logistic, Normal, Pareto,
-                            StudentT, Weibull, _neg_log, _scaled_power)
+                            StudentT, Weibull, _exp_or_inf, _neg_log, _scaled_power)
 from .errors import ConvergenceError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
@@ -33,6 +33,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 CLOSED_BPOE_FAMILIES = (Exponential, Pareto, GPD, Laplace)
 #: families with a convex-minimization bPOE engine
 MINIMIZATION_BPOE_FAMILIES = (Normal, Logistic)
+#: families symmetric about their location mu
+_SYMMETRIC_FAMILIES = (Normal, Laplace, Logistic, StudentT)
 
 
 class TailResult(NamedTuple):
@@ -84,22 +86,32 @@ def _sq_laplace(d: Laplace, alpha: float, eps: float) -> float:
     return d.mu + d.b * (1.0 - math.log(2.0 * eps))
 
 
-def _sq_normal(d: Normal, alpha: float, eps: float) -> float:
+def _sq_normal(d: Normal, alpha: float, eps: float,
+               pair: bool = False) -> float | tuple[float, float]:
     w = specfun.erfc_inv(2.0 * (alpha if alpha < eps else eps))   # |z| / sqrt2
-    return d.mu + d.sigma * math.exp(-w * w) / (_SQRT_2PI * eps)
+    sq = d.mu + d.sigma * math.exp(-w * w) / (_SQRT_2PI * eps)
+    if not pair:
+        return sq
+    t = -_SQRT2 * w   # the lower-half quantile, mirrored as Normal._quantile does
+    return sq, d.mu + d.sigma * (t if alpha <= eps else -t)
 
 
-def _sq_lognormal(d: LogNormal, alpha: float, eps: float) -> float:
+def _sq_lognormal(d: LogNormal, alpha: float, eps: float,
+                  pair: bool = False) -> float | tuple[float, float]:
     # 1 + erf(s/sqrt2 - z) written as erfc(z - s/sqrt2) to survive eps -> 0
     z = -specfun.erfc_inv(2.0 * alpha) if alpha < eps else specfun.erfc_inv(2.0 * eps)
-    return 0.5 * math.exp(d.mu + 0.5 * d.s ** 2) * specfun.erfc(z - d.s / _SQRT2) / eps
+    sq = 0.5 * math.exp(d.mu + 0.5 * d.s ** 2) * specfun.erfc(z - d.s / _SQRT2) / eps
+    if not pair:
+        return sq
+    return sq, _exp_or_inf(d.mu + d.s * (_SQRT2 * z))   # sqrt2 z: the standard normal quantile
 
 
 def _sq_logistic(d: Logistic, alpha: float, eps: float) -> float:
     return d.mu + d.s * specfun.binary_entropy(alpha if alpha < eps else eps) / eps
 
 
-def _sq_student(d: StudentT, alpha: float, eps: float) -> float:
+def _sq_student(d: StudentT, alpha: float, eps: float,
+                pair: bool = False) -> float | tuple[float, float]:
     """sq = mu + s (nu + t^2) pdf(t) / ((nu - 1) eps) at t = |q| standardized, where
     (nu + t^2) pdf(t) = nu c (1 + t^2/nu)^(-(nu-1)/2) neither overflows nor
     underflows; past t^2 = nu the log1p splits off ln(t^2/nu), which stays
@@ -111,7 +123,10 @@ def _sq_student(d: StudentT, alpha: float, eps: float) -> float:
     else:
         ln_1p = math.log1p(t * t / nu)
     tail = nu * math.exp(d._ln_c() - 0.5 * (nu - 1.0) * ln_1p)
-    return d.mu + d.s * tail / ((nu - 1.0) * eps)
+    sq = d.mu + d.s * tail / ((nu - 1.0) * eps)
+    if not pair:
+        return sq
+    return sq, d.mu + d.s * (t if alpha <= eps else -t)
 
 
 def _sq_weibull(d: Weibull, alpha: float, eps: float) -> float:
@@ -155,25 +170,50 @@ _SQ_FORMULAS = {
 }
 
 
-def superquantile(d: Distribution, alpha: float, _eps: float | None = None) -> float:
+#: families whose formula holds its quantile and returns (sq, q) given ``pair``
+_SQ_HOLDS_QUANTILE = (Normal, LogNormal, StudentT)
+
+
+def superquantile(d: Distribution, alpha: float,
+                  _eps: float | None = None) -> float | tuple[float, float]:
     """Closed-form superquantile (CVaR) at probability level alpha in [0, 1).
 
     Returns inf when the mean diverges; superquantile(d, 0) is the mean, which
-    is -inf where it lies below the floats (GEV with xi < -170.6). The root
-    engine passes the tail mass ``_eps`` = 1 - alpha too, unchecked.
+    is -inf where it lies below the floats (GEV with xi < -170.6).
+
+    The root engines pass the tail mass ``_eps`` = 1 - alpha too, unchecked,
+    and get the pair (sq, q) of the superquantile and the quantile at alpha,
+    the slope of sq in log(eps) being q - sq: Normal, LogNormal and Student-t
+    read q off the quantile their formula holds, the other families add
+    ``_level_quantile``. At alpha = 0 the pair is (mean, lower end of the
+    support), so no quantile is evaluated at level 0.
     """
-    if _eps is None and not 0.0 <= alpha < 1.0:
-        raise DomainError(f"superquantile level must lie in [0, 1), got {alpha}")
-    m = d.mean()
-    if m == math.inf:
-        return math.inf
+    if _eps is None:
+        if not 0.0 <= alpha < 1.0:
+            raise DomainError(f"superquantile level must lie in [0, 1), got {alpha}")
+        m = d.mean()
+        if alpha == 0.0 or m == math.inf:
+            return m
+        return _SQ_FORMULAS[type(d)](d, alpha, 1.0 - alpha)
     if alpha == 0.0:
-        return m
-    return _SQ_FORMULAS[type(d)](d, alpha, 1.0 - alpha if _eps is None else _eps)
+        return d.mean(), d.support().lower
+    if d.mean() == math.inf:
+        return math.inf, d._level_quantile(alpha, _eps)
+    formula = _SQ_FORMULAS[type(d)]
+    if isinstance(d, _SQ_HOLDS_QUANTILE):
+        return formula(d, alpha, _eps, True)
+    return formula(d, alpha, _eps), d._level_quantile(alpha, _eps)
 
 
 def left_superquantile(d: Distribution, alpha: float) -> float:
-    """Average of the lower alpha-fraction of outcomes, alpha in (0, 1]."""
+    """Average of the lower alpha-fraction of outcomes, alpha in (0, 1].
+
+    For the symmetric families it is 2 mu - sq at the pair (1 - alpha, alpha),
+    which keeps its precision as alpha -> 0. Elsewhere it is
+    (mean - (1 - alpha) sq(alpha)) / alpha, which cancels as alpha -> 0: where
+    1e-14 relative error in each term leaves less than 1e-8 relative in the
+    result, it raises ``DomainError`` instead of returning a wrong value.
+    """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"left superquantile level must lie in (0, 1], got {alpha}")
     m = d.mean()
@@ -181,7 +221,13 @@ def left_superquantile(d: Distribution, alpha: float) -> float:
         raise DomainError("left superquantile requires a finite mean")
     if alpha == 1.0:
         return m
-    return (m - (1.0 - alpha) * superquantile(d, alpha)) / alpha
+    if isinstance(d, _SYMMETRIC_FAMILIES):
+        return 2.0 * d.mu - _SQ_FORMULAS[type(d)](d, 1.0 - alpha, alpha)
+    upper = (1.0 - alpha) * superquantile(d, alpha)
+    if 1e-14 * (abs(m) + abs(upper)) > 1e-8 * abs(m - upper):
+        raise DomainError(f"left superquantile of {d.family} at alpha={alpha} cancels "
+                          "below 1e-8 relative precision")
+    return (m - upper) / alpha
 
 
 # --- bPOE engines -----------------------------------------------------------
@@ -252,8 +298,11 @@ def bpoe_closed(d: Distribution, x: float) -> TailResult:
 def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     """bPOE as the tail mass eps in [smallest normal float, 1] that solves
     superquantile(d, 1 - eps, eps) = x with ``_optim.level_root``, to about
-    1e-13 relative. Beyond sq at the smallest normal eps it underflows and
-    reads 0.0. A residual above 1e-6 max(1, |x|) raises ``ConvergenceError``.
+    1e-13 relative. Each step evaluates the pair (sq, q) once, and the
+    residual and ``quantile_star`` are read from the engine's last pair, so
+    no family's ``quantile`` is called. Beyond sq at the smallest normal eps
+    it underflows and reads 0.0. A residual above 1e-6 max(1, |x|) raises
+    ``ConvergenceError``.
     """
     edge = _bpoe_edges(d, x)
     if edge is not None:
@@ -261,15 +310,15 @@ def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     m = d.mean()
     if x == m:
         return TailResult(1.0, 0.0, d.support().lower)
-    alpha, eps = level_root(lambda a, e: superquantile(d, a, e), d.quantile, x,
-                            sys.float_info.min, 1.0, cantelli_level(x, m, d.variance()))
-    residual = superquantile(d, alpha, eps) - x
+    alpha, eps, sq, q = level_root(lambda a, e: superquantile(d, a, e), x, sys.float_info.min,
+                                   1.0, cantelli_level(x, m, d.variance()))
+    residual = sq - x
     if eps == sys.float_info.min and residual < 0.0:
         return _result_from_value(d, 0.0)
     if abs(residual) > 1e-6 * max(1.0, abs(x)):
         raise ConvergenceError("bPOE root engine stalled",
                                {"alpha": alpha, "eps": eps, "residual": residual, "threshold": x})
-    return TailResult(eps, alpha, d.quantile(alpha, eps))
+    return TailResult(eps, alpha, q)
 
 
 def _std_normal_tail(g: float) -> tuple[float, float, float]:

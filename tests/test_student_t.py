@@ -122,6 +122,39 @@ def test_cdf_matches_mpmath(nu):
         assert err <= 2e-12 * scale + 2.0 ** -54, (nu, t, d.cdf(t), float(want))
 
 
+def _mp_cdf_near_normal(nu: float, t: float):
+    """Lower-tail cdf (1 - I_x(1/2, nu/2)) / 2, x = t^2 / (nu + t^2), at t <= 0: the
+    series in x converges fast where t^2 << nu, with digits to spare for the
+    cancellation of 1 - I down to a tail of e^(-t^2/2)."""
+    with mp.workdps(60 + int(t * t / 4.6)):
+        nu, t = mp.mpf(nu), mp.mpf(t)
+        return (1 - mp.betainc(mp.mpf(1) / 2, nu / 2, 0, t * t / (nu + t * t),
+                               regularized=True)) / 2
+
+
+@pytest.mark.parametrize("nu", (1e3, 1e4, 1e9, 1e16, 1e40))
+def test_cdf_at_huge_nu(nu):
+    # where t^2 <= nu / 200 the cdf is Phi(w), w the Normal-limit quantile
+    # inverted; the incomplete beta read 0.0075 at the 0.01 quantile for
+    # nu = 1e16 and 0.5 at nu = 1e40. Inside, the bound is Phi's conditioning
+    # t^2 times a few ulps; outside (nu = 1e3, 1e4 only) it is the test above's;
+    # both allow one ulp of a value in [1/2, 1)
+    d = dist.StudentT(nu)
+    edge = math.sqrt(nu / 200.0)
+    points = [d.quantile(p) for p in LEVELS] + [-1.0, -1e-5]
+    if nu <= 1e4:
+        points += [-edge * (1 + 1e-6), -edge * (1 - 1e-6), -3.0]
+    for t in points:
+        inside = 200.0 * t * t <= nu
+        tail = _mp_cdf_near_normal(nu, t) if inside else _mp_cdf(nu, t)
+        rtol = 1e-15 * (1.0 + t * t) if inside else 2e-12
+        for x, want in ((t, tail), (-t, 1 - tail)):
+            with mp.workdps(40):
+                scale = min(want, 1 - want, abs(mp.mpf(0.5) - want))
+                err = abs(d.cdf(x) - want)
+            assert err <= rtol * scale + 2.0 ** -53, (nu, x, d.cdf(x), float(want))
+
+
 def test_cdf_far_tail_and_centre():
     # t^2 overflows in the first two; 1/2 - cdf cancelled in the last two
     assert abs(dist.StudentT(1.0).cdf(-1e200) / 3.183098861837907e-201 - 1) <= 1e-13

@@ -369,6 +369,49 @@ def test_left_superquantile_symmetry():
                    + tm.superquantile(d, 1.0 - alpha)) <= 1e-12
 
 
+def test_left_superquantile_symmetric_families_keep_small_levels():
+    # 2 mu - sq at the tail mass alpha; (m - (1 - alpha) sq) / alpha was
+    # 8.9e-5 off for Normal(5, 1) at alpha = 1e-12
+    mp = pytest.importorskip("mpmath")
+
+    def normal(a):   # mu - phi(z_a) / a; 2a - 1 needs digits down to a = 1e-300
+        with mp.workdps(350):
+            return 5 - mp.npdf(mp.sqrt(2) * mp.erfinv(2 * a - 1)) / a
+
+    def laplace(a):
+        return -1 + 2 * (mp.log(2 * a) - 1) if a < 0.5 else \
+            -1 - 2 * (1 - a) * (1 - mp.log(2 * (1 - a))) / a
+
+    def logistic(a):   # mu - s H(a) / a, H the binary entropy in nats
+        return 0.4 + 1.3 * (a * mp.log(a) + (1 - a) * mp.log1p(-a)) / a
+
+    cases = ((dist.Normal(5.0, 1.0), normal), (dist.Laplace(-1.0, 2.0), laplace),
+             (dist.Logistic(0.4, 1.3), logistic))
+    for d, exact in cases:
+        for alpha in (1e-300, 1e-12, 1e-6, 0.3, 0.7, 0.999):
+            with mp.workdps(50):
+                want = exact(mp.mpf(alpha))
+            got = tm.left_superquantile(d, alpha)
+            # 2e-13: the superquantiles' own bound (test_tail_mass.py)
+            assert abs(got - want) <= 2e-13 * max(1.0, abs(want)), (d, alpha, got, float(want))
+
+
+def test_left_superquantile_raises_where_it_cancels():
+    # Exponential(1): (m - (1 - alpha) sq) / alpha read 2.2e-8 at alpha = 1e-8
+    # (true 5e-9) and 0.0 at 1e-12; where it returns, it is accurate
+    mp = pytest.importorskip("mpmath")
+    d = dist.Exponential(1.0)
+    for alpha in (1e-12, 1e-8, 1e-3):
+        with pytest.raises(DomainError, match="cancels"):
+            tm.left_superquantile(d, alpha)
+    for alpha in (0.01, 0.05, 0.5, 0.99):
+        with mp.workdps(50):
+            a = mp.mpf(alpha)
+            want = (a + (1 - a) * mp.log1p(-a)) / a
+        got = tm.left_superquantile(d, alpha)
+        assert abs(got - want) <= 1e-8 * want, (alpha, got, float(want))
+
+
 def test_left_superquantile_logistic_multiplier():
     # mean minus left superquantile at 1-alpha equals stdev times the
     # entropy-based multiplier sqrt(3) H(alpha) / (pi (1 - alpha))
