@@ -47,32 +47,32 @@ def cantelli_level(x: float, mean: float, variance: float) -> float:
 
 
 def level_root(f: Callable[[float, float], tuple[float, float]], x: float, lo: float,
-               hi: float, start: float) -> tuple[float, float, float, float]:
-    """The point (alpha, eps, sq, q), eps in [lo, hi], where the superquantile sq
+               start: float) -> tuple[float, float, float, float]:
+    """The point (alpha, eps, sq, q), eps in [lo, 1], where the superquantile sq
     equals x; f(alpha, eps), with alpha + eps = 1, returns the pair (sq, q) of the
     superquantile and its quantile, evaluated once per step.
 
-    Safeguarded Newton on log(sq - sq(hi)), whose slope in t = log(-u),
-    u = log(eps), is (q - sq) u / (sq - sq(hi)). Near the top (alpha < eps, or
-    while the bracket reaches u = 0) sq - sq(hi) grows like a power of alpha
-    and the step is taken in t; elsewhere the tail is nearer a power of eps
-    and the step is taken in u. A step leaving the bracket, a start outside
-    (lo, hi), or sq rounding to sq(hi), becomes bisection in u. Returns the
-    point at lo or hi when x lies outside [sq(hi), sq(lo)]. Stops when the
-    next step or the bracket falls to 1e-13 min(|u|, 1) in u and returns the
-    last evaluated point, which is within that step of the root: relative
+    Safeguarded Newton on log(sq - sq(0)), sq(0) the mean at the top pair
+    (0, 1), whose slope in t = log(-u), u = log(eps), is
+    (q - sq) u / (sq - sq(0)). Near the top (alpha < eps, or while the bracket
+    reaches u = 0) sq - sq(0) grows like a power of alpha and the step is
+    taken in t; elsewhere the tail is nearer a power of eps and the step is
+    taken in u. A step leaving the bracket, a start outside (lo, 1), or sq
+    rounding to sq(0), becomes bisection in u. Returns the point at lo or at
+    the top when x lies outside [sq(0), sq(lo)]. Stops when the next step or
+    the bracket falls to 1e-13 min(|u|, 1) in u and returns the last
+    evaluated point, which is within that step of the root: relative
     precision 1e-13 in eps, and in alpha too where alpha is small.
     """
-    u_lo, u_hi = math.log(lo), math.log(hi)   # sq at u_lo > x > sq at u_hi
-    alpha = -math.expm1(u_hi)
-    s_top, q = f(alpha, hi)
+    s_top, q = f(0.0, 1.0)
     if x <= s_top:
-        return alpha, hi, s_top, q
+        return 0.0, 1.0, s_top, q
+    u_lo, u_hi = math.log(lo), 0.0   # sq at u_lo > x > sq at u_hi
     alpha = -math.expm1(u_lo)
     s, q = f(alpha, lo)
     if x >= s:
         return alpha, lo, s, q
-    u = math.log(start) if lo < start < hi else 0.5 * (u_lo + u_hi)
+    u = math.log(start) if lo < start < 1.0 else 0.5 * u_lo
     for _ in range(100):
         alpha, eps = -math.expm1(u), math.exp(u)
         s, q = f(alpha, eps)

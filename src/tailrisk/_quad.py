@@ -1,8 +1,8 @@
 """Adaptive Gauss-Kronrod quadrature on finite intervals.
 
 A single (7, 15) panel rule with interval bisection driven by a worst-first
-heap. This is the only integrator in the package; both the special-function
-kernel and the verification oracle run on it.
+heap. This is the only integrator in the package; the verification oracle
+runs on it.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -316,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="quadrature absolute tolerance")
     p_oracle.add_argument("--samples", type=int, default=100_000,
                           help="Monte-Carlo sample count")
-    p_oracle.add_argument("--seed", type=int, default=int(os.environ.get("TAILRISK_SEED", "0")),
-                          help="Monte-Carlo seed (default $TAILRISK_SEED or 0)")
+    p_oracle.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     _add_io_flags(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle)
 

@@ -125,9 +125,10 @@ def oracle_bpoe(d: Distribution, x: float,
     """bPOE by root finding on the quadrature superquantile.
 
     ``_optim.level_root`` solves oracle_superquantile(d, 1 - eps) = x for the
-    tail mass eps in [1e-13, 1] from the Cantelli start. ``error_estimate``
-    is the error in eps: the residual |sq - x| plus the quadrature error of
-    sq at the root, divided by the slope (sq - q) / eps of sq in alpha there.
+    tail mass eps in [1e-13, 1] from the Cantelli start; a threshold beyond sq
+    at eps = 1e-13 raises ``OracleError``. ``error_estimate`` is the error in
+    eps: the residual |sq - x| plus the quadrature error of sq at the root (the
+    engine's last quadrature), divided by the slope (sq - q) / eps there.
     """
     m = d.mean()
     if not math.isfinite(m):
@@ -135,15 +136,19 @@ def oracle_bpoe(d: Distribution, x: float,
     upper = d.support().upper
     if not m < x < upper:
         raise DomainError(f"threshold must lie in (mean, sup) = ({m}, {upper}), got {x}")
+    at = None   # the last quadrature, which level_root ends on
 
     def pair(alpha: float, eps: float) -> tuple[float, float]:
+        nonlocal at
         q = d.quantile(alpha, eps) if alpha else d.support().lower
-        return oracle_superquantile(d, alpha, cfg).value, q
+        at = oracle_superquantile(d, alpha, cfg)
+        return at.value, q
 
-    alpha, eps, _, q = level_root(pair, x, 1e-13, 1.0, cantelli_level(x, m, d.variance()))
-    at_root = oracle_superquantile(d, alpha, cfg)
-    slope = (at_root.value - q) / eps
-    return OracleResult(eps, (abs(at_root.value - x) + at_root.error_estimate) / slope)
+    _, eps, sq, q = level_root(pair, x, 1e-13, cantelli_level(x, m, d.variance()))
+    if eps == 1e-13 and sq < x:
+        raise OracleError("threshold lies beyond the quadrature superquantile at the "
+                          "smallest tail mass", {"eps": eps, "superquantile": sq, "threshold": x})
+    return OracleResult(eps, (abs(sq - x) + at.error_estimate) / ((sq - q) / eps))
 
 
 def mc_superquantile(d: Distribution, alpha: float,

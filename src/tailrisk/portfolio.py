@@ -375,7 +375,7 @@ def _invert_zeta(family: QualifiedFamily, target: float) -> float:
     d = family._unit_variance_member()
     if family.family != "gev":
         return bpoe(d, target).value
-    _, eps, z, _ = level_root(family.zeta, target, sys.float_info.min, 1.0,
+    _, eps, z, _ = level_root(family.zeta, target, sys.float_info.min,
                               cantelli_level(target, 0.0, 1.0))
     return 0.0 if eps == sys.float_info.min and z < target else eps
 

@@ -4,7 +4,8 @@ The superquantile has a closed form for every supported family. bPOE has a
 closed form for the exponential-tailed families (Exponential, Pareto, GPD,
 Laplace); everywhere else it is recovered from the superquantile by root
 finding in the tail mass eps = 1 - alpha, which bPOE is, and for the Normal
-and Logistic additionally by direct convex minimization of E[X - g]+ / (x - g).
+and Logistic additionally by minimizing E[X - g]+ / (x - g) with one Newton
+phase on their standardized tails, which also give their partial expectation.
 
 Conventions, applied uniformly:
   * superquantile(d, 0) is the mean; infinite-mean parameterizations give
@@ -20,7 +21,7 @@ import sys
 from typing import NamedTuple
 
 from . import specfun
-from ._optim import cantelli_level, golden_section_min, level_root
+from ._optim import cantelli_level, level_root
 from .distributions import (GEV, GPD, Distribution, Exponential, Laplace,
                             LogLogistic, LogNormal, Logistic, Normal, Pareto,
                             StudentT, Weibull, _exp_or_inf, _neg_log, _scaled_power)
@@ -308,10 +309,10 @@ def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     if edge is not None:
         return edge
     m = d.mean()
-    if x == m:
+    if x == m:   # what level_root returns at its top pair, without evaluating it
         return TailResult(1.0, 0.0, d.support().lower)
     alpha, eps, sq, q = level_root(lambda a, e: superquantile(d, a, e), x, sys.float_info.min,
-                                   1.0, cantelli_level(x, m, d.variance()))
+                                   cantelli_level(x, m, d.variance()))
     residual = sq - x
     if eps == sys.float_info.min and residual < 0.0:
         return _result_from_value(d, 0.0)
@@ -322,19 +323,26 @@ def bpoe_by_root(d: Distribution, x: float) -> TailResult:
 
 
 def _std_normal_tail(g: float) -> tuple[float, float, float]:
-    """(E[Z - g]+, P(Z > g), density at g) for the standard normal Z."""
-    density = math.exp(-0.5 * g * g) / _SQRT_2PI
-    survival = 0.5 * math.erfc(g / _SQRT2)
-    return density - g * survival, survival, density
+    """(E[Z - g | Z > g], hazard, ln P(Z > g)) for the standard normal Z; from g = 4 the mean
+    excess is Laplace's continued fraction 1/(g + 2/(g + ...)): no cancellation, no underflow."""
+    if g < 4.0:
+        survival = 0.5 * math.erfc(g / _SQRT2)
+        hazard = math.exp(-0.5 * g * g) / (_SQRT_2PI * survival)
+        return hazard - g, hazard, math.log(survival)
+    cf = g
+    for k in range(10 + int(500.0 / (g * g)), 1, -1):
+        cf = g + k / cf
+    return 1.0 / cf, g + 1.0 / cf, -0.5 * g * g - math.log(_SQRT_2PI * (g + 1.0 / cf))
 
 
 def _std_logistic_tail(g: float) -> tuple[float, float, float]:
-    """(E[Z - g]+, P(Z > g), density at g) for the standard logistic Z; the
-    survival is 1/(1 + e^g), never 1 - cdf, so it keeps its digits deep in
-    the tail."""
-    e = math.exp(-abs(g))
-    survival = e / (1.0 + e) if g > 0.0 else 1.0 / (1.0 + e)
-    return math.log1p(e) + max(-g, 0.0), survival, e / (1.0 + e) ** 2
+    """The same for the standard logistic Z, whose hazard is its cdf; the
+    survival 1/(1 + e^g) is formed as an upper tail, never as 1 - cdf."""
+    t = math.exp(-abs(g))
+    if g > 0.0:
+        excess = (1.0 + t) * (math.log1p(t) / t if t else 1.0)
+        return excess, 1.0 / (1.0 + t), -g - math.log1p(t)
+    return (1.0 + t) * (math.log1p(t) - g), t / (1.0 + t), -math.log1p(t)
 
 
 # family -> (scale of its standardization (X - mu) / scale, standardized tail)
@@ -343,44 +351,37 @@ _STD_TAILS = {Normal: (lambda d: d.sigma, _std_normal_tail),
 
 
 def bpoe_by_minimization(d: Distribution, x: float) -> TailResult:
-    """bPOE as the minimum over g < x of E[X - g]+ / (x - g).
+    """bPOE as the minimum over g < x of E[X - g]+ / (x - g), for Normal and Logistic.
 
-    Available for Normal and Logistic, whose partial expectations are
-    closed-form; the search runs in standardized units z = (X - mu) / scale.
-    Golden-section localizes the convex minimum; Newton on the stationarity
-    residual E[Z - g]+ - (zx - g) P(Z > g), whose slope is (zx - g) times
-    the density, pins the argmin, which is the quantile at level 1 - bPOE.
-    Domain: the density at the argmin must be a normal float. For the
-    Normal it underflows beyond about x = 37.6 sigma (the bPOE at 38 sigma
-    is about 3e-316), and the engine raises ConvergenceError there.
+    In standardized units the argmin g, the quantile at level 1 - bPOE, solves
+    s(g) = g + E[Z - g | Z > g] = zx, slope hazard * excess, by Newton from g = zx
+    (s > zx there), bisecting steps that leave the bracket. The value,
+    exp(ln S + ln(excess / (zx - g))), is flat to first order in g and precise
+    into the subnormals. ``ConvergenceError`` if 100 steps do not settle.
     """
     if not isinstance(d, MINIMIZATION_BPOE_FAMILIES):
         raise DomainError(f"no minimization bPOE engine for family {d.family!r}")
-    m = d.mean()
-    if x <= m:
-        raise DomainError(f"minimization engine requires x > mean, got x={x}, mean={m}")
+    if x <= d.mean():
+        raise DomainError(f"minimization engine requires x > mean, got x={x}, mean={d.mean()}")
     scale_of, tail = _STD_TAILS[type(d)]
     scale = scale_of(d)
     zx = (x - d.mu) / scale
-
-    def objective(g: float) -> float:
-        return tail(g)[0] / (zx - g)
-
-    g = golden_section_min(objective, (d.quantile(1e-9) - d.mu) / scale,
-                           zx - 1e-12 * (1.0 + abs(zx)), xtol=1e-6)
-    for _ in range(200):
-        pe, survival, density = tail(g)
-        slope = (zx - g) * density
-        if density < sys.float_info.min or not slope > 0.0:   # underflow, or g left (-inf, zx)
-            break
-        residual = pe - (zx - g) * survival
-        g -= residual / slope
-        # the residual cancels to rounding noise, so it, not only the step, ends the loop
-        if abs(residual) <= 1e-13 * (1.0 + abs(g)) * slope or abs(residual) <= 1e-15 * pe:
-            value = min(1.0, max(0.0, objective(g)))
+    lo, hi, g = -math.inf, zx, zx
+    for _ in range(100):
+        excess, hazard, ln_survival = tail(g)
+        residual = g + excess - zx
+        lo, hi = (lo, g) if residual > 0.0 else (g, hi)
+        new = g - residual / (hazard * excess) if hazard * excess > 0.0 else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        # g + excess cancels near the mean, so a residual at its rounding level ends the loop too
+        if abs(new - g) <= 1e-14 * max(1.0, abs(g)) or abs(residual) <= 4e-16 * (abs(g) + excess):
+            # g = zx only where the excess is below the rounding of zx
+            value = min(1.0, math.exp(ln_survival + math.log(excess / (zx - g) if g < zx else 1.0)))
             return TailResult(value, 1.0 - value, d.mu + scale * g)
+        g = new
     raise ConvergenceError("bPOE minimization engine did not converge",
-                           {"threshold": x, "gamma": d.mu + scale * g, "value": objective(g)})
+                           {"threshold": x, "gamma": d.mu + scale * g, "residual": residual})
 
 
 def bpoe(d: Distribution, x: float) -> TailResult:
@@ -391,7 +392,15 @@ def bpoe(d: Distribution, x: float) -> TailResult:
 
 
 def partial_expectation(d: Distribution, gamma: float) -> float:
-    """E[X - gamma]+ via (superquantile(F(gamma)) - gamma) * (1 - F(gamma))."""
+    """E[X - gamma]+: for Normal and Logistic scale S e, survival S and mean excess e
+    of the standardized tail, precise into the subnormals; elsewhere
+    (superquantile(F(gamma)) - gamma) (1 - F(gamma)), which raises ``DomainError``
+    where 1 - F(gamma), at 1e-14 absolute error in F, keeps less than 1e-8 relative.
+    """
+    if isinstance(d, MINIMIZATION_BPOE_FAMILIES):
+        scale_of, tail = _STD_TAILS[type(d)]
+        excess, _, ln_survival = tail((gamma - d.mu) / scale_of(d))
+        return scale_of(d) * excess * math.exp(ln_survival)
     m = d.mean()
     if m == math.inf:
         return math.inf
@@ -401,8 +410,9 @@ def partial_expectation(d: Distribution, gamma: float) -> float:
     prob = d.cdf(gamma)
     if prob <= 0.0:
         return m - gamma
-    if prob >= 1.0:
-        return 0.0
+    if 1e-14 > 1e-8 * (1.0 - prob):
+        raise DomainError(f"partial expectation of {d.family} at gamma={gamma}: "
+                          "1 - F(gamma) keeps less than 1e-8 relative precision")
     return (superquantile(d, prob) - gamma) * (1.0 - prob)
 
 

@@ -28,6 +28,13 @@ def test_dist_bpoe_at_mean(capsys):
     assert payload["metric"] == "bpoe"
 
 
+def test_dist_bpoe_at_mean_of_a_root_family(capsys):
+    code, out, err = run(capsys, "dist", "--family", "normal", "--mu", "0", "--sigma", "1",
+                         "--metric", "bpoe", "--x", "0")
+    assert code == 0, err
+    assert json.loads(out)["alpha_star"] == 0.0 and "-0.0" not in out
+
+
 def test_dist_weibull_cvar_matches_library(capsys):
     payload = run_json(capsys, "dist", "--family", "weibull", "--lambda", "0.5",
                        "--k", "1.4", "--metric", "cvar", "--alpha", "0.9")

@@ -4,7 +4,7 @@ import pytest
 
 from tailrisk import distributions as dist
 from tailrisk import tail_metrics as tm
-from tailrisk.errors import DomainError
+from tailrisk.errors import DomainError, OracleError
 from tailrisk.oracle import (OracleConfig, OracleResult, mc_superquantile,
                              oracle_bpoe, oracle_superquantile)
 
@@ -48,6 +48,18 @@ def test_oracle_bpoe_closed_form_cross_checks():
     d = dist.GEV(0.0, 1.0, 0.2)
     x = tm.superquantile(d, 0.93)
     assert abs(oracle_bpoe(d, x, CFG).value - tm.bpoe(d, x).value) <= 1e-6
+
+
+def test_oracle_bpoe_beyond_the_smallest_tail_mass_raises():
+    # sq(1 - 1e-13) = 7.46 for N(0, 1): bPOE at 7.5 is 8.6e-14, at 8 it is 1.7e-15
+    d = dist.Normal(0.0, 1.0)
+    for x in (7.5, 8.0):
+        with pytest.raises(OracleError) as info:
+            oracle_bpoe(d, x, CFG)
+        assert info.value.diagnostics["eps"] == 1e-13
+        assert info.value.diagnostics["superquantile"] < x
+    within = oracle_bpoe(d, 7.0, CFG)   # 3.4e-12, inside the bracket
+    assert abs(within.value - tm.bpoe(d, 7.0).value) <= within.error_estimate
 
 
 def test_oracle_self_consistency():

@@ -7,7 +7,7 @@ from tailrisk import distributions as dist
 from tailrisk import specfun as sf
 from tailrisk import tail_metrics as tm
 from tailrisk._quad import adaptive_quad
-from tailrisk.errors import ConvergenceError, DomainError
+from tailrisk.errors import DomainError
 
 ALL_FAMILIES = [
     dist.Exponential(1.3), dist.Pareto(1.5, 2.0), dist.GPD(-1.0, 2.0, 0.3),
@@ -156,6 +156,9 @@ def test_root_engine_matches_closed_forms():
 def test_root_engine_at_mean():
     for d in ALL_FAMILIES:
         assert tm.bpoe_by_root(d, d.mean()).value == 1.0
+    for d in (dist.Normal(1.0, 2.0), dist.StudentT(3.0), dist.Weibull(0.5, 1.4)):
+        # the level root's top pair is the literal (0.0, 1.0), not -expm1(0.0) = -0.0
+        assert math.copysign(1.0, tm.bpoe(d, d.mean()).alpha_star) == 1.0
 
 
 def test_logistic_entropy_root_identity():
@@ -210,9 +213,87 @@ def test_logistic_minimization_deep_tail():
         got = tm.bpoe_by_minimization(d, x)
         assert abs(got.value / want - 1.0) <= 1e-12, (x, got, want)
         assert abs(got.quantile_star - float(g)) <= 1e-12 * x
-    # the Normal's density at the argmin underflows near 38 sigma
-    with pytest.raises(ConvergenceError):
-        tm.bpoe_by_minimization(dist.Normal(0.0, 1.0), 38.0)
+    # at 38 sigma the Normal's bPOE is subnormal, and exact to its last bit
+    got = tm.bpoe_by_minimization(dist.Normal(0.0, 1.0), 38.0).value
+    assert abs(got - _mp_normal_bpoe(mpmath, 38.0)) <= math.ulp(0.0)
+
+
+def _mp_normal_bpoe(mp, x):
+    """bPOE of N(0, 1) at x: the objective at the root of phi(g) / S(g) = x."""
+    with mp.workdps(60):
+        g = mp.findroot(lambda g: mp.npdf(g) / mp.ncdf(-g) - x, x - 1 / x)
+        return float(mp.ncdf(-g) * (mp.npdf(g) / mp.ncdf(-g) - g) / (x - g))
+
+
+def _mp_logistic_bpoe(mp, x):
+    """bPOE of the standard logistic at x: ln(1 + e^-g) / (x - g) at its argmin g."""
+    with mp.workdps(60):
+        g = mp.findroot(lambda g: mp.log1p(mp.exp(-g)) - (x - g) / (1 + mp.exp(g)), x - 1)
+        return float(mp.log1p(mp.exp(-g)) / (x - g))
+
+
+def test_minimization_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for x in (2.0, 5.0, 8.0, 10.0, 20.0, 30.0, 37.0):
+        got = tm.bpoe_by_minimization(dist.Normal(0.0, 1.0), x).value
+        assert abs(got / _mp_normal_bpoe(mpmath, x) - 1.0) <= 1e-12, x
+    for x in (200.0, 700.0):
+        got = tm.bpoe_by_minimization(dist.Logistic(0.0, 1.0), x).value
+        assert abs(got / _mp_logistic_bpoe(mpmath, x) - 1.0) <= 1e-14, x
+
+
+MINIMIZATION_SETTINGS = (dist.Normal(0.0, 1.0), dist.Normal(1.0, 2.0), dist.Normal(-2.0, 0.3),
+                         dist.Logistic(0.0, 1.0), dist.Logistic(-2.0, 1.5),
+                         dist.Logistic(3.0, 0.4))
+
+
+def _scale(d):
+    return d.sigma if isinstance(d, dist.Normal) else d.s
+
+
+def test_minimization_near_the_mean_agrees_with_root():
+    # g + E[Z - g | Z > g] - zx cancels here; the value is 1 - O(zx)
+    for d in MINIMIZATION_SETTINGS:
+        for k in range(3, 16):
+            x = d.mean() + 10.0 ** -k * _scale(d)
+            r_min, r_root = tm.bpoe_by_minimization(d, x), tm.bpoe_by_root(d, x)
+            assert abs(r_min.value - r_root.value) <= 1e-15, (d, k)
+
+
+def test_minimization_tail_budget(monkeypatch):
+    calls = [0]
+    for family, (scale_of, tail) in list(tm._STD_TAILS.items()):
+        def counted(g, tail=tail):
+            calls[0] += 1
+            return tail(g)
+        monkeypatch.setitem(tm._STD_TAILS, family, (scale_of, counted))
+    # the tail-grid's levels; 5.2 mean and 7 max measured
+    levels = [i / 20 for i in range(1, 20)] + [0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
+    counts = []
+    for d in MINIMIZATION_SETTINGS:
+        for alpha in levels:
+            x = tm.superquantile(d, alpha)
+            calls[0] = 0
+            tm.bpoe_by_minimization(d, x)
+            counts.append(calls[0])
+    assert sum(counts) / len(counts) <= 6 and max(counts) <= 8, counts
+    # 33 at most measured
+    for d in MINIMIZATION_SETTINGS:
+        for k in range(3, 16):
+            calls[0] = 0
+            tm.bpoe_by_minimization(d, d.mean() + 10.0 ** -k * _scale(d))
+            assert calls[0] <= 40, (d, k)
+
+
+def test_minimization_calls_no_quantile(monkeypatch):
+    calls = []
+    for cls in (dist.Normal, dist.Logistic):
+        for name in ("quantile", "tail_quantile", "cdf"):
+            monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
+    for d in MINIMIZATION_SETTINGS:
+        for alpha in (0.1, 0.9, 1.0 - 1e-9):
+            tm.bpoe_by_minimization(d, tm.superquantile(d, alpha))
+    assert calls == []
 
 
 def test_bpoe_dominates_poe():
@@ -314,6 +395,31 @@ def test_partial_expectation_tail_integral(d):
     ref, _ = adaptive_quad(lambda t: 1.0 - d.cdf(t), g, hi, atol=1e-12,
                            rtol=1e-11, limit=4000)
     assert abs(tm.partial_expectation(d, g) - ref) <= 1e-8
+
+
+def test_partial_expectation_deep_tail_matches_mpmath():
+    # S e from the standardized tail, where 1 - F(gamma) would round to 0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for g in (3.0, 8.0, 9.0, 20.0, 37.0):
+            want = float(mpmath.npdf(g) - g * mpmath.ncdf(-g))
+            got = tm.partial_expectation(dist.Normal(0.0, 1.0), g)
+            assert abs(got / want - 1.0) <= 1e-12, g
+            got = tm.partial_expectation(dist.Normal(1.0, 2.0), 1.0 + 2.0 * g)
+            assert abs(got / (2.0 * want) - 1.0) <= 1e-12, g
+        for g in (30.0, 40.0, 700.0):
+            want = float(mpmath.log1p(mpmath.exp(-g)))
+            got = tm.partial_expectation(dist.Logistic(0.0, 1.0), g)
+            assert abs(got / want - 1.0) <= 1e-12, g
+
+
+def test_partial_expectation_raises_where_the_survival_rounds():
+    # 1 - F(gamma) is 4.2e-18 and 8.8e-19: the round trip through the cdf keeps no digit
+    for d, g in ((dist.Exponential(1.0), 40.0), (dist.StudentT(3.0), 1e6)):
+        with pytest.raises(DomainError):
+            tm.partial_expectation(d, g)
+    assert abs(tm.partial_expectation(dist.Exponential(1.0), 13.0) / math.exp(-13.0)
+               - 1.0) <= 1e-8
 
 
 def test_partial_expectation_asymptotics():
