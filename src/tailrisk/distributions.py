@@ -466,9 +466,14 @@ class StudentT(Distribution):
         return math.exp(self._ln_c() - 0.5 * (self.nu + 1.0) * math.log1p(t * t / self.nu))
 
     def std_cdf(self, t: float) -> float:
-        """Cdf of the standardized variate from whichever of y = t^2 / (nu + t^2)
-        and z = 1 - y reg_inc_beta sums directly, so neither cancels; below
-        z = e^-40 the tail is its asymptote z^(nu/2) c / sqrt(nu), exact to rounding."""
+        """Cdf of the standardized variate."""
+        return self._std_tails(t)[0]
+
+    def _std_tails(self, t: float) -> tuple[float, float]:
+        """(F(t), 1 - F(t)) of the standardized variate, both from one incomplete
+        beta: from whichever of y = t^2 / (nu + t^2) and z = 1 - y reg_inc_beta sums
+        directly, so neither cancels; below z = e^-40 the tail is its asymptote
+        z^(nu/2) c / sqrt(nu), exact to rounding."""
         nu, a = self.nu, 0.5 * self.nu
         t2 = t * t
         if nu >= 1e3 and 200.0 * t2 <= nu:
@@ -480,16 +485,16 @@ class StudentT(Distribution):
                 if w_next == w:
                     break
                 w = w_next
-            return 0.5 * math.erfc(-w / _SQRT2)
+            return 0.5 * math.erfc(-w / _SQRT2), 0.5 * math.erfc(w / _SQRT2)
         if t2 * (a + 1.0) < 1.5 * nu:   # y below reg_inc_beta's switch (1/2 + 1) / (a + 5/2)
             half = 0.5 * specfun.reg_inc_beta(t2 / (nu + t2), 0.5, a)
-            return 0.5 - half if t <= 0 else 0.5 + half
+            return (0.5 - half, 0.5 + half) if t <= 0 else (0.5 + half, 0.5 - half)
         ln_z = math.log(nu) - 2.0 * math.log(abs(t)) - math.log1p(nu / t2)
         if ln_z < -40.0:
             tail = math.exp(a * ln_z + self._ln_c()) / math.sqrt(nu)
         else:
             tail = 0.5 * specfun.reg_inc_beta(nu / (nu + t2), a, 0.5)
-        return tail if t <= 0 else 1.0 - tail
+        return (tail, 1.0 - tail) if t <= 0 else (1.0 - tail, tail)
 
     def _std_lower_quantile(self, p: float) -> float:
         """Standardized quantile for p <= 0.5, where 2p = I_z(nu/2, 1/2), z = nu / (nu + t^2).

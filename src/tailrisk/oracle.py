@@ -128,7 +128,9 @@ def oracle_bpoe(d: Distribution, x: float,
     tail mass eps in [1e-13, 1] from the Cantelli start; a threshold beyond sq
     at eps = 1e-13 raises ``OracleError``. ``error_estimate`` is the error in
     eps: the residual |sq - x| plus the quadrature error of sq at the root (the
-    engine's last quadrature), divided by the slope (sq - q) / eps there.
+    engine's last quadrature), divided by the slope (sq - q) / eps there. An
+    estimate as large as the value, where the quadrature's absolute tolerance
+    swamps the tail mass, raises ``OracleError`` too: such a value carries no digit.
     """
     m = d.mean()
     if not math.isfinite(m):
@@ -148,7 +150,11 @@ def oracle_bpoe(d: Distribution, x: float,
     if eps == 1e-13 and sq < x:
         raise OracleError("threshold lies beyond the quadrature superquantile at the "
                           "smallest tail mass", {"eps": eps, "superquantile": sq, "threshold": x})
-    return OracleResult(eps, (abs(sq - x) + at.error_estimate) / ((sq - q) / eps))
+    estimate = (abs(sq - x) + at.error_estimate) / ((sq - q) / eps)
+    if estimate >= eps:
+        raise OracleError("the bPOE error estimate is as large as the bPOE",
+                          {"eps": eps, "error_estimate": estimate, "threshold": x})
+    return OracleResult(eps, estimate)
 
 
 def mc_superquantile(d: Distribution, alpha: float,

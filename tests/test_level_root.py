@@ -218,6 +218,24 @@ def test_engine_pair_equals_superquantile_and_quantile_bit_for_bit():
             assert [v.hex() for v in got] == [v.hex() for v in want], (d, eps)
 
 
+def test_minimized_bpoe_matches_the_root_engine_on_the_grid():
+    # bpoe runs bpoe_by_minimization for these three families; on every tail-grid
+    # threshold above the mean it agrees with the root engine in all three fields
+    grid = _load_bench_grid()
+    for family, params in grid.SETTINGS:
+        d = dist.make(family, **params)
+        if not isinstance(d, (dist.Logistic, dist.StudentT, dist.LogNormal)):
+            continue
+        scale = math.sqrt(d.variance()) if d.variance() < math.inf else d.s
+        for alpha in grid.ALPHAS[1:]:
+            x = tm.superquantile(d, alpha)
+            got, want = tm.bpoe(d, x), tm.bpoe_by_root(d, x)
+            assert abs(got.value / want.value - 1.0) <= 1e-12, (d, alpha)
+            assert abs(got.alpha_star / want.alpha_star - 1.0) <= 1e-12, (d, alpha)
+            assert abs(got.quantile_star - want.quantile_star) <= 1e-12 * max(
+                abs(want.quantile_star), scale), (d, alpha)
+
+
 def test_oracle_bpoe_quadrature_budget(monkeypatch):
     calls = 0
     quadrature = oracle.oracle_superquantile

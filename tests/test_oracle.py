@@ -58,8 +58,14 @@ def test_oracle_bpoe_beyond_the_smallest_tail_mass_raises():
             oracle_bpoe(d, x, CFG)
         assert info.value.diagnostics["eps"] == 1e-13
         assert info.value.diagnostics["superquantile"] < x
-    within = oracle_bpoe(d, 7.0, CFG)   # 3.4e-12, inside the bracket
-    assert abs(within.value - tm.bpoe(d, 7.0).value) <= within.error_estimate
+    # 3.45e-12 at 7.0 lies inside the bracket, but the quadrature's absolute
+    # tolerance swamps it: the estimate exceeds the value, which carries no digit
+    with pytest.raises(OracleError) as info:
+        oracle_bpoe(d, 7.0, CFG)
+    eps, estimate = info.value.diagnostics["eps"], info.value.diagnostics["error_estimate"]
+    assert estimate >= eps and abs(eps - tm.bpoe(d, 7.0).value) <= estimate
+    within = oracle_bpoe(d, 6.0, CFG)   # 2.65e-9, with an estimate a tenth of it
+    assert abs(within.value - tm.bpoe(d, 6.0).value) <= within.error_estimate < within.value
 
 
 def test_oracle_self_consistency():

@@ -242,9 +242,13 @@ def test_minimization_matches_mpmath():
         assert abs(got / _mp_logistic_bpoe(mpmath, x) - 1.0) <= 1e-14, x
 
 
+# the tail-grid's settings of the four families
 MINIMIZATION_SETTINGS = (dist.Normal(0.0, 1.0), dist.Normal(1.0, 2.0), dist.Normal(-2.0, 0.3),
                          dist.Logistic(0.0, 1.0), dist.Logistic(-2.0, 1.5),
-                         dist.Logistic(3.0, 0.4))
+                         dist.Logistic(3.0, 0.4), dist.StudentT(2.5, 2.0, 1.0),
+                         dist.StudentT(3.0, 1.0, 0.0), dist.StudentT(6.0, 0.5, -1.0),
+                         dist.LogNormal(0.0, 1.0), dist.LogNormal(0.5, 0.8),
+                         dist.LogNormal(-1.0, 1.5))
 
 
 def _scale(d):
@@ -262,12 +266,12 @@ def test_minimization_near_the_mean_agrees_with_root():
 
 def test_minimization_tail_budget(monkeypatch):
     calls = [0]
-    for family, (scale_of, tail) in list(tm._STD_TAILS.items()):
-        def counted(g, tail=tail):
+    for family, (reduce, tail) in list(tm._STD_TAILS.items()):
+        def counted(d, g, tail=tail):
             calls[0] += 1
-            return tail(g)
-        monkeypatch.setitem(tm._STD_TAILS, family, (scale_of, counted))
-    # the tail-grid's levels; 5.2 mean and 7 max measured
+            return tail(d, g)
+        monkeypatch.setitem(tm._STD_TAILS, family, (reduce, counted))
+    # the tail-grid's levels; 5.5 mean and 7 max measured
     levels = [i / 20 for i in range(1, 20)] + [0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
     counts = []
     for d in MINIMIZATION_SETTINGS:
@@ -277,23 +281,120 @@ def test_minimization_tail_budget(monkeypatch):
             tm.bpoe_by_minimization(d, x)
             counts.append(calls[0])
     assert sum(counts) / len(counts) <= 6 and max(counts) <= 8, counts
-    # 33 at most measured
+    # at most 9 measured, and 16 for Student-t, whose ln s falls like a power of -g
     for d in MINIMIZATION_SETTINGS:
         for k in range(3, 16):
             calls[0] = 0
             tm.bpoe_by_minimization(d, d.mean() + 10.0 ** -k * _scale(d))
-            assert calls[0] <= 40, (d, k)
+            assert calls[0] <= (16 if isinstance(d, dist.StudentT) else 9), (d, k)
 
 
 def test_minimization_calls_no_quantile(monkeypatch):
     calls = []
-    for cls in (dist.Normal, dist.Logistic):
+    for cls in (dist.Normal, dist.Logistic, dist.StudentT, dist.LogNormal):
         for name in ("quantile", "tail_quantile", "cdf"):
             monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
     for d in MINIMIZATION_SETTINGS:
         for alpha in (0.1, 0.9, 1.0 - 1e-9):
             tm.bpoe_by_minimization(d, tm.superquantile(d, alpha))
     assert calls == []
+
+
+def test_minimization_near_the_mean_keeps_the_argmin():
+    # ln s has no g + excess cancellation and alpha_star is the lower tail itself,
+    # so near the mean the argmin and its level match the root engine's, whose level
+    # keeps its relative precision there (mean 0, so x - mean is exact)
+    for d in (dist.Normal(0.0, 1.0), dist.Logistic(0.0, 1.0), dist.StudentT(3.0),
+              dist.StudentT(30.0)):
+        for k in range(3, 16):
+            r_min, r_root = tm.bpoe_by_minimization(d, 10.0 ** -k), tm.bpoe_by_root(d, 10.0 ** -k)
+            assert abs(r_min.quantile_star / r_root.quantile_star - 1.0) <= 1e-12, (d, k)
+            assert abs(r_min.alpha_star / r_root.alpha_star - 1.0) <= 1e-10, (d, k)
+    got = tm.bpoe_by_minimization(dist.Logistic(0.0, 1.0), 1e-15)
+    assert -38.3 < got.quantile_star < -38.1 and 2.5e-17 < got.alpha_star < 2.6e-17
+
+
+def test_bpoe_of_the_minimized_families_calls_no_superquantile_or_quantile(monkeypatch):
+    thresholds = [(d, tm.superquantile(d, alpha)) for d in MINIMIZATION_SETTINGS[3:]
+                  for alpha in (0.05, 0.5, 0.99, 1.0 - 1e-12)]
+    calls, superquantile = [], tm.superquantile
+
+    def counted(*args):
+        calls.append("superquantile")
+        return superquantile(*args)
+
+    monkeypatch.setattr(tm, "superquantile", counted)
+    for cls in dist.FAMILIES.values():
+        for name in ("quantile", "tail_quantile"):
+            monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
+    for d, x in thresholds:
+        assert tm.bpoe(d, x) == tm.bpoe_by_minimization(d, x)
+    assert calls == []
+    tm.bpoe(dist.Normal(0.0, 1.0), 2.0)   # the Normal keeps the root engine
+    assert "superquantile" in calls
+
+
+def test_bpoe_underflow_reads_zero_at_the_top_of_the_support():
+    # S underflows at the argmin: no ZeroDivisionError, and bpoe_by_root's reading
+    for d, x in ((dist.StudentT(3.0), 1e200), (dist.StudentT(30.0), 1e20),
+                 (dist.StudentT(2.5, 2.0, 1.0), 1e300), (dist.StudentT(1e16), 40.0),
+                 (dist.StudentT(1e6), 1e5), (dist.LogNormal(0.0, 1.0), 1e300),
+                 (dist.Logistic(0.0, 1.0), 1e5)):
+        assert tuple(tm.bpoe(d, x)) == (0.0, 1.0, math.inf, False), (d, x)
+
+
+def _mp_student_tails(mp, nu, g):
+    half = mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + g * g), regularized=True) / 2
+    return (half, 1 - half) if g <= 0 else (1 - half, half)
+
+
+def _mp_student_s(mp, nu, g):
+    """E[Z | Z > g] for the standardized Student-t Z."""
+    c = mp.gamma((nu + 1) / 2) / (mp.sqrt(nu * mp.pi) * mp.gamma(nu / 2))
+    return (nu + g * g) * c * (1 + g * g / nu) ** (-(nu + 1) / 2) \
+        / ((nu - 1) * _mp_student_tails(mp, nu, g)[1])
+
+
+def _mp_lognormal_s(mp, d, g):
+    """E[X | X > exp(mu + s g)] for the LogNormal d."""
+    s = mp.mpf(d.s)
+    return mp.exp(d.mu + s * s / 2) * mp.ncdf(s - g) / mp.ncdf(-g)
+
+
+def _just_above_the_mean_to_tail_mass_1e300(d, scale):
+    return [d.mean() + scale * 10.0 ** -k for k in (3, 8)] + [
+        tm.superquantile(d, 1.0 - eps, eps)[0]
+        for eps in (0.5, 1e-3, 1e-12, 1e-50, 1e-100, 1e-200, 1e-300)]
+
+
+STUDENT_SETTINGS = (dist.StudentT(2.5, 2.0, 1.0), dist.StudentT(3.0), dist.StudentT(6.0, 0.5, -1.0),
+                    dist.StudentT(30.0))
+
+
+def test_student_t_bpoe_matches_mpmath():
+    # the reference argmin g0 (1 + t) solves ln s = ln zx at 40 digits from the engine's g0
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for d in STUDENT_SETTINGS:
+            nu = mp.mpf(d.nu)
+            for x in _just_above_the_mean_to_tail_mass_1e300(d, d.s):
+                got = tm.bpoe(d, x)
+                zx, g0 = (mp.mpf(x) - d.mu) / d.s, mp.mpf((got.quantile_star - d.mu) / d.s)
+                t = mp.findroot(lambda t: mp.log(_mp_student_s(mp, nu, g0 * (1 + t)) / zx), 0)
+                want = _mp_student_tails(mp, nu, g0 * (1 + t))[1]
+                assert abs(got.value / want - 1) <= 1e-10, (d, x, got, want)
+
+
+def test_lognormal_bpoe_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for d in MINIMIZATION_SETTINGS[-3:]:
+            for x in _just_above_the_mean_to_tail_mass_1e300(d, d.mean()):
+                got = tm.bpoe(d, x)
+                g = mp.findroot(lambda g: mp.log(_mp_lognormal_s(mp, d, g) / x),
+                                (mp.log(got.quantile_star) - d.mu) / d.s)
+                want = mp.ncdf(-g)
+                assert abs(got.value / want - 1) <= 1e-10, (d, x, got, want)
 
 
 def test_bpoe_dominates_poe():
@@ -413,9 +514,34 @@ def test_partial_expectation_deep_tail_matches_mpmath():
             assert abs(got / want - 1.0) <= 1e-12, g
 
 
+def test_partial_expectation_student_t_and_lognormal_match_mpmath():
+    # from below the median down to tail mass 1e-300 (1e-100 at nu = 30, where the
+    # logarithms inside the incomplete beta leave 3.5e-12 further down)
+    mp = pytest.importorskip("mpmath")
+    masses = (0.9, 0.5, 1e-3, 1e-12, 1e-50, 1e-100, 1e-200, 1e-300)
+    with mp.workdps(40):
+        for d in STUDENT_SETTINGS:
+            nu = mp.mpf(d.nu)
+            for eps in masses[:6] if d.nu == 30.0 else masses:
+                gamma = d.tail_quantile(eps)
+                g = (mp.mpf(gamma) - d.mu) / d.s
+                want = d.s * _mp_student_tails(mp, nu, g)[1] * (_mp_student_s(mp, nu, g) - g)
+                got = tm.partial_expectation(d, gamma)
+                assert abs(got / want - 1) <= 1e-12, (d, eps, got, want)
+        for d in MINIMIZATION_SETTINGS[-3:]:
+            for eps in masses:
+                gamma = d.tail_quantile(eps)
+                g = (mp.log(gamma) - d.mu) / d.s
+                want = mp.ncdf(-g) * (_mp_lognormal_s(mp, d, g) - gamma)
+                got = tm.partial_expectation(d, gamma)
+                assert abs(got / want - 1) <= 1e-12, (d, eps, got, want)
+    assert tm.partial_expectation(dist.LogNormal(0.0, 1.0), -2.0) == math.exp(0.5) + 2.0
+
+
 def test_partial_expectation_raises_where_the_survival_rounds():
-    # 1 - F(gamma) is 4.2e-18 and 8.8e-19: the round trip through the cdf keeps no digit
-    for d, g in ((dist.Exponential(1.0), 40.0), (dist.StudentT(3.0), 1e6)):
+    # 1 - F(gamma) is 4.2e-18: the round trip through the cdf keeps no digit; at
+    # nu = 1e6 the survival at 1e5 underflows where no asymptote holds it
+    for d, g in ((dist.Exponential(1.0), 40.0), (dist.StudentT(1e6), 1e5)):
         with pytest.raises(DomainError):
             tm.partial_expectation(d, g)
     assert abs(tm.partial_expectation(dist.Exponential(1.0), 13.0) / math.exp(-13.0)
