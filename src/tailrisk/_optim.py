@@ -37,10 +37,10 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
 
 def cantelli_level(x: float, mean: float, variance: float) -> float:
     """Start for ``level_root``: the tail mass 1 / (1 + t^2), t = (x - mean) / sd,
-    or 0.5 if sd = inf. Since sq(1 - eps) <= mean + sd sqrt((1 - eps) / eps)
+    or 0.5 if sd is inf or 0 (underflowed). Since sq(1 - eps) <= mean + sd sqrt((1 - eps) / eps)
     for every finite-variance law, it lies at or above the root of sq = x.
     """
-    if not math.isfinite(variance):
+    if not 0.0 < variance < math.inf:
         return 0.5
     t = (x - mean) / math.sqrt(variance)
     return 1.0 / (1.0 + t * t)

@@ -5,8 +5,8 @@ Each family is an immutable value whose ``__init__`` validates its parameters,
 with ``pdf``, ``cdf``, ``quantile``, ``tail_quantile`` (the upper quantile as a
 stable function of the tail probability), ``mean``, ``variance``, ``support``
 and ``sample`` (numpy's normal and Student-t generators for Normal, LogNormal
-and Student-t, the inverse transform for the rest). Moments that diverge are
-reported as ``math.inf``, never as errors. ``make``/``from_json``/``to_json``
+and Student-t, the inverse transform for the rest). Moments that diverge or
+leave binary64 are reported as ``math.inf``, never as errors. ``make``/``from_json``/``to_json``
 provide the CLI wire format ``{"family": ..., "params": {...}}``.
 
 Each family writes its quantile once, as ``_quantile(alpha, eps)`` with
@@ -62,7 +62,7 @@ def _scaled_power(scale: float, base: float, p: float) -> float:
     """scale * base ** p, in logs only where the power leaves the normal range."""
     try:
         power = base ** p
-        if power >= _TINY:
+        if power >= _TINY or base == 0.0:
             return scale * power
     except OverflowError:
         pass
@@ -221,7 +221,7 @@ class Exponential(Distribution):
         return 1.0 / self.lam
 
     def variance(self):
-        return 1.0 / self.lam ** 2
+        return 1.0 / self.lam / self.lam
 
     def support(self):
         return SupportBound(0.0, math.inf)
@@ -238,7 +238,7 @@ class Pareto(Distribution):
     def pdf(self, x):
         if x < self.xm:
             return 0.0
-        return self.a * self.xm ** self.a / x ** (self.a + 1.0)
+        return self.a * (self.xm / x) ** self.a / x
 
     def cdf(self, x):
         if x < self.xm:
@@ -345,7 +345,7 @@ class Laplace(Distribution):
         return self.mu
 
     def variance(self):
-        return 2.0 * self.b ** 2
+        return 2.0 * self.b * self.b
 
     def support(self):
         return SupportBound(-math.inf, math.inf)
@@ -374,7 +374,7 @@ class Normal(Distribution):
         return self.mu
 
     def variance(self):
-        return self.sigma ** 2
+        return self.sigma * self.sigma
 
     def support(self):
         return SupportBound(-math.inf, math.inf)
@@ -406,10 +406,12 @@ class LogNormal(Distribution):
         return math.exp(self.mu + self.s * _std_normal_quantile(alpha, eps))
 
     def mean(self):
-        return math.exp(self.mu + 0.5 * self.s ** 2)
+        return _exp_or_inf(self.mu + 0.5 * self.s * self.s)
 
     def variance(self):
-        return math.expm1(self.s ** 2) * math.exp(2.0 * self.mu + self.s ** 2)
+        s2 = self.s * self.s   # e^(2 mu + 2 s2) (1 - e^-s2), in logs
+        ln_gap = math.log(-math.expm1(-s2)) if s2 >= _TINY else 2.0 * math.log(self.s)
+        return _exp_or_inf(2.0 * (self.mu + s2) + ln_gap)
 
     def support(self):
         return SupportBound(0.0, math.inf)
@@ -429,7 +431,7 @@ class Logistic(Distribution):
         return e / (self.s * (1.0 + e) ** 2)
 
     def cdf(self, x):
-        return 1.0 / (1.0 + math.exp(-(x - self.mu) / self.s))
+        return 1.0 / (1.0 + _exp_or_inf(-(x - self.mu) / self.s))
 
     def _quantile(self, alpha, eps):
         p = min(alpha, eps)   # ln(p / (1 - p)), in log1p near the median where it cancels
@@ -440,7 +442,7 @@ class Logistic(Distribution):
         return self.mu
 
     def variance(self):
-        return self.s ** 2 * math.pi ** 2 / 3.0
+        return self.s * self.s * math.pi ** 2 / 3.0
 
     def support(self):
         return SupportBound(-math.inf, math.inf)
@@ -539,7 +541,7 @@ class StudentT(Distribution):
     def variance(self):
         if self.nu <= 2.0:
             return math.inf
-        return self.s ** 2 * self.nu / (self.nu - 2.0)
+        return self.s * self.s * self.nu / (self.nu - 2.0)
 
     def support(self):
         return SupportBound(-math.inf, math.inf)
@@ -566,7 +568,7 @@ class Weibull(Distribution):
     def cdf(self, x):
         if x < 0:
             return 0.0
-        return -math.expm1(-((x / self.lam) ** self.k))
+        return -math.expm1(-_scaled_power(1.0, x / self.lam, self.k))
 
     def _quantile(self, alpha, eps):
         return _scaled_power(self.lam, _neg_log(eps, alpha), 1.0 / self.k)
@@ -602,7 +604,7 @@ class LogLogistic(Distribution):
     def cdf(self, x):
         if x <= 0:
             return 0.0
-        return 1.0 / (1.0 + (x / self.a) ** (-self.b))
+        return 1.0 / (1.0 + _scaled_power(1.0, self.a / x, self.b))
 
     def _quantile(self, alpha, eps):
         odds = alpha / eps
@@ -622,7 +624,7 @@ class LogLogistic(Distribution):
         c = math.pi / self.b
         m1 = c / math.sin(c)
         m2 = 2.0 * c / math.sin(2.0 * c)
-        return self.a ** 2 * (m2 - m1 * m1)
+        return self.a * self.a * (m2 - m1 * m1)
 
     def support(self):
         return SupportBound(0.0, math.inf)
@@ -650,16 +652,6 @@ class GEV(Distribution):
             return SupportBound(self.mu - self.s / self.xi, math.inf)
         return SupportBound(-math.inf, self.mu - self.s / self.xi)
 
-    def _t_of(self, x: float) -> float:
-        """(1 + xi z)^(-1/xi), the survival kernel; inf/0 outside support."""
-        z = (x - self.mu) / self.s
-        if self._xi0:
-            return math.exp(-z)
-        base = 1.0 + self.xi * z
-        if base <= 0.0:
-            return math.inf if self.xi > 0 else 0.0
-        return base ** (-1.0 / self.xi)
-
     def pdf(self, x):
         lo, hi = self.support()
         if x <= lo or x >= hi:
@@ -674,11 +666,14 @@ class GEV(Distribution):
 
     def cdf(self, x):
         lo, hi = self.support()
-        if x <= lo:
+        z = (x - self.mu) / self.s
+        base = 1.0 + self.xi * z   # <= 0 inside the support only by rounding at its end
+        if x <= lo or (base <= 0.0 < self.xi):
             return 0.0
-        if x >= hi:
+        if x >= hi or base <= 0.0:
             return 1.0
-        return math.exp(-self._t_of(x))
+        t = _exp_or_inf(-z) if self._xi0 else _scaled_power(1.0, base, -1.0 / self.xi)
+        return math.exp(-t)
 
     def _quantile(self, alpha, eps):
         y = _neg_log(alpha, eps)
@@ -695,7 +690,7 @@ class GEV(Distribution):
 
     def variance(self):
         if self._xi0:
-            return self.s ** 2 * math.pi ** 2 / 6.0
+            return self.s * self.s * math.pi ** 2 / 6.0
         if self.xi >= 0.5:
             return math.inf
         return _gamma_variance(self.s / self.xi, 1.0 - self.xi, 1.0 - 2.0 * self.xi)

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._optim import golden_section_min
-from .distributions import Distribution, make
+from .distributions import FAMILIES, Distribution, make
 from .errors import ConvergenceError, DomainError, ParameterError
 from .tail_metrics import superquantile
 
@@ -148,46 +148,43 @@ class FitResult:
 class _Family(NamedTuple):
     """One family as sq(alpha; mu, s, theta) = mu + s sq0(alpha; theta), mu = 0 if unlocated.
 
-    ``params(mu, s, theta)`` gives the public parameters in ``names`` order
-    (``params(0, 1, theta)`` is the unit member). ``shape`` is None or
-    (c, sign, e_lo, e_hi): theta = c + sign e^t with e^t in [e_lo, e_hi].
+    ``params(mu, s, theta)`` gives the public parameters in the order of the
+    distribution's ``_fields`` (``params(0, 1, theta)`` is the unit member).
+    ``shape`` is None or (c, sign, e_lo, e_hi): theta = c + sign e^t with
+    e^t in [e_lo, e_hi].
     """
 
-    names: tuple[str, ...]
     located: bool
     shape: tuple[float, float, float, float] | None
     params: Callable[[float, float, float | None], tuple[float, ...]]
 
 
 _FAMILIES: dict[str, _Family] = {
-    "exponential": _Family(("lam",), False, None, lambda mu, s, th: (1.0 / s,)),
-    "pareto": _Family(("a", "xm"), False, (1.0, 1.0, 1e-2, 1e2), lambda mu, s, th: (th, s)),
-    "gpd": _Family(("mu", "s", "xi"), True, (1.0, -1.0, 1e-2, 10.0),
-                   lambda mu, s, th: (mu, s, th)),
-    "laplace": _Family(("mu", "b"), True, None, lambda mu, s, th: (mu, s)),
-    "normal": _Family(("mu", "sigma"), True, None, lambda mu, s, th: (mu, s)),
-    "lognormal": _Family(("mu", "s"), False, (0.0, 1.0, 1e-2, 10.0),
-                         lambda mu, s, th: (math.log(s), th)),
-    "logistic": _Family(("mu", "s"), True, None, lambda mu, s, th: (mu, s)),
-    "student-t": _Family(("nu", "s", "mu"), True, (1.0, 1.0, 1e-2, 1e3),
-                         lambda mu, s, th: (th, s, mu)),
-    "weibull": _Family(("lam", "k"), False, (0.0, 1.0, 0.02, 50.0), lambda mu, s, th: (s, th)),
-    "loglogistic": _Family(("a", "b"), False, (1.0, 1.0, 1e-2, 1e2), lambda mu, s, th: (s, th)),
-    "gev": _Family(("mu", "s", "xi"), True, (1.0, -1.0, 1e-2, 10.0),
-                   lambda mu, s, th: (mu, s, th)),
+    "exponential": _Family(False, None, lambda mu, s, th: (1.0 / s,)),
+    "pareto": _Family(False, (1.0, 1.0, 1e-2, 1e2), lambda mu, s, th: (th, s)),
+    "gpd": _Family(True, (1.0, -1.0, 1e-2, 10.0), lambda mu, s, th: (mu, s, th)),
+    "laplace": _Family(True, None, lambda mu, s, th: (mu, s)),
+    "normal": _Family(True, None, lambda mu, s, th: (mu, s)),
+    "lognormal": _Family(False, (0.0, 1.0, 1e-2, 10.0), lambda mu, s, th: (math.log(s), th)),
+    "logistic": _Family(True, None, lambda mu, s, th: (mu, s)),
+    "student-t": _Family(True, (1.0, 1.0, 1e-2, 1e3), lambda mu, s, th: (th, s, mu)),
+    "weibull": _Family(False, (0.0, 1.0, 0.02, 50.0), lambda mu, s, th: (s, th)),
+    "loglogistic": _Family(False, (1.0, 1.0, 1e-2, 1e2), lambda mu, s, th: (s, th)),
+    "gev": _Family(True, (1.0, -1.0, 1e-2, 10.0), lambda mu, s, th: (mu, s, th)),
 }
 _SCAN = 25
 
 
-def _family(name: str) -> tuple[str, _Family]:
+def _family(name: str) -> tuple[str, _Family, tuple[str, ...]]:
+    """The family key, its fit parameterization and its parameter names."""
     key = name.lower().replace("_", "-")
     if key not in _FAMILIES:
         raise ParameterError(f"no fit parameterization for family {name!r}")
-    return key, _FAMILIES[key]
+    return key, _FAMILIES[key], FAMILIES[key]._fields
 
 
 def parameter_names(family: str) -> tuple[str, ...]:
-    return _family(family)[1].names
+    return _family(family)[2]
 
 
 def _slope(profile, t: float) -> tuple[float, float]:
@@ -221,9 +218,9 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
     shape is an end of its range or the fitted scale is not positive, i.e.
     s max|sq0| <= 1e-12 max|target| (zero-spread targets).
     """
-    family, fam = _family(problem.family)
-    if len(problem.levels) < len(fam.names):
-        raise ParameterError(f"{family} has {len(fam.names)} free parameters but only "
+    family, fam, names = _family(problem.family)
+    if len(problem.levels) < len(names):
+        raise ParameterError(f"{family} has {len(names)} free parameters but only "
                              f"{len(problem.levels)} level(s)")
     targets, levels, weights = problem.resolved_targets(), problem.fit_levels(), problem.weights
     total = sum(weights)
@@ -234,7 +231,7 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
         nonlocal evaluations
         evaluations += 1
         theta = fam.shape[0] + fam.shape[1] * math.exp(t) if fam.shape else None
-        unit = make(family, **dict(zip(fam.names, fam.params(0.0, 1.0, theta))))
+        unit = make(family, **dict(zip(names, fam.params(0.0, 1.0, theta))))
         z = [superquantile(unit, a) for a in levels]
         if not all(map(math.isfinite, z)):
             return math.inf, 0.0, 0.0, theta, (), ()
@@ -276,7 +273,7 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
              "at_range_end": at_edge})
     return FitResult(
         family=family,
-        params=dict(zip(fam.names, fam.params(mu, s, theta))),
+        params=dict(zip(names, fam.params(mu, s, theta))),
         residuals=residuals,
         objective=value,
         iterations=evaluations,
@@ -291,10 +288,10 @@ def mos_solve(problem: FitProblem) -> FitResult:
     Runs ``ls_mos_fit`` and gates on the residual infinity norm; no solution
     within 1e-8 raises with the final residuals.
     """
-    family, fam = _family(problem.family)
-    if len(problem.levels) != len(fam.names):
+    family, _, names = _family(problem.family)
+    if len(problem.levels) != len(names):
         raise ParameterError(
-            f"MOS needs exactly {len(fam.names)} levels for {family}, got {len(problem.levels)}")
+            f"MOS needs exactly {len(names)} levels for {family}, got {len(problem.levels)}")
     result = ls_mos_fit(problem)
     worst = max(abs(r) for r in result.residuals)
     if worst > 1e-8:
@@ -305,6 +302,28 @@ def mos_solve(problem: FitProblem) -> FitResult:
 
 
 # --- Weibull reference fits ------------------------------------------------
+
+def _shape_root(f: Callable[[float], float], lo: float, cap: float,
+                message: str, diagnostics: dict) -> float:
+    """The shape k where f, positive below and negative above, changes sign: [lo, 1]
+    doubles its upper end up to ``cap`` to bracket it, then bisection runs to 1e-13
+    relative. An unbracketed root raises ``ConvergenceError(message, diagnostics)``."""
+    hi = 1.0
+    while f(hi) > 0.0 and hi < cap:
+        lo = hi
+        hi *= 2.0
+    if f(lo) < 0.0 or f(hi) > 0.0:
+        raise ConvergenceError(message, diagnostics)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-13 * (1.0 + hi):
+            break
+    return 0.5 * (lo + hi)
+
 
 def _weibull_mm(x: np.ndarray) -> dict[str, float]:
     m = float(x.mean())
@@ -320,22 +339,8 @@ def _weibull_mm(x: np.ndarray) -> dict[str, float]:
         return (math.lgamma(1.0 + 2.0 / k) - 2.0 * math.lgamma(1.0 + 1.0 / k)) \
             - math.log1p(ratio)
 
-    lo, hi = 1e-2, 1.0
-    while gap(hi) > 0.0 and hi < 1e4:
-        lo = hi
-        hi *= 2.0
-    if gap(lo) < 0.0 or gap(hi) > 0.0:
-        raise ConvergenceError("method of moments could not bracket the shape",
-                               {"ratio": ratio})
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * (1.0 + hi):
-            break
-    k = 0.5 * (lo + hi)
+    k = _shape_root(gap, 1e-2, 1e4, "method of moments could not bracket the shape",
+                    {"ratio": ratio})
     return {"lam": m / math.gamma(1.0 + 1.0 / k), "k": k}
 
 
@@ -345,27 +350,13 @@ def _weibull_ml(x: np.ndarray) -> dict[str, float]:
     ln_x = np.log(x)
     mean_ln = float(ln_x.mean())
 
-    def score(k: float) -> float:
+    def minus_score(k: float) -> float:
         xk = x ** k
-        return float((xk * ln_x).sum() / xk.sum() - 1.0 / k - mean_ln)
+        return -float((xk * ln_x).sum() / xk.sum() - 1.0 / k - mean_ln)
 
-    lo, hi = 1e-3, 1.0
-    while score(hi) < 0.0 and hi < 1e6:
-        lo = hi
-        hi *= 2.0
-    if hi >= 1e6:
-        # constant (zero-spread) samples push the shape to infinity
-        raise ConvergenceError("likelihood score has no root; shape diverges",
-                               {"sample_spread": float(x.max() - x.min())})
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if score(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * (1.0 + hi):
-            break
-    k = 0.5 * (lo + hi)
+    # constant (zero-spread) samples push the shape to infinity
+    k = _shape_root(minus_score, 1e-3, 1e6, "likelihood score has no root; shape diverges",
+                    {"sample_spread": float(x.max() - x.min())})
     lam = float(np.mean(x ** k)) ** (1.0 / k)
     return {"lam": lam, "k": k}
 

@@ -27,8 +27,8 @@ coordinates, bounds fixed as steps reach them and released where their
 multipliers have the wrong sign, so every objective below states its
 gradient and Hessian side by side. One start suffices: the min-CVaR
 objective is concave (zeta >= 0), the min-bPOE ratio pseudo-concave and the
-Markowitz and minimum-variance objectives concave quadratics, so on the
-box-bounded simplex every KKT point is a global maximum.
+Markowitz objective a concave quadratic, so on the box-bounded simplex every
+KKT point is a global maximum.
 """
 
 from __future__ import annotations
@@ -475,23 +475,6 @@ def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
     w_mark = markowitz_solve(universe, lam, lower, upper)
     gap = float(np.max(np.abs(np.asarray(w_cvar, dtype=float) - w_mark)))
     return gap <= tol, gap
-
-
-def min_variance_portfolio(universe: AssetUniverse, lower=0.0, upper=1.0) -> np.ndarray:
-    """Global minimum-variance weights on the box-bounded simplex."""
-    cov = universe.covariance
-    lo, hi = _bounds(universe.size, lower, upper)
-
-    def f(w):
-        return -float(w @ cov @ w)
-
-    def g(w):
-        return -2.0 * (cov @ w)
-
-    def h(w):
-        return -2.0 * cov
-
-    return _solve(f, g, h, lo, hi)[0]
 
 
 def efficient_frontier(universe: AssetUniverse, family: QualifiedFamily,

@@ -1,15 +1,14 @@
 """Self-contained special-function kernel.
 
 Everything the closed-form tail formulas need lives here: error function and
-its inverse, (incomplete) gamma and beta functions, both real branches of
-Lambert W, the logarithmic integral on (0, 1), and the binary entropy
+its inverse, (incomplete) gamma and beta functions, the lower real branch
+W_-1 of Lambert W, the logarithmic integral on (0, 1), and the binary entropy
 function. All functions are pure, scalar, and deterministic; the only
 dependency is the standard-library ``math`` module.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 
@@ -20,13 +19,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 _SQRT_PI = math.sqrt(math.pi)
 _INV_E = math.exp(-1.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-class WBranch(enum.Enum):
-    """Real branch selector for Lambert W."""
-
-    PRINCIPAL = 0   # W0, range [-1, inf)
-    LOWER = -1      # W-1, range (-inf, -1]
 
 
 def erf(x: float) -> float:
@@ -342,36 +334,27 @@ def inc_beta(y: float, a1: float, a2: float) -> float:
     return reg_inc_beta(y, a1, a2) * math.exp(ln_beta(a1, a2))
 
 
-def lambert_w(y: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
-    """Real Lambert W: the w with w*e^w = y, on the requested branch."""
+def lambert_w(y: float) -> float:
+    """Lower real branch W_-1 of Lambert W: the w <= -1 with w e^w = y, y in [-1/e, 0).
+
+    Above y = -1/4, Newton on w + ln(-w) = ln(-y), which keeps its precision where
+    w e^w underflows (y subnormal); nearer -1/e, Halley on w e^w = y from the
+    branch-point series."""
+    if not -_INV_E - 1e-14 <= y < 0.0:   # tolerate representation error at -1/e
+        raise DomainError(f"lambert_w requires y in [-1/e, 0), got {y}")
     if y <= -_INV_E:
-        # tolerate representation error at the branch point itself
-        if y < -_INV_E - 1e-14:
-            raise DomainError(f"lambert_w requires y >= -1/e, got {y}")
         return -1.0
-    if branch is WBranch.LOWER:
-        if y >= 0.0:
-            raise DomainError(f"lower branch requires y in [-1/e, 0), got {y}")
-        if y <= -_INV_E:
-            return -1.0
-        # branch-point expansion close to -1/e, log form toward 0-
-        if y > -0.25:
-            log_my = math.log(-y)
-            w = log_my - math.log(-log_my)
-        else:
-            p = -math.sqrt(max(2.0 * (math.e * y + 1.0), 0.0))
-            w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
-    else:
-        if y == 0.0:
-            return 0.0
-        if y <= -0.25:
-            p = math.sqrt(max(2.0 * (math.e * y + 1.0), 0.0))
-            w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
-        elif y < math.e:
-            w = y / (1.0 + y)
-        else:
-            log_y = math.log(y)
-            w = log_y - math.log(log_y)
+    if y > -0.25:
+        log_my = math.log(-y)
+        w = log_my - math.log(-log_my)
+        for _ in range(100):
+            step = (w + math.log(-w) - log_my) * w / (w + 1.0)
+            w -= step
+            if abs(step) <= 1e-15 * -w:
+                break
+        return w
+    p = -math.sqrt(2.0 * (math.e * y + 1.0))
+    w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
     for _ in range(100):
         if abs(w + 1.0) < 1e-12:
             break   # at the branch point; Halley's denominator degenerates
@@ -384,10 +367,7 @@ def lambert_w(y: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
         w -= step
         if abs(step) <= 1e-14 * (1.0 + abs(w)):
             break
-    # pin branch ranges against last-iteration overshoot
-    if branch is WBranch.LOWER:
-        return min(w, -1.0)
-    return max(w, -1.0)
+    return min(w, -1.0)   # pin the branch against last-iteration overshoot
 
 
 def log_integral(x: float) -> float:

@@ -107,7 +107,7 @@ def _sq_normal(d: Normal, alpha: float, eps: float,
 def _sq_lognormal(d: LogNormal, alpha: float, eps: float) -> float:
     # 1 + erf(s/sqrt2 - z) written as erfc(z - s/sqrt2) to survive eps -> 0
     z = -specfun.erfc_inv(2.0 * alpha) if alpha < eps else specfun.erfc_inv(2.0 * eps)
-    return 0.5 * math.exp(d.mu + 0.5 * d.s ** 2) * specfun.erfc(z - d.s / _SQRT2) / eps
+    return 0.5 * d.mean() * specfun.erfc(z - d.s / _SQRT2) / eps
 
 
 def _sq_logistic(d: Logistic, alpha: float, eps: float) -> float:
@@ -290,7 +290,7 @@ def bpoe_closed(d: Distribution, x: float) -> TailResult:
             # x == mean; the Lambert argument would be 0 (removable case)
             value = 1.0
         else:
-            w = specfun.lambert_w(-2.0 * z * math.exp(-z - 1.0), specfun.WBranch.LOWER)
+            w = specfun.lambert_w(-2.0 * z * math.exp(-z - 1.0))
             value = 1.0 + z / w
     return _result_from_value(d, value)
 

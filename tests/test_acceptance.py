@@ -157,7 +157,7 @@ def test_corollary_identities():
 
 
 def test_laplace_branch_continuity():
-    w = sf.lambert_w(-2.0 * math.exp(-2.0), sf.WBranch.LOWER)
+    w = sf.lambert_w(-2.0 * math.exp(-2.0))
     assert abs(w + 2.0) <= 1e-12
     exp_branch = 0.5 * math.exp(1.0 - 1.0)
     lambert_branch = 1.0 + 1.0 / w

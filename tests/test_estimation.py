@@ -302,6 +302,44 @@ def test_constant_sample_is_degenerate():
         reference_fits([1.0] * 50)
 
 
+_WEIBULL_SAMPLES = [dist.Weibull(0.5, 1.4).sample(50, np.random.default_rng(8)),
+                    dist.Weibull(2.0, 0.3).sample(200, np.random.default_rng(5)),
+                    dist.Weibull(1.0, 12.0).sample(30, np.random.default_rng(1)),
+                    np.array([1.0, 2.0, 3.0, 100.0])]
+
+
+@pytest.mark.parametrize("x", _WEIBULL_SAMPLES, ids=lambda x: f"n{x.size}")
+def test_weibull_mm_solves_the_moment_equation(x):
+    fit = estimation._weibull_mm(x)
+    lam, k = fit["lam"], fit["k"]
+    m, v = float(x.mean()), float(x.var())
+    gap = math.lgamma(1.0 + 2.0 / k) - 2.0 * math.lgamma(1.0 + 1.0 / k) - math.log1p(v / m**2)
+    assert abs(gap) <= 1e-10
+    assert lam * math.gamma(1.0 + 1.0 / k) == pytest.approx(m, rel=1e-14)
+
+
+@pytest.mark.parametrize("x", _WEIBULL_SAMPLES, ids=lambda x: f"n{x.size}")
+def test_weibull_ml_score_vanishes(x):
+    fit = estimation._weibull_ml(x)
+    lam, k = fit["lam"], fit["k"]
+    xk, ln_x = x ** k, np.log(x)
+    score = float((xk * ln_x).sum() / xk.sum()) - 1.0 / k - float(ln_x.mean())
+    assert abs(score) <= 1e-10
+    assert lam == pytest.approx(float(np.mean(xk)) ** (1.0 / k), rel=1e-14)
+
+
+@pytest.mark.parametrize("fit, x, message, keys", [
+    (estimation._weibull_mm, np.full(5, 2.0), "positive variance", {"mean", "variance"}),
+    (estimation._weibull_mm, np.array([1.0, 1.0 + 1e-6]), "could not bracket", {"ratio"}),
+    (estimation._weibull_ml, np.array([1.0, 0.0, 2.0]), "strictly positive sample", set()),
+    (estimation._weibull_ml, np.full(50, 1.0), "shape diverges", {"sample_spread"}),
+], ids=["mm-zero-variance", "mm-unbracketed", "ml-non-positive", "ml-diverging"])
+def test_weibull_reference_fit_failures_keep_their_diagnostics(fit, x, message, keys):
+    with pytest.raises(ConvergenceError, match=message) as err:
+        fit(x)
+    assert set(err.value.diagnostics) == keys
+
+
 def test_fit_result_json():
     d = dist.Normal(0.0, 1.0)
     targets = tuple(tm.superquantile(d, a) for a in (0.4, 0.9))

@@ -13,7 +13,7 @@ from tailrisk.portfolio import (AssetUniverse, PortfolioProblem, QualifiedFamily
                                 cvar_cross_evaluate, default_report_families,
                                 efficient_frontier, markowitz_equivalence_check,
                                 markowitz_solve, min_bpoe_portfolio,
-                                min_cvar_portfolio, min_variance_portfolio, _invert_zeta)
+                                min_cvar_portfolio, _invert_zeta)
 
 
 @pytest.fixture(scope="module")
@@ -299,12 +299,10 @@ def test_mean_variance_solvers_reject_infeasible_bounds(msci):
     for bounds in ({"upper": 0.1}, {"lower": 0.5}, {"lower": 0.3, "upper": 0.2}):
         with pytest.raises(DomainError, match="infeasible"):
             markowitz_solve(msci, 3.0, **bounds)
-        with pytest.raises(DomainError, match="infeasible"):
-            min_variance_portfolio(msci, **bounds)
 
 
 def test_cvar_cross_evaluate_degenerate(msci):
-    w = min_variance_portfolio(msci)
+    w = markowitz_solve(msci, 3.0)
     # zeta vanishes as alpha -> 0, leaving CVaR = -return
     val = cvar_cross_evaluate(w, msci, QualifiedFamily("normal"), 1e-12)
     assert abs(val + float(w @ msci.expected_returns)) <= 1e-9
@@ -406,7 +404,7 @@ def test_single_start_matches_best_of_five(n, capped):
         assert f(rep.weights) >= best - 1e-12, (n, problem.objective, fam.label())
 
 
-@pytest.mark.parametrize("case", ("min-cvar", "min-bpoe", "markowitz", "min-variance"))
+@pytest.mark.parametrize("case", ("min-cvar", "min-bpoe", "markowitz"))
 def test_hessian_matches_gradient_differences(monkeypatch, msci, case):
     # a wrong Hessian still reaches the KKT tolerance, only slowly (the solver
     # uses its eigenvalues' magnitudes, so any Hessian scales an ascent
@@ -425,7 +423,6 @@ def test_hessian_matches_gradient_differences(monkeypatch, msci, case):
         "min-bpoe": lambda: min_bpoe_portfolio(
             PortfolioProblem(msci, "bpoe", threshold=0.16), fam).weights,
         "markowitz": lambda: markowitz_solve(msci, 3.0),
-        "min-variance": lambda: min_variance_portfolio(msci),
     }[case]()
     (f, g, h), = seen
     interior = np.random.default_rng(7).dirichlet(np.ones(msci.size))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -138,32 +139,39 @@ def test_ln_beta_against_mpmath():
 
 
 def test_lambert_w_trivials():
-    assert sf.lambert_w(0.0) == 0.0
-    branch_point = -math.exp(-1.0)
-    assert sf.lambert_w(branch_point, sf.WBranch.PRINCIPAL) == -1.0
-    assert sf.lambert_w(branch_point, sf.WBranch.LOWER) == -1.0
-    w = sf.lambert_w(-2.0 * math.exp(-2.0), sf.WBranch.LOWER)
+    assert sf.lambert_w(-math.exp(-1.0)) == -1.0
+    w = sf.lambert_w(-2.0 * math.exp(-2.0))
     assert abs(w + 2.0) <= 1e-12
 
 
 def test_lambert_w_identity_grids():
-    for i in range(60):
-        y = -math.exp(-1.0) + 1e-6 + i * 0.5
-        w = sf.lambert_w(y, sf.WBranch.PRINCIPAL)
-        assert abs(w * math.exp(w) - y) <= 1e-12 * max(1.0, abs(y))
-        assert w >= -1.0
     for i in range(1, 60):
         y = -math.exp(-1.0) * i / 60
-        w = sf.lambert_w(y, sf.WBranch.LOWER)
+        w = sf.lambert_w(y)
         assert abs(w * math.exp(w) - y) <= 1e-12 * max(1.0, abs(y))
         assert w <= -1.0
 
 
+def test_lambert_w_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(20181)
+    grid = [-math.exp(-1.0) * rng.random() for _ in range(400)]
+    near_branch = [-math.exp(-1.0) + 10.0 ** -k for k in range(1, 16)]
+    toward_zero = [-(10.0 ** -k) for k in range(1, 324)] + [-5e-324]
+    for y in grid + near_branch + toward_zero:
+        if y == 0.0:
+            continue
+        with mp.workdps(40):
+            ref = mp.lambertw(y, -1).real
+            # the branch's conditioning: relative change in W per relative change in y
+            bound = 4e-16 * (1 + abs(1 / (1 + ref)))
+            assert abs((sf.lambert_w(y) - ref) / ref) <= bound, y
+
+
 def test_lambert_w_domain():
-    with pytest.raises(DomainError):
-        sf.lambert_w(-0.4)
-    with pytest.raises(DomainError):
-        sf.lambert_w(0.5, sf.WBranch.LOWER)
+    for y in (-0.4, 0.0, 0.5):
+        with pytest.raises(DomainError):
+            sf.lambert_w(y)
 
 
 def test_log_integral_small_limit():

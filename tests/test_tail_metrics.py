@@ -7,7 +7,7 @@ from tailrisk import distributions as dist
 from tailrisk import specfun as sf
 from tailrisk import tail_metrics as tm
 from tailrisk._quad import adaptive_quad
-from tailrisk.errors import DomainError
+from tailrisk.errors import DomainError, TailRiskError
 
 ALL_FAMILIES = [
     dist.Exponential(1.3), dist.Pareto(1.5, 2.0), dist.GPD(-1.0, 2.0, 0.3),
@@ -118,7 +118,7 @@ def test_bpoe_closed_laplace_branches():
     d = dist.Laplace(0.0, 1.0)
     # both branch formulas meet at x = mu + b with value 1/2
     exp_branch = 0.5 * math.exp(1.0 - 1.0)
-    w = sf.lambert_w(-2.0 * math.exp(-2.0), sf.WBranch.LOWER)
+    w = sf.lambert_w(-2.0 * math.exp(-2.0))
     lower_branch = 1.0 + 1.0 / w
     assert abs(exp_branch - 0.5) <= 1e-15
     assert abs(lower_branch - 0.5) <= 1e-12
@@ -697,3 +697,54 @@ def test_superquantile_location_scale_equivariance():
         assert abs(sq - (mu + s * sq0)) <= 1e-13 * (abs(mu) + s * abs(sq0))
 
     check()
+
+
+# Valid distributions at extreme scales, shapes and arguments: a moment beyond
+# binary64 reads inf, and nothing raises an untyped arithmetic error.
+_EXTREME_CALLS = {
+    "normal-bpoe-huge-scale": lambda: tm.bpoe(dist.Normal(0.0, 1e200), 1e200),
+    "normal-bpoe-tiny-scale": lambda: tm.bpoe(dist.Normal(0.0, 1e-200), 1e-200),
+    "weibull-bpoe-tiny-scale": lambda: tm.bpoe(dist.Weibull(1e-200, 2.0), 1e-200),
+    "gev-bpoe-tiny-scale": lambda: tm.bpoe(dist.GEV(0.0, 1e-200, 0.1), 1e-200),
+    "loglogistic-bpoe-tiny-scale": lambda: tm.bpoe(dist.LogLogistic(1e-200, 3.0), 2e-200),
+    "logistic-cdf-far-left": lambda: dist.Logistic(0.0, 1.0).cdf(-800.0),
+    "pareto-pdf-large-shape": lambda: dist.Pareto(2000.0, 1.0).pdf(1.5),
+    "pareto-pdf-tiny-scale": lambda: dist.Pareto(3.0, 1e-200).pdf(1e-199),
+    "lognormal-mean": lambda: dist.LogNormal(800.0, 1.0).mean(),
+    "lognormal-variance": lambda: dist.LogNormal(800.0, 1.0).variance(),
+    "lognormal-superquantile": lambda: tm.superquantile(dist.LogNormal(800.0, 1.0), 0.5),
+    "exponential-variance": lambda: dist.Exponential(1e-200).variance(),
+    "normal-variance": lambda: dist.Normal(0.0, 1e200).variance(),
+    "laplace-variance": lambda: dist.Laplace(0.0, 1e200).variance(),
+    "logistic-variance": lambda: dist.Logistic(0.0, 1e200).variance(),
+    "student-t-variance": lambda: dist.StudentT(3.0, 1e200).variance(),
+    "loglogistic-variance": lambda: dist.LogLogistic(1e200, 3.0).variance(),
+    "gev-variance": lambda: dist.GEV(0.0, 1e200, 0.0).variance(),
+    "weibull-cdf-huge-power": lambda: dist.Weibull(1e-300, 1.5).cdf(1.5),
+    "weibull-cdf-at-zero": lambda: dist.Weibull(1.0, 1e-300).cdf(0.0),
+    "loglogistic-cdf-huge-power": lambda: dist.LogLogistic(1e-300, 2000.0).cdf(5e-324),
+    "loglogistic-cdf-zero-power": lambda: dist.LogLogistic(1e10, 1e-300).cdf(5e-324),
+    "gev-cdf-far-left": lambda: dist.GEV(0.0, 1.0, 0.0).cdf(-800.0),
+    "gev-cdf-huge-power": lambda: dist.GEV(0.0, 1.0, 0.01).cdf(-99.9999),
+    # 1 + xi z rounds to 0 one float inside the upper end of the support (xi < 0)
+    "gev-cdf-rounded-support-end": lambda: dist.GEV(
+        -0.00496831176071934, 0.060712151158821705, -2.408837547915515).cdf(0.020235609197486785),
+}
+
+
+@pytest.mark.parametrize("call", _EXTREME_CALLS.values(), ids=_EXTREME_CALLS.keys())
+def test_extreme_parameters_return_a_number_or_a_typed_error(call):
+    try:
+        value = call()
+    except TailRiskError:
+        return
+    value = getattr(value, "value", value)
+    assert isinstance(value, float) and not math.isnan(value)
+
+
+def test_moments_beyond_binary64_read_inf():
+    assert dist.LogNormal(800.0, 1.0).mean() == math.inf
+    assert dist.LogNormal(800.0, 1.0).variance() == math.inf
+    assert tm.superquantile(dist.LogNormal(800.0, 1.0), 0.5) == math.inf
+    assert dist.Exponential(1e-200).variance() == math.inf
+    assert dist.Normal(0.0, 1e200).variance() == math.inf
