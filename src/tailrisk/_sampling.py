@@ -34,7 +34,7 @@ def _pareto(d: Pareto, u: np.ndarray) -> np.ndarray:
 
 
 def _gpd(d: GPD, u: np.ndarray) -> np.ndarray:
-    if d._xi0:
+    if d.xi == 0.0:
         return d.mu - d.s * np.log1p(-u)
     return d.mu + d.s * np.expm1(-d.xi * np.log1p(-u)) / d.xi
 
@@ -59,7 +59,7 @@ def _loglogistic(d: LogLogistic, u: np.ndarray) -> np.ndarray:
 
 def _gev(d: GEV, u: np.ndarray) -> np.ndarray:
     y = -np.log(u)
-    if d._xi0:
+    if d.xi == 0.0:
         return d.mu - d.s * np.log(y)
     return d.mu + d.s * np.expm1(-d.xi * np.log(y)) / d.xi
 

@@ -35,8 +35,8 @@ if TYPE_CHECKING:
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# |xi| below this is treated as xi == 0 for GPD/GEV to avoid catastrophic
-# cancellation near the branch switch
+# |xi| below this is treated as xi == 0 by the GEV moments, whose xi != 0 forms
+# cancel there; the GPD and GEV evaluators reach xi = 0 as a limit
 _XI_ZERO = 1e-9
 _TINY = sys.float_info.min   # smallest normal float
 
@@ -86,6 +86,16 @@ def _gamma_variance(c: float, a1: float, a2: float) -> float:
         return c * (c * (math.gamma(a2) - g1 * g1))
     ln_g1, ln_g2 = math.lgamma(a1), math.lgamma(a2)
     return _exp_or_inf(2.0 * math.log(abs(c)) + ln_g2 + math.log1p(-math.exp(2.0 * ln_g1 - ln_g2)))
+
+
+def _log1p_ratio(xi: float, z: float) -> float:
+    """ln(1 + xi z) / xi, and its limit z at xi = 0."""
+    return z if xi == 0.0 else math.log1p(xi * z) / xi
+
+
+def _expm1_ratio(xi: float, y: float) -> float:
+    """(e^(xi y) - 1) / xi, and its limit y at xi = 0."""
+    return y if xi == 0.0 else math.expm1(xi * y) / xi
 
 
 def _neg_log(x: float, comp: float) -> float:
@@ -271,26 +281,17 @@ class GPD(Distribution):
         _require(math.isfinite(xi), "GPD requires finite xi, got {}", xi)
         self.__dict__.update(mu=mu, s=s, xi=xi)
 
-    @property
-    def _xi0(self) -> bool:
-        return abs(self.xi) < _XI_ZERO
-
     def support(self):
-        if self.xi < -_XI_ZERO:
+        if self.xi < 0.0:
             return SupportBound(self.mu, self.mu - self.s / self.xi)
         return SupportBound(self.mu, math.inf)
 
     def pdf(self, x):
         lo, hi = self.support()
-        if x < lo or x > hi:
-            return 0.0
         z = (x - self.mu) / self.s
-        if self._xi0:
-            return math.exp(-z) / self.s
-        t = 1.0 + self.xi * z
-        if t <= 0.0:
+        if x < lo or x > hi or self.xi * z <= -1.0:
             return 0.0
-        return t ** (-1.0 / self.xi - 1.0) / self.s
+        return math.exp(-(1.0 + self.xi) * _log1p_ratio(self.xi, z)) / self.s
 
     def cdf(self, x):
         lo, hi = self.support()
@@ -298,16 +299,10 @@ class GPD(Distribution):
             return 0.0
         if x >= hi:
             return 1.0
-        z = (x - self.mu) / self.s
-        if self._xi0:
-            return -math.expm1(-z)
-        return -math.expm1(-math.log1p(self.xi * z) / self.xi)
+        return -math.expm1(-_log1p_ratio(self.xi, (x - self.mu) / self.s))
 
     def _quantile(self, alpha, eps):
-        y = _neg_log(eps, alpha)
-        if self._xi0:
-            return self.mu + self.s * y
-        return self.mu + self.s * math.expm1(self.xi * y) / self.xi
+        return self.mu + self.s * _expm1_ratio(self.xi, _neg_log(eps, alpha))
 
     def mean(self):
         if self.xi >= 1.0:
@@ -646,38 +641,36 @@ class GEV(Distribution):
         return abs(self.xi) < _XI_ZERO
 
     def support(self):
-        if self._xi0:
+        if self.xi == 0.0:
             return SupportBound(-math.inf, math.inf)
         if self.xi > 0:
             return SupportBound(self.mu - self.s / self.xi, math.inf)
         return SupportBound(-math.inf, self.mu - self.s / self.xi)
 
+    # F = exp(-t), ln t = -ln(1 + xi z) / xi; xi z <= -1 inside the support only by
+    # rounding at its end
     def pdf(self, x):
         lo, hi = self.support()
-        if x <= lo or x >= hi:
-            return 0.0
         z = (x - self.mu) / self.s
-        if self._xi0:
-            t = math.exp(-z)
-            return t * math.exp(-t) / self.s
-        base = 1.0 + self.xi * z
-        t = base ** (-1.0 / self.xi)
-        return base ** (-1.0 / self.xi - 1.0) * math.exp(-t) / self.s
+        if x <= lo or x >= hi or self.xi * z <= -1.0:
+            return 0.0
+        ln_t = -_log1p_ratio(self.xi, z)
+        t = _exp_or_inf(ln_t)
+        return _exp_or_inf((1.0 + self.xi) * ln_t - t) / self.s if t < math.inf else 0.0
 
     def cdf(self, x):
         lo, hi = self.support()
         z = (x - self.mu) / self.s
-        base = 1.0 + self.xi * z   # <= 0 inside the support only by rounding at its end
-        if x <= lo or (base <= 0.0 < self.xi):
+        edge = self.xi * z <= -1.0
+        if x <= lo or (edge and self.xi > 0.0):
             return 0.0
-        if x >= hi or base <= 0.0:
+        if x >= hi or edge:
             return 1.0
-        t = _exp_or_inf(-z) if self._xi0 else _scaled_power(1.0, base, -1.0 / self.xi)
-        return math.exp(-t)
+        return math.exp(-_exp_or_inf(-_log1p_ratio(self.xi, z)))
 
     def _quantile(self, alpha, eps):
         y = _neg_log(alpha, eps)
-        if self._xi0:
+        if self.xi == 0.0:
             return self.mu - self.s * math.log(y)
         return self.mu + self.s * math.expm1(-self.xi * math.log(y)) / self.xi
 

@@ -1,7 +1,8 @@
 """Self-contained special-function kernel.
 
 Everything the closed-form tail formulas need lives here: error function and
-its inverse, (incomplete) gamma and beta functions, the lower real branch
+its inverses (one evaluation of Wichura's AS241 for both, plus a single Newton
+step in ``erfc_inv``), (incomplete) gamma and beta functions, the lower real branch
 W_-1 of Lambert W, the logarithmic integral on (0, 1), and the binary entropy
 function. All functions are pure, scalar, and deterministic; the only
 dependency is the standard-library ``math`` module.
@@ -17,6 +18,9 @@ from .errors import DomainError
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT2 = math.sqrt(2.0)
+_SQRT8 = math.sqrt(8.0)
+_LN2 = math.log(2.0)
 _INV_E = math.exp(-1.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -29,79 +33,73 @@ def erfc(x: float) -> float:
     return math.erfc(x)
 
 
-# Acklam's rational approximation to the standard normal quantile,
-# |relative error| < 1.15e-9; used only as a Newton/Halley starting point.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
+# Wichura's AS241 (Applied Statistics 37, 1988): the standard normal quantile at
+# p = 1/2 + q to about 1e-16 relative as num(r) / den(r), polynomials of degree 7
+# given constant term first: in r = 0.180625 - q^2 (times q) for |q| <= 0.425,
+# else in r = sqrt(-ln min(p, 1 - p)) less 1.6 up to r = 5 and less 5 beyond.
+_AS241 = (
+    ((3.387132872796366608, 133.14166789178437745, 1971.5909503065514427,
+      13731.693765509461125, 45921.953931549871457, 67265.770927008700853,
+      33430.575583588128105, 2509.0809287301226727),
+     (1.0, 42.313330701600911252, 687.1870074920579083, 5394.1960214247511077,
+      21213.794301586595867, 39307.89580009271061, 28729.085735721942674,
+      5226.495278852854561)),
+    ((1.42343711074968357734, 4.6303378461565452959, 5.7694972214606914055,
+      3.64784832476320460504, 1.27045825245236838258, 0.24178072517745061177,
+      0.0227238449892691845833, 7.7454501427834140764e-4),
+     (1.0, 2.05319162663775882187, 1.6763848301838038494, 0.68976733498510000455,
+      0.14810397642748007459, 0.0151986665636164571966, 5.475938084995344946e-4,
+      1.05075007164441684324e-9)),
+    ((6.6579046435011037772, 5.4637849111641143699, 1.7848265399172913358,
+      0.29656057182850489123, 0.026532189526576123093, 0.0012426609473880784386,
+      2.71155556874348757815e-5, 2.01033439929228813265e-7),
+     (1.0, 0.59983220655588793769, 0.13692988092273580531, 0.0148753612908506148525,
+      7.868691311456132591e-4, 1.8463183175100546818e-5, 1.4215117583164458887e-7,
+      2.04426310338993978564e-15)),
+)
 
 
-def _norm_ppf_guess(p: float) -> float:
-    if p < 0.02425:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_ACKLAM_C[0] * q + _ACKLAM_C[1]) * q + _ACKLAM_C[2]) * q
-                   + _ACKLAM_C[3]) * q + _ACKLAM_C[4]) * q + _ACKLAM_C[5])
-                / ((((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2]) * q
-                    + _ACKLAM_D[3]) * q + 1.0))
-    if p > 1.0 - 0.02425:
-        return -_norm_ppf_guess(1.0 - p)
-    q = p - 0.5
-    r = q * q
-    return (((((_ACKLAM_A[0] * r + _ACKLAM_A[1]) * r + _ACKLAM_A[2]) * r
-              + _ACKLAM_A[3]) * r + _ACKLAM_A[4]) * r + _ACKLAM_A[5]) * q \
-        / (((((_ACKLAM_B[0] * r + _ACKLAM_B[1]) * r + _ACKLAM_B[2]) * r
-             + _ACKLAM_B[3]) * r + _ACKLAM_B[4]) * r + 1.0)
+def _as241_ratio(k: int, r: float) -> float:
+    num, den = _AS241[k]
+    return ((((((((num[7] * r + num[6]) * r + num[5]) * r + num[4]) * r + num[3]) * r
+               + num[2]) * r + num[1]) * r + num[0])
+            / (((((((den[7] * r + den[6]) * r + den[5]) * r + den[4]) * r + den[3]) * r
+                 + den[2]) * r + den[1]) * r + 1.0))
+
+
+def _as241(d: float, t: float) -> float:
+    """The x with erf(x) = d, given t = 1 - |d| exactly: AS241 at p = (1 + d) / 2,
+    so q = d / 2 and min(p, 1 - p) = t / 2, divided by sqrt 2. Tiny or subnormal
+    t keeps its relative precision, as does d near 0."""
+    if abs(d) <= 0.85:
+        return d * (_as241_ratio(0, 0.180625 - 0.25 * d * d) / _SQRT8)
+    r = math.sqrt(_LN2 - math.log(t))
+    x = (_as241_ratio(1, r - 1.6) if r <= 5.0 else _as241_ratio(2, r - 5.0)) / _SQRT2
+    return x if d > 0.0 else -x
 
 
 def erf_inv(p: float) -> float:
-    """Inverse error function on the open interval (-1, 1)."""
+    """Inverse error function on the open interval (-1, 1): one AS241 evaluation,
+    within 1e-15 relative, p = +-(1 - 1e-16) included."""
     if not -1.0 < p < 1.0:
         raise DomainError(f"erf_inv requires p in (-1, 1), got {p}")
-    if p == 0.0:
-        return 0.0
-    x = _norm_ppf_guess(0.5 * (p + 1.0)) / math.sqrt(2.0)
-    # Halley on erf(x) - p; f''/(2 f') = -x
-    for _ in range(4):
-        err = math.erf(x) - p
-        deriv = 2.0 / _SQRT_PI * math.exp(-x * x)
-        if deriv == 0.0:
-            break
-        step = err / deriv
-        x -= step / (1.0 - x * step)
-        if abs(step) <= 1e-16 * (1.0 + abs(x)):
-            break
-    return x
+    return _as241(p, 1.0 - abs(p))
 
 
 def erfc_inv(y: float) -> float:
-    """Inverse complementary error function on (0, 2); stable for tiny y."""
+    """Inverse complementary error function on (0, 2), within 1e-15 relative for
+    tiny and subnormal y too: AS241 at the smaller tail t = min(y, 2 - y), then
+    exactly one Newton step on ln erfc(x) = ln t, skipped where erfc(x) is
+    subnormal. The step takes AS241's few ulps off x, which exp(-x^2) in the
+    Normal superquantile would multiply by 2 x^2."""
     if not 0.0 < y < 2.0:
         raise DomainError(f"erfc_inv requires y in (0, 2), got {y}")
-    if y > 1.0:
-        return -erfc_inv(2.0 - y)
-    if y > 0.0485:
-        return erf_inv(1.0 - y)
-    # Newton on log(erfc(x)) = log(y); erfc stays relatively accurate far
-    # into the tail where 1 - y would lose all precision.
-    ln_y = math.log(y)
-    t = -ln_y
-    x = math.sqrt(max(t - 0.5 * math.log(math.pi * max(t, 1.0)), 1e-8))
-    for _ in range(60):
-        e = math.erfc(x)
-        if e <= 0.0:
-            break
-        g = math.log(e) - ln_y
-        gp = -2.0 * math.exp(-x * x) / (_SQRT_PI * e)
-        step = g / gp
-        x -= step
-        if abs(step) <= 1e-15 * (1.0 + abs(x)):
-            break
-    return x
+    t = y if y <= 1.0 else 2.0 - y
+    x = _as241(1.0 - t, t)
+    e = math.erfc(x)
+    if e >= sys.float_info.min:
+        x += (math.log(e) - math.log(t)) * _SQRT_PI * e / (2.0 * math.exp(-x * x))
+    return x if y <= 1.0 else -x
 
 
 def gamma_fn(a: float) -> float:
@@ -174,12 +172,12 @@ def upper_inc_gamma(a: float, b: float) -> float:
 def lower_inc_gamma(a: float, b: float) -> float:
     """Lower incomplete gamma: integral of p^(a-1) e^(-p) over [0, b].
 
-    For a > 171, where Gamma(a) overflows, the value is formed in logs (the
-    regularized series underflows there first) and is inf where it exceeds
-    binary64.
+    For a > 171, where Gamma(a) overflows, and where the regularized value is
+    below the normal floats, the value is formed in logs and is inf where it
+    exceeds binary64.
     """
     p, _ = _reg_gamma(a, b)
-    if a <= 171.0:
+    if a <= 171.0 and p >= sys.float_info.min:
         return p * math.gamma(a)
     if b == 0.0:
         return 0.0

@@ -26,12 +26,15 @@ from . import specfun
 from ._optim import cantelli_level, level_root
 from .distributions import (GEV, GPD, Distribution, Exponential, Laplace,
                             LogLogistic, LogNormal, Logistic, Normal, Pareto,
-                            StudentT, Weibull, _exp_or_inf, _neg_log, _scaled_power)
+                            StudentT, Weibull, _exp_or_inf, _expm1_ratio, _log1p_ratio,
+                            _neg_log, _scaled_power)
 from .errors import ConvergenceError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN_SQRT_2PI = math.log(_SQRT_2PI)
+#: below this ln S, S times any binary64 value underflows
+_LN_NEGLIGIBLE = math.log(5e-324) - math.log(sys.float_info.max)
 
 #: families whose bPOE evaluates in closed form
 CLOSED_BPOE_FAMILIES = (Exponential, Pareto, GPD, Laplace)
@@ -82,10 +85,8 @@ def _sq_pareto(d: Pareto, alpha: float, eps: float) -> float:
 
 
 def _sq_gpd(d: GPD, alpha: float, eps: float) -> float:
-    if d._xi0:
-        return d.mu + d.s * (1.0 + _neg_log(eps, alpha))
-    u = _scaled_power(1.0, eps, -d.xi)
-    return d.mu + d.s * (u / (1.0 - d.xi) + (u - 1.0) / d.xi)
+    ratio = _expm1_ratio(d.xi, _neg_log(eps, alpha))   # (u - 1) / xi, u = eps^-xi
+    return d.mu + d.s * ((1.0 + d.xi * ratio) / (1.0 - d.xi) + ratio)
 
 
 def _sq_laplace(d: Laplace, alpha: float, eps: float) -> float:
@@ -97,7 +98,7 @@ def _sq_laplace(d: Laplace, alpha: float, eps: float) -> float:
 def _sq_normal(d: Normal, alpha: float, eps: float,
                pair: bool = False) -> float | tuple[float, float]:
     w = specfun.erfc_inv(2.0 * (alpha if alpha < eps else eps))   # |z| / sqrt2
-    sq = d.mu + d.sigma * math.exp(-w * w) / (_SQRT_2PI * eps)
+    sq = d.mu + d.sigma * (math.exp(-w * w) / (_SQRT_2PI * eps))
     if not pair:
         return sq
     t = -_SQRT2 * w   # the lower-half quantile, mirrored as Normal._quantile does
@@ -107,11 +108,11 @@ def _sq_normal(d: Normal, alpha: float, eps: float,
 def _sq_lognormal(d: LogNormal, alpha: float, eps: float) -> float:
     # 1 + erf(s/sqrt2 - z) written as erfc(z - s/sqrt2) to survive eps -> 0
     z = -specfun.erfc_inv(2.0 * alpha) if alpha < eps else specfun.erfc_inv(2.0 * eps)
-    return 0.5 * d.mean() * specfun.erfc(z - d.s / _SQRT2) / eps
+    return d.mean() * (0.5 * specfun.erfc(z - d.s / _SQRT2) / eps)
 
 
 def _sq_logistic(d: Logistic, alpha: float, eps: float) -> float:
-    return d.mu + d.s * specfun.binary_entropy(alpha if alpha < eps else eps) / eps
+    return d.mu + d.s * (specfun.binary_entropy(alpha if alpha < eps else eps) / eps)
 
 
 def _student_ln_1p(nu: float, t: float) -> float:
@@ -129,7 +130,7 @@ def _sq_student(d: StudentT, alpha: float, eps: float) -> float:
     nu = d.nu
     ln_1p = _student_ln_1p(nu, d._std_lower_quantile(alpha if alpha < eps else eps))
     tail = nu * math.exp(d._ln_c() - 0.5 * (nu - 1.0) * ln_1p)
-    return d.mu + d.s * tail / ((nu - 1.0) * eps)
+    return d.mu + d.s * (tail / ((nu - 1.0) * eps))
 
 
 def _sq_weibull(d: Weibull, alpha: float, eps: float) -> float:
@@ -145,10 +146,10 @@ def _sq_gev(d: GEV, alpha: float, eps: float) -> float:
     y = _neg_log(alpha, eps)
     if not d._xi0:
         gl = specfun.lower_inc_gamma(1.0 - d.xi, y)
-        return d.mu + d.s * (gl - eps) / (d.xi * eps)
+        return d.mu + d.s * ((gl - eps) / (d.xi * eps))
     if eps > 0.5:
         bracket = specfun.EULER_GAMMA + alpha * math.log(y) - specfun.log_integral(alpha)
-        return d.mu + d.s * bracket / eps
+        return d.mu + d.s * (bracket / eps)
     # Ein(y) = sum (-1)^(n+1) y^n / (n n!), alternating and fast for y <= ln 2
     ein, term, n = 0.0, -1.0, 0
     while abs(term) > 1e-17 * ein:
@@ -275,13 +276,10 @@ def bpoe_closed(d: Distribution, x: float) -> TailResult:
         value = (d.xm * d.a / (x * (d.a - 1.0))) ** d.a
     elif isinstance(d, GPD):
         z = (x - d.mu) / d.s
-        if d._xi0:
-            value = math.exp(1.0 - z)
-        else:
-            t = 1.0 + d.xi * z
-            if t <= 0.0:
-                return _clamped_zero(d)
-            value = math.exp(-(math.log(t) + math.log1p(-d.xi)) / d.xi)
+        if d.xi * z <= -1.0:
+            return _clamped_zero(d)
+        # ((1 + xi z)(1 - xi))^(-1/xi), e^(1 - z) at xi = 0
+        value = math.exp(-_log1p_ratio(d.xi, z) - _log1p_ratio(d.xi, -1.0))
     else:
         z = (x - d.mu) / d.b
         if z >= 1.0:
@@ -380,13 +378,16 @@ def _lognormal_tail(d: LogNormal, g: float) -> tuple[float, ...]:
     difference taken between upper tails from g = s/2 so that it does not cancel;
     deep in the tail s - q cancels, and s / q = h(g) / h(g - s), h the normal hazard,
     gives it. Up to g = 8 erfc's hazard keeps that difference within 4e-14; beyond,
-    the continued fraction's does."""
+    the continued fraction's does. Where S times any binary64 value underflows only
+    ln S and F are formed, and the mean excess reads 0."""
     if g < 8.0:
         ln_h, ln_survival, lower = _normal_ln_tail(g)
         ln_h_shift, ln_survival_shift, lower_shift = _normal_ln_tail(g - d.s)
     else:
         _, ln_h, _, _, ln_survival, lower = _std_normal_tail(d, g)
         _, ln_h_shift, _, _, ln_survival_shift, lower_shift = _std_normal_tail(d, g - d.s)
+    if ln_survival < _LN_NEGLIGIBLE:
+        return math.nan, math.nan, math.nan, 0.0, ln_survival, lower
     h, h_shift = math.exp(ln_h), math.exp(ln_h_shift)
     if 2.0 * g > d.s:
         ln_band = ln_survival_shift + math.log1p(-math.exp(ln_survival - ln_survival_shift))
@@ -427,21 +428,28 @@ def bpoe_by_minimization(d: Distribution, x: float) -> TailResult:
     ``value`` is the objective S e / (x - q) at the argmin, flat to first order in g
     and precise into the subnormals, ``alpha_star`` the lower tail F there and
     ``quantile_star`` q; where the value underflows it is 0.0 with the top of the
-    support.
-    ``ConvergenceError`` if 100 steps do not settle.
+    support, and where x rounds to the mean in standardized units it is 1.0 with
+    the bottom, as at x == mean.
+    ``DomainError`` for a non-finite x or x <= mean, ``ConvergenceError`` if 100
+    steps do not settle.
     """
     if not isinstance(d, MINIMIZATION_BPOE_FAMILIES):
         raise DomainError(f"no minimization bPOE engine for family {d.family!r}")
+    if not math.isfinite(x):
+        raise DomainError(f"bPOE threshold must be finite, got {x}")
     if x <= d.mean():
         raise DomainError(f"minimization engine requires x > mean, got x={x}, mean={d.mean()}")
     reduce, tail = _STD_TAILS[type(d)]
     loc, scale, g = reduce(d, x)
     zx = (x - loc) / scale
-    ln_zx = math.log(zx - (d.mean() - loc) / scale)
+    gap = zx - (d.mean() - loc) / scale
+    if gap <= 0.0:
+        return TailResult(1.0, 0.0, d.support().lower)
+    ln_zx = math.log(gap)
     lo, hi, tolerance = -math.inf, g, 4e-16 * max(1.0, abs(ln_zx))
     for _ in range(100):
         q, ln_s, slope, excess, ln_survival, lower = tail(d, g)
-        if ln_survival == -math.inf:   # S(g) >= S at the argmin (to a factor e) underflows
+        if ln_survival < _LN_NEGLIGIBLE:   # so does S at the argmin, a modest multiple of S(g)
             return TailResult(0.0, 1.0, d.support().upper)
         residual = ln_s - ln_zx
         lo, hi = (lo, g) if residual > 0.0 else (g, hi)

@@ -9,6 +9,7 @@ import pytest
 
 from tailrisk import _sampling
 from tailrisk import distributions as dist
+from tailrisk import tail_metrics as tm
 from tailrisk._quad import adaptive_quad
 from tailrisk.errors import DomainError, ParameterError
 
@@ -306,12 +307,47 @@ def test_support_bounds():
     assert dist.GEV(0.0, 1.0, -0.4).support().upper == pytest.approx(2.5)
 
 
-def test_xi_near_zero_dispatch():
-    # |xi| < 1e-9 is evaluated with the xi = 0 formulas
-    near = dist.GPD(0.0, 1.0, 1e-12)
-    exact = dist.GPD(0.0, 1.0, 0.0)
-    for alpha in (0.1, 0.5, 0.9):
-        assert near.quantile(alpha) == exact.quantile(alpha)
+XI_THROUGH_ZERO = [0.0] + [s * v for v in (1e-12, 9e-10, 1.1e-9, 1e-6, 1e-3) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("xi", XI_THROUGH_ZERO)
+def test_gpd_and_gev_evaluators_continuous_through_xi_zero(xi):
+    # the xi != 0 forms in mpmath at 50 digits and their limits at xi = 0; the grid
+    # straddles |xi| = 1e-9, where the GEV moments still switch to the xi = 0 forms
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        _check_gpd_and_gev(mp, xi)
+
+
+def _check_gpd_and_gev(mp, xi):
+    k = mp.mpf(xi)
+
+    def check(got, want, what):   # GEV's cdf(-3) = exp(-e^3) multiplies ulps by 20
+        assert abs(got - want) <= 2e-14 * abs(want), (what, got, float(want))
+
+    gpd, gev = dist.GPD(0.0, 1.0, xi), dist.GEV(0.0, 1.0, xi)
+    for x in (1.5, 3.0, 30.0):   # above the mean, where bPOE is not clamped
+        z = mp.mpf(x)
+        t = mp.exp(-z) if xi == 0 else mp.power(1 + k * z, -1 / k)
+        check(gpd.cdf(x), 1 - t, ("gpd cdf", x))
+        check(gpd.pdf(x), t if xi == 0 else mp.power(1 + k * z, -1 / k - 1), ("gpd pdf", x))
+        bpoe = mp.exp(1 - z) if xi == 0 else mp.power((1 + k * z) * (1 - k), -1 / k)
+        check(tm.bpoe_closed(gpd, x).value, bpoe, ("gpd bpoe", x))
+    for alpha in (0.1, 0.5, 0.99, 1.0 - 1e-12):
+        y = -mp.log(1 - mp.mpf(alpha))
+        u = mp.exp(k * y)
+        q = y if xi == 0 else (u - 1) / k
+        check(gpd.quantile(alpha), q, ("gpd quantile", alpha))
+        check(tm.superquantile(gpd, alpha), 1 + y if xi == 0 else u / (1 - k) + q,
+              ("gpd superquantile", alpha))
+        ln_y = mp.log(-mp.log(mp.mpf(alpha)))
+        check(gev.quantile(alpha), -ln_y if xi == 0 else mp.expm1(-k * ln_y) / k,
+              ("gev quantile", alpha))
+    for x in (-3.0, -1.0, 0.5, 2.0, 30.0):
+        z = mp.mpf(x)
+        ln_t = -z if xi == 0 else -mp.log(1 + k * z) / k
+        check(gev.cdf(x), mp.exp(-mp.exp(ln_t)), ("gev cdf", x))
+        check(gev.pdf(x), mp.exp((1 + k) * ln_t - mp.exp(ln_t)), ("gev pdf", x))
 
 
 @pytest.mark.parametrize("d", [

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -212,3 +213,72 @@ def test_binary_entropy():
     direct = -0.25 * math.log(0.25) - 0.75 * math.log(0.75)
     assert abs(sf.binary_entropy(0.25) - direct) <= 1e-15
     assert abs(sf.binary_entropy(0.3) - sf.binary_entropy(0.7)) <= 1e-15
+
+
+# --- mpmath differential tests --------------------------------------------------
+
+def _erfc_inv_reference(mp, t):
+    """The x >= 0 with erfc(x) = t, t in (0, 1] exact: Newton in mpmath on ln erfc."""
+    x0 = math.sqrt(max(-math.log(t), 0.0)) if t < 0.5 else (1.0 - t) * math.sqrt(math.pi) / 2
+    return mp.findroot(lambda x: mp.log(mp.erfc(x)) - mp.log(mp.mpf(t)), mp.mpf(x0))
+
+
+def test_erf_inv_and_erfc_inv_match_mpmath():
+    # tails t = 1 - |p| = 10^-k down to 1e-15 and y = 2 10^-k down to 2e-300 and
+    # into the subnormals, where erfc_inv skips its Newton step
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(241)
+    with mp.workdps(40):
+        ys = ([2.0 * 10.0 ** -k for k in range(1, 301)] + [5e-324 * 3.0 ** k for k in range(0, 40)]
+              + [rng.uniform(0.0, 2.0) for _ in range(200)]
+              + [1.0 + s * 10.0 ** -k for k in range(1, 16) for s in (1, -1)] + [1.0, 2.0 - 1e-15])
+        for y in ys:
+            t = y if y <= 1.0 else 2.0 - y
+            want = _erfc_inv_reference(mp, t) * (1 if y <= 1.0 else -1)
+            assert abs(sf.erfc_inv(y) - want) <= 1e-15 * abs(want), y
+        ps = ([s * (1.0 - 10.0 ** -k) for k in range(1, 16) for s in (1, -1)]
+              + [1.0 - 2.0 ** -53, -1.0 + 2.0 ** -53] + [rng.uniform(-1.0, 1.0) for _ in range(200)])
+        for p in ps:
+            want = (mp.erfinv(mp.mpf(p)) if abs(p) < 0.5
+                    else math.copysign(1.0, p) * _erfc_inv_reference(mp, 1.0 - abs(p)))
+            assert abs(sf.erf_inv(p) - want) <= 1e-15 * abs(want), p
+        # x below the normal floats rounds to the nearest subnormal
+        for p in (1e-300, 1e-310, 5e-324):
+            assert abs(sf.erf_inv(p) - mp.erfinv(mp.mpf(p))) <= max(1e-15 * p, 5e-324)
+
+
+def test_incomplete_gamma_matches_mpmath():
+    # a <= 170: above a = 171.6 upper_inc_gamma reads Gamma(a) from math.gamma
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(1988)
+    with mp.workdps(40):
+        for _ in range(300):
+            a = math.exp(rng.uniform(math.log(0.01), math.log(170.0)))
+            b = rng.uniform(0.0, 2.0 * a + 5.0) if rng.random() < 0.5 else math.exp(rng.uniform(-10.0, 6.7))
+            for got, want in ((sf.upper_inc_gamma(a, b), mp.gammainc(a, b)),
+                              (sf.lower_inc_gamma(a, b), mp.gammainc(a, 0, b))):
+                # an absolute floor where the value is below the normal floats
+                assert abs(got - want) <= 1e-12 * max(abs(want), sys.float_info.min), (a, b)
+
+
+def test_incomplete_beta_and_inverse_match_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(708)
+    with mp.workdps(40):
+        for _ in range(300):
+            a = math.exp(rng.uniform(math.log(0.05), math.log(100.0)))
+            b = math.exp(rng.uniform(math.log(0.05), math.log(100.0)))
+            t = rng.random()
+            want = mp.betainc(a, b, 0, t, regularized=True)
+            assert abs(sf.reg_inc_beta(t, a, b) - want) <= 1e-12 * max(want, sys.float_info.min)
+            p = rng.choice([rng.random(), 10.0 ** rng.uniform(-30.0, 0.0), 1.0 - 10.0 ** rng.uniform(-15.0, 0.0)])
+            x = sf.reg_inc_beta_inv(p, a, b)
+            # the round trip, in the smaller tail, less the two roundings of x that
+            # the density carries into it
+            if p <= 0.5:
+                err = abs(mp.betainc(a, b, 0, x, regularized=True) - p)
+            else:
+                err = abs(mp.betainc(a, b, x, 1, regularized=True) - (1 - mp.mpf(p)))
+            density = (mp.power(x, a - 1) * mp.power(1 - mp.mpf(x), b - 1) / mp.beta(a, b)
+                       if 0.0 < x < 1.0 else mp.inf)
+            assert err <= 1e-12 * min(p, 1.0 - p) + 2 * density * math.ulp(x), (p, a, b, x)

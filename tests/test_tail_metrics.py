@@ -428,6 +428,56 @@ def test_minimization_engine_domain():
         tm.bpoe_by_minimization(dist.Normal(0, 1), -0.5)
 
 
+@pytest.mark.parametrize("d", [dist.Normal(0, 1), dist.Logistic(0, 1), dist.StudentT(3.0),
+                               dist.LogNormal(0, 1)], ids=lambda d: d.family)
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_minimization_engine_rejects_a_non_finite_threshold(d, x):
+    with pytest.raises(DomainError, match="must be finite"):
+        tm.bpoe_by_minimization(d, x)
+
+
+@pytest.mark.parametrize("d", [dist.Logistic(0, 1e10), dist.StudentT(1.5, 1e10)],
+                         ids=lambda d: d.family)
+def test_minimization_engine_at_a_threshold_that_rounds_to_the_mean(d):
+    # 5e-324 / 1e10 is 0, the mean, in standardized units: the x == mean result
+    assert tm.bpoe_by_minimization(d, 5e-324) == tm.TailResult(1.0, 0.0, -math.inf)
+    assert tm.bpoe(d, 5e-324) == tm.TailResult(1.0, 0.0, -math.inf)
+
+
+@pytest.mark.parametrize("s", [1e-10, 1.0])
+def test_minimization_engine_underflowing_survival(s):
+    # the mean exp(-800 + s^2/2) underflows; 5e-324 is 55 or 5.6e11 standard
+    # deviations above it in logs
+    d = dist.LogNormal(-800.0, s)
+    assert tm.bpoe_by_minimization(d, 5e-324) == tm.TailResult(0.0, 1.0, math.inf)
+    assert tm.bpoe(d, 5e-324) == tm.TailResult(0.0, 1.0, math.inf)
+
+
+def _scaled_member(d, c):
+    """d's family at scale c (LogNormal: mu + ln c) and the scale that really holds."""
+    if isinstance(d, dist.LogNormal):
+        scaled = dist.LogNormal(d.mu + math.log(c), d.s)
+        return scaled, math.exp(scaled.mu)
+    return type(d)(**{**d.to_json()["params"], "sigma" if isinstance(d, dist.Normal) else "s": c}), c
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200])
+@pytest.mark.parametrize("d", [dist.Normal(0, 1), dist.Logistic(0, 1), dist.StudentT(3.0),
+                               dist.GEV(0, 1, 0.1), dist.GEV(0, 1, 0.0), dist.LogNormal(0, 1)],
+                         ids=repr)
+def test_scale_leaves_standardized_tail_metrics_unchanged(d, c):
+    # each superquantile formula forms its standardized tail term before the scale
+    # multiplies it, so the product neither underflows nor overflows
+    scaled, c = _scaled_member(d, c)
+    # the LogNormal engine reads ln x, whose rounding at |ln x| = 690 is 1e-13 in g
+    rel = 2e-13 if isinstance(d, dist.LogNormal) else 1e-13
+    for z in (2.0, 5.0):
+        assert tm.bpoe(scaled, c * z).value == pytest.approx(tm.bpoe(d, z).value, rel=rel, abs=0)
+    for alpha in (0.5, 0.99, 1.0 - 1e-15):
+        assert tm.superquantile(scaled, alpha) / c == pytest.approx(
+            tm.superquantile(d, alpha), rel=1e-13, abs=0)
+
+
 # --- inverse consistency -----------------------------------------------------
 
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: repr(d))
