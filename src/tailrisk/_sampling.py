@@ -7,17 +7,17 @@ Normal, LogNormal and Student-t draw from numpy's own generators
 uniform. The other families are inverse-transform samplers: their closed-form
 array quantile at clipped uniforms. Both tables are looked up along the
 type's method resolution order, as a method would be, so a subclass of a
-family samples as that family does and any other ``Distribution`` falls back
-to its scalar ``quantile``, one level at a time.
+family samples as that family does (Exponential(lam) as GPD(0, 1/lam, 0),
+Pareto(a, xm) as GPD(xm, xm/a, 1/a)) and any other ``Distribution`` falls
+back to its scalar ``quantile``, one level at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distributions import (GEV, GPD, Distribution, Exponential, Laplace,
-                            LogLogistic, LogNormal, Logistic, Normal, Pareto,
-                            StudentT, Weibull)
+from .distributions import (GEV, GPD, Distribution, Laplace, LogLogistic,
+                            LogNormal, Logistic, Normal, StudentT, Weibull)
 
 # --- per-family array quantiles ----------------------------------------------
 
@@ -25,18 +25,9 @@ def _scalar(d: Distribution, u: np.ndarray) -> np.ndarray:
     return np.array([d.quantile(float(p)) for p in u])
 
 
-def _exponential(d: Exponential, u: np.ndarray) -> np.ndarray:
-    return -np.log1p(-u) / d.lam
-
-
-def _pareto(d: Pareto, u: np.ndarray) -> np.ndarray:
-    return d.xm * (1.0 - u) ** (-1.0 / d.a)
-
-
 def _gpd(d: GPD, u: np.ndarray) -> np.ndarray:
-    if d.xi == 0.0:
-        return d.mu - d.s * np.log1p(-u)
-    return d.mu + d.s * np.expm1(-d.xi * np.log1p(-u)) / d.xi
+    y = -np.log1p(-u)
+    return d.mu + d.s * (y if d.xi == 0.0 else np.expm1(d.xi * y) / d.xi)
 
 
 def _laplace(d: Laplace, u: np.ndarray) -> np.ndarray:
@@ -66,8 +57,6 @@ def _gev(d: GEV, u: np.ndarray) -> np.ndarray:
 
 _QUANTILE_ARRAYS = {
     Distribution: _scalar,
-    Exponential: _exponential,
-    Pareto: _pareto,
     GPD: _gpd,
     Laplace: _laplace,
     Logistic: _logistic,

@@ -1,5 +1,6 @@
 """Validated parameter containers and elementary evaluators for the eleven
-supported distribution families.
+supported distribution families. Exponential(lam) = GPD(0, 1/lam, 0) and
+Pareto(a, xm) = GPD(xm, xm/a, 1/a) subclass GPD and run its evaluators.
 
 Each family is an immutable value whose ``__init__`` validates its parameters,
 with ``pdf``, ``cdf``, ``quantile``, ``tail_quantile`` (the upper quantile as a
@@ -34,11 +35,15 @@ if TYPE_CHECKING:
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LN_SQRT_2PI = math.log(_SQRT_2PI)
 
 # |xi| below this is treated as xi == 0 by the GEV moments, whose xi != 0 forms
 # cancel there; the GPD and GEV evaluators reach xi = 0 as a limit
 _XI_ZERO = 1e-9
 _TINY = sys.float_info.min   # smallest normal float
+# a GPD survival (1 + xi z)^(-1/xi) is that power where 1 + xi z exceeds e^2: the power
+# multiplies the rounding of 1 + xi z by 1/xi, the exponential by ln(1 + xi z)/xi
+_E2 = math.exp(2.0)
 
 
 class SupportBound(NamedTuple):
@@ -91,11 +96,6 @@ def _gamma_variance(c: float, a1: float, a2: float) -> float:
 def _log1p_ratio(xi: float, z: float) -> float:
     """ln(1 + xi z) / xi, and its limit z at xi = 0."""
     return z if xi == 0.0 else math.log1p(xi * z) / xi
-
-
-def _expm1_ratio(xi: float, y: float) -> float:
-    """(e^(xi y) - 1) / xi, and its limit y at xi = 0."""
-    return y if xi == 0.0 else math.expm1(xi * y) / xi
 
 
 def _neg_log(x: float, comp: float) -> float:
@@ -211,67 +211,9 @@ class Distribution:
         return {"family": self.family, "params": self.params()}
 
 
-class Exponential(Distribution):
-    family = "exponential"
-
-    def __init__(self, lam: float):
-        _require(0 < lam < math.inf, "Exponential requires finite lam > 0, got {}", lam)
-        self.__dict__.update(lam=lam)
-
-    def pdf(self, x):
-        return self.lam * math.exp(-self.lam * x) if x >= 0 else 0.0
-
-    def cdf(self, x):
-        return -math.expm1(-self.lam * x) if x >= 0 else 0.0
-
-    def _quantile(self, alpha, eps):
-        return _neg_log(eps, alpha) / self.lam
-
-    def mean(self):
-        return 1.0 / self.lam
-
-    def variance(self):
-        return 1.0 / self.lam / self.lam
-
-    def support(self):
-        return SupportBound(0.0, math.inf)
-
-
-class Pareto(Distribution):
-    family = "pareto"
-
-    def __init__(self, a: float, xm: float):
-        _require(0 < a < math.inf, "Pareto requires finite shape a > 0, got {}", a)
-        _require(0 < xm < math.inf, "Pareto requires finite scale xm > 0, got {}", xm)
-        self.__dict__.update(a=a, xm=xm)
-
-    def pdf(self, x):
-        if x < self.xm:
-            return 0.0
-        return self.a * (self.xm / x) ** self.a / x
-
-    def cdf(self, x):
-        if x < self.xm:
-            return 0.0
-        return 1.0 - (self.xm / x) ** self.a
-
-    def _quantile(self, alpha, eps):
-        return _scaled_power(self.xm, eps, -1.0 / self.a)
-
-    def mean(self):
-        return math.inf if self.a <= 1.0 else self.a * self.xm / (self.a - 1.0)
-
-    def variance(self):
-        if self.a <= 2.0:
-            return math.inf
-        return self.a * self.xm ** 2 / ((self.a - 1.0) ** 2 * (self.a - 2.0))
-
-    def support(self):
-        return SupportBound(self.xm, math.inf)
-
-
 class GPD(Distribution):
-    """Generalized Pareto with location mu, scale s, shape xi."""
+    """Generalized Pareto with location mu, scale s, shape xi. The moments, the
+    superquantile and bPOE read 1 - xi and 1 - 2 xi as ``_g1`` and ``_g2``."""
 
     family = "gpd"
 
@@ -279,40 +221,83 @@ class GPD(Distribution):
         _require(0 < s < math.inf, "GPD requires finite scale s > 0, got {}", s)
         _require(math.isfinite(mu), "GPD requires finite mu, got {}", mu)
         _require(math.isfinite(xi), "GPD requires finite xi, got {}", xi)
-        self.__dict__.update(mu=mu, s=s, xi=xi)
+        self.__dict__.update(mu=mu, s=s, xi=xi, _g1=1.0 - xi, _g2=1.0 - 2.0 * xi)
 
     def support(self):
         if self.xi < 0.0:
             return SupportBound(self.mu, self.mu - self.s / self.xi)
         return SupportBound(self.mu, math.inf)
 
+    def _ln_survival(self, x: float) -> float:
+        """-ln S = ln(1 + xi z) / xi above mu, z = (x - mu) / s (z at xi = 0); from
+        ln(x - mu) - ln s where xi z overflows."""
+        if self.xi * (x - self.mu) / self.s < math.inf:
+            return _log1p_ratio(self.xi, (x - self.mu) / self.s)
+        return (math.log(self.xi) + math.log(x - self.mu) - math.log(self.s)) / self.xi
+
     def pdf(self, x):
-        lo, hi = self.support()
-        z = (x - self.mu) / self.s
-        if x < lo or x > hi or self.xi * z <= -1.0:
+        h = self.s + self.xi * (x - self.mu)   # s (1 + xi z), which does not overflow with z
+        if x < self.mu or h <= 0.0:
             return 0.0
-        return math.exp(-(1.0 + self.xi) * _log1p_ratio(self.xi, z)) / self.s
+        base = h / self.s   # S / h, S a power where that multiplies less rounding
+        return (base ** (-1.0 / self.xi) if _E2 < base < math.inf
+                else math.exp(-self._ln_survival(x))) / h
 
     def cdf(self, x):
-        lo, hi = self.support()
-        if x <= lo:
+        if x <= self.mu:
             return 0.0
-        if x >= hi:
-            return 1.0
-        return -math.expm1(-_log1p_ratio(self.xi, (x - self.mu) / self.s))
+        return 1.0 if self.s + self.xi * (x - self.mu) <= 0.0 else -math.expm1(-self._ln_survival(x))
+
+    def _tail_terms(self, alpha: float, eps: float) -> tuple[float, float]:
+        """(s u, s (u - 1) / xi) at u = eps^-xi, the second the quantile less mu: expm1's below
+        u = e, the power above, and in logs where u or the quantile leaves binary64."""
+        xi, s, y = self.xi, self.s, _neg_log(eps, alpha)
+        if xi * y < 1.0:
+            r = y if xi == 0.0 else math.expm1(xi * y) / xi
+            return s * (1.0 + xi * r), s * r
+        u = _scaled_power(1.0, eps, -xi)
+        sr = s * ((u - 1.0) / xi)
+        if sr < math.inf:
+            return s * u, sr
+        ln_su = math.log(s) + xi * y
+        return _exp_or_inf(ln_su), _exp_or_inf(ln_su - math.log(xi))
 
     def _quantile(self, alpha, eps):
-        return self.mu + self.s * _expm1_ratio(self.xi, _neg_log(eps, alpha))
+        return self.mu + self._tail_terms(alpha, eps)[1]
 
     def mean(self):
-        if self.xi >= 1.0:
-            return math.inf
-        return self.mu + self.s / (1.0 - self.xi)
+        return math.inf if self._g1 <= 0.0 else self.mu + self.s / self._g1
 
-    def variance(self):
-        if self.xi >= 0.5:
-            return math.inf
-        return self.s ** 2 / ((1.0 - self.xi) ** 2 * (1.0 - 2.0 * self.xi))
+    def variance(self):   # (s / (1 - xi))^2 / (1 - 2 xi), no square formed
+        r = self.s / self._g1
+        return math.inf if self._g2 <= 0.0 else r * (r / self._g2)
+
+
+class Exponential(GPD):
+    """Exponential with rate lam: GPD(0, 1/lam, 0)."""
+
+    family = "exponential"
+
+    def __init__(self, lam: float):
+        _require(0 < lam < math.inf and _TINY <= 1.0 / lam < math.inf,
+                 "Exponential requires finite lam > 0 with 1/lam a normal float, got {}", lam)
+        self.__dict__.update(lam=lam)
+        super().__init__(0.0, 1.0 / lam, 0.0)
+
+
+class Pareto(GPD):
+    """Pareto with shape a and minimum xm: GPD(xm, xm/a, 1/a), whose 1 - xi and
+    1 - 2 xi are (a - 1)/a and (a - 2)/a, exact where 1/a is rounded."""
+
+    family = "pareto"
+
+    def __init__(self, a: float, xm: float):
+        _require(0 < a < math.inf, "Pareto requires finite shape a > 0, got {}", a)
+        _require(0 < xm < math.inf, "Pareto requires finite scale xm > 0, got {}", xm)
+        _require(_TINY <= min(xm / a, 1.0 / a) and max(xm / a, 1.0 / a) < math.inf,
+                 "Pareto requires xm/a and 1/a within the normal floats, got a={}", a)
+        super().__init__(xm, xm / a, 1.0 / a)
+        self.__dict__.update(a=a, xm=xm, _g1=(a - 1.0) / a, _g2=(a - 2.0) / a)
 
 
 class Laplace(Distribution):
@@ -388,8 +373,9 @@ class LogNormal(Distribution):
     def pdf(self, x):
         if x <= 0:
             return 0.0
-        z = (math.log(x) - self.mu) / self.s
-        return math.exp(-0.5 * z * z) / (x * self.s * _SQRT_2PI)
+        ln_x = math.log(x)
+        z = (ln_x - self.mu) / self.s
+        return _exp_or_inf(-0.5 * z * z - ln_x - math.log(self.s) - _LN_SQRT_2PI)
 
     def cdf(self, x):
         if x <= 0:
@@ -551,14 +537,11 @@ class Weibull(Distribution):
         self.__dict__.update(lam=lam, k=k)
 
     def pdf(self, x):
-        if x < 0:
-            return 0.0
-        z = x / self.lam
-        if z == 0.0:
-            if self.k == 1.0:
-                return 1.0 / self.lam
-            return math.inf if self.k < 1.0 else 0.0
-        return self.k / self.lam * z ** (self.k - 1.0) * math.exp(-z ** self.k)
+        if x <= 0:   # at 0 the limit
+            return 0.0 if x < 0 or self.k > 1.0 else (1.0 / self.lam if self.k == 1.0 else math.inf)
+        ln_z = math.log(x) - math.log(self.lam)   # z = x / lam may leave binary64
+        return _exp_or_inf(math.log(self.k) - math.log(self.lam) + (self.k - 1.0) * ln_z
+                           - _scaled_power(1.0, x / self.lam, self.k))
 
     def cdf(self, x):
         if x < 0:
@@ -587,14 +570,10 @@ class LogLogistic(Distribution):
         self.__dict__.update(a=a, b=b)
 
     def pdf(self, x):
-        if x < 0:
-            return 0.0
-        if x == 0:
-            if self.b == 1.0:
-                return self.b / self.a
-            return math.inf if self.b < 1.0 else 0.0
-        z = x / self.a
-        return (self.b / self.a) * z ** (self.b - 1.0) / (1.0 + z ** self.b) ** 2
+        if x <= 0:   # at 0 the limit
+            return 0.0 if x < 0 or self.b > 1.0 else (1.0 / self.a if self.b == 1.0 else math.inf)
+        w = abs(self.b * (math.log(x) - math.log(self.a)))   # f = b F (1 - F) / x, |ln odds| w
+        return _exp_or_inf(math.log(self.b) - math.log(x) - w - 2.0 * math.log1p(math.exp(-w)))
 
     def cdf(self, x):
         if x <= 0:

@@ -165,25 +165,33 @@ def _reg_gamma(a: float, b: float) -> tuple[float, float]:
 
 def upper_inc_gamma(a: float, b: float) -> float:
     """Upper incomplete gamma: integral of p^(a-1) e^(-p) over [b, inf)."""
-    _, q = _reg_gamma(a, b)
-    return q * math.gamma(a)
+    return _inc_gamma(a, b, True)
 
 
 def lower_inc_gamma(a: float, b: float) -> float:
-    """Lower incomplete gamma: integral of p^(a-1) e^(-p) over [0, b].
+    """Lower incomplete gamma: integral of p^(a-1) e^(-p) over [0, b]."""
+    return _inc_gamma(a, b, False)
 
-    For a > 171, where Gamma(a) overflows, and where the regularized value is
-    below the normal floats, the value is formed in logs and is inf where it
-    exceeds binary64.
-    """
-    p, _ = _reg_gamma(a, b)
-    if a <= 171.0 and p >= sys.float_info.min:
-        return p * math.gamma(a)
-    if b == 0.0:
-        return 0.0
-    log_value = (math.log(_gamma_p_series(a, b)) + a * math.log(b) - b if b < a + 1.0
-                 else math.log(p) + math.lgamma(a))
+
+def _inc_gamma(a: float, b: float, upper: bool) -> float:
+    """The regularized value times Gamma(a); e^_ln_inc_gamma for a > 171, where
+    Gamma(a) overflows, and below the normal floats, so inf only beyond binary64."""
+    value = _reg_gamma(a, b)[upper]
+    if a <= 171.0 and value >= sys.float_info.min:
+        return value * math.gamma(a)
+    log_value = _ln_inc_gamma(a, b, upper)
     return math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
+
+
+def _ln_inc_gamma(a: float, b: float, upper: bool) -> float:
+    """ln of the upper or lower incomplete gamma: ln(b^a e^-b) plus the log of the sum
+    that computes it directly, else ln Gamma(a) plus the log of the regularized value."""
+    if (b < a + 1.0) == upper:   # the value is 0 where 1 - the other rounds to 0 (a -> 0)
+        value = _reg_gamma(a, b)[upper]
+        return math.log(value) + math.lgamma(a) if value > 0.0 else -math.inf
+    if b == 0.0:
+        return -math.inf
+    return math.log(_gamma_q_cf(a, b) if upper else _gamma_p_series(a, b)) + a * math.log(b) - b
 
 
 # Stirling series coefficients B_2k / (2k (2k - 1)) of ln Gamma, k = 1..7

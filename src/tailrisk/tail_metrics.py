@@ -24,15 +24,13 @@ from typing import NamedTuple
 
 from . import specfun
 from ._optim import cantelli_level, level_root
-from .distributions import (GEV, GPD, Distribution, Exponential, Laplace,
-                            LogLogistic, LogNormal, Logistic, Normal, Pareto,
-                            StudentT, Weibull, _exp_or_inf, _expm1_ratio, _log1p_ratio,
-                            _neg_log, _scaled_power)
+from .distributions import (_E2, _LN_SQRT_2PI, GEV, GPD, Distribution, Exponential, Laplace,
+                            LogLogistic, LogNormal, Logistic, Normal, Pareto, StudentT,
+                            Weibull, _exp_or_inf, _log1p_ratio, _neg_log)
 from .errors import ConvergenceError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LN_SQRT_2PI = math.log(_SQRT_2PI)
 #: below this ln S, S times any binary64 value underflows
 _LN_NEGLIGIBLE = math.log(5e-324) - math.log(sys.float_info.max)
 
@@ -76,17 +74,9 @@ class TailResult(NamedTuple):
 # Each formula takes the pair (alpha, eps), alpha + eps = 1, and reads its
 # precision from the smaller one, as ``Distribution._quantile`` does.
 
-def _sq_exponential(d: Exponential, alpha: float, eps: float) -> float:
-    return (_neg_log(eps, alpha) + 1.0) / d.lam
-
-
-def _sq_pareto(d: Pareto, alpha: float, eps: float) -> float:
-    return _scaled_power(d.xm * d.a / (d.a - 1.0), eps, -1.0 / d.a)
-
-
 def _sq_gpd(d: GPD, alpha: float, eps: float) -> float:
-    ratio = _expm1_ratio(d.xi, _neg_log(eps, alpha))   # (u - 1) / xi, u = eps^-xi
-    return d.mu + d.s * ((1.0 + d.xi * ratio) / (1.0 - d.xi) + ratio)
+    su, sr = d._tail_terms(alpha, eps)   # s u and s (u - 1) / xi, u = eps^-xi
+    return d.mu + (su / d._g1 + sr)
 
 
 def _sq_laplace(d: Laplace, alpha: float, eps: float) -> float:
@@ -134,7 +124,10 @@ def _sq_student(d: StudentT, alpha: float, eps: float) -> float:
 
 
 def _sq_weibull(d: Weibull, alpha: float, eps: float) -> float:
-    return d.lam * (specfun.upper_inc_gamma(1.0 + 1.0 / d.k, _neg_log(eps, alpha)) / eps)
+    a, y = 1.0 + 1.0 / d.k, _neg_log(eps, alpha)
+    if a <= 171.0:
+        return d.lam * (specfun.upper_inc_gamma(a, y) / eps)
+    return _exp_or_inf(math.log(d.lam) + specfun._ln_inc_gamma(a, y, True) - math.log(eps))
 
 
 def _sq_loglogistic(d: LogLogistic, alpha: float, eps: float) -> float:
@@ -160,8 +153,8 @@ def _sq_gev(d: GEV, alpha: float, eps: float) -> float:
 
 
 _SQ_FORMULAS = {
-    Exponential: _sq_exponential,
-    Pareto: _sq_pareto,
+    Exponential: _sq_gpd,
+    Pareto: _sq_gpd,
     GPD: _sq_gpd,
     Laplace: _sq_laplace,
     Normal: _sq_normal,
@@ -270,16 +263,16 @@ def bpoe_closed(d: Distribution, x: float) -> TailResult:
     edge = _bpoe_edges(d, x)
     if edge is not None:
         return edge
-    if isinstance(d, Exponential):
-        value = math.exp(1.0 - d.lam * x)
-    elif isinstance(d, Pareto):
-        value = (d.xm * d.a / (x * (d.a - 1.0))) ** d.a
-    elif isinstance(d, GPD):
-        z = (x - d.mu) / d.s
-        if d.xi * z <= -1.0:
+    if isinstance(d, GPD):
+        h = d.s + d.xi * (x - d.mu)   # s (1 + xi z)
+        if h <= 0.0:
             return _clamped_zero(d)
-        # ((1 + xi z)(1 - xi))^(-1/xi), e^(1 - z) at xi = 0
-        value = math.exp(-_log1p_ratio(d.xi, z) - _log1p_ratio(d.xi, -1.0))
+        # ((1 + xi z)(1 - xi))^(-1/xi), a power as in GPD.pdf, else in logs, e^(1 - z) at xi = 0
+        if h / d.s > _E2:
+            value = (d._g1 * h / d.s) ** (-1.0 / d.xi)
+        else:
+            value = math.exp(-d._ln_survival(x) - (math.log(d._g1) / d.xi if d.xi > 0.5
+                                                   else _log1p_ratio(d.xi, -1.0)))
     else:
         z = (x - d.mu) / d.b
         if z >= 1.0:

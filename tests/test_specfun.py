@@ -261,6 +261,25 @@ def test_incomplete_gamma_matches_mpmath():
                 assert abs(got - want) <= 1e-12 * max(abs(want), sys.float_info.min), (a, b)
 
 
+def test_incomplete_gamma_beyond_gamma_overflow_matches_mpmath():
+    # a up to 400, where Gamma(a) leaves binary64: both read the value in logs,
+    # inf beyond binary64 and the value where it is finite
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(1716)
+    with mp.workdps(40):
+        cases = [(200.0, 1.0), (171.5, 2.302585092994046), (400.0, 1e-3), (400.0, 5000.0)]
+        for _ in range(300):
+            a = rng.uniform(150.0, 400.0)
+            cases.append((a, a * math.exp(rng.uniform(-8.0, 3.0))))
+        for a, b in cases:
+            for got, want in ((sf.upper_inc_gamma(a, b), mp.gammainc(a, b)),
+                              (sf.lower_inc_gamma(a, b), mp.gammainc(a, 0, b))):
+                if want > sys.float_info.max:
+                    assert got == math.inf, (a, b)
+                else:
+                    assert abs(got - want) <= 1e-12 * max(abs(want), sys.float_info.min), (a, b)
+
+
 def test_incomplete_beta_and_inverse_match_mpmath():
     mp = pytest.importorskip("mpmath")
     rng = random.Random(708)

@@ -100,7 +100,12 @@ def test_closed_form_bpoe_below_the_level_resolution(d, x, formula):
     # every value here is below 5.5e-17, which 1 - alpha rounded to 0
     assert 0.0 < formula < 5.5e-17
     result = tm.bpoe(d, x)
-    assert result.value == formula
+    if isinstance(d, dist.Pareto):   # the GPD power form rounds otherwise than this formula
+        with mp.workdps(50):
+            want = (mp.mpf(d.xm) * d.a / (mp.mpf(x) * (d.a - 1))) ** d.a
+            assert abs(result.value - want) <= 1e-15 * want, (result.value, want)
+    else:
+        assert result.value == formula
     assert result.alpha_star == 1.0 and result.quantile_star < math.inf
 
 

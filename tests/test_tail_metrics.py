@@ -792,6 +792,19 @@ def test_extreme_parameters_return_a_number_or_a_typed_error(call):
     assert isinstance(value, float) and not math.isnan(value)
 
 
+def test_weibull_superquantile_beyond_gamma_overflow():
+    # Gamma(1 + 1/k) leaves binary64 below k = 1/170.6, while the mean lam Gamma(1 + 1/k)
+    # and lam Gamma(1 + 1/k, -ln eps) / eps do not: both are formed in logs
+    mpmath = pytest.importorskip("mpmath")
+    d = dist.Weibull(1e-10, 1.0 / 171.5)
+    with mpmath.workdps(40):
+        a = 1 + 1 / mpmath.mpf(d.k)
+        for alpha in (0.0, 0.5, 0.9, 0.99):
+            eps = 1 - mpmath.mpf(alpha)
+            want = d.lam * mpmath.gammainc(a, -mpmath.log(eps)) / eps
+            assert abs(tm.superquantile(d, alpha) - want) <= 1e-12 * want, alpha
+
+
 def test_moments_beyond_binary64_read_inf():
     assert dist.LogNormal(800.0, 1.0).mean() == math.inf
     assert dist.LogNormal(800.0, 1.0).variance() == math.inf
