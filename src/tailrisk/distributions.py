@@ -231,8 +231,9 @@ class GPD(Distribution):
     def _ln_survival(self, x: float) -> float:
         """-ln S = ln(1 + xi z) / xi above mu, z = (x - mu) / s (z at xi = 0); from
         ln(x - mu) - ln s where xi z overflows."""
-        if self.xi * (x - self.mu) / self.s < math.inf:
-            return _log1p_ratio(self.xi, (x - self.mu) / self.s)
+        z = (x - self.mu) / self.s
+        if self.xi * z != math.inf:   # NaN at xi = 0, z = inf, where the ratio is z
+            return _log1p_ratio(self.xi, z)
         return (math.log(self.xi) + math.log(x - self.mu) - math.log(self.s)) / self.xi
 
     def pdf(self, x):
@@ -248,22 +249,20 @@ class GPD(Distribution):
             return 0.0
         return 1.0 if self.s + self.xi * (x - self.mu) <= 0.0 else -math.expm1(-self._ln_survival(x))
 
-    def _tail_terms(self, alpha: float, eps: float) -> tuple[float, float]:
-        """(s u, s (u - 1) / xi) at u = eps^-xi, the second the quantile less mu: expm1's below
-        u = e, the power above, and in logs where u or the quantile leaves binary64."""
+    def _excess(self, alpha: float, eps: float) -> float:
+        """s (u - 1) / xi at u = eps^-xi, the quantile less mu: expm1's below u = e, the
+        power above, as (s v) v / xi where u or the quantile leaves binary64, else in logs."""
         xi, s, y = self.xi, self.s, _neg_log(eps, alpha)
         if xi * y < 1.0:
-            r = y if xi == 0.0 else math.expm1(xi * y) / xi
-            return s * (1.0 + xi * r), s * r
-        u = _scaled_power(1.0, eps, -xi)
-        sr = s * ((u - 1.0) / xi)
-        if sr < math.inf:
-            return s * u, sr
-        ln_su = math.log(s) + xi * y
-        return _exp_or_inf(ln_su), _exp_or_inf(ln_su - math.log(xi))
+            return s * (y if xi == 0.0 else math.expm1(xi * y) / xi)
+        excess = s * ((_scaled_power(1.0, eps, -xi) - 1.0) / xi)
+        if excess < math.inf:
+            return excess
+        v = _scaled_power(1.0, eps, -0.5 * xi)   # u = v^2 left binary64; its - 1 vanishes
+        return s * v * v / xi if v < math.inf else _exp_or_inf(math.log(s) - math.log(xi) + xi * y)
 
     def _quantile(self, alpha, eps):
-        return self.mu + self._tail_terms(alpha, eps)[1]
+        return self.mu + self._excess(alpha, eps)
 
     def mean(self):
         return math.inf if self._g1 <= 0.0 else self.mu + self.s / self._g1
@@ -281,8 +280,7 @@ class Exponential(GPD):
     def __init__(self, lam: float):
         _require(0 < lam < math.inf and _TINY <= 1.0 / lam < math.inf,
                  "Exponential requires finite lam > 0 with 1/lam a normal float, got {}", lam)
-        self.__dict__.update(lam=lam)
-        super().__init__(0.0, 1.0 / lam, 0.0)
+        self.__dict__.update(lam=lam, mu=0.0, s=1.0 / lam, xi=0.0, _g1=1.0, _g2=1.0)
 
 
 class Pareto(GPD):
@@ -294,10 +292,10 @@ class Pareto(GPD):
     def __init__(self, a: float, xm: float):
         _require(0 < a < math.inf, "Pareto requires finite shape a > 0, got {}", a)
         _require(0 < xm < math.inf, "Pareto requires finite scale xm > 0, got {}", xm)
-        _require(_TINY <= min(xm / a, 1.0 / a) and max(xm / a, 1.0 / a) < math.inf,
+        _require(_TINY <= xm / a < math.inf and _TINY <= 1.0 / a < math.inf,
                  "Pareto requires xm/a and 1/a within the normal floats, got a={}", a)
-        super().__init__(xm, xm / a, 1.0 / a)
-        self.__dict__.update(a=a, xm=xm, _g1=(a - 1.0) / a, _g2=(a - 2.0) / a)
+        self.__dict__.update(a=a, xm=xm, mu=xm, s=xm / a, xi=1.0 / a, _g1=(a - 1.0) / a,
+                             _g2=(a - 2.0) / a)
 
 
 class Laplace(Distribution):

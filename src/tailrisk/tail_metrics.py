@@ -75,8 +75,8 @@ class TailResult(NamedTuple):
 # precision from the smaller one, as ``Distribution._quantile`` does.
 
 def _sq_gpd(d: GPD, alpha: float, eps: float) -> float:
-    su, sr = d._tail_terms(alpha, eps)   # s u and s (u - 1) / xi, u = eps^-xi
-    return d.mu + (su / d._g1 + sr)
+    excess = d._excess(alpha, eps)   # s (u - 1) / xi, u = eps^-xi
+    return d.mu + ((d.s + d.xi * excess) / d._g1 + excess)
 
 
 def _sq_laplace(d: Laplace, alpha: float, eps: float) -> float:
