@@ -284,16 +284,15 @@ class Exponential(GPD):
 
 
 class Pareto(GPD):
-    """Pareto with shape a and minimum xm: GPD(xm, xm/a, 1/a), whose 1 - xi and
-    1 - 2 xi are (a - 1)/a and (a - 2)/a, exact where 1/a is rounded."""
+    """Pareto with shape a and minimum xm: GPD(xm, xm/a, 1/a). 1 - xi and 1 - 2 xi
+    are (a - 1)/a and (a - 2)/a, which 1 - 1/a and 1 - 2/a lose near a = 1 and 2."""
 
     family = "pareto"
 
     def __init__(self, a: float, xm: float):
         _require(0 < a < math.inf, "Pareto requires finite shape a > 0, got {}", a)
-        _require(0 < xm < math.inf, "Pareto requires finite scale xm > 0, got {}", xm)
-        _require(_TINY <= xm / a < math.inf and _TINY <= 1.0 / a < math.inf,
-                 "Pareto requires xm/a and 1/a within the normal floats, got a={}", a)
+        _require(0 < xm < math.inf and _TINY <= xm / a < math.inf and _TINY <= 1.0 / a < math.inf,
+                 "Pareto requires finite scale xm > 0, with xm/a and 1/a normal floats, got {}", xm)
         self.__dict__.update(a=a, xm=xm, mu=xm, s=xm / a, xi=1.0 / a, _g1=(a - 1.0) / a,
                              _g2=(a - 2.0) / a)
 
