@@ -292,7 +292,8 @@ class Pareto(GPD):
     def __init__(self, a: float, xm: float):
         _require(0 < a < math.inf, "Pareto requires finite shape a > 0, got {}", a)
         _require(0 < xm < math.inf and _TINY <= xm / a < math.inf and _TINY <= 1.0 / a < math.inf,
-                 "Pareto requires finite scale xm > 0, with xm/a and 1/a normal floats, got {}", xm)
+                 "Pareto requires finite xm > 0 with xm/a and 1/a normal floats, got (a, xm) = {}",
+                 (a, xm))
         self.__dict__.update(a=a, xm=xm, mu=xm, s=xm / a, xi=1.0 / a, _g1=(a - 1.0) / a,
                              _g2=(a - 2.0) / a)
 
