@@ -41,8 +41,8 @@ _LN_SQRT_2PI = math.log(_SQRT_2PI)
 # cancel there; the GPD and GEV evaluators reach xi = 0 as a limit
 _XI_ZERO = 1e-9
 _TINY = sys.float_info.min   # smallest normal float
-# a GPD survival (1 + xi z)^(-1/xi) is that power where 1 + xi z exceeds e^2: the power
-# multiplies the rounding of 1 + xi z by 1/xi, the exponential by ln(1 + xi z)/xi
+# a GPD power b^(-1/xi) is taken as that power where b exceeds e^2: the power multiplies
+# the rounding of b by 1/xi, the exponential by ln(b)/xi
 _E2 = math.exp(2.0)
 
 
@@ -236,13 +236,19 @@ class GPD(Distribution):
             return _log1p_ratio(self.xi, z)
         return (math.log(self.xi) + math.log(x - self.mu) - math.log(self.s)) / self.xi
 
+    def _tail_power(self, x: float, h: float, c=1.0, ln_c=0.0, d=1.0) -> float:
+        """(c h / s)^(-1/xi) / d = S(x) c^(-1/xi) / d at h = s (1 + xi z), ln_c = ln(c) / xi:
+        the power where c h / s exceeds e^2, else from ln S; with d in logs below _TINY."""
+        base = c * h / self.s
+        tail = (base ** (-1.0 / self.xi) if _E2 < base < math.inf
+                else math.exp(-self._ln_survival(x) - ln_c))
+        if tail >= _TINY:
+            return tail / d
+        return _exp_or_inf(-self._ln_survival(x) - ln_c - math.log(d))
+
     def pdf(self, x):
-        h = self.s + self.xi * (x - self.mu)   # s (1 + xi z), which does not overflow with z
-        if x < self.mu or h <= 0.0:
-            return 0.0
-        base = h / self.s   # S / h, S a power where that multiplies less rounding
-        return (base ** (-1.0 / self.xi) if _E2 < base < math.inf
-                else math.exp(-self._ln_survival(x))) / h
+        h = self.s + self.xi * (x - self.mu)   # s (1 + xi z); NaN at xi = 0, x = inf
+        return self._tail_power(x, h, d=h) if x >= self.mu and h > 0.0 else 0.0
 
     def cdf(self, x):
         if x <= self.mu:
@@ -268,8 +274,10 @@ class GPD(Distribution):
         return math.inf if self._g1 <= 0.0 else self.mu + self.s / self._g1
 
     def variance(self):   # (s / (1 - xi))^2 / (1 - 2 xi), no square formed
+        if self._g2 <= 0.0:
+            return math.inf
         r = self.s / self._g1
-        return math.inf if self._g2 <= 0.0 else r * (r / self._g2)
+        return r * (r / self._g2)
 
 
 class Exponential(GPD):

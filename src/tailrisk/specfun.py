@@ -165,28 +165,25 @@ def _reg_gamma(a: float, b: float) -> tuple[float, float]:
 
 def upper_inc_gamma(a: float, b: float) -> float:
     """Upper incomplete gamma: integral of p^(a-1) e^(-p) over [b, inf)."""
-    q = _reg_gamma(a, b)[1]
-    if a <= 171.0 and q >= sys.float_info.min:
-        return q * math.gamma(a)
-    return _inc_gamma_in_logs(a, b, True)
+    return _inc_gamma(a, b, True)
 
 
 def lower_inc_gamma(a: float, b: float) -> float:
     """Lower incomplete gamma: integral of p^(a-1) e^(-p) over [0, b]."""
-    p = _reg_gamma(a, b)[0]
-    if a <= 171.0 and p >= sys.float_info.min:
-        return p * math.gamma(a)
-    return _inc_gamma_in_logs(a, b, False)
+    return _inc_gamma(a, b, False)
 
 
-def _inc_gamma_in_logs(a: float, b: float, upper: bool) -> float:
-    """The incomplete gamma where Gamma(a) overflows (a > 171) or the regularized
-    value is below the normal floats: e^_ln_inc_gamma, inf beyond binary64."""
-    log_value = _ln_inc_gamma(a, b, upper)
+def _inc_gamma(a: float, b: float, upper: bool) -> float:
+    """The upper or lower incomplete gamma; e^ln_inc_gamma where Gamma(a) overflows
+    (a > 171) or the regularized value is below the normal floats, inf beyond binary64."""
+    value = _reg_gamma(a, b)[upper]
+    if a <= 171.0 and value >= sys.float_info.min:
+        return value * math.gamma(a)
+    log_value = ln_inc_gamma(a, b, upper)
     return math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
 
 
-def _ln_inc_gamma(a: float, b: float, upper: bool) -> float:
+def ln_inc_gamma(a: float, b: float, upper: bool) -> float:
     """ln of the upper or lower incomplete gamma: ln(b^a e^-b) plus the log of the sum
     that computes it directly, else ln Gamma(a) plus the log of the regularized value."""
     if (b < a + 1.0) == upper or b == 0.0:   # 0 at b = 0, or where the other rounds to 1

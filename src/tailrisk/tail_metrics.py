@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import specfun
 from ._optim import cantelli_level, level_root
-from .distributions import (_E2, _LN_SQRT_2PI, GEV, GPD, Distribution, Exponential, Laplace,
+from .distributions import (_LN_SQRT_2PI, GEV, GPD, Distribution, Exponential, Laplace,
                             LogLogistic, LogNormal, Logistic, Normal, Pareto, StudentT,
                             Weibull, _exp_or_inf, _log1p_ratio, _neg_log)
 from .errors import ConvergenceError, DomainError
@@ -125,9 +125,9 @@ def _sq_student(d: StudentT, alpha: float, eps: float) -> float:
 
 def _sq_weibull(d: Weibull, alpha: float, eps: float) -> float:
     a, y = 1.0 + 1.0 / d.k, _neg_log(eps, alpha)
-    if a <= 171.0:
-        return d.lam * (specfun.upper_inc_gamma(a, y) / eps)
-    return _exp_or_inf(math.log(d.lam) + specfun._ln_inc_gamma(a, y, True) - math.log(eps))
+    sq = d.lam * (specfun.upper_inc_gamma(a, y) / eps)   # in logs where Gamma(a, y) overflows
+    return sq if sq < math.inf else _exp_or_inf(
+        math.log(d.lam) + specfun.ln_inc_gamma(a, y, True) - math.log(eps))
 
 
 def _sq_loglogistic(d: LogLogistic, alpha: float, eps: float) -> float:
@@ -267,12 +267,9 @@ def bpoe_closed(d: Distribution, x: float) -> TailResult:
         h = d.s + d.xi * (x - d.mu)   # s (1 + xi z)
         if h <= 0.0:
             return _clamped_zero(d)
-        # ((1 + xi z)(1 - xi))^(-1/xi), a power as in GPD.pdf, else in logs, e^(1 - z) at xi = 0
-        if h / d.s > _E2:
-            value = (d._g1 * h / d.s) ** (-1.0 / d.xi)
-        else:
-            value = math.exp(-d._ln_survival(x) - (math.log(d._g1) / d.xi if d.xi > 0.5
-                                                   else _log1p_ratio(d.xi, -1.0)))
+        # ((1 + xi z)(1 - xi))^(-1/xi), e^(1 - z) at xi = 0
+        value = d._tail_power(x, h, d._g1, math.log(d._g1) / d.xi if d.xi > 0.5
+                              else _log1p_ratio(d.xi, -1.0))
     else:
         z = (x - d.mu) / d.b
         if z >= 1.0:

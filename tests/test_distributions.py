@@ -137,6 +137,7 @@ def test_pdf_cdf_spot_values():
     assert dist.Exponential(2.0).cdf(-0.5) == 0.0
     assert abs(dist.Normal(0.0, 1.0).pdf(0.0) - 1.0 / math.sqrt(2 * math.pi)) <= 1e-15
     assert dist.Pareto(2.0, 1.0).pdf(0.5) == 0.0
+    assert dist.Exponential(2.0).pdf(math.inf) == 0.0
     assert dist.Weibull(1.0, 2.0).pdf(-1.0) == 0.0
 
 
@@ -221,6 +222,9 @@ def test_moments_divergence_table():
     assert dist.Pareto(1.5, 1.0).variance() == math.inf
     assert dist.GPD(0.0, 1.0, 1.2).mean() == math.inf
     assert dist.GPD(0.0, 1.0, 0.6).variance() == math.inf
+    # xi = 1 exactly, where 1 - xi is 0
+    assert dist.Pareto(1.0, 1.0).variance() == math.inf
+    assert dist.GPD(0.0, 1.0, 1.0).variance() == math.inf
     assert dist.StudentT(0.9).mean() == math.inf
     assert dist.StudentT(1.8).variance() == math.inf
     assert dist.GEV(0.0, 1.0, 1.1).mean() == math.inf

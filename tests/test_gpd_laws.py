@@ -109,6 +109,12 @@ def test_gpd_overflow_routes():
     assert abs(d.pdf(1.0) / (0.5 * 2.0 ** -0.5 * 1e-150) - 1.0) <= 1e-14
     assert dist.GPD(0.0, 1e200, 0.1).variance() == math.inf
     assert dist.Pareto(3.0, 1e200).variance() == math.inf
+    # S = (1 + xi z)^(-1/xi) below the normal floats where S / (s (1 + xi z)) is not; the
+    # density near e^-481 is formed in logs, a few hundred ulps of the exponent
+    with mp.workdps(50):
+        x, s = mp.mpf(1e-130), mp.mpf(1e-300)
+        _close(dist.GPD(0.0, 1e-300, 0.5).pdf(1e-130), (1 + x / (2 * s)) ** -3 / s, 1e-13, "gpd")
+        _close(dist.Pareto(2.0, 1e-300).pdf(1e-130), 2 * s ** 2 / x ** 3, 1e-13, "pareto")
     # bPOE near 1e-300 where 1 + xi z = 1e309 overflows and (1 - xi)(1 + xi z) does not
     with mp.workdps(50):
         _, _, _, f = _closed_forms(dist.Pareto(1 + 1e-9, 1e-300))
