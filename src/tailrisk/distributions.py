@@ -37,9 +37,6 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN_SQRT_2PI = math.log(_SQRT_2PI)
 
-# |xi| below this is treated as xi == 0 by the GEV moments, whose xi != 0 forms
-# cancel there; the GPD and GEV evaluators reach xi = 0 as a limit
-_XI_ZERO = 1e-9
 _TINY = sys.float_info.min   # smallest normal float
 # a GPD power b^(-1/xi) is taken as that power where b exceeds e^2: the power multiplies
 # the rounding of b by 1/xi, the exponential by ln(b)/xi
@@ -74,28 +71,38 @@ def _scaled_power(scale: float, base: float, p: float) -> float:
     return _exp_or_inf(math.log(scale) + p * math.log(base))
 
 
-def _gamma_mean(c: float, a: float) -> float:
-    """c (Gamma(a) - 1) for c != 0, a > 0: the Weibull and GEV mean, less c or
-    mu. In logs where Gamma(a) overflows, so +-inf only beyond binary64."""
-    if a < 171.0:
-        return c * (math.gamma(a) - 1.0)
-    return math.copysign(_exp_or_inf(math.log(abs(c)) + math.lgamma(a)), c)
-
-
-def _gamma_variance(c: float, a1: float, a2: float) -> float:
-    """c^2 (Gamma(a2) - Gamma(a1)^2) for a1 > 0 the midpoint of 1 and a2: the
-    Weibull and GEV variance. Where Gamma(a2) overflows it is formed in logs
-    as c^2 Gamma(a2) (1 - Gamma(a1)^2 / Gamma(a2)), so inf only beyond binary64."""
-    if a2 < 171.0:
-        g1 = math.gamma(a1)
-        return c * (c * (math.gamma(a2) - g1 * g1))
-    ln_g1, ln_g2 = math.lgamma(a1), math.lgamma(a2)
-    return _exp_or_inf(2.0 * math.log(abs(c)) + ln_g2 + math.log1p(-math.exp(2.0 * ln_g1 - ln_g2)))
-
-
 def _log1p_ratio(xi: float, z: float) -> float:
     """ln(1 + xi z) / xi, and its limit z at xi = 0."""
     return z if xi == 0.0 else math.log1p(xi * z) / xi
+
+
+def _expm1_ratio(x: float, r: float, c: float = 1.0) -> float:
+    """c expm1(x r) / x for c > 0, c r at x r = 0; in logs where e^(x r) leaves binary64."""
+    u = x * r
+    if u < 709.0:
+        return c * r * (math.expm1(u) / u if u else 1.0)
+    return math.copysign(_exp_or_inf(math.log(c) + u - math.log(abs(x))), x)
+
+
+def _ln_gamma_1m(x: float) -> float:
+    """ln Gamma(1 - x) / x = gamma + x T(x) for x < 1, T = specfun.ln_gamma_1m_remainder."""
+    return specfun.EULER_GAMMA + x * specfun.ln_gamma_1m_remainder(x)
+
+
+def _ln_gamma_gap(x: float) -> float:
+    """(ln Gamma(1 - 2x) - 2 ln Gamma(1 - x)) / x^2 = 4 T(2x) - 2 T(x) for x < 1/2."""
+    return 4.0 * specfun.ln_gamma_1m_remainder(2.0 * x) - 2.0 * specfun.ln_gamma_1m_remainder(x)
+
+
+def _gamma_variance(c: float, x: float, ln_g: float) -> float:
+    """c^2 (Gamma(1 - 2x) - Gamma(1 - x)^2) / x^2 = (c G)^2 expm1(x^2 D) / x^2 for c > 0,
+    x < 1/2, G = e^ln_g = Gamma(1 - x), D = _ln_gamma_gap(x): the GEV variance at (s, xi),
+    the Weibull one at (lam / k, -1/k); in logs where G or the product leaves binary64."""
+    w = _expm1_ratio(x * x, _ln_gamma_gap(x))   # inf only where G is far beyond binary64
+    if ln_g < 709.0:
+        sd = c * math.exp(ln_g) * math.sqrt(w)
+        return sd * sd
+    return _exp_or_inf(2.0 * (math.log(c) + ln_g) + math.log(w))
 
 
 def _neg_log(x: float, comp: float) -> float:
@@ -540,7 +547,7 @@ class Weibull(Distribution):
     def __init__(self, lam: float, k: float):
         _require(0 < lam < math.inf, "Weibull requires finite scale lam > 0, got {}", lam)
         _require(0 < k < math.inf, "Weibull requires finite shape k > 0, got {}", k)
-        self.__dict__.update(lam=lam, k=k)
+        self.__dict__.update(lam=lam, k=k, _lg=_ln_gamma_1m(-1.0 / k) / -k)   # ln Gamma(1 + 1/k)
 
     def pdf(self, x):
         if x <= 0:   # at 0 the limit
@@ -558,10 +565,11 @@ class Weibull(Distribution):
         return _scaled_power(self.lam, _neg_log(eps, alpha), 1.0 / self.k)
 
     def mean(self):
-        return self.lam + _gamma_mean(self.lam, 1.0 + 1.0 / self.k)
+        return self.lam * math.exp(self._lg) if self._lg < 709.0 else _exp_or_inf(
+            math.log(self.lam) + self._lg)
 
     def variance(self):
-        return _gamma_variance(self.lam, 1.0 + 1.0 / self.k, 1.0 + 2.0 / self.k)
+        return _gamma_variance(self.lam / self.k, -1.0 / self.k, self._lg)
 
     def support(self):
         return SupportBound(0.0, math.inf)
@@ -611,7 +619,8 @@ class LogLogistic(Distribution):
 
 
 class GEV(Distribution):
-    """Generalized extreme value with location mu, scale s, shape xi."""
+    """Generalized extreme value with location mu, scale s, shape xi; ``_lg1`` is
+    ln Gamma(1 - xi) / xi, inf from xi = 1."""
 
     family = "gev"
 
@@ -619,11 +628,7 @@ class GEV(Distribution):
         _require(0 < s < math.inf, "GEV requires finite scale s > 0, got {}", s)
         _require(math.isfinite(mu), "GEV requires finite mu, got {}", mu)
         _require(math.isfinite(xi), "GEV requires finite xi, got {}", xi)
-        self.__dict__.update(mu=mu, s=s, xi=xi)
-
-    @property
-    def _xi0(self) -> bool:
-        return abs(self.xi) < _XI_ZERO
+        self.__dict__.update(mu=mu, s=s, xi=xi, _lg1=_ln_gamma_1m(xi) if xi < 1.0 else math.inf)
 
     def support(self):
         if self.xi == 0.0:
@@ -653,25 +658,14 @@ class GEV(Distribution):
             return 1.0
         return math.exp(-_exp_or_inf(-_log1p_ratio(self.xi, z)))
 
-    def _quantile(self, alpha, eps):
-        y = _neg_log(alpha, eps)
-        if self.xi == 0.0:
-            return self.mu - self.s * math.log(y)
-        return self.mu + self.s * math.expm1(-self.xi * math.log(y)) / self.xi
+    def _quantile(self, alpha, eps):   # mu + s (y^-xi - 1) / xi
+        return self.mu - _expm1_ratio(-self.xi, math.log(_neg_log(alpha, eps)), self.s)
 
     def mean(self):
-        if self._xi0:
-            return self.mu + self.s * specfun.EULER_GAMMA
-        if self.xi >= 1.0:
-            return math.inf
-        return self.mu + _gamma_mean(self.s / self.xi, 1.0 - self.xi)
+        return math.inf if self.xi >= 1.0 else self.mu + _expm1_ratio(self.xi, self._lg1, self.s)
 
     def variance(self):
-        if self._xi0:
-            return self.s * self.s * math.pi ** 2 / 6.0
-        if self.xi >= 0.5:
-            return math.inf
-        return _gamma_variance(self.s / self.xi, 1.0 - self.xi, 1.0 - 2.0 * self.xi)
+        return math.inf if self.xi >= 0.5 else _gamma_variance(self.s, self.xi, self.xi * self._lg1)
 
 
 FAMILIES: dict[str, type[Distribution]] = {

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._optim import golden_section_min
-from .distributions import FAMILIES, Distribution, make
+from .distributions import FAMILIES, Distribution, _ln_gamma_gap, make
 from .errors import ConvergenceError, DomainError, ParameterError
 from .tail_metrics import superquantile
 
@@ -334,10 +334,10 @@ def _weibull_mm(x: np.ndarray) -> dict[str, float]:
     ratio = v / (m * m)
 
     # gamma(1 + 2/k) / gamma(1 + 1/k)^2 = 1 + ratio, solved in log space so
-    # tiny shapes (heavy tails) cannot overflow
+    # tiny shapes (heavy tails) cannot overflow, and large ones do not cancel
     def gap(k: float) -> float:
-        return (math.lgamma(1.0 + 2.0 / k) - 2.0 * math.lgamma(1.0 + 1.0 / k)) \
-            - math.log1p(ratio)
+        x = -1.0 / k
+        return x * x * _ln_gamma_gap(x) - math.log1p(ratio)
 
     k = _shape_root(gap, 1e-2, 1e4, "method of moments could not bracket the shape",
                     {"ratio": ratio})

@@ -42,11 +42,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import specfun
 from ._optim import cantelli_level, level_root, project_box_simplex, projected_gradient_max
-from .distributions import GEV, Laplace, Logistic, Normal, StudentT
+from .distributions import (GEV, Laplace, Logistic, Normal, StudentT, _expm1_ratio,
+                            _ln_gamma_gap, _neg_log)
 from .errors import ConvergenceError, DomainError, ParameterError
-from .tail_metrics import _sq_gev, bpoe, superquantile
+from .tail_metrics import _gev_tail, bpoe, superquantile
 
 QUALIFIED_FAMILIES = ("normal", "laplace", "logistic", "student-t", "gev")
 _REJECTED = {"exponential", "pareto", "gpd", "weibull", "lognormal", "loglogistic"}
@@ -101,9 +101,8 @@ class QualifiedFamily:
         ``superquantile``, it returns the pair (zeta, q), q the standardized
         loss quantile at alpha, for ``level_root``.
         For GEV(0, 1, xi) and p = 1 - alpha it is alpha (sq(p) - m) / (p sd), sq the
-        upper tail average, for alpha < 1/2, where it does not cancel; beyond,
-        sign(xi) (G(1-xi) - G(1-xi, -ln p) / p) / sqrt(G(1-2xi) - G(1-xi)^2),
-        G the (incomplete) gamma, or (gamma + ln(-ln p) - li(p) / p) / (pi / sqrt 6) at xi = 0.
+        upper tail average, m the mean and sd = G sqrt(_expm1_ratio(xi^2, _ln_gamma_gap(xi))),
+        G = Gamma(1 - xi), which cancels against ``_gev_tail``'s (sq(p) - m) / G.
         """
         d = self._unit_variance_member()
         if self.family != "gev":
@@ -111,21 +110,16 @@ class QualifiedFamily:
         if _eps is None and not 0.0 <= alpha < 1.0:
             raise DomainError(f"zeta level must lie in [0, 1), got {alpha}")
         p = 1.0 - alpha if _eps is None else _eps
-        m, sd = d.mean(), math.sqrt(d.variance())
-        if alpha < 0.5:
-            z = alpha * (_sq_gev(d, p, alpha) - m) / (p * sd) if alpha else 0.0
-        else:
-            y = -math.log(p)
-            if d._xi0:
-                gap = specfun.EULER_GAMMA + math.log(y) - specfun.log_integral(p) / p
-            else:
-                gap = (math.gamma(1.0 - self.xi)
-                       - specfun.upper_inc_gamma(1.0 - self.xi, y) / p) / self.xi
-            z = gap / sd
+        xi = self.xi
+        sd = math.sqrt(_expm1_ratio(xi * xi, _ln_gamma_gap(xi)))   # the stdev over G
+        z = alpha * _gev_tail(d, p, alpha)[1] / (p * sd) if alpha else 0.0
         if _eps is None:
             return z
-        # the loss at level alpha is the return at level p = 1 - alpha
-        return z, (m - (d._level_quantile(p, alpha) if alpha else d.support().upper)) / sd
+        # the loss at level alpha is the return at level p = 1 - alpha: (m - q) / G, which at
+        # q = (y^-xi - 1) / xi, y = -ln p, is one expm1 ratio, and 1 / xi at the top (alpha = 0)
+        if not alpha:
+            return z, (1.0 / xi if xi < 0.0 else -math.inf) / sd
+        return z, _expm1_ratio(-xi, d._lg1 + math.log(_neg_log(p, alpha))) / sd
 
     def label(self) -> str:
         if self.family == "student-t":

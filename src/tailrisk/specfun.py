@@ -2,10 +2,11 @@
 
 Everything the closed-form tail formulas need lives here: error function and
 its inverses (one evaluation of Wichura's AS241 for both, plus a single Newton
-step in ``erfc_inv``), (incomplete) gamma and beta functions, the lower real branch
-W_-1 of Lambert W, the logarithmic integral on (0, 1), and the binary entropy
-function. All functions are pure, scalar, and deterministic; the only
-dependency is the standard-library ``math`` module.
+step in ``erfc_inv``), (incomplete) gamma and beta functions, ln Gamma(1 - x)
+less its linear term, the lower real branch W_-1 of Lambert W, the logarithmic
+integral on (0, 1), and the binary entropy function. All functions are pure,
+scalar, and deterministic; the only dependency is the standard-library ``math``
+module.
 """
 
 from __future__ import annotations
@@ -109,6 +110,31 @@ def gamma_fn(a: float) -> float:
     return math.gamma(a)
 
 
+# zeta(2), ..., zeta(28): ln Gamma(1 - x) = gamma x + sum zeta(k) x^k / k (DLMF 5.7.3)
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+         1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+         1.000994575127818, 1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+         1.0000612481350588, 1.000030588236307, 1.0000152822594086, 1.0000076371976379,
+         1.000003817293265, 1.0000019082127165, 1.0000009539620338, 1.0000004769329869,
+         1.0000002384505027, 1.000000119219926, 1.000000059608189, 1.0000000298035034,
+         1.0000000149015549, 1.0000000074507118, 1.000000003725334)
+_ZETA_SERIES = tuple(z / k for k, z in reversed(tuple(enumerate(_ZETA, 2))))
+
+
+def ln_gamma_1m_remainder(x: float) -> float:
+    """T(x) = (ln Gamma(1 - x) - gamma x) / x^2 for x < 1: the series sum zeta(k) x^(k-2) / k
+    for |x| <= 1/4, where that difference cancels, truncated at k = 28, 15 or 6 by |x|
+    (terms below 1e-17); beyond, from math.lgamma, and past -2^60 Stirling's limit."""
+    if -0.25 <= x <= 0.25:
+        total, ax = 0.0, abs(x)
+        for c in _ZETA_SERIES[0 if ax > 0.0625 else (13 if ax > 1e-4 else 22):]:
+            total = total * x + c
+        return total
+    if x < -2.0 ** 60:
+        return (1.0 - EULER_GAMMA - math.log(-x)) / x
+    return (math.lgamma(1.0 - x) / x - EULER_GAMMA) / x
+
+
 def _gamma_p_series(a: float, x: float) -> float:
     # lower incomplete gamma times e^x x^-a by power series, for x < a + 1
     term = 1.0 / a
@@ -164,7 +190,18 @@ def _reg_gamma(a: float, b: float) -> tuple[float, float]:
 
 
 def upper_inc_gamma(a: float, b: float) -> float:
-    """Upper incomplete gamma: integral of p^(a-1) e^(-p) over [b, inf)."""
+    """Upper incomplete gamma: integral of p^(a-1) e^(-p) over [b, inf). For a, b < 1,
+    where 1 - P loses Q as a -> 0, (Gamma(1 + a) - b^a) / a - b^a sum_{n >= 1}
+    (-b)^n / (n! (n + a)), the first term through expm1 and ln_gamma_1m_remainder."""
+    if 0.0 < a < 1.0 and 0.0 < b < 1.0:
+        lg, ln_b = a * ln_gamma_1m_remainder(-a) - EULER_GAMMA, math.log(b)   # ln Gamma(1 + a) / a
+        head = lg - ln_b if a < 1e-17 else (math.expm1(a * lg) - math.expm1(a * ln_b)) / a
+        total, term, n = 0.0, 1.0, 0
+        while abs(term) > 1e-17 * abs(total):
+            n += 1
+            term *= -b / n
+            total += term / (n + a)
+        return head - b ** a * total
     return _inc_gamma(a, b, True)
 
 

@@ -26,7 +26,7 @@ from . import specfun
 from ._optim import cantelli_level, level_root
 from .distributions import (_LN_SQRT_2PI, GEV, GPD, Distribution, Exponential, Laplace,
                             LogLogistic, LogNormal, Logistic, Normal, Pareto, StudentT,
-                            Weibull, _exp_or_inf, _log1p_ratio, _neg_log)
+                            Weibull, _exp_or_inf, _expm1_ratio, _log1p_ratio, _neg_log)
 from .errors import ConvergenceError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
@@ -135,21 +135,36 @@ def _sq_loglogistic(d: LogLogistic, alpha: float, eps: float) -> float:
     return d.a * (specfun.inc_beta(eps, 1.0 - 1.0 / d.b, 1.0 + 1.0 / d.b) / eps)
 
 
+def _gev_tail(d: GEV, alpha: float, eps: float) -> tuple[float, float]:
+    """((sq - mu) / s, (sq - m) / (s G)) of GEV(mu, s, xi < 1) at the pair (alpha, eps), m the
+    mean, G = Gamma(1 - xi), which QualifiedFamily.zeta shares with the stdev. With y = -ln alpha,
+    q = (y^-xi - 1) / xi, g = (G - 1) / xi: below xi = -1 the paper's incomplete gammas, P read
+    as 1 - Q where it nears eps; for y <= 2, I / eps and (I / eps - g) / G, I = int_0^y q e^-t dt
+    = sum (-1)^n y^(n+1) (q + 1/(n+1)) / (n! (n+1-xi)); beyond, g + f and f / G, f = alpha (g - L)
+    / eps, L = q - e^y Gamma(-xi, y) the lower-tail average from the continued fraction."""
+    xi, y = d.xi, _neg_log(alpha, eps)
+    if xi < -1.0:
+        lower, upper = specfun._reg_gamma(1.0 - xi, y)
+        return ((eps - specfun.lower_inc_gamma(1.0 - xi, y)) / (-xi * eps),
+                (eps - lower if y < 2.0 - xi else upper - alpha) / (-xi * eps))
+    q = -_expm1_ratio(-xi, math.log(y))
+    g = _expm1_ratio(xi, d._lg1)
+    if y <= 2.0:   # I >= y / 8, so terms below 1e-18 y are negligible
+        total, term, k, cut = 0.0, y, 1.0, 1e-18 * y   # term = (-1)^n y^(n+1) / n!, k = n + 1
+        while term > cut or -term > cut:
+            total += term * (q + 1.0 / k) / (k - xi)
+            term *= -y / k
+            k += 1.0
+        sq = total / eps
+        excess = sq - g
+    else:
+        excess = alpha * (g - q + (1.0 + xi * q) * specfun._gamma_q_cf(-xi, y)) / eps
+        sq = g + excess
+    return sq, excess * math.exp(-xi * d._lg1)
+
+
 def _sq_gev(d: GEV, alpha: float, eps: float) -> float:
-    y = _neg_log(alpha, eps)
-    if not d._xi0:
-        gl = specfun.lower_inc_gamma(1.0 - d.xi, y)
-        return d.mu + d.s * ((gl - eps) / (d.xi * eps))
-    if eps > 0.5:
-        bracket = specfun.EULER_GAMMA + alpha * math.log(y) - specfun.log_integral(alpha)
-        return d.mu + d.s * (bracket / eps)
-    # Ein(y) = sum (-1)^(n+1) y^n / (n n!), alternating and fast for y <= ln 2
-    ein, term, n = 0.0, -1.0, 0
-    while abs(term) > 1e-17 * ein:
-        n += 1
-        term *= -y / n
-        ein += term / n
-    return d.mu + d.s * (ein / eps - math.log(y))
+    return d.mu + d.s * _gev_tail(d, alpha, eps)[0]
 
 
 _SQ_FORMULAS = {

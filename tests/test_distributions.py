@@ -12,6 +12,7 @@ from tailrisk import distributions as dist
 from tailrisk import tail_metrics as tm
 from tailrisk._quad import adaptive_quad
 from tailrisk.errors import DomainError, ParameterError
+from tailrisk.portfolio import QualifiedFamily
 
 # three parameter settings per family, shared by several grids below
 SETTINGS = {
@@ -252,11 +253,14 @@ def test_weibull_and_gev_moments_against_mpmath():
                 var = sm ** 2 * (mp.gamma(1 - 2 * x) - mp.gamma(1 - x) ** 2) / x ** 2
                 assert agrees(d.mean(), mean), (xi, s, d.mean())
                 assert agrees(d.variance(), var), (xi, s, d.variance())
-        for k in (0.005, 0.01, 0.5, 2.0, 50.0):
+        for k in (0.005, 0.01, 0.5, 2.0, 50.0, 1e3, 1e7, 1e9):
             d, km = dist.Weibull(1.0, k), mp.mpf(k)
             mean = mp.gamma(1 + 1 / km)
             assert agrees(d.mean(), mean), (k, d.mean())
-            assert agrees(d.variance(), mp.gamma(1 + 2 / km) - mean ** 2), (k, d.variance())
+            var = mp.gamma(1 + 2 / km) - mean ** 2   # about zeta(2) / k^2 for large k
+            assert agrees(d.variance(), var), (k, d.variance())
+            if k >= 1e3:   # Gamma(1 + 2/k) - Gamma(1 + 1/k)^2 is never formed
+                assert abs(d.variance() - var) <= 1e-14 * var, (k, d.variance())
 
 
 def test_quantile_median_conventions():
@@ -321,7 +325,8 @@ XI_THROUGH_ZERO = [0.0] + [s * v for v in (1e-12, 9e-10, 1.1e-9, 1e-6, 1e-3) for
 @pytest.mark.parametrize("xi", XI_THROUGH_ZERO)
 def test_gpd_and_gev_evaluators_continuous_through_xi_zero(xi):
     # the xi != 0 forms in mpmath at 50 digits and their limits at xi = 0; the grid
-    # straddles |xi| = 1e-9, where the GEV moments still switch to the xi = 0 forms
+    # straddles |xi| = 1e-9 and reaches 1e-3, where a switch to the xi = 0 forms, or
+    # Gamma(1 - xi) - 1 and Gamma(1 - 2 xi) - Gamma(1 - xi)^2 formed as written, lose digits
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         _check_gpd_and_gev(mp, xi)
@@ -356,6 +361,30 @@ def _check_gpd_and_gev(mp, xi):
         ln_t = -z if xi == 0 else -mp.log(1 + k * z) / k
         check(gev.cdf(x), mp.exp(-mp.exp(ln_t)), ("gev cdf", x))
         check(gev.pdf(x), mp.exp((1 + k) * ln_t - mp.exp(ln_t)), ("gev pdf", x))
+
+    def close(got, want, what):
+        assert abs(got - want) <= 1e-14 * abs(want), (what, got, float(want))
+
+    def gev_sq(alpha):   # (gamma(1 - xi, y) - eps) / (xi eps), y = -ln alpha; Ein at xi = 0
+        a = mp.mpf(alpha)
+        y = -mp.log(a)
+        if xi == 0:
+            return (mp.euler + mp.log(y) + mp.e1(y)) / (1 - a) - mp.log(y)
+        return (mp.gammainc(1 - k, 0, y) - (1 - a)) / (k * (1 - a))
+
+    g1 = mp.gamma(1 - k)
+    mean = mp.euler if xi == 0 else (g1 - 1) / k
+    var = mp.pi ** 2 / 6 if xi == 0 else (mp.gamma(1 - 2 * k) - g1 ** 2) / k ** 2
+    close(gev.mean(), mean, "gev mean")
+    close(gev.variance(), var, "gev variance")
+    for alpha in (0.05, 0.5, 0.99, 1.0 - 1e-12):
+        close(tm.superquantile(gev, alpha), gev_sq(alpha), ("gev superquantile", alpha))
+    # zeta(alpha) = alpha (sq(p) - m) / (p sd) at p = 1 - alpha
+    family = QualifiedFamily("gev", xi=xi)
+    for alpha in (1e-3, 0.5, 0.9, 1.0 - 1e-9):
+        a = mp.mpf(alpha)
+        want = a * (gev_sq(1 - a) - mean) / ((1 - a) * mp.sqrt(var))
+        close(family.zeta(alpha), want, ("gev zeta", alpha))
 
 
 @pytest.mark.parametrize("d", [

@@ -119,6 +119,18 @@ def test_zeta_student_t_display():
         assert abs(q.zeta(alpha) - display) <= 1e-11
 
 
+def test_zeta_gev_beyond_the_gamma_overflow():
+    # Gamma(1 - xi) leaves binary64 below xi = -170.6, and so do the mean and stdev; zeta
+    # is their ratio, e^(-u/2) times O(1) for u = ln Gamma(1 - 2 xi) - 2 ln Gamma(1 - xi),
+    # which lgamma values near 2000 carry to about 2e-13 (60-digit references)
+    for xi, want in ((-200.0, 2.8049431314315549e-59), (-172.0, 7.2512127154067286e-51)):
+        got = QualifiedFamily("gev", xi=xi).zeta(0.9)
+        assert abs(got - want) <= 1e-12 * want, (xi, got)
+    # the pair's loss quantile stays finite where the return quantile leaves binary64
+    z, q = QualifiedFamily("gev", xi=-200.0).zeta(1.0 - 1e-16, 1e-16)
+    assert 0.0 < z < math.inf and -math.inf < q < 0.0, (z, q)
+
+
 def test_zeta_gev_incomplete_gamma_display():
     # derived display: sign(xi) [ (1-a) Gamma(1-xi) - GammaU(1-xi, ln(1/(1-a))) ]
     #                  / ((1-a) sqrt(g2 - g1^2))

@@ -248,13 +248,17 @@ def test_erf_inv_and_erfc_inv_match_mpmath():
 
 
 def test_incomplete_gamma_matches_mpmath():
-    # a <= 170: above a = 171.6 upper_inc_gamma reads Gamma(a) from math.gamma
+    # a <= 170: above a = 171.6 upper_inc_gamma reads Gamma(a) from math.gamma; the
+    # fixed points have a tiny a, where Q formed as 1 - P reads 0.0 or loses its digits
     mp = pytest.importorskip("mpmath")
     rng = random.Random(1988)
+    cases = [(1e-300, 0.5), (1e-12, 0.5), (1e-12, 0.05)]
+    for _ in range(300):
+        a = math.exp(rng.uniform(math.log(0.01), math.log(170.0)))
+        cases.append((a, rng.uniform(0.0, 2.0 * a + 5.0) if rng.random() < 0.5
+                      else math.exp(rng.uniform(-10.0, 6.7))))
     with mp.workdps(40):
-        for _ in range(300):
-            a = math.exp(rng.uniform(math.log(0.01), math.log(170.0)))
-            b = rng.uniform(0.0, 2.0 * a + 5.0) if rng.random() < 0.5 else math.exp(rng.uniform(-10.0, 6.7))
+        for a, b in cases:
             for got, want in ((sf.upper_inc_gamma(a, b), mp.gammainc(a, b)),
                               (sf.lower_inc_gamma(a, b), mp.gammainc(a, 0, b))):
                 # an absolute floor where the value is below the normal floats
