@@ -190,10 +190,10 @@ def _reg_gamma(a: float, b: float) -> tuple[float, float]:
 
 
 def upper_inc_gamma(a: float, b: float) -> float:
-    """Upper incomplete gamma: integral of p^(a-1) e^(-p) over [b, inf). For a, b < 1,
-    where 1 - P loses Q as a -> 0, (Gamma(1 + a) - b^a) / a - b^a sum_{n >= 1}
+    """Upper incomplete gamma: integral of p^(a-1) e^(-p) over [b, inf). For a < 1 and
+    b < a + 1, where 1 - P loses Q as a -> 0, (Gamma(1 + a) - b^a) / a - b^a sum_{n >= 1}
     (-b)^n / (n! (n + a)), the first term through expm1 and ln_gamma_1m_remainder."""
-    if 0.0 < a < 1.0 and 0.0 < b < 1.0:
+    if 0.0 < a < 1.0 and 0.0 < b < a + 1.0:
         lg, ln_b = a * ln_gamma_1m_remainder(-a) - EULER_GAMMA, math.log(b)   # ln Gamma(1 + a) / a
         head = lg - ln_b if a < 1e-17 else (math.expm1(a * lg) - math.expm1(a * ln_b)) / a
         total, term, n = 0.0, 1.0, 0

@@ -252,7 +252,7 @@ def test_incomplete_gamma_matches_mpmath():
     # fixed points have a tiny a, where Q formed as 1 - P reads 0.0 or loses its digits
     mp = pytest.importorskip("mpmath")
     rng = random.Random(1988)
-    cases = [(1e-300, 0.5), (1e-12, 0.5), (1e-12, 0.05)]
+    cases = [(1e-300, 0.5), (1e-12, 0.5), (1e-12, 0.05), (1e-12, 1.0)]
     for _ in range(300):
         a = math.exp(rng.uniform(math.log(0.01), math.log(170.0)))
         cases.append((a, rng.uniform(0.0, 2.0 * a + 5.0) if rng.random() < 0.5
