@@ -35,15 +35,19 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
     return x1 if f1 <= f2 else x2
 
 
-def cantelli_level(x: float, mean: float, variance: float) -> float:
-    """Start for ``level_root``: the tail mass 1 / (1 + t^2), t = (x - mean) / sd,
-    or 0.5 if sd is inf or 0 (underflowed). Since sq(1 - eps) <= mean + sd sqrt((1 - eps) / eps)
-    for every finite-variance law, it lies at or above the root of sq = x.
+def cantelli_level(x: float, mean: float, variance: float, survival: float = 0.0) -> float:
+    """Start for ``level_root``: e S, S = ``survival`` the tail mass beyond x (e S is the
+    exact bPOE of the exponential law), where it is positive and below the Cantelli tail
+    mass 1 / (1 + t^2), t = (x - mean) / sd, or 0.5 if sd is inf or 0 (underflowed); else
+    that Cantelli mass. Since sq(1 - eps) <= mean + sd sqrt((1 - eps) / eps) for every
+    finite-variance law, the Cantelli mass lies at or above the root of sq = x, on the
+    tail-grid benchmark's root-engine thresholds up to 5e11 times above; e S lies within
+    0.52-1.18 times the root there.
     """
-    if not 0.0 < variance < math.inf:
-        return 0.5
-    t = (x - mean) / math.sqrt(variance)
-    return 1.0 / (1.0 + t * t)
+    t = (x - mean) / math.sqrt(variance) if 0.0 < variance < math.inf else 1.0
+    cantelli = 1.0 / (1.0 + t * t)
+    start = math.e * survival
+    return start if 0.0 < start < cantelli else cantelli
 
 
 def level_root(f: Callable[[float, float], tuple[float, float]], x: float, lo: float,
@@ -58,26 +62,26 @@ def level_root(f: Callable[[float, float], tuple[float, float]], x: float, lo: f
     reaches u = 0) sq - sq(0) grows like a power of alpha and the step is
     taken in t; elsewhere the tail is nearer a power of eps and the step is
     taken in u. A step leaving the bracket, a start outside (lo, 1), or sq
-    rounding to sq(0), becomes bisection in u. Returns the point at lo or at
-    the top when x lies outside [sq(0), sq(lo)]. Stops when the next step or
-    the bracket falls to 1e-13 min(|u|, 1) in u and returns the last
-    evaluated point, which is within that step of the root: relative
+    rounding to sq(0), becomes bisection in u. f is evaluated at lo only when
+    the iteration reaches it: a step below the bracket while its lower end is
+    still the unevaluated lo, or the bracket collapsing onto lo. Returns the
+    point at lo or at the top when x lies outside [sq(0), sq(lo)]. Stops when
+    the next step or the bracket falls to 1e-13 min(|u|, 1) in u and returns
+    the last evaluated point, which is within that step of the root: relative
     precision 1e-13 in eps, and in alpha too where alpha is small.
     """
     s_top, q = f(0.0, 1.0)
     if x <= s_top:
         return 0.0, 1.0, s_top, q
-    u_lo, u_hi = math.log(lo), 0.0   # sq at u_lo > x > sq at u_hi
-    alpha = -math.expm1(u_lo)
-    s, q = f(alpha, lo)
-    if x >= s:
-        return alpha, lo, s, q
-    u = math.log(start) if lo < start < 1.0 else 0.5 * u_lo
+    bottom = math.log(lo)
+    u_lo, u_hi = bottom, 0.0   # sq <= x at u_hi; sq > x at u_lo once evaluated there
+    above = False   # whether some evaluated point, the one at u_lo, has sq > x
+    u = math.log(start) if lo < start < 1.0 else 0.5 * bottom
     for _ in range(100):
-        alpha, eps = -math.expm1(u), math.exp(u)
+        alpha, eps = -math.expm1(u), math.exp(u) if u > bottom else lo
         s, q = f(alpha, eps)
         if s > x:
-            u_lo = u
+            u_lo, above = u, True
         else:
             u_hi = u
         slope = (q - s) * u / (s - s_top) if s > s_top else 0.0
@@ -87,10 +91,13 @@ def level_root(f: Callable[[float, float], tuple[float, float]], x: float, lo: f
         else:
             new = u * (1.0 - k)
         if not u_lo <= new <= u_hi:
-            new = 0.5 * (u_lo + u_hi)
+            new = u_lo if new < u_lo and not above else 0.5 * (u_lo + u_hi)
         new = min(new, -_LEAST_FLOAT)
         tol = 1e-13 * min(1.0, abs(new))
-        if abs(new - u) <= tol or u_hi - u_lo <= tol:
+        if not above and u_lo < u_hi <= u_lo + 2.0 * tol:
+            # collapsed onto lo, not yet evaluated (2 tol: near u = -708 floats lie 1.1 tol apart)
+            new = u_lo
+        elif abs(new - u) <= tol or u_hi - u_lo <= tol:
             break
         u = new
     return alpha, eps, s, q

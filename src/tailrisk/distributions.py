@@ -443,7 +443,8 @@ class Logistic(Distribution):
 
 
 class StudentT(Distribution):
-    """Generalized Student-t with degrees of freedom nu, scale s, location mu."""
+    """Generalized Student-t with degrees of freedom nu, scale s, location mu; ``_ln_c`` is
+    the log of the standardized density's constant, 1 / (sqrt(nu) B(nu/2, 1/2))."""
 
     family = "student-t"
 
@@ -451,15 +452,12 @@ class StudentT(Distribution):
         _require(0 < nu < math.inf, "StudentT requires finite nu > 0, got {}", nu)
         _require(0 < s < math.inf, "StudentT requires finite scale s > 0, got {}", s)
         _require(math.isfinite(mu), "StudentT requires finite mu, got {}", mu)
-        self.__dict__.update(nu=nu, s=s, mu=mu)
-
-    def _ln_c(self) -> float:
-        """Log of the standardized density's constant, 1 / (sqrt(nu) B(nu/2, 1/2))."""
-        return -specfun.ln_beta(0.5 * self.nu, 0.5) - 0.5 * math.log(self.nu)
+        self.__dict__.update(nu=nu, s=s, mu=mu,
+                             _ln_c=-specfun.ln_beta(0.5 * nu, 0.5) - 0.5 * math.log(nu))
 
     def std_pdf(self, t: float) -> float:
         """Density of the standardized (s=1, mu=0) variate."""
-        return math.exp(self._ln_c() - 0.5 * (self.nu + 1.0) * math.log1p(t * t / self.nu))
+        return math.exp(self._ln_c - 0.5 * (self.nu + 1.0) * math.log1p(t * t / self.nu))
 
     def std_cdf(self, t: float) -> float:
         """Cdf of the standardized variate."""
@@ -487,7 +485,7 @@ class StudentT(Distribution):
             return (0.5 - half, 0.5 + half) if t <= 0 else (0.5 + half, 0.5 - half)
         ln_z = math.log(nu) - 2.0 * math.log(abs(t)) - math.log1p(nu / t2)
         if ln_z < -40.0:
-            tail = math.exp(a * ln_z + self._ln_c()) / math.sqrt(nu)
+            tail = math.exp(a * ln_z + self._ln_c) / math.sqrt(nu)
         else:
             tail = 0.5 * specfun.reg_inc_beta(nu / (nu + t2), a, 0.5)
         return (tail, 1.0 - tail) if t <= 0 else (1.0 - tail, tail)
@@ -509,7 +507,8 @@ class StudentT(Distribution):
             w = _std_normal_quantile(p, 1.0 - p)
             if 200.0 * w * w <= nu:
                 return w * _hill_ratio(w * w, 1.0 / nu)
-        x = p * math.sqrt(nu) * math.exp(-self._ln_c())   # 2p a B(a, 1/2) ~ z^a
+        # 2p a B(a, 1/2) ~ z^a; the factor nu B(a, 1/2) is at least 2, so x does not underflow
+        x = p * (math.sqrt(nu) * math.exp(-self._ln_c))
         ln_z = math.log(x) / a
         if ln_z < -40.0:   # relative error of the asymptote < z; an overflow is -inf
             return -_scaled_power(math.sqrt(nu), x, -1.0 / nu)
@@ -607,12 +606,22 @@ class LogLogistic(Distribution):
         return self.a * c / math.sin(c)
 
     def variance(self):
+        """a^2 (m2 - m1^2), m_k = kc / sin(kc), c = pi / b, as (a c (c / sin c))^2 r / cos c
+        with r = (sin c - c cos c) / c^3 a series below c = 1: nothing cancels, and nothing
+        overflows before the variance does."""
         if self.b <= 2.0:
             return math.inf
         c = math.pi / self.b
-        m1 = c / math.sin(c)
-        m2 = 2.0 * c / math.sin(2.0 * c)
-        return self.a * self.a * (m2 - m1 * m1)
+        if c < 1.0:   # r = sum over n >= 1 of (-1)^(n+1) 2n c^(2n-2) / (2n+1)!
+            r, term, k = 0.0, 1.0 / 3.0, 2.0   # k = 2n
+            while term > 1e-17 or -term > 1e-17:
+                r += term
+                term *= -c * c / (k * (k + 3.0))
+                k += 2.0
+        else:
+            r = (math.sin(c) - c * math.cos(c)) / c ** 3
+        sd = self.a * c * (c / math.sin(c)) * math.sqrt(r / math.cos(c))
+        return sd * sd
 
     def support(self):
         return SupportBound(0.0, math.inf)

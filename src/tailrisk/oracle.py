@@ -125,10 +125,11 @@ def oracle_bpoe(d: Distribution, x: float,
     """bPOE by root finding on the quadrature superquantile.
 
     ``_optim.level_root`` solves oracle_superquantile(d, 1 - eps) = x for the
-    tail mass eps in [1e-13, 1] from the Cantelli start; a threshold beyond sq
-    at eps = 1e-13 raises ``OracleError``. ``error_estimate`` is the error in
-    eps: the residual |sq - x| plus the quadrature error of sq at the root (the
-    engine's last quadrature), divided by the slope (sq - q) / eps there. An
+    tail mass eps in [1e-13, 1], started at e (1 - F(x)) or the Cantelli tail
+    mass (``_optim.cantelli_level``); a threshold beyond sq at eps = 1e-13 raises
+    ``OracleError``. ``error_estimate`` is the error in eps: the residual
+    |sq - x| plus the quadrature error of sq at the root (the engine's last
+    quadrature), divided by the slope (sq - q) / eps there. An
     estimate as large as the value, where the quadrature's absolute tolerance
     swamps the tail mass, raises ``OracleError`` too: such a value carries no digit.
     """
@@ -146,7 +147,8 @@ def oracle_bpoe(d: Distribution, x: float,
         at = oracle_superquantile(d, alpha, cfg)
         return at.value, q
 
-    _, eps, sq, q = level_root(pair, x, 1e-13, cantelli_level(x, m, d.variance()))
+    start = cantelli_level(x, m, d.variance(), 1.0 - d.cdf(x))
+    _, eps, sq, q = level_root(pair, x, 1e-13, start)
     if eps == 1e-13 and sq < x:
         raise OracleError("threshold lies beyond the quadrature superquantile at the "
                           "smallest tail mass", {"eps": eps, "superquantile": sq, "threshold": x})

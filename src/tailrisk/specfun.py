@@ -144,31 +144,32 @@ def _gamma_p_series(a: float, x: float) -> float:
         n += 1.0
         term *= x / n
         total += term
-        if abs(term) < abs(total) * 1e-17:
+        if term < total * 1e-17:   # a > 0, x >= 0: no term is negative
             break
     return total
 
 
 def _gamma_q_cf(a: float, x: float) -> float:
     # upper incomplete gamma times e^x x^-a by continued fraction (modified Lentz)
-    tiny = 1e-300
     b = x + 1.0 - a
     c = 1e300
     d = 1.0 / b if b != 0.0 else 1e300
     h = d
-    for i in range(1, 500):
+    i = 0.0   # a float counter, as in _beta_cf
+    for _ in range(499):
+        i += 1.0
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        if -1e-300 < d < 1e-300:
+            d = 1e-300
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        if -1e-300 < c < 1e-300:
+            c = 1e-300
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if -1e-16 < delta - 1.0 < 1e-16:
             break
     return h
 
@@ -262,38 +263,39 @@ def ln_beta(a: float, b: float) -> float:
 
 def _beta_cf(a: float, b: float, x: float) -> float:
     # continued fraction for the incomplete beta (modified Lentz)
-    tiny = 1e-300
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
+    if -1e-300 < d < 1e-300:
+        d = 1e-300
     d = 1.0 / d
     h = d
-    for m in range(1, 500):
-        m2 = 2 * m
+    m = 0.0   # float counters, exact: no int-to-float conversion per operation
+    for _ in range(499):
+        m += 1.0
+        m2 = m + m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
+        if -1e-300 < d < 1e-300:
+            d = 1e-300
         c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
+        if -1e-300 < c < 1e-300:
+            c = 1e-300
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
+        if -1e-300 < d < 1e-300:
+            d = 1e-300
         c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
+        if -1e-300 < c < 1e-300:
+            c = 1e-300
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if -1e-16 < delta - 1.0 < 1e-16:
             break
     return h
 

@@ -119,7 +119,7 @@ def _sq_student(d: StudentT, alpha: float, eps: float) -> float:
     nor underflows."""
     nu = d.nu
     ln_1p = _student_ln_1p(nu, d._std_lower_quantile(alpha if alpha < eps else eps))
-    tail = nu * math.exp(d._ln_c() - 0.5 * (nu - 1.0) * ln_1p)
+    tail = nu * math.exp(d._ln_c - 0.5 * (nu - 1.0) * ln_1p)
     return d.mu + d.s * (tail / ((nu - 1.0) * eps))
 
 
@@ -301,17 +301,18 @@ def bpoe_closed(d: Distribution, x: float) -> TailResult:
 def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     """bPOE as the tail mass eps in [smallest normal float, 1] that solves
     superquantile(d, 1 - eps, eps) = x with ``_optim.level_root``, to about
-    1e-13 relative. Each step evaluates the pair (sq, q) once, and the
-    residual and ``quantile_star`` are read from the engine's last pair, so
-    no family's ``quantile`` is called. Beyond sq at the smallest normal eps
-    it underflows and reads 0.0. A residual above 1e-6 max(1, |x|) raises
-    ``ConvergenceError``.
+    1e-13 relative, started at e (1 - F(x)) or the Cantelli tail mass
+    (``_optim.cantelli_level``). Each step evaluates the pair (sq, q) once, and
+    the residual and ``quantile_star`` are read from the engine's last pair, so
+    no family's ``quantile`` is called. Beyond sq at the smallest normal eps,
+    which the engine evaluates only if its steps reach it, the bPOE underflows
+    and reads 0.0. A residual above 1e-6 max(1, |x|) raises ``ConvergenceError``.
     """
     edge = _bpoe_edges(d, x)
     if edge is not None:
         return edge
     alpha, eps, sq, q = level_root(lambda a, e: superquantile(d, a, e), x, sys.float_info.min,
-                                   cantelli_level(x, d.mean(), d.variance()))
+                                   cantelli_level(x, d.mean(), d.variance(), 1.0 - d.cdf(x)))
     residual = sq - x
     if eps == sys.float_info.min and residual < 0.0:
         return _result_from_value(d, 0.0)
@@ -364,7 +365,7 @@ def _std_student_tail(d: StudentT, g: float) -> tuple[float, ...]:
     incomplete beta. Where S is below the smallest normal float, ln S is its
     asymptote ln c - (nu ln(1 + g^2/nu) + ln nu) / 2 where that is exact to
     rounding, as in ``std_cdf``, and -inf, an underflow, elsewhere (huge nu)."""
-    nu, ln_c, ln_1p = d.nu, d._ln_c(), _student_ln_1p(d.nu, g)
+    nu, ln_c, ln_1p = d.nu, d._ln_c, _student_ln_1p(d.nu, g)
     lower, upper = d._std_tails(g)
     if upper >= sys.float_info.min:
         ln_survival = math.log(upper)

@@ -263,6 +263,22 @@ def test_weibull_and_gev_moments_against_mpmath():
                 assert abs(d.variance() - var) <= 1e-14 * var, (k, d.variance())
 
 
+def test_loglogistic_variance_against_mpmath():
+    # m2 - m1^2 cancels to 0 for large b, and a^2 overflows for large a: neither may
+    # reach the result, 3.3e180 at (a, b) = (1e100, 1e10) and inf at (1e200, 1e10)
+    mp = pytest.importorskip("mpmath")
+    for a in (1e-300, 1e-100, 0.5, 1.0, 2.0, 1e100, 1e200):
+        for b in (2.1, 2.5, 3.0, math.pi, 4.0, 10.0, 50.0, 1e3, 1e6, 1e10, 1e200):
+            with mp.workdps(40 + 2 * int(math.log10(b))):   # c^2 below 10^-dps cancels
+                c = mp.pi / b
+                want = float(mp.mpf(a) ** 2 * (2 * c / mp.sin(2 * c) - (c / mp.sin(c)) ** 2))
+            got = dist.LogLogistic(a, b).variance()
+            if want in (0.0, math.inf):
+                assert got == want, (a, b, got)
+            else:   # b near 2 loses digits to the rounding of pi / b, ~1e-16 / (pi/2 - c)
+                assert abs(got - want) <= 1e-14 * want, (a, b, got, want)
+
+
 def test_quantile_median_conventions():
     # the Laplace sign convention pins quantile(0.5) to the location
     assert dist.Laplace(0.7, 2.0).quantile(0.5) == 0.7

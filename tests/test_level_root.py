@@ -172,13 +172,41 @@ def test_root_below_the_smallest_level_stops_there(monkeypatch):
     assert result.alpha_star == 5e-324
 
 
+def test_threshold_beyond_the_smallest_level_reads_zero(monkeypatch):
+    # sq at the smallest normal tail mass is 37.5: the engine evaluates there only
+    # once its steps reach it, and the underflow still reads 0.0
+    calls = _count_superquantile_calls(monkeypatch)
+    result = tm.bpoe(dist.Normal(0.0, 1.0), 40.0)
+    assert (result.value, result.alpha_star) == (0.0, 1.0)
+    assert calls[0] <= 10
+
+
+def test_threshold_beyond_the_smallest_level_without_newton_slope():
+    # Weibull(1, 1e15): sq - q and sq - mean are rounding noise, so slopes read 0 or
+    # negative and the steps bisect; they still end at the bottom, not in a stall
+    result = tm.bpoe(dist.Weibull(1.0, 1e15), 2.0)
+    assert (result.value, result.alpha_star) == (0.0, 1.0)
+    # q = sq: slope 0 at every step, and bisection must collapse onto lo and evaluate it
+    for lo in (sys.float_info.min, 1e-13, 1e-100, 1e-300):
+        seen = []
+
+        def pair(alpha, eps):
+            seen.append(eps)
+            return 2.0 - eps, 2.0 - eps
+
+        assert level_root(pair, 3.0, lo, 0.5) == (-math.expm1(math.log(lo)), lo, 2.0 - lo,
+                                                   2.0 - lo), lo
+        assert seen.count(lo) == 1 and len(seen) <= 100, lo
+
+
 def test_bpoe_by_root_superquantile_budget(monkeypatch):
     thresholds = [(d, tm.superquantile(d, a)) for d in ROOT_FAMILIES for a in LEVELS]
     calls = _count_superquantile_calls(monkeypatch)
     for d, x in thresholds:
         tm.bpoe_by_root(d, x)
-    # 7.27 measured; 8.27 when the root was evaluated again
-    assert calls[0] / len(thresholds) <= 7.3
+    # 5.35 measured; 7.27 when the engine evaluated sq at the smallest normal
+    # tail mass up front and started at the Cantelli tail mass alone
+    assert calls[0] / len(thresholds) <= 5.4
 
 
 def test_bpoe_by_root_calls_no_quantile(monkeypatch):
@@ -250,7 +278,7 @@ def test_oracle_bpoe_quadrature_budget(monkeypatch):
     monkeypatch.setattr(oracle, "oracle_superquantile", counted)
     result = oracle.oracle_bpoe(d, x)
     # the error estimate reads the last of the engine's quadratures, at the root
-    assert calls == 7
+    assert calls == 6
     assert abs(result.value - 0.1) <= max(1e-8, result.error_estimate)
 
 

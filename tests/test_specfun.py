@@ -305,3 +305,75 @@ def test_incomplete_beta_and_inverse_match_mpmath():
             density = (mp.power(x, a - 1) * mp.power(1 - mp.mpf(x), b - 1) / mp.beta(a, b)
                        if 0.0 < x < 1.0 else mp.inf)
             assert err <= 1e-12 * min(p, 1.0 - p) + 2 * density * math.ulp(x), (p, a, b, x)
+
+
+# Plain forms of the three Lentz and series loops, with abs() and integer counters; the
+# kernels' loops use chained comparisons and float counters, the same arithmetic.
+def _ref_gamma_p_series(a, x):
+    term = total = 1.0 / a
+    n = a
+    for _ in range(500):
+        n += 1.0
+        term *= x / n
+        total += term
+        if abs(term) < abs(total) * 1e-17:
+            break
+    return total
+
+
+def _ref_gamma_q_cf(a, x):
+    tiny, b, c = 1e-300, x + 1.0 - a, 1e300
+    d = 1.0 / b if b != 0.0 else 1e300
+    h = d
+    for i in range(1, 500):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = tiny if abs(d) < tiny else d
+        c = b + an / c
+        c = tiny if abs(c) < tiny else c
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return h
+
+
+def _ref_beta_cf(a, b, x):
+    tiny, qab, qap, qam = 1e-300, a + b, a + 1.0, a - 1.0
+    c, d = 1.0, 1.0 - qab * x / qap
+    d = 1.0 / (tiny if abs(d) < tiny else d)
+    h = d
+    for m in range(1, 500):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = tiny if abs(d) < tiny else d
+            c = 1.0 + aa / c
+            c = tiny if abs(c) < tiny else c
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return h
+
+
+def test_lentz_and_series_loops_match_their_plain_forms_bit_for_bit():
+    rng = random.Random(20261019)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for _ in range(10_000):
+        a, b = log_uniform(1e-3, 1e4), log_uniform(1e-3, 1e4)
+        x = (a + 1.0) / (a + b + 2.0) * rng.random()   # below reg_inc_beta's switch
+        assert sf._beta_cf(a, b, x).hex() == _ref_beta_cf(a, b, x).hex(), (a, b, x)
+        a = rng.uniform(-1.0, 60.0)   # GEV reads a = -xi > -1, log_integral a = 0
+        x = max(a, 0.0) + 1.0 + log_uniform(1e-6, 1e4)
+        assert sf._gamma_q_cf(a, x).hex() == _ref_gamma_q_cf(a, x).hex(), (a, x)
+        a = log_uniform(1e-6, 1e3)
+        x = (a + 1.0) * rng.random()
+        assert sf._gamma_p_series(a, x).hex() == _ref_gamma_p_series(a, x).hex(), (a, x)

@@ -769,6 +769,8 @@ _EXTREME_CALLS = {
     "logistic-variance": lambda: dist.Logistic(0.0, 1e200).variance(),
     "student-t-variance": lambda: dist.StudentT(3.0, 1e200).variance(),
     "loglogistic-variance": lambda: dist.LogLogistic(1e200, 3.0).variance(),
+    "loglogistic-variance-huge-shape": lambda: dist.LogLogistic(1e200, 1e10).variance(),
+    "student-t-quantile-tiny-nu-and-level": lambda: dist.StudentT(1e-300, 1e-300).quantile(1e-300),
     "gev-variance": lambda: dist.GEV(0.0, 1e200, 0.0).variance(),
     "weibull-cdf-huge-power": lambda: dist.Weibull(1e-300, 1.5).cdf(1.5),
     "weibull-cdf-at-zero": lambda: dist.Weibull(1.0, 1e-300).cdf(0.0),
