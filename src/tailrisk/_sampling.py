@@ -8,8 +8,8 @@ uniform. The other families are inverse-transform samplers: their closed-form
 array quantile at clipped uniforms. Both tables are looked up along the
 type's method resolution order, as a method would be, so a subclass of a
 family samples as that family does (Exponential(lam) as GPD(0, 1/lam, 0),
-Pareto(a, xm) as GPD(xm, xm/a, 1/a)) and any other ``Distribution`` falls
-back to its scalar ``quantile``, one level at a time.
+Pareto(a, xm) as GPD(xm, xm/a, 1/a)); any other ``Distribution`` raises
+``DomainError``.
 """
 
 from __future__ import annotations
@@ -18,34 +18,13 @@ import numpy as np
 
 from .distributions import (GEV, GPD, Distribution, Laplace, LogLogistic,
                             LogNormal, Logistic, Normal, StudentT, Weibull)
+from .errors import DomainError
 
 # --- per-family array quantiles ----------------------------------------------
-
-def _scalar(d: Distribution, u: np.ndarray) -> np.ndarray:
-    return np.array([d.quantile(float(p)) for p in u])
-
 
 def _gpd(d: GPD, u: np.ndarray) -> np.ndarray:
     y = -np.log1p(-u)
     return d.mu + d.s * (y if d.xi == 0.0 else np.expm1(d.xi * y) / d.xi)
-
-
-def _laplace(d: Laplace, u: np.ndarray) -> np.ndarray:
-    return np.where(u < 0.5,
-                    d.mu + d.b * np.log(2.0 * u),
-                    d.mu - d.b * np.log(2.0 * (1.0 - u)))
-
-
-def _logistic(d: Logistic, u: np.ndarray) -> np.ndarray:
-    return d.mu + d.s * (np.log(u) - np.log1p(-u))
-
-
-def _weibull(d: Weibull, u: np.ndarray) -> np.ndarray:
-    return d.lam * (-np.log1p(-u)) ** (1.0 / d.k)
-
-
-def _loglogistic(d: LogLogistic, u: np.ndarray) -> np.ndarray:
-    return d.a * (u / (1.0 - u)) ** (1.0 / d.b)
 
 
 def _gev(d: GEV, u: np.ndarray) -> np.ndarray:
@@ -56,12 +35,12 @@ def _gev(d: GEV, u: np.ndarray) -> np.ndarray:
 
 
 _QUANTILE_ARRAYS = {
-    Distribution: _scalar,
     GPD: _gpd,
-    Laplace: _laplace,
-    Logistic: _logistic,
-    Weibull: _weibull,
-    LogLogistic: _loglogistic,
+    Laplace: lambda d, u: np.where(u < 0.5, d.mu + d.b * np.log(2.0 * u),
+                                   d.mu - d.b * np.log(2.0 * (1.0 - u))),
+    Logistic: lambda d, u: d.mu + d.s * (np.log(u) - np.log1p(-u)),
+    Weibull: lambda d, u: d.lam * (-np.log1p(-u)) ** (1.0 / d.k),
+    LogLogistic: lambda d, u: d.a * (u / (1.0 - u)) ** (1.0 / d.b),
     GEV: _gev,
 }
 
@@ -80,3 +59,4 @@ def draw(d: Distribution, n: int, rng: np.random.Generator) -> np.ndarray:
             return _DRAWS[cls](d, n, rng)
         if cls in _QUANTILE_ARRAYS:
             return _QUANTILE_ARRAYS[cls](d, np.clip(rng.random(n), 1e-300, 1.0 - 1e-16))
+    raise DomainError(f"no sampler for {type(d).__name__}")

@@ -34,10 +34,9 @@ from .errors import DomainError, ParameterError, TailRiskError
 if TYPE_CHECKING:
     from . import portfolio
 
-_PARAM_FLAGS = {
-    "lambda": "lam", "k": "k", "a": "a", "xm": "xm", "b": "b",
-    "mu": "mu", "sigma": "sigma", "s": "s", "xi": "xi", "nu": "nu",
-}
+# flag -> parameter, one per name the families take; lam is --lambda
+_PARAM_FLAGS = {"lambda" if name == "lam" else name: name
+                for cls in FAMILIES.values() for name in cls._fields}
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:

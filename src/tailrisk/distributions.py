@@ -12,13 +12,13 @@ provide the CLI wire format ``{"family": ..., "params": {...}}``.
 
 Each family writes its quantile once, as ``_quantile(alpha, eps)`` with
 alpha + eps = 1: ``quantile(alpha)`` passes (alpha, 1 - alpha) and
-``tail_quantile(eps)`` passes (1 - eps, eps) to ``_level_quantile``, and the
+``tail_quantile(eps)`` passes (1 - eps, eps) to ``_quantile``, and the
 root engines pass their own pair as ``quantile(alpha, eps)``. The smaller
 one keeps full precision; each formula reads its precision from it, and the
 symmetric laws mirror their lower half at min(alpha, eps). So ``quantile(a)`` equals
-``tail_quantile(1 - a)`` bit for bit on [0.5, 1). A quantile beyond binary64
-is +inf, or -inf below the median of a law unbounded below; never
-``OverflowError``.
+``tail_quantile(1 - a)`` bit for bit on [0.5, 1). Each formula returns a
+quantile beyond binary64 itself, as +inf, or -inf below the median of a law
+unbounded below; none raises ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ def _log1p_ratio(xi: float, z: float) -> float:
 def _expm1_ratio(x: float, r: float, c: float = 1.0) -> float:
     """c expm1(x r) / x for c > 0, c r at x r = 0; in logs where e^(x r) leaves binary64."""
     u = x * r
+    if u < -40.0:   # e^u is below the rounding of 1: the limit -c / x, exactly
+        return -c / x
     if u < 709.0:
         return c * r * (math.expm1(u) / u if u else 1.0)
     return math.copysign(_exp_or_inf(math.log(c) + u - math.log(abs(x))), x)
@@ -173,21 +175,13 @@ class Distribution:
         the tail mass ``_eps`` = 1 - alpha too, unchecked."""
         if _eps is None and not 0.0 < alpha < 1.0:
             raise DomainError(f"quantile level must lie in (0, 1), got {alpha}")
-        return self._level_quantile(alpha, 1.0 - alpha if _eps is None else _eps)
+        return self._quantile(alpha, 1.0 - alpha if _eps is None else _eps)
 
     def tail_quantile(self, eps: float) -> float:
         """Upper quantile q_(1-eps) as a stable function of the tail mass."""
         if not 0.0 < eps < 1.0:
             raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
-        return self._level_quantile(1.0 - eps, eps)
-
-    def _level_quantile(self, alpha: float, eps: float) -> float:
-        """Quantile at alpha = 1 - eps; beyond binary64 it is -inf below the
-        median of a law unbounded below, else +inf."""
-        try:
-            return self._quantile(alpha, eps)
-        except OverflowError:
-            return -math.inf if alpha < eps and self.support().lower == -math.inf else math.inf
+        return self._quantile(1.0 - eps, eps)
 
     def _quantile(self, alpha: float, eps: float) -> float:   # see the module docstring
         raise NotImplementedError
@@ -263,11 +257,14 @@ class GPD(Distribution):
         return 1.0 if self.s + self.xi * (x - self.mu) <= 0.0 else -math.expm1(-self._ln_survival(x))
 
     def _excess(self, alpha: float, eps: float) -> float:
-        """s (u - 1) / xi at u = eps^-xi, the quantile less mu: expm1's below u = e, the
-        power above, as (s v) v / xi where u or the quantile leaves binary64, else in logs."""
+        """s (u - 1) / xi at u = eps^-xi = e^(xi y), the quantile less mu: expm1's below u = e or
+        the median (in logs past e^709), else the power, as (s v) v / xi or in logs beyond."""
         xi, s, y = self.xi, self.s, _neg_log(eps, alpha)
         if xi * y < 1.0:
             return s * (y if xi == 0.0 else math.expm1(xi * y) / xi)
+        if alpha < eps:   # eps = 1 - alpha is rounded, y is not
+            return s * (math.expm1(xi * y) / xi) if xi * y < 709.0 else _exp_or_inf(
+                math.log(s) - math.log(xi) + xi * y)
         excess = s * ((_scaled_power(1.0, eps, -xi) - 1.0) / xi)
         if excess < math.inf:
             return excess
@@ -397,7 +394,7 @@ class LogNormal(Distribution):
         return 0.5 * math.erfc(-z)
 
     def _quantile(self, alpha, eps):
-        return math.exp(self.mu + self.s * _std_normal_quantile(alpha, eps))
+        return _exp_or_inf(self.mu + self.s * _std_normal_quantile(alpha, eps))
 
     def mean(self):
         return _exp_or_inf(self.mu + 0.5 * self.s * self.s)
@@ -459,10 +456,6 @@ class StudentT(Distribution):
         """Density of the standardized (s=1, mu=0) variate."""
         return math.exp(self._ln_c - 0.5 * (self.nu + 1.0) * math.log1p(t * t / self.nu))
 
-    def std_cdf(self, t: float) -> float:
-        """Cdf of the standardized variate."""
-        return self._std_tails(t)[0]
-
     def _std_tails(self, t: float) -> tuple[float, float]:
         """(F(t), 1 - F(t)) of the standardized variate, both from one incomplete
         beta: from whichever of y = t^2 / (nu + t^2) and z = 1 - y reg_inc_beta sums
@@ -497,22 +490,26 @@ class StudentT(Distribution):
         limit to 1/nu^4 (Abramowitz & Stegun 26.7.5; Hill 1970). Its truncation is
         the g5 / nu^5 term, about 1e-15 relative at the corner nu = 1000, w^2 = 5,
         and smaller elsewhere in the region. Where the asymptote
-        2p ~ z^(nu/2) / (nu/2 B(nu/2, 1/2)) is exact to rounding it gives t in closed
-        form, even where z underflows. Elsewhere reg_inc_beta_inv solves for z, or
-        for 1 - z where z is near 1 and 1 - 2p still carries p, so
-        t = -sqrt(nu (1 - z) / z) does not cancel.
+        2p ~ z^a / (a B(a, 1/2)), a = nu/2, is exact to rounding it gives t in closed
+        form, even where z underflows; at a <= 2^-10 from ln(a B(a, 1/2)) / a and in
+        logs, since the rounding of _ln_c would come back times 1/a. Elsewhere
+        reg_inc_beta_inv solves for z, or for 1 - z where that is below 1/2 and 1 - 2p
+        still carries p, so t = -sqrt(nu (1 - z) / z) does not cancel.
         """
         nu, a = self.nu, 0.5 * self.nu
+        if p == 0.5:
+            return 0.0
         if nu >= 1e3:
             w = _std_normal_quantile(p, 1.0 - p)
             if 200.0 * w * w <= nu:
                 return w * _hill_ratio(w * w, 1.0 / nu)
-        # 2p a B(a, 1/2) ~ z^a; the factor nu B(a, 1/2) is at least 2, so x does not underflow
-        x = p * (math.sqrt(nu) * math.exp(-self._ln_c))
-        ln_z = math.log(x) / a
+        # x = 2p a B(a, 1/2) ~ z^a; the factor nu B(a, 1/2) is at least 2: no underflow
+        x, small = p * (math.sqrt(nu) * math.exp(-self._ln_c)), a <= 2.0 ** -10
+        ln_z = math.log(2.0 * p) / a + specfun.ln_a_beta_half(a) if small else math.log(x) / a
         if ln_z < -40.0:   # relative error of the asymptote < z; an overflow is -inf
-            return -_scaled_power(math.sqrt(nu), x, -1.0 / nu)
-        if -math.expm1(ln_z) < 2.0 * p:   # 1 - z is the smaller error of the two
+            return -(_exp_or_inf(0.5 * (math.log(nu) - ln_z)) if small
+                     else _scaled_power(math.sqrt(nu), x, -1.0 / nu))
+        if -math.expm1(ln_z) < min(2.0 * p, 0.5):   # 1 - z is the smaller error of the two
             y = specfun.reg_inc_beta_inv(1.0 - 2.0 * p, 0.5, a)
             return -math.sqrt(nu * y / (1.0 - y))
         z = specfun.reg_inc_beta_inv(2.0 * p, a, 0.5)
@@ -522,7 +519,7 @@ class StudentT(Distribution):
         return self.std_pdf((x - self.mu) / self.s) / self.s
 
     def cdf(self, x):
-        return self.std_cdf((x - self.mu) / self.s)
+        return self._std_tails((x - self.mu) / self.s)[0]
 
     def _quantile(self, alpha, eps):
         t = self._std_lower_quantile(min(alpha, eps))
@@ -595,8 +592,8 @@ class LogLogistic(Distribution):
 
     def _quantile(self, alpha, eps):
         odds = alpha / eps
-        if odds == math.inf:   # overflowed without raising: the log route, from the parts
-            return _exp_or_inf(math.log(self.a) + (math.log(alpha) - math.log(eps)) / self.b)
+        if odds == math.inf:   # overflowed without raising, where alpha rounds to 1
+            return _scaled_power(self.a, eps, -1.0 / self.b)
         return _scaled_power(self.a, odds, 1.0 / self.b)
 
     def mean(self):

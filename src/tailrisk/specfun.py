@@ -2,11 +2,10 @@
 
 Everything the closed-form tail formulas need lives here: error function and
 its inverses (one evaluation of Wichura's AS241 for both, plus a single Newton
-step in ``erfc_inv``), (incomplete) gamma and beta functions, ln Gamma(1 - x)
-less its linear term, the lower real branch W_-1 of Lambert W, the logarithmic
-integral on (0, 1), and the binary entropy function. All functions are pure,
-scalar, and deterministic; the only dependency is the standard-library ``math``
-module.
+step in ``erfc_inv``), (incomplete) gamma and beta functions, ln Gamma(1 - x) less its
+linear term and ln(a B(a, 1/2)) / a from it, the lower real branch W_-1 of Lambert W, the
+logarithmic integral on (0, 1), and the binary entropy function. All functions are pure,
+scalar, and deterministic; the only dependency is the standard-library ``math`` module.
 """
 
 from __future__ import annotations
@@ -133,6 +132,25 @@ def ln_gamma_1m_remainder(x: float) -> float:
     if x < -2.0 ** 60:
         return (1.0 - EULER_GAMMA - math.log(-x)) / x
     return (math.lgamma(1.0 - x) / x - EULER_GAMMA) / x
+
+
+def ln_a_beta_half(a: float) -> float:
+    """ln(a B(a, 1/2)) / a = 2 ln 2 - a (4 T(-2a) - 2 T(-a)), T = ln_gamma_1m_remainder, by
+    Legendre's duplication: no lgamma rounding, which ln a + ln B(a, 1/2) carries at |ln a| ulp."""
+    return 2.0 * (_LN2 - a * (2.0 * ln_gamma_1m_remainder(-2.0 * a) - ln_gamma_1m_remainder(-a)))
+
+
+def _half_beta_complement(y: float, b: float) -> float:
+    """1 - I_y(b, 1/2) for y <= 1/2, where 1 minus the sum cancels as b -> 0: with
+    B I_y = y^b (1/b + sum_{n >= 1} c_n y^n / (n + b)), c_n = (1/2)_n / n!, and
+    ln(b B) = b ln_a_beta_half(b), it is -expm1(e) - b e^e sum, e = b (ln y - ln_a_beta_half(b))."""
+    total, c, n = 0.0, 1.0, 0.0
+    while c > 1e-17 * total:
+        n += 1.0
+        c *= (n - 0.5) / n * y
+        total += c / (n + b)
+    e = b * (math.log(y) - ln_a_beta_half(b))
+    return -math.expm1(e) - b * math.exp(e) * total
 
 
 def _gamma_p_series(a: float, x: float) -> float:
@@ -324,7 +342,8 @@ def reg_inc_beta_inv(p: float, a: float, b: float) -> float:
     In v the tail is nearly straight, I_x ~ x^a / (a B(a, b)), so that
     asymptote, capped at the mean, seeds it almost exactly. The odds change by
     multiplication, so x and 1 - x keep their relative precision however small.
-    """
+    Above (a + 1) / (a + b + 2) the tail is 1 - I_{1-x}(b, a), a series at a = 1/2, b <= 2^-10;
+    a root there where that keeps less than 1e-8 relative of p raises ``DomainError``."""
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"reg_inc_beta_inv requires a, b > 0, got a={a}, b={b}")
     if not 0.0 <= p <= 1.0:
@@ -338,13 +357,14 @@ def reg_inc_beta_inv(p: float, a: float, b: float) -> float:
     ln_x = (math.log(p) + math.log(a) + ln_b) / a
     if ln_x < -708.4:     # x is subnormal, where the asymptote is exact
         return 1.0 if mirrored else math.exp(ln_x)
-    ln_x = min(ln_x, math.log(a / (a + b)))   # no further than the mean
-    odds = math.exp(ln_x - math.log1p(-math.exp(ln_x)))
-    cross = (a + 1.0) / (a + b + 2.0)
+    # the odds, no further than the mean's a / b (a / (a + b) may round to 1) nor the floats
+    odds = min(1.0 / math.expm1(-ln_x) if ln_x < 0.0 else math.inf, a / b, sys.float_info.max)
+    cross, series = (a + 1.0) / (a + b + 2.0), a == 0.5 and b <= 2.0 ** -10
     lo, hi = 0.0, math.inf
     for _ in range(200):
         x, y = odds / (1.0 + odds), 1.0 / (1.0 + odds)
-        tail = reg_inc_beta(x, a, b) if x < cross else 1.0 - reg_inc_beta(y, b, a)
+        tail = reg_inc_beta(x, a, b) if x < cross else (   # 1 - I_y(b, a), by series at small b
+            _half_beta_complement(y, b) if series else 1.0 - reg_inc_beta(y, b, a))
         if tail > p:
             hi = odds
         else:
@@ -367,6 +387,9 @@ def reg_inc_beta_inv(p: float, a: float, b: float) -> float:
             if not lo < new < hi:
                 break             # the bracket is down to adjacent floats
         odds = new
+    if odds / (1.0 + odds) >= cross and not series and p < 1.2e-8 * (abs(ln_b) + 8.0):
+        raise DomainError(f"reg_inc_beta_inv: 1 - I_y({b}, {a}) at the root keeps less than "
+                          f"1e-8 relative precision against {p}")
     return 1.0 / (1.0 + odds) if mirrored else odds / (1.0 + odds)
 
 

@@ -192,7 +192,8 @@ def superquantile(d: Distribution, alpha: float,
     The root engines pass the tail mass ``_eps`` = 1 - alpha too, unchecked,
     and get the pair (sq, q) of the superquantile and the quantile at alpha,
     the slope of sq in log(eps) being q - sq: the Normal reads q off the
-    quantile its formula holds, the other families add ``_level_quantile``.
+    quantile its formula holds, the other families add ``_quantile``, which
+    returns +-inf itself where the quantile leaves binary64.
     At alpha = 0 the pair is (mean, lower end of the support), so no quantile
     is evaluated at level 0.
     """
@@ -206,10 +207,10 @@ def superquantile(d: Distribution, alpha: float,
     if alpha == 0.0:
         return d.mean(), d.support().lower
     if d.mean() == math.inf:
-        return math.inf, d._level_quantile(alpha, _eps)
+        return math.inf, d._quantile(alpha, _eps)
     if isinstance(d, Normal):
         return _sq_normal(d, alpha, _eps, True)
-    return _SQ_FORMULAS[type(d)](d, alpha, _eps), d._level_quantile(alpha, _eps)
+    return _SQ_FORMULAS[type(d)](d, alpha, _eps), d._quantile(alpha, _eps)
 
 
 def left_superquantile(d: Distribution, alpha: float) -> float:
@@ -364,7 +365,7 @@ def _std_student_tail(d: StudentT, g: float) -> tuple[float, ...]:
     (nu + g^2) f in logs, as ``_sq_student`` forms it, and both tails from one
     incomplete beta. Where S is below the smallest normal float, ln S is its
     asymptote ln c - (nu ln(1 + g^2/nu) + ln nu) / 2 where that is exact to
-    rounding, as in ``std_cdf``, and -inf, an underflow, elsewhere (huge nu)."""
+    rounding, as in ``_std_tails``, and -inf, an underflow, elsewhere (huge nu)."""
     nu, ln_c, ln_1p = d.nu, d._ln_c, _student_ln_1p(d.nu, g)
     lower, upper = d._std_tails(g)
     if upper >= sys.float_info.min:
@@ -495,8 +496,9 @@ def bpoe(d: Distribution, x: float) -> TailResult:
 
 def partial_expectation(d: Distribution, gamma: float) -> float:
     """E[X - gamma]+: for Normal, Logistic, Student-t and LogNormal scale S e, the
-    survival S and mean excess e of the bPOE minimization engine's tail, precise
-    into the subnormals; elsewhere (superquantile(F(gamma)) - gamma) (1 - F(gamma)),
+    survival S and mean excess e of the bPOE minimization engine's tail, formed as
+    exp(ln S + ln scale + ln e) so that a subnormal S keeps its digits; elsewhere
+    (superquantile(F(gamma)) - gamma) (1 - F(gamma)),
     which raises ``DomainError`` where 1 - F(gamma), at 1e-14 absolute error in F,
     keeps less than 1e-8 relative.
     """
@@ -512,13 +514,11 @@ def partial_expectation(d: Distribution, gamma: float) -> float:
         if ln_survival == -math.inf:
             raise DomainError(f"partial expectation of {d.family} at gamma={gamma}: "
                               "the survival underflows")
-        return scale * excess * math.exp(ln_survival)
+        return _exp_or_inf(ln_survival + math.log(scale) + math.log(excess)) if excess else 0.0
     upper = d.support().upper
     if math.isfinite(upper) and gamma >= upper:
         return 0.0
     prob = d.cdf(gamma)
-    if prob <= 0.0:
-        return m - gamma
     if 1e-14 > 1e-8 * (1.0 - prob):
         raise DomainError(f"partial expectation of {d.family} at gamma={gamma}: "
                           "1 - F(gamma) keeps less than 1e-8 relative precision")

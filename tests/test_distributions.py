@@ -426,6 +426,16 @@ def test_sampling_matches_scalar_quantile():
         assert np.max(np.abs(vec - scal) / (1.0 + np.abs(scal))) <= 1e-7
 
 
+def test_sampling_a_law_with_no_sampler_raises():
+    # no scalar-quantile fallback: a Distribution subclass outside the families has no sampler
+    class Point(dist.Distribution):
+        def __init__(self, at: float):
+            self.__dict__.update(at=at)
+
+    with pytest.raises(DomainError, match="no sampler"):
+        Point(1.0).sample(3, np.random.default_rng(1))
+
+
 def test_json_roundtrip():
     for d in ALL_SETTINGS:
         again = dist.from_json(json.loads(json.dumps(d.to_json())))

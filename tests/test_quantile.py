@@ -1,10 +1,12 @@
 """Every family's quantile: one evaluation both ways, and an mpmath differential test."""
 
 import math
+import random
 
 import pytest
 
 from tailrisk import distributions as dist
+from tailrisk.errors import ParameterError
 from test_distributions import ALL_SETTINGS
 
 mp = pytest.importorskip("mpmath")
@@ -116,6 +118,17 @@ def test_scaled_power_beyond_binary64(d, method, level):
     assert abs(got - want) <= 2e-13 * abs(want), (got, float(want))
 
 
+@pytest.mark.parametrize("d, alpha", [
+    (dist.GPD(0.0, 1.0, 1e20), 1e-19),
+    (dist.Pareto(1e-18, 1.0), 1e-17),
+], ids=repr)
+def test_gpd_quantile_below_the_median_reads_the_level(d, alpha):
+    # xi y = 10 below the median: eps = 1 - alpha rounds to 1 (the power read the
+    # location), y = -ln(1 - alpha) does not
+    want = _mp_quantile(d, alpha=alpha)
+    assert abs(d.quantile(alpha) - want) <= 1e-13 * want, (d.quantile(alpha), float(want))
+
+
 def test_loglogistic_odds_beyond_binary64():
     # alpha / eps rounds to inf without raising at eps = 5e-324; the quantile
     # a (alpha / eps)^(1/b) is about 2.9e6
@@ -124,3 +137,49 @@ def test_loglogistic_odds_beyond_binary64():
         want = _mp_quantile(d, eps=eps)
         got = d.tail_quantile(eps)
         assert abs(got - want) <= 1e-13 * want, (eps, got, float(want))
+
+
+def _extreme_settings(rng, n):
+    """n seeded members of every family, each parameter at 10^U(-300, 300) in size."""
+    def size():
+        return 10.0 ** rng.uniform(-300.0, 300.0)
+
+    def signed():
+        return rng.choice((-1.0, 0.0, 1.0)) * size()
+
+    makers = (lambda: dist.Exponential(size()), lambda: dist.Pareto(size(), size()),
+              lambda: dist.GPD(signed(), size(), signed()),
+              lambda: dist.Laplace(signed(), size()), lambda: dist.Normal(signed(), size()),
+              lambda: dist.LogNormal(signed(), size()), lambda: dist.Logistic(signed(), size()),
+              lambda: dist.StudentT(size(), size(), signed()),
+              lambda: dist.Weibull(size(), size()), lambda: dist.LogLogistic(size(), size()),
+              lambda: dist.GEV(signed(), size(), signed()))
+    for make in makers:
+        made = 0
+        while made < n:
+            try:
+                d = make()
+            except ParameterError:   # e.g. 1/lam outside the normal floats
+                continue
+            made += 1
+            yield d
+
+
+# ascending levels from the smallest subnormal to 1 - 2^-53, the median among them
+SWEEP_LEVELS = (5e-324, 1e-300, 1e-30, 2 ** -53, 0.1, 0.5 - 2 ** -40, 0.5, 0.5 + 2 ** -40,
+                0.9, 1 - 2 ** -30, 1 - 2 ** -53)
+SWEEP_TAIL_MASSES = (1e-30, 1e-300, 5e-324)   # levels beyond 1 - 2^-53, ascending
+
+
+def test_quantiles_total_over_extreme_parameters():
+    # each family's formula returns +-inf itself where its quantile leaves binary64:
+    # no untyped error, the symmetric medians are mu, quantile(a) is tail_quantile(1 - a)
+    # on [1/2, 1), and the quantile never falls as the level rises
+    for d in _extreme_settings(random.Random(2300), 60):
+        values = [d.quantile(a) for a in SWEEP_LEVELS]
+        values += [d.tail_quantile(e) for e in SWEEP_TAIL_MASSES]
+        for a in SWEEP_LEVELS[6:]:
+            assert d.quantile(a) == d.tail_quantile(1.0 - a), (d, a)
+        if d.family in ("laplace", "normal", "logistic", "student-t"):
+            assert d.quantile(0.5) == d.mu, d
+        assert all(lo <= hi for lo, hi in zip(values, values[1:])), (d, values)

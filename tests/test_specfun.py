@@ -377,3 +377,34 @@ def test_lentz_and_series_loops_match_their_plain_forms_bit_for_bit():
         a = log_uniform(1e-6, 1e3)
         x = (a + 1.0) * rng.random()
         assert sf._gamma_p_series(a, x).hex() == _ref_gamma_p_series(a, x).hex(), (a, x)
+
+
+def test_ln_a_beta_half_and_its_complement_match_mpmath():
+    # ln(a B(a, 1/2)) / a without the |ln a| ulp that ln a + ln B(a, 1/2) carries, and
+    # 1 - I_y(b, 1/2) without the cancellation of 1 minus the sum
+    mp = pytest.importorskip("mpmath")
+    half = mp.mpf(1) / 2
+    with mp.workdps(50):
+        for a in (2.0 ** -10, 3e-4, 1e-5, 1e-10, 1e-20):   # 50 digits resolve 1 - I to 1e-30
+            want = mp.log(a * mp.beta(a, half)) / a
+            assert abs(sf.ln_a_beta_half(a) / want - 1) <= 4e-16, a
+            for y in (0.5, 0.4, 0.1, 1e-5, 1e-20, 1e-300, 5e-324):
+                want = 1 - mp.betainc(a, half, 0, y, regularized=True)
+                assert abs(sf._half_beta_complement(y, a) / want - 1) <= 1e-15, (a, y)
+
+
+def test_reg_inc_beta_inv_where_b_is_far_below_a():
+    # a / (a + b) rounds to 1 and 1 - I_y(b, 1/2) to noise: at (2^-53, 1/2, 5e-21) the
+    # root is 1 - about 4e^-22000, so 1.0, where the seed raised ValueError
+    mp = pytest.importorskip("mpmath")
+    assert sf.reg_inc_beta_inv(2.0 ** -53, 0.5, 5e-21) == 1.0
+    with mp.workdps(50):
+        for p, b in ((1e-11, 1e-12), (2.0 ** -45, 1e-15), (2.0 ** -53, 5e-18), (0.01, 2.0 ** -10)):
+            x = sf.reg_inc_beta_inv(p, 0.5, b)
+            err = abs(mp.betainc(0.5, b, 0, x, regularized=True) - p)
+            density = mp.power(x, -0.5) * mp.power(1 - mp.mpf(x), b - 1) / mp.beta(0.5, b)
+            assert 0.6 < x < 1.0 and err <= 1e-12 * p + 2 * density * math.ulp(x), (p, b, x)
+    # above (a + 1) / (a + b + 2) the tail 1 - I_y(b, 2) keeps about 1e-5 of p = 1e-10
+    # here: a typed error, not the root 0.8414 whose I is 3.3e-5 off
+    with pytest.raises(DomainError, match="1e-8 relative"):
+        sf.reg_inc_beta_inv(1e-10, 2.0, 1e-10)

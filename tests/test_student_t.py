@@ -1,6 +1,7 @@
 """Student-t quantile: mpmath differential test and hypothesis properties."""
 
 import math
+import random
 import sys
 
 import pytest
@@ -204,3 +205,30 @@ def test_superquantile_matches_mpmath(nu):
         with mp.workdps(40):
             err = abs(superquantile(d, alpha) - want) / want
         assert err <= 1e-12, (nu, alpha, superquantile(d, alpha), float(want))
+
+
+@pytest.mark.parametrize("nu", (1e-300, 1e-20, 1e-16, 1e-12, 1e-5, 3.0, 1e300))
+def test_median_is_the_location(nu):
+    # ln z = ln(x) / a once carried the rounding of ln B(a, 1/2) times 2/nu: +inf at
+    # nu = 1e-20, -2.69e7 at nu = 1e-16
+    assert dist.StudentT(nu).quantile(0.5) == 0.0
+    assert dist.StudentT(nu, 2.0, -3.0).tail_quantile(0.5) == -3.0
+
+
+def test_quantile_just_below_the_median_at_tiny_nu():
+    # p = 1/2 - 2^-k at nu = 10^U(-300, -6): a finite t brackets p in the 50-digit cdf
+    # within 1e-12 relative, and -inf only where the cdf at -1.8e308 still exceeds p
+    def cdf(nu, t):
+        with mp.workdps(50):
+            z = nu / (nu + mp.mpf(t) ** 2)
+            return mp.betainc(mp.mpf(nu) / 2, mp.mpf(1) / 2, 0, z, regularized=True) / 2
+
+    rng = random.Random(2023)
+    for _ in range(3000):
+        nu, k = 10.0 ** rng.uniform(-300.0, -6.0), rng.randint(30, 54)
+        p = 0.5 - 2.0 ** -k
+        t = dist.StudentT(nu).quantile(p)
+        if t == -math.inf:
+            assert cdf(nu, "-1.8e308") > p, (nu, k)
+        else:
+            assert cdf(nu, t * (1 + 1e-12)) <= p <= cdf(nu, t * (1 - 1e-12)), (nu, k, t)

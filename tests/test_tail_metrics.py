@@ -598,6 +598,27 @@ def test_partial_expectation_raises_where_the_survival_rounds():
                - 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("d, gamma, want", [
+    (dist.Normal(0.0, 1e300), 38e300, 7.582751814549552e-18),
+    (dist.Normal(0.0, 1e200), 38.5e200, 3.6526981300981708e-126),
+    (dist.LogNormal(600.0, 1.0), math.exp(639.0), 4.5962648204662028e-57),
+    (dist.LogNormal(600.0, 1.0), math.exp(640.0), 8.3144757332495833e-74),
+], ids=repr)
+def test_partial_expectation_with_a_subnormal_survival_matches_mpmath(d, gamma, want):
+    # S is subnormal or below the floats while scale S e is not; 50-digit references
+    # at the binary64 inputs
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        if d.family == "normal":
+            k = mp.mpf(gamma) / d.sigma
+            ref = d.sigma * (mp.npdf(k) - k * mp.ncdf(-k))
+        else:
+            z = mp.log(gamma) - d.mu
+            ref = mp.exp(d.mu + mp.mpf(1) / 2) * mp.ncdf(1 - z) - mp.mpf(gamma) * mp.ncdf(-z)
+        assert abs(ref / want - 1) <= 1e-16
+    assert abs(tm.partial_expectation(d, gamma) / want - 1.0) <= 1e-13
+
+
 def test_partial_expectation_asymptotics():
     d = dist.Normal(3.0, 1.0)
     assert abs(tm.partial_expectation(d, -40.0) - (d.mean() + 40.0)) <= 1e-9
