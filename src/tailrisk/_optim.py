@@ -16,23 +16,68 @@ _LEAST_FLOAT = math.ulp(0.0)   # the smallest positive float
 
 
 def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
-                       xtol: float = 1e-10, max_iter: int = 200) -> float:
-    """Golden-section search for the minimizer of a unimodal f on [lo, hi]."""
-    x1 = hi - _PHI * (hi - lo)
-    x2 = lo + _PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+                       xtol: float = 1e-10, max_iter: int = 200,
+                       _seed: tuple[float, float, float, float] | None = None) -> float:
+    """Brent's method for the minimizer of a unimodal f on [lo, hi]: successive
+    parabolic interpolation through the three best points, safeguarded by
+    golden-section steps (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5); the older name stays because the benchmark's
+    tracer binds it.
+
+    A parabolic step is taken where it lands inside the bracket and moves
+    less than half the step before last; else a golden-section step goes into
+    the larger side. No two evaluations lie closer than half the stop scale
+    xtol (1 + |lo| + |hi|), lo and hi the current bracket, and f is evaluated
+    only inside [lo, hi]. Stops when the bracket lies within that scale on
+    both sides of the best point, which it returns. Given ``_seed`` =
+    (x, f(x), f(lo), f(hi)) with f(x) below both ends, the search starts from
+    those three points and evaluates nothing before the first parabola.
+    """
+    if _seed is None:
+        x = w = v = hi - _PHI * (hi - lo)
+        fx = fw = fv = f(x)
+        step = before = 0.0   # the last two steps
+    else:
+        x, fx, fw, fv = _seed
+        w, v = lo, hi
+        step = before = hi - lo
     for _ in range(max_iter):
-        if hi - lo <= xtol * (1.0 + abs(lo) + abs(hi)):
+        tol = 0.5 * xtol * (1.0 + abs(lo) + abs(hi))
+        mid = 0.5 * (lo + hi)
+        if max(x - lo, hi - x) <= 2.0 * tol:
             break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _PHI * (hi - lo)
-            f1 = f(x1)
+        parabolic = False
+        if abs(before) > tol:   # the vertex x + p / q of the parabola through x, w, v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            if abs(p) < 0.5 * q * abs(before) and q * (lo - x) < p < q * (hi - x):
+                before, step, parabolic = step, p / q, True
+                if min(x + step - lo, hi - x - step) < 2.0 * tol:
+                    step = tol if x < mid else -tol
+        if not parabolic:
+            before = (lo if x >= mid else hi) - x
+            step = (1.0 - _PHI) * before
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                hi = x
+            else:
+                lo = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _PHI * (hi - lo)
-            f2 = f(x2)
-    return x1 if f1 <= f2 else x2
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 def cantelli_level(x: float, mean: float, variance: float, survival: float = 0.0) -> float:
@@ -61,14 +106,17 @@ def level_root(f: Callable[[float, float], tuple[float, float]], x: float, lo: f
     (q - sq) u / (sq - sq(0)). Near the top (alpha < eps, or while the bracket
     reaches u = 0) sq - sq(0) grows like a power of alpha and the step is
     taken in t; elsewhere the tail is nearer a power of eps and the step is
-    taken in u. A step leaving the bracket, a start outside (lo, 1), or sq
-    rounding to sq(0), becomes bisection in u. f is evaluated at lo only when
-    the iteration reaches it: a step below the bracket while its lower end is
-    still the unevaluated lo, or the bracket collapsing onto lo. Returns the
-    point at lo or at the top when x lies outside [sq(0), sq(lo)]. Stops when
-    the next step or the bracket falls to 1e-13 min(|u|, 1) in u and returns
-    the last evaluated point, which is within that step of the root: relative
-    precision 1e-13 in eps, and in alpha too where alpha is small.
+    taken in u. A step leaving the bracket, a start outside (lo, 1), sq
+    rounding to sq(0), or a step onto the bracket's other end, evaluated
+    already (sq's rounding drives such a step), becomes bisection in u. f is
+    evaluated at lo only when the iteration reaches it: a step below the
+    bracket while its lower end is still the unevaluated lo, or the bracket
+    collapsing onto lo. Returns the point at lo or at the top when x lies
+    outside [sq(0), sq(lo)]. Stops when the next step or the bracket falls to
+    1e-13 min(|u|, 1) in u, or the bracket to adjacent floats (1.1e-13 apart
+    from |u| = 512), and returns the last evaluated point, which is within
+    that step of the root: relative precision 1e-13 in eps, and in alpha too
+    where alpha is small.
     """
     s_top, q = f(0.0, 1.0)
     if x <= s_top:
@@ -99,6 +147,12 @@ def level_root(f: Callable[[float, float], tuple[float, float]], x: float, lo: f
             new = u_lo
         elif abs(new - u) <= tol or u_hi - u_lo <= tol:
             break
+        elif new == u_hi or above and new == u_lo:
+            # onto the bracket's other end, evaluated already: sq's rounding drives
+            # the step, and only bisection moves on, until the ends are adjacent floats
+            new = 0.5 * (u_lo + u_hi)
+            if new == u_lo or new == u_hi:
+                break
         u = new
     return alpha, eps, s, q
 

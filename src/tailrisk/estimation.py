@@ -199,9 +199,12 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
 
     For each shape theta the weighted normal equations give (mu, s) in closed
     form: 1x1 for the scale families, 2x2 with a location. theta is searched
-    at 25 even steps of its coordinate t, then by golden section on the best
-    step's two cells and one Newton step on the profile's slope. Shape-free
-    families (Exponential, Normal, Laplace, Logistic) need no search.
+    at 25 even steps of its coordinate t, then by Brent's method
+    (``_optim.golden_section_min``) between the best step's two neighbours,
+    its first parabola through the three scanned values, and one Newton step
+    on the profile's slope. Each t is evaluated once: the search's last point
+    and the last slope's centre are reused. Shape-free families (Exponential,
+    Normal, Laplace, Logistic) need no search.
 
     Shape ranges, each inside the domain where superquantiles are finite:
     Pareto a and LogLogistic b in 1 + [1e-2, 1e2]; Student-t nu in
@@ -225,10 +228,13 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
     targets, levels, weights = problem.resolved_targets(), problem.fit_levels(), problem.weights
     total = sum(weights)
     evaluations = 0
+    seen: dict[float, tuple] = {}
 
     def profile(t: float):
         # (objective, mu, s, theta, residuals, sq0 values); s < 0 is held at 0
         nonlocal evaluations
+        if t in seen:
+            return seen[t]
         evaluations += 1
         theta = fam.shape[0] + fam.shape[1] * math.exp(t) if fam.shape else None
         unit = make(family, **dict(zip(names, fam.params(0.0, 1.0, theta))))
@@ -244,17 +250,20 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
         mu = t_bar - s * z_bar
         residuals = tuple(mu + s * v - y for v, y in zip(z, targets))
         value = sum(w * r * r for w, r in zip(weights, residuals))
-        return value, mu, s, theta, residuals, z
+        seen[t] = value, mu, s, theta, residuals, z
+        return seen[t]
 
     t, gradient_norm, at_edge = 0.0, 0.0, False
     if fam.shape is not None:
         lo, hi = map(math.log, fam.shape[2:])
         cell = (hi - lo) / (_SCAN - 1)
-        j = min(range(_SCAN), key=lambda i: profile(lo + i * cell)[0])
+        scan = [profile(lo + i * cell)[0] for i in range(_SCAN)]
+        j = min(range(_SCAN), key=scan.__getitem__)
         t, at_edge = lo + j * cell, j in (0, _SCAN - 1)
         if not at_edge:
-            t = golden_section_min(lambda u: profile(u)[0], t - cell, t + cell, xtol=1e-7)
-            # golden section stops where objective differences sink into
+            t = golden_section_min(lambda u: profile(u)[0], t - cell, t + cell, xtol=1e-7,
+                                   _seed=(t, scan[j], scan[j - 1], scan[j + 1]))
+            # the search stops where objective differences sink into
             # rounding; one Newton step on the central-difference slope goes on
             slope, curvature = _slope(profile, t)
             if curvature > abs(slope) / cell:

@@ -21,7 +21,8 @@ standardized loss, and its inverse, the bPOE as a tail mass, come from
 
 Each solve is one active-set Newton run (``_optim.projected_gradient_max``, a
 name kept for the benchmark's tracer) from equal weights, or for min-bPOE
-where w.eta + x <= 0 there, from partway to the best-return vertex:
+where w.eta + x <= 0 there, from partway to the best-return vertex; a
+frontier sweep starts each solve from the optimum before it. It takes
 Newton steps with the objective's analytic Hessian on the face of free
 coordinates, bounds fixed as steps reach them and released where their
 multipliers have the wrong sign, so every objective below states its
@@ -328,9 +329,10 @@ def _solve(objective, gradient, hessian, lower: np.ndarray, upper: np.ndarray,
     return w, f_w, gp
 
 
-def min_cvar_portfolio(problem: PortfolioProblem,
-                       family: QualifiedFamily) -> PortfolioReport:
-    """Weights minimizing the loss CVaR at the problem's level."""
+def min_cvar_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
+                       _start: np.ndarray | None = None) -> PortfolioReport:
+    """Weights minimizing the loss CVaR at the problem's level; the solve
+    starts from ``_start`` if given (a nearby optimum), else equal weights."""
     if problem.objective != "cvar":
         raise ParameterError("problem does not carry a cvar objective")
     u = problem.universe
@@ -350,7 +352,7 @@ def min_cvar_portfolio(problem: PortfolioProblem,
         sd = math.sqrt(max(float(w @ cw), 1e-30))
         return -z * (cov / sd - np.outer(cw, cw) / sd ** 3)
 
-    w, f_w, gp = _solve(f, g, h, problem.lower, problem.upper)
+    w, f_w, gp = _solve(f, g, h, problem.lower, problem.upper, _start)
     ret = float(w @ eta)
     sd = math.sqrt(float(w @ cov @ w))
     # lambda matching the half-quadratic Markowitz utility w.eta - (l/2) w.S.w
@@ -375,14 +377,16 @@ def _invert_zeta(family: QualifiedFamily, target: float) -> float:
 
 
 def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
-                       report_families: tuple[QualifiedFamily, ...] | None = None
-                       ) -> PortfolioReport:
+                       report_families: tuple[QualifiedFamily, ...] | None = None,
+                       _start: np.ndarray | None = None) -> PortfolioReport:
     """Weights minimizing bPOE of the loss at the problem's threshold.
 
     The reduced objective (generalized Sharpe ratio) is family-free, so the
     weights are optimal for every qualified family at once; per-family bPOE
     values at those same weights go into ``bpoe_by_family``, each the tail
     mass from ``_invert_zeta``, so small values keep their relative precision.
+    The solve starts from ``_start`` (a nearby optimum) where w.eta + x > 0
+    there, else from equal weights.
     """
     if problem.objective != "bpoe":
         raise ParameterError("problem does not carry a bpoe objective")
@@ -395,7 +399,9 @@ def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
     if top <= 0.0:
         raise DomainError(
             f"threshold {x} leaves no feasible portfolio with w.eta + x > 0")
-    if num <= 0.0:   # the log-ratio is -inf there: start where w.eta + x = top / 2
+    if _start is not None and float(_start @ eta) + x > 0.0:
+        start = _start
+    elif num <= 0.0:   # the log-ratio is -inf there: start where w.eta + x = top / 2
         start += (0.5 * top - num) / (top - num) * (vertex - start)
 
     # maximize log((w.eta + x) / sqrt(w.S.w)): same argmax, O(1) gradients
@@ -474,19 +480,21 @@ def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
 def efficient_frontier(universe: AssetUniverse, family: QualifiedFamily,
                        objective: str, grid: np.ndarray,
                        lower=0.0, upper=1.0) -> list[dict]:
-    """Sweep the level (cvar) or threshold (bpoe) and record each optimum."""
-    rows = []
+    """Sweep the level (cvar) or threshold (bpoe) and record each optimum,
+    each solve started from the one before."""
+    rows, start = [], None
     for v in grid:
         if objective == "cvar":
             prob = PortfolioProblem(universe, "cvar", level=float(v),
                                     lower=lower, upper=upper)
-            rep = min_cvar_portfolio(prob, family)
+            rep = min_cvar_portfolio(prob, family, _start=start)
             key = "alpha"
         else:
             prob = PortfolioProblem(universe, "bpoe", threshold=float(v),
                                     lower=lower, upper=upper)
-            rep = min_bpoe_portfolio(prob, family)
+            rep = min_bpoe_portfolio(prob, family, _start=start)
             key = "threshold"
+        start = rep.weights
         row = {key: float(v), "objective_value": rep.objective_value,
                "return": rep.expected_return, "stdev": rep.stdev}
         row.update({n: float(w) for n, w in zip(rep.names, rep.weights)})

@@ -341,7 +341,9 @@ def reg_inc_beta_inv(p: float, a: float, b: float) -> float:
     = 1 - p) in the log-odds v = log(x / (1 - x)), inside a shrinking bracket.
     In v the tail is nearly straight, I_x ~ x^a / (a B(a, b)), so that
     asymptote, capped at the mean, seeds it almost exactly. The odds change by
-    multiplication, so x and 1 - x keep their relative precision however small.
+    multiplication, so x and 1 - x keep their relative precision however small;
+    a mirrored root whose odds pass the largest float lies below 1/1.8e308 and
+    is read from the unmirrored asymptote.
     Above (a + 1) / (a + b + 2) the tail is 1 - I_{1-x}(b, a), a series at a = 1/2, b <= 2^-10;
     a root there where that keeps less than 1e-8 relative of p raises ``DomainError``."""
     if a <= 0.0 or b <= 0.0:
@@ -383,13 +385,17 @@ def reg_inc_beta_inv(p: float, a: float, b: float) -> float:
                 break
         if not lo < new < hi:   # bisect, geometrically once the bracket is finite
             new = hi * 2.0 ** -64 if lo == 0.0 else (
-                lo * 2.0 ** 64 if hi == math.inf else math.sqrt(lo) * math.sqrt(hi))
+                min(lo * 2.0 ** 64, sys.float_info.max) if hi == math.inf
+                else math.sqrt(lo) * math.sqrt(hi))
             if not lo < new < hi:
-                break             # the bracket is down to adjacent floats
+                break             # adjacent floats, or odds beyond the floats
         odds = new
     if odds / (1.0 + odds) >= cross and not series and p < 1.2e-8 * (abs(ln_b) + 8.0):
         raise DomainError(f"reg_inc_beta_inv: 1 - I_y({b}, {a}) at the root keeps less than "
                           f"1e-8 relative precision against {p}")
+    if mirrored and lo == sys.float_info.max:
+        # the root lies below 1 / max, subnormal, where the unmirrored asymptote is exact
+        return math.exp((math.log(1.0 - p) + math.log(b) + ln_b) / b)
     return 1.0 / (1.0 + odds) if mirrored else odds / (1.0 + odds)
 
 

@@ -221,6 +221,19 @@ def test_ls_superquantile_budget(monkeypatch):
         assert calls <= 400, (seed, calls)
 
 
+@pytest.mark.parametrize("seed", (7, 11, 31))
+def test_ls_profile_evaluations_per_fit(seed):
+    # 25 scan steps, Brent's search seeded with the scan's best three and the
+    # Newton polish: 36-39 profile evaluations (65-67 with golden section)
+    rng = np.random.default_rng(seed)
+    law = dist.Weibull(0.5, 1.0)
+    for i in range(32):
+        x = law.sample(50, rng)
+        fit = ls_mos_fit(FitProblem("weibull", (0.5, 0.75, 0.95), sample=tuple(x)))
+        assert fit.iterations <= 45, (seed, i, fit.iterations)
+        assert fit.converged and fit.gradient_norm <= 1e-7, (seed, i, fit.gradient_norm)
+
+
 def test_zero_shifts_identical_to_plain_fit():
     d = dist.Normal(0.5, 1.2)
     levels = (0.4, 0.9)

@@ -172,6 +172,20 @@ def test_root_below_the_smallest_level_stops_there(monkeypatch):
     assert result.alpha_star == 5e-324
 
 
+@pytest.mark.parametrize("d, eps", [(dist.LogLogistic(0.5, 4.0), 1e-200),
+                                    (dist.GEV(1.0, 2.0, -0.2), 1e-9),
+                                    (dist.LogNormal(-1.0, 1.5), 1e-50),
+                                    (dist.LogNormal(-1.0, 1.5), 1e-300)], ids=repr)
+def test_steps_within_the_rounding_of_sq_end_the_search(monkeypatch, d, eps):
+    # near these roots the Newton step from each end of a bracket 1.1-1.5e-13
+    # wide in u lands on the other end: it ran to the 100-step cap, 101 calls
+    x = tm.superquantile(d, 1.0 - eps, eps)[0]
+    calls = _count_superquantile_calls(monkeypatch)
+    result = tm.bpoe_by_root(d, x)
+    assert calls[0] <= 15
+    assert abs(result.value - eps) <= 3e-13 * eps, result.value
+
+
 def test_threshold_beyond_the_smallest_level_reads_zero(monkeypatch):
     # sq at the smallest normal tail mass is 37.5: the engine evaluates there only
     # once its steps reach it, and the underflow still reads 0.0

@@ -360,6 +360,41 @@ def test_efficient_frontier_rows(msci):
     assert rows[0]["objective_value"] < rows[2]["objective_value"]
 
 
+@pytest.mark.parametrize("family", (QualifiedFamily("normal"), QualifiedFamily("student-t", nu=3.0),
+                                    QualifiedFamily("gev", xi=0.1)), ids=lambda f: f.label())
+@pytest.mark.parametrize("objective, grid", [
+    ("cvar", np.linspace(0.9, 0.99, 10)),
+    ("cvar", np.linspace(0.999, 0.5, 8)),
+    ("bpoe", np.linspace(0.05, 0.3, 8)),
+    # the 0.2 optimum has w.eta + x < 0 at -0.12465: that point starts cold
+    ("bpoe", np.array([0.3, 0.2, -0.12465, 0.0])),
+])
+def test_frontier_warm_starts_match_cold_solves(msci, monkeypatch, family, objective, grid):
+    starts, norms = [], []
+    solve = portfolio._solve
+
+    def spied(*args):
+        result = solve(*args)
+        starts.append(args[5])
+        norms.append(result[2])
+        return result
+
+    monkeypatch.setattr(portfolio, "_solve", spied)
+    rows = efficient_frontier(msci, family, objective, grid)
+    monkeypatch.undo()
+    assert max(norms) <= 1e-10
+    before = [np.array([row[n] for n in msci.names]) for row in rows]
+    warm = [i for i in range(1, len(rows)) if np.array_equal(starts[i], before[i - 1])]
+    assert warm == [i for i in range(1, len(rows))
+                    if objective == "cvar" or before[i - 1] @ msci.expected_returns + grid[i] > 0]
+    for v, row in zip(grid, rows):
+        if objective == "cvar":
+            cold = min_cvar_portfolio(PortfolioProblem(msci, "cvar", level=float(v)), family)
+        else:
+            cold = min_bpoe_portfolio(PortfolioProblem(msci, "bpoe", threshold=float(v)), family)
+        assert max(abs(row[n] - w) for n, w in zip(cold.names, cold.weights)) <= 1e-12, v
+
+
 # --- one start suffices ------------------------------------------------------
 
 def _random_universe(rng, n, idio=(0.2, 1.0)):

@@ -393,6 +393,32 @@ def test_ln_a_beta_half_and_its_complement_match_mpmath():
                 assert abs(sf._half_beta_complement(y, a) / want - 1) <= 1e-15, (a, y)
 
 
+def test_reg_inc_beta_inv_round_trip_over_tiny_and_large_parameters():
+    # p > 1/2 with a tiny mirrors onto a root whose odds pass 1.8e308: the upward
+    # bisection overflowed and (0.5191, 1.356e-10, 0.03872) read 3.59e-298, where
+    # the root is about e^-3.4e9, i.e. 0.0 (270 of these draws failed)
+    mp = pytest.importorskip("mpmath")
+    assert sf.reg_inc_beta_inv(0.5191, 1.356e-10, 0.03872) == 0.0
+    rng = random.Random(1)
+    with mp.workdps(50):
+        for _ in range(1500):
+            a, b = 10.0 ** rng.uniform(-20.0, 3.0), 10.0 ** rng.uniform(-25.0, 3.0)
+            p = rng.random()
+            x = sf.reg_inc_beta_inv(p, a, b)
+            if x == 0.0:   # the root lies at or below the least subnormal
+                assert mp.betainc(a, b, 0, 5e-324, regularized=True) >= p, (p, a, b)
+            elif x == 1.0:   # and here above 1 - 2^-53
+                assert mp.betainc(a, b, 1 - mp.mpf(2) ** -53, 1, regularized=True) >= 1 - p, (p, a, b)
+            else:
+                # as in test_incomplete_beta_and_inverse_match_mpmath
+                if p <= 0.5:
+                    err = abs(mp.betainc(a, b, 0, x, regularized=True) - p)
+                else:
+                    err = abs(mp.betainc(a, b, x, 1, regularized=True) - (1 - mp.mpf(p)))
+                density = mp.power(x, a - 1) * mp.power(1 - mp.mpf(x), b - 1) / mp.beta(a, b)
+                assert err <= 1e-12 * min(p, 1.0 - p) + 2 * density * math.ulp(x), (p, a, b, x)
+
+
 def test_reg_inc_beta_inv_where_b_is_far_below_a():
     # a / (a + b) rounds to 1 and 1 - I_y(b, 1/2) to noise: at (2^-53, 1/2, 5e-21) the
     # root is 1 - about 4e^-22000, so 1.0, where the seed raised ValueError
