@@ -1,18 +1,17 @@
-"""Small deterministic solvers shared by the metric engines and fitters.
-
-The scalar solvers are pure Python. The array solvers import numpy when they
-run, so the scalar metric engines load this module without numpy."""
+"""Small deterministic solvers for the applications: Brent's scalar minimizer
+for the LS-MOS shape search, and the box-bounded simplex projection and
+active-set Newton of the portfolio solves, plus two solvers the package no
+longer calls. Only ``portfolio`` and ``estimation`` load this module, both
+with numpy; the tail metrics' root engine is ``tail_metrics.level_root``."""
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_LEAST_FLOAT = math.ulp(0.0)   # the smallest positive float
 
 
 def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
@@ -80,90 +79,12 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
     return x
 
 
-def cantelli_level(x: float, mean: float, variance: float, survival: float = 0.0) -> float:
-    """Start for ``level_root``: e S, S = ``survival`` the tail mass beyond x (e S is the
-    exact bPOE of the exponential law), where it is positive and below the Cantelli tail
-    mass 1 / (1 + t^2), t = (x - mean) / sd, or 0.5 if sd is inf or 0 (underflowed); else
-    that Cantelli mass. Since sq(1 - eps) <= mean + sd sqrt((1 - eps) / eps) for every
-    finite-variance law, the Cantelli mass lies at or above the root of sq = x, on the
-    tail-grid benchmark's root-engine thresholds up to 5e11 times above; e S lies within
-    0.52-1.18 times the root there.
-    """
-    t = (x - mean) / math.sqrt(variance) if 0.0 < variance < math.inf else 1.0
-    cantelli = 1.0 / (1.0 + t * t)
-    start = math.e * survival
-    return start if 0.0 < start < cantelli else cantelli
-
-
-def level_root(f: Callable[[float, float], tuple[float, float]], x: float, lo: float,
-               start: float) -> tuple[float, float, float, float]:
-    """The point (alpha, eps, sq, q), eps in [lo, 1], where the superquantile sq
-    equals x; f(alpha, eps), with alpha + eps = 1, returns the pair (sq, q) of the
-    superquantile and its quantile, evaluated once per step.
-
-    Safeguarded Newton on log(sq - sq(0)), sq(0) the mean at the top pair
-    (0, 1), whose slope in t = log(-u), u = log(eps), is
-    (q - sq) u / (sq - sq(0)). Near the top (alpha < eps, or while the bracket
-    reaches u = 0) sq - sq(0) grows like a power of alpha and the step is
-    taken in t; elsewhere the tail is nearer a power of eps and the step is
-    taken in u. A step leaving the bracket, a start outside (lo, 1), sq
-    rounding to sq(0), or a step onto the bracket's other end, evaluated
-    already (sq's rounding drives such a step), becomes bisection in u. f is
-    evaluated at lo only when the iteration reaches it: a step below the
-    bracket while its lower end is still the unevaluated lo, or the bracket
-    collapsing onto lo. Returns the point at lo or at the top when x lies
-    outside [sq(0), sq(lo)]. Stops when the next step or the bracket falls to
-    1e-13 min(|u|, 1) in u, or the bracket to adjacent floats (1.1e-13 apart
-    from |u| = 512), and returns the last evaluated point, which is within
-    that step of the root: relative precision 1e-13 in eps, and in alpha too
-    where alpha is small.
-    """
-    s_top, q = f(0.0, 1.0)
-    if x <= s_top:
-        return 0.0, 1.0, s_top, q
-    bottom = math.log(lo)
-    u_lo, u_hi = bottom, 0.0   # sq <= x at u_hi; sq > x at u_lo once evaluated there
-    above = False   # whether some evaluated point, the one at u_lo, has sq > x
-    u = math.log(start) if lo < start < 1.0 else 0.5 * bottom
-    for _ in range(100):
-        alpha, eps = -math.expm1(u), math.exp(u) if u > bottom else lo
-        s, q = f(alpha, eps)
-        if s > x:
-            u_lo, above = u, True
-        else:
-            u_hi = u
-        slope = (q - s) * u / (s - s_top) if s > s_top else 0.0
-        k = math.log((s - s_top) / (x - s_top)) / slope if 0.0 < slope < math.inf else math.nan
-        if u_hi == 0.0 or alpha < eps:
-            new = u * math.exp(-k) if k > -700.0 else math.nan
-        else:
-            new = u * (1.0 - k)
-        if not u_lo <= new <= u_hi:
-            new = u_lo if new < u_lo and not above else 0.5 * (u_lo + u_hi)
-        new = min(new, -_LEAST_FLOAT)
-        tol = 1e-13 * min(1.0, abs(new))
-        if not above and u_lo < u_hi <= u_lo + 2.0 * tol:
-            # collapsed onto lo, not yet evaluated (2 tol: near u = -708 floats lie 1.1 tol apart)
-            new = u_lo
-        elif abs(new - u) <= tol or u_hi - u_lo <= tol:
-            break
-        elif new == u_hi or above and new == u_lo:
-            # onto the bracket's other end, evaluated already: sq's rounding drives
-            # the step, and only bisection moves on, until the ends are adjacent floats
-            new = 0.5 * (u_lo + u_hi)
-            if new == u_lo or new == u_hi:
-                break
-        u = new
-    return alpha, eps, s, q
-
-
 def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
                 scale: float = 0.25, xatol: float = 1e-12, fatol: float = 1e-16,
                 max_iter: int = 4000) -> tuple[np.ndarray, float, int]:
     """Plain Nelder-Mead simplex descent. Returns (x, f(x), iterations).
 
     Unused by the package; the benchmark's tracer binds it by name."""
-    import numpy as np
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     simplex = [x0.copy()]
@@ -215,7 +136,6 @@ def project_box_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     breakpoints bracket tau, which is then solved exactly on the bracket's
     active set.
     """
-    import numpy as np
     v = np.asarray(v, dtype=float)
     # the clipped sum spans [sum(lower), sum(upper)]; budgets outside that
     # range (validation slack) clamp to the nearest bound vector
@@ -246,7 +166,6 @@ def _ascent_directions(g: np.ndarray, h: np.ndarray, free: np.ndarray,
     released (to move in direction ``side``) back out; then the reduced
     gradient g - mean(g_free), from the quadratic model's maximum along it.
     """
-    import numpy as np
     grad = np.zeros_like(g)
     grad[free] = g[free] - g[free].mean()
     grad[free[0]] -= grad.sum()   # an exact zero sum keeps long steps on the budget
@@ -270,7 +189,6 @@ def _line_search(objective: Callable[[np.ndarray], float], w: np.ndarray, f_w: f
     is within f's rounding band, f may instead fall by up to the band: f
     cannot judge such a step, so the caller judges it by the gradient.
     Returns (point, value, index of the bound reached or -1), or None."""
-    import numpy as np
     with np.errstate(divide="ignore", invalid="ignore"):
         room = np.where(d > 0.0, (upper - w) / d, np.where(d < 0.0, (lower - w) / d, np.inf))
     block = int(np.argmin(room))
@@ -314,7 +232,6 @@ def projected_gradient_max(
     pseudo-concave f at the global maximum. Returns (w, f(w), |P(w + g) - w|)
     with P = ``project_box_simplex``, zero exactly at a KKT point.
     """
-    import numpy as np
     w = project_box_simplex(np.asarray(start, dtype=float), lower, upper)
     f_w = objective(w)
     at_lo, at_hi = w <= lower + 1e-10, w >= upper - 1e-10

@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._optim import cantelli_level, level_root
 from ._quad import adaptive_quad
 from .distributions import Distribution
 from .errors import ConvergenceError, DomainError, OracleError
+from .tail_metrics import cantelli_level, level_root
 
 _LN2 = math.log(2.0)
 _QUAD_REL_TOL = 1e-9        # relative stopping size of a tail segment
@@ -124,12 +124,12 @@ def oracle_bpoe(d: Distribution, x: float,
                 cfg: OracleConfig = OracleConfig()) -> OracleResult:
     """bPOE by root finding on the quadrature superquantile.
 
-    ``_optim.level_root`` solves oracle_superquantile(d, 1 - eps) = x for the
-    tail mass eps in [1e-13, 1], started at e (1 - F(x)) or the Cantelli tail
-    mass (``_optim.cantelli_level``); a threshold beyond sq at eps = 1e-13 raises
-    ``OracleError``. ``error_estimate`` is the error in eps: the residual
-    |sq - x| plus the quadrature error of sq at the root (the engine's last
-    quadrature), divided by the slope (sq - q) / eps there. An
+    ``tail_metrics.level_root`` solves oracle_superquantile(d, 1 - eps) = x for
+    the tail mass eps in [1e-13, 1], started at e (1 - F(x)) or the Cantelli
+    tail mass (``tail_metrics.cantelli_level``); a threshold beyond sq at
+    eps = 1e-13 raises ``OracleError``. ``error_estimate`` is the error in eps:
+    the residual |sq - x| plus the quadrature error of sq at the root (the
+    engine's last quadrature), divided by the slope (sq - q) / eps there. An
     estimate as large as the value, where the quadrature's absolute tolerance
     swamps the tail mass, raises ``OracleError`` too: such a value carries no digit.
     """

@@ -43,11 +43,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ._optim import cantelli_level, level_root, project_box_simplex, projected_gradient_max
+from ._optim import project_box_simplex, projected_gradient_max
 from .distributions import (GEV, Laplace, Logistic, Normal, StudentT, _expm1_ratio,
                             _ln_gamma_gap, _neg_log)
 from .errors import ConvergenceError, DomainError, ParameterError
-from .tail_metrics import _gev_tail, bpoe, superquantile
+from .tail_metrics import _gev_tail, bpoe, cantelli_level, level_root, superquantile
 
 QUALIFIED_FAMILIES = ("normal", "laplace", "logistic", "student-t", "gev")
 _REJECTED = {"exponential", "pareto", "gpd", "weibull", "lognormal", "loglogistic"}

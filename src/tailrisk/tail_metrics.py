@@ -7,7 +7,8 @@ E[X - g]+ / (x - g), found by Newton on one tail per family, one survival
 function per step; ``bpoe`` runs that engine for Logistic, Student-t and
 LogNormal, and the same tails give their partial expectation. Everywhere else
 bPOE is recovered from the superquantile by root finding in the tail mass
-eps = 1 - alpha, which bPOE is.
+eps = 1 - alpha, which bPOE is: ``level_root`` is the one solver of sq = x,
+shared with the oracle and the portfolio layer's GEV zeta inversion.
 
 Conventions, applied uniformly:
   * superquantile(d, 0) is the mean; infinite-mean parameterizations give
@@ -20,17 +21,18 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import specfun
-from ._optim import cantelli_level, level_root
 from .distributions import (_LN_SQRT_2PI, GEV, GPD, Distribution, Exponential, Laplace,
                             LogLogistic, LogNormal, Logistic, Normal, Pareto, StudentT,
-                            Weibull, _exp_or_inf, _expm1_ratio, _log1p_ratio, _neg_log)
+                            Weibull, _exp_or_inf, _expm1_ratio, _log1p_ratio, _neg_log,
+                            _scaled_power)
 from .errors import ConvergenceError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LEAST_FLOAT = math.ulp(0.0)   # the smallest positive float
 #: below this ln S, S times any binary64 value underflows
 _LN_NEGLIGIBLE = math.log(5e-324) - math.log(sys.float_info.max)
 
@@ -125,7 +127,12 @@ def _sq_student(d: StudentT, alpha: float, eps: float) -> float:
 
 def _sq_weibull(d: Weibull, alpha: float, eps: float) -> float:
     a, y = 1.0 + 1.0 / d.k, _neg_log(eps, alpha)
-    sq = d.lam * (specfun.upper_inc_gamma(a, y) / eps)   # in logs where Gamma(a, y) overflows
+    if y >= a + 1.0:
+        # Gamma(a, y) / eps = e^y Gamma(a, y) = y^a cf(a, y), formed as q y cf / lam, q the
+        # quantile: neither a rounded e^-y nor the rounding of a meets y
+        sq = _scaled_power(d.lam, y, 1.0 / d.k) * (y * specfun._gamma_q_cf(a, y))
+    else:
+        sq = d.lam * (specfun.upper_inc_gamma(a, y) / eps)   # in logs where Gamma(a, y) overflows
     return sq if sq < math.inf else _exp_or_inf(
         math.log(d.lam) + specfun.ln_inc_gamma(a, y, True) - math.log(eps))
 
@@ -299,11 +306,88 @@ def bpoe_closed(d: Distribution, x: float) -> TailResult:
     return _result_from_value(d, value)
 
 
+def cantelli_level(x: float, mean: float, variance: float, survival: float = 0.0) -> float:
+    """Start for ``level_root``: e S, S = ``survival`` the tail mass beyond x (e S is the
+    exact bPOE of the exponential law), where it is positive and below the Cantelli tail
+    mass 1 / (1 + t^2), t = (x - mean) / sd, or 0.5 if sd is inf or 0 (underflowed); else
+    that Cantelli mass. Since sq(1 - eps) <= mean + sd sqrt((1 - eps) / eps) for every
+    finite-variance law, the Cantelli mass lies at or above the root of sq = x, on the
+    tail-grid benchmark's root-engine thresholds up to 5e11 times above; e S lies within
+    0.52-1.18 times the root there.
+    """
+    t = (x - mean) / math.sqrt(variance) if 0.0 < variance < math.inf else 1.0
+    cantelli = 1.0 / (1.0 + t * t)
+    start = math.e * survival
+    return start if 0.0 < start < cantelli else cantelli
+
+
+def level_root(f: Callable[[float, float], tuple[float, float]], x: float, lo: float,
+               start: float) -> tuple[float, float, float, float]:
+    """The point (alpha, eps, sq, q), eps in [lo, 1], where the superquantile sq
+    equals x; f(alpha, eps), with alpha + eps = 1, returns the pair (sq, q) of the
+    superquantile and its quantile, evaluated once per step.
+
+    Safeguarded Newton on log(sq - sq(0)), sq(0) the mean at the top pair
+    (0, 1), whose slope in t = log(-u), u = log(eps), is
+    (q - sq) u / (sq - sq(0)). Near the top (alpha < eps, or while the bracket
+    reaches u = 0) sq - sq(0) grows like a power of alpha and the step is
+    taken in t; elsewhere the tail is nearer a power of eps and the step is
+    taken in u. A step leaving the bracket, a start outside (lo, 1), sq
+    rounding to sq(0), or a step onto the bracket's other end, evaluated
+    already (sq's rounding drives such a step), becomes bisection in u. f is
+    evaluated at lo only when the iteration reaches it: a step below the
+    bracket while its lower end is still the unevaluated lo, or the bracket
+    collapsing onto lo. Returns the point at lo or at the top when x lies
+    outside [sq(0), sq(lo)]. Stops when the next step or the bracket falls to
+    1e-13 min(|u|, 1) in u, or the bracket to adjacent floats (1.1e-13 apart
+    from |u| = 512), and returns the last evaluated point, which is within
+    that step of the root: relative precision 1e-13 in eps, and in alpha too
+    where alpha is small.
+    """
+    s_top, q = f(0.0, 1.0)
+    if x <= s_top:
+        return 0.0, 1.0, s_top, q
+    bottom = math.log(lo)
+    u_lo, u_hi = bottom, 0.0   # sq <= x at u_hi; sq > x at u_lo once evaluated there
+    above = False   # whether some evaluated point, the one at u_lo, has sq > x
+    u = math.log(start) if lo < start < 1.0 else 0.5 * bottom
+    for _ in range(100):
+        alpha, eps = -math.expm1(u), math.exp(u) if u > bottom else lo
+        s, q = f(alpha, eps)
+        if s > x:
+            u_lo, above = u, True
+        else:
+            u_hi = u
+        slope = (q - s) * u / (s - s_top) if s > s_top else 0.0
+        k = math.log((s - s_top) / (x - s_top)) / slope if 0.0 < slope < math.inf else math.nan
+        if u_hi == 0.0 or alpha < eps:
+            new = u * math.exp(-k) if k > -700.0 else math.nan
+        else:
+            new = u * (1.0 - k)
+        if not u_lo <= new <= u_hi:
+            new = u_lo if new < u_lo and not above else 0.5 * (u_lo + u_hi)
+        new = min(new, -_LEAST_FLOAT)
+        tol = 1e-13 * min(1.0, abs(new))
+        if not above and u_lo < u_hi <= u_lo + 2.0 * tol:
+            # collapsed onto lo, not yet evaluated (2 tol: near u = -708 floats lie 1.1 tol apart)
+            new = u_lo
+        elif abs(new - u) <= tol or u_hi - u_lo <= tol:
+            break
+        elif new == u_hi or above and new == u_lo:
+            # onto the bracket's other end, evaluated already: sq's rounding drives
+            # the step, and only bisection moves on, until the ends are adjacent floats
+            new = 0.5 * (u_lo + u_hi)
+            if new == u_lo or new == u_hi:
+                break
+        u = new
+    return alpha, eps, s, q
+
+
 def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     """bPOE as the tail mass eps in [smallest normal float, 1] that solves
-    superquantile(d, 1 - eps, eps) = x with ``_optim.level_root``, to about
+    superquantile(d, 1 - eps, eps) = x with ``level_root``, to about
     1e-13 relative, started at e (1 - F(x)) or the Cantelli tail mass
-    (``_optim.cantelli_level``). Each step evaluates the pair (sq, q) once, and
+    (``cantelli_level``). Each step evaluates the pair (sq, q) once, and
     the residual and ``quantile_star`` are read from the engine's last pair, so
     no family's ``quantile`` is called. Beyond sq at the smallest normal eps,
     which the engine evaluates only if its steps reach it, the bPOE underflows

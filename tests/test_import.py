@@ -27,7 +27,9 @@ def _fresh(code: str) -> str:
     return proc.stdout
 
 
-_NO_NUMPY = "\nimport sys\nassert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+# the applications' solvers load with portfolio and estimation, never on the scalar path
+_NO_NUMPY = ("\nimport sys\nassert not {'numpy', 'tailrisk._optim'} & set(sys.modules),"
+             " sorted(sys.modules)\n")
 # dataclasses pulls in inspect, ast, dis and tokenize: the scalar path needs none
 _NO_DATACLASSES = ("\nimport sys\nassert not {'dataclasses', 'inspect'} & set(sys.modules),"
                    " sorted(sys.modules)\n")
@@ -36,9 +38,13 @@ _SCALAR_PATHS = {
     "import-cli": "import tailrisk, tailrisk.cli",
     "scalar-metrics": "from tailrisk import superquantile, bpoe, StudentT\n"
                       "bpoe(StudentT(3.0), 2.0); superquantile(StudentT(3.0), 0.99)",
+    "root-engine-bpoe": "from tailrisk import bpoe, Weibull\nbpoe(Weibull(1.0, 1.5), 2.0)",
     "cli-dist-bpoe": "from tailrisk.cli import main\n"
                      "assert main(['dist', '--family', 'student-t', '--nu', '3', '--metric',"
                      " 'bpoe', '--x', '2.5']) == 0",
+    "cli-dist-root-bpoe": "from tailrisk.cli import main\n"
+                          "assert main(['dist', '--family', 'weibull', '--lambda', '1', '--k',"
+                          " '1.5', '--metric', 'bpoe', '--x', '2']) == 0",
 }
 
 
@@ -47,7 +53,10 @@ _SCALAR_PATHS = {
     "from tailrisk.cli import main\n"
     "assert main(['oracle', '--family', 'lognormal', '--mu', '0', '--s', '1',"
     " '--metric', 'cvar', '--alpha', '0.95']) == 0",
-], ids=[*_SCALAR_PATHS, "cli-oracle-cvar"])
+    "from tailrisk.cli import main\n"
+    "assert main(['oracle', '--family', 'weibull', '--lambda', '1', '--k', '1.5',"
+    " '--metric', 'bpoe', '--x', '2']) == 0",
+], ids=[*_SCALAR_PATHS, "cli-oracle-cvar", "cli-oracle-bpoe"])
 def test_scalar_paths_leave_numpy_unloaded(code):
     _fresh(code + _NO_NUMPY)
 

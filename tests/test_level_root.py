@@ -12,7 +12,7 @@ import pytest
 from tailrisk import distributions as dist
 from tailrisk import oracle
 from tailrisk import tail_metrics as tm
-from tailrisk._optim import cantelli_level, level_root
+from tailrisk.tail_metrics import cantelli_level, level_root
 from tailrisk.portfolio import QualifiedFamily
 
 # every family whose bPOE comes from the root engine, including Student-t

@@ -64,11 +64,20 @@ def test_superquantile_domain_and_infinite_mean():
     assert 0.0 <= tm.bpoe(dist.Weibull(1.0, 0.01), 1e200).value <= 1e-40
 
 
-def _mpmath_sq_gev(mp, d, alpha):
-    """mu + s (gamma(1 - xi, -ln alpha) - (1 - alpha)) / (xi (1 - alpha)) in mpmath."""
-    alpha = mp.mpf(alpha)
-    gl = mp.gammainc(1 - mp.mpf(d.xi), 0, -mp.log(alpha))
-    return d.mu + d.s * (gl - (1 - alpha)) / (d.xi * (1 - alpha))
+def _mp_sq_gev(mp, d, eps):
+    """mu + s (gamma(1 - xi, y) - eps) / (xi eps), y = -ln(1 - eps), in mpmath; at xi = 0 its
+    limit mu + s (Ein(y) / eps - ln y), Ein(y) summed as its power series because
+    gamma + ln y + E1(y) cancels for y < 1 (eps < 0.63)."""
+    y = -mp.log1p(-eps)
+    if d.xi == 0.0:
+        ein, term, n = 0, -1, 0
+        while not n or abs(term) > mp.eps * ein:
+            n += 1
+            term *= -y / n
+            ein += term / n
+        return d.mu + d.s * (ein / eps - mp.log(y))
+    xi = mp.mpf(d.xi)
+    return d.mu + d.s * (mp.gammainc(1 - xi, 0, y) - eps) / (xi * eps)
 
 
 def test_gev_below_the_gamma_overflow():
@@ -82,10 +91,10 @@ def test_gev_below_the_gamma_overflow():
     assert 0.0 < tm.partial_expectation(d, 0.0) < d.support().upper   # X <= 0.005
     with mp.workdps(40):
         for alpha in (0.9, 0.36, 0.3, 0.1, 1e-3, 1e-10):
-            want = float(_mpmath_sq_gev(mp, d, alpha))
+            want = float(_mp_sq_gev(mp, d, 1 - mp.mpf(alpha)))
             assert abs(tm.superquantile(d, alpha) - want) <= 1e-12 * abs(want), alpha
         for x in (1e-3, 4e-3, -1.0, -1e100):
-            root = mp.findroot(lambda a: _mpmath_sq_gev(mp, d, a) - x, (0.01, 0.5),
+            root = mp.findroot(lambda a: _mp_sq_gev(mp, d, 1 - a) - x, (0.01, 0.5),
                                solver="bisect", verify=False)
             got = tm.bpoe(d, x)
             assert abs(got.value - float(1 - root)) <= 1e-10 * float(1 - root), x
@@ -395,6 +404,56 @@ def test_lognormal_bpoe_matches_mpmath():
                                 (mp.log(got.quantile_star) - d.mu) / d.s)
                 want = mp.ncdf(-g)
                 assert abs(got.value / want - 1) <= 1e-10, (d, x, got, want)
+
+
+# tail masses from the body down to the bottom of binary64, where x = sq(1 - eps)
+_DEEP_EPSILONS = (0.3, 0.05, 1e-2, 1e-6, 1e-12, 1e-50, 1e-150, 1e-300)
+
+
+def _mp_sq_weibull(mp, d, eps):
+    return d.lam * mp.gammainc(1 + 1 / mp.mpf(d.k), -mp.log(eps)) / eps
+
+
+def _mp_sq_loglogistic(mp, d, eps):
+    b = mp.mpf(d.b)
+    return d.a * mp.betainc(1 - 1 / b, 1 + 1 / b, 0, eps) / eps
+
+
+def _mp_level_root(mp, sq, x, eps):
+    """The tail mass where the mpmath superquantile sq(eps) equals x, solved in ln eps."""
+    return mp.exp(mp.findroot(lambda u: mp.log(sq(mp.exp(u)) / x), mp.log(eps)))
+
+
+@pytest.mark.parametrize("d", [dist.Weibull(0.5, 1.4), dist.Weibull(2.0, 0.8),
+                               dist.Weibull(1.0, 3.0), dist.Weibull(1.0, 0.3),
+                               dist.Weibull(3.0, 20.0)], ids=repr)
+def test_weibull_deep_tail_matches_mpmath(d):
+    # the root engine multiplies the superquantile's error by sq / (sq - q), about k ln(1/eps)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        for eps in _DEEP_EPSILONS:
+            x = tm.superquantile(d, 1.0 - eps, eps)[0]
+            want = _mp_sq_weibull(mp, d, mp.mpf(eps))
+            assert abs(x / want - 1) <= 5e-15, (eps, x, want)
+            root = _mp_level_root(mp, lambda e: _mp_sq_weibull(mp, d, e), x, eps)
+            assert abs(tm.bpoe(d, x).value / root - 1) <= 2e-12, (eps, x, root)
+
+
+@pytest.mark.parametrize("d, epsilons", [
+    (dist.LogLogistic(2.0, 3.0), _DEEP_EPSILONS), (dist.LogLogistic(1.0, 1.5), _DEEP_EPSILONS),
+    (dist.LogLogistic(0.5, 4.0), _DEEP_EPSILONS), (dist.GEV(1.0, 2.0, 0.3), _DEEP_EPSILONS),
+    (dist.GEV(0.0, 1.0, 0.0), _DEEP_EPSILONS),
+    # near its upper end x stops resolving eps: sq - q is 1.7e-10 at eps = 1e-50
+    (dist.GEV(1.0, 2.0, -0.2), _DEEP_EPSILONS[:5]),
+], ids=lambda v: repr(v) if isinstance(v, dist.Distribution) else f"to-{v[-1]:g}")
+def test_root_engine_bpoe_matches_mpmath(d, epsilons):
+    mp = pytest.importorskip("mpmath")
+    sq = _mp_sq_gev if isinstance(d, dist.GEV) else _mp_sq_loglogistic
+    with mp.workdps(60):
+        for eps in epsilons:
+            x = tm.superquantile(d, 1.0 - eps, eps)[0]
+            root = _mp_level_root(mp, lambda e: sq(mp, d, e), x, eps)
+            assert abs(tm.bpoe(d, x).value / root - 1) <= 5e-13, (eps, x, root)
 
 
 def test_bpoe_dominates_poe():
