@@ -1,13 +1,14 @@
 """Small deterministic solvers for the applications: Brent's scalar minimizer
-for the LS-MOS shape search, and the box-bounded simplex projection and
-active-set Newton of the portfolio solves, plus two solvers the package no
-longer calls. Only ``portfolio`` and ``estimation`` load this module, both
-with numpy; the tail metrics' root engine is ``tail_metrics.level_root``."""
+for the LS-MOS shape search, and for the portfolio solves the critical-line
+trace of the box-bounded mean-variance frontier and the simplex projection
+that certifies their KKT points, plus a Nelder-Mead the package no longer
+calls. Only ``portfolio`` and ``estimation`` load this module, both with
+numpy; the tail metrics' root engine is ``tail_metrics.level_root``."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -153,129 +154,91 @@ def project_box_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     return np.clip(v - tau, lower, upper)
 
 
-_F_BAND = 1e-10   # relative change in f its rounding can hide (near-riskless min-bPOE)
+def projected_gradient_max(eta: np.ndarray, cov: np.ndarray, lower: np.ndarray,
+                           upper: np.ndarray) -> list[tuple[float, float, np.ndarray, np.ndarray]]:
+    """The box-bounded mean-variance frontier by Markowitz's critical-line
+    algorithm (Bailey and Lopez de Prado, Algorithms 6(1), 2013); the older
+    name stays because the benchmark's tracer binds it.
 
-
-def _ascent_directions(g: np.ndarray, h: np.ndarray, free: np.ndarray,
-                       released: int, side: float) -> list[tuple[np.ndarray, float]]:
-    """Budget-keeping moves of the free coordinates, with first trial steps:
-    the Newton step Z y (Z a basis of such moves) from Z^T H Z with each
-    eigenvalue replaced by minus its magnitude, floored at 1e-12 of the
-    largest (exact Newton where f is concave on the face, Newton's scaling
-    where not), none on a linear f or where it pushes the coordinate just
-    released (to move in direction ``side``) back out; then the reduced
-    gradient g - mean(g_free), from the quadratic model's maximum along it.
+    For each gamma >= 0 the maximizer of gamma w.eta - w.S.w / 2 over the
+    box-bounded simplex is piecewise affine in gamma. Returns its segments
+    (lo, hi, a, b), hi of the first inf and lo of the last 0, on each of which
+    it is a + gamma b. The trace starts at the max-return vertex (greedy fill by
+    eta, the budget's last asset free) and walks gamma down, one KKT solve on
+    the free set per corner; a corner is where a free weight reaches a bound,
+    which it is then set to exactly, or a bound's multiplier changes sign. Ties
+    go to the leaving weight, then to the lower index.
     """
-    grad = np.zeros_like(g)
-    grad[free] = g[free] - g[free].mean()
-    grad[free[0]] -= grad.sum()   # an exact zero sum keeps long steps on the budget
-    curv = float(grad @ h @ grad)
-    out = [(grad, float(grad @ grad) / -curv if curv < 0.0 else math.inf)]
-    z = np.eye(g.size)[:, free[1:]] - np.eye(g.size)[:, free[:1]]   # columns e_i - e_first
-    lam, vec = np.linalg.eigh(z.T @ h @ z)
-    lam = np.abs(lam)
-    if lam.max() > 0.0:
-        newton = z @ (vec @ ((vec.T @ (z.T @ g)) / np.maximum(lam, 1e-12 * lam.max())))
-        if released < 0 or side * newton[released] >= 0.0:
-            return [(newton, 1.0)] + out
-    return out
+    n = eta.size
+    order = np.argsort(-eta, kind="stable")
+    w = lower.copy()
+    k = min(int(np.searchsorted(np.cumsum(upper[order] - lower[order]), 1.0 - lower.sum())), n - 1)
+    w[order[:k]] = upper[order[:k]]
+    w[order[k]] += 1.0 - w.sum()
+    free = np.zeros(n, dtype=bool)
+    free[order[k]] = True
+    at_hi = w >= upper
+    pinned = lower == upper
+    segments, hi = [], math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):   # np.where's untaken branches
+        for _ in range(10 * n + 10):
+            f = np.flatnonzero(free)
+            kkt = np.zeros((f.size + 1, f.size + 1))
+            kkt[:-1, :-1] = cov[np.ix_(f, f)]
+            kkt[:-1, -1] = kkt[-1, :-1] = 1.0
+            a, b = np.where(free, 0.0, w), np.zeros(n)
+            rhs = np.zeros((f.size + 1, 2))
+            rhs[:-1, 0] = -(cov[f] @ a)
+            rhs[-1, 0] = 1.0 - a.sum()
+            rhs[:-1, 1] = eta[f]
+            sol = np.linalg.solve(kkt, rhs)
+            sol += np.linalg.solve(kkt, rhs - kkt @ sol)   # one refinement: the 1s and S differ in scale
+            a[f], b[f] = sol[:-1, 0], sol[:-1, 1]
+            leave = np.full(n, -math.inf)
+            target = np.where(b < 0.0, upper, lower)   # the bound each free weight heads to
+            if hi == math.inf and f.size > 1:
+                # tied top returns: step from w toward the face's minimum variance a,
+                # as far as the bounds allow, and fix the weight that blocks
+                step = a - w
+                room = np.where(step > 0.0, (upper - w) / step,
+                                np.where(step < 0.0, (lower - w) / step, math.inf))
+                room[~free] = math.inf
+                block = int(np.argmin(room))
+                if room[block] < 1.0:
+                    w += room[block] * step
+                    w[block] = upper[block] if step[block] > 0.0 else lower[block]
+                    free[block], at_hi[block] = False, step[block] > 0.0
+                    continue
+                w = a.copy()
+            elif f.size > 1:   # free weights leave where they reach a bound
+                leave[f] = np.where(b[f] != 0.0, (target[f] - a[f]) / b[f], -math.inf)
+            # bounds enter where the multiplier gamma eta - S w - mu = gamma p - q turns the wrong sign
+            sb, sa = cov @ b, cov @ a
+            p, q = eta - sb - sol[-1, 1], sa + sol[-1, 0]
+            # p and q vanish on the free set: within 4x their rounding there they are
+            # ties, so a duplicate of a free asset never enters to make the block singular
+            tie_p, tie_q = 4.0 * float(np.max(np.abs(p[f]))), 4.0 * float(np.max(np.abs(q[f])))
+            side = np.where(at_hi, 1.0, -1.0)   # a bound's multiplier must keep this sign
+            enter = np.where(side * p > tie_p, q / p,
+                             np.where((np.abs(p) <= tie_p) & (side * q > tie_q), hi, -math.inf))
+            enter[free | pinned] = -math.inf
+            events = np.minimum(np.concatenate([leave, enter]), hi)
+            event = int(np.argmax(events))
+            lo = max(float(events[event]), 0.0)
+            if lo < hi:
+                segments.append((lo, hi, a, b))
+            if lo == 0.0:
+                return segments
+            hi, i = lo, event % n
+            free[i] = event >= n
+            if not free[i]:
+                w[i] = target[i]
+                at_hi[i] = w[i] == upper[i]
+    return segments
 
 
-def _line_search(objective: Callable[[np.ndarray], float], w: np.ndarray, f_w: float,
-                 slope: float, d: np.ndarray, t: float, lower: np.ndarray,
-                 upper: np.ndarray) -> tuple[np.ndarray, float, int] | None:
-    """Backtrack along d from step t, capped at the first bound d reaches, to
-    f >= f_w + 1e-4 t slope. Where the first trial's predicted gain t slope
-    is within f's rounding band, f may instead fall by up to the band: f
-    cannot judge such a step, so the caller judges it by the gradient.
-    Returns (point, value, index of the bound reached or -1), or None."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        room = np.where(d > 0.0, (upper - w) / d, np.where(d < 0.0, (lower - w) / d, np.inf))
-    block = int(np.argmin(room))
-    if t >= room[block]:
-        t = max(float(room[block]), 0.0)
-    else:
-        block = -1
-    band = _F_BAND * (1.0 + abs(f_w))
-    floor = f_w - band if t * slope <= band else f_w
-    for _ in range(60):
-        w_try = w + t * d
-        if block >= 0:
-            w_try[block] = upper[block] if d[block] > 0.0 else lower[block]
-        f_try = objective(w_try)
-        if f_try >= floor + 1e-4 * t * slope:
-            return w_try, f_try, block
-        t *= 0.5
-        block = -1
-    return None
-
-
-def projected_gradient_max(
-    objective: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
-    hessian: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> tuple[np.ndarray, float, float]:
-    """Maximize a smooth objective over the box-bounded simplex by primal
-    active-set Newton (Gill, Murray and Wright, Practical Optimization, 1981);
-    the older name stays because the benchmark's tracer binds it.
-
-    Start coordinates within 1e-10 of a bound are fixed, the rest free. Each
-    iteration takes the first of ``_ascent_directions`` the line search
-    accepts; a step reaching a bound fixes that coordinate, and one moving f
-    only within its rounding band must shrink the spread of g_free. Where
-    none does, the fixed coordinate whose multiplier has the most wrong sign
-    (g_i > mu = mean(g_free) at a lower bound, g_i < mu at an upper one) is
-    released; the solve ends when there is none, on a concave or
-    pseudo-concave f at the global maximum. Returns (w, f(w), |P(w + g) - w|)
-    with P = ``project_box_simplex``, zero exactly at a KKT point.
-    """
-    w = project_box_simplex(np.asarray(start, dtype=float), lower, upper)
-    f_w = objective(w)
-    at_lo, at_hi = w <= lower + 1e-10, w >= upper - 1e-10
-    released, side, limit = -1, 0.0, math.inf
-    for _ in range(1000):
-        g = gradient(w)
-        free = np.flatnonzero(~(at_lo | at_hi))
-        spread = float(np.ptp(g[free])) if free.size else 0.0
-        step = None
-        if 1e-14 * np.max(np.abs(g)) < spread < limit:
-            for d, t in _ascent_directions(g, hessian(w), free, released, side):
-                step = _line_search(objective, w, f_w, float(g @ d), d, t, lower, upper)
-                if step is not None:
-                    break
-        if step is not None:
-            w, f_new, block = step
-            if block >= 0:
-                (at_hi if d[block] > 0.0 else at_lo)[block] = True
-            limit = math.inf if block >= 0 or f_new > f_w + _F_BAND * (1.0 + abs(f_w)) else spread
-            f_w, released = f_new, -1
-            continue
-        limit = math.inf
-        lo_only, hi_only = at_lo & ~at_hi, at_hi & ~at_lo   # a pinned coordinate stays
-        mu = g[free].mean() if free.size else g[hi_only].min(initial=np.inf)
-        wrong = np.where(lo_only, g - mu, np.where(hi_only, mu - g, 0.0))
-        released = int(np.argmax(wrong))
-        if not wrong[released] > 1e-14 * float(np.max(np.abs(g))):
-            break
-        side = 1.0 if lo_only[released] else -1.0
-        at_lo[released] = at_hi[released] = False
-    w = np.clip(w, lower, upper)
-    g = gradient(w)
-    return w, objective(w), float(np.linalg.norm(project_box_simplex(w + g, lower, upper) - w))
-
-
-def multi_start_max(
-    objective: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
-    hessian: Callable[[np.ndarray], np.ndarray],
-    starts: Sequence[np.ndarray],
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> tuple[np.ndarray, float, float]:
-    """Best ``projected_gradient_max`` run over the starts, ties to the earliest.
-    Unused by the package; the benchmark's tracer binds it by name."""
-    return max((projected_gradient_max(objective, gradient, hessian, s, lower, upper)
-                for s in starts), key=lambda run: run[1])
+def multi_start_max(*args, **kwargs):
+    """Removed: every portfolio problem reads one corner trace
+    (``projected_gradient_max``). The name stays only because the benchmark's
+    tracer binds it."""
+    raise NotImplementedError("multi_start_max is removed; use projected_gradient_max")

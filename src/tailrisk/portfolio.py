@@ -19,17 +19,17 @@ bPOE value depends on the family. zeta, the superquantile of the
 standardized loss, and its inverse, the bPOE as a tail mass, come from
 ``tail_metrics`` (GEV: a closed form and one ``level_root``).
 
-Each solve is one active-set Newton run (``_optim.projected_gradient_max``, a
-name kept for the benchmark's tracer) from equal weights, or for min-bPOE
-where w.eta + x <= 0 there, from partway to the best-return vertex; a
-frontier sweep starts each solve from the optimum before it. It takes
-Newton steps with the objective's analytic Hessian on the face of free
-coordinates, bounds fixed as steps reach them and released where their
-multipliers have the wrong sign, so every objective below states its
-gradient and Hessian side by side. One start suffices: the min-CVaR
-objective is concave (zeta >= 0), the min-bPOE ratio pseudo-concave and the
-Markowitz objective a concave quadratic, so on the box-bounded simplex every
-KKT point is a global maximum.
+Every problem here maximizes over one curve: the box-bounded mean-variance
+frontier, the maximizers of gamma w.eta - w.S.w / 2 for gamma = 1 / lambda from
+inf down to 0, which Markowitz's critical-line algorithm traces as corner
+segments w(gamma) = a + gamma b (``_optim.projected_gradient_max``, a name kept
+for the benchmark's tracer). On a segment the return is r(gamma) = r0 +
+gamma r1 and the variance v(gamma) = v0 + gamma^2 r1, since dv/dgamma = 2
+gamma dr/dgamma on the frontier. The min-CVaR optimum, where the slope
+dsigma/dr is 1 / zeta, solves sqrt(v) = zeta gamma; the min-bPOE optimum,
+the tangent from (0, -x), solves v = gamma (r + x); Markowitz reads
+gamma = 1 / lambda. Each is a root on the one segment where its sign
+changes, and ``kkt_residual`` certifies the final weights.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from ._optim import project_box_simplex, projected_gradient_max
-from .distributions import (GEV, Laplace, Logistic, Normal, StudentT, _expm1_ratio,
-                            _ln_gamma_gap, _neg_log)
+from .distributions import (GEV, Distribution, Laplace, Logistic, Normal, StudentT,
+                            _expm1_ratio, _ln_gamma_gap, _neg_log)
 from .errors import ConvergenceError, DomainError, ParameterError
 from .tail_metrics import _gev_tail, bpoe, cantelli_level, level_root, superquantile
 
@@ -60,6 +60,7 @@ class QualifiedFamily:
     family: str
     nu: float | None = None    # student-t degrees of freedom, > 2
     xi: float | None = None    # gev shape, < 1/2
+    _unit: Distribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         name = self.family.lower().replace("_", "-")
@@ -83,8 +84,9 @@ class QualifiedFamily:
                     f"gev requires xi < 1/2 for finite variance, got {self.xi}")
         elif self.nu is not None or self.xi is not None:
             raise ParameterError(f"family {name!r} takes no shape parameter")
+        object.__setattr__(self, "_unit", self._unit_variance_member())
 
-    def _unit_variance_member(self):
+    def _unit_variance_member(self) -> Distribution:
         if self.family == "normal":
             return Normal(0.0, 1.0)
         if self.family == "laplace":
@@ -105,7 +107,7 @@ class QualifiedFamily:
         upper tail average, m the mean and sd = G sqrt(_expm1_ratio(xi^2, _ln_gamma_gap(xi))),
         G = Gamma(1 - xi), which cancels against ``_gev_tail``'s (sq(p) - m) / G.
         """
-        d = self._unit_variance_member()
+        d = self._unit
         if self.family != "gev":
             return superquantile(d, alpha, _eps)
         if _eps is None and not 0.0 <= alpha < 1.0:
@@ -302,64 +304,51 @@ class PortfolioReport:
         return out
 
 
-def _max_linear(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """A vertex of the box-bounded simplex maximizing coef.w (greedy fill)."""
-    w = lower.copy()
-    budget = 1.0 - w.sum()
-    for i in np.argsort(coef)[::-1]:
-        room = upper[i] - w[i]
-        add = min(room, budget)
-        w[i] += add
-        budget -= add
-        if budget <= 0:
+def _frontier_point(universe: AssetUniverse, lower: np.ndarray, upper: np.ndarray,
+                    crossing) -> np.ndarray:
+    """Weights on the corner trace where ``crossing`` puts the optimum. Given
+    a segment's r0, r1 and v0, crossing returns the gamma at which the
+    problem's condition changes sign there, or inf where it holds on the whole
+    segment; walking down from the max-return vertex, the first segment whose
+    crossing lies at or above its lower end holds the optimum."""
+    eta, cov = universe.expected_returns, universe.covariance
+    for lo, hi, a, b in projected_gradient_max(eta, cov, lower, upper):
+        gamma = crossing(float(a @ eta), float(b @ eta), max(float(a @ cov @ a), 0.0))
+        if gamma >= lo:
             break
-    return w
+    gamma = min(max(gamma, lo), hi)
+    return np.clip(a if gamma == math.inf else a + gamma * b, lower, upper)
 
 
-def _solve(objective, gradient, hessian, lower: np.ndarray, upper: np.ndarray,
-           start: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
-    """One active-set Newton run from start, by default equal weights (see
-    the module docstring); raises ConvergenceError unless the
-    gradient-projection norm it returns is at most 1e-8."""
-    start = np.full(lower.size, 1.0 / lower.size) if start is None else start
-    w, f_w, gp = projected_gradient_max(objective, gradient, hessian, start, lower, upper)
+def _certify(w: np.ndarray, gradient: np.ndarray, lower: np.ndarray,
+             upper: np.ndarray) -> float:
+    """The KKT residual |P(w + g) - w| of the final weights, P =
+    ``project_box_simplex``, zero exactly at a KKT point; raises
+    ConvergenceError above 1e-8."""
+    gp = float(np.linalg.norm(project_box_simplex(w + gradient, lower, upper) - w))
     if gp > 1e-8:
         raise ConvergenceError("portfolio solver did not reach KKT tolerance",
                                {"gradient_projection_norm": gp})
-    return w, f_w, gp
+    return gp
 
 
-def min_cvar_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
-                       _start: np.ndarray | None = None) -> PortfolioReport:
-    """Weights minimizing the loss CVaR at the problem's level; the solve
-    starts from ``_start`` if given (a nearby optimum), else equal weights."""
+def min_cvar_portfolio(problem: PortfolioProblem, family: QualifiedFamily) -> PortfolioReport:
+    """Weights minimizing the loss CVaR at the problem's level: the frontier
+    point where sqrt(v) = zeta gamma, that is v0 = (zeta^2 - r1) gamma^2."""
     if problem.objective != "cvar":
         raise ParameterError("problem does not carry a cvar objective")
     u = problem.universe
     eta, cov = u.expected_returns, u.covariance
     z = family.zeta(problem.level)
-
-    def f(w: np.ndarray) -> float:
-        return float(w @ eta - z * math.sqrt(max(w @ cov @ w, 0.0)))
-
-    def g(w: np.ndarray) -> np.ndarray:
-        cw = cov @ w
-        sd = math.sqrt(max(float(w @ cw), 1e-30))
-        return eta - z * cw / sd
-
-    def h(w: np.ndarray) -> np.ndarray:
-        cw = cov @ w
-        sd = math.sqrt(max(float(w @ cw), 1e-30))
-        return -z * (cov / sd - np.outer(cw, cw) / sd ** 3)
-
-    w, f_w, gp = _solve(f, g, h, problem.lower, problem.upper, _start)
+    w = _frontier_point(u, problem.lower, problem.upper, lambda r0, r1, v0: (
+        math.sqrt(v0 / (z * z - r1)) if z * z > r1 else math.inf))
     ret = float(w @ eta)
     sd = math.sqrt(float(w @ cov @ w))
+    gp = _certify(w, eta - z * (cov @ w) / sd, problem.lower, problem.upper)
     # lambda matching the half-quadratic Markowitz utility w.eta - (l/2) w.S.w
-    lam = z / sd
     return PortfolioReport(u.names, w, ret, sd, "cvar",
-                           objective_value=-f_w, alpha_star=problem.level,
-                           lambda_equiv=lam, kkt_residual=gp)
+                           objective_value=z * sd - ret, alpha_star=problem.level,
+                           lambda_equiv=z / sd, kkt_residual=gp)
 
 
 def _invert_zeta(family: QualifiedFamily, target: float) -> float:
@@ -368,64 +357,39 @@ def _invert_zeta(family: QualifiedFamily, target: float) -> float:
     families, else ``level_root`` on the GEV zeta in the pair (alpha, eps)
     for eps in [smallest normal float, 1], and 0.0 (an underflow) beyond.
     """
-    d = family._unit_variance_member()
     if family.family != "gev":
-        return bpoe(d, target).value
+        return bpoe(family._unit, target).value
     _, eps, z, _ = level_root(family.zeta, target, sys.float_info.min,
                               cantelli_level(target, 0.0, 1.0))
     return 0.0 if eps == sys.float_info.min and z < target else eps
 
 
 def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
-                       report_families: tuple[QualifiedFamily, ...] | None = None,
-                       _start: np.ndarray | None = None) -> PortfolioReport:
+                       report_families: tuple[QualifiedFamily, ...] | None = None
+                       ) -> PortfolioReport:
     """Weights minimizing bPOE of the loss at the problem's threshold.
 
     The reduced objective (generalized Sharpe ratio) is family-free, so the
-    weights are optimal for every qualified family at once; per-family bPOE
+    weights are optimal for every qualified family at once: the frontier point
+    where v = gamma (r + x), that is v0 = gamma (r0 + x). Per-family bPOE
     values at those same weights go into ``bpoe_by_family``, each the tail
     mass from ``_invert_zeta``, so small values keep their relative precision.
-    The solve starts from ``_start`` (a nearby optimum) where w.eta + x > 0
-    there, else from equal weights.
     """
     if problem.objective != "bpoe":
         raise ParameterError("problem does not carry a bpoe objective")
     u = problem.universe
     eta, cov = u.expected_returns, u.covariance
     x = problem.threshold
-    start = project_box_simplex(np.full(u.size, 1.0 / u.size), problem.lower, problem.upper)
-    vertex = _max_linear(eta, problem.lower, problem.upper)
-    num, top = float(start @ eta) + x, float(vertex @ eta) + x
-    if top <= 0.0:
+    w = _frontier_point(u, problem.lower, problem.upper, lambda r0, r1, v0: (
+        v0 / (r0 + x) if r0 + x > 0.0 else math.inf))
+    ret = float(w @ eta)
+    if ret + x <= 0.0:
         raise DomainError(
             f"threshold {x} leaves no feasible portfolio with w.eta + x > 0")
-    if _start is not None and float(_start @ eta) + x > 0.0:
-        start = _start
-    elif num <= 0.0:   # the log-ratio is -inf there: start where w.eta + x = top / 2
-        start += (0.5 * top - num) / (top - num) * (vertex - start)
-
-    # maximize log((w.eta + x) / sqrt(w.S.w)): same argmax, O(1) gradients
-    def f(w: np.ndarray) -> float:
-        num = float(w @ eta + x)
-        if num <= 0.0:
-            return -math.inf
-        return math.log(num) - 0.5 * math.log(max(float(w @ cov @ w), 1e-30))
-
-    def g(w: np.ndarray) -> np.ndarray:
-        cw = cov @ w
-        num = float(w @ eta + x)
-        return eta / max(num, 1e-30) - cw / max(float(w @ cw), 1e-30)
-
-    def h(w: np.ndarray) -> np.ndarray:
-        cw = cov @ w
-        num = max(float(w @ eta + x), 1e-30)
-        var = max(float(w @ cw), 1e-30)
-        return -np.outer(eta, eta) / num ** 2 - cov / var + 2.0 * np.outer(cw, cw) / var ** 2
-
-    w, log_ratio, gp = _solve(f, g, h, problem.lower, problem.upper, start)
-    ratio = math.exp(log_ratio)
-    ret = float(w @ eta)
-    sd = math.sqrt(float(w @ cov @ w))
+    var = float(w @ cov @ w)
+    sd = math.sqrt(var)
+    gp = _certify(w, eta / (ret + x) - (cov @ w) / var, problem.lower, problem.upper)
+    ratio = (ret + x) / sd
     if report_families is None:
         report_families = default_report_families()
     # one inversion per distinct family; the solved family is usually reported too
@@ -447,22 +411,16 @@ def cvar_cross_evaluate(weights: np.ndarray, universe: AssetUniverse,
 
 def markowitz_solve(universe: AssetUniverse, lam: float,
                     lower=0.0, upper=1.0) -> np.ndarray:
-    """Maximize w.eta - (lam/2) w.S.w over the box-bounded simplex."""
+    """Maximize w.eta - (lam/2) w.S.w over the box-bounded simplex: the
+    frontier point at gamma = 1 / lam."""
     if lam < 0:
         raise ParameterError(f"trade-off lambda must be >= 0, got {lam}")
     eta, cov = universe.expected_returns, universe.covariance
     lo, hi = _bounds(universe.size, lower, upper)
-
-    def f(w):
-        return float(w @ eta - 0.5 * lam * (w @ cov @ w))
-
-    def g(w):
-        return eta - lam * (cov @ w)
-
-    def h(w):
-        return -lam * cov
-
-    return _solve(f, g, h, lo, hi)[0]
+    gamma = 1.0 / lam if lam > 0.0 else math.inf
+    w = _frontier_point(universe, lo, hi, lambda r0, r1, v0: gamma)
+    _certify(w, eta - lam * (cov @ w), lo, hi)
+    return w
 
 
 def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
@@ -480,21 +438,19 @@ def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
 def efficient_frontier(universe: AssetUniverse, family: QualifiedFamily,
                        objective: str, grid: np.ndarray,
                        lower=0.0, upper=1.0) -> list[dict]:
-    """Sweep the level (cvar) or threshold (bpoe) and record each optimum,
-    each solve started from the one before."""
-    rows, start = [], None
+    """Sweep the level (cvar) or threshold (bpoe) and record each optimum."""
+    rows = []
     for v in grid:
         if objective == "cvar":
             prob = PortfolioProblem(universe, "cvar", level=float(v),
                                     lower=lower, upper=upper)
-            rep = min_cvar_portfolio(prob, family, _start=start)
+            rep = min_cvar_portfolio(prob, family)
             key = "alpha"
         else:
             prob = PortfolioProblem(universe, "bpoe", threshold=float(v),
                                     lower=lower, upper=upper)
-            rep = min_bpoe_portfolio(prob, family, _start=start)
+            rep = min_bpoe_portfolio(prob, family)
             key = "threshold"
-        start = rep.weights
         row = {key: float(v), "objective_value": rep.objective_value,
                "return": rep.expected_return, "stdev": rep.stdev}
         row.update({n: float(w) for n, w in zip(rep.names, rep.weights)})

@@ -319,7 +319,16 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 
 def reg_inc_beta(t: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_t(a, b) for t in [0, 1]."""
+    """Regularized incomplete beta function I_t(a, b) for t in [0, 1].
+
+    The continued fraction's prefactor t^a (1 - t)^b / (c B(a, b)), c = a below
+    the switch (a + 1) / (a + b + 2) and b above it, is one exponential: where
+    it underflows the result is 0, or 1 above the switch, without the
+    fraction. A result within 1e-12 of [0, 1], the prefactor's rounding at
+    exponents near 700, is clamped to it; where the prefactor would pass the
+    largest float, or the result lies further out, binary64 does not resolve
+    the arguments and DomainError is raised.
+    """
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
     if not 0.0 <= t <= 1.0:
@@ -328,10 +337,19 @@ def reg_inc_beta(t: float, a: float, b: float) -> float:
         return 0.0
     if t == 1.0:
         return 1.0
-    front = math.exp(a * math.log(t) + b * math.log1p(-t) - ln_beta(a, b))
-    if t < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, t) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - t) / b
+    below = t < (a + 1.0) / (a + b + 2.0)
+    ln_front = a * math.log(t) + b * math.log1p(-t) - ln_beta(a, b) - math.log(a if below else b)
+    if not ln_front < _LOG_FLOAT_MAX:
+        raise DomainError(f"reg_inc_beta({t}, {a}, {b}): the prefactor leaves binary64")
+    front = math.exp(ln_front)
+    if front == 0.0:
+        return 0.0 if below else 1.0
+    value = front * _beta_cf(a, b, t) if below else 1.0 - front * _beta_cf(b, a, 1.0 - t)
+    if 0.0 <= value <= 1.0:
+        return value
+    if not -1e-12 <= value <= 1.0 + 1e-12:   # NaN, or beyond the prefactor's rounding
+        raise DomainError(f"reg_inc_beta({t}, {a}, {b}) = {value} leaves [0, 1]")
+    return 0.0 if value < 0.0 else 1.0
 
 
 def reg_inc_beta_inv(p: float, a: float, b: float) -> float:
@@ -373,7 +391,8 @@ def reg_inc_beta_inv(p: float, a: float, b: float) -> float:
             lo = odds
         new = -1.0
         # d log I / dv = x (1 - x) f(x) / I, f the Beta(a, b) density
-        slope = math.exp(a * math.log(x) + b * math.log(y) - ln_b) / tail if tail > 0.0 else 0.0
+        ln_slope = a * math.log(x) + b * math.log(y) - ln_b - math.log(tail) if tail > 0.0 else -math.inf
+        slope = math.exp(ln_slope) if ln_slope < _LOG_FLOAT_MAX else math.inf
         if 0.0 < slope < math.inf:
             newton = math.log(tail / p) / slope
             corr = 1.0 - 0.5 * newton * (a * y - b * x - slope)

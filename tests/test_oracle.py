@@ -3,8 +3,10 @@ import math
 import pytest
 
 from tailrisk import distributions as dist
+from tailrisk import oracle
 from tailrisk import tail_metrics as tm
-from tailrisk.errors import DomainError, OracleError
+from tailrisk._quad import adaptive_quad
+from tailrisk.errors import ConvergenceError, DomainError, OracleError
 from tailrisk.oracle import (OracleConfig, OracleResult, mc_superquantile,
                              oracle_bpoe, oracle_superquantile)
 
@@ -100,3 +102,35 @@ def test_mc_deterministic_given_seed():
 def test_result_json():
     r = OracleResult(1.5, 1e-9)
     assert r.to_json() == {"value": 1.5, "error_estimate": 1e-9}
+
+
+def test_adaptive_quad_on_an_empty_interval_and_past_its_panel_budget():
+    calls = []
+    assert adaptive_quad(lambda x: calls.append(x) or 1.0, 2.0, 2.0) == (0.0, 0.0)
+    assert calls == []
+    # 1/x is not integrable at 0: bisecting towards it never meets the tolerance
+    with pytest.raises(ConvergenceError) as info:
+        adaptive_quad(lambda x: 1.0 / x, 0.0, 1.0, limit=50)
+    assert info.value.diagnostics["panels"] >= 50
+
+
+def test_march_without_decay_raises():
+    # an integrand that never decays: 200 segments of width 6, then OracleError;
+    # through oracle_superquantile the march cannot get there, since exp(-y)
+    # underflows near y = 745 and the tail quantile then raises DomainError
+    with pytest.raises(OracleError) as info:
+        oracle._march_decaying(lambda y: 1.0, 0.0, 1e-10)
+    assert info.value.diagnostics["reached"] == 1200.0
+
+
+def test_oracle_superquantile_wraps_a_quadrature_failure(monkeypatch):
+    failure = ConvergenceError("adaptive quadrature did not converge", {"panels": 4000})
+
+    def fails(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(oracle, "adaptive_quad", fails)
+    with pytest.raises(OracleError) as info:
+        oracle_superquantile(dist.Normal(0.0, 1.0), 0.9, CFG)
+    assert info.value.diagnostics == {"panels": 4000}
+    assert info.value.__cause__ is failure

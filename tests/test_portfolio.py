@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from tailrisk import distributions as dist
 from tailrisk import specfun as sf
 from tailrisk import tail_metrics as tm
 from tailrisk import _optim, portfolio
-from tailrisk._optim import projected_gradient_max
 from tailrisk.errors import DomainError, ParameterError
 from tailrisk.portfolio import (AssetUniverse, PortfolioProblem, QualifiedFamily,
                                 cvar_cross_evaluate, default_report_families,
@@ -295,9 +296,9 @@ def test_bpoe_threshold_too_low(msci):
                            QualifiedFamily("normal"))
 
 
-def test_bpoe_starts_inside_when_equal_weights_are_infeasible(msci):
-    # mean return 0.0963 < 0.0983 < largest return 0.1385 (MXCH): the
-    # log-ratio is -inf at equal weights but finite near the MXCH vertex
+def test_min_bpoe_where_equal_weights_fall_below_the_threshold(msci):
+    # mean return 0.0963 < 0.0983 < largest return 0.1385 (MXCH): w.eta + x <= 0
+    # at equal weights, and the tangent from (0, -x) touches the frontier at its top
     x = -0.0983
     assert msci.expected_returns.mean() + x <= 0.0 < msci.expected_returns.max() + x
     rep = min_bpoe_portfolio(PortfolioProblem(msci, "bpoe", threshold=x),
@@ -366,36 +367,20 @@ def test_efficient_frontier_rows(msci):
     ("cvar", np.linspace(0.9, 0.99, 10)),
     ("cvar", np.linspace(0.999, 0.5, 8)),
     ("bpoe", np.linspace(0.05, 0.3, 8)),
-    # the 0.2 optimum has w.eta + x < 0 at -0.12465: that point starts cold
+    # w.eta + x < 0 at the 0.2 optimum for x = -0.12465
     ("bpoe", np.array([0.3, 0.2, -0.12465, 0.0])),
 ])
-def test_frontier_warm_starts_match_cold_solves(msci, monkeypatch, family, objective, grid):
-    starts, norms = [], []
-    solve = portfolio._solve
-
-    def spied(*args):
-        result = solve(*args)
-        starts.append(args[5])
-        norms.append(result[2])
-        return result
-
-    monkeypatch.setattr(portfolio, "_solve", spied)
+def test_frontier_rows_are_kkt_points(msci, family, objective, grid):
     rows = efficient_frontier(msci, family, objective, grid)
-    monkeypatch.undo()
-    assert max(norms) <= 1e-10
-    before = [np.array([row[n] for n in msci.names]) for row in rows]
-    warm = [i for i in range(1, len(rows)) if np.array_equal(starts[i], before[i - 1])]
-    assert warm == [i for i in range(1, len(rows))
-                    if objective == "cvar" or before[i - 1] @ msci.expected_returns + grid[i] > 0]
     for v, row in zip(grid, rows):
-        if objective == "cvar":
-            cold = min_cvar_portfolio(PortfolioProblem(msci, "cvar", level=float(v)), family)
-        else:
-            cold = min_bpoe_portfolio(PortfolioProblem(msci, "bpoe", threshold=float(v)), family)
-        assert max(abs(row[n] - w) for n, w in zip(cold.names, cold.weights)) <= 1e-12, v
+        kw = {"level": float(v)} if objective == "cvar" else {"threshold": float(v)}
+        problem = PortfolioProblem(msci, objective, **kw)
+        w = np.array([row[n] for n in msci.names])
+        grad = _gradient(msci, problem, family)(w)
+        assert _kkt_residual(w, grad, problem.lower, problem.upper) <= 1e-10, v
 
 
-# --- one start suffices ------------------------------------------------------
+# --- the corner trace --------------------------------------------------------
 
 def _random_universe(rng, n, idio=(0.2, 1.0)):
     factors = rng.normal(size=(n, 3))
@@ -406,108 +391,50 @@ def _random_universe(rng, n, idio=(0.2, 1.0)):
                          rng.uniform(0.03, 0.12, n), corr)
 
 
-def _objectives(universe, problem, family):
-    """The maximized objective, its gradient and its Hessian, as the solvers
-    state them."""
+def _gradient(universe, problem, family):
+    """The gradient of the maximized objective: w.eta - zeta sqrt(w.S.w) for
+    min-CVaR, log((w.eta + x) / sqrt(w.S.w)) for min-bPOE."""
     eta, cov = universe.expected_returns, universe.covariance
     if problem.objective == "cvar":
         z = family.zeta(problem.level)
-        return (lambda w: float(w @ eta - z * math.sqrt(w @ cov @ w)),
-                lambda w: eta - z * (cov @ w) / math.sqrt(w @ cov @ w),
-                lambda w: -z * (cov / math.sqrt(w @ cov @ w)
-                                - np.outer(cov @ w, cov @ w) / math.sqrt(w @ cov @ w) ** 3))
+        return lambda w: eta - z * (cov @ w) / math.sqrt(w @ cov @ w)
     x = problem.threshold
-    return (lambda w: math.log(w @ eta + x) - 0.5 * math.log(w @ cov @ w),
-            lambda w: eta / (w @ eta + x) - (cov @ w) / (w @ cov @ w),
-            lambda w: (-np.outer(eta, eta) / (w @ eta + x) ** 2 - cov / (w @ cov @ w)
-                       + 2.0 * np.outer(cov @ w, cov @ w) / (w @ cov @ w) ** 2))
+    return lambda w: eta / (w @ eta + x) - (cov @ w) / (w @ cov @ w)
 
 
-def _best_of_five_starts(f, g, h, lower, upper):
-    """Equal weights plus four corner-leaning starts, the best objective wins."""
-    n = lower.size
-    equal = np.full(n, 1.0 / n)
-    starts = [equal] + [0.9 * np.eye(n)[i] + 0.1 * equal for i in range(min(4, n))]
-    return max(projected_gradient_max(f, g, h, s, lower, upper)[1] for s in starts)
+def test_msci_solves_trace_once_and_project_once(monkeypatch, msci):
+    # one corner trace per solve, and one projection: the KKT certificate
+    calls = {"trace": 0, "project": 0}
+    trace, project = portfolio.projected_gradient_max, portfolio.project_box_simplex
 
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
 
-@pytest.mark.parametrize("n, capped", [(3, False), (5, True), (10, True), (16, False),
-                                        (25, False), (25, True)])
-def test_single_start_matches_best_of_five(n, capped):
-    rng = np.random.default_rng(1000 + n)
-    universe = _random_universe(rng, n)
-    # a common cap that keeps the budget feasible (n * cap >= 1.5)
-    upper = max(1.5 / n, 0.25) if capped else 1.0
-    cases = [(PortfolioProblem(universe, "cvar", level=0.95, upper=upper), fam)
-             for fam in (QualifiedFamily("normal"), QualifiedFamily("student-t", nu=3.0),
-                         QualifiedFamily("gev", xi=0.1))]
-    cases.append((PortfolioProblem(universe, "bpoe", threshold=0.1, upper=upper),
-                  QualifiedFamily("normal")))
-    for problem, fam in cases:
-        solve = min_cvar_portfolio if problem.objective == "cvar" else min_bpoe_portfolio
-        rep = solve(problem, fam)
-        f, g, h = _objectives(universe, problem, fam)
-        best = _best_of_five_starts(f, g, h, problem.lower, problem.upper)
-        assert f(rep.weights) >= best - 1e-12, (n, problem.objective, fam.label())
-
-
-@pytest.mark.parametrize("case", ("min-cvar", "min-bpoe", "markowitz"))
-def test_hessian_matches_gradient_differences(monkeypatch, msci, case):
-    # a wrong Hessian still reaches the KKT tolerance, only slowly (the solver
-    # uses its eigenvalues' magnitudes, so any Hessian scales an ascent
-    # direction), so nothing else would catch it
-    seen = []
-
-    def capture(f, g, h, *args, **kwargs):
-        seen.append((f, g, h))
-        return projected_gradient_max(f, g, h, *args, **kwargs)
-
-    monkeypatch.setattr(portfolio, "projected_gradient_max", capture)
-    fam = QualifiedFamily("student-t", nu=3.0)
-    w_star = {
-        "min-cvar": lambda: min_cvar_portfolio(
-            PortfolioProblem(msci, "cvar", level=0.95), fam).weights,
-        "min-bpoe": lambda: min_bpoe_portfolio(
-            PortfolioProblem(msci, "bpoe", threshold=0.16), fam).weights,
-        "markowitz": lambda: markowitz_solve(msci, 3.0),
-    }[case]()
-    (f, g, h), = seen
-    interior = np.random.default_rng(7).dirichlet(np.ones(msci.size))
-    for w in (w_star, interior):
-        step = 1e-6
-        fd = np.column_stack([(g(w + step * e) - g(w - step * e)) / (2.0 * step)
-                              for e in np.eye(w.size)])
-        assert np.max(np.abs(h(w) - fd)) <= 1e-6 * np.max(np.abs(fd)), (case, w)
-
-
-def test_msci_solves_reach_the_newton_face_quickly(monkeypatch, msci):
-    calls = 0
-    project = _optim.project_box_simplex
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return project(*args)
-
-    monkeypatch.setattr(_optim, "project_box_simplex", counted)
+    monkeypatch.setattr(portfolio, "projected_gradient_max", counted("trace", trace))
+    monkeypatch.setattr(portfolio, "project_box_simplex", counted("project", project))
     families = default_report_families() + (QualifiedFamily("gev", xi=0.1),)
     problems = [PortfolioProblem(msci, "cvar", level=a) for a in (0.9, 0.95, 0.99)] \
         + [PortfolioProblem(msci, "bpoe", threshold=x) for x in (0.16, 0.25)]
     for fam in families:
         for problem in problems:
-            calls = 0
+            calls.update(trace=0, project=0)
             solve = min_cvar_portfolio if problem.objective == "cvar" else min_bpoe_portfolio
             rep = solve(problem, fam)
-            assert calls <= 4, (fam.label(), problem.level, problem.threshold, calls)
+            assert calls == {"trace": 1, "project": 1}, (fam.label(), problem.level, calls)
             assert rep.kkt_residual <= 1e-12
 
 
 def _kkt_residual(w, grad, lower, upper, active_tol=1e-9):
     """Largest KKT violation of max f over {sum w = 1, lower <= w <= upper}:
     the spread of the gradient over free coordinates, and each bound's
-    multiplier sign against the budget multiplier mu."""
-    at_lo, at_hi = w <= lower + active_tol, w >= upper - active_tol
-    free = ~(at_lo | at_hi)
+    multiplier sign against the budget multiplier mu; a coordinate with
+    lower = upper has no sign condition."""
+    pinned = upper - lower <= active_tol
+    at_lo, at_hi = (w <= lower + active_tol) & ~pinned, (w >= upper - active_tol) & ~pinned
+    free = ~(at_lo | at_hi | pinned)
     if free.any():
         mu = float(np.mean(grad[free]))
     else:   # a vertex: any mu in [max grad at lower, min grad at upper] will do
@@ -522,7 +449,7 @@ def test_random_solves_reach_kkt():
     from hypothesis import given, settings, strategies as st
 
     cases = st.tuples(st.integers(2, 30), st.integers(0, 2 ** 32 - 1),
-                      st.sampled_from(("uncapped", "lower", "capped")),
+                      st.sampled_from(("uncapped", "lower", "capped", "tight")),
                       st.floats(0.6, 0.999), st.floats(0.02, 0.3))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -536,6 +463,8 @@ def test_random_solves_reach_kkt():
             lower = rng.uniform(0.0, 0.5 / n, n)
         elif bounds == "capped":
             upper = rng.uniform(1.2 / n, 3.0 / n, n)
+        elif bounds == "tight":   # most weights end at their caps
+            upper = rng.uniform(1.0 / n, 1.15 / n, n)
         problems = [(PortfolioProblem(universe, "cvar", level=alpha, lower=lower, upper=upper),
                      fam) for fam in (QualifiedFamily("normal"),
                                       QualifiedFamily("student-t", nu=3.0),
@@ -547,40 +476,17 @@ def test_random_solves_reach_kkt():
             w = solve(problem, fam).weights
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w >= lower) and np.all(w <= upper)
-            grad = _objectives(universe, problem, fam)[1](w)
+            grad = _gradient(universe, problem, fam)(w)
             kkt = _kkt_residual(w, grad, lower, upper)
             assert kkt <= 1e-10, (n, seed, bounds, problem.objective, fam.label(), kkt)
 
     check()
 
 
-@pytest.mark.parametrize("objective", ("cvar", "bpoe"))
-def test_starts_on_the_boundary_release_to_the_optimum(objective):
-    # from a vertex or a capped face every coordinate starts fixed or nearly
-    # so; only releasing bounds with wrong-signed multipliers reaches the optimum
-    n = 8
-    universe = _random_universe(np.random.default_rng(77), n)
-    for upper in (np.ones(n), np.full(n, 0.3)):
-        kw = {"level": 0.95} if objective == "cvar" else {"threshold": 0.1}
-        problem = PortfolioProblem(universe, objective, upper=upper, **kw)
-        f, g, h = _objectives(universe, problem, QualifiedFamily("normal"))
-        lower = problem.lower
-        w_ref = projected_gradient_max(f, g, h, np.full(n, 1.0 / n), lower, upper)[0]
-        if upper[0] == 1.0:
-            starts = list(np.eye(n))
-        else:   # three assets at the cap, the rest of the budget on one more
-            starts = [np.array([0.3, 0.3, 0.3, 0.1, 0.0, 0.0, 0.0, 0.0]),
-                      np.array([0.0, 0.0, 0.0, 0.0, 0.1, 0.3, 0.3, 0.3])]
-        for start in starts:
-            w = projected_gradient_max(f, g, h, start, lower, upper)[0]
-            assert np.max(np.abs(w - w_ref)) <= 1e-9, (objective, start)
-
-
-def test_min_bpoe_starts_inside_bounds_that_exclude_equal_weights():
+def test_min_bpoe_with_bounds_that_exclude_equal_weights():
     # one floor raised, one cap lowered, and the threshold halfway between the
-    # equal-weight and best-vertex returns: a start moved from the raw 1/n
-    # vector toward the vertex could project back to w.eta + x <= 0, and 17 of
-    # these 200 cases raised ConvergenceError
+    # equal-weight and best-vertex returns (Markowitz at lambda = 0): 25 of
+    # these 200 cases leave no portfolio with w.eta + x > 0
     rng = np.random.default_rng(7)
     fam = QualifiedFamily("normal")
     solved = 0
@@ -591,7 +497,7 @@ def test_min_bpoe_starts_inside_bounds_that_exclude_equal_weights():
         i, j = rng.choice(n, 2, replace=False)
         lower[i], upper[j] = rng.uniform(0.2, 0.6), rng.uniform(0.0, 0.1)
         eta = universe.expected_returns
-        best = float(portfolio._max_linear(eta, lower, upper) @ eta)
+        best = float(markowitz_solve(universe, 0.0, lower, upper) @ eta)
         x = -(eta.mean() + best) / 2
         problem = PortfolioProblem(universe, "bpoe", threshold=x, lower=lower, upper=upper)
         if best <= eta.mean():   # no feasible w has w.eta + x > 0
@@ -599,7 +505,7 @@ def test_min_bpoe_starts_inside_bounds_that_exclude_equal_weights():
                 min_bpoe_portfolio(problem, fam)
             continue
         w = min_bpoe_portfolio(problem, fam).weights
-        grad = _objectives(universe, problem, fam)[1](w)
+        grad = _gradient(universe, problem, fam)(w)
         assert _kkt_residual(w, grad, lower, upper) <= 1e-10, case
         solved += 1
     assert solved == 175
@@ -607,8 +513,9 @@ def test_min_bpoe_starts_inside_bounds_that_exclude_equal_weights():
 
 def test_near_riskless_min_bpoe_with_lower_bounds():
     # idiosyncratic variances of 1e-4 to 1e-3 against a 3-factor part leave
-    # near-riskless portfolios: the log-ratio is indefinite over most of the
-    # path, and its variance cancels to about 1e-10 relative near the optimum
+    # near-riskless portfolios: the last corner segments are steep (|b| near
+    # 5e4), the free blocks' KKT matrices have condition numbers near 1e7, and
+    # the gradient divides by a variance near 1e-7
     n = 20
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -618,8 +525,26 @@ def test_near_riskless_min_bpoe_with_lower_bounds():
                                    lower=lower)
         fam = QualifiedFamily("normal")
         w = min_bpoe_portfolio(problem, fam).weights
-        grad = _objectives(universe, problem, fam)[1](w)
-        assert _kkt_residual(w, grad, lower, problem.upper) <= 1e-9, seed
+        grad = _gradient(universe, problem, fam)(w)
+        assert _kkt_residual(w, grad, lower, problem.upper) <= 1e-10, seed
+
+
+def test_near_riskless_min_bpoe_with_a_duplicate_asset():
+    # as above, with asset 1 a copy of asset 0: the covariance is singular, and
+    # the copy's multiplier equals the original's to within the free block's
+    # rounding, which must not read as a sign change
+    n, fam = 20, QualifiedFamily("normal")
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        u = _random_universe(rng, n, idio=(1e-4, 1e-3))
+        eta, sd, corr = u.expected_returns.copy(), u.stdevs.copy(), u.correlations.copy()
+        eta[1], sd[1], corr[1], corr[:, 1] = eta[0], sd[0], corr[0], corr[:, 0]
+        corr[1, 1] = 1.0
+        universe = AssetUniverse(u.names, eta, sd, corr)
+        problem = PortfolioProblem(universe, "bpoe", threshold=float(rng.uniform(0.02, 0.3)))
+        w = min_bpoe_portfolio(problem, fam, report_families=(fam,)).weights
+        grad = _gradient(universe, problem, fam)(w)
+        assert _kkt_residual(w, grad, problem.lower, problem.upper) <= 1e-10, seed
 
 
 def test_permuting_assets_permutes_weights():
@@ -647,6 +572,126 @@ def test_permuting_assets_permutes_weights():
             assert np.max(np.abs(moved.weights - base.weights[perm])) <= 1e-9
 
     check()
+
+
+def _solved(problem, family):
+    """(weights, objective gradient there, lower, upper) of one tail solve."""
+    solve = min_cvar_portfolio if problem.objective == "cvar" else min_bpoe_portfolio
+    kw = {} if problem.objective == "cvar" else {"report_families": (family,)}
+    w = solve(problem, family, **kw).weights
+    return w, _gradient(problem.universe, problem, family)(w), problem.lower, problem.upper
+
+
+def _markowitz(universe, lam, lower=0.0, upper=1.0):
+    lower, upper = portfolio._bounds(universe.size, lower, upper)
+    w = markowitz_solve(universe, lam, lower, upper)
+    return w, universe.expected_returns - lam * (universe.covariance @ w), lower, upper
+
+
+_WEIGHTS = Path(__file__).parent / "data" / "portfolio_weights.json"
+
+
+def _bound_kinds(rng, n):
+    """(kind, universe, lower, upper) for the four seeded random kinds."""
+    plain = _random_universe(rng, n)
+    yield "plain", plain, np.zeros(n), np.ones(n)
+    lowered = _random_universe(rng, n)
+    yield "lower", lowered, rng.uniform(0.0, 0.9 / n, n), np.ones(n)
+    capped = _random_universe(rng, n)
+    yield "caps", capped, np.zeros(n), rng.uniform(1.05 / n, 2.5 / n, n)
+    near = _random_universe(rng, n, idio=(1e-4, 1e-3))
+    yield "near-singular", near, rng.uniform(0.0, 0.9 / n, n), np.ones(n)
+
+
+def _frontier_rows(msci, levels):
+    """(weights, gradient, lower, upper) of each row of a min-CVaR frontier."""
+    rows = efficient_frontier(msci, QualifiedFamily("normal"), "cvar", levels)
+    problems = [PortfolioProblem(msci, "cvar", level=float(a)) for a in levels]
+    return [(w, _gradient(msci, p, QualifiedFamily("normal"))(w), p.lower, p.upper)
+            for p, w in zip(problems, (np.array([r[n] for n in msci.names]) for r in rows))]
+
+
+def _weight_cases():
+    """label -> a call returning (weights, objective gradient, lower, upper) of
+    one solve: the MSCI tables, the 10-point CVaR frontier, Markowitz on MSCI,
+    and seeded random universes with n = 2..30."""
+    msci = AssetUniverse.bundled()
+    cases = {}
+    for fam in _INVERSION_FAMILIES:   # the five qualified families
+        for alpha in (0.9, 0.95, 0.99):
+            problem = PortfolioProblem(msci, "cvar", level=alpha)
+            cases[f"msci|cvar|{fam.label()}|{alpha}"] = lambda p=problem, f=fam: _solved(p, f)
+        for x in (0.16, 0.25):
+            problem = PortfolioProblem(msci, "bpoe", threshold=x)
+            cases[f"msci|bpoe|{fam.label()}|{x}"] = lambda p=problem, f=fam: _solved(p, f)
+    for i, row in enumerate(_frontier_rows(msci, np.linspace(0.9, 0.99, 10))):
+        cases[f"msci|frontier|normal|cvar|{i}"] = lambda row=row: row
+    for lam in (0.0, 1.0, 5.0, 20.0, 100.0):
+        cases[f"msci|markowitz|{lam}"] = lambda lam=lam: _markowitz(msci, lam)
+    normal = QualifiedFamily("normal")
+    for n in range(2, 31):
+        rng = np.random.default_rng(2600 + n)
+        for kind, universe, lower, upper in _bound_kinds(rng, n):
+            alpha, x = float(rng.uniform(0.6, 0.999)), float(rng.uniform(0.02, 0.3))
+            lam = float(10.0 ** rng.uniform(0.0, 3.0))
+            tag = f"random|n={n}|{kind}"
+            for fam in (normal, QualifiedFamily("student-t", nu=3.0),
+                        QualifiedFamily("gev", xi=0.1)):
+                problem = PortfolioProblem(universe, "cvar", level=alpha, lower=lower,
+                                           upper=upper)
+                cases[f"{tag}|cvar|{fam.label()}"] = lambda p=problem, f=fam: _solved(p, f)
+            problem = PortfolioProblem(universe, "bpoe", threshold=x, lower=lower, upper=upper)
+            cases[f"{tag}|bpoe"] = lambda p=problem: _solved(p, normal)
+            cases[f"{tag}|markowitz"] = \
+                lambda u=universe, lam=lam, lo=lower, hi=upper: _markowitz(u, lam, lo, hi)
+    return cases
+
+
+def test_weights_match_the_recorded_active_set_newton():
+    # recorded from the active-set Newton solver that the corner trace replaced
+    recorded = json.loads(_WEIGHTS.read_text())
+    cases = _weight_cases()
+    assert set(cases) == set(recorded)
+    for label, solve in cases.items():
+        w, grad, lower, upper = solve()
+        assert np.max(np.abs(w - np.array(recorded[label]))) <= 1e-10, label
+        assert _kkt_residual(w, grad, lower, upper) <= 1e-10, label
+
+
+def _degenerate_universes():
+    msci = AssetUniverse.bundled()
+    eta, sd, corr = msci.expected_returns, msci.stdevs, msci.correlations
+    twin = corr.copy()
+    twin[1], twin[:, 1] = twin[0], twin[0]
+    twin[1, 1] = 1.0
+    yield "identical pair", AssetUniverse(
+        ("A", "B"), np.array([0.1, 0.1]), np.array([0.2, 0.2]), np.ones((2, 2))), 0.0, 1.0
+    yield "identical assets in six", AssetUniverse(
+        msci.names, np.r_[eta[0], eta[0], eta[2:]], np.r_[sd[0], sd[0], sd[2:]], twin), 0.0, 0.4
+    yield "perfectly correlated", AssetUniverse(msci.names, eta, sd, twin), 0.0, 1.0
+    yield "pinned simplex", msci, 0.0, np.array([0.3, 0.2, 0.1, 0.1, 0.1, 0.2])
+    yield "pinned floors", msci, np.array([0.3, 0.2, 0.1, 0.1, 0.1, 0.2]), 1.0
+    yield "pinned top asset", msci, np.r_[np.zeros(5), 0.3], np.r_[np.ones(5), 0.3]
+    yield "equal returns", AssetUniverse(msci.names, np.full(6, 0.08), sd, corr), 0.0, 0.3
+    yield "tied top returns", AssetUniverse(
+        msci.names, np.array([0.1, 0.1, 0.05, 0.1, 0.02, 0.1]), sd, corr), 0.0, 0.25
+    yield "single asset", _single_asset(), 0.0, 1.0
+
+
+@pytest.mark.parametrize("case", [c[0] for c in _degenerate_universes()])
+def test_degenerate_universes_solve_to_kkt(case):
+    # a singular covariance, a budget that pins every weight, a pinned asset and
+    # tied returns at the top of the frontier: every solve returns a KKT point
+    _, universe, lower, upper = next(c for c in _degenerate_universes() if c[0] == case)
+    fam = QualifiedFamily("student-t", nu=4.0)
+    solves = [_solved(PortfolioProblem(universe, "cvar", level=a, lower=lower, upper=upper), fam)
+              for a in (0.5, 0.95)]
+    solves.append(_solved(PortfolioProblem(universe, "bpoe", threshold=0.2, lower=lower,
+                                           upper=upper), fam))
+    solves += [_markowitz(universe, lam, lower, upper) for lam in (0.0, 3.0, 1e4)]
+    for w, grad, lo, hi in solves:
+        assert abs(w.sum() - 1.0) <= 1e-12 and np.all(w >= lo) and np.all(w <= hi), w
+        assert _kkt_residual(w, grad, lo, hi) <= 1e-10, w
 
 
 # --- zeta inversion ----------------------------------------------------------

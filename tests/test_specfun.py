@@ -6,7 +6,7 @@ import pytest
 
 from tailrisk import specfun as sf
 from tailrisk._quad import adaptive_quad
-from tailrisk.errors import DomainError
+from tailrisk.errors import DomainError, TailRiskError
 
 
 def test_erf_trivials():
@@ -417,6 +417,24 @@ def test_reg_inc_beta_inv_round_trip_over_tiny_and_large_parameters():
                     err = abs(mp.betainc(a, b, x, 1, regularized=True) - (1 - mp.mpf(p)))
                 density = mp.power(x, a - 1) * mp.power(1 - mp.mpf(x), b - 1) / mp.beta(a, b)
                 assert err <= 1e-12 * min(p, 1.0 - p) + 2 * density * math.ulp(x), (p, a, b, x)
+
+
+def test_incomplete_beta_kernels_are_total_over_extreme_parameters():
+    # over these draws reg_inc_beta read NaN on 836 (an underflowed prefactor times
+    # an inf or NaN fraction) and a value outside [0, 1] on 121, and
+    # reg_inc_beta_inv raised OverflowError on 139
+    rng = random.Random(5)
+    for _ in range(2000):
+        t = rng.random()
+        a, b = 10.0 ** rng.uniform(-300.0, 300.0), 10.0 ** rng.uniform(-300.0, 300.0)
+        for kernel in (sf.reg_inc_beta, sf.reg_inc_beta_inv):
+            try:
+                value = kernel(t, a, b)
+            except TailRiskError:
+                continue
+            assert 0.0 <= value <= 1.0, (kernel.__name__, t, a, b, value)
+    # Beta(a, b) at a = 7e222, b = 5e-175 puts its mass within 1e-206 of 1
+    assert sf.reg_inc_beta(1.0 - 2.0 ** -53, 6.96e222, 4.72e-175) == 0.0
 
 
 def test_reg_inc_beta_inv_where_b_is_far_below_a():

@@ -678,6 +678,14 @@ def test_partial_expectation_with_a_subnormal_survival_matches_mpmath(d, gamma, 
     assert abs(tm.partial_expectation(d, gamma) / want - 1.0) <= 1e-13
 
 
+def test_partial_expectation_at_an_infinite_mean_and_past_the_upper_end():
+    for d in (dist.Pareto(1.0, 1.0), dist.GPD(0.0, 1.0, 1.5), dist.LogLogistic(1.0, 0.8)):
+        assert tm.partial_expectation(d, 5.0) == math.inf
+    d = dist.GPD(0.0, 1.0, -0.5)   # survival (1 - x/2)^2 on [0, 2]
+    assert tm.partial_expectation(d, 2.0) == tm.partial_expectation(d, 3.0) == 0.0
+    assert abs(tm.partial_expectation(d, 1.9) - 0.05 ** 3 * 2.0 / 3.0) <= 1e-15
+
+
 def test_partial_expectation_asymptotics():
     d = dist.Normal(3.0, 1.0)
     assert abs(tm.partial_expectation(d, -40.0) - (d.mean() + 40.0)) <= 1e-9
