@@ -1,9 +1,10 @@
-"""Small deterministic solvers for the applications: Brent's scalar minimizer
-for the LS-MOS shape search, and for the portfolio solves the critical-line
-trace of the box-bounded mean-variance frontier and the simplex projection
-that certifies their KKT points, plus a Nelder-Mead the package no longer
-calls. Only ``portfolio`` and ``estimation`` load this module, both with
-numpy; the tail metrics' root engine is ``tail_metrics.level_root``."""
+"""Small deterministic solvers for the applications: ``brent_min``, Brent's
+scalar minimizer for the LS-MOS shape search, and for the portfolio solves
+``critical_line_trace``, the box-bounded mean-variance frontier, and the simplex
+projection that certifies their KKT points. Only ``portfolio`` and
+``estimation`` load this module, both with numpy; the tail metrics' root engine
+is ``tail_metrics.level_root``. The benchmark's tracer binds four older names,
+kept at the end of the module: two aliases and two stubs."""
 
 from __future__ import annotations
 
@@ -13,16 +14,15 @@ from typing import Callable
 import numpy as np
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BRENT_MAX_ITER = 200
 
 
-def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
-                       xtol: float = 1e-10, max_iter: int = 200,
-                       _seed: tuple[float, float, float, float] | None = None) -> float:
+def brent_min(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-10,
+              _seed: tuple[float, float, float, float] | None = None) -> float:
     """Brent's method for the minimizer of a unimodal f on [lo, hi]: successive
     parabolic interpolation through the three best points, safeguarded by
     golden-section steps (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 5); the older name stays because the benchmark's
-    tracer binds it.
+    Derivatives, 1973, ch. 5).
 
     A parabolic step is taken where it lands inside the bracket and moves
     less than half the step before last; else a golden-section step goes into
@@ -41,7 +41,7 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
         x, fx, fw, fv = _seed
         w, v = lo, hi
         step = before = hi - lo
-    for _ in range(max_iter):
+    for _ in range(_BRENT_MAX_ITER):
         tol = 0.5 * xtol * (1.0 + abs(lo) + abs(hi))
         mid = 0.5 * (lo + hi)
         if max(x - lo, hi - x) <= 2.0 * tol:
@@ -80,55 +80,6 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
     return x
 
 
-def nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
-                scale: float = 0.25, xatol: float = 1e-12, fatol: float = 1e-16,
-                max_iter: int = 4000) -> tuple[np.ndarray, float, int]:
-    """Plain Nelder-Mead simplex descent. Returns (x, f(x), iterations).
-
-    Unused by the package; the benchmark's tracer binds it by name."""
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    simplex = [x0.copy()]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += scale * (1.0 + abs(v[i]))
-        simplex.append(v)
-    values = [f(v) for v in simplex]
-    it = 0
-    while it < max_iter:
-        it += 1
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        spread = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
-        if spread <= xatol * (1.0 + np.max(np.abs(simplex[0]))) \
-                and abs(values[-1] - values[0]) <= fatol * (1.0 + abs(values[0])):
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        refl = centroid + (centroid - worst)
-        f_refl = f(refl)
-        if f_refl < values[0]:
-            expand = centroid + 2.0 * (centroid - worst)
-            f_exp = f(expand)
-            if f_exp < f_refl:
-                simplex[-1], values[-1] = expand, f_exp
-            else:
-                simplex[-1], values[-1] = refl, f_refl
-        elif f_refl < values[-2]:
-            simplex[-1], values[-1] = refl, f_refl
-        else:
-            contr = centroid + 0.5 * (worst - centroid)
-            f_con = f(contr)
-            if f_con < values[-1]:
-                simplex[-1], values[-1] = contr, f_con
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = f(simplex[i])
-    return simplex[0].copy(), values[0], it
-
-
 def project_box_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {w : sum(w) = 1, lower <= w <= upper}.
 
@@ -154,11 +105,10 @@ def project_box_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     return np.clip(v - tau, lower, upper)
 
 
-def projected_gradient_max(eta: np.ndarray, cov: np.ndarray, lower: np.ndarray,
-                           upper: np.ndarray) -> list[tuple[float, float, np.ndarray, np.ndarray]]:
+def critical_line_trace(eta: np.ndarray, cov: np.ndarray, lower: np.ndarray,
+                        upper: np.ndarray) -> list[tuple[float, float, np.ndarray, np.ndarray]]:
     """The box-bounded mean-variance frontier by Markowitz's critical-line
-    algorithm (Bailey and Lopez de Prado, Algorithms 6(1), 2013); the older
-    name stays because the benchmark's tracer binds it.
+    algorithm (Bailey and Lopez de Prado, Algorithms 6(1), 2013).
 
     For each gamma >= 0 the maximizer of gamma w.eta - w.S.w / 2 over the
     box-bounded simplex is piecewise affine in gamma. Returns its segments
@@ -237,8 +187,20 @@ def projected_gradient_max(eta: np.ndarray, cov: np.ndarray, lower: np.ndarray,
     return segments
 
 
+# names the benchmark's tracer binds: the two solvers under their older names,
+# and two removed solvers it still looks up
+golden_section_min = brent_min
+projected_gradient_max = critical_line_trace
+
+
+def nelder_mead(f, x0, max_iter: int = 4000):
+    """Removed: LS-MOS searches its shape by ``brent_min``. The name and its
+    ``max_iter`` default stay only because the benchmark's tracer reads them."""
+    raise NotImplementedError("nelder_mead is removed; use brent_min")
+
+
 def multi_start_max(*args, **kwargs):
     """Removed: every portfolio problem reads one corner trace
-    (``projected_gradient_max``). The name stays only because the benchmark's
+    (``critical_line_trace``). The name stays only because the benchmark's
     tracer binds it."""
-    raise NotImplementedError("multi_start_max is removed; use projected_gradient_max")
+    raise NotImplementedError("multi_start_max is removed; use critical_line_trace")

@@ -266,12 +266,12 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _write_pdf_curve(result, baselines, path: str, points: int = 200) -> None:
+def _write_pdf_curve(result, baselines, path: str) -> None:
     import numpy as np
     fitted = result.distribution()
     lo = fitted.quantile(0.001)
     hi = fitted.quantile(0.995)
-    xs = np.linspace(lo, hi, points)
+    xs = np.linspace(lo, hi, 200)
     headers = ["x", "fitted_pdf"]
     columns = [lambda v: fitted.pdf(v)]
     if baselines:

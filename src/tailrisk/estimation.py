@@ -5,9 +5,9 @@ probability levels: solve  superquantile(theta, alpha_i) = target_i  as an
 exact system when the level count equals the parameter count (MOS), or as
 a weighted least-squares problem otherwise (LS-MOS). Every family is a
 scale or location-scale family with at most one shape, so both are solved
-by variable projection: (location, scale) in closed form, the shape by a
-1-D search. Conservative tail fitting shifts the model level to
-alpha_i - eps_i against the same target.
+by variable projection: (location, scale) in closed form, the shape by
+Brent's method (``_optim.brent_min``). Conservative tail fitting shifts
+the model level to alpha_i - eps_i against the same target.
 
 Weibull method-of-moments and maximum-likelihood reference fits are included
 for benchmarking the superquantile fits.
@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._optim import golden_section_min
+from ._optim import brent_min
 from .distributions import FAMILIES, Distribution, _ln_gamma_gap, make
 from .errors import ConvergenceError, DomainError, ParameterError
 from .tail_metrics import superquantile
@@ -200,7 +200,7 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
     For each shape theta the weighted normal equations give (mu, s) in closed
     form: 1x1 for the scale families, 2x2 with a location. theta is searched
     at 25 even steps of its coordinate t, then by Brent's method
-    (``_optim.golden_section_min``) between the best step's two neighbours,
+    (``_optim.brent_min``) between the best step's two neighbours,
     its first parabola through the three scanned values, and one Newton step
     on the profile's slope. Each t is evaluated once: the search's last point
     and the last slope's centre are reused. Shape-free families (Exponential,
@@ -261,8 +261,8 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
         j = min(range(_SCAN), key=scan.__getitem__)
         t, at_edge = lo + j * cell, j in (0, _SCAN - 1)
         if not at_edge:
-            t = golden_section_min(lambda u: profile(u)[0], t - cell, t + cell, xtol=1e-7,
-                                   _seed=(t, scan[j], scan[j - 1], scan[j + 1]))
+            t = brent_min(lambda u: profile(u)[0], t - cell, t + cell, xtol=1e-7,
+                          _seed=(t, scan[j], scan[j - 1], scan[j + 1]))
             # the search stops where objective differences sink into
             # rounding; one Newton step on the central-difference slope goes on
             slope, curvature = _slope(profile, t)

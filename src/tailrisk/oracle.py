@@ -29,6 +29,8 @@ from .tail_metrics import cantelli_level, level_root
 _LN2 = math.log(2.0)
 _QUAD_REL_TOL = 1e-9        # relative stopping size of a tail segment
 _MAX_SUBDIVISIONS = 4000    # panels per adaptive_quad call
+_SEGMENT = 6.0              # width of a marched tail segment
+_UNDERFLOW_Y = -math.log(5e-324)   # -ln of the least subnormal: exp(-y) rounds to 0 past it
 
 
 @dataclass(frozen=True)
@@ -55,18 +57,19 @@ class OracleResult:
         return {"value": self.value, "error_estimate": self.error_estimate}
 
 
-def _march_decaying(f, y0: float, atol: float, seg: float = 6.0) -> tuple[float, float]:
-    """Integrate f over [y0, inf) as a sum of segments of width ``seg``.
+def _march_decaying(f, y0: float, atol: float) -> tuple[float, float]:
+    """Integrate f over [y0, inf) as a sum of segments of width ``_SEGMENT``.
 
     Requires eventually-decaying segment contributions; stops once a segment
-    adds less than the tolerance and is smaller than its predecessor.
+    adds less than the tolerance and is smaller than its predecessor. A tail
+    that has not decayed by ``_UNDERFLOW_Y`` raises ``OracleError``.
     """
     total = 0.0
     err = 0.0
     prev = math.inf
     y = y0
-    for _ in range(200):
-        val, e = adaptive_quad(f, y, y + seg, atol=atol, rtol=1e-12, limit=_MAX_SUBDIVISIONS)
+    while y + _SEGMENT < _UNDERFLOW_Y:
+        val, e = adaptive_quad(f, y, y + _SEGMENT, atol=atol, rtol=1e-12, limit=_MAX_SUBDIVISIONS)
         total += val
         err += e
         if abs(val) < max(atol, _QUAD_REL_TOL * abs(total)) and abs(val) <= prev:
@@ -74,7 +77,7 @@ def _march_decaying(f, y0: float, atol: float, seg: float = 6.0) -> tuple[float,
             err += abs(val)
             return total, err
         prev = abs(val)
-        y += seg
+        y += _SEGMENT
     raise OracleError("semi-infinite tail integral did not decay",
                       {"start": y0, "reached": y, "last_segment": prev})
 

@@ -22,14 +22,14 @@ standardized loss, and its inverse, the bPOE as a tail mass, come from
 Every problem here maximizes over one curve: the box-bounded mean-variance
 frontier, the maximizers of gamma w.eta - w.S.w / 2 for gamma = 1 / lambda from
 inf down to 0, which Markowitz's critical-line algorithm traces as corner
-segments w(gamma) = a + gamma b (``_optim.projected_gradient_max``, a name kept
-for the benchmark's tracer). On a segment the return is r(gamma) = r0 +
-gamma r1 and the variance v(gamma) = v0 + gamma^2 r1, since dv/dgamma = 2
-gamma dr/dgamma on the frontier. The min-CVaR optimum, where the slope
-dsigma/dr is 1 / zeta, solves sqrt(v) = zeta gamma; the min-bPOE optimum,
-the tangent from (0, -x), solves v = gamma (r + x); Markowitz reads
-gamma = 1 / lambda. Each is a root on the one segment where its sign
-changes, and ``kkt_residual`` certifies the final weights.
+segments w(gamma) = a + gamma b (``_optim.critical_line_trace``). On a
+segment the return is r(gamma) = r0 + gamma r1 and the variance v(gamma) =
+v0 + gamma^2 r1, since dv/dgamma = 2 gamma dr/dgamma on the frontier. The
+min-CVaR optimum, where the slope dsigma/dr is 1 / zeta, solves sqrt(v) =
+zeta gamma; the min-bPOE optimum, the tangent from (0, -x), solves v =
+gamma (r + x); Markowitz reads gamma = 1 / lambda. Each is a root on the one
+segment where its sign changes, and ``kkt_residual`` certifies the final
+weights.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._optim import project_box_simplex, projected_gradient_max
+from ._optim import critical_line_trace, project_box_simplex
 from .distributions import (GEV, Distribution, Laplace, Logistic, Normal, StudentT,
                             _expm1_ratio, _ln_gamma_gap, _neg_log)
 from .errors import ConvergenceError, DomainError, ParameterError
@@ -312,7 +312,7 @@ def _frontier_point(universe: AssetUniverse, lower: np.ndarray, upper: np.ndarra
     segment; walking down from the max-return vertex, the first segment whose
     crossing lies at or above its lower end holds the optimum."""
     eta, cov = universe.expected_returns, universe.covariance
-    for lo, hi, a, b in projected_gradient_max(eta, cov, lower, upper):
+    for lo, hi, a, b in critical_line_trace(eta, cov, lower, upper):
         gamma = crossing(float(a @ eta), float(b @ eta), max(float(a @ cov @ a), 0.0))
         if gamma >= lo:
             break

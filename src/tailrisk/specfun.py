@@ -3,9 +3,10 @@
 Everything the closed-form tail formulas need lives here: error function and
 its inverses (one evaluation of Wichura's AS241 for both, plus a single Newton
 step in ``erfc_inv``), (incomplete) gamma and beta functions, ln Gamma(1 - x) less its
-linear term and ln(a B(a, 1/2)) / a from it, the lower real branch W_-1 of Lambert W, the
-logarithmic integral on (0, 1), and the binary entropy function. All functions are pure,
-scalar, and deterministic; the only dependency is the standard-library ``math`` module.
+linear term and ln(a B(a, 1/2)) / a from it, the lower real branch W_-1 of Lambert W, and
+the binary entropy function. All functions are pure, scalar, and deterministic; the only
+dependency is the standard-library ``math`` module, whose ``erf`` and ``erfc`` are bound
+here by name.
 """
 
 from __future__ import annotations
@@ -25,12 +26,8 @@ _INV_E = math.exp(-1.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def erf(x: float) -> float:
-    return math.erf(x)
-
-
-def erfc(x: float) -> float:
-    return math.erfc(x)
+erf = math.erf
+erfc = math.erfc
 
 
 # Wichura's AS241 (Applied Statistics 37, 1988): the standard normal quantile at
@@ -462,25 +459,9 @@ def lambert_w(y: float) -> float:
 
 
 def log_integral(x: float) -> float:
-    """Logarithmic integral li(x) = integral of 1/ln(p) over (0, x], x in (0, 1)."""
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"log_integral requires x in (0, 1), got {x}")
-    y = -math.log(x)
-    if y <= 2.0:
-        # li(x) = gamma + ln|ln x| + sum (ln x)^n / (n n!); alternating terms
-        # stay small enough here that cancellation costs < 1 digit
-        total = EULER_GAMMA + math.log(y)
-        term = 1.0
-        for n in range(1, 200):
-            term *= -y / n
-            contrib = term / n
-            total += contrib
-            if abs(contrib) < 1e-17 * max(1.0, abs(total)):
-                break
-        return total
-    # li(x) = -E1(y) = -Gamma(0, y) = -e^-y h with h the continued fraction,
-    # which converges fast for y > 1; e^-y is x itself
-    return -x * _gamma_q_cf(0.0, y)
+    """Removed: the GEV superquantile at xi = 0 reads ``ln_gamma_1m_remainder``.
+    The name stays only because the benchmark's tracer binds it."""
+    raise NotImplementedError("log_integral is removed")
 
 
 def binary_entropy(alpha: float) -> float:

@@ -115,12 +115,23 @@ def test_adaptive_quad_on_an_empty_interval_and_past_its_panel_budget():
 
 
 def test_march_without_decay_raises():
-    # an integrand that never decays: 200 segments of width 6, then OracleError;
-    # through oracle_superquantile the march cannot get there, since exp(-y)
-    # underflows near y = 745 and the tail quantile then raises DomainError
+    # an integrand that never decays: segments of width 6 up to the last one that
+    # ends below -ln(5e-324) = 744.44, where exp(-y) underflows; then OracleError
     with pytest.raises(OracleError) as info:
         oracle._march_decaying(lambda y: 1.0, 0.0, 1e-10)
-    assert info.value.diagnostics["reached"] == 1200.0
+    assert info.value.diagnostics["reached"] == 744.0
+
+
+@pytest.mark.parametrize("d", [dist.GPD(0.0, 1.0, 0.99), dist.Pareto(1.001, 1.0),
+                               dist.LogLogistic(1.0, 1.01), dist.GEV(0.0, 1.0, 0.99),
+                               dist.StudentT(1.01)],
+                         ids=repr)
+@pytest.mark.parametrize("alpha", (0.0, 0.3, 0.9))
+def test_tail_too_heavy_to_decay_before_underflow_raises_oracle_error(d, alpha):
+    # finite means whose quantile integrand e^(-y) q(1 - e^(-y)) decays like
+    # e^(-y / 100) or slower: the march meets the underflow of e^(-y) first
+    with pytest.raises(OracleError, match="did not decay"):
+        oracle_superquantile(d, alpha, CFG)
 
 
 def test_oracle_superquantile_wraps_a_quadrature_failure(monkeypatch):

@@ -405,7 +405,7 @@ def _gradient(universe, problem, family):
 def test_msci_solves_trace_once_and_project_once(monkeypatch, msci):
     # one corner trace per solve, and one projection: the KKT certificate
     calls = {"trace": 0, "project": 0}
-    trace, project = portfolio.projected_gradient_max, portfolio.project_box_simplex
+    trace, project = portfolio.critical_line_trace, portfolio.project_box_simplex
 
     def counted(key, fn):
         def wrapper(*args):
@@ -413,7 +413,7 @@ def test_msci_solves_trace_once_and_project_once(monkeypatch, msci):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(portfolio, "projected_gradient_max", counted("trace", trace))
+    monkeypatch.setattr(portfolio, "critical_line_trace", counted("trace", trace))
     monkeypatch.setattr(portfolio, "project_box_simplex", counted("project", project))
     families = default_report_families() + (QualifiedFamily("gev", xi=0.1),)
     problems = [PortfolioProblem(msci, "cvar", level=a) for a in (0.9, 0.95, 0.99)] \

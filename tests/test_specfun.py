@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from tailrisk import specfun as sf
-from tailrisk._quad import adaptive_quad
 from tailrisk.errors import DomainError, TailRiskError
 
 
@@ -175,35 +174,9 @@ def test_lambert_w_domain():
             sf.lambert_w(y)
 
 
-def test_log_integral_small_limit():
-    assert abs(sf.log_integral(1e-13)) <= 1e-12
-
-
-def test_log_integral_against_quadrature():
-    for x in (0.001, 0.05, 0.5, 0.9, 0.99):
-        ref, _ = adaptive_quad(lambda t: 1.0 / math.log(t), 1e-12, x,
-                               atol=1e-12, rtol=1e-12, limit=4000)
-        assert abs(sf.log_integral(x) - ref) <= 1e-8
-
-
-def test_log_integral_against_mpmath():
-    mp = pytest.importorskip("mpmath")
-    # deep tail, where the leading term x / ln x alone is 3.2% off at 1e-13
-    for k in range(12, 301):
-        for x in (10.0 ** -k, 3.7 * 10.0 ** -k):
-            ref = float(mp.li(x))
-            assert abs(sf.log_integral(x) - ref) <= 1e-12 * abs(ref)
-    for x in (1e-6, 0.002, 0.05, 0.13, 0.5, 0.9):
-        ref = float(mp.li(x))
-        assert abs(sf.log_integral(x) - ref) <= 1e-12 * abs(ref)
-
-
-def test_log_integral_monotone():
-    assert sf.log_integral(0.9) < sf.log_integral(0.5) < 0.0
-    with pytest.raises(DomainError):
-        sf.log_integral(1.0)
-    with pytest.raises(DomainError):
-        sf.log_integral(0.0)
+def test_log_integral_is_a_removed_name():
+    with pytest.raises(NotImplementedError):
+        sf.log_integral(0.5)
 
 
 def test_binary_entropy():
@@ -371,7 +344,7 @@ def test_lentz_and_series_loops_match_their_plain_forms_bit_for_bit():
         a, b = log_uniform(1e-3, 1e4), log_uniform(1e-3, 1e4)
         x = (a + 1.0) / (a + b + 2.0) * rng.random()   # below reg_inc_beta's switch
         assert sf._beta_cf(a, b, x).hex() == _ref_beta_cf(a, b, x).hex(), (a, b, x)
-        a = rng.uniform(-1.0, 60.0)   # GEV reads a = -xi > -1, log_integral a = 0
+        a = rng.uniform(-1.0, 60.0)   # GEV reads a = -xi > -1
         x = max(a, 0.0) + 1.0 + log_uniform(1e-6, 1e4)
         assert sf._gamma_q_cf(a, x).hex() == _ref_gamma_q_cf(a, x).hex(), (a, x)
         a = log_uniform(1e-6, 1e3)

@@ -138,6 +138,32 @@ def test_bpoe_closed_laplace_branches():
     assert tm.bpoe_closed(d, 0.0).value == 1.0   # x at the mean, W argument 0
 
 
+def _mp_sq_laplace(mp, mu, b, eps):
+    """Laplace's closed-form superquantile at tail mass eps, in mpmath."""
+    alpha = 1 - eps
+    if alpha < 0.5:
+        return mu + b * (alpha / eps) * (1 - mp.log(2 * alpha))
+    return mu + b * (1 - mp.log(2 * eps))
+
+
+@pytest.mark.parametrize("mu, b", [(0.0, 1.0), (1.5, 0.25), (-2.2, 3.7), (1e3, 1e-3),
+                                   (-0.3, 7e5)])
+def test_bpoe_closed_laplace_matches_mpmath(mu, b):
+    # the Lambert-W branch below z = (x - mu) / b = 1, the exponential branch
+    # 1/2 e^(1 - z) above; each against the root of sq = x in ln eps at 50 digits
+    mp = pytest.importorskip("mpmath")
+    d = dist.Laplace(mu, b)
+    with mp.workdps(50):
+        for z in (1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999,
+                  1.0, 1.5, 3.0, 10.0, 37.5, 100.0, 299.7, 300.0):
+            x = mu + z * b
+            got = tm.bpoe_closed(d, x).value
+            want = mp.exp(mp.findroot(lambda u: _mp_sq_laplace(mp, mu, b, mp.exp(u)) - x,
+                                      (-800, -1e-40), solver="anderson"))
+            # rounding z in binary64 (x - mu, then / b) moves e^(1 - z) by z 2^-52
+            assert abs(got / want - 1) <= 1e-14 + z * 2.0 ** -52, (x, got, want)
+
+
 def test_bpoe_closed_rejects_other_families():
     with pytest.raises(DomainError):
         tm.bpoe_closed(dist.Normal(0, 1), 1.0)
