@@ -7,8 +7,9 @@ with ``pdf``, ``cdf``, ``quantile``, ``tail_quantile`` (the upper quantile as a
 stable function of the tail probability), ``mean``, ``variance``, ``support``
 and ``sample`` (numpy's normal and Student-t generators for Normal, LogNormal
 and Student-t, the inverse transform for the rest). Moments that diverge or
-leave binary64 are reported as ``math.inf``, never as errors. ``make``/``from_json``/``to_json``
-provide the CLI wire format ``{"family": ..., "params": {...}}``.
+leave binary64 are reported as ``math.inf``, never as errors. ``make`` builds a family
+from its name and parameters, as the CLI does; ``from_json``/``to_json`` read and write
+the form ``{"family": ..., "params": {...}}``.
 
 Each family writes its quantile once, as ``_quantile(alpha, eps)`` with
 alpha + eps = 1: ``quantile(alpha)`` passes (alpha, 1 - alpha) and
@@ -116,6 +117,14 @@ def _std_normal_quantile(alpha: float, eps: float) -> float:
     """Standard normal quantile at alpha = 1 - eps, mirrored from the lower half."""
     t = -_SQRT2 * specfun.erfc_inv(2.0 * min(alpha, eps))
     return t if alpha <= eps else -t
+
+
+def _student_ln_1p(nu: float, t: float) -> float:
+    """ln(1 + t^2/nu); past t^2 = nu it splits off ln(t^2/nu), which stays finite
+    where t^2 does not."""
+    if t * t > nu:
+        return 2.0 * math.log(abs(t)) - math.log(nu) + math.log1p(nu / (t * t))
+    return math.log1p(t * t / nu)
 
 
 def _hill_ratio(u: float, r: float) -> float:
@@ -454,7 +463,7 @@ class StudentT(Distribution):
 
     def std_pdf(self, t: float) -> float:
         """Density of the standardized (s=1, mu=0) variate."""
-        return math.exp(self._ln_c - 0.5 * (self.nu + 1.0) * math.log1p(t * t / self.nu))
+        return math.exp(self._ln_c - 0.5 * (self.nu + 1.0) * _student_ln_1p(self.nu, t))
 
     def _std_tails(self, t: float) -> tuple[float, float]:
         """(F(t), 1 - F(t)) of the standardized variate, both from one incomplete
@@ -476,7 +485,7 @@ class StudentT(Distribution):
         if t2 * (a + 1.0) < 1.5 * nu:   # y below reg_inc_beta's switch (1/2 + 1) / (a + 5/2)
             half = 0.5 * specfun.reg_inc_beta(t2 / (nu + t2), 0.5, a)
             return (0.5 - half, 0.5 + half) if t <= 0 else (0.5 + half, 0.5 - half)
-        ln_z = math.log(nu) - 2.0 * math.log(abs(t)) - math.log1p(nu / t2)
+        ln_z = -_student_ln_1p(nu, t)
         if ln_z < -40.0:
             tail = math.exp(a * ln_z + self._ln_c) / math.sqrt(nu)
         else:

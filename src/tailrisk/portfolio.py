@@ -449,7 +449,7 @@ def efficient_frontier(universe: AssetUniverse, family: QualifiedFamily,
         else:
             prob = PortfolioProblem(universe, "bpoe", threshold=float(v),
                                     lower=lower, upper=upper)
-            rep = min_bpoe_portfolio(prob, family)
+            rep = min_bpoe_portfolio(prob, family, report_families=())   # reads no other family
             key = "threshold"
         row = {key: float(v), "objective_value": rep.objective_value,
                "return": rep.expected_return, "stdev": rep.stdev}

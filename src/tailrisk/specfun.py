@@ -1,12 +1,13 @@
-"""Self-contained special-function kernel.
+"""Self-contained special-function kernel, each kernel over the range its callers reach.
 
-Everything the closed-form tail formulas need lives here: error function and
-its inverses (one evaluation of Wichura's AS241 for both, plus a single Newton
-step in ``erfc_inv``), (incomplete) gamma and beta functions, ln Gamma(1 - x) less its
-linear term and ln(a B(a, 1/2)) / a from it, the lower real branch W_-1 of Lambert W, and
-the binary entropy function. All functions are pure, scalar, and deterministic; the only
-dependency is the standard-library ``math`` module, whose ``erf`` and ``erfc`` are bound
-here by name.
+The inverse complementary error function on (0, 1], the normal tail 2 min(alpha, eps)
+(Wichura's AS241 plus one Newton step); the incomplete gamma functions, the upper one from
+a = 1, where the Weibull superquantile reads a = 1 + 1/k; (incomplete) beta functions;
+ln Gamma(1 - x) less its linear term and ln(a B(a, 1/2)) / a from it; the lower branch
+W_-1 of Lambert W on [-2/e^2, 0), the Laplace bPOE's; and the binary entropy function.
+Outside those ranges they raise ``DomainError``. All are pure, scalar and deterministic;
+the only dependency is the standard-library ``math``, whose ``erf`` and ``erfc`` are
+bound here by name.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT2 = math.sqrt(2.0)
 _SQRT8 = math.sqrt(8.0)
 _LN2 = math.log(2.0)
-_INV_E = math.exp(-1.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LAMBERT_FLOOR = -2.0 * math.exp(-2.0) * (1.0 + 1e-15)
 
 
 erf = math.erf
@@ -64,39 +65,36 @@ def _as241_ratio(k: int, r: float) -> float:
                  + den[2]) * r + den[1]) * r + 1.0))
 
 
-def _as241(d: float, t: float) -> float:
-    """The x with erf(x) = d, given t = 1 - |d| exactly: AS241 at p = (1 + d) / 2,
-    so q = d / 2 and min(p, 1 - p) = t / 2, divided by sqrt 2. Tiny or subnormal
-    t keeps its relative precision, as does d near 0."""
-    if abs(d) <= 0.85:
+def _as241(t: float) -> float:
+    """The x >= 0 with erfc(x) = t, t in (0, 1]: AS241 at p = 1 - t / 2, so q = (1 - t) / 2
+    and min(p, 1 - p) = t / 2, divided by sqrt 2. Tiny or subnormal t keeps its relative
+    precision, as does 1 - t near 0."""
+    d = 1.0 - t
+    if d <= 0.85:
         return d * (_as241_ratio(0, 0.180625 - 0.25 * d * d) / _SQRT8)
     r = math.sqrt(_LN2 - math.log(t))
-    x = (_as241_ratio(1, r - 1.6) if r <= 5.0 else _as241_ratio(2, r - 5.0)) / _SQRT2
-    return x if d > 0.0 else -x
+    return (_as241_ratio(1, r - 1.6) if r <= 5.0 else _as241_ratio(2, r - 5.0)) / _SQRT2
 
 
 def erf_inv(p: float) -> float:
-    """Inverse error function on the open interval (-1, 1): one AS241 evaluation,
-    within 1e-15 relative, p = +-(1 - 1e-16) included."""
-    if not -1.0 < p < 1.0:
-        raise DomainError(f"erf_inv requires p in (-1, 1), got {p}")
-    return _as241(p, 1.0 - abs(p))
+    """Removed: every caller reads ``erfc_inv`` at the smaller tail. The name stays only
+    because the benchmark's tracer binds it."""
+    raise NotImplementedError("erf_inv is removed")
 
 
 def erfc_inv(y: float) -> float:
-    """Inverse complementary error function on (0, 2), within 1e-15 relative for
-    tiny and subnormal y too: AS241 at the smaller tail t = min(y, 2 - y), then
-    exactly one Newton step on ln erfc(x) = ln t, skipped where erfc(x) is
-    subnormal. The step takes AS241's few ulps off x, which exp(-x^2) in the
-    Normal superquantile would multiply by 2 x^2."""
-    if not 0.0 < y < 2.0:
-        raise DomainError(f"erfc_inv requires y in (0, 2), got {y}")
-    t = y if y <= 1.0 else 2.0 - y
-    x = _as241(1.0 - t, t)
+    """Inverse complementary error function on (0, 1], its callers' 2 min(alpha, eps),
+    within 1e-15 relative for tiny and subnormal y too: AS241, then exactly one Newton
+    step on ln erfc(x) = ln y, skipped where erfc(x) is subnormal. The step takes
+    AS241's few ulps off x, which exp(-x^2) in the Normal superquantile would multiply
+    by 2 x^2."""
+    if not 0.0 < y <= 1.0:
+        raise DomainError(f"erfc_inv requires y in (0, 1], got {y}")
+    x = _as241(y)
     e = math.erfc(x)
     if e >= sys.float_info.min:
-        x += (math.log(e) - math.log(t)) * _SQRT_PI * e / (2.0 * math.exp(-x * x))
-    return x if y <= 1.0 else -x
+        x += (math.log(e) - math.log(y)) * _SQRT_PI * e / (2.0 * math.exp(-x * x))
+    return x
 
 
 def gamma_fn(a: float) -> float:
@@ -206,18 +204,10 @@ def _reg_gamma(a: float, b: float) -> tuple[float, float]:
 
 
 def upper_inc_gamma(a: float, b: float) -> float:
-    """Upper incomplete gamma: integral of p^(a-1) e^(-p) over [b, inf). For a < 1 and
-    b < a + 1, where 1 - P loses Q as a -> 0, (Gamma(1 + a) - b^a) / a - b^a sum_{n >= 1}
-    (-b)^n / (n! (n + a)), the first term through expm1 and ln_gamma_1m_remainder."""
-    if 0.0 < a < 1.0 and 0.0 < b < a + 1.0:
-        lg, ln_b = a * ln_gamma_1m_remainder(-a) - EULER_GAMMA, math.log(b)   # ln Gamma(1 + a) / a
-        head = lg - ln_b if a < 1e-17 else (math.expm1(a * lg) - math.expm1(a * ln_b)) / a
-        total, term, n = 0.0, 1.0, 0
-        while abs(term) > 1e-17 * abs(total):
-            n += 1
-            term *= -b / n
-            total += term / (n + a)
-        return head - b ** a * total
+    """Upper incomplete gamma: integral of p^(a-1) e^(-p) over [b, inf), for a >= 1, where
+    Q read as 1 - P below b = a + 1 keeps its digits (Q > 0.13 there)."""
+    if not a >= 1.0:
+        raise DomainError(f"upper_inc_gamma requires a >= 1, got {a}")
     return _inc_gamma(a, b, True)
 
 
@@ -423,39 +413,21 @@ def inc_beta(y: float, a1: float, a2: float) -> float:
 
 
 def lambert_w(y: float) -> float:
-    """Lower real branch W_-1 of Lambert W: the w <= -1 with w e^w = y, y in [-1/e, 0).
-
-    Above y = -1/4, Newton on w + ln(-w) = ln(-y), which keeps its precision where
-    w e^w underflows (y subnormal); nearer -1/e, Halley on w e^w = y from the
-    branch-point series."""
-    if not -_INV_E - 1e-14 <= y < 0.0:   # tolerate representation error at -1/e
-        raise DomainError(f"lambert_w requires y in [-1/e, 0), got {y}")
-    if y <= -_INV_E:
-        return -1.0
-    if y > -0.25:
-        log_my = math.log(-y)
-        w = log_my - math.log(-log_my)
-        for _ in range(100):
-            step = (w + math.log(-w) - log_my) * w / (w + 1.0)
-            w -= step
-            if abs(step) <= 1e-15 * -w:
-                break
-        return w
-    p = -math.sqrt(2.0 * (math.e * y + 1.0))
-    w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
-    for _ in range(100):
-        if abs(w + 1.0) < 1e-12:
-            break   # at the branch point; Halley's denominator degenerates
-        ew = math.exp(w)
-        f = w * ew - y
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        if denom == 0.0:
-            break
-        step = f / denom
+    """Lower real branch W_-1 of Lambert W on [-2/e^2, 0), where w <= -2: the range of the
+    Laplace bPOE's y = -2z e^(-z-1), z in (0, 1), whose rounding the 1e-15 slack below
+    -2/e^2 admits. Newton on w + ln(-w) = ln(-y), which keeps its precision where w e^w
+    underflows (y subnormal); the function is concave, so from the second step on the
+    iterates rise to the root, within 6 steps."""
+    if not _LAMBERT_FLOOR <= y < 0.0:
+        raise DomainError(f"lambert_w requires y in [-2/e^2, 0), got {y}")
+    log_my = math.log(-y)
+    w = log_my - math.log(-log_my)
+    for _ in range(10):
+        step = (w + math.log(-w) - log_my) * w / (w + 1.0)
         w -= step
-        if abs(step) <= 1e-14 * (1.0 + abs(w)):
+        if abs(step) <= 1e-15 * -w:
             break
-    return min(w, -1.0)   # pin the branch against last-iteration overshoot
+    return w
 
 
 def log_integral(x: float) -> float:

@@ -27,7 +27,7 @@ from . import specfun
 from .distributions import (_LN_SQRT_2PI, GEV, GPD, Distribution, Exponential, Laplace,
                             LogLogistic, LogNormal, Logistic, Normal, Pareto, StudentT,
                             Weibull, _exp_or_inf, _expm1_ratio, _log1p_ratio, _neg_log,
-                            _scaled_power)
+                            _scaled_power, _student_ln_1p)
 from .errors import ConvergenceError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
@@ -105,14 +105,6 @@ def _sq_lognormal(d: LogNormal, alpha: float, eps: float) -> float:
 
 def _sq_logistic(d: Logistic, alpha: float, eps: float) -> float:
     return d.mu + d.s * (specfun.binary_entropy(alpha if alpha < eps else eps) / eps)
-
-
-def _student_ln_1p(nu: float, t: float) -> float:
-    """ln(1 + t^2/nu); past t^2 = nu it splits off ln(t^2/nu), which stays finite
-    where t^2 does not."""
-    if t * t > nu:
-        return 2.0 * math.log(abs(t)) - math.log(nu) + math.log1p(nu / (t * t))
-    return math.log1p(t * t / nu)
 
 
 def _sq_student(d: StudentT, alpha: float, eps: float) -> float:

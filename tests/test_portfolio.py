@@ -134,13 +134,13 @@ def test_zeta_gev_beyond_the_gamma_overflow():
 
 def test_zeta_gev_incomplete_gamma_display():
     # derived display: sign(xi) [ (1-a) Gamma(1-xi) - GammaU(1-xi, ln(1/(1-a))) ]
-    #                  / ((1-a) sqrt(g2 - g1^2))
+    #                  / ((1-a) sqrt(g2 - g1^2)), GammaU = Gamma - GammaL (a < 1 at xi > 0)
     for xi in (0.3, 0.2, -0.2):
         q = QualifiedFamily("gev", xi=xi)
         g1 = math.gamma(1 - xi)
         g2 = math.gamma(1 - 2 * xi)
         for alpha in (0.5, 0.9, 0.99):
-            gu = sf.upper_inc_gamma(1 - xi, math.log(1.0 / (1.0 - alpha)))
+            gu = g1 - sf.lower_inc_gamma(1 - xi, math.log(1.0 / (1.0 - alpha)))
             display = math.copysign(1.0, xi) * ((1 - alpha) * g1 - gu) \
                 / ((1 - alpha) * math.sqrt(g2 - g1 * g1))
             assert abs(q.zeta(alpha) - display) <= 1e-10
@@ -378,6 +378,22 @@ def test_frontier_rows_are_kkt_points(msci, family, objective, grid):
         w = np.array([row[n] for n in msci.names])
         grad = _gradient(msci, problem, family)(w)
         assert _kkt_residual(w, grad, problem.lower, problem.upper) <= 1e-10, v
+
+
+def test_bpoe_frontier_inverts_zeta_once_per_row(monkeypatch, msci):
+    # a row reads only the solved family's bPOE, so it skips the report families'
+    # inversions (four per row before), and its values are the full solve's
+    calls = []
+    invert = portfolio._invert_zeta
+    monkeypatch.setattr(portfolio, "_invert_zeta",
+                        lambda fam, target: calls.append(fam) or invert(fam, target))
+    family, grid = QualifiedFamily("student-t", nu=4.0), (0.1, 0.16, 0.25)
+    rows = efficient_frontier(msci, family, "bpoe", np.array(grid))
+    assert calls == [family] * len(grid)
+    for x, row in zip(grid, rows):
+        rep = min_bpoe_portfolio(PortfolioProblem(msci, "bpoe", threshold=x), family)
+        assert row["objective_value"] == rep.objective_value, x
+        assert [row[n] for n in msci.names] == rep.weights.tolist(), x
 
 
 # --- the corner trace --------------------------------------------------------

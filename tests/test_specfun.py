@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from tailrisk import distributions as dist
 from tailrisk import specfun as sf
+from tailrisk import tail_metrics as tm
 from tailrisk.errors import DomainError, TailRiskError
 
 
@@ -19,28 +21,34 @@ def test_erf_erfc_complement_grid():
     assert worst <= 1e-13
 
 
-def test_erf_inv_roundtrip():
+def test_erfc_inv_roundtrip():
     for i in range(1, 99):
-        p = -0.99 + 1.98 * i / 98
-        assert abs(sf.erf(sf.erf_inv(p)) - p) <= 1e-12
+        y = i / 98
+        assert abs(sf.erfc(sf.erfc_inv(y)) - y) <= 1e-12 * y
 
 
-def test_erf_inv_against_bisection():
-    # independent oracle: bisection on erf
+def test_erfc_inv_against_bisection():
+    # independent oracle: bisection on erfc
     lo, hi = 0.0, 6.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if sf.erf(mid) < 0.9:
+        if sf.erfc(mid) > 0.1:
             lo = mid
         else:
             hi = mid
-    assert abs(sf.erf_inv(0.9) - 0.5 * (lo + hi)) <= 1e-12
+    assert abs(sf.erfc_inv(0.1) - 0.5 * (lo + hi)) <= 1e-12
 
 
-@pytest.mark.parametrize("p", [-1.0, 1.0, -1.5, 2.0])
-def test_erf_inv_domain(p):
+@pytest.mark.parametrize("y", [0.0, -1.0, math.nextafter(1.0, 2.0), 1.5, 2.0])
+def test_erfc_inv_domain(y):
+    # its callers pass 2 min(alpha, eps), so (0, 1]
     with pytest.raises(DomainError):
-        sf.erf_inv(p)
+        sf.erfc_inv(y)
+
+
+def test_erf_inv_is_a_removed_name():
+    with pytest.raises(NotImplementedError):
+        sf.erf_inv(0.5)
 
 
 def test_gamma_values():
@@ -57,8 +65,15 @@ def test_gamma_values():
 def test_upper_inc_gamma_closed_cases():
     for b in (0.0, 0.5, 1.0, 3.0, 10.0):
         assert abs(sf.upper_inc_gamma(1.0, b) - math.exp(-b)) <= 1e-13
-    for a in (0.3, 1.0, 2.7):
+    for a in (1.0, 1.3, 2.7):
         assert abs(sf.upper_inc_gamma(a, 0.0) - sf.gamma_fn(a)) <= 1e-13
+
+
+@pytest.mark.parametrize("a", [0.5, 1e-12, math.nextafter(1.0, 0.0), 0.0, -1.0, math.nan])
+def test_upper_inc_gamma_below_one_raises(a):
+    # its one caller, the Weibull superquantile, reads a = 1 + 1/k
+    with pytest.raises(DomainError):
+        sf.upper_inc_gamma(a, 1.0)
 
 
 def test_upper_inc_gamma_monotone_in_b():
@@ -75,13 +90,13 @@ def test_lower_inc_gamma():
     for b in (0.2, 1.0, 4.0):
         assert abs(sf.lower_inc_gamma(1.0, b) - (1.0 - math.exp(-b))) <= 1e-13
     assert abs(sf.lower_inc_gamma(2.0, 50.0) - 1.0) <= 1e-10   # saturation, Gamma(2)=1
-    direct = sf.lower_inc_gamma(0.7, 1.3)
-    complement = sf.gamma_fn(0.7) - sf.upper_inc_gamma(0.7, 1.3)
+    direct = sf.lower_inc_gamma(1.7, 1.3)
+    complement = sf.gamma_fn(1.7) - sf.upper_inc_gamma(1.7, 1.3)
     assert abs(direct - complement) <= 1e-12
 
 
 def test_incomplete_gamma_additivity_grid():
-    for a in (0.3, 0.7, 1.0, 2.0, 3.5, 5.0):
+    for a in (1.0, 1.3, 1.7, 2.0, 3.5, 5.0):
         for b in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
             total = sf.lower_inc_gamma(a, b) + sf.upper_inc_gamma(a, b)
             assert abs(total - sf.gamma_fn(a)) <= 1e-11 * max(1.0, sf.gamma_fn(a))
@@ -139,26 +154,30 @@ def test_ln_beta_against_mpmath():
 
 
 def test_lambert_w_trivials():
-    assert sf.lambert_w(-math.exp(-1.0)) == -1.0
-    w = sf.lambert_w(-2.0 * math.exp(-2.0))
-    assert abs(w + 2.0) <= 1e-12
+    # W_-1(-2/e^2) = -2, where the Laplace bPOE's two branches meet
+    assert sf.lambert_w(-2.0 * math.exp(-2.0)) == -2.0
 
 
 def test_lambert_w_identity_grids():
     for i in range(1, 60):
-        y = -math.exp(-1.0) * i / 60
+        y = -2.0 * math.exp(-2.0) * i / 60
         w = sf.lambert_w(y)
         assert abs(w * math.exp(w) - y) <= 1e-12 * max(1.0, abs(y))
-        assert w <= -1.0
+        assert w <= -2.0
 
 
 def test_lambert_w_matches_mpmath():
+    # over [-2/e^2, 0): the Laplace bPOE's y = -2z e^(-z-1), z in (0, 1), whose rounding
+    # just below z = 1 puts y up to 2.05e-16 relative below -2/e^2
     mp = pytest.importorskip("mpmath")
     rng = random.Random(20181)
-    grid = [-math.exp(-1.0) * rng.random() for _ in range(400)]
-    near_branch = [-math.exp(-1.0) + 10.0 ** -k for k in range(1, 16)]
+    floor = -2.0 * math.exp(-2.0)
+    grid = [floor * rng.random() for _ in range(400)]
+    near_floor = [floor * (1.0 - 10.0 ** -k) for k in range(1, 16)]
+    rounded = [-2.0 * z * math.exp(-z - 1.0) for z in (1.0 - k * 2.0 ** -53 for k in range(1, 400))]
     toward_zero = [-(10.0 ** -k) for k in range(1, 324)] + [-5e-324]
-    for y in grid + near_branch + toward_zero:
+    assert min(rounded) < floor
+    for y in grid + near_floor + rounded + toward_zero:
         if y == 0.0:
             continue
         with mp.workdps(40):
@@ -169,9 +188,45 @@ def test_lambert_w_matches_mpmath():
 
 
 def test_lambert_w_domain():
-    for y in (-0.4, 0.0, 0.5):
+    # below -2/e^2, less 1e-15 relative slack for the caller's rounding, W_-1 > -2
+    for y in (-0.3, -math.exp(-1.0), -2.0 * math.exp(-2.0) * (1.0 + 4e-15), -0.4, 0.0, 0.5):
         with pytest.raises(DomainError):
             sf.lambert_w(y)
+
+
+def test_library_paths_stay_inside_the_kernel_ranges():
+    # the arguments library paths hand lambert_w, upper_inc_gamma and erfc_inv lie in their
+    # ranges: the Laplace bPOE below mu + b, z in (0, 1) (the 20,000 floats just below 1
+    # round y below -2/e^2), the Weibull superquantile's a = 1 + 1/k, and the Normal and
+    # LogNormal quantiles and superquantiles down to the least subnormal level
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(28)
+    laplace = dist.Laplace(0.0, 1.0)   # z = x exactly
+
+    def closed(z):
+        return 1 + z / mp.lambertw(-2 * z * mp.exp(-z - 1), -1).real
+
+    with mp.workdps(30):
+        for z in [rng.random() for _ in range(500)]:
+            want = closed(mp.mpf(z))
+            assert abs(tm.bpoe_closed(laplace, z).value - want) <= 1e-15 * want, z
+        # within 2.3e-12 of z = 1 the linear term leaves less than 1e-23
+        at_one, slope = closed(mp.mpf(1)), mp.diff(closed, 1)
+        for k in range(1, 20_001):
+            z = 1.0 - k * 2.0 ** -53
+            want = at_one + slope * (z - 1)
+            assert abs(tm.bpoe_closed(laplace, z).value - want) <= 1e-15 * want, z
+    tails = [10.0 ** -k for k in range(1, 324)] + [5e-324, 0.3, 0.5]
+    laws = [dist.Weibull(1.0, 10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(100)]
+    laws += [dist.Normal(0.0, 1.0), dist.Normal(3.0, 1e-3), dist.LogNormal(0.0, 1.0),
+             dist.LogNormal(-2.0, 5.0)]
+    for d in laws:
+        for t in tails:
+            values = [tm.superquantile(d, t), *tm.superquantile(d, 1.0 - t, t)]
+            if not isinstance(d, dist.Weibull):
+                values += [d.quantile(t), d.tail_quantile(t)]
+                values += [d.quantile(1.0 - t)] if 1.0 - t < 1.0 else []
+            assert not any(math.isnan(v) for v in values), (d, t, values)
 
 
 def test_log_integral_is_a_removed_name():
@@ -196,33 +251,23 @@ def _erfc_inv_reference(mp, t):
     return mp.findroot(lambda x: mp.log(mp.erfc(x)) - mp.log(mp.mpf(t)), mp.mpf(x0))
 
 
-def test_erf_inv_and_erfc_inv_match_mpmath():
-    # tails t = 1 - |p| = 10^-k down to 1e-15 and y = 2 10^-k down to 2e-300 and
-    # into the subnormals, where erfc_inv skips its Newton step
+def test_erfc_inv_matches_mpmath():
+    # y = 2 10^-k down to 2e-300 and into the subnormals, where erfc_inv skips its
+    # Newton step, and 1 - 10^-k up to 1 - 2^-53, where x nears 0
     mp = pytest.importorskip("mpmath")
     rng = random.Random(241)
     with mp.workdps(40):
         ys = ([2.0 * 10.0 ** -k for k in range(1, 301)] + [5e-324 * 3.0 ** k for k in range(0, 40)]
-              + [rng.uniform(0.0, 2.0) for _ in range(200)]
-              + [1.0 + s * 10.0 ** -k for k in range(1, 16) for s in (1, -1)] + [1.0, 2.0 - 1e-15])
+              + [rng.uniform(0.0, 1.0) for _ in range(400)]
+              + [1.0 - 10.0 ** -k for k in range(1, 16)] + [1.0 - 2.0 ** -53, 1.0])
         for y in ys:
-            t = y if y <= 1.0 else 2.0 - y
-            want = _erfc_inv_reference(mp, t) * (1 if y <= 1.0 else -1)
+            want = _erfc_inv_reference(mp, y)
             assert abs(sf.erfc_inv(y) - want) <= 1e-15 * abs(want), y
-        ps = ([s * (1.0 - 10.0 ** -k) for k in range(1, 16) for s in (1, -1)]
-              + [1.0 - 2.0 ** -53, -1.0 + 2.0 ** -53] + [rng.uniform(-1.0, 1.0) for _ in range(200)])
-        for p in ps:
-            want = (mp.erfinv(mp.mpf(p)) if abs(p) < 0.5
-                    else math.copysign(1.0, p) * _erfc_inv_reference(mp, 1.0 - abs(p)))
-            assert abs(sf.erf_inv(p) - want) <= 1e-15 * abs(want), p
-        # x below the normal floats rounds to the nearest subnormal
-        for p in (1e-300, 1e-310, 5e-324):
-            assert abs(sf.erf_inv(p) - mp.erfinv(mp.mpf(p))) <= max(1e-15 * p, 5e-324)
 
 
 def test_incomplete_gamma_matches_mpmath():
-    # a <= 170: above a = 171.6 upper_inc_gamma reads Gamma(a) from math.gamma; the
-    # fixed points have a tiny a, where Q formed as 1 - P reads 0.0 or loses its digits
+    # a <= 170: above a = 171.6 both read Gamma(a) from math.gamma; the upper one only
+    # from a = 1, and the lower one also at the fixed points' tiny a
     mp = pytest.importorskip("mpmath")
     rng = random.Random(1988)
     cases = [(1e-300, 0.5), (1e-12, 0.5), (1e-12, 0.05), (1e-12, 1.0)]
@@ -232,8 +277,10 @@ def test_incomplete_gamma_matches_mpmath():
                       else math.exp(rng.uniform(-10.0, 6.7))))
     with mp.workdps(40):
         for a, b in cases:
-            for got, want in ((sf.upper_inc_gamma(a, b), mp.gammainc(a, b)),
-                              (sf.lower_inc_gamma(a, b), mp.gammainc(a, 0, b))):
+            pairs = [(sf.lower_inc_gamma(a, b), mp.gammainc(a, 0, b))]
+            if a >= 1.0:
+                pairs.append((sf.upper_inc_gamma(a, b), mp.gammainc(a, b)))
+            for got, want in pairs:
                 # an absolute floor where the value is below the normal floats
                 assert abs(got - want) <= 1e-12 * max(abs(want), sys.float_info.min), (a, b)
 

@@ -232,3 +232,20 @@ def test_quantile_just_below_the_median_at_tiny_nu():
             assert cdf(nu, "-1.8e308") > p, (nu, k)
         else:
             assert cdf(nu, t * (1 + 1e-12)) <= p <= cdf(nu, t * (1 - 1e-12)), (nu, k, t)
+
+
+@pytest.mark.parametrize("nu", (0.01, 0.5, 1.0))
+def test_pdf_matches_mpmath_out_to_1e300(nu):
+    # ln(1 + t^2/nu) splits off ln(t^2/nu) where t^2 would overflow, past |t| = 1.3e154:
+    # StudentT(0.01).pdf(1e200) read 0.0 against 4.85e-205. The bound is the exponent's
+    # rounding, relative to |ln f|, plus the least subnormal where f underflows
+    d = dist.StudentT(nu)
+    for k in range(-5, 301, 5):
+        for t in (10.0 ** k, -3.7 * 10.0 ** k):
+            with mp.workdps(50):
+                n, x = mp.mpf(nu), mp.mpf(t)
+                ln_f = (mp.loggamma((n + 1) / 2) - mp.loggamma(n / 2) - mp.log(n * mp.pi) / 2
+                        - (n + 1) / 2 * mp.log1p(x * x / n))
+                want = mp.exp(ln_f)
+                assert abs(d.pdf(t) - want) <= 1e-15 * (1 + abs(ln_f)) * want + 2.0 ** -1074, t
+
