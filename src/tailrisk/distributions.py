@@ -501,9 +501,12 @@ class StudentT(Distribution):
         and smaller elsewhere in the region. Where the asymptote
         2p ~ z^a / (a B(a, 1/2)), a = nu/2, is exact to rounding it gives t in closed
         form, even where z underflows; at a <= 2^-10 from ln(a B(a, 1/2)) / a and in
-        logs, since the rounding of _ln_c would come back times 1/a. Elsewhere
-        reg_inc_beta_inv solves for z, or for 1 - z where that is below 1/2 and 1 - 2p
-        still carries p, so t = -sqrt(nu (1 - z) / z) does not cancel.
+        logs, since the rounding of _ln_c would come back times 1/a. Elsewhere Halley's
+        method in v = ln(nu / t^2), in a shrinking bracket, solves ln I = ln target on a
+        mass formed, as in ``_std_tails``, from the smaller of z and y = 1 - z: the tail
+        I_z(a, 1/2) against 2p, or above p = 1/4 the centre mass I_y(1/2, a) against
+        1 - 2p, where 1/2 - F would lose p's digits. Its seed is the larger |t| of the
+        asymptote and the median's tangent -(1/2 - p) / f(0): both fall short (F is convex).
         """
         nu, a = self.nu, 0.5 * self.nu
         if p == 0.5:
@@ -518,11 +521,40 @@ class StudentT(Distribution):
         if ln_z < -40.0:   # relative error of the asymptote < z; an overflow is -inf
             return -(_exp_or_inf(0.5 * (math.log(nu) - ln_z)) if small
                      else _scaled_power(math.sqrt(nu), x, -1.0 / nu))
-        if -math.expm1(ln_z) < min(2.0 * p, 0.5):   # 1 - z is the smaller error of the two
-            y = specfun.reg_inc_beta_inv(1.0 - 2.0 * p, 0.5, a)
-            return -math.sqrt(nu * y / (1.0 - y))
-        z = specfun.reg_inc_beta_inv(2.0 * p, a, 0.5)
-        return -math.sqrt(nu * (1.0 - z) / z)
+        centre = p > 0.25
+        target, sign = (1.0 - 2.0 * p, -1.0) if centre else (2.0 * p, 1.0)
+        tangent = math.sqrt(nu) * math.exp(self._ln_c) / (0.5 - p)   # = sqrt(its odds)
+        odds = min(1.0 / math.expm1(-ln_z) if ln_z < 0.0 else math.inf, tangent * tangent)
+        lo, hi, ln_front = 0.0, math.inf, self._ln_c + 0.5 * math.log(nu)   # -ln B(a, 1/2)
+        for _ in range(100):
+            z, y, ln_y = odds / (1.0 + odds), 1.0 / (1.0 + odds), -math.log1p(odds)
+            below = y * (a + 2.5) < 1.5   # y below reg_inc_beta's switch: I_y, else I_z
+            if centre and small and not below:
+                mass = specfun._half_beta_complement(z, a)   # 1 - I_z(a, 1/2)
+            else:
+                mass = specfun.reg_inc_beta(*((y, 0.5, a) if below else (z, a, 0.5)))
+                mass = mass if below == centre else 1.0 - mass
+            lo, hi = (odds, hi) if (mass > target) == centre else (lo, odds)
+            # |d ln I / dv| = z^a y^(1/2) / (B(a, 1/2) I) <= max(a, 1/2), and
+            # d ln(z^a y^(1/2)) / dv = a y - z / 2
+            slope = math.exp(a * (math.log(odds) + ln_y) + 0.5 * ln_y + ln_front
+                             - math.log(mass)) if mass > 0.0 else 0.0
+            new = -1.0
+            if slope > 0.0:
+                newton = math.log(mass / target) / slope
+                corr = 1.0 - 0.5 * newton * (sign * (a * y - 0.5 * z) - slope)
+                step = sign * (newton / corr if 0.5 <= corr <= 2.0 else newton)
+                new = odds * _exp_or_inf(-step)
+                if abs(step) <= 1e-9:
+                    odds = new
+                    break
+            if not lo < new < hi:   # bisect, geometrically once the bracket is finite
+                new = hi * 2.0 ** -64 if lo == 0.0 else (
+                    lo * 2.0 ** 64 if hi == math.inf else math.sqrt(lo) * math.sqrt(hi))
+                if not lo < new < hi:
+                    break             # adjacent floats
+            odds = new
+        return -math.sqrt(nu / odds)
 
     def pdf(self, x):
         return self.std_pdf((x - self.mu) / self.s) / self.s

@@ -1,8 +1,9 @@
 """Self-contained special-function kernel, each kernel over the range its callers reach.
 
 The inverse complementary error function on (0, 1], the normal tail 2 min(alpha, eps)
-(Wichura's AS241 plus one Newton step); the incomplete gamma functions, the upper one from
-a = 1, where the Weibull superquantile reads a = 1 + 1/k; (incomplete) beta functions;
+(Wichura's AS241 plus one Newton step); the incomplete gamma functions from a = 1, where
+the Weibull superquantile reads a = 1 + 1/k; the beta function and the incomplete beta,
+whose inverse the Student-t quantile forms itself;
 ln Gamma(1 - x) less its linear term and ln(a B(a, 1/2)) / a from it; the lower branch
 W_-1 of Lambert W on [-2/e^2, 0), the Laplace bPOE's; and the binary entropy function.
 Outside those ranges they raise ``DomainError``. All are pure, scalar and deterministic;
@@ -188,9 +189,10 @@ def _gamma_q_cf(a: float, x: float) -> float:
 
 
 def _reg_gamma(a: float, b: float) -> tuple[float, float]:
-    """Regularized (lower, upper) incomplete gamma pair."""
-    if a <= 0.0:
-        raise DomainError(f"incomplete gamma requires a > 0, got {a}")
+    """Regularized (lower, upper) incomplete gamma pair for a >= 1: its callers read
+    a = 1 - xi > 2 (the GEV superquantile below xi = -1) and a = 1 + 1/k (Weibull)."""
+    if not a >= 1.0:
+        raise DomainError(f"incomplete gamma requires a >= 1, got {a}")
     if b < 0.0:
         raise DomainError(f"incomplete gamma requires b >= 0, got {b}")
     if b == 0.0:
@@ -206,13 +208,11 @@ def _reg_gamma(a: float, b: float) -> tuple[float, float]:
 def upper_inc_gamma(a: float, b: float) -> float:
     """Upper incomplete gamma: integral of p^(a-1) e^(-p) over [b, inf), for a >= 1, where
     Q read as 1 - P below b = a + 1 keeps its digits (Q > 0.13 there)."""
-    if not a >= 1.0:
-        raise DomainError(f"upper_inc_gamma requires a >= 1, got {a}")
     return _inc_gamma(a, b, True)
 
 
 def lower_inc_gamma(a: float, b: float) -> float:
-    """Lower incomplete gamma: integral of p^(a-1) e^(-p) over [0, b]."""
+    """Lower incomplete gamma: integral of p^(a-1) e^(-p) over [0, b], for a >= 1."""
     return _inc_gamma(a, b, False)
 
 
@@ -227,9 +227,10 @@ def _inc_gamma(a: float, b: float, upper: bool) -> float:
 
 
 def ln_inc_gamma(a: float, b: float, upper: bool) -> float:
-    """ln of the upper or lower incomplete gamma: ln(b^a e^-b) plus the log of the sum
-    that computes it directly, else ln Gamma(a) plus the log of the regularized value."""
-    if (b < a + 1.0) == upper or b == 0.0:   # 0 at b = 0, or where the other rounds to 1
+    """ln of the upper or lower incomplete gamma for a >= 1: ln(b^a e^-b) plus the log of
+    the sum that computes it directly, else ln Gamma(a) plus the log of the regularized
+    value, where the other sum rounds to 1; ``_reg_gamma`` also checks the domain."""
+    if (b < a + 1.0) == upper or not (a >= 1.0 and b > 0.0):   # 0 at b = 0, or raises
         value = _reg_gamma(a, b)[upper]
         return math.log(value) + math.lgamma(a) if value > 0.0 else -math.inf
     return math.log(_gamma_q_cf(a, b) if upper else _gamma_p_series(a, b)) + a * math.log(b) - b
@@ -340,69 +341,9 @@ def reg_inc_beta(t: float, a: float, b: float) -> float:
 
 
 def reg_inc_beta_inv(p: float, a: float, b: float) -> float:
-    """Inverse of reg_inc_beta in its first argument.
-
-    Halley's method on log I_x(a, b) = log p (p > 1/2 mirrored to I_{1-x}(b, a)
-    = 1 - p) in the log-odds v = log(x / (1 - x)), inside a shrinking bracket.
-    In v the tail is nearly straight, I_x ~ x^a / (a B(a, b)), so that
-    asymptote, capped at the mean, seeds it almost exactly. The odds change by
-    multiplication, so x and 1 - x keep their relative precision however small;
-    a mirrored root whose odds pass the largest float lies below 1/1.8e308 and
-    is read from the unmirrored asymptote.
-    Above (a + 1) / (a + b + 2) the tail is 1 - I_{1-x}(b, a), a series at a = 1/2, b <= 2^-10;
-    a root there where that keeps less than 1e-8 relative of p raises ``DomainError``."""
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"reg_inc_beta_inv requires a, b > 0, got a={a}, b={b}")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"reg_inc_beta_inv requires p in [0, 1], got {p}")
-    if p == 0.0 or p == 1.0:
-        return p
-    mirrored = p > 0.5
-    if mirrored:
-        p, a, b = 1.0 - p, b, a
-    ln_b = ln_beta(a, b)
-    ln_x = (math.log(p) + math.log(a) + ln_b) / a
-    if ln_x < -708.4:     # x is subnormal, where the asymptote is exact
-        return 1.0 if mirrored else math.exp(ln_x)
-    # the odds, no further than the mean's a / b (a / (a + b) may round to 1) nor the floats
-    odds = min(1.0 / math.expm1(-ln_x) if ln_x < 0.0 else math.inf, a / b, sys.float_info.max)
-    cross, series = (a + 1.0) / (a + b + 2.0), a == 0.5 and b <= 2.0 ** -10
-    lo, hi = 0.0, math.inf
-    for _ in range(200):
-        x, y = odds / (1.0 + odds), 1.0 / (1.0 + odds)
-        tail = reg_inc_beta(x, a, b) if x < cross else (   # 1 - I_y(b, a), by series at small b
-            _half_beta_complement(y, b) if series else 1.0 - reg_inc_beta(y, b, a))
-        if tail > p:
-            hi = odds
-        else:
-            lo = odds
-        new = -1.0
-        # d log I / dv = x (1 - x) f(x) / I, f the Beta(a, b) density
-        ln_slope = a * math.log(x) + b * math.log(y) - ln_b - math.log(tail) if tail > 0.0 else -math.inf
-        slope = math.exp(ln_slope) if ln_slope < _LOG_FLOAT_MAX else math.inf
-        if 0.0 < slope < math.inf:
-            newton = math.log(tail / p) / slope
-            corr = 1.0 - 0.5 * newton * (a * y - b * x - slope)
-            step = newton / corr if 0.5 <= corr <= 2.0 else newton
-            if abs(step) < 700.0:
-                new = odds * math.exp(-step)
-            if abs(step) <= 1e-9:
-                odds = new
-                break
-        if not lo < new < hi:   # bisect, geometrically once the bracket is finite
-            new = hi * 2.0 ** -64 if lo == 0.0 else (
-                min(lo * 2.0 ** 64, sys.float_info.max) if hi == math.inf
-                else math.sqrt(lo) * math.sqrt(hi))
-            if not lo < new < hi:
-                break             # adjacent floats, or odds beyond the floats
-        odds = new
-    if odds / (1.0 + odds) >= cross and not series and p < 1.2e-8 * (abs(ln_b) + 8.0):
-        raise DomainError(f"reg_inc_beta_inv: 1 - I_y({b}, {a}) at the root keeps less than "
-                          f"1e-8 relative precision against {p}")
-    if mirrored and lo == sys.float_info.max:
-        # the root lies below 1 / max, subnormal, where the unmirrored asymptote is exact
-        return math.exp((math.log(1.0 - p) + math.log(b) + ln_b) / b)
-    return 1.0 / (1.0 + odds) if mirrored else odds / (1.0 + odds)
+    """Removed: its one caller, the Student-t quantile, inverts its own CDF. The name stays
+    only because the benchmark's tracer binds it."""
+    raise NotImplementedError("reg_inc_beta_inv is removed")
 
 
 def inc_beta(y: float, a1: float, a2: float) -> float:

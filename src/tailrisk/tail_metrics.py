@@ -537,6 +537,8 @@ def bpoe_by_minimization(d: Distribution, x: float) -> TailResult:
         residual = ln_s - ln_zx
         lo, hi = (lo, g) if residual > 0.0 else (g, hi)
         new = g - residual / slope if slope > 0.0 else math.nan
+        if new < g < -1.0 and isinstance(d, StudentT):   # ln s falls like a power of -g:
+            new = g * math.exp(-residual / (g * slope))   # the step in ln(-g)
         if not lo < new < hi:
             new = 0.5 * (lo + hi) if lo > -math.inf else hi - 1.0 - abs(hi)
         if abs(new - g) <= 1e-14 * max(1.0, abs(g)) or abs(residual) <= tolerance:

@@ -133,14 +133,16 @@ def test_zeta_gev_beyond_the_gamma_overflow():
 
 
 def test_zeta_gev_incomplete_gamma_display():
-    # derived display: sign(xi) [ (1-a) Gamma(1-xi) - GammaU(1-xi, ln(1/(1-a))) ]
-    #                  / ((1-a) sqrt(g2 - g1^2)), GammaU = Gamma - GammaL (a < 1 at xi > 0)
+    # derived display: sign(xi) [ (1-a) Gamma(1-xi) - GammaU(1-xi, y) ] / ((1-a) sqrt(g2 - g1^2)),
+    # y = ln(1/(1-a)), with GammaU(c, y) = (GammaU(c+1, y) - y^c e^-y) / c, since the
+    # incomplete gammas start at 1 and c = 1 - xi < 1 at xi > 0
     for xi in (0.3, 0.2, -0.2):
         q = QualifiedFamily("gev", xi=xi)
         g1 = math.gamma(1 - xi)
         g2 = math.gamma(1 - 2 * xi)
         for alpha in (0.5, 0.9, 0.99):
-            gu = g1 - sf.lower_inc_gamma(1 - xi, math.log(1.0 / (1.0 - alpha)))
+            c, y = 1 - xi, math.log(1.0 / (1.0 - alpha))
+            gu = (sf.upper_inc_gamma(c + 1, y) - y ** c * math.exp(-y)) / c
             display = math.copysign(1.0, xi) * ((1 - alpha) * g1 - gu) \
                 / ((1 - alpha) * math.sqrt(g2 - g1 * g1))
             assert abs(q.zeta(alpha) - display) <= 1e-10

@@ -13,13 +13,15 @@ mp = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-NUS = (0.3, 0.5, 1.0, 1.5, 2.5, 3.0, 4.0, 6.0, 10.0, 30.0, 100.0, 300.0)
-LEVELS = (0.45, 0.25, 0.1, 1e-2, 1e-4, 1e-8, 1e-15, 1e-30, 1e-100, 1e-300)
+NUS = (2.0 ** -9 * 1.01, 0.01, 0.1, 0.3, 0.5, 1.0, 1.5, 2.5, 3.0, 4.0, 6.0, 10.0, 30.0, 100.0,
+       300.0)
+LEVELS = (0.4999, 0.49, 0.45, 0.25, 0.1, 1e-2, 1e-4, 1e-8, 1e-15, 1e-30, 1e-100, 1e-300)
 
 
 def _mp_cdf(nu: float, t: float):
-    """Lower-tail cdf 0.5 I_{nu/(nu+t^2)}(nu/2, 1/2) at t <= 0, 40 digits."""
-    with mp.workdps(40):
+    """Lower-tail cdf 0.5 I_{nu/(nu+t^2)}(nu/2, 1/2) at t <= 0, to 40 digits: z = 1 - t^2/nu
+    near the median, so log10(nu) more digits are carried for it."""
+    with mp.workdps(40 + max(0, round(math.log10(nu)))):
         nu, t = mp.mpf(nu), mp.mpf(t)
         return mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + t * t), regularized=True) / 2
 

@@ -316,12 +316,13 @@ def test_minimization_tail_budget(monkeypatch):
             tm.bpoe_by_minimization(d, x)
             counts.append(calls[0])
     assert sum(counts) / len(counts) <= 6 and max(counts) <= 8, counts
-    # at most 9 measured, and 16 for Student-t, whose ln s falls like a power of -g
+    # at most 9 measured; 6 for Student-t, whose ln s falls like a power of -g, since it
+    # steps in ln(-g) below g = -1 (16 before)
     for d in MINIMIZATION_SETTINGS:
         for k in range(3, 16):
             calls[0] = 0
             tm.bpoe_by_minimization(d, d.mean() + 10.0 ** -k * _scale(d))
-            assert calls[0] <= (16 if isinstance(d, dist.StudentT) else 9), (d, k)
+            assert calls[0] <= 9, (d, k)
 
 
 def test_minimization_calls_no_quantile(monkeypatch):
