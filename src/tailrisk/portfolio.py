@@ -29,7 +29,8 @@ min-CVaR optimum, where the slope dsigma/dr is 1 / zeta, solves sqrt(v) =
 zeta gamma; the min-bPOE optimum, the tangent from (0, -x), solves v =
 gamma (r + x); Markowitz reads gamma = 1 / lambda. Each is a root on the one
 segment where its sign changes, and ``kkt_residual`` certifies the final
-weights.
+weights. The trace depends only on the universe and the bounds, so a frontier
+traces once and hands its segments to every row's solve (``_segments``).
 """
 
 from __future__ import annotations
@@ -304,16 +305,22 @@ class PortfolioReport:
         return out
 
 
-def _frontier_point(universe: AssetUniverse, lower: np.ndarray, upper: np.ndarray,
+def _trace(universe: AssetUniverse, lower: np.ndarray, upper: np.ndarray) -> list[tuple]:
+    """The corner trace's segments (lo, hi, a, b), each with its r0, r1 and v0."""
+    eta, cov = universe.expected_returns, universe.covariance
+    return [(lo, hi, a, b, float(a @ eta), float(b @ eta), max(float(a @ cov @ a), 0.0))
+            for lo, hi, a, b in critical_line_trace(eta, cov, lower, upper)]
+
+
+def _frontier_point(segments: list[tuple], lower: np.ndarray, upper: np.ndarray,
                     crossing) -> np.ndarray:
     """Weights on the corner trace where ``crossing`` puts the optimum. Given
     a segment's r0, r1 and v0, crossing returns the gamma at which the
     problem's condition changes sign there, or inf where it holds on the whole
     segment; walking down from the max-return vertex, the first segment whose
     crossing lies at or above its lower end holds the optimum."""
-    eta, cov = universe.expected_returns, universe.covariance
-    for lo, hi, a, b in critical_line_trace(eta, cov, lower, upper):
-        gamma = crossing(float(a @ eta), float(b @ eta), max(float(a @ cov @ a), 0.0))
+    for lo, hi, a, b, r0, r1, v0 in segments:
+        gamma = crossing(r0, r1, v0)
         if gamma >= lo:
             break
     gamma = min(max(gamma, lo), hi)
@@ -324,15 +331,16 @@ def _certify(w: np.ndarray, gradient: np.ndarray, lower: np.ndarray,
              upper: np.ndarray) -> float:
     """The KKT residual |P(w + g) - w| of the final weights, P =
     ``project_box_simplex``, zero exactly at a KKT point; raises
-    ConvergenceError above 1e-8."""
+    ConvergenceError above 1e-8 or at NaN."""
     gp = float(np.linalg.norm(project_box_simplex(w + gradient, lower, upper) - w))
-    if gp > 1e-8:
+    if not gp <= 1e-8:   # a NaN residual certifies nothing
         raise ConvergenceError("portfolio solver did not reach KKT tolerance",
                                {"gradient_projection_norm": gp})
     return gp
 
 
-def min_cvar_portfolio(problem: PortfolioProblem, family: QualifiedFamily) -> PortfolioReport:
+def min_cvar_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
+                       _segments: list[tuple] | None = None) -> PortfolioReport:
     """Weights minimizing the loss CVaR at the problem's level: the frontier
     point where sqrt(v) = zeta gamma, that is v0 = (zeta^2 - r1) gamma^2."""
     if problem.objective != "cvar":
@@ -340,7 +348,8 @@ def min_cvar_portfolio(problem: PortfolioProblem, family: QualifiedFamily) -> Po
     u = problem.universe
     eta, cov = u.expected_returns, u.covariance
     z = family.zeta(problem.level)
-    w = _frontier_point(u, problem.lower, problem.upper, lambda r0, r1, v0: (
+    segments = _segments or _trace(u, problem.lower, problem.upper)
+    w = _frontier_point(segments, problem.lower, problem.upper, lambda r0, r1, v0: (
         math.sqrt(v0 / (z * z - r1)) if z * z > r1 else math.inf))
     ret = float(w @ eta)
     sd = math.sqrt(float(w @ cov @ w))
@@ -365,8 +374,8 @@ def _invert_zeta(family: QualifiedFamily, target: float) -> float:
 
 
 def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
-                       report_families: tuple[QualifiedFamily, ...] | None = None
-                       ) -> PortfolioReport:
+                       report_families: tuple[QualifiedFamily, ...] | None = None,
+                       _segments: list[tuple] | None = None) -> PortfolioReport:
     """Weights minimizing bPOE of the loss at the problem's threshold.
 
     The reduced objective (generalized Sharpe ratio) is family-free, so the
@@ -380,7 +389,8 @@ def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
     u = problem.universe
     eta, cov = u.expected_returns, u.covariance
     x = problem.threshold
-    w = _frontier_point(u, problem.lower, problem.upper, lambda r0, r1, v0: (
+    segments = _segments or _trace(u, problem.lower, problem.upper)
+    w = _frontier_point(segments, problem.lower, problem.upper, lambda r0, r1, v0: (
         v0 / (r0 + x) if r0 + x > 0.0 else math.inf))
     ret = float(w @ eta)
     if ret + x <= 0.0:
@@ -404,6 +414,8 @@ def cvar_cross_evaluate(weights: np.ndarray, universe: AssetUniverse,
                         family: QualifiedFamily, alpha: float) -> float:
     """Loss CVaR of fixed weights under the given family at level alpha."""
     w = np.asarray(weights, dtype=float)
+    if w.shape != (universe.size,):
+        raise ParameterError(f"expected {universe.size} weights, got shape {w.shape}")
     ret = float(w @ universe.expected_returns)
     sd = math.sqrt(float(w @ universe.covariance @ w))
     return -ret + sd * family.zeta(alpha)
@@ -412,14 +424,14 @@ def cvar_cross_evaluate(weights: np.ndarray, universe: AssetUniverse,
 def markowitz_solve(universe: AssetUniverse, lam: float,
                     lower=0.0, upper=1.0) -> np.ndarray:
     """Maximize w.eta - (lam/2) w.S.w over the box-bounded simplex: the
-    frontier point at gamma = 1 / lam."""
-    if lam < 0:
+    frontier point at gamma = 1 / lam; at lam = inf, minimal variance."""
+    if not lam >= 0:
         raise ParameterError(f"trade-off lambda must be >= 0, got {lam}")
     eta, cov = universe.expected_returns, universe.covariance
     lo, hi = _bounds(universe.size, lower, upper)
     gamma = 1.0 / lam if lam > 0.0 else math.inf
-    w = _frontier_point(universe, lo, hi, lambda r0, r1, v0: gamma)
-    _certify(w, eta - lam * (cov @ w), lo, hi)
+    w = _frontier_point(_trace(universe, lo, hi), lo, hi, lambda r0, r1, v0: gamma)
+    _certify(w, eta - lam * (cov @ w) if lam < math.inf else -(cov @ w), lo, hi)
     return w
 
 
@@ -430,27 +442,30 @@ def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
 
     Returns (weights match within tol, max per-weight gap).
     """
-    w_mark = markowitz_solve(universe, lam, lower, upper)
-    gap = float(np.max(np.abs(np.asarray(w_cvar, dtype=float) - w_mark)))
+    w_cvar = np.asarray(w_cvar, dtype=float)
+    if w_cvar.shape != (universe.size,):
+        raise ParameterError(f"expected {universe.size} weights, got shape {w_cvar.shape}")
+    gap = float(np.max(np.abs(w_cvar - markowitz_solve(universe, lam, lower, upper))))
     return gap <= tol, gap
 
 
 def efficient_frontier(universe: AssetUniverse, family: QualifiedFamily,
                        objective: str, grid: np.ndarray,
                        lower=0.0, upper=1.0) -> list[dict]:
-    """Sweep the level (cvar) or threshold (bpoe) and record each optimum."""
+    """Sweep the level (cvar) or threshold (bpoe) and record each optimum, every
+    row its own validated and certified solve on the one shared corner trace."""
+    if objective not in ("cvar", "bpoe"):
+        raise ParameterError(f"objective must be 'cvar' or 'bpoe', got {objective!r}")
+    segments = _trace(universe, *_bounds(universe.size, lower, upper))
+    key = "alpha" if objective == "cvar" else "threshold"
     rows = []
     for v in grid:
         if objective == "cvar":
-            prob = PortfolioProblem(universe, "cvar", level=float(v),
-                                    lower=lower, upper=upper)
-            rep = min_cvar_portfolio(prob, family)
-            key = "alpha"
+            prob = PortfolioProblem(universe, "cvar", level=float(v), lower=lower, upper=upper)
+            rep = min_cvar_portfolio(prob, family, segments)
         else:
-            prob = PortfolioProblem(universe, "bpoe", threshold=float(v),
-                                    lower=lower, upper=upper)
-            rep = min_bpoe_portfolio(prob, family, report_families=())   # reads no other family
-            key = "threshold"
+            prob = PortfolioProblem(universe, "bpoe", threshold=float(v), lower=lower, upper=upper)
+            rep = min_bpoe_portfolio(prob, family, (), segments)   # reads no other family
         row = {key: float(v), "objective_value": rep.objective_value,
                "return": rep.expected_return, "stdev": rep.stdev}
         row.update({n: float(w) for n, w in zip(rep.names, rep.weights)})

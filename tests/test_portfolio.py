@@ -9,7 +9,7 @@ from tailrisk import distributions as dist
 from tailrisk import specfun as sf
 from tailrisk import tail_metrics as tm
 from tailrisk import _optim, portfolio
-from tailrisk.errors import DomainError, ParameterError
+from tailrisk.errors import ConvergenceError, DomainError, ParameterError
 from tailrisk.portfolio import (AssetUniverse, PortfolioProblem, QualifiedFamily,
                                 cvar_cross_evaluate, default_report_families,
                                 efficient_frontier, markowitz_equivalence_check,
@@ -323,6 +323,30 @@ def test_cvar_cross_evaluate_degenerate(msci):
     assert abs(val + float(w @ msci.expected_returns)) <= 1e-9
 
 
+def test_weight_vectors_of_the_wrong_length_are_parameter_errors(msci):
+    # numpy's untyped ValueError before; a length-1 vector would even broadcast
+    w = markowitz_solve(msci, 3.0)
+    for bad in (w[:-1], np.append(w, 0.0), w[:1], w.reshape(2, 3)):
+        with pytest.raises(ParameterError, match="expected 6 weights"):
+            cvar_cross_evaluate(bad, msci, QualifiedFamily("normal"), 0.95)
+        with pytest.raises(ParameterError, match="expected 6 weights"):
+            markowitz_equivalence_check(bad, msci, 3.0)
+
+
+def test_nan_lambda_and_nan_residual_are_rejected(msci):
+    # a NaN lambda gave the vertex [0, 0, 0, 0, 0, 1] as a certified optimum
+    with pytest.raises(ParameterError, match="lambda"):
+        markowitz_solve(msci, math.nan)
+    # lambda = inf is the minimum-variance portfolio, certified on -S w
+    w = markowitz_solve(msci, math.inf)
+    assert _kkt_residual(w, -(msci.covariance @ w), np.zeros(6), np.ones(6)) <= 1e-15
+    assert w == pytest.approx(markowitz_solve(msci, 1e8), abs=1e-6)
+    lo, hi, even = np.zeros(6), np.ones(6), np.full(6, 1.0 / 6.0)
+    assert portfolio._certify(even, np.zeros(6), lo, hi) <= 1e-15
+    with pytest.raises(ConvergenceError):
+        portfolio._certify(even, np.full(6, math.nan), lo, hi)
+
+
 def test_markowitz_two_asset_analytic():
     u = _two_asset()
     lam = 5.0
@@ -396,6 +420,45 @@ def test_bpoe_frontier_inverts_zeta_once_per_row(monkeypatch, msci):
         rep = min_bpoe_portfolio(PortfolioProblem(msci, "bpoe", threshold=x), family)
         assert row["objective_value"] == rep.objective_value, x
         assert [row[n] for n in msci.names] == rep.weights.tolist(), x
+
+
+def _count_traces(monkeypatch):
+    calls = []
+    trace = portfolio.critical_line_trace
+    monkeypatch.setattr(portfolio, "critical_line_trace",
+                        lambda *args: calls.append(args) or trace(*args))
+    return calls
+
+
+@pytest.mark.parametrize("objective, grid", [("cvar", np.linspace(0.9, 0.99, 10)),
+                                             ("bpoe", np.linspace(0.05, 0.3, 10))])
+def test_frontier_traces_once(monkeypatch, msci, objective, grid):
+    calls = _count_traces(monkeypatch)
+    rows = efficient_frontier(msci, QualifiedFamily("normal"), objective, grid)
+    assert len(calls) == 1 and len(rows) == grid.size
+
+
+def test_frontier_rejects_an_unknown_objective_before_tracing(monkeypatch, msci):
+    # any objective but "cvar" used to sweep bPOE thresholds
+    calls = _count_traces(monkeypatch)
+    for objective in ("CVaR", "var", ""):
+        with pytest.raises(ParameterError, match="'cvar' or 'bpoe'"):
+            efficient_frontier(msci, QualifiedFamily("normal"), objective, np.array([0.9, 0.95]))
+    assert calls == []
+
+
+def test_cvar_frontier_rows_are_the_single_solves(msci):
+    # the shared trace changes no bit: each row is min_cvar_portfolio at its level
+    family = QualifiedFamily("student-t", nu=4.0)
+    lower, upper = np.array([0.02, 0.0, 0.05, 0.0, 0.0, 0.01]), np.full(6, 0.4)
+    grid = (0.5, 0.9, 0.95, 0.99)
+    rows = efficient_frontier(msci, family, "cvar", np.array(grid), lower=lower, upper=upper)
+    for alpha, row in zip(grid, rows):
+        rep = min_cvar_portfolio(PortfolioProblem(msci, "cvar", level=alpha, lower=lower,
+                                                  upper=upper), family)
+        assert (row["objective_value"], row["return"], row["stdev"]) == (
+            rep.objective_value, rep.expected_return, rep.stdev), alpha
+        assert [row[n] for n in msci.names] == rep.weights.tolist(), alpha
 
 
 # --- the corner trace --------------------------------------------------------
