@@ -17,8 +17,7 @@ _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BRENT_MAX_ITER = 200
 
 
-def brent_min(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-10,
-              _seed: tuple[float, float, float, float] | None = None) -> float:
+def brent_min(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-10) -> float:
     """Brent's method for the minimizer of a unimodal f on [lo, hi]: successive
     parabolic interpolation through the three best points, safeguarded by
     golden-section steps (Brent, Algorithms for Minimization without
@@ -29,18 +28,11 @@ def brent_min(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1
     the larger side. No two evaluations lie closer than half the stop scale
     xtol (1 + |lo| + |hi|), lo and hi the current bracket, and f is evaluated
     only inside [lo, hi]. Stops when the bracket lies within that scale on
-    both sides of the best point, which it returns. Given ``_seed`` =
-    (x, f(x), f(lo), f(hi)) with f(x) below both ends, the search starts from
-    those three points and evaluates nothing before the first parabola.
+    both sides of the best point, which it returns.
     """
-    if _seed is None:
-        x = w = v = hi - _PHI * (hi - lo)
-        fx = fw = fv = f(x)
-        step = before = 0.0   # the last two steps
-    else:
-        x, fx, fw, fv = _seed
-        w, v = lo, hi
-        step = before = hi - lo
+    x = w = v = hi - _PHI * (hi - lo)
+    fx = fw = fv = f(x)
+    step = before = 0.0   # the last two steps
     for _ in range(_BRENT_MAX_ITER):
         tol = 0.5 * xtol * (1.0 + abs(lo) + abs(hi))
         mid = 0.5 * (lo + hi)

@@ -57,7 +57,8 @@ class FitProblem:
     """Targets and configuration for a superquantile fit.
 
     Exactly one of ``sample`` (raw observations) or ``targets`` (explicit
-    superquantile values) must be given; targets pair with ``levels``.
+    superquantile values) must be given, every value finite; targets pair
+    with ``levels``.
     ``shifts`` are the conservative-fitting offsets eps_i with
     0 <= eps_i <= alpha_i.
     """
@@ -87,18 +88,19 @@ class FitProblem:
             raise ParameterError("shifts must satisfy 0 <= eps_i <= alpha_i")
         if (self.targets is None) == (self.sample is None):
             raise ParameterError("provide exactly one of targets or sample")
-        if self.targets is not None and len(self.targets) != len(levels):
-            raise ParameterError("one target per level required")
+        if self.targets is not None:
+            targets = tuple(float(t) for t in self.targets)
+            if len(targets) != len(levels) or not all(map(math.isfinite, targets)):
+                raise ParameterError("one finite target per level required")
+            object.__setattr__(self, "targets", targets)
         if self.sample is not None:
             sample = np.asarray(self.sample, dtype=float)
-            if sample.size == 0 or np.isnan(sample).any():
-                raise ParameterError("sample must be nonempty and without NaN")
+            if sample.size == 0 or not np.isfinite(sample).all():
+                raise ParameterError("sample must be nonempty and finite: no NaN or inf")
             object.__setattr__(self, "sample", tuple(sample.tolist()))
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "shifts", shifts)
-        if self.targets is not None:
-            object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
 
     def resolved_targets(self) -> tuple[float, ...]:
         if self.targets is not None:
@@ -172,7 +174,6 @@ _FAMILIES: dict[str, _Family] = {
     "loglogistic": _Family(False, (1.0, 1.0, 1e-2, 1e2), lambda mu, s, th: (s, th)),
     "gev": _Family(True, (1.0, -1.0, 1e-2, 10.0), lambda mu, s, th: (mu, s, th)),
 }
-_SCAN = 25
 
 
 def _family(name: str) -> tuple[str, _Family, tuple[str, ...]]:
@@ -199,26 +200,26 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
 
     For each shape theta the weighted normal equations give (mu, s) in closed
     form: 1x1 for the scale families, 2x2 with a location. theta is searched
-    at 25 even steps of its coordinate t, then by Brent's method
-    (``_optim.brent_min``) between the best step's two neighbours,
-    its first parabola through the three scanned values, and one Newton step
-    on the profile's slope. Each t is evaluated once: the search's last point
-    and the last slope's centre are reused. Shape-free families (Exponential,
-    Normal, Laplace, Logistic) need no search.
+    in its coordinate t by one Brent search (``_optim.brent_min``) over the
+    whole range, then one Newton step on the profile's slope. Each t is
+    evaluated once: the search's last point and the last slope's centre are
+    reused. Shape-free families (Exponential, Normal, Laplace, Logistic) need
+    no search.
 
     Shape ranges, each inside the domain where superquantiles are finite:
     Pareto a and LogLogistic b in 1 + [1e-2, 1e2]; Student-t nu in
     1 + [1e-2, 1e3]; GPD and GEV xi in 1 - [1e-2, 10], i.e. [-9, 0.99];
     Weibull k in [0.02, 50]; LogNormal s in [1e-2, 10].
 
-    Normal is the nu -> inf member of Student-t: when a Student-t scan is
-    best at its upper nu end, the Normal fit of the same problem is returned
-    if its objective is no larger, so ``FitResult.family`` is then
-    ``"normal"``.
+    The search ends at an end of the range when it stops within
+    2e-7 (1 + |t_lo| + |t_hi|) of it, twice its stop scale. Normal is the
+    nu -> inf member of Student-t: when a Student-t search ends at its upper
+    nu end, the Normal fit of the same problem is returned if its objective
+    is no larger, so ``FitResult.family`` is then ``"normal"``.
 
     Raises ParameterError with fewer levels than free parameters, and
-    ConvergenceError (diagnostics with ``residuals``) when the best scanned
-    shape is an end of its range or the fitted scale is not positive, i.e.
+    ConvergenceError (diagnostics with ``residuals``) when the search ends at
+    an end of the shape range or the fitted scale is not positive, i.e.
     s max|sq0| <= 1e-12 max|target| (zero-spread targets).
     """
     family, fam, names = _family(problem.family)
@@ -253,24 +254,23 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
         seen[t] = value, mu, s, theta, residuals, z
         return seen[t]
 
-    t, gradient_norm, at_edge = 0.0, 0.0, False
+    t, gradient_norm, at_edge, at_hi = 0.0, 0.0, False, False
     if fam.shape is not None:
         lo, hi = map(math.log, fam.shape[2:])
-        cell = (hi - lo) / (_SCAN - 1)
-        scan = [profile(lo + i * cell)[0] for i in range(_SCAN)]
-        j = min(range(_SCAN), key=scan.__getitem__)
-        t, at_edge = lo + j * cell, j in (0, _SCAN - 1)
+        t = brent_min(lambda u: profile(u)[0], lo, hi, xtol=1e-7)
+        # Brent evaluates no closer to an end than its stop scale: within twice that is the end
+        edge = 2e-7 * (1.0 + abs(lo) + abs(hi))
+        at_hi = hi - t <= edge
+        at_edge = at_hi or t - lo <= edge
         if not at_edge:
-            t = brent_min(lambda u: profile(u)[0], t - cell, t + cell, xtol=1e-7,
-                          _seed=(t, scan[j], scan[j - 1], scan[j + 1]))
             # the search stops where objective differences sink into
             # rounding; one Newton step on the central-difference slope goes on
             slope, curvature = _slope(profile, t)
-            if curvature > abs(slope) / cell:
+            if curvature > abs(slope) / (hi - lo):
                 t -= slope / curvature
             gradient_norm = abs(_slope(profile, t)[0])
     value, mu, s, theta, residuals, z = profile(t)
-    if family == "student-t" and at_edge and j == _SCAN - 1:
+    if family == "student-t" and at_hi:
         # the optimum is the Normal limit nu -> inf, which the nu range cannot reach
         normal = ls_mos_fit(replace(problem, family="normal"))
         if normal.objective <= value:

@@ -165,6 +165,8 @@ class AssetUniverse:
         if corr.shape != (n, n):
             raise ParameterError(
                 f"correlation matrix must be {n}x{n}, got {corr.shape}")
+        if not (np.isfinite(eta).all() and np.isfinite(sd).all() and np.isfinite(corr).all()):
+            raise ParameterError("returns, stdevs and correlations must be finite")
         if np.any(sd <= 0):
             raise ParameterError("stdevs must be positive")
         if np.max(np.abs(corr - corr.T)) > 1e-12:
@@ -237,9 +239,12 @@ def _read_csv(path: str | Path) -> list[list[str]]:
 
 
 def _bounds(n: int, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    """Weight bounds broadcast to n assets; DomainError if no budget fits them."""
+    """Weight bounds broadcast to n assets; ParameterError on a NaN bound or a
+    lower bound of -inf, DomainError if no budget fits them."""
     lo = np.broadcast_to(np.asarray(lower, dtype=float), (n,)).copy()
     hi = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).copy()
+    if not (lo > -math.inf).all() or np.isnan(hi).any():   # NaN compares False
+        raise ParameterError("weight bounds must not be NaN, and lower bounds must exceed -inf")
     if np.any(lo > hi) or lo.sum() > 1.0 + 1e-12 or hi.sum() < 1.0 - 1e-12:
         raise DomainError(
             "infeasible bounds: need lower <= upper with sum(lower) <= 1 <= sum(upper)")
@@ -431,7 +436,9 @@ def markowitz_solve(universe: AssetUniverse, lam: float,
     lo, hi = _bounds(universe.size, lower, upper)
     gamma = 1.0 / lam if lam > 0.0 else math.inf
     w = _frontier_point(_trace(universe, lo, hi), lo, hi, lambda r0, r1, v0: gamma)
-    _certify(w, eta - lam * (cov @ w) if lam < math.inf else -(cov @ w), lo, hi)
+    # the gradient eta - lam S w over max(lam, 1): zero at the same KKT points, and
+    # its rounding does not grow with lam
+    _certify(w, min(gamma, 1.0) * eta - min(lam, 1.0) * (cov @ w), lo, hi)
     return w
 
 
@@ -452,10 +459,18 @@ def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
 def efficient_frontier(universe: AssetUniverse, family: QualifiedFamily,
                        objective: str, grid: np.ndarray,
                        lower=0.0, upper=1.0) -> list[dict]:
-    """Sweep the level (cvar) or threshold (bpoe) and record each optimum, every
-    row its own validated and certified solve on the one shared corner trace."""
+    """Sweep the level (cvar) or threshold (bpoe) over ``grid``, a 1-D sequence of
+    finite numbers, and record each optimum, every row its own validated and
+    certified solve on the one shared corner trace."""
     if objective not in ("cvar", "bpoe"):
         raise ParameterError(f"objective must be 'cvar' or 'bpoe', got {objective!r}")
+    message = "grid must be a 1-D sequence of finite numbers"
+    try:
+        grid = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(message) from None
+    if grid.ndim != 1 or not np.isfinite(grid).all():
+        raise ParameterError(message)
     segments = _trace(universe, *_bounds(universe.size, lower, upper))
     key = "alpha" if objective == "cvar" else "threshold"
     rows = []

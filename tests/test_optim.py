@@ -61,17 +61,6 @@ def test_fewer_evaluations_than_golden_section_on_a_smooth_minimum():
     assert len(points) <= 12
 
 
-def test_seed_starts_from_the_parabola_of_three_points():
-    f = CASES["quartic plus quadratic"][0]
-    lo, hi, x = 0.0, 1.0, 0.5
-    g, points = _counted(f, lo, hi)
-    got = brent_min(g, lo, hi, xtol=1e-10, _seed=(x, f(x), f(lo), f(hi)))
-    assert abs(got - 0.3) <= 3e-10
-    r, q = (x - lo) * (f(x) - f(hi)), (x - hi) * (f(x) - f(lo))
-    assert points[0] == pytest.approx(x - ((x - hi) * q - (x - lo) * r) / (2.0 * (q - r)))
-    assert len(points) <= 10
-
-
 def test_never_leaves_the_bracket_on_random_problems():
     rng = random.Random(5)
     for _ in range(2000):

@@ -58,6 +58,18 @@ def test_universe_rejects_bad_inputs():
         AssetUniverse(("A",), np.array([0.1]), np.array([0.0]), np.eye(1))
 
 
+@pytest.mark.parametrize("field", ["returns", "stdevs", "correlations"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_universe_rejects_non_finite_inputs(field, value):
+    # a NaN expected return solved to a ConvergenceError
+    msci = AssetUniverse.bundled()
+    data = {"returns": msci.expected_returns.copy(), "stdevs": msci.stdevs.copy(),
+            "correlations": msci.correlations.copy()}
+    data[field].flat[1] = value
+    with pytest.raises(ParameterError, match="finite"):
+        AssetUniverse(msci.names, data["returns"], data["stdevs"], data["correlations"])
+
+
 def test_csv_loaders(tmp_path, msci):
     assets = tmp_path / "assets.csv"
     corr = tmp_path / "corr.csv"
@@ -316,6 +328,21 @@ def test_mean_variance_solvers_reject_infeasible_bounds(msci):
             markowitz_solve(msci, 3.0, **bounds)
 
 
+@pytest.mark.parametrize("bounds", [{"lower": math.nan}, {"upper": math.nan},
+                                    {"lower": -math.inf},
+                                    {"lower": np.r_[0.0, math.nan, np.zeros(4)]}])
+def test_nan_and_minus_inf_bounds_are_parameter_errors(msci, bounds):
+    # each reached the corner trace and raised UnboundLocalError or ConvergenceError
+    with pytest.raises(ParameterError, match="bounds"):
+        markowitz_solve(msci, 3.0, **bounds)
+    with pytest.raises(ParameterError, match="bounds"):
+        PortfolioProblem(msci, "cvar", level=0.95, **bounds)
+    with pytest.raises(ParameterError, match="bounds"):
+        efficient_frontier(msci, QualifiedFamily("normal"), "cvar", [0.9], **bounds)
+    # an upper bound of +inf is no bound at all
+    assert markowitz_solve(msci, 3.0, upper=math.inf) == pytest.approx(markowitz_solve(msci, 3.0))
+
+
 def test_cvar_cross_evaluate_degenerate(msci):
     w = markowitz_solve(msci, 3.0)
     # zeta vanishes as alpha -> 0, leaving CVaR = -return
@@ -345,6 +372,18 @@ def test_nan_lambda_and_nan_residual_are_rejected(msci):
     assert portfolio._certify(even, np.zeros(6), lo, hi) <= 1e-15
     with pytest.raises(ConvergenceError):
         portfolio._certify(even, np.full(6, math.nan), lo, hi)
+
+
+def test_markowitz_certifies_for_every_lambda(msci):
+    # the certificate's rounding grew with lambda: a ConvergenceError from 1e10
+    lo, hi = np.zeros(6), np.ones(6)
+    w_min = markowitz_solve(msci, math.inf)
+    for lam in (0.0, 1e-3, 1.0, 1e3, 1e9, 1e10, 1e12, 1e15, math.inf):
+        w = markowitz_solve(msci, lam)
+        gamma = 1.0 / lam if lam > 0.0 else math.inf
+        g = min(gamma, 1.0) * msci.expected_returns - min(lam, 1.0) * (msci.covariance @ w)
+        assert portfolio._certify(w, g, lo, hi) <= 1e-15, lam
+    assert markowitz_solve(msci, 1e15) == pytest.approx(w_min, abs=1e-13)
 
 
 def test_markowitz_two_asset_analytic():
@@ -444,6 +483,17 @@ def test_frontier_rejects_an_unknown_objective_before_tracing(monkeypatch, msci)
     for objective in ("CVaR", "var", ""):
         with pytest.raises(ParameterError, match="'cvar' or 'bpoe'"):
             efficient_frontier(msci, QualifiedFamily("normal"), objective, np.array([0.9, 0.95]))
+    assert calls == []
+
+
+@pytest.mark.parametrize("grid", [[[0.9, 0.95]], 0.9, ["a"], [0.9, math.nan], None],
+                         ids=["nested", "scalar", "text", "nan", "none"])
+def test_frontier_rejects_a_grid_that_is_not_1d_finite_before_tracing(monkeypatch, msci,
+                                                                       grid):
+    # TypeError or ValueError from numpy before
+    calls = _count_traces(monkeypatch)
+    with pytest.raises(ParameterError, match="1-D sequence of finite numbers"):
+        efficient_frontier(msci, QualifiedFamily("normal"), "cvar", grid)
     assert calls == []
 
 
