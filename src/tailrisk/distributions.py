@@ -257,8 +257,8 @@ class GPD(Distribution):
         return _exp_or_inf(-self._ln_survival(x) - ln_c - math.log(d))
 
     def pdf(self, x):
-        h = self.s + self.xi * (x - self.mu)   # s (1 + xi z); NaN at xi = 0, x = inf
-        return self._tail_power(x, h, d=h) if x >= self.mu and h > 0.0 else 0.0
+        h = self.s + self.xi * (x - self.mu)   # s (1 + xi z); NaN at xi = 0, x = inf, and at x = NaN
+        return 0.0 if x < self.mu or h <= 0.0 or x == math.inf else self._tail_power(x, h, d=h)
 
     def cdf(self, x):
         if x <= self.mu:
@@ -589,6 +589,8 @@ class Weibull(Distribution):
     def pdf(self, x):
         if x <= 0:   # at 0 the limit
             return 0.0 if x < 0 or self.k > 1.0 else (1.0 / self.lam if self.k == 1.0 else math.inf)
+        if x == math.inf:   # (k - 1) ln z - z^k is inf - inf there
+            return 0.0
         ln_z = math.log(x) - math.log(self.lam)   # z = x / lam may leave binary64
         return _exp_or_inf(math.log(self.k) - math.log(self.lam) + (self.k - 1.0) * ln_z
                            - _scaled_power(1.0, x / self.lam, self.k))
@@ -693,7 +695,7 @@ class GEV(Distribution):
             return 0.0
         ln_t = -_log1p_ratio(self.xi, z)
         t = _exp_or_inf(ln_t)
-        return _exp_or_inf((1.0 + self.xi) * ln_t - t) / self.s if t < math.inf else 0.0
+        return 0.0 if t == math.inf else _exp_or_inf((1.0 + self.xi) * ln_t - t) / self.s
 
     def cdf(self, x):
         lo, hi = self.support()

@@ -38,8 +38,8 @@ def empirical_superquantile(sample, alpha: float) -> float:
     alpha = 0 gives the sample mean.
     """
     x = np.asarray(sample, dtype=float)
-    if x.size == 0 or np.isnan(x).any():
-        raise ParameterError("empirical superquantile needs a nonempty sample without NaN")
+    if x.size == 0 or not np.isfinite(x).all():
+        raise ParameterError("sample must be nonempty and finite: no NaN or inf")
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"level must lie in [0, 1), got {alpha}")
     if alpha == 0.0:

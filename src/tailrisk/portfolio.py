@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -155,9 +156,11 @@ class AssetUniverse:
     covariance: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        eta = np.asarray(self.expected_returns, dtype=float)
-        sd = np.asarray(self.stdevs, dtype=float)
-        corr = np.asarray(self.correlations, dtype=float)
+        try:
+            eta, sd, corr = (np.asarray(v, dtype=float) for v in (
+                self.expected_returns, self.stdevs, self.correlations))
+        except (TypeError, ValueError):   # text, or ragged rows
+            raise ParameterError("returns, stdevs and correlations must be numbers") from None
         n = len(self.names)
         if eta.shape != (n,) or sd.shape != (n,):
             raise ParameterError(
@@ -239,10 +242,13 @@ def _read_csv(path: str | Path) -> list[list[str]]:
 
 
 def _bounds(n: int, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    """Weight bounds broadcast to n assets; ParameterError on a NaN bound or a
-    lower bound of -inf, DomainError if no budget fits them."""
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), (n,)).copy()
-    hi = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).copy()
+    """Weight bounds broadcast to n assets; ParameterError on a bound that is neither a
+    number nor n of them, a NaN bound or a lower bound of -inf, DomainError if no budget
+    fits them."""
+    try:
+        lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), (n,)).copy() for b in (lower, upper))
+    except (TypeError, ValueError):
+        raise ParameterError(f"weight bounds must be a number or {n} numbers") from None
     if not (lo > -math.inf).all() or np.isnan(hi).any():   # NaN compares False
         raise ParameterError("weight bounds must not be NaN, and lower bounds must exceed -inf")
     if np.any(lo > hi) or lo.sum() > 1.0 + 1e-12 or hi.sum() < 1.0 - 1e-12:
@@ -266,12 +272,12 @@ class PortfolioProblem:
         if self.objective not in ("cvar", "bpoe"):
             raise ParameterError(f"objective must be 'cvar' or 'bpoe', got {self.objective!r}")
         if self.objective == "cvar":
-            if self.level is None or not 0.0 < self.level < 1.0:
+            if not isinstance(self.level, numbers.Real) or not 0.0 < self.level < 1.0:
                 raise ParameterError(f"cvar objective needs level in (0, 1), got {self.level}")
             if self.threshold is not None:
                 raise ParameterError("cvar objective takes no threshold")
         else:
-            if self.threshold is None or not math.isfinite(self.threshold):
+            if not isinstance(self.threshold, numbers.Real) or not math.isfinite(self.threshold):
                 raise ParameterError(f"bpoe objective needs a finite threshold, got {self.threshold}")
             if self.level is not None:
                 raise ParameterError("bpoe objective takes no level")
@@ -430,7 +436,7 @@ def markowitz_solve(universe: AssetUniverse, lam: float,
                     lower=0.0, upper=1.0) -> np.ndarray:
     """Maximize w.eta - (lam/2) w.S.w over the box-bounded simplex: the
     frontier point at gamma = 1 / lam; at lam = inf, minimal variance."""
-    if not lam >= 0:
+    if not isinstance(lam, numbers.Real) or not lam >= 0:
         raise ParameterError(f"trade-off lambda must be >= 0, got {lam}")
     eta, cov = universe.expected_returns, universe.covariance
     lo, hi = _bounds(universe.size, lower, upper)

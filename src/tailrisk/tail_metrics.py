@@ -13,8 +13,9 @@ shared with the oracle and the portfolio layer's GEV zeta inversion.
 Conventions, applied uniformly:
   * superquantile(d, 0) is the mean; infinite-mean parameterizations give
     superquantile = inf and bPOE = 1 for every finite threshold.
-  * bPOE is clamped to 1 below the mean and to 0 at or above the essential
-    supremum, so the functions are total on real thresholds.
+  * every bPOE engine starts from one rule, ``_bpoe_edges``: 1 at the mean, clamped to
+    1 below it and to 0 at or above the essential supremum, so each engine is total on
+    real thresholds; NaN and +-inf raise ``DomainError``, in ``partial_expectation`` too.
 """
 
 from __future__ import annotations
@@ -239,36 +240,28 @@ def left_superquantile(d: Distribution, alpha: float) -> float:
 
 # --- bPOE engines -----------------------------------------------------------
 
-def _clamped_one(d: Distribution) -> TailResult:
-    return TailResult(1.0, 0.0, d.support().lower, clamped=True)
-
-
-def _clamped_zero(d: Distribution) -> TailResult:
-    return TailResult(0.0, 1.0, d.support().upper, clamped=True)
+def _end(d: Distribution, value: float, clamped: bool = False) -> TailResult:
+    """bPOE 1 at the bottom of the support or 0 at the top, with that end."""
+    return TailResult(value, 1.0 - value, d.support()[value == 0.0], clamped)
 
 
 def _result_from_value(d: Distribution, value: float) -> TailResult:
-    value = min(1.0, max(0.0, value))
-    if value == 0.0 or value == 1.0:   # underflowed, or at the mean: an end of the support
-        return TailResult(value, 1.0 - value, d.support()[value == 0.0])
-    return TailResult(value, 1.0 - value, d.quantile(1.0 - value, value))
+    if 0.0 < value < 1.0:
+        return TailResult(value, 1.0 - value, d.quantile(1.0 - value, value))
+    return _end(d, 1.0 if value >= 1.0 else 0.0)   # at the mean, or underflowed
 
 
 def _bpoe_edges(d: Distribution, x: float) -> TailResult | None:
+    """Every engine's threshold rule: ``DomainError`` for a non-finite x, 1 at the mean,
+    clamped below it (every x if it diverges) and 0 clamped from the top of the support."""
     if not math.isfinite(x):
         raise DomainError(f"bPOE threshold must be finite, got {x}")
     m = d.mean()
-    if m == math.inf:
-        # infinite mean: the tail average exceeds every finite threshold
-        return _clamped_one(d)
     if x < m:
-        return _clamped_one(d)
+        return _end(d, 1.0, True)
     if x == m:   # the infimum, over g -> -inf, of E[X - g]+ / (x - g)
-        return TailResult(1.0, 0.0, d.support().lower)
-    upper = d.support().upper
-    if math.isfinite(upper) and x >= upper:
-        return _clamped_zero(d)
-    return None
+        return _end(d, 1.0)
+    return _end(d, 0.0, True) if x >= d.support().upper else None
 
 
 def bpoe_closed(d: Distribution, x: float) -> TailResult:
@@ -281,7 +274,7 @@ def bpoe_closed(d: Distribution, x: float) -> TailResult:
     if isinstance(d, GPD):
         h = d.s + d.xi * (x - d.mu)   # s (1 + xi z)
         if h <= 0.0:
-            return _clamped_zero(d)
+            return _end(d, 0.0, True)
         # ((1 + xi z)(1 - xi))^(-1/xi), e^(1 - z) at xi = 0
         value = d._tail_power(x, h, d._g1, math.log(d._g1) / d.xi if d.xi > 0.5
                               else _log1p_ratio(d.xi, -1.0))
@@ -513,27 +506,26 @@ def bpoe_by_minimization(d: Distribution, x: float) -> TailResult:
     ``quantile_star`` q; where the value underflows it is 0.0 with the top of the
     support, and where x rounds to the mean in standardized units it is 1.0 with
     the bottom, as at x == mean.
-    ``DomainError`` for a non-finite x or x <= mean, ``ConvergenceError`` if 100
-    steps do not settle.
+    Thresholds outside (mean, sup) read ``_bpoe_edges``, as in every engine, 1 below
+    the mean among them; ``ConvergenceError`` if 100 steps do not settle.
     """
     if not isinstance(d, MINIMIZATION_BPOE_FAMILIES):
         raise DomainError(f"no minimization bPOE engine for family {d.family!r}")
-    if not math.isfinite(x):
-        raise DomainError(f"bPOE threshold must be finite, got {x}")
-    if x <= d.mean():
-        raise DomainError(f"minimization engine requires x > mean, got x={x}, mean={d.mean()}")
+    edge = _bpoe_edges(d, x)
+    if edge is not None:
+        return edge
     reduce, tail = _STD_TAILS[type(d)]
     loc, scale, g = reduce(d, x)
     zx = (x - loc) / scale
     gap = zx - (d.mean() - loc) / scale
     if gap <= 0.0:
-        return TailResult(1.0, 0.0, d.support().lower)
+        return _end(d, 1.0)
     ln_zx = math.log(gap)
     lo, hi, tolerance = -math.inf, g, 4e-16 * max(1.0, abs(ln_zx))
     for _ in range(100):
         q, ln_s, slope, excess, ln_survival, lower = tail(d, g)
         if ln_survival < _LN_NEGLIGIBLE:   # so does S at the argmin, a modest multiple of S(g)
-            return TailResult(0.0, 1.0, d.support().upper)
+            return _end(d, 0.0)
         residual = ln_s - ln_zx
         lo, hi = (lo, g) if residual > 0.0 else (g, hi)
         new = g - residual / slope if slope > 0.0 else math.nan
@@ -547,7 +539,7 @@ def bpoe_by_minimization(d: Distribution, x: float) -> TailResult:
             ratio = excess / (zx - q) if q < zx else 1.0
             value = math.exp(ln_survival + math.log(ratio if ratio > 0.0 else 1.0))
             if value == 0.0:
-                return TailResult(0.0, 1.0, d.support().upper)
+                return _end(d, 0.0)
             return TailResult(min(1.0, value), lower, loc + scale * q)
         g = new
     raise ConvergenceError("bPOE minimization engine did not converge",
@@ -561,31 +553,34 @@ def bpoe(d: Distribution, x: float) -> TailResult:
     ``bpoe_by_root`` for Weibull, LogLogistic and GEV, and for the Normal, whose
     minimization engine is just as exact: the benchmark's tracer self-test
     expects the Normal bPOE to evaluate superquantiles, so it moves with that
-    test. Thresholds at or below the mean, or at or above the top of the
-    support, read 1 or 0 as in every engine.
+    test. Each engine applies ``_bpoe_edges`` itself, so ``bpoe`` only picks one.
     """
     if isinstance(d, CLOSED_BPOE_FAMILIES):
         return bpoe_closed(d, x)
-    if not isinstance(d, _MINIMIZED_BPOE_FAMILIES):
-        return bpoe_by_root(d, x)
-    edge = _bpoe_edges(d, x)
-    return bpoe_by_minimization(d, x) if edge is None else edge
+    if isinstance(d, _MINIMIZED_BPOE_FAMILIES):
+        return bpoe_by_minimization(d, x)
+    return bpoe_by_root(d, x)
 
 
 def partial_expectation(d: Distribution, gamma: float) -> float:
-    """E[X - gamma]+: for Normal, Logistic, Student-t and LogNormal scale S e, the
-    survival S and mean excess e of the bPOE minimization engine's tail, formed as
-    exp(ln S + ln scale + ln e) so that a subnormal S keeps its digits; elsewhere
-    (superquantile(F(gamma)) - gamma) (1 - F(gamma)),
-    which raises ``DomainError`` where 1 - F(gamma), at 1e-14 absolute error in F,
-    keeps less than 1e-8 relative.
+    """E[X - gamma]+ at a finite gamma (``DomainError`` else): mean - gamma from the bottom
+    of the support down, 0 from its top up; between, for Normal, Logistic, Student-t and
+    LogNormal scale S e, the survival S and mean excess e of the bPOE minimization engine's
+    tail, formed as exp(ln S + ln scale + ln e) so that a subnormal S keeps its digits;
+    elsewhere (superquantile(F(gamma)) - gamma) (1 - F(gamma)), which raises ``DomainError``
+    where 1 - F(gamma), at 1e-14 absolute error in F, keeps less than 1e-8 relative.
     """
+    if not math.isfinite(gamma):
+        raise DomainError(f"partial expectation threshold must be finite, got {gamma}")
     m = d.mean()
     if m == math.inf:
         return math.inf
+    lower, upper = d.support()
+    if gamma <= lower:
+        return m - gamma
+    if gamma >= upper:
+        return 0.0
     if isinstance(d, MINIMIZATION_BPOE_FAMILIES):
-        if gamma <= d.support().lower:
-            return m - gamma
         reduce, tail = _STD_TAILS[type(d)]
         _, scale, g = reduce(d, gamma)
         _, _, _, excess, ln_survival, _ = tail(d, g)
@@ -593,9 +588,6 @@ def partial_expectation(d: Distribution, gamma: float) -> float:
             raise DomainError(f"partial expectation of {d.family} at gamma={gamma}: "
                               "the survival underflows")
         return _exp_or_inf(ln_survival + math.log(scale) + math.log(excess)) if excess else 0.0
-    upper = d.support().upper
-    if math.isfinite(upper) and gamma >= upper:
-        return 0.0
     prob = d.cdf(gamma)
     if 1e-14 > 1e-8 * (1.0 - prob):
         raise DomainError(f"partial expectation of {d.family} at gamma={gamma}: "

@@ -143,6 +143,19 @@ def test_pdf_cdf_spot_values():
 
 
 @pytest.mark.parametrize("d", ALL_SETTINGS, ids=lambda d: repr(d))
+def test_pdf_and_cdf_at_nan_and_infinity(d):
+    # a NaN is NaN or a DomainError, never a number: GPD, Exponential, Pareto and GEV
+    # densities read 0.0 at NaN, and the Weibull's NaN at inf for k >= 1
+    for f in (d.pdf, d.cdf):
+        try:
+            assert math.isnan(f(math.nan)), f
+        except DomainError:
+            pass
+    assert d.pdf(-math.inf) == d.pdf(math.inf) == d.cdf(-math.inf) == 0.0
+    assert d.cdf(math.inf) == 1.0
+
+
+@pytest.mark.parametrize("d", ALL_SETTINGS, ids=lambda d: repr(d))
 def test_quantile_roundtrip(d):
     for i in range(1, 100):
         alpha = i / 100

@@ -348,6 +348,13 @@ def test_problem_validation():
         FitProblem("weibull", (0.5,), sample=(1.0, math.nan, 3.0))
     with pytest.raises(ParameterError, match="nonempty"):
         FitProblem("weibull", (0.5,), sample=())
+
+
+def test_empirical_superquantile_rejects_a_non_finite_sample():
+    # NaN with a RuntimeWarning, and inf, before; FitProblem's message
+    for sample, alpha in (([-math.inf, math.inf, 1.0], 0.0), ([1.0, math.inf], 0.5)):
+        with pytest.raises(ParameterError, match="nonempty and finite"):
+            empirical_superquantile(sample, alpha)
     with pytest.raises(ParameterError, match="parameterization"):
         ls_mos_fit(FitProblem("unknown", (0.5,), targets=(1.0,)))
 

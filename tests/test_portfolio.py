@@ -343,6 +343,26 @@ def test_nan_and_minus_inf_bounds_are_parameter_errors(msci, bounds):
     assert markowitz_solve(msci, 3.0, upper=math.inf) == pytest.approx(markowitz_solve(msci, 3.0))
 
 
+def test_inputs_of_the_wrong_shape_or_type_are_parameter_errors(msci):
+    # numpy's ValueError or Python's TypeError before
+    with pytest.raises(ParameterError, match="bounds"):
+        markowitz_solve(msci, 3.0, lower=[0, 0])
+    with pytest.raises(ParameterError, match="bounds"):
+        PortfolioProblem(msci, "cvar", level=0.9, upper=[1, 1])
+    with pytest.raises(ParameterError, match="bounds"):
+        efficient_frontier(msci, QualifiedFamily("normal"), "cvar", [0.9], lower="x")
+    with pytest.raises(ParameterError, match="lambda"):
+        markowitz_solve(msci, "a")
+    with pytest.raises(ParameterError, match="level"):
+        PortfolioProblem(msci, "cvar", level="x")
+    with pytest.raises(ParameterError, match="threshold"):
+        PortfolioProblem(msci, "bpoe", threshold="x")
+    with pytest.raises(ParameterError, match="numbers"):
+        AssetUniverse(("a", "b"), [0.1, "x"], [0.2, 0.2], np.eye(2))
+    with pytest.raises(ParameterError, match="numbers"):
+        AssetUniverse(("a", "b"), [0.1, 0.1], [0.2, 0.2], [[1.0, 0.0], [0.0]])
+
+
 def test_cvar_cross_evaluate_degenerate(msci):
     w = markowitz_solve(msci, 3.0)
     # zeta vanishes as alpha -> 0, leaving CVaR = -return

@@ -510,16 +510,47 @@ def test_bpoe_nonincreasing_in_threshold():
 def test_minimization_engine_domain():
     with pytest.raises(DomainError):
         tm.bpoe_by_minimization(dist.Weibull(1.0, 2.0), 3.0)
-    with pytest.raises(DomainError):
-        tm.bpoe_by_minimization(dist.Normal(0, 1), -0.5)
+    # below the mean the clamp, as in the other engines (a DomainError before)
+    assert tm.bpoe_by_minimization(dist.Normal(0, 1), -0.5) == tm.TailResult(
+        1.0, 0.0, -math.inf, True)
 
 
 @pytest.mark.parametrize("d", [dist.Normal(0, 1), dist.Logistic(0, 1), dist.StudentT(3.0),
                                dist.LogNormal(0, 1)], ids=lambda d: d.family)
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_minimization_engine_rejects_a_non_finite_threshold(d, x):
+    # partial_expectation returned NaN, inf or raised an untyped ValueError
+    for f in (tm.bpoe_by_minimization, tm.bpoe, tm.bpoe_by_root, tm.partial_expectation):
+        with pytest.raises(DomainError, match="must be finite"):
+            f(d, x)
     with pytest.raises(DomainError, match="must be finite"):
-        tm.bpoe_by_minimization(d, x)
+        tm.bpoe_closed(dist.Exponential(1.0), x)
+
+
+@pytest.mark.parametrize("d", [
+    dist.Exponential(1.3), dist.Pareto(2.5, 1.0), dist.GPD(0.0, 1.0, -0.5), dist.Laplace(1.0, 2.0),
+    dist.Normal(1.0, 2.0), dist.LogNormal(0.5, 0.8), dist.Logistic(-2.0, 1.5),
+    dist.StudentT(2.5, 2.0, 1.0), dist.Weibull(0.5, 1.4), dist.LogLogistic(2.0, 3.0),
+    dist.GEV(0.0, 1.0, -0.2)], ids=lambda d: d.family)
+def test_every_bpoe_engine_follows_one_threshold_rule(d):
+    # 1 at the mean, clamped below it and from a finite top of the support; the
+    # minimization engine raised below the mean
+    engines = [tm.bpoe, tm.bpoe_by_root]
+    if isinstance(d, tm.CLOSED_BPOE_FAMILIES):
+        engines.append(tm.bpoe_closed)
+    if isinstance(d, tm.MINIMIZATION_BPOE_FAMILIES):
+        engines.append(tm.bpoe_by_minimization)
+    lower, upper = d.support()
+    m = d.mean()
+    for engine in engines:
+        assert engine(d, m - 1.0) == tm.TailResult(1.0, 0.0, lower, True), engine
+        assert engine(d, m) == tm.TailResult(1.0, 0.0, lower, False), engine
+        if math.isfinite(upper):
+            for x in (upper, upper + 1.0):
+                assert engine(d, x) == tm.TailResult(0.0, 1.0, upper, True), engine
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="must be finite"):
+                engine(d, x)
 
 
 @pytest.mark.parametrize("d", [dist.Logistic(0, 1e10), dist.StudentT(1.5, 1e10)],
