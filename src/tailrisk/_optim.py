@@ -105,11 +105,11 @@ def critical_line_trace(eta: np.ndarray, cov: np.ndarray, lower: np.ndarray,
     For each gamma >= 0 the maximizer of gamma w.eta - w.S.w / 2 over the
     box-bounded simplex is piecewise affine in gamma. Returns its segments
     (lo, hi, a, b), hi of the first inf and lo of the last 0, on each of which
-    it is a + gamma b. The trace starts at the max-return vertex (greedy fill by
-    eta, the budget's last asset free) and walks gamma down, one KKT solve on
-    the free set per corner; a corner is where a free weight reaches a bound,
-    which it is then set to exactly, or a bound's multiplier changes sign. Ties
-    go to the leaving weight, then to the lower index.
+    it is a + gamma b, a and b read-only. From the max-return vertex (greedy
+    fill by eta, the budget's last asset free) the trace walks gamma down, one
+    KKT solve on the free set per corner; a corner is where a free weight
+    reaches a bound, which it is then set to exactly, or a bound's multiplier
+    changes sign. Ties go to the leaving weight, then to the lower index.
     """
     n = eta.size
     order = np.argsort(-eta, kind="stable")
@@ -168,6 +168,7 @@ def critical_line_trace(eta: np.ndarray, cov: np.ndarray, lower: np.ndarray,
             event = int(np.argmax(events))
             lo = max(float(events[event]), 0.0)
             if lo < hi:
+                a.setflags(write=False), b.setflags(write=False)
                 segments.append((lo, hi, a, b))
             if lo == 0.0:
                 return segments

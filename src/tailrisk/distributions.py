@@ -83,7 +83,7 @@ def _expm1_ratio(x: float, r: float, c: float = 1.0) -> float:
     if u < -40.0:   # e^u is below the rounding of 1: the limit -c / x, exactly
         return -c / x
     if u < 709.0:
-        return c * r * (math.expm1(u) / u if u else 1.0)
+        return c * (r * (math.expm1(u) / u if u else 1.0))   # c last: c r may be subnormal
     return math.copysign(_exp_or_inf(math.log(c) + u - math.log(abs(x))), x)
 
 
@@ -707,8 +707,14 @@ class GEV(Distribution):
             return 1.0
         return math.exp(-_exp_or_inf(-_log1p_ratio(self.xi, z)))
 
-    def _quantile(self, alpha, eps):   # mu + s (y^-xi - 1) / xi
-        return self.mu - _expm1_ratio(-self.xi, math.log(_neg_log(alpha, eps)), self.s)
+    def _quantile(self, alpha, eps):   # mu + s (y^-xi - 1) / xi, y = -ln alpha
+        # near alpha = 1/e, ln y ~ 0 keeps its digits only if read off alpha itself, not off
+        # a rounded y: alpha = (1 + d e) / e for d = alpha - 1/e, 1/e taken in double-double,
+        # so ln y = log1p(-log1p(d e)). Far from 1/e, d e nears -1 and that form fails.
+        d = alpha - 0.36787944117144233 + 1.2428753672788363e-17
+        ln_y = (math.log1p(-math.log1p(d * math.e)) if abs(d) < 0.125
+                else math.log(_neg_log(alpha, eps)))
+        return self.mu - _expm1_ratio(-self.xi, ln_y, self.s)
 
     def mean(self):
         return math.inf if self.xi >= 1.0 else self.mu + _expm1_ratio(self.xi, self._lg1, self.s)

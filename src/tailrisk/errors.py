@@ -27,3 +27,10 @@ class ConvergenceError(TailRiskError, RuntimeError):
 
 class OracleError(ConvergenceError):
     """The verification engine could not certify its requested tolerance."""
+
+
+def _typed(value, cls: type):
+    """value itself if it is a cls, else ParameterError."""
+    if not isinstance(value, cls):
+        raise ParameterError(f"expected a {cls.__name__}, got {type(value).__name__}")
+    return value

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._optim import brent_min
 from .distributions import FAMILIES, Distribution, _ln_gamma_gap, make
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError, _typed
 from .tail_metrics import superquantile
 
 
@@ -71,32 +71,38 @@ class FitProblem:
     sample: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        levels = tuple(float(a) for a in self.levels)
+        try:
+            levels, weights, shifts = (tuple(map(float, v)) for v in (
+                self.levels, self.weights, self.shifts))
+            targets = None if self.targets is None else tuple(map(float, self.targets))
+            sample = None if self.sample is None else np.asarray(self.sample, dtype=float)
+        except (TypeError, ValueError):   # text, None, or nested rows
+            raise ParameterError("levels, weights, shifts, targets and sample must be "
+                                 "sequences of numbers") from None
+        _family(self.family)   # ParameterError for a family with no fit parameterization
         if not levels:
             raise ParameterError("at least one probability level is required")
         if any(not 0.0 <= a < 1.0 for a in levels):
             raise ParameterError(f"levels must lie in [0, 1), got {levels}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ParameterError(f"levels must be strictly increasing, got {levels}")
-        weights = tuple(float(c) for c in self.weights) or (1.0,) * len(levels)
-        if len(weights) != len(levels) or any(c <= 0 for c in weights):
-            raise ParameterError("weights must be positive, one per level")
-        shifts = tuple(float(e) for e in self.shifts) or (0.0,) * len(levels)
+        weights = weights or (1.0,) * len(levels)
+        if len(weights) != len(levels) or any(not 0.0 < c < math.inf for c in weights):
+            raise ParameterError("weights must be positive and finite, one per level")
+        shifts = shifts or (0.0,) * len(levels)
         if len(shifts) != len(levels):
             raise ParameterError("one shift per level required")
         if any(not 0.0 <= e <= a for e, a in zip(shifts, levels)):
             raise ParameterError("shifts must satisfy 0 <= eps_i <= alpha_i")
         if (self.targets is None) == (self.sample is None):
             raise ParameterError("provide exactly one of targets or sample")
-        if self.targets is not None:
-            targets = tuple(float(t) for t in self.targets)
+        if targets is not None:
             if len(targets) != len(levels) or not all(map(math.isfinite, targets)):
                 raise ParameterError("one finite target per level required")
             object.__setattr__(self, "targets", targets)
-        if self.sample is not None:
-            sample = np.asarray(self.sample, dtype=float)
-            if sample.size == 0 or not np.isfinite(sample).all():
-                raise ParameterError("sample must be nonempty and finite: no NaN or inf")
+        if sample is not None:
+            if sample.ndim != 1 or sample.size == 0 or not np.isfinite(sample).all():
+                raise ParameterError("sample must be 1-D, nonempty and finite: no NaN or inf")
             object.__setattr__(self, "sample", tuple(sample.tolist()))
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "weights", weights)
@@ -178,7 +184,7 @@ _FAMILIES: dict[str, _Family] = {
 
 def _family(name: str) -> tuple[str, _Family, tuple[str, ...]]:
     """The family key, its fit parameterization and its parameter names."""
-    key = name.lower().replace("_", "-")
+    key = name.lower().replace("_", "-") if isinstance(name, str) else None
     if key not in _FAMILIES:
         raise ParameterError(f"no fit parameterization for family {name!r}")
     return key, _FAMILIES[key], FAMILIES[key]._fields
@@ -222,7 +228,7 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
     an end of the shape range or the fitted scale is not positive, i.e.
     s max|sq0| <= 1e-12 max|target| (zero-spread targets).
     """
-    family, fam, names = _family(problem.family)
+    family, fam, names = _family(_typed(problem, FitProblem).family)
     if len(problem.levels) < len(names):
         raise ParameterError(f"{family} has {len(names)} free parameters but only "
                              f"{len(problem.levels)} level(s)")
@@ -297,7 +303,7 @@ def mos_solve(problem: FitProblem) -> FitResult:
     Runs ``ls_mos_fit`` and gates on the residual infinity norm; no solution
     within 1e-8 raises with the final residuals.
     """
-    family, _, names = _family(problem.family)
+    family, _, names = _family(_typed(problem, FitProblem).family)
     if len(problem.levels) != len(names):
         raise ParameterError(
             f"MOS needs exactly {len(names)} levels for {family}, got {len(problem.levels)}")

@@ -29,8 +29,8 @@ min-CVaR optimum, where the slope dsigma/dr is 1 / zeta, solves sqrt(v) =
 zeta gamma; the min-bPOE optimum, the tangent from (0, -x), solves v =
 gamma (r + x); Markowitz reads gamma = 1 / lambda. Each is a root on the one
 segment where its sign changes, and ``kkt_residual`` certifies the final
-weights. The trace depends only on the universe and the bounds, so a frontier
-traces once and hands its segments to every row's solve (``_segments``).
+weights. The trace depends only on the (read-only) universe and the bounds, so
+the universe keeps its last trace, read by every solve at the same bounds.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 from ._optim import critical_line_trace, project_box_simplex
 from .distributions import (GEV, Distribution, Laplace, Logistic, Normal, StudentT,
                             _expm1_ratio, _ln_gamma_gap, _neg_log)
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError, _typed
 from .tail_metrics import _gev_tail, bpoe, cantelli_level, level_root, superquantile
 
 QUALIFIED_FAMILIES = ("normal", "laplace", "logistic", "student-t", "gev")
@@ -65,6 +65,8 @@ class QualifiedFamily:
     _unit: Distribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.family, str):
+            raise ParameterError(f"family must be a name, got {self.family!r:.40}")
         name = self.family.lower().replace("_", "-")
         if name == "t":
             name = "student-t"
@@ -77,11 +79,11 @@ class QualifiedFamily:
             raise ParameterError(
                 f"unknown family {name!r}; qualified families: {QUALIFIED_FAMILIES}")
         if name == "student-t":
-            if self.nu is None or self.nu <= 2.0:
+            if not (isinstance(self.nu, numbers.Real) and self.nu > 2.0):   # None, text, NaN
                 raise ParameterError(
                     f"student-t requires nu > 2 for unit-variance standardization, got {self.nu}")
         elif name == "gev":
-            if self.xi is None or self.xi >= 0.5:
+            if not (isinstance(self.xi, numbers.Real) and self.xi < 0.5):
                 raise ParameterError(
                     f"gev requires xi < 1/2 for finite variance, got {self.xi}")
         elif self.nu is not None or self.xi is not None:
@@ -146,7 +148,8 @@ class AssetUniverse:
 
     Returns and stdevs are per-period fractions. The covariance matrix is
     derived as diag(stdev) @ corr @ diag(stdev) and checked for positive
-    semidefiniteness.
+    semidefiniteness. The arrays are read-only copies of the inputs, so the
+    corner trace kept of the last bounds solved at cannot go stale.
     """
 
     names: tuple[str, ...]
@@ -154,17 +157,20 @@ class AssetUniverse:
     stdevs: np.ndarray
     correlations: np.ndarray
     covariance: np.ndarray = field(init=False, repr=False)
+    _last_trace: tuple = field(default=(b"", ()), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            eta, sd, corr = (np.asarray(v, dtype=float) for v in (
+            names = tuple(self.names)
+            eta, sd, corr = (np.array(v, dtype=float) for v in (
                 self.expected_returns, self.stdevs, self.correlations))
         except (TypeError, ValueError):   # text, or ragged rows
-            raise ParameterError("returns, stdevs and correlations must be numbers") from None
-        n = len(self.names)
-        if eta.shape != (n,) or sd.shape != (n,):
             raise ParameterError(
-                f"expected {n} returns and stdevs, got shapes {eta.shape}, {sd.shape}")
+                "names must be a sequence, and returns, stdevs and correlations numbers") from None
+        n = len(names)
+        if not n or eta.shape != (n,) or sd.shape != (n,):
+            raise ParameterError(f"expected {n} returns and stdevs, at least one, "
+                                 f"got shapes {eta.shape}, {sd.shape}")
         if corr.shape != (n, n):
             raise ParameterError(
                 f"correlation matrix must be {n}x{n}, got {corr.shape}")
@@ -181,11 +187,16 @@ class AssetUniverse:
         cov = np.outer(sd, sd) * corr
         if np.linalg.eigvalsh(cov).min() < -1e-10:
             raise ParameterError("covariance matrix is not positive semidefinite")
+        for v in (eta, sd, corr, cov):
+            v.setflags(write=False)
         object.__setattr__(self, "expected_returns", eta)
         object.__setattr__(self, "stdevs", sd)
         object.__setattr__(self, "correlations", corr)
-        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "covariance", cov)
+
+    def __reduce__(self):   # a copy or an unpickled universe is built anew: read-only, untraced
+        return type(self), (self.names, self.expected_returns, self.stdevs, self.correlations)
 
     @property
     def size(self) -> int:
@@ -269,7 +280,7 @@ class PortfolioProblem:
     upper: object = 1.0
 
     def __post_init__(self):
-        if self.objective not in ("cvar", "bpoe"):
+        if not (isinstance(self.objective, str) and self.objective in ("cvar", "bpoe")):
             raise ParameterError(f"objective must be 'cvar' or 'bpoe', got {self.objective!r}")
         if self.objective == "cvar":
             if not isinstance(self.level, numbers.Real) or not 0.0 < self.level < 1.0:
@@ -281,7 +292,7 @@ class PortfolioProblem:
                 raise ParameterError(f"bpoe objective needs a finite threshold, got {self.threshold}")
             if self.level is not None:
                 raise ParameterError("bpoe objective takes no level")
-        lo, hi = _bounds(self.universe.size, self.lower, self.upper)
+        lo, hi = _bounds(_typed(self.universe, AssetUniverse).size, self.lower, self.upper)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -316,21 +327,27 @@ class PortfolioReport:
         return out
 
 
-def _trace(universe: AssetUniverse, lower: np.ndarray, upper: np.ndarray) -> list[tuple]:
-    """The corner trace's segments (lo, hi, a, b), each with its r0, r1 and v0."""
-    eta, cov = universe.expected_returns, universe.covariance
-    return [(lo, hi, a, b, float(a @ eta), float(b @ eta), max(float(a @ cov @ a), 0.0))
-            for lo, hi, a, b in critical_line_trace(eta, cov, lower, upper)]
+def _trace(universe: AssetUniverse, lower: np.ndarray, upper: np.ndarray) -> tuple[tuple, ...]:
+    """The corner trace's segments (lo, hi, a, b), each with its r0, r1 and v0. The
+    universe keeps the last trace, matched by the bounds' exact bytes."""
+    key, memo = lower.tobytes() + upper.tobytes(), universe._last_trace   # read the slot once
+    if memo[0] != key:
+        eta, cov = universe.expected_returns, universe.covariance
+        memo = key, tuple((lo, hi, a, b, float(a @ eta), float(b @ eta),
+                           max(float(a @ cov @ a), 0.0))
+                          for lo, hi, a, b in critical_line_trace(eta, cov, lower, upper))
+        object.__setattr__(universe, "_last_trace", memo)
+    return memo[1]
 
 
-def _frontier_point(segments: list[tuple], lower: np.ndarray, upper: np.ndarray,
+def _frontier_point(universe: AssetUniverse, lower: np.ndarray, upper: np.ndarray,
                     crossing) -> np.ndarray:
-    """Weights on the corner trace where ``crossing`` puts the optimum. Given
-    a segment's r0, r1 and v0, crossing returns the gamma at which the
-    problem's condition changes sign there, or inf where it holds on the whole
-    segment; walking down from the max-return vertex, the first segment whose
+    """Weights on the universe's corner trace at these bounds where ``crossing`` puts
+    the optimum. Given a segment's r0, r1 and v0, crossing returns the gamma at
+    which the problem's condition changes sign there, or inf where it holds on the
+    whole segment; walking down from the max-return vertex, the first segment whose
     crossing lies at or above its lower end holds the optimum."""
-    for lo, hi, a, b, r0, r1, v0 in segments:
+    for lo, hi, a, b, r0, r1, v0 in _trace(universe, lower, upper):
         gamma = crossing(r0, r1, v0)
         if gamma >= lo:
             break
@@ -350,17 +367,15 @@ def _certify(w: np.ndarray, gradient: np.ndarray, lower: np.ndarray,
     return gp
 
 
-def min_cvar_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
-                       _segments: list[tuple] | None = None) -> PortfolioReport:
+def min_cvar_portfolio(problem: PortfolioProblem, family: QualifiedFamily) -> PortfolioReport:
     """Weights minimizing the loss CVaR at the problem's level: the frontier
     point where sqrt(v) = zeta gamma, that is v0 = (zeta^2 - r1) gamma^2."""
-    if problem.objective != "cvar":
+    if _typed(problem, PortfolioProblem).objective != "cvar":
         raise ParameterError("problem does not carry a cvar objective")
     u = problem.universe
     eta, cov = u.expected_returns, u.covariance
-    z = family.zeta(problem.level)
-    segments = _segments or _trace(u, problem.lower, problem.upper)
-    w = _frontier_point(segments, problem.lower, problem.upper, lambda r0, r1, v0: (
+    z = _typed(family, QualifiedFamily).zeta(problem.level)
+    w = _frontier_point(u, problem.lower, problem.upper, lambda r0, r1, v0: (
         math.sqrt(v0 / (z * z - r1)) if z * z > r1 else math.inf))
     ret = float(w @ eta)
     sd = math.sqrt(float(w @ cov @ w))
@@ -386,7 +401,7 @@ def _invert_zeta(family: QualifiedFamily, target: float) -> float:
 
 def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
                        report_families: tuple[QualifiedFamily, ...] | None = None,
-                       _segments: list[tuple] | None = None) -> PortfolioReport:
+                       ) -> PortfolioReport:
     """Weights minimizing bPOE of the loss at the problem's threshold.
 
     The reduced objective (generalized Sharpe ratio) is family-free, so the
@@ -395,13 +410,12 @@ def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
     values at those same weights go into ``bpoe_by_family``, each the tail
     mass from ``_invert_zeta``, so small values keep their relative precision.
     """
-    if problem.objective != "bpoe":
+    if _typed(problem, PortfolioProblem).objective != "bpoe":
         raise ParameterError("problem does not carry a bpoe objective")
     u = problem.universe
     eta, cov = u.expected_returns, u.covariance
     x = problem.threshold
-    segments = _segments or _trace(u, problem.lower, problem.upper)
-    w = _frontier_point(segments, problem.lower, problem.upper, lambda r0, r1, v0: (
+    w = _frontier_point(u, problem.lower, problem.upper, lambda r0, r1, v0: (
         v0 / (r0 + x) if r0 + x > 0.0 else math.inf))
     ret = float(w @ eta)
     if ret + x <= 0.0:
@@ -413,23 +427,38 @@ def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
     ratio = (ret + x) / sd
     if report_families is None:
         report_families = default_report_families()
-    # one inversion per distinct family; the solved family is usually reported too
-    eps = {fam: _invert_zeta(fam, ratio) for fam in dict.fromkeys((family, *report_families))}
+    try:   # one inversion per distinct family; the solved family is usually reported too
+        families = dict.fromkeys((family, *report_families))
+    except TypeError:   # not a sequence, or unhashable members
+        raise ParameterError("report_families must be a sequence of QualifiedFamily") from None
+    eps = {fam: _invert_zeta(_typed(fam, QualifiedFamily), ratio) for fam in families}
     by_family = {fam.label(): eps[fam] for fam in report_families}
     return PortfolioReport(u.names, w, ret, sd, "bpoe",
                            objective_value=eps[family], alpha_star=1.0 - eps[family],
                            bpoe_by_family=by_family, kkt_residual=gp)
 
 
+def _weights(weights, universe: AssetUniverse) -> np.ndarray:
+    """The weights as one finite float per asset, else ParameterError."""
+    n = _typed(universe, AssetUniverse).size
+    try:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        w = None
+    if w is None or w.shape != (n,) or not np.isfinite(w).all():
+        raise ParameterError(f"expected {n} weights, each a finite number, got {weights!r:.60}")
+    return w
+
+
 def cvar_cross_evaluate(weights: np.ndarray, universe: AssetUniverse,
                         family: QualifiedFamily, alpha: float) -> float:
     """Loss CVaR of fixed weights under the given family at level alpha."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (universe.size,):
-        raise ParameterError(f"expected {universe.size} weights, got shape {w.shape}")
+    w = _weights(weights, universe)
+    if not isinstance(alpha, numbers.Real):
+        raise ParameterError(f"level must be a real number, got {alpha!r:.40}")
     ret = float(w @ universe.expected_returns)
     sd = math.sqrt(float(w @ universe.covariance @ w))
-    return -ret + sd * family.zeta(alpha)
+    return -ret + sd * _typed(family, QualifiedFamily).zeta(alpha)
 
 
 def markowitz_solve(universe: AssetUniverse, lam: float,
@@ -438,10 +467,10 @@ def markowitz_solve(universe: AssetUniverse, lam: float,
     frontier point at gamma = 1 / lam; at lam = inf, minimal variance."""
     if not isinstance(lam, numbers.Real) or not lam >= 0:
         raise ParameterError(f"trade-off lambda must be >= 0, got {lam}")
-    eta, cov = universe.expected_returns, universe.covariance
+    eta, cov = _typed(universe, AssetUniverse).expected_returns, universe.covariance
     lo, hi = _bounds(universe.size, lower, upper)
     gamma = 1.0 / lam if lam > 0.0 else math.inf
-    w = _frontier_point(_trace(universe, lo, hi), lo, hi, lambda r0, r1, v0: gamma)
+    w = _frontier_point(universe, lo, hi, lambda r0, r1, v0: gamma)
     # the gradient eta - lam S w over max(lam, 1): zero at the same KKT points, and
     # its rounding does not grow with lam
     _certify(w, min(gamma, 1.0) * eta - min(lam, 1.0) * (cov @ w), lo, hi)
@@ -455,10 +484,10 @@ def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
 
     Returns (weights match within tol, max per-weight gap).
     """
-    w_cvar = np.asarray(w_cvar, dtype=float)
-    if w_cvar.shape != (universe.size,):
-        raise ParameterError(f"expected {universe.size} weights, got shape {w_cvar.shape}")
-    gap = float(np.max(np.abs(w_cvar - markowitz_solve(universe, lam, lower, upper))))
+    if not (isinstance(tol, numbers.Real) and tol >= 0.0):
+        raise ParameterError(f"tolerance must be a number >= 0, got {tol!r:.40}")
+    gap = float(np.max(np.abs(_weights(w_cvar, universe)
+                              - markowitz_solve(universe, lam, lower, upper))))
     return gap <= tol, gap
 
 
@@ -467,8 +496,8 @@ def efficient_frontier(universe: AssetUniverse, family: QualifiedFamily,
                        lower=0.0, upper=1.0) -> list[dict]:
     """Sweep the level (cvar) or threshold (bpoe) over ``grid``, a 1-D sequence of
     finite numbers, and record each optimum, every row its own validated and
-    certified solve on the one shared corner trace."""
-    if objective not in ("cvar", "bpoe"):
+    certified solve, all at the same bounds, so on the universe's one kept trace."""
+    if not (isinstance(objective, str) and objective in ("cvar", "bpoe")):
         raise ParameterError(f"objective must be 'cvar' or 'bpoe', got {objective!r}")
     message = "grid must be a 1-D sequence of finite numbers"
     try:
@@ -477,16 +506,16 @@ def efficient_frontier(universe: AssetUniverse, family: QualifiedFamily,
         raise ParameterError(message) from None
     if grid.ndim != 1 or not np.isfinite(grid).all():
         raise ParameterError(message)
-    segments = _trace(universe, *_bounds(universe.size, lower, upper))
+    lower, upper = _bounds(_typed(universe, AssetUniverse).size, lower, upper)
     key = "alpha" if objective == "cvar" else "threshold"
     rows = []
     for v in grid:
         if objective == "cvar":
             prob = PortfolioProblem(universe, "cvar", level=float(v), lower=lower, upper=upper)
-            rep = min_cvar_portfolio(prob, family, segments)
+            rep = min_cvar_portfolio(prob, family)
         else:
             prob = PortfolioProblem(universe, "bpoe", threshold=float(v), lower=lower, upper=upper)
-            rep = min_bpoe_portfolio(prob, family, (), segments)   # reads no other family
+            rep = min_bpoe_portfolio(prob, family, ())   # reads no other family
         row = {key: float(v), "objective_value": rep.objective_value,
                "return": rep.expected_return, "stdev": rep.stdev}
         row.update({n: float(w) for n, w in zip(rep.names, rep.weights)})

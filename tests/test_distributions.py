@@ -416,6 +416,27 @@ def _check_gpd_and_gev(mp, xi):
         close(family.zeta(alpha), want, ("gev zeta", alpha))
 
 
+def test_gev_quantile_near_one_over_e_against_mpmath():
+    # y = -ln alpha is 1 within an ulp there, and ln y was formed from the rounded y:
+    # GEV(0, 1e-300, -4e18).quantile(0.3678794411714423) read -1.35e67 for -6.9e-116,
+    # and the three floats next to 1/e were 20-100% off at |xi| = 1e3
+    mp = pytest.importorskip("mpmath")
+    near = 0.36787944117144233
+    levels = [math.nextafter(near, 0.0), near, math.nextafter(near, 1.0),
+              0.2431, 0.25, 0.3, 0.45, 0.4928, 0.4929, 0.1, 0.9]
+    with mp.workdps(50):
+        for mu, s, xi in ((0.0, 1e-300, -4e18), (0.0, 1.0, -1e3), (1.0, 2.0, -0.2),
+                          (0.0, 1.0, 0.0), (0.0, 1.0, 0.3), (0.0, 1.0, 50.0)):
+            d, k = dist.GEV(mu, s, xi), mp.mpf(xi)
+            for alpha in levels:
+                ln_y = mp.log(-mp.log(mp.mpf(alpha)))
+                want = mu + s * (-ln_y if xi == 0 else mp.expm1(-k * ln_y) / k)
+                if 1e-300 < abs(want) < 1e300:   # no subnormal or overflowing output
+                    got = d.quantile(alpha)
+                    assert abs(got - want) <= 1e-15 * max(1.0, abs(xi)) * abs(want), (
+                        xi, alpha, got, float(want))
+
+
 @pytest.mark.parametrize("d", [
     dist.Exponential(1.0), dist.Pareto(3.0, 1.0), dist.GPD(-1.0, 2.0, 0.3),
     dist.Laplace(1.0, 2.0), dist.Normal(1.0, 2.0), dist.LogNormal(0.0, 1.0),

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,9 @@ def test_universe_rejects_bad_inputs():
                                 [-0.99, 0.99, 1.0]]))
     with pytest.raises(ParameterError, match="positive"):
         AssetUniverse(("A",), np.array([0.1]), np.array([0.0]), np.eye(1))
+    # numpy's ValueError from the minimum eigenvalue of an empty matrix before
+    with pytest.raises(ParameterError, match="at least one"):
+        AssetUniverse((), [], [], np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("field", ["returns", "stdevs", "correlations"])
@@ -491,10 +496,14 @@ def _count_traces(monkeypatch):
 
 @pytest.mark.parametrize("objective, grid", [("cvar", np.linspace(0.9, 0.99, 10)),
                                              ("bpoe", np.linspace(0.05, 0.3, 10))])
-def test_frontier_traces_once(monkeypatch, msci, objective, grid):
+def test_frontier_traces_once(monkeypatch, objective, grid):
+    # a fresh universe: the module's msci fixture already holds its trace
+    universe = AssetUniverse.bundled()
     calls = _count_traces(monkeypatch)
-    rows = efficient_frontier(msci, QualifiedFamily("normal"), objective, grid)
+    rows = efficient_frontier(universe, QualifiedFamily("normal"), objective, grid)
     assert len(calls) == 1 and len(rows) == grid.size
+    efficient_frontier(universe, QualifiedFamily("student-t", nu=4.0), objective, grid)
+    assert len(calls) == 1
 
 
 def test_frontier_rejects_an_unknown_objective_before_tracing(monkeypatch, msci):
@@ -553,8 +562,10 @@ def _gradient(universe, problem, family):
     return lambda w: eta / (w @ eta + x) - (cov @ w) / (w @ cov @ w)
 
 
-def test_msci_solves_trace_once_and_project_once(monkeypatch, msci):
-    # one corner trace per solve, and one projection: the KKT certificate
+def test_msci_solves_trace_once_and_project_once(monkeypatch):
+    # one corner trace per universe and bounds, and one projection per solve: the
+    # KKT certificate. A fresh universe, since the module's msci fixture is traced.
+    msci = AssetUniverse.bundled()
     calls = {"trace": 0, "project": 0}
     trace, project = portfolio.critical_line_trace, portfolio.project_box_simplex
 
@@ -569,13 +580,77 @@ def test_msci_solves_trace_once_and_project_once(monkeypatch, msci):
     families = default_report_families() + (QualifiedFamily("gev", xi=0.1),)
     problems = [PortfolioProblem(msci, "cvar", level=a) for a in (0.9, 0.95, 0.99)] \
         + [PortfolioProblem(msci, "bpoe", threshold=x) for x in (0.16, 0.25)]
+    first = True
     for fam in families:
         for problem in problems:
             calls.update(trace=0, project=0)
             solve = min_cvar_portfolio if problem.objective == "cvar" else min_bpoe_portfolio
             rep = solve(problem, fam)
-            assert calls == {"trace": 1, "project": 1}, (fam.label(), problem.level, calls)
+            assert calls == {"trace": int(first), "project": 1}, (fam.label(), problem, calls)
             assert rep.kkt_residual <= 1e-12
+            first = False
+    w = markowitz_solve(msci, 3.0)
+    calls.update(trace=0, project=0)
+    assert markowitz_solve(msci, 3.0).tolist() == w.tolist()
+    assert markowitz_equivalence_check(w, msci, 3.0) == (True, 0.0)
+    assert calls == {"trace": 0, "project": 2}
+    calls.update(trace=0, project=0)
+    efficient_frontier(msci, QualifiedFamily("normal"), "cvar", np.array([0.9, 0.95, 0.99]))
+    assert calls == {"trace": 0, "project": 3}
+
+
+def _solve_all(universe, bounds):
+    """The weights of a min-CVaR, a min-bPOE and a Markowitz solve at these bounds."""
+    fam = QualifiedFamily("student-t", nu=4.0)
+    return [min_cvar_portfolio(PortfolioProblem(universe, "cvar", level=0.95, **bounds),
+                               fam).weights.tolist(),
+            min_bpoe_portfolio(PortfolioProblem(universe, "bpoe", threshold=0.16, **bounds),
+                               fam).weights.tolist(),
+            markowitz_solve(universe, 3.0, **bounds).tolist()]
+
+
+def test_a_solve_at_other_bounds_traces_again(monkeypatch):
+    # the universe keeps one trace: bounds A, B, A trace three times, and every
+    # weight is bit-identical to a solve on a fresh universe
+    a = {"lower": 0.0, "upper": 1.0}
+    b = {"lower": np.array([0.02, 0.0, 0.05, 0.0, 0.0, 0.01]), "upper": np.full(6, 0.4)}
+    fresh = [_solve_all(AssetUniverse.bundled(), bounds) for bounds in (a, b)]
+    universe = AssetUniverse.bundled()
+    calls = _count_traces(monkeypatch)
+    for i, bounds in enumerate((a, b, a)):
+        assert _solve_all(universe, bounds) == fresh[i % 2], i
+        assert len(calls) == i + 1
+    # equal bounds given another way are the same bounds
+    _solve_all(universe, {"lower": np.zeros(6), "upper": [1.0] * 6})
+    assert len(calls) == 3
+
+
+def test_universe_arrays_are_read_only_copies():
+    # the kept trace cannot go stale: the universe's arrays refuse writes, and
+    # the caller's arrays are copied, not frozen
+    eta, sd = np.array([0.10, 0.06]), np.array([0.20, 0.12])
+    corr = np.array([[1.0, 0.3], [0.3, 1.0]])
+    given = [v.copy() for v in (eta, sd, corr)]
+    u = AssetUniverse(("A", "B"), eta, sd, corr)
+    for v in (u.expected_returns, u.stdevs, u.correlations, u.covariance):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0.5
+    for v, before in zip((eta, sd, corr), given):
+        assert v.flags.writeable and v.tolist() == before.tolist()
+        v.flat[0] = 0.5   # the caller's edit does not reach the universe
+    assert u.expected_returns.tolist() == [0.10, 0.06]
+    assert u.correlations[0, 0] == 1.0 and u.stdevs[0] == 0.20
+    markowitz_solve(u, 3.0)
+    for segment in portfolio._trace(u, np.zeros(2), np.ones(2)):
+        for v in segment[2:4]:
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 0.5
+    # a copy or an unpickled universe is built anew: read-only arrays and no kept
+    # trace (numpy's own pickle and deepcopy would give writable arrays)
+    for v in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u), copy.copy(u)):
+        assert v._last_trace == (b"", ()) and v.covariance.tolist() == u.covariance.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            v.expected_returns[0] = 0.5
 
 
 def _kkt_residual(w, grad, lower, upper, active_tol=1e-9):
