@@ -73,28 +73,34 @@ def brent_min(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1
 
 
 def project_box_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {w : sum(w) = 1, lower <= w <= upper}.
-
-    The projection is clip(v - tau, lower, upper) where tau solves the
-    monotone piecewise-linear equation sum(clip(v - tau)) = 1; the sorted
-    breakpoints bracket tau, which is then solved exactly on the bracket's
-    active set.
+    """Euclidean projection onto {w : sum(w) = 1, lower <= w <= upper}, lower finite:
+    clip(v - tau, lower, upper), where tau solves the monotone piecewise-linear
+    g(tau) = sum(clip(v - tau)) = 1, in O(n log n) (the continuous quadratic knapsack
+    problem; Kiwiel, Math. Program. 112, 2008). Weight i is free between its
+    breakpoints v_i - upper_i and v_i - lower_i, and below v_i - lower_i if upper_i =
+    +inf. One descending sweep over the sorted breakpoints adds the free count times
+    each gap to g = sum(lower) until g would pass 1; g is affine on that bracket, and
+    tau is one exact step from g at its top, formed afresh.
     """
     v = np.asarray(v, dtype=float)
+    x, lo, hi = v.tolist(), lower.tolist(), upper.tolist()
+    g = sum(lo)
     # the clipped sum spans [sum(lower), sum(upper)]; budgets outside that
     # range (validation slack) clamp to the nearest bound vector
-    if upper.sum() <= 1.0:
+    if sum(hi) <= 1.0:
         return upper.copy()
-    if lower.sum() >= 1.0:
+    if g >= 1.0:
         return lower.copy()
-    bps = np.sort(np.concatenate([v - upper, v - lower]))
-    gs = np.clip(v[None, :] - bps[:, None], lower, upper).sum(axis=1)
-    j = min(max(int(np.searchsorted(-gs, -1.0)), 1), bps.size - 1)   # first g(bps[j]) <= 1
-    w_mid = v - 0.5 * (bps[j - 1] + bps[j])
-    free = (w_mid > lower) & (w_mid < upper)
-    residual = 1.0 - lower[w_mid <= lower].sum() - upper[w_mid >= upper].sum()
-    tau = (v[free].sum() - residual) / free.sum() if free.any() else bps[j]
-    return np.clip(v - tau, lower, upper)
+    events = sorted([(xi - li, 1) for xi, li in zip(x, lo)]
+                    + [(xi - ui, -1) for xi, ui in zip(x, hi) if ui < math.inf], reverse=True)
+    tau, free = events[0][0], 0
+    for point, step in events:   # g = g(tau), and `free` weights are free just below tau
+        if g + free * (tau - point) >= 1.0:
+            break
+        g, tau, free = g + free * (tau - point), point, free + step
+    if free:
+        tau -= (1.0 - float(np.minimum(np.maximum(v - tau, lower), upper).sum())) / free
+    return np.minimum(np.maximum(v - tau, lower), upper)
 
 
 def critical_line_trace(eta: np.ndarray, cov: np.ndarray, lower: np.ndarray,

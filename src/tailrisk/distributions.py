@@ -49,9 +49,14 @@ class SupportBound(NamedTuple):
     upper: float
 
 
-def _require(condition: bool, message: str, value: float) -> None:
-    if not condition:
-        raise ParameterError(message.format(value))
+def _require(value: float, message: str, lo: float = 0.0) -> None:
+    """ParameterError(message) unless value is a number with lo < value < inf."""
+    try:
+        if lo < value < math.inf:
+            return
+    except TypeError:   # not a number
+        pass
+    raise ParameterError(message.format(value))
 
 
 def _exp_or_inf(x: float) -> float:
@@ -228,9 +233,9 @@ class GPD(Distribution):
     family = "gpd"
 
     def __init__(self, mu: float, s: float, xi: float):
-        _require(0 < s < math.inf, "GPD requires finite scale s > 0, got {}", s)
-        _require(math.isfinite(mu), "GPD requires finite mu, got {}", mu)
-        _require(math.isfinite(xi), "GPD requires finite xi, got {}", xi)
+        _require(s, "GPD requires finite scale s > 0, got {}")
+        _require(mu, "GPD requires finite mu, got {}", -math.inf)
+        _require(xi, "GPD requires finite xi, got {}", -math.inf)
         self.__dict__.update(mu=mu, s=s, xi=xi, _g1=1.0 - xi, _g2=1.0 - 2.0 * xi)
 
     def support(self):
@@ -299,8 +304,9 @@ class Exponential(GPD):
     family = "exponential"
 
     def __init__(self, lam: float):
-        _require(0 < lam < math.inf and _TINY <= 1.0 / lam < math.inf,
-                 "Exponential requires finite lam > 0 with 1/lam a normal float, got {}", lam)
+        _require(lam, "Exponential requires finite lam > 0, got {}")
+        if not _TINY <= 1.0 / lam < math.inf:
+            raise ParameterError(f"Exponential requires 1/lam a normal float, got lam = {lam}")
         self.__dict__.update(lam=lam, mu=0.0, s=1.0 / lam, xi=0.0, _g1=1.0, _g2=1.0)
 
 
@@ -311,10 +317,11 @@ class Pareto(GPD):
     family = "pareto"
 
     def __init__(self, a: float, xm: float):
-        _require(0 < a < math.inf, "Pareto requires finite shape a > 0, got {}", a)
-        _require(0 < xm < math.inf and _TINY <= xm / a < math.inf and _TINY <= 1.0 / a < math.inf,
-                 "Pareto requires finite xm > 0 with xm/a and 1/a normal floats, got (a, xm) = {}",
-                 (a, xm))
+        _require(a, "Pareto requires finite shape a > 0, got {}")
+        _require(xm, "Pareto requires finite xm > 0, got {}")
+        if not (_TINY <= xm / a < math.inf and _TINY <= 1.0 / a < math.inf):
+            raise ParameterError(
+                f"Pareto requires xm/a and 1/a normal floats, got (a, xm) = {(a, xm)}")
         self.__dict__.update(a=a, xm=xm, mu=xm, s=xm / a, xi=1.0 / a, _g1=(a - 1.0) / a,
                              _g2=(a - 2.0) / a)
 
@@ -323,8 +330,8 @@ class Laplace(Distribution):
     family = "laplace"
 
     def __init__(self, mu: float, b: float):
-        _require(0 < b < math.inf, "Laplace requires finite scale b > 0, got {}", b)
-        _require(math.isfinite(mu), "Laplace requires finite mu, got {}", mu)
+        _require(b, "Laplace requires finite scale b > 0, got {}")
+        _require(mu, "Laplace requires finite mu, got {}", -math.inf)
         self.__dict__.update(mu=mu, b=b)
 
     def pdf(self, x):
@@ -354,8 +361,8 @@ class Normal(Distribution):
     family = "normal"
 
     def __init__(self, mu: float, sigma: float):
-        _require(0 < sigma < math.inf, "Normal requires finite sigma > 0, got {}", sigma)
-        _require(math.isfinite(mu), "Normal requires finite mu, got {}", mu)
+        _require(sigma, "Normal requires finite sigma > 0, got {}")
+        _require(mu, "Normal requires finite mu, got {}", -math.inf)
         self.__dict__.update(mu=mu, sigma=sigma)
 
     def pdf(self, x):
@@ -385,8 +392,8 @@ class LogNormal(Distribution):
     family = "lognormal"
 
     def __init__(self, mu: float, s: float):
-        _require(0 < s < math.inf, "LogNormal requires finite log-scale s > 0, got {}", s)
-        _require(math.isfinite(mu), "LogNormal requires finite mu, got {}", mu)
+        _require(s, "LogNormal requires finite log-scale s > 0, got {}")
+        _require(mu, "LogNormal requires finite mu, got {}", -math.inf)
         self.__dict__.update(mu=mu, s=s)
 
     def pdf(self, x):
@@ -421,8 +428,8 @@ class Logistic(Distribution):
     family = "logistic"
 
     def __init__(self, mu: float, s: float):
-        _require(0 < s < math.inf, "Logistic requires finite scale s > 0, got {}", s)
-        _require(math.isfinite(mu), "Logistic requires finite mu, got {}", mu)
+        _require(s, "Logistic requires finite scale s > 0, got {}")
+        _require(mu, "Logistic requires finite mu, got {}", -math.inf)
         self.__dict__.update(mu=mu, s=s)
 
     def pdf(self, x):
@@ -455,9 +462,9 @@ class StudentT(Distribution):
     family = "student-t"
 
     def __init__(self, nu: float, s: float = 1.0, mu: float = 0.0):
-        _require(0 < nu < math.inf, "StudentT requires finite nu > 0, got {}", nu)
-        _require(0 < s < math.inf, "StudentT requires finite scale s > 0, got {}", s)
-        _require(math.isfinite(mu), "StudentT requires finite mu, got {}", mu)
+        _require(nu, "StudentT requires finite nu > 0, got {}")
+        _require(s, "StudentT requires finite scale s > 0, got {}")
+        _require(mu, "StudentT requires finite mu, got {}", -math.inf)
         self.__dict__.update(nu=nu, s=s, mu=mu,
                              _ln_c=-specfun.ln_beta(0.5 * nu, 0.5) - 0.5 * math.log(nu))
 
@@ -582,8 +589,8 @@ class Weibull(Distribution):
     family = "weibull"
 
     def __init__(self, lam: float, k: float):
-        _require(0 < lam < math.inf, "Weibull requires finite scale lam > 0, got {}", lam)
-        _require(0 < k < math.inf, "Weibull requires finite shape k > 0, got {}", k)
+        _require(lam, "Weibull requires finite scale lam > 0, got {}")
+        _require(k, "Weibull requires finite shape k > 0, got {}")
         self.__dict__.update(lam=lam, k=k, _lg=_ln_gamma_1m(-1.0 / k) / -k)   # ln Gamma(1 + 1/k)
 
     def pdf(self, x):
@@ -618,8 +625,8 @@ class LogLogistic(Distribution):
     family = "loglogistic"
 
     def __init__(self, a: float, b: float):
-        _require(0 < a < math.inf, "LogLogistic requires finite scale a > 0, got {}", a)
-        _require(0 < b < math.inf, "LogLogistic requires finite shape b > 0, got {}", b)
+        _require(a, "LogLogistic requires finite scale a > 0, got {}")
+        _require(b, "LogLogistic requires finite shape b > 0, got {}")
         self.__dict__.update(a=a, b=b)
 
     def pdf(self, x):
@@ -674,9 +681,9 @@ class GEV(Distribution):
     family = "gev"
 
     def __init__(self, mu: float, s: float, xi: float):
-        _require(0 < s < math.inf, "GEV requires finite scale s > 0, got {}", s)
-        _require(math.isfinite(mu), "GEV requires finite mu, got {}", mu)
-        _require(math.isfinite(xi), "GEV requires finite xi, got {}", xi)
+        _require(s, "GEV requires finite scale s > 0, got {}")
+        _require(mu, "GEV requires finite mu, got {}", -math.inf)
+        _require(xi, "GEV requires finite xi, got {}", -math.inf)
         self.__dict__.update(mu=mu, s=s, xi=xi, _lg1=_ln_gamma_1m(xi) if xi < 1.0 else math.inf)
 
     def support(self):
@@ -732,11 +739,12 @@ FAMILIES: dict[str, type[Distribution]] = {
 
 def make(family: str, **params: float) -> Distribution:
     """Build a validated distribution from its family tag and parameters."""
-    key = family.lower().replace("_", "-")
-    if key not in FAMILIES:
+    try:
+        key = family.lower().replace("_", "-")
+        cls = FAMILIES[key]
+    except (AttributeError, TypeError, KeyError):   # not a name, or an unknown one
         raise ParameterError(
-            f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
-    cls = FAMILIES[key]
+            f"unknown family {family!r}; expected one of {sorted(FAMILIES)}") from None
     unknown = set(params) - set(cls._fields)
     if unknown:
         raise ParameterError(

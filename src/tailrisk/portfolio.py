@@ -208,17 +208,11 @@ class AssetUniverse:
         """Load from an assets CSV (name, expected_return, stdev) plus a
         square correlations CSV, or from a single combined file whose extra
         columns carry the correlation block."""
-        rows = _read_csv(assets_path)
-        if not rows:
-            raise ParameterError(f"empty assets file: {assets_path}")
-        header = [h.strip() for h in rows[0]]
+        header, names, values = _read_csv(assets_path)
         base = ["name", "expected_return", "stdev"]
         if [h.lower() for h in header[:3]] != base:
             raise ParameterError(
                 f"assets file must start with columns {base}, got {header[:3]}")
-        names = [r[0].strip() for r in rows[1:]]
-        eta = [float(r[1]) for r in rows[1:]]
-        sd = [float(r[2]) for r in rows[1:]]
         if len(header) > 3:
             if correlations_path is not None:
                 raise ParameterError(
@@ -226,18 +220,15 @@ class AssetUniverse:
             if header[3:] != names:
                 raise ParameterError(
                     f"correlation columns {header[3:]} do not match asset names {names}")
-            corr = [[float(v) for v in r[3:]] for r in rows[1:]]
+            corr = [r[2:] for r in values]
         else:
             if correlations_path is None:
                 raise ParameterError("correlations file required")
-            crows = _read_csv(correlations_path)
-            cheader = [h.strip() for h in crows[0][1:]]
-            cnames = [r[0].strip() for r in crows[1:]]
-            if cheader != names or cnames != names:
+            cheader, cnames, corr = _read_csv(correlations_path)
+            if cheader[1:] != names or cnames != names:
                 raise ParameterError(
-                    f"correlation matrix names {cheader} do not match assets {names}")
-            corr = [[float(v) for v in r[1:]] for r in crows[1:]]
-        return cls(tuple(names), np.array(eta), np.array(sd), np.array(corr))
+                    f"correlation matrix names {cheader[1:]} do not match assets {names}")
+        return cls(tuple(names), [r[0] for r in values], [r[1] for r in values], corr)
 
     @classmethod
     def bundled(cls) -> "AssetUniverse":
@@ -247,9 +238,24 @@ class AssetUniverse:
             return cls.from_csv(p)
 
 
-def _read_csv(path: str | Path) -> list[list[str]]:
+def _read_csv(path: str | Path) -> tuple[list[str], list[str], list[list[float]]]:
+    """The header, the names down the first column and, after each name, one number
+    per further header column; else ParameterError naming the file and the row (the
+    header is row 1, blank rows are skipped)."""
     with open(path, newline="") as fh:
-        return [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    if not rows:
+        raise ParameterError(f"empty file: {path}")
+    width, values = len(rows[0]) - 1, []
+    for i, row in enumerate(rows[1:], 2):
+        try:
+            numbers = [float(v) for v in row[1:]]
+        except ValueError:
+            numbers = None
+        if numbers is None or len(numbers) != width:
+            raise ParameterError(f"{path}, row {i}: expected a name and {width} numbers, got {row}")
+        values.append(numbers)
+    return [h.strip() for h in rows[0]], [r[0].strip() for r in rows[1:]], values
 
 
 def _bounds(n: int, lower, upper) -> tuple[np.ndarray, np.ndarray]:

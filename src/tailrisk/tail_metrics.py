@@ -198,8 +198,11 @@ def superquantile(d: Distribution, alpha: float,
     is evaluated at level 0.
     """
     if _eps is None:
-        if not 0.0 <= alpha < 1.0:
-            raise DomainError(f"superquantile level must lie in [0, 1), got {alpha}")
+        try:
+            if not 0.0 <= alpha < 1.0:
+                raise DomainError(f"superquantile level must lie in [0, 1), got {alpha}")
+        except TypeError:   # alpha is not a number
+            raise DomainError(f"superquantile level must be a number, got {alpha!r:.40}") from None
         m = d.mean()
         if alpha == 0.0 or m == math.inf:
             return m
@@ -254,8 +257,11 @@ def _result_from_value(d: Distribution, value: float) -> TailResult:
 def _bpoe_edges(d: Distribution, x: float) -> TailResult | None:
     """Every engine's threshold rule: ``DomainError`` for a non-finite x, 1 at the mean,
     clamped below it (every x if it diverges) and 0 clamped from the top of the support."""
-    if not math.isfinite(x):
-        raise DomainError(f"bPOE threshold must be finite, got {x}")
+    try:
+        if not math.isfinite(x):
+            raise DomainError(f"bPOE threshold must be finite, got {x}")
+    except TypeError:   # x is not a number
+        raise DomainError(f"bPOE threshold must be a number, got {x!r:.40}") from None
     m = d.mean()
     if x < m:
         return _end(d, 1.0, True)

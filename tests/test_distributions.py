@@ -133,6 +133,32 @@ def test_non_finite_parameter_examples():
         dist.GPD(0.0, 1.0, math.nan)
 
 
+
+@pytest.mark.parametrize("d", [group[0] for group in SETTINGS.values()], ids=repr)
+def test_parameters_that_are_not_numbers_are_parameter_errors(d):
+    # each raised TypeError from its check's comparison; a wrong call still raises
+    # Python's TypeError (test_value_semantics_across_families)
+    for name in d.params():
+        for bad in ("a", None, [1.0], 1j):
+            with pytest.raises(ParameterError, match="finite"):
+                type(d)(**{**d.params(), name: bad})
+
+
+def test_scalar_arguments_that_are_not_numbers_are_typed_errors():
+    # make(5) raised AttributeError, and superquantile and bpoe at "x" TypeError
+    for family in (5, None, ["normal"], b"normal"):
+        with pytest.raises(ParameterError, match="unknown family"):
+            dist.make(family, mu=0.0, sigma=1.0)
+    for d in ALL_SETTINGS:
+        for bad in ("x", None, [0.9]):
+            with pytest.raises(DomainError, match="level"):
+                tm.superquantile(d, bad)
+            with pytest.raises(DomainError, match="threshold"):
+                tm.bpoe(d, bad)
+            with pytest.raises(DomainError, match="threshold"):
+                tm.bpoe_by_root(d, bad)
+
+
 def test_pdf_cdf_spot_values():
     assert dist.Logistic(0.0, 1.0).cdf(0.0) == 0.5
     assert dist.Exponential(2.0).cdf(-0.5) == 0.0

@@ -96,6 +96,41 @@ def test_csv_loaders(tmp_path, msci):
         AssetUniverse.from_csv(assets, bad)
 
 
+
+_TWO_ASSETS = "name,expected_return,stdev\nA,0.10,0.20\nB,0.08,0.15\n"
+_TWO_CORRELATIONS = ",A,B\nA,1,0.3\nB,0.3,1\n"
+_COMBINED = "name,expected_return,stdev,A,B\nA,0.10,0.20,1,0.3\nB,0.08,0.15,0.3,1\n"
+
+
+@pytest.mark.parametrize("broken, row", [
+    ("combined", "B,0.08,x,0.3,1"), ("combined", "B,0.08,0.15,0.3"),
+    ("assets", "B,x,0.15"), ("assets", "B,0.08"),
+    ("correlations", "B,x,1"), ("correlations", "B,0.3")])
+def test_csv_loaders_name_the_file_and_row_of_a_malformed_row(tmp_path, broken, row):
+    # a text value raised ValueError from float(), a short row IndexError
+    files = {"combined": _COMBINED, "assets": _TWO_ASSETS, "correlations": _TWO_CORRELATIONS}
+    files[broken] = "\n".join(files[broken].splitlines()[:2] + ["", row]) + "\n"
+    paths = {name: tmp_path / f"{name}.csv" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    # the blank line is not counted: the bad row is row 3
+    with pytest.raises(ParameterError, match=rf"{broken}\.csv, row 3: expected a name and"):
+        if broken == "combined":
+            AssetUniverse.from_csv(paths["combined"])
+        else:
+            AssetUniverse.from_csv(paths["assets"], paths["correlations"])
+
+
+def test_csv_loaders_reject_empty_files(tmp_path):
+    assets, corr = tmp_path / "assets.csv", tmp_path / "corr.csv"
+    assets.write_text(_TWO_ASSETS)
+    corr.write_text("\n")
+    with pytest.raises(ParameterError, match="empty file"):
+        AssetUniverse.from_csv(assets, corr)
+    with pytest.raises(ParameterError, match="empty file"):
+        AssetUniverse.from_csv(corr)
+
+
 # --- zeta multipliers --------------------------------------------------------
 
 def test_zeta_normal_display():
@@ -468,6 +503,35 @@ def test_frontier_rows_are_kkt_points(msci, family, objective, grid):
         w = np.array([row[n] for n in msci.names])
         grad = _gradient(msci, problem, family)(w)
         assert _kkt_residual(w, grad, problem.lower, problem.upper) <= 1e-10, v
+
+
+
+@pytest.mark.parametrize("floor", (-0.5, -2.0))
+def test_long_short_bounds_solve_to_kkt_points(msci, floor):
+    # a negative floor with no cap: the projection took v - (+inf) = -inf for a
+    # breakpoint and mis-projected, so each of these solves raised ConvergenceError.
+    # Checked by the multipliers of _kkt_residual, not by the solver's own certificate.
+    lower, upper = np.full(6, floor), np.full(6, math.inf)
+    eta, cov = msci.expected_returns, msci.covariance
+    fam = QualifiedFamily("student-t", nu=4.0)
+    bounds = {"lower": floor, "upper": math.inf}
+    problems = [PortfolioProblem(msci, "cvar", level=a, **bounds) for a in (0.9, 0.95, 0.99)]
+    problems += [PortfolioProblem(msci, "bpoe", threshold=x, **bounds) for x in (0.16, 0.25)]
+    for problem in problems:
+        solve = min_cvar_portfolio if problem.objective == "cvar" else min_bpoe_portfolio
+        w = solve(problem, fam).weights
+        assert abs(w.sum() - 1.0) <= 1e-12 and np.all(w >= lower) and w.min() < 0.0, w
+        assert _kkt_residual(w, _gradient(msci, problem, fam)(w), lower, upper) <= 1e-10
+    for lam in (3.0, 50.0):
+        w = markowitz_solve(msci, lam, **bounds)
+        assert abs(w.sum() - 1.0) <= 1e-12 and np.all(w >= lower) and w.min() < 0.0, w
+        assert _kkt_residual(w, eta - lam * (cov @ w), lower, upper) <= 1e-10, lam
+    for objective, grid in (("cvar", np.linspace(0.9, 0.99, 5)), ("bpoe", np.linspace(0.1, 0.3, 5))):
+        for v, row in zip(grid, efficient_frontier(msci, fam, objective, grid, **bounds)):
+            kw = {"level": float(v)} if objective == "cvar" else {"threshold": float(v)}
+            problem = PortfolioProblem(msci, objective, **kw, **bounds)
+            w = np.array([row[n] for n in msci.names])
+            assert _kkt_residual(w, _gradient(msci, problem, fam)(w), lower, upper) <= 1e-10, v
 
 
 def test_bpoe_frontier_inverts_zeta_once_per_row(monkeypatch, msci):
