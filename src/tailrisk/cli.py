@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from . import tail_metrics
 from .distributions import FAMILIES, make
-from .errors import DomainError, ParameterError, TailRiskError
+from .errors import ParameterError, TailRiskError, _require
 
 if TYPE_CHECKING:
     from . import portfolio
@@ -202,8 +202,7 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ParameterError(f"--sweep expects START:STOP:COUNT, got {text!r}") from exc
-    if count < 1:
-        raise ParameterError(f"--sweep COUNT must be at least 1, got {count}")
+    _require(count, "--sweep COUNT must be at least 1, got {}", 1.0)
     return start, stop, count
 
 

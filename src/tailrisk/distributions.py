@@ -11,12 +11,11 @@ leave binary64 are reported as ``math.inf``, never as errors. ``make`` builds a 
 from its name and parameters, as the CLI does; ``from_json``/``to_json`` read and write
 the form ``{"family": ..., "params": {...}}``.
 
-Each family writes its quantile once, as ``_quantile(alpha, eps)`` with
-alpha + eps = 1: ``quantile(alpha)`` passes (alpha, 1 - alpha) and
-``tail_quantile(eps)`` passes (1 - eps, eps) to ``_quantile``, and the
-root engines pass their own pair as ``quantile(alpha, eps)``. The smaller
-one keeps full precision; each formula reads its precision from it, and the
-symmetric laws mirror their lower half at min(alpha, eps). So ``quantile(a)`` equals
+Each family writes its quantile once, as the private ``_quantile(alpha, eps)``
+with alpha + eps = 1: ``quantile(alpha)`` passes (alpha, 1 - alpha) and
+``tail_quantile(eps)`` passes (1 - eps, eps). The smaller one keeps full
+precision; each formula reads its precision from it, and the symmetric laws
+mirror their lower half at min(alpha, eps). So ``quantile(a)`` equals
 ``tail_quantile(1 - a)`` bit for bit on [0.5, 1). Each formula returns a
 quantile beyond binary64 itself, as +inf, or -inf below the median of a law
 unbounded below; none raises ``OverflowError``.
@@ -29,7 +28,7 @@ import sys
 from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 from . import specfun
-from .errors import DomainError, ParameterError
+from .errors import _BELOW_ONE, _LEAST, _MAX, DomainError, ParameterError, _require
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,16 +46,6 @@ _E2 = math.exp(2.0)
 class SupportBound(NamedTuple):
     lower: float
     upper: float
-
-
-def _require(value: float, message: str, lo: float = 0.0) -> None:
-    """ParameterError(message) unless value is a number with lo < value < inf."""
-    try:
-        if lo < value < math.inf:
-            return
-    except TypeError:   # not a number
-        pass
-    raise ParameterError(message.format(value))
 
 
 def _exp_or_inf(x: float) -> float:
@@ -184,17 +173,16 @@ class Distribution:
     def cdf(self, x: float) -> float:
         raise NotImplementedError
 
-    def quantile(self, alpha: float, _eps: float | None = None) -> float:
-        """Quantile q_alpha at the level alpha in (0, 1); the root engines pass
-        the tail mass ``_eps`` = 1 - alpha too, unchecked."""
-        if _eps is None and not 0.0 < alpha < 1.0:
-            raise DomainError(f"quantile level must lie in (0, 1), got {alpha}")
-        return self._quantile(alpha, 1.0 - alpha if _eps is None else _eps)
+    def quantile(self, alpha: float) -> float:
+        """Quantile q_alpha at the level alpha in (0, 1)."""
+        alpha = _require(alpha, "quantile level must lie in (0, 1), got {}", _LEAST, _BELOW_ONE,
+                         DomainError)
+        return self._quantile(alpha, 1.0 - alpha)
 
     def tail_quantile(self, eps: float) -> float:
         """Upper quantile q_(1-eps) as a stable function of the tail mass."""
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"tail probability must lie in (0, 1), got {eps}")
+        eps = _require(eps, "tail probability must lie in (0, 1), got {}", _LEAST, _BELOW_ONE,
+                       DomainError)
         return self._quantile(1.0 - eps, eps)
 
     def _quantile(self, alpha: float, eps: float) -> float:   # see the module docstring
@@ -233,9 +221,9 @@ class GPD(Distribution):
     family = "gpd"
 
     def __init__(self, mu: float, s: float, xi: float):
-        _require(s, "GPD requires finite scale s > 0, got {}")
-        _require(mu, "GPD requires finite mu, got {}", -math.inf)
-        _require(xi, "GPD requires finite xi, got {}", -math.inf)
+        s = _require(s, "GPD requires finite scale s > 0, got {}")
+        mu = _require(mu, "GPD requires finite mu, got {}", -_MAX)
+        xi = _require(xi, "GPD requires finite xi, got {}", -_MAX)
         self.__dict__.update(mu=mu, s=s, xi=xi, _g1=1.0 - xi, _g2=1.0 - 2.0 * xi)
 
     def support(self):
@@ -304,9 +292,8 @@ class Exponential(GPD):
     family = "exponential"
 
     def __init__(self, lam: float):
-        _require(lam, "Exponential requires finite lam > 0, got {}")
-        if not _TINY <= 1.0 / lam < math.inf:
-            raise ParameterError(f"Exponential requires 1/lam a normal float, got lam = {lam}")
+        lam = _require(lam, "Exponential requires finite lam > 0, got {}")
+        _require(1.0 / lam, "Exponential requires 1/lam a normal float, got {}", _TINY)
         self.__dict__.update(lam=lam, mu=0.0, s=1.0 / lam, xi=0.0, _g1=1.0, _g2=1.0)
 
 
@@ -317,11 +304,10 @@ class Pareto(GPD):
     family = "pareto"
 
     def __init__(self, a: float, xm: float):
-        _require(a, "Pareto requires finite shape a > 0, got {}")
-        _require(xm, "Pareto requires finite xm > 0, got {}")
-        if not (_TINY <= xm / a < math.inf and _TINY <= 1.0 / a < math.inf):
-            raise ParameterError(
-                f"Pareto requires xm/a and 1/a normal floats, got (a, xm) = {(a, xm)}")
+        a = _require(a, "Pareto requires finite shape a > 0, got {}")
+        xm = _require(xm, "Pareto requires finite xm > 0, got {}")
+        _require(xm / a, "Pareto requires xm/a a normal float, got {}", _TINY)
+        _require(1.0 / a, "Pareto requires 1/a a normal float, got {}", _TINY)
         self.__dict__.update(a=a, xm=xm, mu=xm, s=xm / a, xi=1.0 / a, _g1=(a - 1.0) / a,
                              _g2=(a - 2.0) / a)
 
@@ -330,8 +316,8 @@ class Laplace(Distribution):
     family = "laplace"
 
     def __init__(self, mu: float, b: float):
-        _require(b, "Laplace requires finite scale b > 0, got {}")
-        _require(mu, "Laplace requires finite mu, got {}", -math.inf)
+        b = _require(b, "Laplace requires finite scale b > 0, got {}")
+        mu = _require(mu, "Laplace requires finite mu, got {}", -_MAX)
         self.__dict__.update(mu=mu, b=b)
 
     def pdf(self, x):
@@ -361,8 +347,8 @@ class Normal(Distribution):
     family = "normal"
 
     def __init__(self, mu: float, sigma: float):
-        _require(sigma, "Normal requires finite sigma > 0, got {}")
-        _require(mu, "Normal requires finite mu, got {}", -math.inf)
+        sigma = _require(sigma, "Normal requires finite sigma > 0, got {}")
+        mu = _require(mu, "Normal requires finite mu, got {}", -_MAX)
         self.__dict__.update(mu=mu, sigma=sigma)
 
     def pdf(self, x):
@@ -392,8 +378,8 @@ class LogNormal(Distribution):
     family = "lognormal"
 
     def __init__(self, mu: float, s: float):
-        _require(s, "LogNormal requires finite log-scale s > 0, got {}")
-        _require(mu, "LogNormal requires finite mu, got {}", -math.inf)
+        s = _require(s, "LogNormal requires finite log-scale s > 0, got {}")
+        mu = _require(mu, "LogNormal requires finite mu, got {}", -_MAX)
         self.__dict__.update(mu=mu, s=s)
 
     def pdf(self, x):
@@ -428,8 +414,8 @@ class Logistic(Distribution):
     family = "logistic"
 
     def __init__(self, mu: float, s: float):
-        _require(s, "Logistic requires finite scale s > 0, got {}")
-        _require(mu, "Logistic requires finite mu, got {}", -math.inf)
+        s = _require(s, "Logistic requires finite scale s > 0, got {}")
+        mu = _require(mu, "Logistic requires finite mu, got {}", -_MAX)
         self.__dict__.update(mu=mu, s=s)
 
     def pdf(self, x):
@@ -462,9 +448,9 @@ class StudentT(Distribution):
     family = "student-t"
 
     def __init__(self, nu: float, s: float = 1.0, mu: float = 0.0):
-        _require(nu, "StudentT requires finite nu > 0, got {}")
-        _require(s, "StudentT requires finite scale s > 0, got {}")
-        _require(mu, "StudentT requires finite mu, got {}", -math.inf)
+        nu = _require(nu, "StudentT requires finite nu > 0, got {}")
+        s = _require(s, "StudentT requires finite scale s > 0, got {}")
+        mu = _require(mu, "StudentT requires finite mu, got {}", -_MAX)
         self.__dict__.update(nu=nu, s=s, mu=mu,
                              _ln_c=-specfun.ln_beta(0.5 * nu, 0.5) - 0.5 * math.log(nu))
 
@@ -589,8 +575,8 @@ class Weibull(Distribution):
     family = "weibull"
 
     def __init__(self, lam: float, k: float):
-        _require(lam, "Weibull requires finite scale lam > 0, got {}")
-        _require(k, "Weibull requires finite shape k > 0, got {}")
+        lam = _require(lam, "Weibull requires finite scale lam > 0, got {}")
+        k = _require(k, "Weibull requires finite shape k > 0, got {}")
         self.__dict__.update(lam=lam, k=k, _lg=_ln_gamma_1m(-1.0 / k) / -k)   # ln Gamma(1 + 1/k)
 
     def pdf(self, x):
@@ -625,8 +611,8 @@ class LogLogistic(Distribution):
     family = "loglogistic"
 
     def __init__(self, a: float, b: float):
-        _require(a, "LogLogistic requires finite scale a > 0, got {}")
-        _require(b, "LogLogistic requires finite shape b > 0, got {}")
+        a = _require(a, "LogLogistic requires finite scale a > 0, got {}")
+        b = _require(b, "LogLogistic requires finite shape b > 0, got {}")
         self.__dict__.update(a=a, b=b)
 
     def pdf(self, x):
@@ -681,9 +667,9 @@ class GEV(Distribution):
     family = "gev"
 
     def __init__(self, mu: float, s: float, xi: float):
-        _require(s, "GEV requires finite scale s > 0, got {}")
-        _require(mu, "GEV requires finite mu, got {}", -math.inf)
-        _require(xi, "GEV requires finite xi, got {}", -math.inf)
+        s = _require(s, "GEV requires finite scale s > 0, got {}")
+        mu = _require(mu, "GEV requires finite mu, got {}", -_MAX)
+        xi = _require(xi, "GEV requires finite xi, got {}", -_MAX)
         self.__dict__.update(mu=mu, s=s, xi=xi, _lg1=_ln_gamma_1m(xi) if xi < 1.0 else math.inf)
 
     def support(self):
@@ -737,29 +723,30 @@ FAMILIES: dict[str, type[Distribution]] = {
 }
 
 
+def _family_key(name) -> str | None:
+    """name spelt as the ``FAMILIES`` keys are (lower case, '-' for '_'); None if not text."""
+    return name.lower().replace("_", "-") if isinstance(name, str) else None
+
+
 def make(family: str, **params: float) -> Distribution:
     """Build a validated distribution from its family tag and parameters."""
-    try:
-        key = family.lower().replace("_", "-")
-        cls = FAMILIES[key]
-    except (AttributeError, TypeError, KeyError):   # not a name, or an unknown one
-        raise ParameterError(
-            f"unknown family {family!r}; expected one of {sorted(FAMILIES)}") from None
+    key = _family_key(family)
+    cls = FAMILIES.get(key)
+    if cls is None:
+        raise ParameterError(f"unknown family {family!r:.40}; expected one of {sorted(FAMILIES)}")
     unknown = set(params) - set(cls._fields)
     if unknown:
         raise ParameterError(
             f"{key} does not take parameter(s) {sorted(unknown)}; expected {sorted(cls._fields)}")
     try:
         return cls(**params)
-    except TypeError as exc:
+    except TypeError as exc:   # a parameter missing
         raise ParameterError(f"{key}: {exc}") from exc
 
 
 def from_json(obj: dict) -> Distribution:
-    """Parse {"family": ..., "params": {...}}."""
+    """Parse {"family": ..., "params": {...}}; each parameter is a number, as for ``make``."""
     try:
-        family = obj["family"]
-        params = obj["params"]
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed distribution spec: {obj!r}") from exc
-    return make(family, **{k: float(v) for k, v in params.items()})
+        return make(obj["family"], **obj["params"])
+    except (KeyError, TypeError) as exc:   # make raises neither: the spec is not that form
+        raise ParameterError(f"malformed distribution spec: {obj!r:.80}") from exc

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the argument rules that raise it."""
+
+import math
+
+_LEAST = math.nextafter(0.0, 1.0)       # on the floats x >= _LEAST is x > 0,
+_MAX = math.nextafter(math.inf, 0.0)    # x <= _MAX is x < inf
+_BELOW_ONE = math.nextafter(1.0, 0.0)   # and x <= _BELOW_ONE is x < 1
 
 
 class TailRiskError(Exception):
@@ -27,6 +33,18 @@ class ConvergenceError(TailRiskError, RuntimeError):
 
 class OracleError(ConvergenceError):
     """The verification engine could not certify its requested tolerance."""
+
+
+def _require(value, message: str, lo: float = _LEAST, hi: float = _MAX,
+             error: type = ParameterError) -> float:
+    """float(value) for a number lo <= value <= hi, else error(message with its repr cut to 40
+    characters); text, None, lists and arrays fail the comparison or float(), 0-d arrays pass."""
+    try:
+        if lo <= value <= hi:
+            return float(value)
+    except (TypeError, ValueError, OverflowError):   # not a number, or an int beyond binary64
+        pass
+    raise error(message.format(f"{value!r:.40}"))
 
 
 def _typed(value, cls: type):

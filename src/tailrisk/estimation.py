@@ -22,9 +22,21 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._optim import brent_min
-from .distributions import FAMILIES, Distribution, _ln_gamma_gap, make
-from .errors import ConvergenceError, DomainError, ParameterError, _typed
-from .tail_metrics import superquantile
+from .distributions import FAMILIES, Distribution, _family_key, _ln_gamma_gap, make
+from .errors import (_BELOW_ONE, _MAX, ConvergenceError, DomainError, ParameterError, _require,
+                     _typed)
+from .tail_metrics import _SQ_LEVEL, superquantile
+
+
+def _sample(sample) -> np.ndarray:
+    """The sample as a nonempty 1-D float array of finite values, else ParameterError."""
+    try:
+        x = np.asarray(sample, dtype=float)
+    except (TypeError, ValueError):   # text, or ragged rows
+        x = None
+    if x is None or x.ndim != 1 or x.size == 0 or not np.isfinite(x).all():
+        raise ParameterError("sample must be 1-D, nonempty and finite: no NaN or inf")
+    return x
 
 
 def empirical_superquantile(sample, alpha: float) -> float:
@@ -37,11 +49,8 @@ def empirical_superquantile(sample, alpha: float) -> float:
 
     alpha = 0 gives the sample mean.
     """
-    x = np.asarray(sample, dtype=float)
-    if x.size == 0 or not np.isfinite(x).all():
-        raise ParameterError("sample must be nonempty and finite: no NaN or inf")
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"level must lie in [0, 1), got {alpha}")
+    x = _sample(sample)
+    alpha = _require(alpha, _SQ_LEVEL, 0.0, _BELOW_ONE, DomainError)
     if alpha == 0.0:
         return float(x.mean())
     xs = np.sort(x)
@@ -71,39 +80,36 @@ class FitProblem:
     sample: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        try:
-            levels, weights, shifts = (tuple(map(float, v)) for v in (
-                self.levels, self.weights, self.shifts))
-            targets = None if self.targets is None else tuple(map(float, self.targets))
-            sample = None if self.sample is None else np.asarray(self.sample, dtype=float)
-        except (TypeError, ValueError):   # text, None, or nested rows
-            raise ParameterError("levels, weights, shifts, targets and sample must be "
-                                 "sequences of numbers") from None
         _family(self.family)   # ParameterError for a family with no fit parameterization
+        try:   # each number through errors._require
+            levels = tuple(_require(a, "levels must lie in [0, 1), got {}", 0.0, _BELOW_ONE)
+                           for a in self.levels)
+            weights = tuple(_require(c, "weights must be positive and finite, got {}")
+                            for c in self.weights) or (1.0,) * len(levels)
+            shifts = tuple(_require(e, "shifts must be at least 0, got {}", 0.0)
+                           for e in self.shifts) or (0.0,) * len(levels)
+            targets = None if self.targets is None else tuple(
+                _require(y, "targets must be finite, got {}", -_MAX) for y in self.targets)
+        except TypeError:   # None, or a number in place of a sequence
+            raise ParameterError("levels, weights, shifts and targets must be sequences") from None
         if not levels:
             raise ParameterError("at least one probability level is required")
-        if any(not 0.0 <= a < 1.0 for a in levels):
-            raise ParameterError(f"levels must lie in [0, 1), got {levels}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ParameterError(f"levels must be strictly increasing, got {levels}")
-        weights = weights or (1.0,) * len(levels)
-        if len(weights) != len(levels) or any(not 0.0 < c < math.inf for c in weights):
-            raise ParameterError("weights must be positive and finite, one per level")
-        shifts = shifts or (0.0,) * len(levels)
+        if len(weights) != len(levels):
+            raise ParameterError("one weight per level required")
         if len(shifts) != len(levels):
             raise ParameterError("one shift per level required")
-        if any(not 0.0 <= e <= a for e, a in zip(shifts, levels)):
+        if any(e > a for e, a in zip(shifts, levels)):
             raise ParameterError("shifts must satisfy 0 <= eps_i <= alpha_i")
         if (self.targets is None) == (self.sample is None):
             raise ParameterError("provide exactly one of targets or sample")
         if targets is not None:
-            if len(targets) != len(levels) or not all(map(math.isfinite, targets)):
+            if len(targets) != len(levels):
                 raise ParameterError("one finite target per level required")
             object.__setattr__(self, "targets", targets)
-        if sample is not None:
-            if sample.ndim != 1 or sample.size == 0 or not np.isfinite(sample).all():
-                raise ParameterError("sample must be 1-D, nonempty and finite: no NaN or inf")
-            object.__setattr__(self, "sample", tuple(sample.tolist()))
+        if self.sample is not None:
+            object.__setattr__(self, "sample", tuple(_sample(self.sample).tolist()))
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "shifts", shifts)
@@ -184,7 +190,7 @@ _FAMILIES: dict[str, _Family] = {
 
 def _family(name: str) -> tuple[str, _Family, tuple[str, ...]]:
     """The family key, its fit parameterization and its parameter names."""
-    key = name.lower().replace("_", "-") if isinstance(name, str) else None
+    key = _family_key(name)
     if key not in _FAMILIES:
         raise ParameterError(f"no fit parameterization for family {name!r}")
     return key, _FAMILIES[key], FAMILIES[key]._fields
@@ -244,7 +250,7 @@ def ls_mos_fit(problem: FitProblem) -> FitResult:
             return seen[t]
         evaluations += 1
         theta = fam.shape[0] + fam.shape[1] * math.exp(t) if fam.shape else None
-        unit = make(family, **dict(zip(names, fam.params(0.0, 1.0, theta))))
+        unit = FAMILIES[family](*fam.params(0.0, 1.0, theta))
         z = [superquantile(unit, a) for a in levels]
         if not all(map(math.isfinite, z)):
             return math.inf, 0.0, 0.0, theta, (), ()
@@ -378,7 +384,5 @@ def _weibull_ml(x: np.ndarray) -> dict[str, float]:
 
 def reference_fits(sample) -> dict[str, dict[str, float]]:
     """Weibull baselines: method of moments and maximum likelihood."""
-    x = np.asarray(sample, dtype=float)
-    if x.size == 0:
-        raise ParameterError("reference fits need a nonempty sample")
+    x = _sample(sample)
     return {"mm": _weibull_mm(x), "ml": _weibull_ml(x)}

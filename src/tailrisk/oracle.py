@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from ._quad import adaptive_quad
 from .distributions import Distribution
-from .errors import ConvergenceError, DomainError, OracleError
-from .tail_metrics import cantelli_level, level_root
+from .errors import _BELOW_ONE, _MAX, ConvergenceError, DomainError, OracleError, _require
+from .tail_metrics import _SQ_LEVEL, cantelli_level, level_root
 
 _LN2 = math.log(2.0)
 _QUAD_REL_TOL = 1e-9        # relative stopping size of a tail segment
@@ -35,17 +35,19 @@ _UNDERFLOW_Y = -math.log(5e-324)   # -ln of the least subnormal: exp(-y) rounds 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Settings for the verification engine."""
+    """Settings for the verification engine, each a number (``DomainError`` else)."""
 
     quad_abs_tol: float = 1e-10
     mc_samples: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.quad_abs_tol <= 0:
-            raise DomainError("quadrature tolerance must be positive")
-        if self.mc_samples < 1000:
-            raise DomainError(f"mc_samples must be >= 1000, got {self.mc_samples}")
+        _require(self.quad_abs_tol, "quad_abs_tol must lie in (0, inf), got {}", error=DomainError)
+        for name, lo in (("mc_samples", 1000.0), ("seed", 0.0)):
+            value, message = getattr(self, name), f"{name} must be an integer >= {lo:g}, got {{}}"
+            if not _require(value, message, lo, _MAX, DomainError).is_integer():
+                raise DomainError(message.format(f"{value!r:.40}"))
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,7 @@ def _march_decaying(f, y0: float, atol: float) -> tuple[float, float]:
 def oracle_superquantile(d: Distribution, alpha: float,
                          cfg: OracleConfig = OracleConfig()) -> OracleResult:
     """Quadrature-of-the-quantile superquantile with an error estimate."""
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"superquantile level must lie in [0, 1), got {alpha}")
+    alpha = _require(alpha, _SQ_LEVEL, 0.0, _BELOW_ONE, DomainError)
     m = d.mean()
     if not math.isfinite(m):
         raise DomainError("oracle requires a finite mean")
@@ -98,7 +99,7 @@ def oracle_superquantile(d: Distribution, alpha: float,
             # int_alpha^0.5 q_p dp with p = exp(-t)
             def left(t: float) -> float:
                 p = math.exp(-t)
-                return d.quantile(p) * p
+                return d._quantile(p, 1.0 - p) * p   # p > 0: no level check per node
 
             if alpha == 0.0:
                 val, e = _march_decaying(left, _LN2, atol)
@@ -111,7 +112,8 @@ def oracle_superquantile(d: Distribution, alpha: float,
 
         # int_{max(alpha, 0.5)}^1 q_p dp with p = 1 - exp(-y)
         def right(y: float) -> float:
-            return d.tail_quantile(math.exp(-y)) * math.exp(-y)
+            eps = math.exp(-y)   # > 0: the march stops before it underflows
+            return d._quantile(1.0 - eps, eps) * eps
 
         val, e = _march_decaying(right, y0, atol)
         total += val
@@ -136,17 +138,15 @@ def oracle_bpoe(d: Distribution, x: float,
     estimate as large as the value, where the quadrature's absolute tolerance
     swamps the tail mass, raises ``OracleError`` too: such a value carries no digit.
     """
-    m = d.mean()
-    if not math.isfinite(m):
-        raise DomainError("oracle requires a finite mean")
-    upper = d.support().upper
-    if not m < x < upper:
-        raise DomainError(f"threshold must lie in (mean, sup) = ({m}, {upper}), got {x}")
+    # a mean of +inf leaves no threshold; one of -inf fails in the first quadrature
+    m, upper = d.mean(), d.support().upper
+    x = _require(x, f"threshold must lie in (mean, sup) = ({m}, {upper}), got {{}}",
+                 math.nextafter(m, math.inf), math.nextafter(upper, -math.inf), DomainError)
     at = None   # the last quadrature, which level_root ends on
 
     def pair(alpha: float, eps: float) -> tuple[float, float]:
         nonlocal at
-        q = d.quantile(alpha, eps) if alpha else d.support().lower
+        q = d._quantile(alpha, eps) if alpha else d.support().lower
         at = oracle_superquantile(d, alpha, cfg)
         return at.value, q
 
@@ -171,8 +171,7 @@ def mc_superquantile(d: Distribution, alpha: float,
     both tail-average and quantile-estimation noise.
     """
     import numpy as np
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"superquantile level must lie in [0, 1), got {alpha}")
+    alpha = _require(alpha, _SQ_LEVEL, 0.0, _BELOW_ONE, DomainError)
     rng = np.random.default_rng(cfg.seed)
     x = d.sample(cfg.mc_samples, rng)
     n = x.size

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -46,13 +45,14 @@ from pathlib import Path
 import numpy as np
 
 from ._optim import critical_line_trace, project_box_simplex
-from .distributions import (GEV, Distribution, Laplace, Logistic, Normal, StudentT,
-                            _expm1_ratio, _ln_gamma_gap, _neg_log)
-from .errors import ConvergenceError, DomainError, ParameterError, _typed
-from .tail_metrics import _gev_tail, bpoe, cantelli_level, level_root, superquantile
+from .distributions import (FAMILIES, GEV, Distribution, Laplace, Logistic, Normal, StudentT,
+                            _expm1_ratio, _family_key, _ln_gamma_gap, _neg_log)
+from .errors import (_BELOW_ONE, _LEAST, _MAX, ConvergenceError, DomainError, ParameterError,
+                     _require, _typed)
+from .tail_metrics import _SQ_LEVEL, _gev_tail, bpoe, cantelli_level, level_root, superquantile
 
 QUALIFIED_FAMILIES = ("normal", "laplace", "logistic", "student-t", "gev")
-_REJECTED = {"exponential", "pareto", "gpd", "weibull", "lognormal", "loglogistic"}
+_REJECTED = set(FAMILIES) - set(QUALIFIED_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -65,27 +65,22 @@ class QualifiedFamily:
     _unit: Distribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.family, str):
-            raise ParameterError(f"family must be a name, got {self.family!r:.40}")
-        name = self.family.lower().replace("_", "-")
-        if name == "t":
-            name = "student-t"
-        object.__setattr__(self, "family", name)
+        name = _family_key(self.family)
+        name = "student-t" if name == "t" else name
         if name in _REJECTED:
             raise ParameterError(
                 f"family {name!r} is not qualified for portfolio optimization "
                 "(its moment structure does not match asset returns)")
         if name not in QUALIFIED_FAMILIES:
             raise ParameterError(
-                f"unknown family {name!r}; qualified families: {QUALIFIED_FAMILIES}")
+                f"unknown family {self.family!r:.40}; qualified families: {QUALIFIED_FAMILIES}")
+        object.__setattr__(self, "family", name)
         if name == "student-t":
-            if not (isinstance(self.nu, numbers.Real) and self.nu > 2.0):   # None, text, NaN
-                raise ParameterError(
-                    f"student-t requires nu > 2 for unit-variance standardization, got {self.nu}")
+            _require(self.nu, "student-t requires nu > 2 for a unit variance, got {}",
+                     math.nextafter(2.0, math.inf))
         elif name == "gev":
-            if not (isinstance(self.xi, numbers.Real) and self.xi < 0.5):
-                raise ParameterError(
-                    f"gev requires xi < 1/2 for finite variance, got {self.xi}")
+            _require(self.xi, "gev requires xi < 1/2 for finite variance, got {}", -_MAX,
+                     math.nextafter(0.5, 0.0))
         elif self.nu is not None or self.xi is not None:
             raise ParameterError(f"family {name!r} takes no shape parameter")
         object.__setattr__(self, "_unit", self._unit_variance_member())
@@ -114,10 +109,10 @@ class QualifiedFamily:
         d = self._unit
         if self.family != "gev":
             return superquantile(d, alpha, _eps)
-        if _eps is None and not 0.0 <= alpha < 1.0:
-            raise DomainError(f"zeta level must lie in [0, 1), got {alpha}")
+        if _eps is None:
+            alpha = _require(alpha, _SQ_LEVEL, 0.0, _BELOW_ONE, DomainError)
         p = 1.0 - alpha if _eps is None else _eps
-        xi = self.xi
+        xi = d.xi
         sd = math.sqrt(_expm1_ratio(xi * xi, _ln_gamma_gap(xi)))   # the stdev over G
         z = alpha * _gev_tail(d, p, alpha)[1] / (p * sd) if alpha else 0.0
         if _eps is None:
@@ -289,13 +284,13 @@ class PortfolioProblem:
         if not (isinstance(self.objective, str) and self.objective in ("cvar", "bpoe")):
             raise ParameterError(f"objective must be 'cvar' or 'bpoe', got {self.objective!r}")
         if self.objective == "cvar":
-            if not isinstance(self.level, numbers.Real) or not 0.0 < self.level < 1.0:
-                raise ParameterError(f"cvar objective needs level in (0, 1), got {self.level}")
+            object.__setattr__(self, "level", _require(
+                self.level, "cvar objective needs level in (0, 1), got {}", _LEAST, _BELOW_ONE))
             if self.threshold is not None:
                 raise ParameterError("cvar objective takes no threshold")
         else:
-            if not isinstance(self.threshold, numbers.Real) or not math.isfinite(self.threshold):
-                raise ParameterError(f"bpoe objective needs a finite threshold, got {self.threshold}")
+            object.__setattr__(self, "threshold", _require(
+                self.threshold, "bpoe objective needs a finite threshold, got {}", -_MAX))
             if self.level is not None:
                 raise ParameterError("bpoe objective takes no level")
         lo, hi = _bounds(_typed(self.universe, AssetUniverse).size, self.lower, self.upper)
@@ -460,8 +455,6 @@ def cvar_cross_evaluate(weights: np.ndarray, universe: AssetUniverse,
                         family: QualifiedFamily, alpha: float) -> float:
     """Loss CVaR of fixed weights under the given family at level alpha."""
     w = _weights(weights, universe)
-    if not isinstance(alpha, numbers.Real):
-        raise ParameterError(f"level must be a real number, got {alpha!r:.40}")
     ret = float(w @ universe.expected_returns)
     sd = math.sqrt(float(w @ universe.covariance @ w))
     return -ret + sd * _typed(family, QualifiedFamily).zeta(alpha)
@@ -471,8 +464,7 @@ def markowitz_solve(universe: AssetUniverse, lam: float,
                     lower=0.0, upper=1.0) -> np.ndarray:
     """Maximize w.eta - (lam/2) w.S.w over the box-bounded simplex: the
     frontier point at gamma = 1 / lam; at lam = inf, minimal variance."""
-    if not isinstance(lam, numbers.Real) or not lam >= 0:
-        raise ParameterError(f"trade-off lambda must be >= 0, got {lam}")
+    lam = _require(lam, "trade-off lambda must be >= 0, got {}", 0.0, math.inf)
     eta, cov = _typed(universe, AssetUniverse).expected_returns, universe.covariance
     lo, hi = _bounds(universe.size, lower, upper)
     gamma = 1.0 / lam if lam > 0.0 else math.inf
@@ -490,8 +482,7 @@ def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
 
     Returns (weights match within tol, max per-weight gap).
     """
-    if not (isinstance(tol, numbers.Real) and tol >= 0.0):
-        raise ParameterError(f"tolerance must be a number >= 0, got {tol!r:.40}")
+    tol = _require(tol, "tolerance must be a number >= 0, got {}", 0.0, math.inf)
     gap = float(np.max(np.abs(_weights(w_cvar, universe)
                               - markowitz_solve(universe, lam, lower, upper))))
     return gap <= tol, gap

@@ -29,11 +29,10 @@ from .distributions import (_LN_SQRT_2PI, GEV, GPD, Distribution, Exponential, L
                             LogLogistic, LogNormal, Logistic, Normal, Pareto, StudentT,
                             Weibull, _exp_or_inf, _expm1_ratio, _log1p_ratio, _neg_log,
                             _scaled_power, _student_ln_1p)
-from .errors import ConvergenceError, DomainError
+from .errors import _BELOW_ONE, _LEAST, _MAX, ConvergenceError, DomainError, _require
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LEAST_FLOAT = math.ulp(0.0)   # the smallest positive float
 #: below this ln S, S times any binary64 value underflows
 _LN_NEGLIGIBLE = math.log(5e-324) - math.log(sys.float_info.max)
 
@@ -45,6 +44,7 @@ MINIMIZATION_BPOE_FAMILIES = (Normal, Logistic, StudentT, LogNormal)
 _MINIMIZED_BPOE_FAMILIES = (Logistic, StudentT, LogNormal)
 #: families symmetric about their location mu
 _SYMMETRIC_FAMILIES = (Normal, Laplace, Logistic, StudentT)
+_SQ_LEVEL = "superquantile level must lie in [0, 1), got {}"   # for every such level
 
 
 class TailResult(NamedTuple):
@@ -198,11 +198,12 @@ def superquantile(d: Distribution, alpha: float,
     is evaluated at level 0.
     """
     if _eps is None:
-        try:
-            if not 0.0 <= alpha < 1.0:
-                raise DomainError(f"superquantile level must lie in [0, 1), got {alpha}")
-        except TypeError:   # alpha is not a number
-            raise DomainError(f"superquantile level must be a number, got {alpha!r:.40}") from None
+        try:   # errors._require, written out: a call would cost 15-25% of a closed form
+            if not 0.0 <= alpha <= _BELOW_ONE:
+                raise ValueError
+            alpha = float(alpha)
+        except (TypeError, ValueError):   # out of range, or not a number (text, an array)
+            raise DomainError(_SQ_LEVEL.format(f"{alpha!r:.40}")) from None
         m = d.mean()
         if alpha == 0.0 or m == math.inf:
             return m
@@ -225,8 +226,8 @@ def left_superquantile(d: Distribution, alpha: float) -> float:
     1e-14 relative error in each term leaves less than 1e-8 relative in the
     result, it raises ``DomainError`` instead of returning a wrong value.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"left superquantile level must lie in (0, 1], got {alpha}")
+    alpha = _require(alpha, "left superquantile level must lie in (0, 1], got {}", _LEAST, 1.0,
+                     DomainError)
     m = d.mean()
     if not math.isfinite(m):
         raise DomainError("left superquantile requires a finite mean")
@@ -250,18 +251,18 @@ def _end(d: Distribution, value: float, clamped: bool = False) -> TailResult:
 
 def _result_from_value(d: Distribution, value: float) -> TailResult:
     if 0.0 < value < 1.0:
-        return TailResult(value, 1.0 - value, d.quantile(1.0 - value, value))
+        return TailResult(value, 1.0 - value, d._quantile(1.0 - value, value))
     return _end(d, 1.0 if value >= 1.0 else 0.0)   # at the mean, or underflowed
 
 
 def _bpoe_edges(d: Distribution, x: float) -> TailResult | None:
     """Every engine's threshold rule: ``DomainError`` for a non-finite x, 1 at the mean,
     clamped below it (every x if it diverges) and 0 clamped from the top of the support."""
-    try:
+    try:   # errors._require's rule, written out, as in superquantile
         if not math.isfinite(x):
-            raise DomainError(f"bPOE threshold must be finite, got {x}")
-    except TypeError:   # x is not a number
-        raise DomainError(f"bPOE threshold must be a number, got {x!r:.40}") from None
+            raise ValueError
+    except (TypeError, ValueError):   # NaN or +-inf, or not a number (text, an array)
+        raise DomainError(f"bPOE threshold must be finite, got {x!r:.40}") from None
     m = d.mean()
     if x < m:
         return _end(d, 1.0, True)
@@ -357,7 +358,7 @@ def level_root(f: Callable[[float, float], tuple[float, float]], x: float, lo: f
             new = u * (1.0 - k)
         if not u_lo <= new <= u_hi:
             new = u_lo if new < u_lo and not above else 0.5 * (u_lo + u_hi)
-        new = min(new, -_LEAST_FLOAT)
+        new = min(new, -_LEAST)
         tol = 1e-13 * min(1.0, abs(new))
         if not above and u_lo < u_hi <= u_lo + 2.0 * tol:
             # collapsed onto lo, not yet evaluated (2 tol: near u = -708 floats lie 1.1 tol apart)
@@ -570,14 +571,17 @@ def bpoe(d: Distribution, x: float) -> TailResult:
 
 def partial_expectation(d: Distribution, gamma: float) -> float:
     """E[X - gamma]+ at a finite gamma (``DomainError`` else): mean - gamma from the bottom
-    of the support down, 0 from its top up; between, for Normal, Logistic, Student-t and
-    LogNormal scale S e, the survival S and mean excess e of the bPOE minimization engine's
-    tail, formed as exp(ln S + ln scale + ln e) so that a subnormal S keeps its digits;
-    elsewhere (superquantile(F(gamma)) - gamma) (1 - F(gamma)), which raises ``DomainError``
-    where 1 - F(gamma), at 1e-14 absolute error in F, keeps less than 1e-8 relative.
+    of the support down, 0 from its top up; between, from each family's closed tail where it
+    has one: S(gamma) h / (1 - xi), h = s + xi (gamma - mu), for the GPD members, in
+    ``GPD._tail_power`` so that a subnormal value keeps its digits; b e^-z / 2 for Laplace at
+    z = (gamma - mu) / b >= 0, and mu - gamma + b e^z / 2 below; for Normal, Logistic,
+    Student-t and LogNormal scale S e, the survival S and mean excess e of the bPOE
+    minimization engine's tail, formed as exp(ln S + ln scale + ln e); elsewhere
+    (superquantile(F(gamma)) - gamma) (1 - F(gamma)), which raises ``DomainError`` where
+    1 - F(gamma), at 1e-14 absolute error in F, keeps less than 1e-8 relative.
     """
-    if not math.isfinite(gamma):
-        raise DomainError(f"partial expectation threshold must be finite, got {gamma}")
+    gamma = _require(gamma, "partial expectation threshold must be finite, got {}", -_MAX, _MAX,
+                     DomainError)
     m = d.mean()
     if m == math.inf:
         return math.inf
@@ -586,6 +590,14 @@ def partial_expectation(d: Distribution, gamma: float) -> float:
         return m - gamma
     if gamma >= upper:
         return 0.0
+    if isinstance(d, GPD):
+        h = d.s + d.xi * (gamma - d.mu)   # s (1 + xi z); <= 0 only by rounding at the top
+        return d._tail_power(gamma, h, d=d._g1 / h) if h > 0.0 else 0.0
+    if isinstance(d, Laplace):   # b e^-z / 2 in logs where e^-z leaves the normal floats
+        z = (gamma - d.mu) / d.b
+        if z < 0.0:
+            return (d.mu - gamma) + 0.5 * d.b * math.exp(z)
+        return 0.5 * d.b * math.exp(-z) if z < 708.0 else math.exp(math.log(0.5 * d.b) - z)
     if isinstance(d, MINIMIZATION_BPOE_FAMILIES):
         reduce, tail = _STD_TAILS[type(d)]
         _, scale, g = reduce(d, gamma)

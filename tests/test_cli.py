@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from tailrisk import cli
 from tailrisk import distributions as dist
+from tailrisk import estimation as est
 from tailrisk import tail_metrics as tm
 from tailrisk.cli import main
 
@@ -195,3 +197,97 @@ def test_portfolio_sweep_bad_count_exit_1(capsys, count):
     assert code == 1
     assert out == ""
     assert err.startswith("error: --sweep")
+
+
+@pytest.mark.parametrize("metric, flag, value, want", [
+    ("pdf", "--x", "0.5", lambda d: d.pdf(0.5)),
+    ("cdf", "--x", "0.5", lambda d: d.cdf(0.5)),
+    ("quantile", "--alpha", "0.9", lambda d: d.quantile(0.9)),
+    ("mean", None, None, lambda d: d.mean()),
+    ("variance", None, None, lambda d: d.variance()),
+])
+def test_dist_elementary_metrics_match_the_library(capsys, metric, flag, value, want):
+    args = ("dist", "--family", "weibull", "--lambda", "0.5", "--k", "1.4", "--metric", metric)
+    payload = run_json(capsys, *args, *((flag, value) if flag else ()))
+    assert payload == {"metric": metric, "value": want(dist.Weibull(0.5, 1.4))}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("dist", "--family", "normal", "--mu", "0", "--sigma", "1", "--metric", "pdf"),
+     "metric pdf requires --x"),
+    (("dist", "--family", "normal", "--mu", "0", "--sigma", "1", "--metric", "quantile"),
+     "metric quantile requires --alpha"),
+    (("oracle", "--family", "exponential", "--lambda", "1", "--metric", "cvar"),
+     "oracle cvar requires --alpha"),
+    (("oracle", "--family", "exponential", "--lambda", "1", "--metric", "bpoe"),
+     "oracle bpoe requires --x"),
+    (("oracle", "--family", "exponential", "--lambda", "1", "--metric", "mc-cvar"),
+     "oracle mc-cvar requires --alpha"),
+    (("portfolio", "--objective", "cvar", "--family", "normal"),
+     "cvar objective requires --alpha"),
+    (("portfolio", "--objective", "bpoe", "--family", "normal"), "bpoe objective requires --x"),
+])
+def test_a_missing_point_or_level_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_oracle_bpoe_matches_the_closed_form(capsys):
+    payload = run_json(capsys, "oracle", "--family", "exponential", "--lambda", "1",
+                       "--metric", "bpoe", "--x", "2")
+    assert abs(payload["value"] - math.exp(-1.0)) <= 1e-8
+    assert payload["error_estimate"] <= 1e-8
+
+
+@pytest.mark.parametrize("argv, family", [
+    (("--family", "student-t", "--nu", "4"), ("student-t", {"nu": 4.0})),
+    (("--family", "t", "--nu", "4"), ("student-t", {"nu": 4.0})),
+    (("--family", "gev", "--gev-xi", "0.2"), ("gev", {"xi": 0.2})),
+])
+def test_portfolio_shape_families_match_the_library(capsys, argv, family):
+    from tailrisk import portfolio as pf
+    payload = run_json(capsys, "portfolio", "--objective", "cvar", "--alpha", "0.95", *argv)
+    msci = pf.AssetUniverse.bundled()
+    report = pf.min_cvar_portfolio(pf.PortfolioProblem(msci, "cvar", level=0.95),
+                                   pf.QualifiedFamily(family[0], **family[1]))
+    assert payload["weights"] == dict(zip(msci.names, report.weights.tolist()))
+    assert payload["objective_value"] == report.objective_value
+
+
+def test_fit_sample_skips_blank_cells_and_a_header(tmp_path, capsys):
+    values = [0.3, 1.1, 0.7, 2.4, 0.9, 1.6, 0.2, 1.3, 0.5, 3.1]
+    path = tmp_path / "sample.csv"
+    path.write_text("value,\n" + "\n".join(f" {v} ," if i % 2 else f",{v}"
+                                           for i, v in enumerate(values)) + "\n\n")
+    payload = run_json(capsys, "fit", "--sample", str(path), "--family", "normal",
+                       "--levels", "0.5,0.9")
+    targets = [est.empirical_superquantile(values, a) for a in (0.5, 0.9)]
+    fit = est.ls_mos_fit(est.FitProblem("normal", (0.5, 0.9), targets=tuple(targets)))
+    assert payload["params"] == fit.params
+
+
+def test_fit_sample_with_a_non_numeric_row_exits_1(tmp_path, capsys):
+    path = tmp_path / "sample.csv"
+    path.write_text("value\n0.3\n1.1\nn/a\n0.7\n")
+    code, out, err = run(capsys, "fit", "--sample", str(path), "--family", "normal",
+                         "--levels", "0.5,0.9")
+    assert (code, out, err) == (1, "", "error: non-numeric sample entry 'n/a'\n")
+
+
+def test_fit_levels_that_do_not_parse_exit_1(capsys):
+    code, out, err = run(capsys, "fit", "--self-test", "--family", "normal", "--mu", "0",
+                         "--sigma", "1", "--levels", "0.5,abc")
+    assert (code, out) == (1, "")
+    assert err == "error: could not parse levels list '0.5,abc'\n"
+
+
+def test_an_untyped_value_error_exits_1(capsys, monkeypatch):
+    # main's last resort: a ValueError that is no TailRiskError is an input error
+    def fail(args):
+        raise ValueError("not a tail-risk error")
+
+    monkeypatch.setattr(cli, "_cmd_dist", fail)
+    code, out, err = run(capsys, "dist", "--family", "normal", "--mu", "0", "--sigma", "1",
+                         "--metric", "mean")
+    assert (code, out, err) == (1, "", "error: not a tail-risk error\n")

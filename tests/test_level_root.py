@@ -90,7 +90,7 @@ def test_matches_bisection_zeta_shape(family):
         if _deep_enough(family.family == "gev", eps):   # GEV(xi > 0): a bounded loss
             target, loss_quantile = zeta(1.0 - eps, eps)
             # the symmetric laws' loss quantile is the member's own, equal up to rounding
-            assert loss_quantile == pytest.approx((m - d.quantile(eps, 1.0 - eps)) / sd,
+            assert loss_quantile == pytest.approx((m - d._quantile(eps, 1.0 - eps)) / sd,
                                                   rel=1e-14)
             got = level_root(zeta, target, lo, cantelli_level(target, 0.0, 1.0))
             _assert_same_pair(got, _bisect_u(zeta, target, lo, hi), 1e-10)
@@ -101,7 +101,7 @@ def test_matches_bisection_oracle_shape():
     lo, hi = 1e-13, 1.0
 
     def pair(alpha, eps):
-        q = d.quantile(alpha, eps) if alpha else -math.inf
+        q = d._quantile(alpha, eps) if alpha else -math.inf
         return oracle.oracle_superquantile(d, alpha).value, q
 
     for alpha in (0.2, 0.9):

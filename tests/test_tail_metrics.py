@@ -681,6 +681,41 @@ def test_partial_expectation_deep_tail_matches_mpmath():
             assert abs(got / want - 1.0) <= 1e-12, g
 
 
+@pytest.mark.parametrize("d, gammas", [
+    (dist.Exponential(1.0), (0.5, 15.0, 20.0, 40.0, 100.0, 700.0)),
+    (dist.Exponential(3.0), (1e-3, 5.0, 230.0)),
+    (dist.GPD(0.0, 1.0, 0.2), (0.1, 10.0, 1e3, 1e10, 1e50)),
+    (dist.GPD(-2.0, 0.5, 0.9), (0.0, 1e6, 1e100, 1e300)),
+    (dist.GPD(1.0, 2.0, -0.5), (1.5, 4.0, 4.999999)),
+    (dist.GPD(0.0, 1.0, 0.0), (3.0, 600.0)),
+    (dist.Pareto(3.0, 1.0), (1.5, 1e6, 1e100)),
+    (dist.Pareto(1.5, 2.0), (3.0, 1e100, 1e200)),
+    (dist.Laplace(0.0, 1.0), (-700.0, -20.0, -1.0, 0.0, 0.5, 20.0, 100.0, 690.0)),
+    (dist.Laplace(1.0, 2.0), (-3.0, 0.5, 1.0, 40.0)),
+    (dist.Laplace(0.0, 1e300), (7.07e302, 8e302, 1.1e303)),   # e^-z below the normal floats
+], ids=repr)
+def test_partial_expectation_gpd_members_and_laplace_match_mpmath(d, gammas):
+    # from the closed tails; the round trip through the cdf raised DomainError where
+    # 1 - F fell below 1e-6 (Exponential(1) from gamma = 15, Laplace(0, 1) at 20,
+    # GPD(0, 1, 0.2) at 1e3 and Pareto(3, 1) at 1e6)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for gamma in gammas:
+            g = mp.mpf(gamma)
+            if isinstance(d, dist.Pareto):   # the integral of (xm / x)^a over [gamma, inf)
+                want = mp.mpf(d.xm) ** d.a * g ** (1 - mp.mpf(d.a)) / (d.a - 1)
+            elif isinstance(d, dist.GPD):
+                h = d.s + d.xi * (g - d.mu)   # s (1 + xi z)
+                survival = (mp.exp(-(g - d.mu) / d.s) if d.xi == 0.0
+                            else (h / d.s) ** (-1 / mp.mpf(d.xi)))
+                want = survival * h / (1 - mp.mpf(d.xi))
+            else:
+                z = (g - d.mu) / d.b
+                want = d.b * mp.exp(-z) / 2 if z >= 0 else d.mu - g + d.b * mp.exp(z) / 2
+            got = tm.partial_expectation(d, gamma)
+            assert want > 1e-307 and abs(got / want - 1) <= 1e-13, (gamma, got, want)
+
+
 def test_partial_expectation_student_t_and_lognormal_match_mpmath():
     # from below the median down to tail mass 1e-300 (1e-100 at nu = 30, where the
     # logarithms inside the incomplete beta leave 3.5e-12 further down)
@@ -706,13 +741,14 @@ def test_partial_expectation_student_t_and_lognormal_match_mpmath():
 
 
 def test_partial_expectation_raises_where_the_survival_rounds():
-    # 1 - F(gamma) is 4.2e-18: the round trip through the cdf keeps no digit; at
-    # nu = 1e6 the survival at 1e5 underflows where no asymptote holds it
-    for d, g in ((dist.Exponential(1.0), 40.0), (dist.StudentT(1e6), 1e5)):
-        with pytest.raises(DomainError):
-            tm.partial_expectation(d, g)
-    assert abs(tm.partial_expectation(dist.Exponential(1.0), 13.0) / math.exp(-13.0)
-               - 1.0) <= 1e-8
+    # at nu = 1e6 the survival at 1e5 underflows where no asymptote holds it
+    with pytest.raises(DomainError):
+        tm.partial_expectation(dist.StudentT(1e6), 1e5)
+    # 1 - F(40) is 4.2e-18, which the round trip through the cdf kept no digit of (a
+    # DomainError); the Exponential reads its closed tail e^-gamma / lam
+    for g in (13.0, 40.0):
+        assert abs(tm.partial_expectation(dist.Exponential(1.0), g) / math.exp(-g)
+                   - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("d, gamma, want", [
