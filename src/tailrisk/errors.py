@@ -38,9 +38,9 @@ class OracleError(ConvergenceError):
 def _require(value, message: str, lo: float = _LEAST, hi: float = _MAX,
              error: type = ParameterError) -> float:
     """float(value) for a number lo <= value <= hi, else error(message with its repr cut to 40
-    characters); text, None, lists and arrays fail the comparison or float(), 0-d arrays pass."""
+    characters); text, None and lists fail the comparison, arrays the ndim test, 0-d ones pass."""
     try:
-        if lo <= value <= hi:
+        if lo <= value <= hi and not getattr(value, "ndim", 0):
             return float(value)
     except (TypeError, ValueError, OverflowError):   # not a number, or an int beyond binary64
         pass

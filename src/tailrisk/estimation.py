@@ -96,17 +96,13 @@ class FitProblem:
             raise ParameterError("at least one probability level is required")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ParameterError(f"levels must be strictly increasing, got {levels}")
-        if len(weights) != len(levels):
-            raise ParameterError("one weight per level required")
-        if len(shifts) != len(levels):
-            raise ParameterError("one shift per level required")
+        if {len(weights), len(shifts), len(levels if targets is None else targets)} != {len(levels)}:
+            raise ParameterError("weights, shifts and targets need one entry per level")
         if any(e > a for e, a in zip(shifts, levels)):
             raise ParameterError("shifts must satisfy 0 <= eps_i <= alpha_i")
         if (self.targets is None) == (self.sample is None):
             raise ParameterError("provide exactly one of targets or sample")
         if targets is not None:
-            if len(targets) != len(levels):
-                raise ParameterError("one finite target per level required")
             object.__setattr__(self, "targets", targets)
         if self.sample is not None:
             object.__setattr__(self, "sample", tuple(_sample(self.sample).tolist()))

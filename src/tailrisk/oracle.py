@@ -43,11 +43,12 @@ class OracleConfig:
 
     def __post_init__(self):
         _require(self.quad_abs_tol, "quad_abs_tol must lie in (0, inf), got {}", error=DomainError)
-        for name, lo in (("mc_samples", 1000.0), ("seed", 0.0)):
-            value, message = getattr(self, name), f"{name} must be an integer >= {lo:g}, got {{}}"
-            if not _require(value, message, lo, _MAX, DomainError).is_integer():
-                raise DomainError(message.format(f"{value!r:.40}"))
-            object.__setattr__(self, name, int(value))
+        n = _require(self.mc_samples, "mc_samples must be >= 1000, got {}", 1e3, _MAX, DomainError)
+        seed = _require(self.seed, "seed must be a number >= 0, got {}", 0.0, _MAX, DomainError)
+        if n % 1.0 or seed % 1.0:
+            raise DomainError(f"mc_samples and seed must be whole numbers, got {n!r} and {seed!r}")
+        object.__setattr__(self, "mc_samples", int(self.mc_samples))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)

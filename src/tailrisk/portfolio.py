@@ -76,11 +76,13 @@ class QualifiedFamily:
                 f"unknown family {self.family!r:.40}; qualified families: {QUALIFIED_FAMILIES}")
         object.__setattr__(self, "family", name)
         if name == "student-t":
-            _require(self.nu, "student-t requires nu > 2 for a unit variance, got {}",
-                     math.nextafter(2.0, math.inf))
+            object.__setattr__(self, "nu", _require(
+                self.nu, "student-t requires nu > 2 for a unit variance, got {}",
+                math.nextafter(2.0, math.inf)))
         elif name == "gev":
-            _require(self.xi, "gev requires xi < 1/2 for finite variance, got {}", -_MAX,
-                     math.nextafter(0.5, 0.0))
+            object.__setattr__(self, "xi", _require(
+                self.xi, "gev requires xi < 1/2 for finite variance, got {}", -_MAX,
+                math.nextafter(0.5, 0.0)))
         elif self.nu is not None or self.xi is not None:
             raise ParameterError(f"family {name!r} takes no shape parameter")
         object.__setattr__(self, "_unit", self._unit_variance_member())
@@ -112,7 +114,7 @@ class QualifiedFamily:
         if _eps is None:
             alpha = _require(alpha, _SQ_LEVEL, 0.0, _BELOW_ONE, DomainError)
         p = 1.0 - alpha if _eps is None else _eps
-        xi = d.xi
+        xi = self.xi
         sd = math.sqrt(_expm1_ratio(xi * xi, _ln_gamma_gap(xi)))   # the stdev over G
         z = alpha * _gev_tail(d, p, alpha)[1] / (p * sd) if alpha else 0.0
         if _eps is None:

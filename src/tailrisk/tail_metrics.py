@@ -199,7 +199,7 @@ def superquantile(d: Distribution, alpha: float,
     """
     if _eps is None:
         try:   # errors._require, written out: a call would cost 15-25% of a closed form
-            if not 0.0 <= alpha <= _BELOW_ONE:
+            if not 0.0 <= alpha <= _BELOW_ONE or getattr(alpha, "ndim", 0):
                 raise ValueError
             alpha = float(alpha)
         except (TypeError, ValueError):   # out of range, or not a number (text, an array)
@@ -259,7 +259,7 @@ def _bpoe_edges(d: Distribution, x: float) -> TailResult | None:
     """Every engine's threshold rule: ``DomainError`` for a non-finite x, 1 at the mean,
     clamped below it (every x if it diverges) and 0 clamped from the top of the support."""
     try:   # errors._require's rule, written out, as in superquantile
-        if not math.isfinite(x):
+        if getattr(x, "ndim", 0) or not math.isfinite(x):   # no float() of a size-1 array
             raise ValueError
     except (TypeError, ValueError):   # NaN or +-inf, or not a number (text, an array)
         raise DomainError(f"bPOE threshold must be finite, got {x!r:.40}") from None

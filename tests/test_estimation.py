@@ -348,6 +348,10 @@ def test_problem_validation():
         FitProblem("weibull", (0.5,), sample=(1.0, math.nan, 3.0))
     with pytest.raises(ParameterError, match="nonempty"):
         FitProblem("weibull", (0.5,), sample=())
+    for lengths in ({"weights": (1.0,)}, {"shifts": (0.0,)}, {"targets": (1.0,)},
+                    {"targets": ()}):
+        with pytest.raises(ParameterError, match="one entry per level"):
+            FitProblem("normal", (0.2, 0.5), **{"targets": (1.0, 2.0), **lengths})
 
 
 def test_empirical_superquantile_rejects_a_non_finite_sample():

@@ -18,7 +18,17 @@ from tailrisk import portfolio as pf
 from tailrisk import tail_metrics as tm
 from tailrisk.errors import DomainError, ParameterError
 
-NOT_NUMBERS = ("x", None, [0.9], np.array([0.5, 0.6]), np.array([0.9]), object())
+
+class _SizeOneReadsAsFloat(np.ndarray):
+    """An array whose float() reads its one element, as numpy before 2.4 does (there with only
+    a DeprecationWarning), so the rule's rejection of a size-1 array is tested on every numpy."""
+
+    def __float__(self):
+        return float(self.reshape(-1)[0])
+
+
+NOT_NUMBERS = ("x", None, [0.9], np.array([0.5, 0.6]), np.array([0.9]),
+               np.array([0.9]).view(_SizeOneReadsAsFloat), object())
 NOT_SAMPLES = ("x", None, object(), [[1.0, 2.0]], [1.0, "x"], 5.0)
 FAMILIES = (dist.Exponential(2.0), dist.Pareto(3.0, 1.0), dist.GPD(0.0, 1.0, 0.2),
             dist.Laplace(0.5, 1.0), dist.Normal(0.0, 2.0), dist.LogNormal(0.0, 0.5),
@@ -130,6 +140,13 @@ def test_distribution_parameters_are_stored_as_floats():
         for kind in (np.float64, np.array):
             again = type(d)(**{name: kind(value) for name, value in d.params().items()})
             assert again == d and all(type(v) is float for v in again.params().values())
+
+
+def test_qualified_family_shapes_are_stored_as_floats():
+    for kind in (np.float64, np.array):
+        t, gev = pf.QualifiedFamily("t", nu=kind(4.0)), pf.QualifiedFamily("gev", xi=kind(0.1))
+        assert (t, gev) == (pf.QualifiedFamily("t", nu=4.0), pf.QualifiedFamily("gev", xi=0.1))
+        assert type(t.nu) is float and type(gev.xi) is float and hash(t) and hash(gev)
 
 
 @pytest.mark.parametrize("f, bads", [
