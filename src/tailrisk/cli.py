@@ -149,16 +149,12 @@ def _cmd_dist(args) -> int:
                    "alpha_star": args.alpha, "quantile_star": q_star}
     elif metric == "bpoe":
         payload = tail_metrics.bpoe(d, args.x).to_json("bpoe")
-    elif metric == "pdf":
-        payload = {"metric": "pdf", "value": d.pdf(args.x)}
-    elif metric == "cdf":
-        payload = {"metric": "cdf", "value": d.cdf(args.x)}
+    elif metric in ("pdf", "cdf"):
+        payload = {"metric": metric, "value": getattr(d, metric)(args.x)}
     elif metric == "quantile":
         payload = {"metric": "quantile", "value": d.quantile(args.alpha)}
-    elif metric == "mean":
-        payload = {"metric": "mean", "value": d.mean()}
-    else:
-        payload = {"metric": "variance", "value": d.variance()}
+    else:   # mean or variance
+        payload = {"metric": metric, "value": getattr(d, metric)()}
     _emit(payload, args)
     return 0
 

@@ -3,7 +3,7 @@ supported distribution families. Exponential(lam) = GPD(0, 1/lam, 0) and
 Pareto(a, xm) = GPD(xm, xm/a, 1/a) subclass GPD and run its evaluators.
 
 Each family is an immutable value whose ``__init__`` validates its parameters,
-with ``pdf``, ``cdf``, ``quantile``, ``tail_quantile`` (the upper quantile as a
+with ``pdf``, ``cdf``, ``sf``, ``quantile``, ``tail_quantile`` (the upper quantile as a
 stable function of the tail probability), ``mean``, ``variance``, ``support``
 and ``sample`` (numpy's normal and Student-t generators for Normal, LogNormal
 and Student-t, the inverse transform for the rest). Moments that diverge or
@@ -18,7 +18,10 @@ precision; each formula reads its precision from it, and the symmetric laws
 mirror their lower half at min(alpha, eps). So ``quantile(a)`` equals
 ``tail_quantile(1 - a)`` bit for bit on [0.5, 1). Each formula returns a
 quantile beyond binary64 itself, as +inf, or -inf below the median of a law
-unbounded below; none raises ``OverflowError``.
+unbounded below; none raises ``OverflowError``. The CDF side is written once too:
+``_tails(x)`` returns (F, S), S = P(X > x), the smaller one formed directly; ``cdf`` and
+``sf`` read it, as ``pdf`` reads ``_pdf(x)``, after one check of x: a non-number raises
+``DomainError``, NaN is NaN unevaluated, and +-inf passes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import sys
 from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 from . import specfun
-from .errors import _BELOW_ONE, _LEAST, _MAX, DomainError, ParameterError, _require
+from .errors import _BELOW_ONE, _LEAST, _MAX, DomainError, ParameterError, _real, _require
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,6 +116,12 @@ def _std_normal_quantile(alpha: float, eps: float) -> float:
     return t if alpha <= eps else -t
 
 
+def _std_normal_tails(w: float) -> tuple[float, float]:
+    """(F, S) of the standard normal at sqrt(2) w: the smaller from erfc, the other 1 less it."""
+    tail = 0.5 * math.erfc(abs(w))
+    return (tail, 1.0 - tail) if w < 0.0 else (1.0 - tail, tail)
+
+
 def _student_ln_1p(nu: float, t: float) -> float:
     """ln(1 + t^2/nu); past t^2 = nu it splits off ln(t^2/nu), which stays finite
     where t^2 does not."""
@@ -166,12 +175,19 @@ class Distribution:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    # elementary evaluators; families override all but the two quantiles
+    # elementary evaluators over each family's _pdf and _tails; see the module docstring
     def pdf(self, x: float) -> float:
-        raise NotImplementedError
+        x = _real(x)
+        return self._pdf(x) if x == x else x
 
     def cdf(self, x: float) -> float:
-        raise NotImplementedError
+        x = _real(x)
+        return self._tails(x)[0] if x == x else x
+
+    def sf(self, x: float) -> float:
+        """P(X > x), which keeps its digits where 1 - cdf(x) rounds to 0."""
+        x = _real(x)
+        return self._tails(x)[1] if x == x else x
 
     def quantile(self, alpha: float) -> float:
         """Quantile q_alpha at the level alpha in (0, 1)."""
@@ -249,14 +265,15 @@ class GPD(Distribution):
             return tail / d
         return _exp_or_inf(-self._ln_survival(x) - ln_c - math.log(d))
 
-    def pdf(self, x):
-        h = self.s + self.xi * (x - self.mu)   # s (1 + xi z); NaN at xi = 0, x = inf, and at x = NaN
+    def _pdf(self, x):
+        h = self.s + self.xi * (x - self.mu)   # s (1 + xi z); NaN at xi = 0, x = inf
         return 0.0 if x < self.mu or h <= 0.0 or x == math.inf else self._tail_power(x, h, d=h)
 
-    def cdf(self, x):
-        if x <= self.mu:
-            return 0.0
-        return 1.0 if self.s + self.xi * (x - self.mu) <= 0.0 else -math.expm1(-self._ln_survival(x))
+    def _tails(self, x):
+        h = self.s + self.xi * (x - self.mu)   # NaN at xi = 0, x = inf, where S is 0 in the limit
+        if x <= self.mu or not h > 0.0:
+            return (0.0, 1.0) if x <= self.mu else (1.0, 0.0)
+        return -math.expm1(-self._ln_survival(x)), self._tail_power(x, h)
 
     def _excess(self, alpha: float, eps: float) -> float:
         """s (u - 1) / xi at u = eps^-xi = e^(xi y), the quantile less mu: expm1's below u = e or
@@ -320,14 +337,13 @@ class Laplace(Distribution):
         mu = _require(mu, "Laplace requires finite mu, got {}", -_MAX)
         self.__dict__.update(mu=mu, b=b)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         return math.exp(-abs(x - self.mu) / self.b) / (2.0 * self.b)
 
-    def cdf(self, x):
+    def _tails(self, x):
         z = (x - self.mu) / self.b
-        if z < 0:
-            return 0.5 * math.exp(z)
-        return 1.0 - 0.5 * math.exp(-z)
+        tail = 0.5 * math.exp(-abs(z))
+        return (tail, 1.0 - tail) if z < 0 else (1.0 - tail, tail)
 
     def _quantile(self, alpha, eps):
         t = math.log(2.0 * min(alpha, eps))
@@ -351,13 +367,12 @@ class Normal(Distribution):
         mu = _require(mu, "Normal requires finite mu, got {}", -_MAX)
         self.__dict__.update(mu=mu, sigma=sigma)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         z = (x - self.mu) / self.sigma
         return math.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI)
 
-    def cdf(self, x):
-        z = (x - self.mu) / (self.sigma * _SQRT2)
-        return 0.5 * math.erfc(-z)
+    def _tails(self, x):
+        return _std_normal_tails((x - self.mu) / (self.sigma * _SQRT2))
 
     def _quantile(self, alpha, eps):
         return self.mu + self.sigma * _std_normal_quantile(alpha, eps)
@@ -382,18 +397,16 @@ class LogNormal(Distribution):
         mu = _require(mu, "LogNormal requires finite mu, got {}", -_MAX)
         self.__dict__.update(mu=mu, s=s)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         if x <= 0:
             return 0.0
         ln_x = math.log(x)
         z = (ln_x - self.mu) / self.s
         return _exp_or_inf(-0.5 * z * z - ln_x - math.log(self.s) - _LN_SQRT_2PI)
 
-    def cdf(self, x):
-        if x <= 0:
-            return 0.0
-        z = (math.log(x) - self.mu) / (self.s * _SQRT2)
-        return 0.5 * math.erfc(-z)
+    def _tails(self, x):
+        w = (math.log(x) - self.mu) / (self.s * _SQRT2) if x > 0 else -math.inf
+        return _std_normal_tails(w)
 
     def _quantile(self, alpha, eps):
         return _exp_or_inf(self.mu + self.s * _std_normal_quantile(alpha, eps))
@@ -418,13 +431,14 @@ class Logistic(Distribution):
         mu = _require(mu, "Logistic requires finite mu, got {}", -_MAX)
         self.__dict__.update(mu=mu, s=s)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         z = abs(x - self.mu) / self.s
         e = math.exp(-z)
         return e / (self.s * (1.0 + e) ** 2)
 
-    def cdf(self, x):
-        return 1.0 / (1.0 + _exp_or_inf(-(x - self.mu) / self.s))
+    def _tails(self, x):
+        odds = _exp_or_inf(-(x - self.mu) / self.s)   # S / F
+        return 1.0 / (1.0 + odds), odds / (1.0 + odds) if odds <= 1.0 else 1.0 / (1.0 + 1.0 / odds)
 
     def _quantile(self, alpha, eps):
         p = min(alpha, eps)   # ln(p / (1 - p)), in log1p near the median where it cancels
@@ -474,7 +488,7 @@ class StudentT(Distribution):
                 if w_next == w:
                     break
                 w = w_next
-            return 0.5 * math.erfc(-w / _SQRT2), 0.5 * math.erfc(w / _SQRT2)
+            return _std_normal_tails(w / _SQRT2)
         if t2 * (a + 1.0) < 1.5 * nu:   # y below reg_inc_beta's switch (1/2 + 1) / (a + 5/2)
             half = 0.5 * specfun.reg_inc_beta(t2 / (nu + t2), 0.5, a)
             return (0.5 - half, 0.5 + half) if t <= 0 else (0.5 + half, 0.5 - half)
@@ -549,11 +563,11 @@ class StudentT(Distribution):
             odds = new
         return -math.sqrt(nu / odds)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         return self.std_pdf((x - self.mu) / self.s) / self.s
 
-    def cdf(self, x):
-        return self._std_tails((x - self.mu) / self.s)[0]
+    def _tails(self, x):
+        return self._std_tails((x - self.mu) / self.s)
 
     def _quantile(self, alpha, eps):
         t = self._std_lower_quantile(min(alpha, eps))
@@ -579,7 +593,7 @@ class Weibull(Distribution):
         k = _require(k, "Weibull requires finite shape k > 0, got {}")
         self.__dict__.update(lam=lam, k=k, _lg=_ln_gamma_1m(-1.0 / k) / -k)   # ln Gamma(1 + 1/k)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         if x <= 0:   # at 0 the limit
             return 0.0 if x < 0 or self.k > 1.0 else (1.0 / self.lam if self.k == 1.0 else math.inf)
         if x == math.inf:   # (k - 1) ln z - z^k is inf - inf there
@@ -588,10 +602,9 @@ class Weibull(Distribution):
         return _exp_or_inf(math.log(self.k) - math.log(self.lam) + (self.k - 1.0) * ln_z
                            - _scaled_power(1.0, x / self.lam, self.k))
 
-    def cdf(self, x):
-        if x < 0:
-            return 0.0
-        return -math.expm1(-_scaled_power(1.0, x / self.lam, self.k))
+    def _tails(self, x):   # (0, 1) from 0 down
+        power = _scaled_power(1.0, max(x, 0.0) / self.lam, self.k)
+        return -math.expm1(-power), math.exp(-power)
 
     def _quantile(self, alpha, eps):
         return _scaled_power(self.lam, _neg_log(eps, alpha), 1.0 / self.k)
@@ -615,16 +628,15 @@ class LogLogistic(Distribution):
         b = _require(b, "LogLogistic requires finite shape b > 0, got {}")
         self.__dict__.update(a=a, b=b)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         if x <= 0:   # at 0 the limit
             return 0.0 if x < 0 or self.b > 1.0 else (1.0 / self.a if self.b == 1.0 else math.inf)
         w = abs(self.b * (math.log(x) - math.log(self.a)))   # f = b F (1 - F) / x, |ln odds| w
         return _exp_or_inf(math.log(self.b) - math.log(x) - w - 2.0 * math.log1p(math.exp(-w)))
 
-    def cdf(self, x):
-        if x <= 0:
-            return 0.0
-        return 1.0 / (1.0 + _scaled_power(1.0, self.a / x, self.b))
+    def _tails(self, x):
+        odds = _scaled_power(1.0, self.a / x, self.b) if x > 0 else math.inf   # S / F
+        return 1.0 / (1.0 + odds), odds / (1.0 + odds) if odds <= 1.0 else 1.0 / (1.0 + 1.0 / odds)
 
     def _quantile(self, alpha, eps):
         odds = alpha / eps
@@ -679,26 +691,22 @@ class GEV(Distribution):
             return SupportBound(self.mu - self.s / self.xi, math.inf)
         return SupportBound(-math.inf, self.mu - self.s / self.xi)
 
-    # F = exp(-t), ln t = -ln(1 + xi z) / xi; xi z <= -1 inside the support only by
-    # rounding at its end
-    def pdf(self, x):
-        lo, hi = self.support()
+    # F = exp(-t), ln t = -ln(1 + xi z) / xi; xi z <= -1 at the finite end of the support or
+    # beyond it
+    def _pdf(self, x):
         z = (x - self.mu) / self.s
-        if x <= lo or x >= hi or self.xi * z <= -1.0:
+        if self.xi * z <= -1.0:
             return 0.0
         ln_t = -_log1p_ratio(self.xi, z)
         t = _exp_or_inf(ln_t)
         return 0.0 if t == math.inf else _exp_or_inf((1.0 + self.xi) * ln_t - t) / self.s
 
-    def cdf(self, x):
-        lo, hi = self.support()
+    def _tails(self, x):
         z = (x - self.mu) / self.s
-        edge = self.xi * z <= -1.0
-        if x <= lo or (edge and self.xi > 0.0):
-            return 0.0
-        if x >= hi or edge:
-            return 1.0
-        return math.exp(-_exp_or_inf(-_log1p_ratio(self.xi, z)))
+        if self.xi * z <= -1.0:
+            return (0.0, 1.0) if self.xi > 0.0 else (1.0, 0.0)
+        t = _exp_or_inf(-_log1p_ratio(self.xi, z))   # 0 or inf at x = +-inf
+        return math.exp(-t), -math.expm1(-t)
 
     def _quantile(self, alpha, eps):   # mu + s (y^-xi - 1) / xi, y = -ln alpha
         # near alpha = 1/e, ln y ~ 0 keeps its digits only if read off alpha itself, not off

@@ -47,6 +47,13 @@ def _require(value, message: str, lo: float = _LEAST, hi: float = _MAX,
     raise error(message.format(f"{value!r:.40}"))
 
 
+def _real(value) -> float:
+    """An evaluation point: _require's rule on [-inf, inf], with NaN (unequal to itself) NaN."""
+    if getattr(value, "ndim", 0) or value == value:   # an array fails _require's ndim test
+        return _require(value, "x must be a number, got {}", -math.inf, math.inf, DomainError)
+    return math.nan
+
+
 def _typed(value, cls: type):
     """value itself if it is a cls, else ParameterError."""
     if not isinstance(value, cls):

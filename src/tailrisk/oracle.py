@@ -131,7 +131,7 @@ def oracle_bpoe(d: Distribution, x: float,
     """bPOE by root finding on the quadrature superquantile.
 
     ``tail_metrics.level_root`` solves oracle_superquantile(d, 1 - eps) = x for
-    the tail mass eps in [1e-13, 1], started at e (1 - F(x)) or the Cantelli
+    the tail mass eps in [1e-13, 1], started at e ``sf(x)`` or the Cantelli
     tail mass (``tail_metrics.cantelli_level``); a threshold beyond sq at
     eps = 1e-13 raises ``OracleError``. ``error_estimate`` is the error in eps:
     the residual |sq - x| plus the quadrature error of sq at the root (the
@@ -151,7 +151,7 @@ def oracle_bpoe(d: Distribution, x: float,
         at = oracle_superquantile(d, alpha, cfg)
         return at.value, q
 
-    start = cantelli_level(x, m, d.variance(), 1.0 - d.cdf(x))
+    start = cantelli_level(x, m, d.variance(), d.sf(x))
     _, eps, sq, q = level_root(pair, x, 1e-13, start)
     if eps == 1e-13 and sq < x:
         raise OracleError("threshold lies beyond the quadrature superquantile at the "

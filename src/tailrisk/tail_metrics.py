@@ -28,7 +28,7 @@ from . import specfun
 from .distributions import (_LN_SQRT_2PI, GEV, GPD, Distribution, Exponential, Laplace,
                             LogLogistic, LogNormal, Logistic, Normal, Pareto, StudentT,
                             Weibull, _exp_or_inf, _expm1_ratio, _log1p_ratio, _neg_log,
-                            _scaled_power, _student_ln_1p)
+                            _scaled_power, _std_normal_tails, _student_ln_1p)
 from .errors import _BELOW_ONE, _LEAST, _MAX, ConvergenceError, DomainError, _require
 
 _SQRT2 = math.sqrt(2.0)
@@ -299,13 +299,13 @@ def bpoe_closed(d: Distribution, x: float) -> TailResult:
 
 
 def cantelli_level(x: float, mean: float, variance: float, survival: float = 0.0) -> float:
-    """Start for ``level_root``: e S, S = ``survival`` the tail mass beyond x (e S is the
-    exact bPOE of the exponential law), where it is positive and below the Cantelli tail
+    """Start for ``level_root``: e S, S = ``survival`` the tail mass beyond x, ``sf(x)`` (e S is
+    the exact bPOE of the exponential law), where it is positive and below the Cantelli tail
     mass 1 / (1 + t^2), t = (x - mean) / sd, or 0.5 if sd is inf or 0 (underflowed); else
     that Cantelli mass. Since sq(1 - eps) <= mean + sd sqrt((1 - eps) / eps) for every
     finite-variance law, the Cantelli mass lies at or above the root of sq = x, on the
     tail-grid benchmark's root-engine thresholds up to 5e11 times above; e S lies within
-    0.52-1.18 times the root there.
+    0.17-1.18 times the root there, 0.17 at Weibull(1, 0.01) at 1e200, where S is 3.7e-44.
     """
     t = (x - mean) / math.sqrt(variance) if 0.0 < variance < math.inf else 1.0
     cantelli = 1.0 / (1.0 + t * t)
@@ -378,8 +378,8 @@ def level_root(f: Callable[[float, float], tuple[float, float]], x: float, lo: f
 def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     """bPOE as the tail mass eps in [smallest normal float, 1] that solves
     superquantile(d, 1 - eps, eps) = x with ``level_root``, to about
-    1e-13 relative, started at e (1 - F(x)) or the Cantelli tail mass
-    (``cantelli_level``). Each step evaluates the pair (sq, q) once, and
+    1e-13 relative, started at e S(x), S the survival formed as an upper tail, or the
+    Cantelli tail mass (``cantelli_level``). Each step evaluates the pair (sq, q) once, and
     the residual and ``quantile_star`` are read from the engine's last pair, so
     no family's ``quantile`` is called. Beyond sq at the smallest normal eps,
     which the engine evaluates only if its steps reach it, the bPOE underflows
@@ -389,7 +389,7 @@ def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     if edge is not None:
         return edge
     alpha, eps, sq, q = level_root(lambda a, e: superquantile(d, a, e), x, sys.float_info.min,
-                                   cantelli_level(x, d.mean(), d.variance(), 1.0 - d.cdf(x)))
+                                   cantelli_level(x, d.mean(), d.variance(), d._tails(x)[1]))
     residual = sq - x
     if eps == sys.float_info.min and residual < 0.0:
         return _result_from_value(d, 0.0)
@@ -401,8 +401,8 @@ def bpoe_by_root(d: Distribution, x: float) -> TailResult:
 
 def _normal_ln_tail(g: float) -> tuple[float, float, float]:
     """(ln h, ln S, F) of the standard normal at g, h = phi / S its hazard, from erfc."""
-    lower = 0.5 * math.erfc(-g / _SQRT2)
-    ln_survival = math.log1p(-lower) if g < 0.0 else math.log(0.5 * math.erfc(g / _SQRT2))
+    lower, upper = _std_normal_tails(g / _SQRT2)
+    ln_survival = math.log1p(-lower) if g < 0.0 else math.log(upper)
     return -0.5 * g * g - _LN_SQRT_2PI - ln_survival, ln_survival, lower
 
 
@@ -418,7 +418,7 @@ def _std_normal_tail(d: Distribution, g: float) -> tuple[float, ...]:
         cf = g + k / cf
     s = g + 1.0 / cf
     return (g, math.log(s), 1.0 / cf, 1.0 / cf, -0.5 * g * g - math.log(_SQRT_2PI * s),
-            0.5 * math.erfc(-g / _SQRT2))
+            _std_normal_tails(g / _SQRT2)[0])
 
 
 def _std_logistic_tail(d: Distribution, g: float) -> tuple[float, ...]:
@@ -577,8 +577,9 @@ def partial_expectation(d: Distribution, gamma: float) -> float:
     z = (gamma - mu) / b >= 0, and mu - gamma + b e^z / 2 below; for Normal, Logistic,
     Student-t and LogNormal scale S e, the survival S and mean excess e of the bPOE
     minimization engine's tail, formed as exp(ln S + ln scale + ln e); elsewhere
-    (superquantile(F(gamma)) - gamma) (1 - F(gamma)), which raises ``DomainError`` where
-    1 - F(gamma), at 1e-14 absolute error in F, keeps less than 1e-8 relative.
+    (sq - gamma) S at the tails (F, S) of gamma, sq the superquantile at that pair and 0.0
+    where S underflows, which raises ``DomainError`` where sq - gamma, at 1e-14 relative
+    error in each term, keeps less than 1e-8 relative, as ``left_superquantile`` does.
     """
     gamma = _require(gamma, "partial expectation threshold must be finite, got {}", -_MAX, _MAX,
                      DomainError)
@@ -606,11 +607,14 @@ def partial_expectation(d: Distribution, gamma: float) -> float:
             raise DomainError(f"partial expectation of {d.family} at gamma={gamma}: "
                               "the survival underflows")
         return _exp_or_inf(ln_survival + math.log(scale) + math.log(excess)) if excess else 0.0
-    prob = d.cdf(gamma)
-    if 1e-14 > 1e-8 * (1.0 - prob):
+    prob, survival = d._tails(gamma)
+    if survival == 0.0:
+        return 0.0
+    sq = _SQ_FORMULAS[type(d)](d, prob, survival) if prob else m
+    if 1e-14 * (abs(sq) + abs(gamma)) > 1e-8 * (sq - gamma):
         raise DomainError(f"partial expectation of {d.family} at gamma={gamma}: "
-                          "1 - F(gamma) keeps less than 1e-8 relative precision")
-    return (superquantile(d, prob) - gamma) * (1.0 - prob)
+                          "sq - gamma keeps less than 1e-8 relative precision")
+    return (sq - gamma) * survival
 
 
 def superdistribution_cdf(d: Distribution, x: float) -> float:

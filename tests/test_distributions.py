@@ -170,15 +170,10 @@ def test_pdf_cdf_spot_values():
 
 @pytest.mark.parametrize("d", ALL_SETTINGS, ids=lambda d: repr(d))
 def test_pdf_and_cdf_at_nan_and_infinity(d):
-    # a NaN is NaN or a DomainError, never a number: GPD, Exponential, Pareto and GEV
-    # densities read 0.0 at NaN, and the Weibull's NaN at inf for k >= 1
-    for f in (d.pdf, d.cdf):
-        try:
-            assert math.isnan(f(math.nan)), f
-        except DomainError:
-            pass
-    assert d.pdf(-math.inf) == d.pdf(math.inf) == d.cdf(-math.inf) == 0.0
-    assert d.cdf(math.inf) == 1.0
+    for f in (d.pdf, d.cdf, d.sf):
+        assert math.isnan(f(math.nan)), f
+    assert d.pdf(-math.inf) == d.pdf(math.inf) == d.cdf(-math.inf) == d.sf(math.inf) == 0.0
+    assert d.cdf(math.inf) == d.sf(-math.inf) == 1.0
 
 
 @pytest.mark.parametrize("d", ALL_SETTINGS, ids=lambda d: repr(d))
@@ -526,3 +521,68 @@ def test_densities_in_logs_match_mpmath(d, x):
         else:
             want = mp.npdf(mp.log(X), P["mu"], P["s"]) / X
         assert abs(d.pdf(x) - want) <= 1e-13 * want + 2.0 ** -1074, (d.pdf(x), want)
+
+
+def _mp_survival(mp, d, x):
+    """P(X > x) for the family d, in mpmath."""
+    P, X = {k: mp.mpf(v) for k, v in d.params().items()}, mp.mpf(x)
+    if isinstance(d, dist.GPD):   # Exponential and Pareto through their GPD parameters
+        xi, z = mp.mpf(d.xi), (X - d.mu) / mp.mpf(d.s)
+        if z <= 0:
+            return mp.mpf(1)
+        if xi == 0:
+            return mp.exp(-z)
+        return (1 + xi * z) ** (-1 / xi) if 1 + xi * z > 0 else mp.mpf(0)
+    if d.family == "laplace":
+        z = (X - P["mu"]) / P["b"]
+        return mp.exp(-z) / 2 if z >= 0 else 1 - mp.exp(z) / 2
+    if d.family == "normal":
+        return mp.ncdf(-(X - P["mu"]) / P["sigma"])
+    if d.family == "lognormal":
+        return mp.ncdf(-(mp.log(X) - P["mu"]) / P["s"]) if X > 0 else mp.mpf(1)
+    if d.family == "logistic":
+        return 1 / (1 + mp.exp((X - P["mu"]) / P["s"]))
+    if d.family == "student-t":
+        nu, t = P["nu"], (X - P["mu"]) / P["s"]
+        half = mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + t * t), regularized=True) / 2
+        return half if t > 0 else 1 - half
+    if d.family == "weibull":
+        return mp.exp(-(X / P["lam"]) ** P["k"]) if X > 0 else mp.mpf(1)
+    if d.family == "loglogistic":
+        return 1 / (1 + (X / P["a"]) ** P["b"]) if X > 0 else mp.mpf(1)
+    xi, z = P["xi"], (X - P["mu"]) / P["s"]   # GEV: 1 - exp(-t)
+    if xi == 0:
+        return -mp.expm1(-mp.exp(-z))
+    return -mp.expm1(-(1 + xi * z) ** (-1 / xi)) if 1 + xi * z > 0 else mp.mpf(xi > 0)
+
+
+@pytest.mark.parametrize("d", [
+    dist.Exponential(2.0), dist.Pareto(3.0, 1.0), dist.GPD(0.0, 1.0, 0.2),
+    dist.GPD(0.0, 1.0, -0.5), dist.Laplace(0.5, 1.0), dist.Normal(0.0, 2.0),
+    dist.Normal(1.0, 0.3), dist.LogNormal(0.0, 0.5), dist.Logistic(1.0, 1.0),
+    dist.StudentT(4.0), dist.StudentT(30.0, 2.0, 1.0), dist.Weibull(1.0, 1.5),
+    dist.LogLogistic(1.0, 3.0), dist.GEV(0.0, 1.0, 0.1), dist.GEV(0.0, 1.0, 0.0),
+    dist.GEV(0.0, 1.0, -0.2),
+], ids=repr)
+def test_survival_matches_mpmath_from_the_bottom_to_the_subnormal_tail(d):
+    # S is formed as an upper tail: relative precision 1e-14 times its condition number
+    # |x| f / S (which grows without bound at the top of a bounded law), or |ln S| where
+    # that is larger, down to S = 1e-320, where 1 - F reads 0 from S = 1e-16
+    mp = pytest.importorskip("mpmath")
+    xs = [d.quantile(p) for p in (1e-15, 1e-8, 1e-3, 0.1, 0.3, 0.5)] + [
+        d.tail_quantile(10.0 ** -k) for k in (0.5, 1, 2, 4, 8, 12, 16, 25, 50, 100, 150, 200,
+                                               250, 300, 310, 320)]
+    with mp.workdps(50):
+        for x in xs:
+            want = _mp_survival(mp, d, x)
+            cond = abs(x) * d.pdf(x) / want if want else 0.0
+            bound = 1e-14 * max(1.0, abs(mp.log(want)) if want else 0.0, cond) * want
+            assert abs(d.sf(x) - want) <= bound + 2.0 ** -1074, (x, d.sf(x), want)
+            assert d.sf(x) + d.cdf(x) == pytest.approx(1.0, abs=4.5e-16), x
+
+
+def test_survival_keeps_the_digits_one_less_the_cdf_loses():
+    for d in ALL_SETTINGS:
+        x = d.tail_quantile(1e-300)
+        if x < d.support().upper:
+            assert d.cdf(x) == 1.0 and 1e-301 < d.sf(x) < 1e-299, d

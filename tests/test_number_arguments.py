@@ -96,6 +96,9 @@ def _sites():
         sites += [
             (f"{name} quantile", d.quantile, 0.9, DomainError, "level"),
             (f"{name} tail_quantile", d.tail_quantile, 0.1, DomainError, "tail probability"),
+            (f"{name} pdf", d.pdf, x, DomainError, "must be a number"),
+            (f"{name} cdf", d.cdf, x, DomainError, "must be a number"),
+            (f"{name} sf", d.sf, x, DomainError, "must be a number"),
             (f"{name} superquantile", lambda v, d=d: tm.superquantile(d, v), 0.9, DomainError,
              "level"),
             (f"{name} left_superquantile", lambda v, d=d: tm.left_superquantile(d, v), 0.3,

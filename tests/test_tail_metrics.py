@@ -489,11 +489,16 @@ def test_bpoe_dominates_poe():
         for x in (m + 0.3, m + 1.0, m + 3.0):
             if x >= d.support().upper:
                 continue
-            assert tm.bpoe(d, x).value >= 1.0 - d.cdf(x) - 1e-12
+            assert tm.bpoe(d, x).value >= d.sf(x) - 1e-12
+        # deep thresholds, where 1 - cdf reads 0 and only the survival tests the bound
+        for eps in (1e-12, 1e-25, 1e-50, 1e-100, 1e-150, 1e-200, 1e-250, 1e-300):
+            x = tm.superquantile(d, 1.0 - eps, eps)[0]
+            if math.isfinite(x) and x < d.support().upper:
+                assert tm.bpoe(d, x).value >= d.sf(x), (d, eps)
     # extreme threshold: the alpha*-tail average equals x, so the buffered
     # probability must still dominate the plain exceedance probability
     d = dist.Normal(0.0, 1.0)
-    assert tm.bpoe(d, 10.0).value >= 1.0 - d.cdf(10.0)
+    assert tm.bpoe(d, 10.0).value >= d.sf(10.0)
 
 
 def test_bpoe_nonincreasing_in_threshold():
@@ -749,6 +754,64 @@ def test_partial_expectation_raises_where_the_survival_rounds():
     for g in (13.0, 40.0):
         assert abs(tm.partial_expectation(dist.Exponential(1.0), g) / math.exp(-g)
                    - 1.0) <= 1e-15
+
+
+def _mp_partial_expectation(mp, d, gamma):
+    """E[X - gamma]+ = (sq - gamma) S, S the survival at the binary64 gamma, in mpmath."""
+    g = mp.mpf(gamma)
+    if isinstance(d, dist.Weibull):
+        survival = mp.exp(-(g / d.lam) ** d.k)
+        return (_mp_sq_weibull(mp, d, survival) - g) * survival
+    if isinstance(d, dist.LogLogistic):
+        survival = 1 / (1 + (g / d.a) ** d.b)
+        return (_mp_sq_loglogistic(mp, d, survival) - g) * survival
+    z = (g - d.mu) / d.s
+    survival = -mp.expm1(-(mp.exp(-z) if d.xi == 0.0 else (1 + d.xi * z) ** (-1 / mp.mpf(d.xi))))
+    return (_mp_sq_gev(mp, d, survival) - g) * survival
+
+
+_PE_MASSES = (0.9, 0.5, 0.1, 1e-2, 1e-4, 1e-8, 1e-12, 1e-16, 1e-25, 1e-50, 1e-100, 1e-150,
+              1e-200, 1e-250, 1e-300)
+
+
+@pytest.mark.parametrize("d", [
+    dist.Weibull(1.0, 1.5), dist.Weibull(2.0, 0.8), dist.Weibull(0.5, 3.0),
+    dist.LogLogistic(1.0, 3.0), dist.LogLogistic(2.0, 1.5),
+    dist.GEV(0.0, 1.0, 0.1), dist.GEV(0.0, 1.0, 0.0), dist.GEV(0.0, 1.0, 0.3),
+], ids=repr)
+def test_partial_expectation_of_the_other_families_matches_mpmath(d):
+    # (sq - gamma) S at the tails (F, S) keeps its digits where 1 - F rounds to 0, from
+    # S = 1e-16: Weibull(1, 1.5) at 6 and GEV(0, 1, 0.1) at 30 among these gammas
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for eps in _PE_MASSES:
+            gamma = d.tail_quantile(eps)
+            want = _mp_partial_expectation(mp, d, gamma)
+            got = tm.partial_expectation(d, gamma)
+            assert abs(got / want - 1) <= 1e-12, (eps, got, want)
+
+
+def test_partial_expectation_raises_only_where_sq_less_gamma_cancels():
+    # near the top of a bounded GEV, sq - gamma falls to the rounding of gamma (from a mass
+    # near 1e-25), and from a mass of 1e-100 the quantile rounds to the top itself
+    mp = pytest.importorskip("mpmath")
+    d = dist.GEV(1.0, 2.0, -0.2)
+    with mp.workdps(50):
+        for eps in _PE_MASSES:
+            gamma = d.tail_quantile(eps)
+            if gamma == d.support().upper:
+                assert tm.partial_expectation(d, gamma) == 0.0
+                continue
+            try:
+                got = tm.partial_expectation(d, gamma)
+            except DomainError:
+                assert eps <= 1e-25, eps
+                continue
+            want = _mp_partial_expectation(mp, d, gamma)
+            assert abs(got / want - 1) <= 2e-11, (eps, got, want)
+    with pytest.raises(DomainError, match="sq - gamma"):
+        tm.partial_expectation(d, d.tail_quantile(1e-50))
+    assert tm.partial_expectation(dist.Weibull(1.0, 1.5), 1e4) == 0.0   # S underflows
 
 
 @pytest.mark.parametrize("d, gamma, want", [
