@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_port.add_argument("--family", required=True,
                         choices=("normal", "laplace", "logistic", "student-t", "t", "gev"))
     p_port.add_argument("--nu", type=float, default=3.0, help="student-t degrees of freedom")
-    p_port.add_argument("--gev-xi", type=float, default=0.1, help="gev shape")
+    p_port.add_argument("--gev-xi", type=float, default=0.1, help="gev shape, in (-86.178, 1/2)")
     p_port.add_argument("--lower", type=float, default=0.0, help="per-asset lower bound")
     p_port.add_argument("--upper", type=float, default=1.0, help="per-asset upper bound")
     p_port.add_argument("--sweep", default=None,

@@ -97,8 +97,8 @@ def _ln_gamma_gap(x: float) -> float:
 def _gamma_variance(c: float, x: float, ln_g: float) -> float:
     """c^2 (Gamma(1 - 2x) - Gamma(1 - x)^2) / x^2 = (c G)^2 expm1(x^2 D) / x^2 for c > 0,
     x < 1/2, G = e^ln_g = Gamma(1 - x), D = _ln_gamma_gap(x): the GEV variance at (s, xi),
-    the Weibull one at (lam / k, -1/k); in logs where G or the product leaves binary64."""
-    w = _expm1_ratio(x * x, _ln_gamma_gap(x))   # inf only where G is far beyond binary64
+    the Weibull one at (lam / k, -1/k); in logs where G, x^2 or the product leaves binary64."""
+    w = _expm1_ratio(x * x, _ln_gamma_gap(x)) if x * x < math.inf else math.inf
     if ln_g < 709.0:
         sd = c * math.exp(ln_g) * math.sqrt(w)
         return sd * sd

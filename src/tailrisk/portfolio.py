@@ -3,7 +3,7 @@
 A family is *qualified* when the left superquantile of any portfolio return
 decomposes as  mean - stdev * zeta(alpha, shape)  with a weight-independent
 multiplier zeta. Five families qualify here: Normal, Laplace, Logistic,
-Student-t (fixed nu > 2) and GEV (fixed xi < 1/2). Exponential, Pareto, GPD
+Student-t (fixed nu > 2) and GEV (fixed xi in (-86.178, 1/2)). Exponential, Pareto, GPD
 and Weibull are rejected: their mean/stdev coupling and PDF shapes do not
 match real asset returns.
 
@@ -17,7 +17,7 @@ The second objective has no shape parameter in it, so one weight vector is
 bPOE-optimal for every qualified family simultaneously; only the reported
 bPOE value depends on the family. zeta, the superquantile of the
 standardized loss, and its inverse, the bPOE as a tail mass, come from
-``tail_metrics`` (GEV: a closed form and one ``level_root``).
+``tail_metrics`` (GEV: the zero-mean, unit-variance member and one ``level_root``).
 
 Every problem here maximizes over one curve: the box-bounded mean-variance
 frontier, the maximizers of gamma w.eta - w.S.w / 2 for gamma = 1 / lambda from
@@ -46,10 +46,10 @@ import numpy as np
 
 from ._optim import critical_line_trace, project_box_simplex
 from .distributions import (FAMILIES, GEV, Distribution, Laplace, Logistic, Normal, StudentT,
-                            _expm1_ratio, _family_key, _ln_gamma_gap, _neg_log)
+                            _family_key)
 from .errors import (_BELOW_ONE, _LEAST, _MAX, ConvergenceError, DomainError, ParameterError,
                      _require, _typed)
-from .tail_metrics import _SQ_LEVEL, _gev_tail, bpoe, cantelli_level, level_root, superquantile
+from .tail_metrics import _SQ_LEVEL, bpoe, cantelli_level, level_root, superquantile
 
 QUALIFIED_FAMILIES = ("normal", "laplace", "logistic", "student-t", "gev")
 _REJECTED = set(FAMILIES) - set(QUALIFIED_FAMILIES)
@@ -61,7 +61,7 @@ class QualifiedFamily:
 
     family: str
     nu: float | None = None    # student-t degrees of freedom, > 2
-    xi: float | None = None    # gev shape, < 1/2
+    xi: float | None = None    # gev shape, in (-86.178, 1/2): a finite variance in binary64
     _unit: Distribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,7 +96,9 @@ class QualifiedFamily:
             return Logistic(0.0, math.sqrt(3.0) / math.pi)
         if self.family == "student-t":
             return StudentT(self.nu, math.sqrt((self.nu - 2.0) / self.nu), 0.0)
-        return GEV(0.0, 1.0, self.xi)
+        s = 1.0 / math.sqrt(_require(GEV(0.0, 1.0, self.xi).variance(), "gev requires xi above "
+                                     f"about -86.178 for a variance in binary64, got {self.xi!r}"))
+        return GEV(-GEV(0.0, s, self.xi).mean(), s, self.xi)   # mean() is 0.0 exactly
 
     def zeta(self, alpha: float, _eps: float | None = None) -> float | tuple[float, float]:
         """Stdev-to-CVaR multiplier: the superquantile at alpha in [0, 1) of the
@@ -104,9 +106,8 @@ class QualifiedFamily:
         for the symmetric families. Given ``_eps`` = 1 - alpha, as in
         ``superquantile``, it returns the pair (zeta, q), q the standardized
         loss quantile at alpha, for ``level_root``.
-        For GEV(0, 1, xi) and p = 1 - alpha it is alpha (sq(p) - m) / (p sd), sq the
-        upper tail average, m the mean and sd = G sqrt(_expm1_ratio(xi^2, _ln_gamma_gap(xi))),
-        G = Gamma(1 - xi), which cancels against ``_gev_tail``'s (sq(p) - m) / G.
+        For GEV it is (alpha / p) sq(p) and q = -q(p) of the zero-mean, unit-variance
+        member at p = 1 - alpha, read from one ``superquantile`` pair.
         """
         d = self._unit
         if self.family != "gev":
@@ -114,16 +115,9 @@ class QualifiedFamily:
         if _eps is None:
             alpha = _require(alpha, _SQ_LEVEL, 0.0, _BELOW_ONE, DomainError)
         p = 1.0 - alpha if _eps is None else _eps
-        xi = self.xi
-        sd = math.sqrt(_expm1_ratio(xi * xi, _ln_gamma_gap(xi)))   # the stdev over G
-        z = alpha * _gev_tail(d, p, alpha)[1] / (p * sd) if alpha else 0.0
-        if _eps is None:
-            return z
-        # the loss at level alpha is the return at level p = 1 - alpha: (m - q) / G, which at
-        # q = (y^-xi - 1) / xi, y = -ln p, is one expm1 ratio, and 1 / xi at the top (alpha = 0)
-        if not alpha:
-            return z, (1.0 / xi if xi < 0.0 else -math.inf) / sd
-        return z, _expm1_ratio(-xi, d._lg1 + math.log(_neg_log(p, alpha))) / sd
+        sq, q = superquantile(d, p, alpha) if alpha else (0.0, d.support().upper)
+        z = alpha * sq / p
+        return z if _eps is None else (z, -q)
 
     def label(self) -> str:
         if self.family == "student-t":
@@ -392,13 +386,14 @@ def min_cvar_portfolio(problem: PortfolioProblem, family: QualifiedFamily) -> Po
 def _invert_zeta(family: QualifiedFamily, target: float) -> float:
     """Tail mass eps with zeta(1 - eps) = target, i.e. the bPOE of the
     standardized loss: the unit-variance member's ``bpoe`` for the symmetric
-    families, else ``level_root`` on the GEV zeta in the pair (alpha, eps)
-    for eps in [smallest normal float, 1], and 0.0 (an underflow) beyond.
+    families, else ``level_root`` on the GEV zeta in the pair (alpha, eps), started
+    from e S, S = F(-target) of the member, for eps in [smallest normal float, 1], and
+    0.0 (an underflow) beyond.
     """
     if family.family != "gev":
         return bpoe(family._unit, target).value
     _, eps, z, _ = level_root(family.zeta, target, sys.float_info.min,
-                              cantelli_level(target, 0.0, 1.0))
+                              cantelli_level(target, 0.0, 1.0, family._unit.cdf(-target)))
     return 0.0 if eps == sys.float_info.min and z < target else eps
 
 

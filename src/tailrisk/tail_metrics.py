@@ -136,17 +136,18 @@ def _sq_loglogistic(d: LogLogistic, alpha: float, eps: float) -> float:
 
 
 def _gev_tail(d: GEV, alpha: float, eps: float) -> tuple[float, float]:
-    """((sq - mu) / s, (sq - m) / (s G)) of GEV(mu, s, xi < 1) at the pair (alpha, eps), m the
-    mean, G = Gamma(1 - xi), which QualifiedFamily.zeta shares with the stdev. With y = -ln alpha,
-    q = (y^-xi - 1) / xi, g = (G - 1) / xi: below xi = -1 the paper's incomplete gammas, P read
-    as 1 - Q where it nears eps; for y <= 2, I / eps and (I / eps - g) / G, I = int_0^y q e^-t dt
-    = sum (-1)^n y^(n+1) (q + 1/(n+1)) / (n! (n+1-xi)); beyond, g + f and f / G, f = alpha (g - L)
-    / eps, L = q - e^y Gamma(-xi, y) the lower-tail average from the continued fraction."""
+    """((sq - mu) / s, (sq - m) / s) of GEV(mu, s, xi < 1) at the pair (alpha, eps), m the
+    mean. With y = -ln alpha, q = (y^-xi - 1) / xi, G = Gamma(1 - xi), g = (G - 1) / xi: below
+    xi = -1 the paper's incomplete gammas, P read as 1 - Q where it nears eps; for y <= 2,
+    I / eps and I / eps - g, I = int_0^y q e^-t dt = sum (-1)^n y^(n+1) (q + 1/(n+1)) /
+    (n! (n+1-xi)); beyond, g + f and f, f = alpha (g - L) / eps, L = q - e^y Gamma(-xi, y) the
+    lower-tail average from the continued fraction."""
     xi, y = d.xi, _neg_log(alpha, eps)
     if xi < -1.0:
         lower, upper = specfun._reg_gamma(1.0 - xi, y)
+        tail = (eps - lower if y < 2.0 - xi else upper - alpha) / (-xi * eps)
         return ((eps - specfun.lower_inc_gamma(1.0 - xi, y)) / (-xi * eps),
-                (eps - lower if y < 2.0 - xi else upper - alpha) / (-xi * eps))
+                tail * _exp_or_inf(xi * d._lg1))
     q = -_expm1_ratio(-xi, math.log(y))
     g = _expm1_ratio(xi, d._lg1)
     if y <= 2.0:   # I >= y / 8, so terms below 1e-18 y are negligible
@@ -156,15 +157,18 @@ def _gev_tail(d: GEV, alpha: float, eps: float) -> tuple[float, float]:
             term *= -y / k
             k += 1.0
         sq = total / eps
-        excess = sq - g
-    else:
-        excess = alpha * (g - q + (1.0 + xi * q) * specfun._gamma_q_cf(-xi, y)) / eps
-        sq = g + excess
-    return sq, excess * math.exp(-xi * d._lg1)
+        return sq, sq - g
+    excess = alpha * (g - q + (1.0 + xi * q) * specfun._gamma_q_cf(-xi, y)) / eps
+    return g + excess, excess
 
 
 def _sq_gev(d: GEV, alpha: float, eps: float) -> float:
-    return d.mu + d.s * _gev_tail(d, alpha, eps)[0]
+    """mu + s t, t = (sq - mu) / s, or m + s e, e = (sq - m) / s, where its terms add to under
+    half as much: the mean's own rounding pays only where mu and s t cancel, as for a zero-mean
+    law, whose sq - m it keeps; at most the top of the support mu - s / xi for xi < 0."""
+    (t, e), mu, s, m = _gev_tail(d, alpha, eps), d.mu, d.s, d.mean()
+    sq = m + s * e if 2.0 * (abs(m) + abs(s * e)) < abs(mu) + abs(s * t) else mu + s * t
+    return min(sq, mu - s / d.xi) if d.xi < 0.0 else sq
 
 
 _SQ_FORMULAS = {

@@ -269,6 +269,11 @@ def test_moments_divergence_table():
     # Gamma(1 + 1/k) or Gamma(1 + 2/k) beyond binary64: the moment rounds to inf
     assert dist.Weibull(1.0, 0.005).mean() == math.inf
     assert dist.Weibull(1.0, 0.01).variance() == math.inf
+    # and where xi^2 or 1/k^2 overflows too (NaN before, from inf - inf)
+    for xi in (-1.3e155, -1e300):
+        assert dist.GEV(0.0, 1.0, xi).variance() == math.inf, xi
+    for k in (1e-155, 1e-300):
+        assert dist.Weibull(1.0, k).variance() == math.inf, k
 
 
 def test_weibull_and_gev_moments_against_mpmath():

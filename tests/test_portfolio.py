@@ -172,16 +172,20 @@ def test_zeta_student_t_display():
         assert abs(q.zeta(alpha) - display) <= 1e-11
 
 
-def test_zeta_gev_beyond_the_gamma_overflow():
-    # Gamma(1 - xi) leaves binary64 below xi = -170.6, and so do the mean and stdev; zeta
-    # is their ratio, e^(-u/2) times O(1) for u = ln Gamma(1 - 2 xi) - 2 ln Gamma(1 - xi),
-    # which lgamma values near 2000 carry to about 2e-13 (60-digit references)
-    for xi, want in ((-200.0, 2.8049431314315549e-59), (-172.0, 7.2512127154067286e-51)):
-        got = QualifiedFamily("gev", xi=xi).zeta(0.9)
-        assert abs(got - want) <= 1e-12 * want, (xi, got)
-    # the pair's loss quantile stays finite where the return quantile leaves binary64
-    z, q = QualifiedFamily("gev", xi=-200.0).zeta(1.0 - 1e-16, 1e-16)
-    assert 0.0 < z < math.inf and -math.inf < q < 0.0, (z, q)
+def test_zeta_gev_requires_a_finite_variance():
+    # the unit-variance member needs Var GEV(0, 1, xi) in binary64, which overflows from
+    # xi = -86.178 (below xi = -1.3e155 xi^2 does too, where the variance was NaN)
+    for xi in (-86.2, -172.0, -200.0, -1e3, -1e155, -1e300):
+        with pytest.raises(ParameterError, match="variance"):
+            QualifiedFamily("gev", xi=xi)
+    assert 0.0 < QualifiedFamily("gev", xi=-86.17).zeta(0.9) < math.inf
+
+
+def test_gev_unit_variance_member():
+    for xi in (0.49, 0.3, 0.0, -0.3, -1.0, -1.5, -5.0, -50.0, -86.0):
+        member = QualifiedFamily("gev", xi=xi)._unit
+        assert member.mean() == 0.0, xi
+        assert abs(member.variance() - 1.0) <= 4 * 2.0 ** -52, (xi, member.variance())
 
 
 def test_zeta_gev_incomplete_gamma_display():
@@ -229,6 +233,20 @@ def _mpmath_zeta(mp, family, alpha):
         return (mp.euler + mp.log(y) - mp.li(eps) / eps) / (mp.pi / mp.sqrt(6))
     g1, g2 = mp.gamma(1 - xi), mp.gamma(1 - 2 * xi)
     return mp.sign(xi) * (g1 - mp.gammainc(1 - xi, y) / eps) / mp.sqrt(g2 - g1 * g1)
+
+
+@pytest.mark.parametrize("xi", (-1.5, -5.0, -50.0, -86.0))
+def test_zeta_gev_below_xi_minus_one_matches_mpmath(xi):
+    # zeta's incomplete-gamma branch, where the excess carries Gamma(1 - xi) (1e130 at -86,
+    # whose lgamma rounding leaves 1.1e-13)
+    mp = pytest.importorskip("mpmath")
+    family = QualifiedFamily("gev", xi=xi)
+    bound = 2e-13 if xi == -86.0 else 1e-13
+    with mp.workdps(80):
+        for alpha in (1e-12, 1e-6, 1e-3, 0.3, 0.5, 0.95, 1.0 - 1e-6, 1.0 - 1e-12):
+            want = _mpmath_zeta(mp, family, alpha)
+            got = family.zeta(alpha)
+            assert abs(got - want) <= bound * want, (alpha, got, float(want))
 
 
 _ZETA_FAMILIES = default_report_families() + tuple(

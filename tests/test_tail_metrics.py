@@ -100,6 +100,32 @@ def test_gev_below_the_gamma_overflow():
             assert abs(got.value - float(1 - root)) <= 1e-10 * float(1 - root), x
 
 
+def test_gev_superquantile_with_the_mean_far_below_it():
+    # GEV(2, 1, -50)'s mean is -6e62: sq is mu + s (sq - mu) / s, not m + s (sq - m) / s,
+    # which would leave it 4.5e46 off
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        for d in (dist.GEV(2.0, 1.0, -50.0), dist.GEV(5.0, 3.0, -5.0)):
+            for alpha in (1e-3, 0.1, 0.36, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12):
+                want = _mp_sq_gev(mp, d, 1 - mp.mpf(alpha))
+                got = tm.superquantile(d, alpha)
+                assert abs(got - want) <= 1e-12 * abs(want), (d, alpha, got, float(want))
+
+
+@pytest.mark.parametrize("d", [dist.GEV(0.0, 1.0, xi) for xi in (-0.2, -0.5, -1.5, -5.0)]
+                         + [dist.GEV(1.0, 2.0, -0.2)]
+                         + [dist.GPD(0.0, 1.0, xi) for xi in (-0.5, -2.0)], ids=repr)
+def test_superquantile_at_most_the_support_top(d):
+    # superquantile(GEV(1, 2, -0.2), 1 - 1e-300) read 11.000000000000002 above the top 11;
+    # near the top sq may still step down by an ulp, so only the bound is asserted
+    top = d.support().upper
+    for k in range(1, 301):
+        eps = 10.0 ** -k
+        assert tm.superquantile(d, 1.0 - eps, eps)[0] <= top, (k, top)
+        if eps > 2.0 ** -53:
+            assert tm.superquantile(d, 1.0 - eps) <= top, (k, top)
+
+
 # --- closed-form bPOE --------------------------------------------------------
 
 def test_bpoe_closed_exponential():
