@@ -14,14 +14,16 @@ the form ``{"family": ..., "params": {...}}``.
 Each family writes its quantile once, as the private ``_quantile(alpha, eps)``
 with alpha + eps = 1: ``quantile(alpha)`` passes (alpha, 1 - alpha) and
 ``tail_quantile(eps)`` passes (1 - eps, eps). The smaller one keeps full
-precision; each formula reads its precision from it, and the symmetric laws
-mirror their lower half at min(alpha, eps). So ``quantile(a)`` equals
+precision, and each formula reads its precision from it. So ``quantile(a)`` equals
 ``tail_quantile(1 - a)`` bit for bit on [0.5, 1). Each formula returns a
 quantile beyond binary64 itself, as +inf, or -inf below the median of a law
 unbounded below; none raises ``OverflowError``. The CDF side is written once too:
 ``_tails(x)`` returns (F, S), S = P(X > x), the smaller one formed directly; ``cdf`` and
 ``sf`` read it, as ``pdf`` reads ``_pdf(x)``, after one check of x: a non-number raises
-``DomainError``, NaN is NaN unevaluated, and +-inf passes.
+``DomainError``, NaN is NaN unevaluated, and +-inf passes. ``_Symmetric`` is the one place
+where the symmetric laws (Normal, Laplace, Logistic, Student-t) mirror their lower half, for
+both: it reads ``_std_lower_quantile(p)`` at p = min(alpha, eps) and the smaller tail
+``_tail_beyond(h)`` at h = |x - mu|. Student-t forms its own centre, 1/2 +- half, in ``_tails``.
 """
 
 from __future__ import annotations
@@ -150,6 +152,8 @@ class Distribution:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        if "__init__" not in vars(cls):   # a shared base, _Symmetric
+            return
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
         # bench/spans.py traces the evaluators a family holds in its own __dict__
@@ -200,18 +204,6 @@ class Distribution:
         eps = _require(eps, "tail probability must lie in (0, 1), got {}", _LEAST, _BELOW_ONE,
                        DomainError)
         return self._quantile(1.0 - eps, eps)
-
-    def _quantile(self, alpha: float, eps: float) -> float:   # see the module docstring
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def variance(self) -> float:
-        raise NotImplementedError
-
-    def support(self) -> SupportBound:
-        raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Sample of size n from rng.
@@ -329,62 +321,65 @@ class Pareto(GPD):
                              _g2=(a - 2.0) / a)
 
 
-class Laplace(Distribution):
+class _Symmetric(Distribution):
+    """A law symmetric about mu with scale ``_scale``; see the module docstring."""
+
+    def _quantile(self, alpha, eps):
+        t = self._std_lower_quantile(min(alpha, eps))
+        return self.mu + self._scale * (t if alpha <= eps else -t)
+
+    def _tails(self, x):
+        tail = self._tail_beyond(abs(x - self.mu))
+        return (tail, 1.0 - tail) if x < self.mu else (1.0 - tail, tail)
+
+    def mean(self):
+        return self.mu
+
+    def support(self):
+        return SupportBound(-math.inf, math.inf)
+
+
+class Laplace(_Symmetric):
     family = "laplace"
 
     def __init__(self, mu: float, b: float):
         b = _require(b, "Laplace requires finite scale b > 0, got {}")
         mu = _require(mu, "Laplace requires finite mu, got {}", -_MAX)
-        self.__dict__.update(mu=mu, b=b)
+        self.__dict__.update(mu=mu, b=b, _scale=b)
 
     def _pdf(self, x):
         return math.exp(-abs(x - self.mu) / self.b) / (2.0 * self.b)
 
-    def _tails(self, x):
-        z = (x - self.mu) / self.b
-        tail = 0.5 * math.exp(-abs(z))
-        return (tail, 1.0 - tail) if z < 0 else (1.0 - tail, tail)
+    def _tail_beyond(self, h):
+        return 0.5 * math.exp(-h / self.b)
 
-    def _quantile(self, alpha, eps):
-        t = math.log(2.0 * min(alpha, eps))
-        return self.mu + self.b * (t if alpha <= eps else -t)
-
-    def mean(self):
-        return self.mu
+    def _std_lower_quantile(self, p):
+        return math.log(2.0 * p)
 
     def variance(self):
         return 2.0 * self.b * self.b
 
-    def support(self):
-        return SupportBound(-math.inf, math.inf)
 
-
-class Normal(Distribution):
+class Normal(_Symmetric):
     family = "normal"
 
     def __init__(self, mu: float, sigma: float):
         sigma = _require(sigma, "Normal requires finite sigma > 0, got {}")
         mu = _require(mu, "Normal requires finite mu, got {}", -_MAX)
-        self.__dict__.update(mu=mu, sigma=sigma)
+        self.__dict__.update(mu=mu, sigma=sigma, _scale=sigma)
 
     def _pdf(self, x):
         z = (x - self.mu) / self.sigma
         return math.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI)
 
-    def _tails(self, x):
-        return _std_normal_tails((x - self.mu) / (self.sigma * _SQRT2))
+    def _tail_beyond(self, h):
+        return _std_normal_tails(h / (self.sigma * _SQRT2))[1]
 
-    def _quantile(self, alpha, eps):
-        return self.mu + self.sigma * _std_normal_quantile(alpha, eps)
-
-    def mean(self):
-        return self.mu
+    def _std_lower_quantile(self, p):
+        return _std_normal_quantile(p, 1.0 - p)
 
     def variance(self):
         return self.sigma * self.sigma
-
-    def support(self):
-        return SupportBound(-math.inf, math.inf)
 
 
 class LogNormal(Distribution):
@@ -423,39 +418,31 @@ class LogNormal(Distribution):
         return SupportBound(0.0, math.inf)
 
 
-class Logistic(Distribution):
+class Logistic(_Symmetric):
     family = "logistic"
 
     def __init__(self, mu: float, s: float):
         s = _require(s, "Logistic requires finite scale s > 0, got {}")
         mu = _require(mu, "Logistic requires finite mu, got {}", -_MAX)
-        self.__dict__.update(mu=mu, s=s)
+        self.__dict__.update(mu=mu, s=s, _scale=s)
 
     def _pdf(self, x):
         z = abs(x - self.mu) / self.s
         e = math.exp(-z)
         return e / (self.s * (1.0 + e) ** 2)
 
-    def _tails(self, x):
-        odds = _exp_or_inf(-(x - self.mu) / self.s)   # S / F
-        return 1.0 / (1.0 + odds), odds / (1.0 + odds) if odds <= 1.0 else 1.0 / (1.0 + 1.0 / odds)
+    def _tail_beyond(self, h):
+        e = math.exp(-h / self.s)   # the odds S / F
+        return e / (1.0 + e)
 
-    def _quantile(self, alpha, eps):
-        p = min(alpha, eps)   # ln(p / (1 - p)), in log1p near the median where it cancels
-        t = math.log1p((2.0 * p - 1.0) / (1.0 - p)) if p > 0.25 else math.log(p) - math.log1p(-p)
-        return self.mu + self.s * (t if alpha <= eps else -t)
-
-    def mean(self):
-        return self.mu
+    def _std_lower_quantile(self, p):   # ln(p / (1 - p)), in log1p near the median where it cancels
+        return math.log1p((2.0 * p - 1.0) / (1.0 - p)) if p > 0.25 else math.log(p) - math.log1p(-p)
 
     def variance(self):
         return self.s * self.s * math.pi ** 2 / 3.0
 
-    def support(self):
-        return SupportBound(-math.inf, math.inf)
 
-
-class StudentT(Distribution):
+class StudentT(_Symmetric):
     """Generalized Student-t with degrees of freedom nu, scale s, location mu; ``_ln_c`` is
     the log of the standardized density's constant, 1 / (sqrt(nu) B(nu/2, 1/2))."""
 
@@ -465,7 +452,7 @@ class StudentT(Distribution):
         nu = _require(nu, "StudentT requires finite nu > 0, got {}")
         s = _require(s, "StudentT requires finite scale s > 0, got {}")
         mu = _require(mu, "StudentT requires finite mu, got {}", -_MAX)
-        self.__dict__.update(nu=nu, s=s, mu=mu,
+        self.__dict__.update(nu=nu, s=s, mu=mu, _scale=s,
                              _ln_c=-specfun.ln_beta(0.5 * nu, 0.5) - 0.5 * math.log(nu))
 
     def std_pdf(self, t: float) -> float:
@@ -569,10 +556,6 @@ class StudentT(Distribution):
     def _tails(self, x):
         return self._std_tails((x - self.mu) / self.s)
 
-    def _quantile(self, alpha, eps):
-        t = self._std_lower_quantile(min(alpha, eps))
-        return self.mu + self.s * (t if alpha <= eps else -t)
-
     def mean(self):
         return math.inf if self.nu <= 1.0 else self.mu
 
@@ -580,9 +563,6 @@ class StudentT(Distribution):
         if self.nu <= 2.0:
             return math.inf
         return self.s * self.s * self.nu / (self.nu - 2.0)
-
-    def support(self):
-        return SupportBound(-math.inf, math.inf)
 
 
 class Weibull(Distribution):

@@ -89,8 +89,7 @@ def oracle_superquantile(d: Distribution, alpha: float,
                          cfg: OracleConfig = OracleConfig()) -> OracleResult:
     """Quadrature-of-the-quantile superquantile with an error estimate."""
     alpha = _require(alpha, _SQ_LEVEL, 0.0, _BELOW_ONE, DomainError)
-    m = d.mean()
-    if not math.isfinite(m):
+    if not math.isfinite(d.mean()):
         raise DomainError("oracle requires a finite mean")
     atol = cfg.quad_abs_tol
     total = 0.0
@@ -169,20 +168,24 @@ def mc_superquantile(d: Distribution, alpha: float,
 
     Tail of ``Distribution.sample`` from an explicitly seeded generator; the
     standard error comes from the influence function of CVaR, so it covers
-    both tail-average and quantile-estimation noise.
+    both tail-average and quantile-estimation noise, and is inf where the variance
+    is. A mean that is not finite raises ``DomainError``, as the quadrature does.
     """
     import numpy as np
     alpha = _require(alpha, _SQ_LEVEL, 0.0, _BELOW_ONE, DomainError)
+    if not math.isfinite(d.mean()):
+        raise DomainError("oracle requires a finite mean")
     rng = np.random.default_rng(cfg.seed)
     x = d.sample(cfg.mc_samples, rng)
     n = x.size
     if alpha == 0.0:
-        return float(x.mean()), float(x.std(ddof=1) / math.sqrt(n))
-    xs = np.sort(x)
-    k = int(math.ceil(n * alpha - 1e-12))
-    q = xs[max(k - 1, 0)]
-    tail = np.maximum(x - q, 0.0)
-    estimate = q + tail.mean() / (1.0 - alpha)
-    influence = tail / (1.0 - alpha) - tail.mean() / (1.0 - alpha)
-    stderr = float(np.sqrt(np.sum(influence ** 2)) / n)
-    return float(estimate), stderr
+        estimate, stderr = x.mean(), x.std(ddof=1) / math.sqrt(n)
+    else:
+        xs = np.sort(x)
+        k = int(math.ceil(n * alpha - 1e-12))
+        q = xs[max(k - 1, 0)]
+        tail = np.maximum(x - q, 0.0)
+        estimate = q + tail.mean() / (1.0 - alpha)
+        influence = tail / (1.0 - alpha) - tail.mean() / (1.0 - alpha)
+        stderr = np.sqrt(np.sum(influence ** 2)) / n
+    return float(estimate), float(stderr) if d.variance() < math.inf else math.inf

@@ -28,7 +28,7 @@ from . import specfun
 from .distributions import (_LN_SQRT_2PI, GEV, GPD, Distribution, Exponential, Laplace,
                             LogLogistic, LogNormal, Logistic, Normal, Pareto, StudentT,
                             Weibull, _exp_or_inf, _expm1_ratio, _log1p_ratio, _neg_log,
-                            _scaled_power, _std_normal_tails, _student_ln_1p)
+                            _scaled_power, _std_normal_tails, _student_ln_1p, _Symmetric)
 from .errors import _BELOW_ONE, _LEAST, _MAX, ConvergenceError, DomainError, _require
 
 _SQRT2 = math.sqrt(2.0)
@@ -42,8 +42,6 @@ CLOSED_BPOE_FAMILIES = (Exponential, Pareto, GPD, Laplace)
 MINIMIZATION_BPOE_FAMILIES = (Normal, Logistic, StudentT, LogNormal)
 #: families whose ``bpoe`` runs that engine (see ``bpoe`` for the Normal)
 _MINIMIZED_BPOE_FAMILIES = (Logistic, StudentT, LogNormal)
-#: families symmetric about their location mu
-_SYMMETRIC_FAMILIES = (Normal, Laplace, Logistic, StudentT)
 _SQ_LEVEL = "superquantile level must lie in [0, 1), got {}"   # for every such level
 
 
@@ -94,7 +92,7 @@ def _sq_normal(d: Normal, alpha: float, eps: float,
     sq = d.mu + d.sigma * (math.exp(-w * w) / (_SQRT_2PI * eps))
     if not pair:
         return sq
-    t = -_SQRT2 * w   # the lower-half quantile, mirrored as Normal._quantile does
+    t = -_SQRT2 * w   # the lower-half quantile, mirrored as _Symmetric._quantile does
     return sq, d.mu + d.sigma * (t if alpha <= eps else -t)
 
 
@@ -237,7 +235,7 @@ def left_superquantile(d: Distribution, alpha: float) -> float:
         raise DomainError("left superquantile requires a finite mean")
     if alpha == 1.0:
         return m
-    if isinstance(d, _SYMMETRIC_FAMILIES):
+    if isinstance(d, _Symmetric):
         return 2.0 * d.mu - _SQ_FORMULAS[type(d)](d, 1.0 - alpha, alpha)
     upper = (1.0 - alpha) * superquantile(d, alpha)
     if 1e-14 * (abs(m) + abs(upper)) > 1e-8 * abs(m - upper):
@@ -487,8 +485,7 @@ def _lognormal_tail(d: LogNormal, g: float) -> tuple[float, ...]:
 
 
 def _location_scale(d: Distribution, x: float) -> tuple[float, float, float]:
-    scale = d.sigma if isinstance(d, Normal) else d.s
-    return d.mu, scale, (x - d.mu) / scale
+    return d.mu, d._scale, (x - d.mu) / d._scale
 
 
 # family -> (reduce, tail). reduce(d, x) gives (loc, scale, g): the tail's units are

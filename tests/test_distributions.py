@@ -216,11 +216,28 @@ def test_each_family_writes_one_quantile_formula():
         # Exponential and Pareto are GPD members and inherit its formula
         if cls in (dist.Exponential, dist.Pareto):
             assert "_quantile" not in vars(cls) and issubclass(cls, dist.GPD), cls
-        else:
-            assert "_quantile" in vars(cls), cls
+        else:   # a symmetric law writes only its lower half, which _Symmetric mirrors
+            symmetric = issubclass(cls, dist._Symmetric)
+            assert ("_std_lower_quantile" if symmetric else "_quantile") in vars(cls), cls
+            assert not symmetric or "_quantile" not in vars(cls), cls
         # the shared evaluators sit in each family's own namespace
         assert vars(cls)["quantile"] is vars(dist.Distribution)["quantile"], cls
         assert vars(cls)["tail_quantile"] is vars(dist.Distribution)["tail_quantile"], cls
+
+
+@pytest.mark.parametrize("d", [dist.Normal(0.0, 1.7), dist.Laplace(0.0, 0.6),
+                               dist.Logistic(0.0, 1.3), dist.StudentT(0.7, 2.0),
+                               dist.StudentT(3.0), dist.StudentT(2e4)], ids=repr)
+def test_symmetric_laws_mirror_bit_for_bit(d):
+    # about mu = 0 the upper half is the lower one negated, in the tails and the quantile:
+    # bit for bit only where F and S come from one formula at |x - mu|
+    rng = np.random.default_rng(38)
+    for x in 10.0 ** rng.uniform(-8.0, 3.0, 500):
+        x = float(x)
+        assert d.cdf(-x) == d.sf(x) and d.cdf(x) == d.sf(-x), x
+    for p in 10.0 ** -rng.uniform(0.302, 300.0, 500):
+        p = float(p)
+        assert d.quantile(p) == -d.tail_quantile(p), p
 
 
 @pytest.mark.parametrize("d, method, level, want", [

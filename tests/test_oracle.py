@@ -99,6 +99,33 @@ def test_mc_deterministic_given_seed():
         != mc_superquantile(dist.Logistic(0, 1), 0.9, other)
 
 
+@pytest.mark.parametrize("d", [dist.Pareto(0.5, 1.0), dist.StudentT(1.0), dist.GPD(0.0, 1.0, 1.5),
+                               dist.LogLogistic(1.0, 0.5), dist.GEV(0.0, 1.0, 2.0),
+                               dist.GEV(0.0, 1.0, -200.0)], ids=repr)
+def test_mc_requires_a_finite_mean(d, monkeypatch):
+    # a sample of an infinite-mean law has a finite average (1.1e7 for Pareto(0.5, 1) at
+    # alpha = 0.9, 28.8 for Student-t nu = 1), so the route refuses the law before drawing
+    monkeypatch.setattr(dist.Distribution, "sample", lambda *args: pytest.fail("sampled"))
+    for alpha in (0.0, 0.9):
+        with pytest.raises(DomainError, match="finite mean"):
+            mc_superquantile(d, alpha, CFG)
+        with pytest.raises(DomainError, match="finite mean"):
+            oracle_superquantile(d, alpha, CFG)
+
+
+@pytest.mark.parametrize("d, n", [(dist.StudentT(1.5), 100_000), (dist.Pareto(1.5, 1.0), 10_000),
+                                  (dist.GPD(0.0, 1.0, 0.5), 10_000)], ids=repr)
+def test_mc_error_is_inf_where_the_variance_is(d, n):
+    # the influence-function error needs a finite variance: without one it read
+    # 6.92 +- 0.079 for Student-t(1.5) at n = 10^6 and seed 0, 2.7 of those errors below
+    # the closed form's 7.13
+    cfg = OracleConfig(mc_samples=n, seed=0)
+    for alpha in (0.0, 0.9):
+        estimate, stderr = mc_superquantile(d, alpha, cfg)
+        assert math.isfinite(estimate) and stderr == math.inf, (alpha, estimate)
+    assert mc_superquantile(dist.StudentT(2.5), 0.9, cfg)[1] < math.inf
+
+
 def test_result_json():
     r = OracleResult(1.5, 1e-9)
     assert r.to_json() == {"value": 1.5, "error_estimate": 1e-9}
