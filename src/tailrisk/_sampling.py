@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import (GEV, GPD, Distribution, Laplace, LogLogistic,
                             LogNormal, Logistic, Normal, StudentT, Weibull)
-from .errors import DomainError
+from .errors import DomainError, _typed
 
 # --- per-family array quantiles ----------------------------------------------
 
@@ -54,6 +54,7 @@ _DRAWS = {
 
 def draw(d: Distribution, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws of d from rng: its generator expression, or its quantiles at clipped uniforms."""
+    rng = _typed(rng, np.random.Generator)
     for cls in type(d).__mro__:
         if cls in _DRAWS:
             return _DRAWS[cls](d, n, rng)

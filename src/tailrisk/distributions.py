@@ -206,14 +206,18 @@ class Distribution:
         return self._quantile(1.0 - eps, eps)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample of size n from rng.
+        """Sample of size n from rng: n a whole number from 0 to ``sys.maxsize`` by
+        ``_require``'s rule and rng a ``np.random.Generator``, else ``ParameterError``.
 
         Normal, LogNormal and Student-t draw from ``rng.standard_normal`` and
         ``rng.standard_t``, so their draws are not monotone in a uniform;
         the other families are inverse transforms of ``rng.random``.
         """
+        message = f"sample size must be a whole number from 0 to {sys.maxsize}, got {{}}"
+        if _require(n, message, 0.0, sys.maxsize) % 1.0:
+            raise ParameterError(message.format(f"{n!r:.40}"))
         from . import _sampling
-        return _sampling.draw(self, n, rng)
+        return _sampling.draw(self, int(n), rng)
 
     def params(self) -> dict[str, float]:
         return {name: self.__dict__[name] for name in self._fields}

@@ -47,6 +47,20 @@ def _require(value, message: str, lo: float = _LEAST, hi: float = _MAX,
     raise error(message.format(f"{value!r:.40}"))
 
 
+def _floats(value, message: str, shape: tuple):
+    """value as a nonempty float array of shape (-1 any length), every entry finite, else
+    ParameterError(message with its repr cut as _require cuts it); numpy loads on the call."""
+    import numpy as np
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):   # text, ragged rows, an int beyond binary64
+        x = None
+    if (x is None or not x.size or x.ndim != len(shape)
+            or any(k not in (-1, m) for k, m in zip(shape, x.shape)) or not np.isfinite(x).all()):
+        raise ParameterError(message.format(f"{value!r:.40}"))
+    return x
+
+
 def _real(value) -> float:
     """An evaluation point: _require's rule on [-inf, inf], with NaN (unequal to itself) NaN."""
     if getattr(value, "ndim", 0) or value == value:   # an array fails _require's ndim test

@@ -23,20 +23,12 @@ import numpy as np
 
 from ._optim import brent_min
 from .distributions import FAMILIES, Distribution, _family_key, _ln_gamma_gap, make
-from .errors import (_BELOW_ONE, _MAX, ConvergenceError, DomainError, ParameterError, _require,
-                     _typed)
+from .errors import (_BELOW_ONE, _MAX, ConvergenceError, DomainError, ParameterError, _floats,
+                     _require, _typed)
 from .tail_metrics import _SQ_LEVEL, superquantile
 
 
-def _sample(sample) -> np.ndarray:
-    """The sample as a nonempty 1-D float array of finite values, else ParameterError."""
-    try:
-        x = np.asarray(sample, dtype=float)
-    except (TypeError, ValueError):   # text, or ragged rows
-        x = None
-    if x is None or x.ndim != 1 or x.size == 0 or not np.isfinite(x).all():
-        raise ParameterError("sample must be 1-D, nonempty and finite: no NaN or inf")
-    return x
+_SAMPLE = "sample must be 1-D, nonempty and finite: no NaN or inf, got {}"
 
 
 def empirical_superquantile(sample, alpha: float) -> float:
@@ -49,7 +41,7 @@ def empirical_superquantile(sample, alpha: float) -> float:
 
     alpha = 0 gives the sample mean.
     """
-    x = _sample(sample)
+    x = _floats(sample, _SAMPLE, (-1,))
     alpha = _require(alpha, _SQ_LEVEL, 0.0, _BELOW_ONE, DomainError)
     if alpha == 0.0:
         return float(x.mean())
@@ -105,7 +97,7 @@ class FitProblem:
         if targets is not None:
             object.__setattr__(self, "targets", targets)
         if self.sample is not None:
-            object.__setattr__(self, "sample", tuple(_sample(self.sample).tolist()))
+            object.__setattr__(self, "sample", tuple(_floats(self.sample, _SAMPLE, (-1,)).tolist()))
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "shifts", shifts)
@@ -380,5 +372,5 @@ def _weibull_ml(x: np.ndarray) -> dict[str, float]:
 
 def reference_fits(sample) -> dict[str, dict[str, float]]:
     """Weibull baselines: method of moments and maximum likelihood."""
-    x = _sample(sample)
+    x = _floats(sample, _SAMPLE, (-1,))
     return {"mm": _weibull_mm(x), "ml": _weibull_ml(x)}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from ._quad import adaptive_quad
 from .distributions import Distribution
-from .errors import _BELOW_ONE, _MAX, ConvergenceError, DomainError, OracleError, _require
+from .errors import _BELOW_ONE, _MAX, ConvergenceError, DomainError, OracleError, _require, _typed
 from .tail_metrics import _SQ_LEVEL, cantelli_level, level_root
 
 _LN2 = math.log(2.0)
@@ -91,7 +91,7 @@ def oracle_superquantile(d: Distribution, alpha: float,
     alpha = _require(alpha, _SQ_LEVEL, 0.0, _BELOW_ONE, DomainError)
     if not math.isfinite(d.mean()):
         raise DomainError("oracle requires a finite mean")
-    atol = cfg.quad_abs_tol
+    atol = _typed(cfg, OracleConfig).quad_abs_tol
     total = 0.0
     err = 0.0
     try:
@@ -138,6 +138,7 @@ def oracle_bpoe(d: Distribution, x: float,
     estimate as large as the value, where the quadrature's absolute tolerance
     swamps the tail mass, raises ``OracleError`` too: such a value carries no digit.
     """
+    _typed(cfg, OracleConfig)
     # a mean of +inf leaves no threshold; one of -inf fails in the first quadrature
     m, upper = d.mean(), d.support().upper
     x = _require(x, f"threshold must lie in (mean, sup) = ({m}, {upper}), got {{}}",
@@ -175,7 +176,7 @@ def mc_superquantile(d: Distribution, alpha: float,
     alpha = _require(alpha, _SQ_LEVEL, 0.0, _BELOW_ONE, DomainError)
     if not math.isfinite(d.mean()):
         raise DomainError("oracle requires a finite mean")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_typed(cfg, OracleConfig).seed)
     x = d.sample(cfg.mc_samples, rng)
     n = x.size
     if alpha == 0.0:

@@ -48,7 +48,7 @@ from ._optim import critical_line_trace, project_box_simplex
 from .distributions import (FAMILIES, GEV, Distribution, Laplace, Logistic, Normal, StudentT,
                             _family_key)
 from .errors import (_BELOW_ONE, _LEAST, _MAX, ConvergenceError, DomainError, ParameterError,
-                     _require, _typed)
+                     _floats, _require, _typed)
 from .tail_metrics import _SQ_LEVEL, bpoe, cantelli_level, level_root, superquantile
 
 QUALIFIED_FAMILIES = ("normal", "laplace", "logistic", "student-t", "gev")
@@ -153,20 +153,14 @@ class AssetUniverse:
     def __post_init__(self):
         try:
             names = tuple(self.names)
-            eta, sd, corr = (np.array(v, dtype=float) for v in (
-                self.expected_returns, self.stdevs, self.correlations))
-        except (TypeError, ValueError):   # text, or ragged rows
-            raise ParameterError(
-                "names must be a sequence, and returns, stdevs and correlations numbers") from None
+        except TypeError:
+            raise ParameterError(f"names must be a sequence, got {self.names!r:.40}") from None
         n = len(names)
-        if not n or eta.shape != (n,) or sd.shape != (n,):
-            raise ParameterError(f"expected {n} returns and stdevs, at least one, "
-                                 f"got shapes {eta.shape}, {sd.shape}")
-        if corr.shape != (n, n):
-            raise ParameterError(
-                f"correlation matrix must be {n}x{n}, got {corr.shape}")
-        if not (np.isfinite(eta).all() and np.isfinite(sd).all() and np.isfinite(corr).all()):
-            raise ParameterError("returns, stdevs and correlations must be finite")
+        finite = f" must be {n} finite numbers, at least one, got {{}}"
+        eta = _floats(self.expected_returns, "returns" + finite, (n,)).copy()
+        sd = _floats(self.stdevs, "stdevs" + finite, (n,)).copy()
+        corr = _floats(self.correlations, f"correlation matrix must be {n}x{n} finite numbers, "
+                       "got {}", (n, n)).copy()
         if np.any(sd <= 0):
             raise ParameterError("stdevs must be positive")
         if np.max(np.abs(corr - corr.T)) > 1e-12:
@@ -439,13 +433,7 @@ def min_bpoe_portfolio(problem: PortfolioProblem, family: QualifiedFamily,
 def _weights(weights, universe: AssetUniverse) -> np.ndarray:
     """The weights as one finite float per asset, else ParameterError."""
     n = _typed(universe, AssetUniverse).size
-    try:
-        w = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError):
-        w = None
-    if w is None or w.shape != (n,) or not np.isfinite(w).all():
-        raise ParameterError(f"expected {n} weights, each a finite number, got {weights!r:.60}")
-    return w
+    return _floats(weights, f"expected {n} weights, each a finite number, got {{}}", (n,))
 
 
 def cvar_cross_evaluate(weights: np.ndarray, universe: AssetUniverse,
@@ -488,18 +476,12 @@ def markowitz_equivalence_check(w_cvar: np.ndarray, universe: AssetUniverse,
 def efficient_frontier(universe: AssetUniverse, family: QualifiedFamily,
                        objective: str, grid: np.ndarray,
                        lower=0.0, upper=1.0) -> list[dict]:
-    """Sweep the level (cvar) or threshold (bpoe) over ``grid``, a 1-D sequence of
+    """Sweep the level (cvar) or threshold (bpoe) over ``grid``, a nonempty 1-D sequence of
     finite numbers, and record each optimum, every row its own validated and
     certified solve, all at the same bounds, so on the universe's one kept trace."""
     if not (isinstance(objective, str) and objective in ("cvar", "bpoe")):
         raise ParameterError(f"objective must be 'cvar' or 'bpoe', got {objective!r}")
-    message = "grid must be a 1-D sequence of finite numbers"
-    try:
-        grid = np.asarray(grid, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError(message) from None
-    if grid.ndim != 1 or not np.isfinite(grid).all():
-        raise ParameterError(message)
+    grid = _floats(grid, "grid must be a nonempty 1-D sequence of finite numbers, got {}", (-1,))
     lower, upper = _bounds(_typed(universe, AssetUniverse).size, lower, upper)
     key = "alpha" if objective == "cvar" else "threshold"
     rows = []

@@ -8,6 +8,8 @@ raises the site's typed error: ``ParameterError`` for parameters and options,
 numpy's ``ValueError``.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from tailrisk import estimation as est
 from tailrisk import oracle
 from tailrisk import portfolio as pf
 from tailrisk import tail_metrics as tm
-from tailrisk.errors import DomainError, ParameterError
+from tailrisk.errors import DomainError, ParameterError, _floats
 
 
 class _SizeOneReadsAsFloat(np.ndarray):
@@ -161,3 +163,56 @@ def test_samples_that_are_not_sequences_of_numbers_are_parameter_errors(f, bads)
     for bad in bads:
         with pytest.raises(ParameterError, match="nonempty and finite"):
             f(bad)
+
+
+@pytest.mark.parametrize("d", [dist.Normal(0.0, 1.0), dist.Weibull(1.0, 1.5)],
+                         ids=["Normal", "Weibull"])
+def test_sample_sizes_and_generators_that_are_not_valid_are_parameter_errors(d):
+    # TypeError, ValueError or AttributeError before; None drew one number and an array a matrix
+    # (1e300 lies beyond any array size, so numpy refuses it without allocating)
+    rng = np.random.default_rng(0)
+    for n in NOT_NUMBERS + (2.5, -1, 1e300, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="whole number"):
+            d.sample(n, rng)
+    for bad in (None, 0, "x"):
+        with pytest.raises(ParameterError, match="Generator"):
+            d.sample(3, bad)
+
+
+@pytest.mark.parametrize("d", [dist.Normal(0.0, 1.0), dist.Weibull(1.0, 1.5)],
+                         ids=["Normal", "Weibull"])
+def test_whole_numpy_sample_sizes_draw_what_the_int_draws(d):
+    want = d.sample(3, np.random.default_rng(1))
+    for n in (3.0, np.float64(3.0), np.int64(3), np.array(3)):
+        assert np.array_equal(d.sample(n, np.random.default_rng(1)), want), n
+    assert d.sample(0, np.random.default_rng(1)).shape == (0,)
+
+
+@pytest.mark.parametrize("f, arg", [(oracle.oracle_superquantile, 0.9), (oracle.oracle_bpoe, 2.0),
+                                    (oracle.mc_superquantile, 0.9)],
+                         ids=["oracle_superquantile", "oracle_bpoe", "mc_superquantile"])
+def test_oracle_configs_that_are_not_oracle_configs_are_parameter_errors(f, arg):
+    # AttributeError before
+    for bad in (None, "x", {"seed": 1}):
+        with pytest.raises(ParameterError, match="OracleConfig"):
+            f(dist.Exponential(1.0), arg, bad)
+
+
+def test_the_array_rule():
+    # -1 matches any length, a fixed entry only its own; a float array passes as itself
+    assert _floats([[1, 2, 3]], "{}", (1, -1)).tolist() == [[1.0, 2.0, 3.0]]
+    assert _floats(np.ones((2, 5)), "{}", (-1, -1)).shape == (2, 5)
+    x = np.array([1.0, 2.0])
+    assert _floats(x, "{}", (2,)) is x
+    bads = [([1.0, 2.0], (3,)), ([[1.0, 2.0]], (-1,)), ([1.0], (1, -1)), (5.0, (-1,)),
+            ([], (-1,)), (np.zeros((0, 3)), (-1, 3)), ([[1.0, 2.0], [3.0]], (-1, -1)),
+            ("x", (-1,)), ([1.0, "x"], (-1,)), (None, (-1,)), ([1.0, None], (-1,)),
+            ([1.0, math.nan], (-1,)), ([math.inf], (-1,)), ([[-math.inf]], (-1, -1)),
+            ([10 ** 400], (-1,)), (object(), (-1,))]
+    for bad, shape in bads:
+        with pytest.raises(ParameterError, match="^bad: "):
+            _floats(bad, "bad: {}", shape)
+    # the message carries the value's repr cut to 40 characters, as the number rule's does
+    with pytest.raises(ParameterError) as info:
+        _floats(list(range(100)) + [math.nan], "bad: {}", (-1,))
+    assert str(info.value) == "bad: " + repr(list(range(100)))[:40]

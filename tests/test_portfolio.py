@@ -597,11 +597,11 @@ def test_frontier_rejects_an_unknown_objective_before_tracing(monkeypatch, msci)
     assert calls == []
 
 
-@pytest.mark.parametrize("grid", [[[0.9, 0.95]], 0.9, ["a"], [0.9, math.nan], None],
-                         ids=["nested", "scalar", "text", "nan", "none"])
+@pytest.mark.parametrize("grid", [[[0.9, 0.95]], 0.9, ["a"], [0.9, math.nan], None, []],
+                         ids=["nested", "scalar", "text", "nan", "none", "empty"])
 def test_frontier_rejects_a_grid_that_is_not_1d_finite_before_tracing(monkeypatch, msci,
                                                                        grid):
-    # TypeError or ValueError from numpy before
+    # TypeError or ValueError from numpy before; an empty grid returned no rows
     calls = _count_traces(monkeypatch)
     with pytest.raises(ParameterError, match="1-D sequence of finite numbers"):
         efficient_frontier(msci, QualifiedFamily("normal"), "cvar", grid)
