@@ -24,6 +24,16 @@ unbounded below; none raises ``OverflowError``. The CDF side is written once too
 where the symmetric laws (Normal, Laplace, Logistic, Student-t) mirror their lower half, for
 both: it reads ``_std_lower_quantile(p)`` at p = min(alpha, eps) and the smaller tail
 ``_tail_beyond(h)`` at h = |x - mu|. Student-t forms its own centre, 1/2 +- half, in ``_tails``.
+
+Each family writes its superquantile once, beside its quantile, as ``_sq(alpha, eps)`` at the
+same pair; ``_sq_pair`` returns (sq, q), which the Normal forms from one ``erfc_inv``.
+``tail_metrics`` reads both. Normal, Logistic, Student-t and LogNormal also own the tail of
+the bPOE minimization engine. ``_reduce(x)`` gives (loc, scale, g): the tail's units are
+(X - loc) / scale, and g is the standardized quantile at x. ``_excess_tail(g)`` gives
+(q, ln(s - m), its slope in g, e, ln S, F) in those units: the quantile q at g; the
+conditional tail mean s = E[X | X > q] less the mean m, formed as a product so that it does
+not cancel near the mean; the mean excess e = s - q without its cancellation deep in the tail;
+the survival S formed as an upper tail; and the lower tail F formed directly.
 """
 
 from __future__ import annotations
@@ -43,6 +53,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN_SQRT_2PI = math.log(_SQRT_2PI)
 
 _TINY = sys.float_info.min   # smallest normal float
+#: below this ln S, S times any binary64 value underflows
+_LN_NEGLIGIBLE = math.log(5e-324) - math.log(sys.float_info.max)
 # a GPD power b^(-1/xi) is taken as that power where b exceeds e^2: the power multiplies
 # the rounding of b by 1/xi, the exponential by ln(b)/xi
 _E2 = math.exp(2.0)
@@ -124,6 +136,28 @@ def _std_normal_tails(w: float) -> tuple[float, float]:
     return (tail, 1.0 - tail) if w < 0.0 else (1.0 - tail, tail)
 
 
+def _normal_ln_tail(g: float) -> tuple[float, float, float]:
+    """(ln h, ln S, F) of the standard normal at g, h = phi / S its hazard, from erfc."""
+    lower, upper = _std_normal_tails(g / _SQRT2)
+    ln_survival = math.log1p(-lower) if g < 0.0 else math.log(upper)
+    return -0.5 * g * g - _LN_SQRT_2PI - ln_survival, ln_survival, lower
+
+
+def _normal_excess_tail(d: Distribution, g: float) -> tuple[float, ...]:
+    """The standard normal's tail at g, s = E[Z | Z > g] being its hazard, ``Normal._excess_tail``;
+    from g = 4 the mean excess is Laplace's continued fraction 1/(g + 2/(g + ...))."""
+    if g < 4.0:
+        ln_s, ln_survival, lower = _normal_ln_tail(g)
+        excess = math.exp(ln_s) - g
+        return g, ln_s, excess, excess, ln_survival, lower
+    cf = g
+    for k in range(10 + int(500.0 / (g * g)), 1, -1):
+        cf = g + k / cf
+    s = g + 1.0 / cf
+    return (g, math.log(s), 1.0 / cf, 1.0 / cf, -0.5 * g * g - math.log(_SQRT_2PI * s),
+            _std_normal_tails(g / _SQRT2)[0])
+
+
 def _student_ln_1p(nu: float, t: float) -> float:
     """ln(1 + t^2/nu); past t^2 = nu it splits off ln(t^2/nu), which stays finite
     where t^2 does not."""
@@ -152,7 +186,9 @@ class Distribution:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "__init__" not in vars(cls):   # a shared base, _Symmetric
+        # a shared base (_Symmetric), or a subclass of a family that keeps its __init__: it
+        # inherits the family's _fields and evaluators
+        if "__init__" not in vars(cls):
             return
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
@@ -204,6 +240,9 @@ class Distribution:
         eps = _require(eps, "tail probability must lie in (0, 1), got {}", _LEAST, _BELOW_ONE,
                        DomainError)
         return self._quantile(1.0 - eps, eps)
+
+    def _sq_pair(self, alpha: float, eps: float) -> tuple[float, float]:
+        return self._sq(alpha, eps), self._quantile(alpha, eps)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Sample of size n from rng: n a whole number from 0 to ``sys.maxsize`` by
@@ -289,6 +328,10 @@ class GPD(Distribution):
     def _quantile(self, alpha, eps):
         return self.mu + self._excess(alpha, eps)
 
+    def _sq(self, alpha, eps):
+        excess = self._excess(alpha, eps)   # s (u - 1) / xi, u = eps^-xi
+        return self.mu + ((self.s + self.xi * excess) / self._g1 + excess)
+
     def mean(self):
         return math.inf if self._g1 <= 0.0 else self.mu + self.s / self._g1
 
@@ -336,6 +379,9 @@ class _Symmetric(Distribution):
         tail = self._tail_beyond(abs(x - self.mu))
         return (tail, 1.0 - tail) if x < self.mu else (1.0 - tail, tail)
 
+    def _reduce(self, x):
+        return self.mu, self._scale, (x - self.mu) / self._scale
+
     def mean(self):
         return self.mu
 
@@ -360,6 +406,11 @@ class Laplace(_Symmetric):
     def _std_lower_quantile(self, p):
         return math.log(2.0 * p)
 
+    def _sq(self, alpha, eps):
+        if alpha < 0.5:
+            return self.mu + self.b * (alpha / eps) * (1.0 - math.log(2.0 * alpha))
+        return self.mu + self.b * (1.0 - math.log(2.0 * eps))
+
     def variance(self):
         return 2.0 * self.b * self.b
 
@@ -381,6 +432,19 @@ class Normal(_Symmetric):
 
     def _std_lower_quantile(self, p):
         return _std_normal_quantile(p, 1.0 - p)
+
+    def _sq(self, alpha, eps, pair=False):
+        w = specfun.erfc_inv(2.0 * (alpha if alpha < eps else eps))   # |z| / sqrt2
+        sq = self.mu + self.sigma * (math.exp(-w * w) / (_SQRT_2PI * eps))
+        if not pair:
+            return sq
+        t = -_SQRT2 * w   # the lower-half quantile, mirrored as _Symmetric._quantile does
+        return sq, self.mu + self.sigma * (t if alpha <= eps else -t)
+
+    def _sq_pair(self, alpha, eps):   # q from the erfc_inv the superquantile holds
+        return self._sq(alpha, eps, True)
+
+    _excess_tail = _normal_excess_tail
 
     def variance(self):
         return self.sigma * self.sigma
@@ -409,6 +473,41 @@ class LogNormal(Distribution):
 
     def _quantile(self, alpha, eps):
         return _exp_or_inf(self.mu + self.s * _std_normal_quantile(alpha, eps))
+
+    def _sq(self, alpha, eps):
+        # 1 + erf(s/sqrt2 - z) written as erfc(z - s/sqrt2) to survive eps -> 0
+        z = -specfun.erfc_inv(2.0 * alpha) if alpha < eps else specfun.erfc_inv(2.0 * eps)
+        return self.mean() * (0.5 * specfun.erfc(z - self.s / _SQRT2) / eps)
+
+    def _reduce(self, x):
+        return 0.0, 1.0, (math.log(x) - self.mu) / self.s
+
+    def _excess_tail(self, g):
+        """The tail at the standard normal quantile g, q = exp(mu + s g), with m the mean:
+        s - m = m (F(g) - F(g - s)) / S(g), F and S the standard normal tails, the
+        difference taken between upper tails from g = s/2 so that it does not cancel;
+        deep in the tail s - q cancels, and s / q = h(g) / h(g - s), h the normal hazard,
+        gives it. Up to g = 8 erfc's hazard keeps that difference within 4e-14; beyond,
+        the continued fraction's does. Where S times any binary64 value underflows only
+        ln S and F are formed, and the mean excess reads 0."""
+        if g < 8.0:
+            ln_h, ln_survival, lower = _normal_ln_tail(g)
+            ln_h_shift, ln_survival_shift, lower_shift = _normal_ln_tail(g - self.s)
+        else:
+            _, ln_h, _, _, ln_survival, lower = _normal_excess_tail(self, g)
+            _, ln_h_shift, _, _, ln_survival_shift, lower_shift = _normal_excess_tail(
+                self, g - self.s)
+        if ln_survival < _LN_NEGLIGIBLE:
+            return math.nan, math.nan, math.nan, 0.0, ln_survival, lower
+        h, h_shift = math.exp(ln_h), math.exp(ln_h_shift)
+        if 2.0 * g > self.s:
+            ln_band = ln_survival_shift + math.log1p(-math.exp(ln_survival - ln_survival_shift))
+        else:   # -inf where both lower tails underflow, far below any root
+            ln_band = math.log(lower - lower_shift) if lower > lower_shift else -math.inf
+        ln_s = self.mu + 0.5 * self.s * self.s + ln_band - ln_survival
+        q = _exp_or_inf(self.mu + self.s * g)
+        excess = q * ((h - h_shift) / h_shift) if g > 0.0 else self.mean() - q + math.exp(ln_s)
+        return q, ln_s, math.exp(ln_h - ln_s) * excess, excess, ln_survival, lower
 
     def mean(self):
         return _exp_or_inf(self.mu + 0.5 * self.s * self.s)
@@ -441,6 +540,24 @@ class Logistic(_Symmetric):
 
     def _std_lower_quantile(self, p):   # ln(p / (1 - p)), in log1p near the median where it cancels
         return math.log1p((2.0 * p - 1.0) / (1.0 - p)) if p > 0.25 else math.log(p) - math.log1p(-p)
+
+    def _sq(self, alpha, eps):
+        return self.mu + self.s * (specfun.binary_entropy(alpha if alpha < eps else eps) / eps)
+
+    def _excess_tail(self, g):
+        """The standard logistic's tail, with E[Z - g]+ = ln(1 + e^-g), S = 1/(1 + e^g) and the
+        hazard F(g); s is g + excess above g = 0 and t ((1 + t) log1p(t)/t - g), t = e^g,
+        below, so neither cancels."""
+        t = math.exp(-abs(g))
+        ratio = math.log1p(t) / t if t else 1.0
+        if g > 0.0:
+            excess = (1.0 + t) * ratio
+            s = g + excess
+            return (g, math.log(s), excess / ((1.0 + t) * s), excess, -g - math.log1p(t),
+                    1.0 / (1.0 + t))
+        v = (1.0 + t) * ratio - g   # s / t
+        excess = (1.0 + t) * (math.log1p(t) - g)
+        return g, g + math.log(v), (math.log1p(t) - g) / v, excess, -math.log1p(t), t / (1.0 + t)
 
     def variance(self):
         return self.s * self.s * math.pi ** 2 / 3.0
@@ -554,6 +671,33 @@ class StudentT(_Symmetric):
             odds = new
         return -math.sqrt(nu / odds)
 
+    def _sq(self, alpha, eps):
+        """sq = mu + s (nu + t^2) pdf(t) / ((nu - 1) eps) at t = |q| standardized, where
+        (nu + t^2) pdf(t) = nu c (1 + t^2/nu)^(-(nu-1)/2), in logs, neither overflows
+        nor underflows."""
+        nu = self.nu
+        ln_1p = _student_ln_1p(nu, self._std_lower_quantile(alpha if alpha < eps else eps))
+        tail = nu * math.exp(self._ln_c - 0.5 * (nu - 1.0) * ln_1p)
+        return self.mu + self.s * (tail / ((nu - 1.0) * eps))
+
+    def _excess_tail(self, g):
+        """The standardized tail: s = (nu + g^2) f / ((nu - 1) S) with
+        (nu + g^2) f in logs, as ``_sq`` forms it, and both tails from one
+        incomplete beta. Where S is below the smallest normal float, ln S is its
+        asymptote ln c - (nu ln(1 + g^2/nu) + ln nu) / 2 where that is exact to
+        rounding, as in ``_std_tails``, and -inf, an underflow, elsewhere (huge nu)."""
+        nu, ln_c, ln_1p = self.nu, self._ln_c, _student_ln_1p(self.nu, g)
+        lower, upper = self._std_tails(g)
+        if upper >= sys.float_info.min:
+            ln_survival = math.log(upper)
+        else:
+            ln_survival = ln_c - 0.5 * (nu * ln_1p + math.log(nu)) if ln_1p > 40.0 else -math.inf
+        ln_s = math.log(nu / (nu - 1.0)) + ln_c - 0.5 * (nu - 1.0) * ln_1p - ln_survival
+        hazard = math.exp(ln_c - 0.5 * (nu + 1.0) * ln_1p - ln_survival)
+        # d ln s / dg = hazard (s - g) / s, and hazard / s = (nu - 1) / (nu + g^2)
+        slope = hazard - (nu - 1.0) / (g + nu / g) if g else hazard
+        return g, ln_s, slope, _exp_or_inf(ln_s) - g, ln_survival, lower
+
     def _pdf(self, x):
         return self.std_pdf((x - self.mu) / self.s) / self.s
 
@@ -593,6 +737,17 @@ class Weibull(Distribution):
     def _quantile(self, alpha, eps):
         return _scaled_power(self.lam, _neg_log(eps, alpha), 1.0 / self.k)
 
+    def _sq(self, alpha, eps):
+        a, y = 1.0 + 1.0 / self.k, _neg_log(eps, alpha)
+        if y >= a + 1.0:
+            # Gamma(a, y) / eps = e^y Gamma(a, y) = y^a cf(a, y), formed as q y cf / lam, q the
+            # quantile: neither a rounded e^-y nor the rounding of a meets y
+            sq = _scaled_power(self.lam, y, 1.0 / self.k) * (y * specfun._gamma_q_cf(a, y))
+        else:   # in logs where Gamma(a, y) overflows
+            sq = self.lam * (specfun.upper_inc_gamma(a, y) / eps)
+        return sq if sq < math.inf else _exp_or_inf(
+            math.log(self.lam) + specfun.ln_inc_gamma(a, y, True) - math.log(eps))
+
     def mean(self):
         return self.lam * math.exp(self._lg) if self._lg < 709.0 else _exp_or_inf(
             math.log(self.lam) + self._lg)
@@ -627,6 +782,10 @@ class LogLogistic(Distribution):
         if odds == math.inf:   # overflowed without raising, where alpha rounds to 1
             return _scaled_power(self.a, eps, -1.0 / self.b)
         return _scaled_power(self.a, odds, 1.0 / self.b)
+
+    def _sq(self, alpha, eps):
+        # (a / eps) times the integral of (1 - r)^(1/b) r^(-1/b) over r in [0, eps]
+        return self.a * (specfun.inc_beta(eps, 1.0 - 1.0 / self.b, 1.0 + 1.0 / self.b) / eps)
 
     def mean(self):
         if self.b <= 1.0:
@@ -700,6 +859,40 @@ class GEV(Distribution):
         ln_y = (math.log1p(-math.log1p(d * math.e)) if abs(d) < 0.125
                 else math.log(_neg_log(alpha, eps)))
         return self.mu - _expm1_ratio(-self.xi, ln_y, self.s)
+
+    def _sq_terms(self, alpha: float, eps: float) -> tuple[float, float]:
+        """((sq - mu) / s, (sq - m) / s) for xi < 1 at the pair (alpha, eps), m the mean. With
+        y = -ln alpha, q = (y^-xi - 1) / xi, G = Gamma(1 - xi), g = (G - 1) / xi: below
+        xi = -1 the paper's incomplete gammas, P read as 1 - Q where it nears eps; for y <= 2,
+        I / eps and I / eps - g, I = int_0^y q e^-t dt = sum (-1)^n y^(n+1) (q + 1/(n+1)) /
+        (n! (n+1-xi)); beyond, g + f and f, f = alpha (g - L) / eps, L = q - e^y Gamma(-xi, y) the
+        lower-tail average from the continued fraction."""
+        xi, y = self.xi, _neg_log(alpha, eps)
+        if xi < -1.0:
+            lower, upper = specfun._reg_gamma(1.0 - xi, y)
+            tail = (eps - lower if y < 2.0 - xi else upper - alpha) / (-xi * eps)
+            return ((eps - specfun.lower_inc_gamma(1.0 - xi, y)) / (-xi * eps),
+                    tail * _exp_or_inf(xi * self._lg1))
+        q = -_expm1_ratio(-xi, math.log(y))
+        g = _expm1_ratio(xi, self._lg1)
+        if y <= 2.0:   # I >= y / 8, so terms below 1e-18 y are negligible
+            total, term, k, cut = 0.0, y, 1.0, 1e-18 * y   # term = (-1)^n y^(n+1) / n!, k = n + 1
+            while term > cut or -term > cut:
+                total += term * (q + 1.0 / k) / (k - xi)
+                term *= -y / k
+                k += 1.0
+            sq = total / eps
+            return sq, sq - g
+        excess = alpha * (g - q + (1.0 + xi * q) * specfun._gamma_q_cf(-xi, y)) / eps
+        return g + excess, excess
+
+    def _sq(self, alpha, eps):
+        """mu + s t, t = (sq - mu) / s, or m + s e, e = (sq - m) / s, where its terms add to under
+        half as much: the mean's own rounding pays only where mu and s t cancel, as for a zero-mean
+        law, whose sq - m it keeps; at most the top of the support mu - s / xi for xi < 0."""
+        (t, e), mu, s, m = self._sq_terms(alpha, eps), self.mu, self.s, self.mean()
+        sq = m + s * e if 2.0 * (abs(m) + abs(s * e)) < abs(mu) + abs(s * t) else mu + s * t
+        return min(sq, mu - s / self.xi) if self.xi < 0.0 else sq
 
     def mean(self):
         return math.inf if self.xi >= 1.0 else self.mu + _expm1_ratio(self.xi, self._lg1, self.s)

@@ -1,9 +1,10 @@
 """Superquantile (CVaR) and buffered probability of exceedance (bPOE).
 
-The superquantile has a closed form for every supported family. bPOE has a
-closed form for the exponential-tailed families (Exponential, Pareto, GPD,
-Laplace). For Normal, Logistic, Student-t and LogNormal it is the minimum of
-E[X - g]+ / (x - g), found by Newton on one tail per family, one survival
+The superquantile has a closed form for every supported family, written in its class as
+``_sq`` (see ``distributions``); this module checks the arguments and runs the engines over
+those formulas. bPOE has a closed form for the exponential-tailed families (Exponential,
+Pareto, GPD, Laplace). For Normal, Logistic, Student-t and LogNormal it is the minimum of
+E[X - g]+ / (x - g), found by Newton on the family's ``_excess_tail``, one survival
 function per step; ``bpoe`` runs that engine for Logistic, Student-t and
 LogNormal, and the same tails give their partial expectation. Everywhere else
 bPOE is recovered from the superquantile by root finding in the tail mass
@@ -16,6 +17,7 @@ Conventions, applied uniformly:
   * every bPOE engine starts from one rule, ``_bpoe_edges``: 1 at the mean, clamped to
     1 below it and to 0 at or above the essential supremum, so each engine is total on
     real thresholds; NaN and +-inf raise ``DomainError``, in ``partial_expectation`` too.
+  * a distribution argument that is not a ``Distribution`` raises ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -25,16 +27,10 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import specfun
-from .distributions import (_LN_SQRT_2PI, GEV, GPD, Distribution, Exponential, Laplace,
-                            LogLogistic, LogNormal, Logistic, Normal, Pareto, StudentT,
-                            Weibull, _exp_or_inf, _expm1_ratio, _log1p_ratio, _neg_log,
-                            _scaled_power, _std_normal_tails, _student_ln_1p, _Symmetric)
-from .errors import _BELOW_ONE, _LEAST, _MAX, ConvergenceError, DomainError, _require
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-#: below this ln S, S times any binary64 value underflows
-_LN_NEGLIGIBLE = math.log(5e-324) - math.log(sys.float_info.max)
+from .distributions import (_LN_NEGLIGIBLE, GPD, Distribution, Exponential, Laplace, LogNormal,
+                            Logistic, Normal, Pareto, StudentT, _exp_or_inf, _log1p_ratio,
+                            _Symmetric)
+from .errors import _BELOW_ONE, _LEAST, _MAX, ConvergenceError, DomainError, _require, _typed
 
 #: families whose bPOE evaluates in closed form
 CLOSED_BPOE_FAMILIES = (Exponential, Pareto, GPD, Laplace)
@@ -72,117 +68,6 @@ class TailResult(NamedTuple):
 
 
 # --- superquantile ----------------------------------------------------------
-# Each formula takes the pair (alpha, eps), alpha + eps = 1, and reads its
-# precision from the smaller one, as ``Distribution._quantile`` does.
-
-def _sq_gpd(d: GPD, alpha: float, eps: float) -> float:
-    excess = d._excess(alpha, eps)   # s (u - 1) / xi, u = eps^-xi
-    return d.mu + ((d.s + d.xi * excess) / d._g1 + excess)
-
-
-def _sq_laplace(d: Laplace, alpha: float, eps: float) -> float:
-    if alpha < 0.5:
-        return d.mu + d.b * (alpha / eps) * (1.0 - math.log(2.0 * alpha))
-    return d.mu + d.b * (1.0 - math.log(2.0 * eps))
-
-
-def _sq_normal(d: Normal, alpha: float, eps: float,
-               pair: bool = False) -> float | tuple[float, float]:
-    w = specfun.erfc_inv(2.0 * (alpha if alpha < eps else eps))   # |z| / sqrt2
-    sq = d.mu + d.sigma * (math.exp(-w * w) / (_SQRT_2PI * eps))
-    if not pair:
-        return sq
-    t = -_SQRT2 * w   # the lower-half quantile, mirrored as _Symmetric._quantile does
-    return sq, d.mu + d.sigma * (t if alpha <= eps else -t)
-
-
-def _sq_lognormal(d: LogNormal, alpha: float, eps: float) -> float:
-    # 1 + erf(s/sqrt2 - z) written as erfc(z - s/sqrt2) to survive eps -> 0
-    z = -specfun.erfc_inv(2.0 * alpha) if alpha < eps else specfun.erfc_inv(2.0 * eps)
-    return d.mean() * (0.5 * specfun.erfc(z - d.s / _SQRT2) / eps)
-
-
-def _sq_logistic(d: Logistic, alpha: float, eps: float) -> float:
-    return d.mu + d.s * (specfun.binary_entropy(alpha if alpha < eps else eps) / eps)
-
-
-def _sq_student(d: StudentT, alpha: float, eps: float) -> float:
-    """sq = mu + s (nu + t^2) pdf(t) / ((nu - 1) eps) at t = |q| standardized, where
-    (nu + t^2) pdf(t) = nu c (1 + t^2/nu)^(-(nu-1)/2), in logs, neither overflows
-    nor underflows."""
-    nu = d.nu
-    ln_1p = _student_ln_1p(nu, d._std_lower_quantile(alpha if alpha < eps else eps))
-    tail = nu * math.exp(d._ln_c - 0.5 * (nu - 1.0) * ln_1p)
-    return d.mu + d.s * (tail / ((nu - 1.0) * eps))
-
-
-def _sq_weibull(d: Weibull, alpha: float, eps: float) -> float:
-    a, y = 1.0 + 1.0 / d.k, _neg_log(eps, alpha)
-    if y >= a + 1.0:
-        # Gamma(a, y) / eps = e^y Gamma(a, y) = y^a cf(a, y), formed as q y cf / lam, q the
-        # quantile: neither a rounded e^-y nor the rounding of a meets y
-        sq = _scaled_power(d.lam, y, 1.0 / d.k) * (y * specfun._gamma_q_cf(a, y))
-    else:
-        sq = d.lam * (specfun.upper_inc_gamma(a, y) / eps)   # in logs where Gamma(a, y) overflows
-    return sq if sq < math.inf else _exp_or_inf(
-        math.log(d.lam) + specfun.ln_inc_gamma(a, y, True) - math.log(eps))
-
-
-def _sq_loglogistic(d: LogLogistic, alpha: float, eps: float) -> float:
-    # (a / eps) times the integral of (1 - r)^(1/b) r^(-1/b) over r in [0, eps]
-    return d.a * (specfun.inc_beta(eps, 1.0 - 1.0 / d.b, 1.0 + 1.0 / d.b) / eps)
-
-
-def _gev_tail(d: GEV, alpha: float, eps: float) -> tuple[float, float]:
-    """((sq - mu) / s, (sq - m) / s) of GEV(mu, s, xi < 1) at the pair (alpha, eps), m the
-    mean. With y = -ln alpha, q = (y^-xi - 1) / xi, G = Gamma(1 - xi), g = (G - 1) / xi: below
-    xi = -1 the paper's incomplete gammas, P read as 1 - Q where it nears eps; for y <= 2,
-    I / eps and I / eps - g, I = int_0^y q e^-t dt = sum (-1)^n y^(n+1) (q + 1/(n+1)) /
-    (n! (n+1-xi)); beyond, g + f and f, f = alpha (g - L) / eps, L = q - e^y Gamma(-xi, y) the
-    lower-tail average from the continued fraction."""
-    xi, y = d.xi, _neg_log(alpha, eps)
-    if xi < -1.0:
-        lower, upper = specfun._reg_gamma(1.0 - xi, y)
-        tail = (eps - lower if y < 2.0 - xi else upper - alpha) / (-xi * eps)
-        return ((eps - specfun.lower_inc_gamma(1.0 - xi, y)) / (-xi * eps),
-                tail * _exp_or_inf(xi * d._lg1))
-    q = -_expm1_ratio(-xi, math.log(y))
-    g = _expm1_ratio(xi, d._lg1)
-    if y <= 2.0:   # I >= y / 8, so terms below 1e-18 y are negligible
-        total, term, k, cut = 0.0, y, 1.0, 1e-18 * y   # term = (-1)^n y^(n+1) / n!, k = n + 1
-        while term > cut or -term > cut:
-            total += term * (q + 1.0 / k) / (k - xi)
-            term *= -y / k
-            k += 1.0
-        sq = total / eps
-        return sq, sq - g
-    excess = alpha * (g - q + (1.0 + xi * q) * specfun._gamma_q_cf(-xi, y)) / eps
-    return g + excess, excess
-
-
-def _sq_gev(d: GEV, alpha: float, eps: float) -> float:
-    """mu + s t, t = (sq - mu) / s, or m + s e, e = (sq - m) / s, where its terms add to under
-    half as much: the mean's own rounding pays only where mu and s t cancel, as for a zero-mean
-    law, whose sq - m it keeps; at most the top of the support mu - s / xi for xi < 0."""
-    (t, e), mu, s, m = _gev_tail(d, alpha, eps), d.mu, d.s, d.mean()
-    sq = m + s * e if 2.0 * (abs(m) + abs(s * e)) < abs(mu) + abs(s * t) else mu + s * t
-    return min(sq, mu - s / d.xi) if d.xi < 0.0 else sq
-
-
-_SQ_FORMULAS = {
-    Exponential: _sq_gpd,
-    Pareto: _sq_gpd,
-    GPD: _sq_gpd,
-    Laplace: _sq_laplace,
-    Normal: _sq_normal,
-    LogNormal: _sq_lognormal,
-    Logistic: _sq_logistic,
-    StudentT: _sq_student,
-    Weibull: _sq_weibull,
-    LogLogistic: _sq_loglogistic,
-    GEV: _sq_gev,
-}
-
 
 def superquantile(d: Distribution, alpha: float,
                   _eps: float | None = None) -> float | tuple[float, float]:
@@ -193,9 +78,9 @@ def superquantile(d: Distribution, alpha: float,
 
     The root engines pass the tail mass ``_eps`` = 1 - alpha too, unchecked,
     and get the pair (sq, q) of the superquantile and the quantile at alpha,
-    the slope of sq in log(eps) being q - sq: the Normal reads q off the
-    quantile its formula holds, the other families add ``_quantile``, which
-    returns +-inf itself where the quantile leaves binary64.
+    the slope of sq in log(eps) being q - sq: the family's ``_sq_pair``, ``_sq`` and
+    ``_quantile`` (which returns +-inf itself where the quantile leaves binary64),
+    the Normal's from the one ``erfc_inv`` its superquantile holds.
     At alpha = 0 the pair is (mean, lower end of the support), so no quantile
     is evaluated at level 0.
     """
@@ -206,17 +91,17 @@ def superquantile(d: Distribution, alpha: float,
             alpha = float(alpha)
         except (TypeError, ValueError):   # out of range, or not a number (text, an array)
             raise DomainError(_SQ_LEVEL.format(f"{alpha!r:.40}")) from None
-        m = d.mean()
-        if alpha == 0.0 or m == math.inf:
-            return m
-        return _SQ_FORMULAS[type(d)](d, alpha, 1.0 - alpha)
+        try:
+            m = d.mean()
+            return m if alpha == 0.0 or m == math.inf else d._sq(alpha, 1.0 - alpha)
+        except AttributeError:   # the type test, run only here, would cost 3% of a closed form
+            _typed(d, Distribution)
+            raise
     if alpha == 0.0:
         return d.mean(), d.support().lower
     if d.mean() == math.inf:
         return math.inf, d._quantile(alpha, _eps)
-    if isinstance(d, Normal):
-        return _sq_normal(d, alpha, _eps, True)
-    return _SQ_FORMULAS[type(d)](d, alpha, _eps), d._quantile(alpha, _eps)
+    return d._sq_pair(alpha, _eps)
 
 
 def left_superquantile(d: Distribution, alpha: float) -> float:
@@ -230,13 +115,13 @@ def left_superquantile(d: Distribution, alpha: float) -> float:
     """
     alpha = _require(alpha, "left superquantile level must lie in (0, 1], got {}", _LEAST, 1.0,
                      DomainError)
-    m = d.mean()
+    m = _typed(d, Distribution).mean()
     if not math.isfinite(m):
         raise DomainError("left superquantile requires a finite mean")
     if alpha == 1.0:
         return m
     if isinstance(d, _Symmetric):
-        return 2.0 * d.mu - _SQ_FORMULAS[type(d)](d, 1.0 - alpha, alpha)
+        return 2.0 * d.mu - d._sq(1.0 - alpha, alpha)
     upper = (1.0 - alpha) * superquantile(d, alpha)
     if 1e-14 * (abs(m) + abs(upper)) > 1e-8 * abs(m - upper):
         raise DomainError(f"left superquantile of {d.family} at alpha={alpha} cancels "
@@ -265,18 +150,22 @@ def _bpoe_edges(d: Distribution, x: float) -> TailResult | None:
             raise ValueError
     except (TypeError, ValueError):   # NaN or +-inf, or not a number (text, an array)
         raise DomainError(f"bPOE threshold must be finite, got {x!r:.40}") from None
-    m = d.mean()
-    if x < m:
-        return _end(d, 1.0, True)
-    if x == m:   # the infimum, over g -> -inf, of E[X - g]+ / (x - g)
-        return _end(d, 1.0)
-    return _end(d, 0.0, True) if x >= d.support().upper else None
+    try:
+        m = d.mean()
+        if x < m:
+            return _end(d, 1.0, True)
+        if x == m:   # the infimum, over g -> -inf, of E[X - g]+ / (x - g)
+            return _end(d, 1.0)
+        return _end(d, 0.0, True) if x >= d.support().upper else None
+    except AttributeError:   # the type test runs only here, as in superquantile
+        _typed(d, Distribution)
+        raise
 
 
 def bpoe_closed(d: Distribution, x: float) -> TailResult:
     """Closed-form bPOE; defined for Exponential, Pareto, GPD and Laplace."""
     if not isinstance(d, CLOSED_BPOE_FAMILIES):
-        raise DomainError(f"no closed-form bPOE for family {d.family!r}")
+        raise DomainError(f"no closed-form bPOE for family {_typed(d, Distribution).family!r}")
     edge = _bpoe_edges(d, x)
     if edge is not None:
         return edge
@@ -401,114 +290,15 @@ def bpoe_by_root(d: Distribution, x: float) -> TailResult:
     return TailResult(eps, alpha, q)
 
 
-def _normal_ln_tail(g: float) -> tuple[float, float, float]:
-    """(ln h, ln S, F) of the standard normal at g, h = phi / S its hazard, from erfc."""
-    lower, upper = _std_normal_tails(g / _SQRT2)
-    ln_survival = math.log1p(-lower) if g < 0.0 else math.log(upper)
-    return -0.5 * g * g - _LN_SQRT_2PI - ln_survival, ln_survival, lower
-
-
-def _std_normal_tail(d: Distribution, g: float) -> tuple[float, ...]:
-    """The standard normal's tail at g, s = E[Z | Z > g] being its hazard (see _STD_TAILS);
-    from g = 4 the mean excess is Laplace's continued fraction 1/(g + 2/(g + ...))."""
-    if g < 4.0:
-        ln_s, ln_survival, lower = _normal_ln_tail(g)
-        excess = math.exp(ln_s) - g
-        return g, ln_s, excess, excess, ln_survival, lower
-    cf = g
-    for k in range(10 + int(500.0 / (g * g)), 1, -1):
-        cf = g + k / cf
-    s = g + 1.0 / cf
-    return (g, math.log(s), 1.0 / cf, 1.0 / cf, -0.5 * g * g - math.log(_SQRT_2PI * s),
-            _std_normal_tails(g / _SQRT2)[0])
-
-
-def _std_logistic_tail(d: Distribution, g: float) -> tuple[float, ...]:
-    """The standard logistic's, with E[Z - g]+ = ln(1 + e^-g), S = 1/(1 + e^g) and the
-    hazard F(g); s is g + excess above g = 0 and t ((1 + t) log1p(t)/t - g), t = e^g,
-    below, so neither cancels."""
-    t = math.exp(-abs(g))
-    ratio = math.log1p(t) / t if t else 1.0
-    if g > 0.0:
-        excess = (1.0 + t) * ratio
-        s = g + excess
-        return g, math.log(s), excess / ((1.0 + t) * s), excess, -g - math.log1p(t), 1.0 / (1.0 + t)
-    v = (1.0 + t) * ratio - g   # s / t
-    excess = (1.0 + t) * (math.log1p(t) - g)
-    return g, g + math.log(v), (math.log1p(t) - g) / v, excess, -math.log1p(t), t / (1.0 + t)
-
-
-def _std_student_tail(d: StudentT, g: float) -> tuple[float, ...]:
-    """The standardized Student-t's: s = (nu + g^2) f / ((nu - 1) S) with
-    (nu + g^2) f in logs, as ``_sq_student`` forms it, and both tails from one
-    incomplete beta. Where S is below the smallest normal float, ln S is its
-    asymptote ln c - (nu ln(1 + g^2/nu) + ln nu) / 2 where that is exact to
-    rounding, as in ``_std_tails``, and -inf, an underflow, elsewhere (huge nu)."""
-    nu, ln_c, ln_1p = d.nu, d._ln_c, _student_ln_1p(d.nu, g)
-    lower, upper = d._std_tails(g)
-    if upper >= sys.float_info.min:
-        ln_survival = math.log(upper)
-    else:
-        ln_survival = ln_c - 0.5 * (nu * ln_1p + math.log(nu)) if ln_1p > 40.0 else -math.inf
-    ln_s = math.log(nu / (nu - 1.0)) + ln_c - 0.5 * (nu - 1.0) * ln_1p - ln_survival
-    hazard = math.exp(ln_c - 0.5 * (nu + 1.0) * ln_1p - ln_survival)
-    # d ln s / dg = hazard (s - g) / s, and hazard / s = (nu - 1) / (nu + g^2)
-    slope = hazard - (nu - 1.0) / (g + nu / g) if g else hazard
-    return g, ln_s, slope, _exp_or_inf(ln_s) - g, ln_survival, lower
-
-
-def _lognormal_tail(d: LogNormal, g: float) -> tuple[float, ...]:
-    """LogNormal's at the standard normal quantile g, q = exp(mu + s g), with m the mean:
-    s - m = m (F(g) - F(g - s)) / S(g), F and S the standard normal tails, the
-    difference taken between upper tails from g = s/2 so that it does not cancel;
-    deep in the tail s - q cancels, and s / q = h(g) / h(g - s), h the normal hazard,
-    gives it. Up to g = 8 erfc's hazard keeps that difference within 4e-14; beyond,
-    the continued fraction's does. Where S times any binary64 value underflows only
-    ln S and F are formed, and the mean excess reads 0."""
-    if g < 8.0:
-        ln_h, ln_survival, lower = _normal_ln_tail(g)
-        ln_h_shift, ln_survival_shift, lower_shift = _normal_ln_tail(g - d.s)
-    else:
-        _, ln_h, _, _, ln_survival, lower = _std_normal_tail(d, g)
-        _, ln_h_shift, _, _, ln_survival_shift, lower_shift = _std_normal_tail(d, g - d.s)
-    if ln_survival < _LN_NEGLIGIBLE:
-        return math.nan, math.nan, math.nan, 0.0, ln_survival, lower
-    h, h_shift = math.exp(ln_h), math.exp(ln_h_shift)
-    if 2.0 * g > d.s:
-        ln_band = ln_survival_shift + math.log1p(-math.exp(ln_survival - ln_survival_shift))
-    else:   # -inf where both lower tails underflow, far below any root
-        ln_band = math.log(lower - lower_shift) if lower > lower_shift else -math.inf
-    ln_s = d.mu + 0.5 * d.s * d.s + ln_band - ln_survival
-    q = _exp_or_inf(d.mu + d.s * g)
-    excess = q * ((h - h_shift) / h_shift) if g > 0.0 else d.mean() - q + math.exp(ln_s)
-    return q, ln_s, math.exp(ln_h - ln_s) * excess, excess, ln_survival, lower
-
-
-def _location_scale(d: Distribution, x: float) -> tuple[float, float, float]:
-    return d.mu, d._scale, (x - d.mu) / d._scale
-
-
-# family -> (reduce, tail). reduce(d, x) gives (loc, scale, g): the tail's units are
-# (X - loc) / scale and g is the standardized quantile at x. tail(d, g) gives
-# (q, ln(s - m), its slope in g, e, ln S, F) in those units: the quantile q at g, the
-# conditional tail mean s = E[X | X > q] less the mean m, formed as a product so that
-# it does not cancel near the mean, the mean excess e = s - q without its
-# cancellation deep in the tail, the survival S formed as an upper tail and the
-# lower tail F formed directly.
-_STD_TAILS = {Normal: (_location_scale, _std_normal_tail),
-              Logistic: (_location_scale, _std_logistic_tail),
-              StudentT: (_location_scale, _std_student_tail),
-              LogNormal: (lambda d, x: (0.0, 1.0, (math.log(x) - d.mu) / d.s), _lognormal_tail)}
-
-
 def bpoe_by_minimization(d: Distribution, x: float) -> TailResult:
     """bPOE as the minimum over g < x of E[X - g]+ / (x - g), for Normal, Logistic,
     Student-t and LogNormal.
 
     The argmin, the quantile at level 1 - bPOE, is where the conditional tail mean
     s = E[X | X > q] meets x. Newton solves ln(s - m) = ln(x - m), m the mean, in the
-    standardized quantile g from the g whose quantile is x (s > x there), bisecting
-    steps that leave the bracket; one tail evaluation, no quantile, per step.
+    standardized quantile g (the family's ``_reduce``) from the g whose quantile is x
+    (s > x there), bisecting steps that leave the bracket; one ``_excess_tail``
+    evaluation, no quantile, per step.
     ``value`` is the objective S e / (x - q) at the argmin, flat to first order in g
     and precise into the subnormals, ``alpha_star`` the lower tail F there and
     ``quantile_star`` q; where the value underflows it is 0.0 with the top of the
@@ -518,20 +308,21 @@ def bpoe_by_minimization(d: Distribution, x: float) -> TailResult:
     the mean among them; ``ConvergenceError`` if 100 steps do not settle.
     """
     if not isinstance(d, MINIMIZATION_BPOE_FAMILIES):
-        raise DomainError(f"no minimization bPOE engine for family {d.family!r}")
+        raise DomainError(
+            f"no minimization bPOE engine for family {_typed(d, Distribution).family!r}")
     edge = _bpoe_edges(d, x)
     if edge is not None:
         return edge
-    reduce, tail = _STD_TAILS[type(d)]
-    loc, scale, g = reduce(d, x)
+    loc, scale, g = d._reduce(x)
     zx = (x - loc) / scale
     gap = zx - (d.mean() - loc) / scale
     if gap <= 0.0:
         return _end(d, 1.0)
     ln_zx = math.log(gap)
     lo, hi, tolerance = -math.inf, g, 4e-16 * max(1.0, abs(ln_zx))
+    tail = d._excess_tail
     for _ in range(100):
-        q, ln_s, slope, excess, ln_survival, lower = tail(d, g)
+        q, ln_s, slope, excess, ln_survival, lower = tail(g)
         if ln_survival < _LN_NEGLIGIBLE:   # so does S at the argmin, a modest multiple of S(g)
             return _end(d, 0.0)
         residual = ln_s - ln_zx
@@ -584,7 +375,7 @@ def partial_expectation(d: Distribution, gamma: float) -> float:
     """
     gamma = _require(gamma, "partial expectation threshold must be finite, got {}", -_MAX, _MAX,
                      DomainError)
-    m = d.mean()
+    m = _typed(d, Distribution).mean()
     if m == math.inf:
         return math.inf
     lower, upper = d.support()
@@ -601,9 +392,8 @@ def partial_expectation(d: Distribution, gamma: float) -> float:
             return (d.mu - gamma) + 0.5 * d.b * math.exp(z)
         return 0.5 * d.b * math.exp(-z) if z < 708.0 else math.exp(math.log(0.5 * d.b) - z)
     if isinstance(d, MINIMIZATION_BPOE_FAMILIES):
-        reduce, tail = _STD_TAILS[type(d)]
-        _, scale, g = reduce(d, gamma)
-        _, _, _, excess, ln_survival, _ = tail(d, g)
+        _, scale, g = d._reduce(gamma)
+        _, _, _, excess, ln_survival, _ = d._excess_tail(g)
         if ln_survival == -math.inf:
             raise DomainError(f"partial expectation of {d.family} at gamma={gamma}: "
                               "the survival underflows")
@@ -611,7 +401,7 @@ def partial_expectation(d: Distribution, gamma: float) -> float:
     prob, survival = d._tails(gamma)
     if survival == 0.0:
         return 0.0
-    sq = _SQ_FORMULAS[type(d)](d, prob, survival) if prob else m
+    sq = d._sq(prob, survival) if prob else m
     if 1e-14 * (abs(sq) + abs(gamma)) > 1e-8 * (sq - gamma):
         raise DomainError(f"partial expectation of {d.family} at gamma={gamma}: "
                           "sq - gamma keeps less than 1e-8 relative precision")

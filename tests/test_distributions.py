@@ -225,6 +225,44 @@ def test_each_family_writes_one_quantile_formula():
         assert vars(cls)["tail_quantile"] is vars(dist.Distribution)["tail_quantile"], cls
 
 
+def _outcome(f, *args):
+    """f(*args) as hex floats, or the error it raises."""
+    try:
+        value = f(*args)
+    except Exception as exc:   # the same error, with the same message, is the same outcome
+        return type(exc).__name__, str(exc)
+    return [v.hex() if isinstance(v, float) else v for v in
+            (value if isinstance(value, tuple) else (value,))]
+
+
+@pytest.mark.parametrize("cls", dist.FAMILIES.values(), ids=lambda cls: cls.__name__)
+def test_bare_family_subclass_evaluates_as_its_family_bit_for_bit(cls):
+    # each family owns its superquantile and minimization tail (KeyError from tables keyed by
+    # exact type before)
+    subclass = type(f"Bare{cls.__name__}", (cls,), {})
+    rng = np.random.default_rng(40)
+    for d in SETTINGS[cls.family]:
+        e = subclass(**d.params())
+        levels = rng.uniform(0.0, 1.0, 8).tolist() + (10.0 ** -rng.uniform(1, 200, 4)).tolist()
+        xs = [d.quantile(p) for p in rng.uniform(0.01, 0.99, 4).tolist()]
+        xs += [tm.superquantile(d, p) for p in levels[:8]]
+        calls = [("quantile", p) for p in levels] + [("tail_quantile", p) for p in levels]
+        calls += [(name, x) for x in xs for name in ("pdf", "cdf", "sf")]
+        for law in (d, e):
+            got = [_outcome(getattr(law, name), v) for name, v in calls]
+            got += [_outcome(f, law, p) for p in levels
+                    for f in (tm.superquantile, tm.left_superquantile)]
+            got += [_outcome(tm.superquantile, law, 1.0 - p, p) for p in levels]
+            engines = [tm.partial_expectation, tm.bpoe, tm.bpoe_by_root]
+            engines += [tm.bpoe_closed] if isinstance(d, tm.CLOSED_BPOE_FAMILIES) else []
+            engines += ([tm.bpoe_by_minimization] if isinstance(d, tm.MINIMIZATION_BPOE_FAMILIES)
+                        else [])
+            got += [_outcome(f, law, x) for x in xs for f in engines]
+            if law is d:
+                want = got
+        assert got == want, e
+
+
 @pytest.mark.parametrize("d", [dist.Normal(0.0, 1.7), dist.Laplace(0.0, 0.6),
                                dist.Logistic(0.0, 1.3), dist.StudentT(0.7, 2.0),
                                dist.StudentT(3.0), dist.StudentT(2e4)], ids=repr)

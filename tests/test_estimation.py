@@ -100,6 +100,11 @@ def test_mos_no_solution_diagnostic():
     with pytest.raises(ConvergenceError) as err:
         mos_solve(FitProblem("normal", (0.2, 0.8), targets=(3.0, 1.0)))
     assert "residuals" in err.value.diagnostics
+    # a Student-t fit that ends inside the shape range, but not on the targets: a tail
+    # lighter than any Student-t's
+    with pytest.raises(ConvergenceError, match="no solution at the requested accuracy") as err:
+        mos_solve(FitProblem("student-t", (0.1, 0.5, 0.9), targets=(0.0, 0.5, 0.6)))
+    assert max(abs(r) for r in err.value.diagnostics["residuals"]) > 1e-8
 
 
 # --- least squares (LS-MOS) --------------------------------------------------

@@ -255,7 +255,7 @@ def test_engine_pair_equals_superquantile_and_quantile_bit_for_bit():
             got = tm.superquantile(d, alpha, 1.0 - alpha)
             assert [v.hex() for v in got] == [v.hex() for v in want], (d, alpha)
         for eps in grid.EPSILONS:
-            want = tm._SQ_FORMULAS[type(d)](d, 1.0 - eps, eps), d.tail_quantile(eps)
+            want = d._sq(1.0 - eps, eps), d.tail_quantile(eps)
             got = tm.superquantile(d, 1.0 - eps, eps)
             assert [v.hex() for v in got] == [v.hex() for v in want], (d, eps)
 

@@ -216,3 +216,16 @@ def test_the_array_rule():
     with pytest.raises(ParameterError) as info:
         _floats(list(range(100)) + [math.nan], "bad: {}", (-1,))
     assert str(info.value) == "bad: " + repr(list(range(100)))[:40]
+
+
+@pytest.mark.parametrize("f, arg", [
+    (tm.superquantile, 0.5), (tm.left_superquantile, 0.5), (tm.partial_expectation, 1.0),
+    (tm.superdistribution_cdf, 1.0), (tm.bpoe, 1.0), (tm.bpoe_closed, 1.0),
+    (tm.bpoe_by_root, 1.0), (tm.bpoe_by_minimization, 1.0)],
+    ids=["superquantile", "left_superquantile", "partial_expectation", "superdistribution_cdf",
+         "bpoe", "bpoe_closed", "bpoe_by_root", "bpoe_by_minimization"])
+def test_distributions_that_are_not_distributions_are_parameter_errors(f, arg):
+    # AttributeError before
+    for bad in (None, 1.0, "normal", pf.QualifiedFamily("normal")):
+        with pytest.raises(ParameterError, match="expected a Distribution, got "):
+            f(bad, arg)

@@ -18,6 +18,8 @@ def test_config_validation():
         OracleConfig(quad_abs_tol=0.0)
     with pytest.raises(DomainError):
         OracleConfig(mc_samples=10)
+    with pytest.raises(DomainError, match="whole numbers"):
+        OracleConfig(mc_samples=1500.5)
 
 
 def test_superquantile_of_mean():

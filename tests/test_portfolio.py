@@ -56,6 +56,9 @@ def test_universe_rejects_bad_inputs():
         AssetUniverse(("A", "B", "C"), np.full(3, 0.1), np.full(3, 0.2),
                       np.array([[1.0, 0.99, -0.99], [0.99, 1.0, 0.99],
                                 [-0.99, 0.99, 1.0]]))
+    with pytest.raises(ParameterError, match=r"lie in \[-1, 1\]"):
+        AssetUniverse(("A", "B"), np.array([0.1, 0.1]), np.array([0.2, 0.2]),
+                      np.array([[1.0, 1.5], [1.5, 1.0]]))
     with pytest.raises(ParameterError, match="positive"):
         AssetUniverse(("A",), np.array([0.1]), np.array([0.0]), np.eye(1))
     # numpy's ValueError from the minimum eigenvalue of an empty matrix before
@@ -119,6 +122,20 @@ def test_csv_loaders_name_the_file_and_row_of_a_malformed_row(tmp_path, broken, 
             AssetUniverse.from_csv(paths["combined"])
         else:
             AssetUniverse.from_csv(paths["assets"], paths["correlations"])
+
+
+def test_csv_loaders_reject_files_that_do_not_fit_together(tmp_path):
+    files = {"header": _TWO_ASSETS.replace("stdev", "sd"), "combined": _COMBINED,
+             "columns": _COMBINED.replace("stdev,A,B", "stdev,A,C"), "assets": _TWO_ASSETS}
+    paths = {name: tmp_path / f"{name}.csv" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    for args, match in [((paths["header"],), "must start with columns"),
+                        ((paths["combined"], paths["assets"]), "already carries correlations"),
+                        ((paths["columns"],), r"columns \['A', 'C'\] do not match"),
+                        ((paths["assets"],), "correlations file required")]:
+        with pytest.raises(ParameterError, match=match):
+            AssetUniverse.from_csv(*args)
 
 
 def test_csv_loaders_reject_empty_files(tmp_path):
@@ -304,6 +321,15 @@ def test_problem_validation(msci):
         PortfolioProblem(msci, "cvar", level=0.95, lower=0.3, upper=0.1)
     with pytest.raises(DomainError, match="infeasible"):
         PortfolioProblem(msci, "cvar", level=0.95, upper=0.1)
+    with pytest.raises(ParameterError, match="takes no threshold"):
+        PortfolioProblem(msci, "cvar", level=0.95, threshold=0.16)
+    with pytest.raises(ParameterError, match="takes no level"):
+        PortfolioProblem(msci, "bpoe", level=0.95, threshold=0.16)
+    normal = QualifiedFamily("normal")
+    with pytest.raises(ParameterError, match="not carry a cvar objective"):
+        min_cvar_portfolio(PortfolioProblem(msci, "bpoe", threshold=0.16), normal)
+    with pytest.raises(ParameterError, match="not carry a bpoe objective"):
+        min_bpoe_portfolio(PortfolioProblem(msci, "cvar", level=0.95), normal)
 
 
 def test_single_asset_weight_is_one():
